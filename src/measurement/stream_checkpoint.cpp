@@ -440,6 +440,30 @@ void expect_header(std::istream& in, const std::string& type_tag) {
     }
 }
 
+view_streambuf::view_streambuf(std::string_view bytes) {
+    // setg wants char*, but nothing writes through the get area: there is
+    // no put area, and the inherited pbackfail refuses.
+    char* begin = const_cast<char*>(bytes.data());
+    setg(begin, begin, begin + bytes.size());
+}
+
+view_streambuf::pos_type view_streambuf::seekoff(off_type off, std::ios_base::seekdir dir,
+                                                 std::ios_base::openmode which) {
+    off_type base = 0;
+    if (dir == std::ios_base::cur) base = gptr() - eback();
+    if (dir == std::ios_base::end) base = egptr() - eback();
+    return seekpos(pos_type(base + off), which);
+}
+
+view_streambuf::pos_type view_streambuf::seekpos(pos_type pos, std::ios_base::openmode which) {
+    const off_type target = pos;
+    if ((which & std::ios_base::in) == 0 || target < 0 || target > egptr() - eback()) {
+        return pos_type(off_type(-1));
+    }
+    setg(eback(), eback() + target, egptr());
+    return pos;
+}
+
 }  // namespace ckpt
 
 void save_stream_detector(stream_detector& detector, const std::string& path,

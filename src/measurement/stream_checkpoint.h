@@ -35,7 +35,9 @@
 #include <ios>
 #include <memory>
 #include <optional>
+#include <streambuf>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -117,6 +119,21 @@ void expect_header(std::istream& in, const std::string& type_tag);
 // of every version lives in docs/CHECKPOINT_FORMAT.md.
 std::uint64_t format_version() noexcept;
 std::uint64_t min_supported_format_version() noexcept;
+
+// A read-only, seekable stream buffer over bytes held elsewhere, so a
+// reader parses a record where it lies (std::istream in(&buf)) instead
+// of copying it into an istringstream. Seeking is what the readers'
+// remaining_bytes() validation and the header re-reads need. The bytes
+// must outlive the buffer.
+class view_streambuf : public std::streambuf {
+public:
+    explicit view_streambuf(std::string_view bytes);
+
+protected:
+    pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                     std::ios_base::openmode which) override;
+    pos_type seekpos(pos_type pos, std::ios_base::openmode which) override;
+};
 
 }  // namespace ckpt
 

@@ -59,20 +59,21 @@ frame dispatch(stream_server& server, const frame& request) {
             } else {
                 server.snapshot_stream(req.stream, record, ckpt::encoding::interchange);
             }
+            // The record IS the response payload: moved into the frame.
             std::string bytes = std::move(record).str();
             if (bytes.size() > k_max_payload) {
                 return error_frame(wire_errc::server_error,
                                    "stream record of " + std::to_string(bytes.size()) +
                                        " bytes exceeds the frame payload cap");
             }
-            return frame{static_cast<std::uint8_t>(msg_type::resp_snapshot),
-                         encode(snapshot_response{std::move(bytes)})};
+            return frame{static_cast<std::uint8_t>(msg_type::resp_snapshot), std::move(bytes)};
         }
         case msg_type::req_restore: {
-            const restore_request req = decode_restore_request(request.payload);
-            std::istringstream in(req.record, std::ios::binary);
+            // The payload IS the record, parsed where it was received. It
+            // must be exactly one record: trailing bytes fail before the
+            // stream is published.
             try {
-                const stream_id id = server.restore_stream(in);
+                const stream_id id = server.restore_stream(std::string_view(request.payload));
                 return frame{static_cast<std::uint8_t>(msg_type::resp_restore),
                              encode(restore_response{id})};
             } catch (const std::runtime_error& e) {
@@ -132,7 +133,7 @@ frame handle_request(stream_server& server, const frame& request) {
 
 // Shared between the accept loop (which registers it) and the
 // connection thread (which reads it) -- and shutdown_both from stop()
-// is what unblocks a thread parked in recv_some. `done` flips once the
+// is what unblocks a thread parked in recv_into. `done` flips once the
 // connection thread has closed the socket and is about to exit, making
 // the worker safe for the reaper to join-and-erase.
 struct netdiag_frontend::connection {
@@ -206,13 +207,11 @@ void netdiag_frontend::serve_connection(const std::shared_ptr<connection>& conn)
 void netdiag_frontend::serve_frames(connection& conn) {
     frame_decoder decoder;
     frame request;
-    char buf[1 << 14];
     for (;;) {
         const frame_decoder::progress p = decoder.next(request);
         if (p == frame_decoder::progress::frame_ready) {
-            frame response = handle_request(server_, request);
-            const std::string bytes = encode_frame(response);
-            conn.sock.send_all(bytes.data(), bytes.size());
+            const frame response = handle_request(server_, request);
+            conn.sock.send_frame(response.type, response.payload);
             if (static_cast<msg_type>(request.type) == msg_type::req_shutdown &&
                 static_cast<msg_type>(response.type) == msg_type::resp_shutdown) {
                 request_stop();
@@ -223,15 +222,13 @@ void netdiag_frontend::serve_frames(connection& conn) {
         if (p == frame_decoder::progress::error) {
             // Best-effort typed report, then drop the connection --
             // framing has no resynchronization point.
-            const std::string bytes = encode_frame(error_frame(
+            const frame err = error_frame(
                 wire_errc::malformed_payload,
-                std::string("frame error: ") + frame_error_name(decoder.error())));
-            conn.sock.send_all(bytes.data(), bytes.size());
+                std::string("frame error: ") + frame_error_name(decoder.error()));
+            conn.sock.send_frame(err.type, err.payload);
             return;
         }
-        const std::size_t n = conn.sock.recv_some(buf, sizeof buf);
-        if (n == 0) return;  // peer closed cleanly
-        decoder.feed(std::string_view(buf, n));
+        if (conn.sock.recv_into(decoder) == 0) return;  // peer closed cleanly
     }
 }
 
@@ -240,7 +237,7 @@ void netdiag_frontend::request_stop() {
     listener_.close();  // unblocks accept()
     sync::mutex_lock lock(mu_);
     for (const worker& w : workers_) {
-        w.conn->sock.shutdown_both();  // unblocks recv_some()
+        w.conn->sock.shutdown_both();  // unblocks recv_into()
     }
 }
 

@@ -13,7 +13,7 @@
 //
 // netdiag_frontend is the transport shell: an accept loop plus one
 // thread per connection, each running frame_decoder -> handle_request ->
-// encode_frame. Threading here is deliberate and confined: src/net/ is,
+// tcp_socket::send_frame. Threading here is deliberate and confined: src/net/ is,
 // with src/engine/, the only layer allowed to spawn threads
 // (netdiag-lint R1) -- connection handling is I/O concurrency, not
 // detector compute, and everything a connection applies goes through

@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <istream>
 #include <sstream>
 
 #include "measurement/stream_checkpoint.h"
@@ -17,17 +18,18 @@ std::ostringstream payload_writer() {
     return out;
 }
 
-// Runs a parse body against the payload, translating the ckpt codec's
-// runtime errors (truncation, tag mismatch, oversized counts) into the
-// protocol's typed decode error, and rejecting trailing bytes: a
-// payload is exact or it is malformed.
+// Runs a parse body against the payload where it lies, translating the
+// ckpt codec's runtime errors (truncation, tag mismatch, oversized
+// counts) into the protocol's typed decode error, and rejecting trailing
+// bytes: a payload is exact or it is malformed.
 template <typename F>
 auto parse(std::string_view payload, const char* what, F&& body) {
-    std::istringstream in{std::string(payload), std::ios::binary};
+    ckpt::view_streambuf bytes(payload);
+    std::istream in(&bytes);
     ckpt::set_encoding(in, ckpt::encoding::interchange);
     try {
-        auto result = body(static_cast<std::istream&>(in));
-        if (in.peek() != std::istringstream::traits_type::eof()) {
+        auto result = body(in);
+        if (in.peek() != std::istream::traits_type::eof()) {
             throw wire_decode_error(std::string(what) + ": trailing bytes after payload");
         }
         return result;
@@ -118,22 +120,6 @@ snapshot_request decode_snapshot_request(std::string_view payload) {
         x.detach = ckpt::read_flag(in);
         return x;
     });
-}
-
-// The record payloads are NOT wrapped in a ckpt string (whose reader
-// caps at 1 MiB): a stream record is self-identifying (it begins with
-// the interchange checkpoint magic) and is carried as the entire
-// remaining payload, bounded by the frame layer's k_max_payload.
-std::string encode(const snapshot_response& x) { return x.record; }
-
-snapshot_response decode_snapshot_response(std::string_view payload) {
-    return snapshot_response{std::string(payload)};
-}
-
-std::string encode(const restore_request& x) { return x.record; }
-
-restore_request decode_restore_request(std::string_view payload) {
-    return restore_request{std::string(payload)};
 }
 
 std::string encode(const restore_response& x) {

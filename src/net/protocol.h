@@ -2,8 +2,10 @@
 // Each frame type below carries a payload built from the interchange
 // checkpoint primitives (measurement/stream_checkpoint.h, encoding
 // ::interchange) -- the same tagged little-endian codec stream records
-// travel in, so the snapshot/restore payloads ARE checkpoint records and
-// nothing re-encodes detector state at the network boundary.
+// travel in. The req_snapshot response and the req_restore request have
+// no codec here: their payload IS one interchange stream record,
+// verbatim and whole (a ckpt string would cap it at 1 MiB), so nothing
+// re-encodes or copies detector state at the network boundary.
 //
 // Request/response pairing is positional: a connection sends one request
 // frame and reads one response frame (resp type = request type | 0x80,
@@ -103,18 +105,9 @@ struct snapshot_request {
     friend bool operator==(const snapshot_request&, const snapshot_request&) = default;
 };
 
-struct snapshot_response {
-    // A complete interchange stream record (self-identifying: it starts
-    // with the interchange checkpoint magic). Feed it to restore_stream
-    // / req_restore verbatim.
-    std::string record;
-    friend bool operator==(const snapshot_response&, const snapshot_response&) = default;
-};
-
-struct restore_request {
-    std::string record;  // as produced by snapshot_response
-    friend bool operator==(const restore_request&, const restore_request&) = default;
-};
+// resp_snapshot's payload is the stream's interchange record
+// (self-identifying: it starts with the interchange checkpoint magic);
+// req_restore's payload is such a record, exactly.
 
 struct restore_response {
     std::uint64_t stream = 0;  // the id the restored stream serves under
@@ -163,8 +156,6 @@ std::string encode(const ingest_batch_request& x);
 std::string encode(const ingest_batch_response& x);
 std::string encode(const flush_request& x);
 std::string encode(const snapshot_request& x);
-std::string encode(const snapshot_response& x);
-std::string encode(const restore_request& x);
 std::string encode(const restore_response& x);
 std::string encode(const stats_request& x);
 std::string encode(const stats_response& x);
@@ -175,8 +166,6 @@ ingest_batch_request decode_ingest_batch_request(std::string_view payload);
 ingest_batch_response decode_ingest_batch_response(std::string_view payload);
 flush_request decode_flush_request(std::string_view payload);
 snapshot_request decode_snapshot_request(std::string_view payload);
-snapshot_response decode_snapshot_response(std::string_view payload);
-restore_request decode_restore_request(std::string_view payload);
 restore_response decode_restore_response(std::string_view payload);
 stats_request decode_stats_request(std::string_view payload);
 stats_response decode_stats_response(std::string_view payload);

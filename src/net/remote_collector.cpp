@@ -24,13 +24,11 @@ ingest_error to_ingest_error(wire_errc e) {
 remote_collector::remote_collector(std::uint16_t port)
     : sock_(tcp_socket::connect_loopback(port)) {}
 
-frame remote_collector::roundtrip(msg_type request, std::string payload, msg_type expected) {
-    const std::string bytes =
-        encode_frame(static_cast<std::uint8_t>(request), std::move(payload));
-    sock_.send_all(bytes.data(), bytes.size());
+frame remote_collector::roundtrip(msg_type request, std::string_view payload,
+                                  msg_type expected) {
+    sock_.send_frame(static_cast<std::uint8_t>(request), payload);
 
     frame response;
-    char buf[1 << 14];
     for (;;) {
         const frame_decoder::progress p = decoder_.next(response);
         if (p == frame_decoder::progress::frame_ready) break;
@@ -38,11 +36,9 @@ frame remote_collector::roundtrip(msg_type request, std::string payload, msg_typ
             throw std::runtime_error(std::string("remote_collector: malformed response (") +
                                      frame_error_name(decoder_.error()) + ")");
         }
-        const std::size_t n = sock_.recv_some(buf, sizeof buf);
-        if (n == 0) {
+        if (sock_.recv_into(decoder_) == 0) {
             throw std::runtime_error("remote_collector: connection closed mid-response");
         }
-        decoder_.feed(std::string_view(buf, n));
     }
     if (static_cast<msg_type>(response.type) == expected) return response;
     if (static_cast<msg_type>(response.type) == msg_type::resp_error) {
@@ -87,15 +83,13 @@ stats_response remote_collector::stats(std::uint64_t stream) {
 }
 
 std::string remote_collector::snapshot(std::uint64_t stream, bool detach) {
-    const frame resp = roundtrip(msg_type::req_snapshot,
-                                 encode(snapshot_request{stream, detach}),
-                                 msg_type::resp_snapshot);
-    return decode_snapshot_response(resp.payload).record;
+    frame resp = roundtrip(msg_type::req_snapshot, encode(snapshot_request{stream, detach}),
+                           msg_type::resp_snapshot);
+    return std::move(resp.payload);  // the payload IS the record
 }
 
-std::uint64_t remote_collector::restore(const std::string& record) {
-    const frame resp = roundtrip(msg_type::req_restore, encode(restore_request{record}),
-                                 msg_type::resp_restore);
+std::uint64_t remote_collector::restore(std::string_view record) {
+    const frame resp = roundtrip(msg_type::req_restore, record, msg_type::resp_restore);
     return decode_restore_response(resp.payload).stream;
 }
 

@@ -17,6 +17,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/protocol.h"
@@ -61,14 +62,17 @@ public:
     // Stream + ingest counters in one round trip.
     stats_response stats(std::uint64_t stream);
 
-    // Fetches the stream's interchange record. With detach the server
-    // forgets the stream afterwards (the migration read side): from that
-    // point its ingests return stream_closed.
+    // Fetches the stream's interchange record: the response payload,
+    // moved out of the received frame. With detach the server forgets
+    // the stream afterwards (the migration read side): from that point
+    // its ingests return stream_closed.
     std::string snapshot(std::uint64_t stream, bool detach = false);
 
     // Installs a record on the server under a fresh id (the migration
-    // write side); returns the id to ingest into.
-    std::uint64_t restore(const std::string& record);
+    // write side); returns the id to ingest into. The record is sent
+    // from where it lies; the server rejects anything but exactly one
+    // record (remote_error{malformed_payload}).
+    std::uint64_t restore(std::string_view record);
 
     void close_stream(std::uint64_t stream);
 
@@ -77,7 +81,7 @@ public:
     void shutdown_server();
 
 private:
-    frame roundtrip(msg_type request, std::string payload, msg_type expected);
+    frame roundtrip(msg_type request, std::string_view payload, msg_type expected);
 
     tcp_socket sock_;
     frame_decoder decoder_;

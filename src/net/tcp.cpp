@@ -4,8 +4,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -18,6 +20,11 @@ namespace {
 
 [[noreturn]] void throw_errno(const std::string& what) {
     throw std::runtime_error(what + ": " + std::strerror(errno));
+}
+
+// iovec's base is void* for readv's sake; sendmsg only reads through it.
+iovec piece(std::string_view bytes) {
+    return {const_cast<char*>(bytes.data()), bytes.size()};
 }
 
 sockaddr_in loopback_addr(std::uint16_t port) {
@@ -57,25 +64,43 @@ tcp_socket tcp_socket::connect_loopback(std::uint16_t port) {
     }
 }
 
-void tcp_socket::send_all(const void* data, std::size_t bytes) {
-    const char* p = static_cast<const char*>(data);
-    while (bytes > 0) {
+void tcp_socket::send_frame(std::uint8_t type, std::string_view payload) {
+    const frame_envelope env = envelope(type, payload);
+    const std::string_view header(env.header.data(), env.header.size());
+    const std::string_view trailer(env.trailer.data(), env.trailer.size());
+    std::array<iovec, 3> iov = {piece(header), piece(payload), piece(trailer)};
+    std::size_t first = 0;
+    while (first < iov.size()) {
+        msghdr msg{};
+        msg.msg_iov = iov.data() + first;
+        msg.msg_iovlen = iov.size() - first;
         // MSG_NOSIGNAL: a peer that vanished mid-send must surface as an
         // exception on this thread, not a process-wide SIGPIPE.
-        const ssize_t n = ::send(fd_, p, bytes, MSG_NOSIGNAL);
+        const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) continue;
-            throw_errno("tcp_socket: send");
+            throw_errno("tcp_socket: sendmsg");
         }
-        p += n;
-        bytes -= static_cast<std::size_t>(n);
+        auto sent = static_cast<std::size_t>(n);
+        while (first < iov.size() && sent >= iov[first].iov_len) {
+            sent -= iov[first].iov_len;
+            ++first;
+        }
+        if (first < iov.size()) {
+            iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + sent;
+            iov[first].iov_len -= sent;
+        }
     }
 }
 
-std::size_t tcp_socket::recv_some(void* data, std::size_t bytes) {
+std::size_t tcp_socket::recv_into(frame_decoder& decoder) {
+    const std::span<char> window = decoder.prepare();
     for (;;) {
-        const ssize_t n = ::recv(fd_, data, bytes, 0);
-        if (n >= 0) return static_cast<std::size_t>(n);
+        const ssize_t n = ::recv(fd_, window.data(), window.size(), 0);
+        if (n >= 0) {
+            decoder.commit(static_cast<std::size_t>(n));
+            return static_cast<std::size_t>(n);
+        }
         if (errno == EINTR) continue;
         throw_errno("tcp_socket: recv");
     }

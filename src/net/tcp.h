@@ -10,12 +10,15 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
+
+#include "net/wire.h"
 
 namespace netdiag::net {
 
-// One connected socket, move-only, closed on destruction. I/O failures
-// throw std::runtime_error; a clean peer shutdown is a 0 return from
-// recv_some, not an error.
+// One connected socket, move-only, closed on destruction. It speaks
+// frames: I/O failures throw std::runtime_error; a clean peer shutdown
+// is a 0 return from recv_into, not an error.
 class tcp_socket {
 public:
     tcp_socket() = default;
@@ -32,14 +35,18 @@ public:
 
     bool valid() const noexcept { return fd_ >= 0; }
 
-    // Writes the whole buffer (looping over partial sends). Throws
-    // std::runtime_error on a broken connection.
-    void send_all(const void* data, std::size_t bytes);
+    // Sends one frame as a gathered sendmsg (looping over partial sends):
+    // header, payload and CRC trailer leave from where they are, and the
+    // payload is never copied into a joined buffer. Throws
+    // std::runtime_error on a broken connection, std::invalid_argument
+    // when the payload exceeds k_max_payload.
+    void send_frame(std::uint8_t type, std::string_view payload);
 
-    // Reads up to `bytes`, returning what one recv delivered -- possibly
-    // a split mid-frame, which the frame_decoder is built to absorb.
-    // Returns 0 on orderly peer shutdown; throws on errors.
-    std::size_t recv_some(void* data, std::size_t bytes);
+    // Reads what one recv delivers straight into the decoder's window
+    // (frame_decoder::prepare/commit) -- possibly a split mid-frame,
+    // which the decoder is built to absorb. Returns the byte count, 0 on
+    // orderly peer shutdown; throws on errors.
+    std::size_t recv_into(frame_decoder& decoder);
 
     // Half-closes both directions (wakes a peer blocked in recv).
     void shutdown_both() noexcept;

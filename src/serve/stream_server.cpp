@@ -1087,4 +1087,23 @@ stream_id stream_server::restore_stream(std::istream& in) {
     return id;
 }
 
+stream_id stream_server::restore_stream(std::string_view record) {
+    ckpt::view_streambuf bytes(record);
+    std::istream in(&bytes);
+    sync::mutex_lock maintenance(maint_mu_);
+    std::shared_ptr<stream_entry> entry = read_stream_record(in, "stream_server::restore_stream");
+    // One record, exactly: bytes after it mean the payload is not the
+    // record it claims to be, so nothing is published.
+    if (in.peek() != std::istream::traits_type::eof()) {
+        const auto consumed = static_cast<std::size_t>(in.tellg());
+        throw std::runtime_error("stream_server::restore_stream: " +
+                                 std::to_string(record.size() - consumed) +
+                                 " trailing bytes after the record");
+    }
+    sync::exclusive_lock lock(mu_);
+    const stream_id id = next_id_++;
+    streams_.emplace(id, std::move(entry));
+    return id;
+}
+
 }  // namespace netdiag

@@ -110,6 +110,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/mpsc_inbox.h"
@@ -415,6 +416,13 @@ public:
     // returned id. Inbox residue is re-enqueued under its original
     // sequence numbers. Throws std::runtime_error on malformed input.
     [[nodiscard]] stream_id restore_stream(std::istream& in);
+
+    // Same, from one record held in memory and parsed where it lies (a
+    // received req_restore payload; docs/WIRE_FORMAT.md). The record must
+    // span the bytes exactly: trailing bytes throw std::runtime_error
+    // before the stream is published, so a record plus anything restores
+    // nothing.
+    [[nodiscard]] stream_id restore_stream(std::string_view record);
 
 private:
     struct stream_entry;

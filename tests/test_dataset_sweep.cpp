@@ -21,6 +21,10 @@ struct preset_case {
     double cutoff_bytes;
 };
 
+// Print the preset by name: gtest's fallback dumps the raw bytes, which hold
+// pointers and so would put load addresses into the listed test names.
+void PrintTo(const preset_case& c, std::ostream* os) { *os << c.name; }
+
 const preset_case k_cases[] = {
     {"Sprint1", &make_sprint1_dataset, 2e7},
     {"Sprint2", &make_sprint2_dataset, 2e7},

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -280,6 +281,47 @@ TEST(Loopback, WireMigrationIsBitIdenticalToAnUnmigratedShadow) {
     shadow.flush_stream(shadow_id);
 
     EXPECT_EQ(collector_b.snapshot(id_b), local_record(shadow, shadow_id));
+
+    frontend_a.stop();
+    frontend_b.stop();
+}
+
+// A record past a mebibyte (20k pending residue bins) crosses the wire
+// both ways: each end receives it in frames that span many reads, and
+// the gathered send ships it without joining header, record and
+// trailer. The migrated stream still matches a shadow that never left
+// the host, byte for byte.
+TEST(Loopback, MebibyteRecordMigratesBitIdentically) {
+    constexpr std::size_t k_pending = 20000;
+    stream_open_config cfg = tracking_config(21);
+    cfg.ingest.capacity = std::size_t{1} << 15;
+    cfg.ingest.auto_drain = false;
+    stream_server server_a({.threads = 0});
+    stream_server server_b({.threads = 0});
+    stream_server shadow({.threads = 0});
+    const stream_id id_a = server_a.open_stream(cfg);
+    const stream_id shadow_id = shadow.open_stream(cfg);
+
+    std::vector<std::vector<double>> bins;
+    for (std::size_t i = 0; i < k_pending; ++i) bins.push_back(synthetic_bin(k_dim, 900 + i));
+    const std::vector<std::span<const double>> spans(bins.begin(), bins.end());
+    ASSERT_TRUE(server_a.ingest_batch(id_a, spans).ok());
+    ASSERT_TRUE(shadow.ingest_batch(shadow_id, spans).ok());
+
+    net::netdiag_frontend frontend_a(server_a);
+    net::netdiag_frontend frontend_b(server_b);
+    net::remote_collector collector_a(frontend_a.port());
+    net::remote_collector collector_b(frontend_b.port());
+
+    const std::string record = collector_a.snapshot(id_a);
+    ASSERT_GT(record.size(), std::size_t{1} << 20);
+    EXPECT_TRUE(record == local_record(shadow, shadow_id));
+
+    const std::uint64_t id_b = net::migrate_stream(collector_a, id_a, collector_b);
+    EXPECT_EQ(collector_b.stats(id_b).pending, k_pending);
+    collector_b.flush(id_b);
+    shadow.flush_stream(shadow_id);
+    EXPECT_TRUE(collector_b.snapshot(id_b) == local_record(shadow, shadow_id));
 
     frontend_a.stop();
     frontend_b.stop();

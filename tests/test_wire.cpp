@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,6 +45,55 @@ TEST(Crc32, MatchesTheIeeeKnownAnswer) {
     EXPECT_EQ(net::crc32("123456789"), 0xCBF43926u);
     EXPECT_EQ(net::crc32(""), 0x00000000u);
     EXPECT_EQ(net::crc32(std::string(1, '\0')), 0xD202EF8Du);
+}
+
+// The byte-at-a-time CRC the sliced kernel replaced, kept as the oracle.
+std::uint32_t crc32_oracle(std::string_view bytes) {
+    static const std::array<std::uint32_t, 256> table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t n = 0; n < 256; ++n) {
+            std::uint32_t c = n;
+            for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+            t[n] = c;
+        }
+        return t;
+    }();
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (const char ch : bytes) {
+        c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+std::string random_bytes(std::size_t n, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::string out(n, '\0');
+    for (char& ch : out) ch = static_cast<char>(rng());
+    return out;
+}
+
+TEST(Crc32, SlicedKernelMatchesTheByteAtATimeOracle) {
+    // Every length across the 16-byte blocks and the tail, from every
+    // alignment of the start.
+    const std::string buf = random_bytes(16 + 80, 0xC12C);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        for (std::size_t len = 0; len <= 80; ++len) {
+            const std::string_view bytes = std::string_view(buf).substr(offset, len);
+            ASSERT_EQ(net::crc32(bytes), crc32_oracle(bytes)) << offset << "+" << len;
+        }
+    }
+    const std::string big = random_bytes(std::size_t{1} << 20, 0xB16);
+    EXPECT_EQ(net::crc32(big), crc32_oracle(big));
+}
+
+TEST(Crc32, IncrementalFormEqualsOneShotAtEverySplit) {
+    const std::string buf = random_bytes(1024, 0x5417);
+    const std::uint32_t whole = net::crc32(buf);
+    for (std::size_t split = 0; split <= buf.size(); ++split) {
+        const std::string_view head = std::string_view(buf).substr(0, split);
+        const std::string_view tail = std::string_view(buf).substr(split);
+        ASSERT_EQ(net::crc32(tail, net::crc32(head)), whole) << split;
+    }
 }
 
 TEST(Crc32, DetectsEverySingleBitFlipInASmallMessage) {
@@ -156,11 +210,82 @@ TEST(FrameEncode, RejectsOversizedPayloads) {
     frame f{type_byte(msg_type::req_restore), {}};
     f.payload.resize(net::k_max_payload + 1);
     EXPECT_THROW((void)net::encode_frame(f), std::invalid_argument);
+    EXPECT_THROW((void)net::envelope(f.type, f.payload), std::invalid_argument);
+}
+
+// The bytes on the wire, pinned: header, payload, CRC trailer as
+// docs/WIRE_FORMAT.md lays them out (trailer from zlib's crc32). The
+// gathered send writes envelope.header, the payload, envelope.trailer:
+// the same bytes encode_frame joins.
+TEST(FrameEncode, EnvelopeAroundThePayloadIsTheEncodedFrame) {
+    const std::string expected("ND\x01\x02\x03\x00\x00\x00pay\x52\xD6\x90\x1D", 15);
+    EXPECT_EQ(net::encode_frame(type_byte(msg_type::req_flush), "pay"), expected);
+
+    for (const std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{4099}}) {
+        const std::string payload = random_bytes(len, len);
+        const net::frame_envelope env = net::envelope(type_byte(msg_type::resp_snapshot), payload);
+        std::string gathered(env.header.data(), env.header.size());
+        gathered += payload;
+        gathered.append(env.trailer.data(), env.trailer.size());
+        EXPECT_EQ(gathered, net::encode_frame(type_byte(msg_type::resp_snapshot), payload)) << len;
+    }
+}
+
+// The socket path: each read lands in the decoder's own window, and a
+// frame that spans reads arrives in the string next() hands out. A
+// mebibyte frame (and a small one right behind it) must come out intact
+// however the reads chunk the stream.
+TEST(FrameDecoder, MebibyteFrameRoundTripsThroughTheReceiveWindow) {
+    const frame big{type_byte(msg_type::resp_snapshot), random_bytes((1u << 20) + 13, 0xF00D)};
+    const frame small{type_byte(msg_type::resp_flush), "ok"};
+    const std::string stream = net::encode_frame(big) + net::encode_frame(small);
+
+    const std::array<std::size_t, 4> chunks = {1, 7, std::size_t{16} << 10, stream.size()};
+    for (const std::size_t chunk : chunks) {
+        frame_decoder dec;
+        std::vector<frame> got;
+        std::size_t offset = 0;
+        while (offset < stream.size()) {
+            const std::span<char> window = dec.prepare();
+            ASSERT_FALSE(window.empty());
+            const std::size_t n = std::min({chunk, window.size(), stream.size() - offset});
+            std::memcpy(window.data(), stream.data() + offset, n);
+            dec.commit(n);
+            offset += n;
+            frame out;
+            frame_decoder::progress p;
+            while ((p = dec.next(out)) == frame_decoder::progress::frame_ready) {
+                got.push_back(std::move(out));
+            }
+            ASSERT_EQ(p, frame_decoder::progress::need_more) << chunk << " @" << offset;
+        }
+        ASSERT_EQ(got.size(), 2u) << chunk;
+        EXPECT_TRUE(got[0] == big) << chunk;
+        EXPECT_EQ(got[1], small) << chunk;
+        EXPECT_EQ(dec.buffered(), 0u) << chunk;
+    }
+}
+
+// A frame spanning reads is still CRC-checked before it is released.
+TEST(FrameDecoder, FrameSpanningReadsStillFailsOnItsCrc) {
+    const std::string payload = random_bytes(100000, 0xBAD);
+    std::string bytes = net::encode_frame(type_byte(msg_type::req_restore), payload);
+    bytes[net::k_wire_header_bytes + 70000] ^= 0x10;
+    frame_decoder dec;
+    frame out;
+    for (std::size_t offset = 0; offset < bytes.size(); offset += 4096) {
+        dec.feed(std::string_view(bytes).substr(offset, 4096));
+        if (offset + 4096 < bytes.size()) {
+            ASSERT_EQ(dec.next(out), frame_decoder::progress::need_more) << offset;
+        }
+    }
+    EXPECT_EQ(dec.next(out), frame_decoder::progress::error);
+    EXPECT_EQ(dec.error(), frame_error::bad_crc);
 }
 
 // ---------------------------------------------------------------------------
-// Op payload round trips: decode(encode(x)) == x for every op type at
-// the boundary sizes (0 bins, 1 bin, max batch; empty and large blobs).
+// Op payload round trips: decode(encode(x)) == x for every op type with
+// a codec, at the boundary sizes (0 bins, 1 bin, max batch).
 // ---------------------------------------------------------------------------
 
 std::vector<double> pattern_bin(std::size_t width, std::uint64_t salt) {
@@ -203,14 +328,6 @@ TEST(ProtocolCodec, EveryOtherOpRoundTrips) {
     for (const bool detach : {false, true}) {
         const net::snapshot_request sr{9, detach};
         EXPECT_EQ(net::decode_snapshot_request(net::encode(sr)), sr);
-    }
-
-    for (const std::size_t record_bytes : {std::size_t{0}, std::size_t{1},
-                                           std::size_t{3 << 20}}) {
-        const net::snapshot_response sresp{std::string(record_bytes, '\x5A')};
-        EXPECT_EQ(net::decode_snapshot_response(net::encode(sresp)), sresp);
-        const net::restore_request rreq{sresp.record};
-        EXPECT_EQ(net::decode_restore_request(net::encode(rreq)), rreq);
     }
 
     const net::restore_response rresp{88};
@@ -452,6 +569,106 @@ TEST(WireFuzz, ThreeThousandMutatedRequestsNeverPartiallyApply) {
     // The corpus must have exercised both outcomes to mean anything.
     EXPECT_GT(malformed, 100u);
     EXPECT_GT(applied_ok, 0u);
+}
+
+// A tracking stream on its own server plus its interchange record: the
+// body of every restore request below.
+struct served_record {
+    stream_server server{{.threads = 0}};
+    stream_id id = 0;
+    std::string record;
+};
+
+std::unique_ptr<served_record> serve_one_stream() {
+    auto s = std::make_unique<served_record>();
+    matrix boot(12, 6, 0.0);
+    for (std::size_t r = 0; r < boot.rows(); ++r) {
+        for (std::size_t c = 0; c < boot.cols(); ++c) {
+            boot(r, c) = 80.0 + static_cast<double>((r * 17 + c * 5) % 29);
+        }
+    }
+    stream_open_config cfg;
+    cfg.kind = stream_kind::tracking;
+    cfg.bootstrap_y = boot;
+    cfg.max_rank = 2;
+    s->id = s->server.open_stream(std::move(cfg));
+    for (std::size_t i = 0; i < 8; ++i) {
+        EXPECT_TRUE(s->server.ingest(s->id, pattern_bin(6, 200 + i)).ok());
+    }
+    std::ostringstream out(std::ios::binary);
+    s->server.snapshot_stream(s->id, out, ckpt::encoding::interchange);
+    s->record = std::move(out).str();
+    return s;
+}
+
+// A restore payload is one record, exactly -- the strict decode every
+// other op follows. A valid record with anything after it answers
+// malformed_payload and publishes nothing.
+TEST(RestoreRequest, TrailingBytesAfterTheRecordAreMalformedAndPublishNothing) {
+    const std::unique_ptr<served_record> s = serve_one_stream();
+    const std::vector<stream_id> before = s->server.stream_ids();
+    const std::array<std::string, 3> tails = {"X", std::string(24, '\0'), s->record.substr(0, 24)};
+    for (const std::string& tail : tails) {
+        const frame request{type_byte(msg_type::req_restore), s->record + tail};
+        const frame response = net::handle_request(s->server, request);
+        ASSERT_EQ(static_cast<msg_type>(response.type), msg_type::resp_error) << tail.size();
+        const net::error_response err = net::decode_error_response(response.payload);
+        EXPECT_EQ(err.code, net::wire_errc::malformed_payload) << tail.size();
+        EXPECT_EQ(s->server.stream_ids(), before) << tail.size();
+    }
+
+    // The record alone restores, under a fresh id.
+    const frame request{type_byte(msg_type::req_restore), s->record};
+    const frame response = net::handle_request(s->server, request);
+    ASSERT_EQ(static_cast<msg_type>(response.type), msg_type::resp_restore);
+    EXPECT_EQ(s->server.stream_count(), before.size() + 1);
+}
+
+// Restore requests mutated from a real record against a serving
+// stream_server: truncations, bit flips and appended bytes. Each answer
+// is resp_restore (one more stream) or malformed_payload (the stream set
+// untouched) -- never another error, never a half-published stream.
+TEST(WireFuzz, MutatedRestoreRequestsRestoreWholeOrPublishNothing) {
+    const std::unique_ptr<served_record> s = serve_one_stream();
+    std::mt19937_64 rng(0x2E5702E);
+    std::size_t restored = 0;
+    std::size_t malformed = 0;
+    for (std::size_t i = 0; i < 1500; ++i) {
+        std::string mutated = s->record;
+        const std::size_t kind = i % 3;
+        if (kind == 0) {
+            mutated.resize(rng() % mutated.size());
+        } else if (kind == 1) {
+            for (std::size_t f = 1 + rng() % 4; f > 0; --f) {
+                mutated[rng() % mutated.size()] ^= static_cast<char>(1 << (rng() % 8));
+            }
+        } else {
+            for (std::size_t a = 1 + rng() % 32; a > 0; --a) mutated += static_cast<char>(rng());
+        }
+
+        const std::vector<stream_id> before = s->server.stream_ids();
+        const frame request{type_byte(msg_type::req_restore), std::move(mutated)};
+        const frame response = net::handle_request(s->server, request);
+        const std::vector<stream_id> after = s->server.stream_ids();
+        if (static_cast<msg_type>(response.type) == msg_type::resp_restore) {
+            ++restored;
+            // Only a flip inside a value can still be a record.
+            EXPECT_EQ(kind, 1u) << i;
+            const stream_id fresh = net::decode_restore_response(response.payload).stream;
+            ASSERT_EQ(after.size(), before.size() + 1) << i;
+            EXPECT_NE(std::find(after.begin(), after.end(), fresh), after.end()) << i;
+            s->server.close_stream(fresh);
+        } else {
+            ASSERT_EQ(static_cast<msg_type>(response.type), msg_type::resp_error) << i;
+            const net::error_response err = net::decode_error_response(response.payload);
+            EXPECT_EQ(err.code, net::wire_errc::malformed_payload) << i;
+            EXPECT_EQ(after, before) << i;
+            ++malformed;
+        }
+    }
+    EXPECT_GT(malformed, 1000u);
+    EXPECT_GT(restored, 0u);
+    EXPECT_EQ(s->server.stream_ids(), std::vector<stream_id>{s->id});
 }
 
 // Interchange record mutations through the checkpoint loader: the other

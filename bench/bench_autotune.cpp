@@ -352,7 +352,7 @@ int main(int argc, char** argv) {
             const auto contended_ingest_ms = [&] {
                 stream_server server({.threads = 0});
                 stream_open_config cfg;
-                cfg.kind = stream_kind::tracker;
+                cfg.kind = stream_kind::tracking;
                 cfg.bootstrap_y = boot;
                 cfg.max_rank = 4;
                 cfg.ingest.capacity = 64;

@@ -95,7 +95,7 @@ struct engine_benchmark {
     std::vector<thread_timing> parallel;
     bool identical_to_serial = false;
     // Latency-style benchmarks additionally report the worst single
-    // dispatch (e.g. the slowest push_batch of a multi-stream run).
+    // dispatch (e.g. the slowest ingest() call of a fan-in run).
     bool has_worst = false;
     double serial_worst_ms = 0.0;
     // Ingest benchmarks additionally report the ingest-to-applied
@@ -306,7 +306,7 @@ engine_benchmark run_streaming_push_sweep(const std::vector<std::size_t>& thread
     const std::size_t bootstrap_bins = 432;
     matrix bootstrap(bootstrap_bins, ds.link_loads.cols());
     for (std::size_t r = 0; r < bootstrap_bins; ++r) bootstrap.set_row(r, ds.link_loads.row(r));
-    const std::size_t stream_bins =
+    const std::size_t pushed_bins =
         std::min(ds.bin_count() - bootstrap_bins, quick ? std::size_t{120} : std::size_t{432});
 
     streaming_config base;
@@ -318,7 +318,7 @@ engine_benchmark run_streaming_push_sweep(const std::vector<std::size_t>& thread
     const auto max_push_ms = [&](streaming_config cfg, std::vector<diagnosis>* trace) {
         streaming_diagnoser diag(bootstrap, ds.routing.a, cfg);
         double worst = 0.0;
-        for (std::size_t r = 0; r < stream_bins; ++r) {
+        for (std::size_t r = 0; r < pushed_bins; ++r) {
             const auto start = std::chrono::steady_clock::now();
             diagnosis d = diag.push(ds.link_loads.row(bootstrap_bins + r));
             worst = std::max(worst, elapsed_ms(start));
@@ -330,7 +330,7 @@ engine_benchmark run_streaming_push_sweep(const std::vector<std::size_t>& thread
 
     engine_benchmark out;
     out.name = "streaming_push_max_latency";
-    out.items = stream_bins;
+    out.items = pushed_bins;
 
     streaming_config blocking = base;
     blocking.mode = refit_mode::blocking;
@@ -357,81 +357,6 @@ engine_benchmark run_streaming_push_sweep(const std::vector<std::size_t>& thread
         }
         out.identical_to_serial = out.identical_to_serial && same;
         out.parallel.push_back({t, ms});
-    }
-    return out;
-}
-
-// Multi-stream serving: S independent streaming_diagnoser streams pushed
-// in per-bin batches through the stream_server, sharded over the shared
-// pool. Reported per pool size: total wall clock of the batch loop
-// (aggregate push throughput) and the worst single push_batch dispatch
-// (the per-bin straggler bound, dominated by whichever stream has a refit
-// in flight). "serial" is the no-pool server; deferred refits make every
-// per-stream output bit-identical to it at any pool size, which is the
-// identical flag here.
-engine_benchmark run_multistream_sweep(const std::vector<std::size_t>& thread_counts,
-                                       std::size_t streams, bool quick) {
-    const dataset& ds = sprint1();
-    const std::size_t boot_rows = 144;  // one day of 10-minute bins
-    const std::size_t stagger = 7;      // distinct bootstrap/stream offsets per stream
-    const std::size_t bins =
-        std::min(ds.bin_count() - boot_rows - streams * stagger,
-                 quick ? std::size_t{96} : std::size_t{288});
-
-    const auto run = [&](std::size_t threads, double* total_ms, double* worst_ms,
-                         std::vector<detection_result>* out) {
-        stream_server server({.threads = threads});
-        std::vector<stream_id> ids;
-        for (std::size_t s = 0; s < streams; ++s) {
-            stream_open_config cfg;
-            cfg.kind = stream_kind::diagnoser;
-            cfg.a = ds.routing.a;
-            cfg.bootstrap_y.assign(boot_rows, ds.link_loads.cols());
-            for (std::size_t r = 0; r < boot_rows; ++r) {
-                cfg.bootstrap_y.set_row(r, ds.link_loads.row(s * stagger + r));
-            }
-            cfg.streaming.window = boot_rows;
-            cfg.streaming.refit_interval = quick ? 24 : 48;
-            cfg.streaming.swap_horizon = 8;
-            cfg.streaming.mode = refit_mode::deferred;
-            ids.push_back(server.open_stream(std::move(cfg)));
-        }
-
-        *total_ms = 0.0;
-        *worst_ms = 0.0;
-        std::vector<stream_server::stream_bin> batch(streams);
-        for (std::size_t b = 0; b < bins; ++b) {
-            for (std::size_t s = 0; s < streams; ++s) {
-                batch[s] = {ids[s], ds.link_loads.row(boot_rows + s * stagger + b)};
-            }
-            const auto start = std::chrono::steady_clock::now();
-            std::vector<detection_result> results = server.push_batch(batch);
-            const double ms = elapsed_ms(start);
-            *total_ms += ms;
-            *worst_ms = std::max(*worst_ms, ms);
-            if (out != nullptr) {
-                out->insert(out->end(), results.begin(), results.end());
-            }
-        }
-        server.drain_all();
-    };
-
-    engine_benchmark out;
-    out.name = "multistream_push_" + std::to_string(streams) + "streams";
-    out.items = streams * bins;
-    out.has_worst = true;
-
-    std::vector<detection_result> reference;
-    run(0, &out.serial_ms, &out.serial_worst_ms, &reference);
-
-    out.identical_to_serial = true;
-    for (std::size_t t : thread_counts) {
-        thread_timing timing;
-        timing.threads = t;
-        std::vector<detection_result> trace;
-        run(t, &timing.ms, &timing.worst_ms, &trace);
-        out.identical_to_serial = out.identical_to_serial && same_results(reference, trace);
-        out.parallel.push_back(timing);
     }
     return out;
 }
@@ -602,8 +527,13 @@ bool write_engine_json(const std::string& path, const std::vector<engine_benchma
         for (std::size_t p = 0; p < eb.parallel.size(); ++p) {
             const thread_timing& tt = eb.parallel[p];
             const double speedup = tt.ms > 0.0 ? eb.serial_ms / tt.ms : 0.0;
-            std::fprintf(f, "        {\"threads\": %zu, \"ms\": %.6f, \"speedup\": %.3f",
-                         tt.threads, tt.ms, speedup);
+            // More threads than cores time-slices the pool: its speedup
+            // is scheduling noise, not a measurement.
+            std::fprintf(f,
+                         "        {\"threads\": %zu, \"ms\": %.6f, \"speedup\": %.3f, "
+                         "\"measured\": %s",
+                         tt.threads, tt.ms, speedup,
+                         tt.threads > std::thread::hardware_concurrency() ? "false" : "true");
             if (eb.has_worst) {
                 std::fprintf(f, ", \"worst_batch_ms\": %.6f", tt.worst_ms);
             }
@@ -649,11 +579,6 @@ bool run_engine_comparison(const std::string& json_path, bool quick) {
     benches.push_back(run_spe_sweep(thread_counts, quick));
     benches.push_back(run_injection_sweep(thread_counts, quick));
     benches.push_back(run_streaming_push_sweep(thread_counts, quick));
-    // Streams x pool size: one entry per stream count, pool sizes within.
-    for (const std::size_t streams : quick ? std::vector<std::size_t>{2, 6}
-                                           : std::vector<std::size_t>{4, 16, 32}) {
-        benches.push_back(run_multistream_sweep(thread_counts, streams, quick));
-    }
     // Producer fan-in through the MPSC ingest inbox (pool sizes within):
     // once draining on producer threads, once with pooled drainer tasks
     // under a park budget, so the JSON carries an ingest-to-applied

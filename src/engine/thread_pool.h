@@ -60,7 +60,7 @@ public:
     // one worker remains to drain the queue -- and parallel_for below
     // reserves the same headroom out of its dispatch width, preserving
     // the >=1-free-worker no-deadlock invariant under any interleaving
-    // of batch dispatches and parked drainers.
+    // of sharded kernels and parked drainers.
     std::size_t park_budget() const noexcept { return park_budget_; }
 
     // A reservation against the park budget. Move-only RAII: returns the
@@ -198,7 +198,7 @@ struct parallel_for_sync {
 // Runs body(i) for every i in [begin, end), sharded across the pool in
 // contiguous chunks (at most pool.size() - pool.park_budget() of them,
 // each >= 1 index -- the budgeted workers are left out of the dispatch
-// width so a batch in flight and a full complement of parked drainers
+// width so a sweep in flight and a full complement of parked drainers
 // can never claim the same worker twice; with the default budget of 0
 // the split is one chunk per worker as before). The
 // first chunk runs on the calling thread, so a 1-thread pool degenerates
@@ -207,8 +207,8 @@ struct parallel_for_sync {
 // no-op. Results must be written to per-index slots by the body — the
 // chunking itself imposes no ordering on side effects.
 //
-// Called from inside a job of the same pool (e.g. a kernel invoked by a
-// task the multi-stream server sharded onto a worker), the dispatch
+// Called from inside a job of the same pool (e.g. a blocking-mode refit
+// applied by a pooled ingest drainer task), the dispatch
 // degrades to a plain serial loop: results are bit-identical either way
 // by the kernels' fixed-block contract, and the alternative — parking
 // this worker on chunks that may be queued behind other parked workers —

@@ -495,10 +495,6 @@ std::unique_ptr<stream_detector> load_stream_detector(std::istream& in, thread_p
     if (tag == "tracking_detector") {
         return std::make_unique<tracking_detector>(tracking_detector::restore(in, pool));
     }
-    if (tag == "incremental_pca_tracker") {
-        return std::make_unique<incremental_pca_tracker>(
-            incremental_pca_tracker::restore(in, pool));
-    }
     throw std::runtime_error("load_stream_detector: unknown detector tag " + tag);
 }
 

@@ -144,8 +144,10 @@ void save_stream_detector(stream_detector& detector, const std::string& path,
                           ckpt::encoding enc = ckpt::encoding::native);
 
 // Loads a checkpoint written by save_stream_detector -- either encoding,
-// detected from the magic -- dispatching on the type tag to the matching
-// detector's restore(). The pool is runtime wiring, not checkpoint state:
+// detected from the magic -- dispatching on the type tag to
+// streaming_diagnoser::restore() or tracking_detector::restore(); any
+// other tag (a bare incremental_pca_tracker record included) is
+// rejected. The pool is runtime wiring, not checkpoint state:
 // the restored detector uses the one given here. Throws
 // std::runtime_error on I/O failure, an unknown tag, or malformed
 // content.

@@ -16,8 +16,8 @@ frame error_frame(wire_errc code, std::string message) {
                  encode(error_response{code, std::move(message)})};
 }
 
-// The first wire_errc block mirrors ingest_error so a remote ingest
-// surfaces exactly the error a local one would.
+// Part of wire_errc mirrors ingest_error so a remote ingest surfaces
+// exactly the error a local one would.
 wire_errc to_wire_errc(ingest_error e) {
     switch (e) {
         case ingest_error::ok: break;
@@ -25,6 +25,7 @@ wire_errc to_wire_errc(ingest_error e) {
         case ingest_error::width_mismatch: return wire_errc::width_mismatch;
         case ingest_error::inbox_full: return wire_errc::inbox_full;
         case ingest_error::stream_closed: return wire_errc::stream_closed;
+        case ingest_error::non_finite: return wire_errc::non_finite;
     }
     return wire_errc::server_error;
 }

@@ -51,6 +51,7 @@ const char* wire_errc_name(wire_errc e) noexcept {
         case wire_errc::malformed_payload: return "malformed_payload";
         case wire_errc::unknown_op: return "unknown_op";
         case wire_errc::server_error: return "server_error";
+        case wire_errc::non_finite: return "non_finite";
     }
     return "unknown";
 }

@@ -49,7 +49,7 @@ enum class msg_type : std::uint8_t {
     resp_error = 0xFF,
 };
 
-// Typed failure codes carried by resp_error. The first block mirrors
+// Typed failure codes carried by resp_error. Codes 1-4 and 8 mirror
 // ingest_error one-to-one so a remote ingest surfaces exactly the error
 // a local one would.
 enum class wire_errc : std::uint64_t {
@@ -60,6 +60,7 @@ enum class wire_errc : std::uint64_t {
     malformed_payload = 5,  // request payload failed to decode
     unknown_op = 6,         // request frame type the server does not know
     server_error = 7,       // server-side exception (message has details)
+    non_finite = 8,         // ingest: a bin holds a NaN or an infinity
 };
 
 const char* wire_errc_name(wire_errc e) noexcept;

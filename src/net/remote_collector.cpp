@@ -14,6 +14,7 @@ ingest_error to_ingest_error(wire_errc e) {
         case wire_errc::width_mismatch: return ingest_error::width_mismatch;
         case wire_errc::inbox_full: return ingest_error::inbox_full;
         case wire_errc::stream_closed: return ingest_error::stream_closed;
+        case wire_errc::non_finite: return ingest_error::non_finite;
         default: break;
     }
     return ingest_error::ok;  // caller checks first; non-ingest codes throw

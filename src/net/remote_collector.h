@@ -49,8 +49,8 @@ public:
 
     // Mirrors stream_server::ingest/ingest_batch: the returned
     // ingest_result carries the same codes (unknown_stream,
-    // width_mismatch, inbox_full, stream_closed) and, on success, the
-    // server-assigned first sequence of the run.
+    // width_mismatch, inbox_full, stream_closed, non_finite) and, on
+    // success, the server-assigned first sequence of the run.
     [[nodiscard]] ingest_result ingest(std::uint64_t stream, std::span<const double> y);
     [[nodiscard]] ingest_result ingest_batch(std::uint64_t stream,
                                              const std::vector<std::vector<double>>& bins);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -28,17 +27,21 @@ std::string checkpoint_filename(stream_id id) {
     return "stream_" + std::to_string(id) + ".ckpt";
 }
 
+bool all_finite(std::span<const double> y) {
+    return std::all_of(y.begin(), y.end(), [](double v) { return std::isfinite(v); });
+}
+
 }  // namespace
 
-// One served stream: the detector plus its concurrent ingest edge. The
-// per-entry lock decouples ingest from the server-wide map lock (mu_):
-// ingest holds mu_ only for the id lookup, then works under this lock,
-// so a drain that waits at a refit boundary never stalls opens/closes or
-// other streams' ingests. Lifecycle: close_stream/snapshot_all take the
-// entry lock exclusively to quiesce the ingest edge; ingest/flush take it
-// shared. The draining flag is the single-drainer role: whoever wins the
-// exchange applies pending bins in sequence order, everyone else returns
-// after enqueueing.
+// One served stream: the detector plus its ingest inbox. The per-entry
+// lock decouples ingest from the server-wide map lock (mu_): ingest holds
+// mu_ only for the id lookup, then works under this lock, so a drain that
+// waits at a refit boundary never stalls opens/closes or other streams'
+// ingests. Lifecycle: close/snapshot/detach take the entry lock
+// exclusively to quiesce the stream; ingest/flush take it shared. The
+// draining flag is the single-drainer role: whoever wins the exchange
+// applies pending bins in sequence order, everyone else returns after
+// enqueueing.
 struct stream_server::stream_entry {
     // What travels through the inbox: the measurement plus the monotone
     // tick of its enqueue staging, so the drainer can charge the full
@@ -224,9 +227,6 @@ std::unique_ptr<stream_detector> stream_server::build_detector(stream_open_confi
             return std::make_unique<tracking_detector>(cfg.bootstrap_y, cfg.max_rank,
                                                        cfg.confidence, cfg.separation,
                                                        pool_.get(), cfg.deferred_updates);
-        case stream_kind::tracker:
-            return std::make_unique<incremental_pca_tracker>(cfg.bootstrap_y, cfg.max_rank,
-                                                             pool_.get());
     }
     throw std::invalid_argument("stream_server: unknown stream kind");
 }
@@ -235,21 +235,8 @@ stream_id stream_server::open_stream(stream_open_config cfg) {
     // Build outside the lock: bootstrap fits can be expensive and touch
     // only the new detector (plus the pool, which is thread-safe).
     ingest_options ingest = std::move(cfg.ingest);
-    std::unique_ptr<stream_detector> detector = build_detector(std::move(cfg));
-    return register_stream(std::move(detector), std::move(ingest));
-}
-
-stream_id stream_server::adopt_stream(std::unique_ptr<stream_detector> detector,
-                                      ingest_options ingest) {
-    if (detector == nullptr) {
-        throw std::invalid_argument("stream_server: cannot adopt a null detector");
-    }
-    return register_stream(std::move(detector), std::move(ingest));
-}
-
-stream_id stream_server::register_stream(std::unique_ptr<stream_detector> detector,
-                                         ingest_options&& ingest) {
-    auto entry = make_entry(std::move(detector), std::move(ingest), /*start_sequence=*/0);
+    auto entry = make_entry(build_detector(std::move(cfg)), std::move(ingest),
+                            /*start_sequence=*/0);
     sync::exclusive_lock lock(mu_);
     const stream_id id = next_id_++;
     streams_.emplace(id, std::move(entry));
@@ -312,83 +299,6 @@ void stream_server::close_stream(stream_id id) {
     // late auto-drain can ever touch the dying detector. Balance the
     // acquire for the analysis only -- this compiles to nothing.
     victim->drain_cap.release();
-}
-
-detection_result stream_server::push(stream_id id, std::span<const double> y) {
-    sync::shared_lock lock(mu_);
-    const auto it = streams_.find(id);
-    if (it == streams_.end()) {
-        throw std::invalid_argument("stream_server: unknown stream id " + std::to_string(id));
-    }
-    return it->second->detector->push_bin(y);
-}
-
-std::vector<detection_result> stream_server::push_batch(std::span<const stream_bin> bins) {
-    sync::shared_lock lock(mu_);
-
-    // Group by stream, preserving per-stream batch order. Validation is
-    // all-or-nothing: an unknown id or a width mismatch throws before any
-    // bin is pushed, so a batch that fails validation never leaves
-    // streams partially advanced (which would break their replay parity
-    // unrecoverably). Detector errors surfacing mid-batch are rethrown
-    // only after every group has stopped.
-    struct group {
-        stream_detector* detector = nullptr;
-        std::vector<std::size_t> items;  // indices into bins, in batch order
-    };
-    std::vector<group> groups;
-    std::map<stream_id, std::size_t> group_of;
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-        const auto [it, inserted] = group_of.try_emplace(bins[i].id, groups.size());
-        if (inserted) {
-            const auto entry_it = streams_.find(bins[i].id);
-            if (entry_it == streams_.end()) {
-                throw std::invalid_argument("stream_server: unknown stream id " +
-                                            std::to_string(bins[i].id));
-            }
-            groups.push_back({entry_it->second->detector.get(), {}});
-        }
-        if (bins[i].y.size() != groups[it->second].detector->dimension()) {
-            throw std::invalid_argument(
-                "stream_server: bin width " + std::to_string(bins[i].y.size()) +
-                " does not match stream " + std::to_string(bins[i].id) + " dimension " +
-                std::to_string(groups[it->second].detector->dimension()));
-        }
-        groups[it->second].items.push_back(i);
-    }
-    std::vector<detection_result> results(bins.size());
-    if (groups.empty()) return results;
-
-    const auto run_group = [&](const group& g) {
-        for (const std::size_t i : g.items) {
-            results[i] = g.detector->push_bin(bins[i].y);
-        }
-    };
-
-    if (pool_ == nullptr || groups.size() == 1) {
-        for (const group& g : groups) run_group(g);
-        return results;
-    }
-
-    // A deferred refit whose swap boundary falls inside this batch would
-    // make a pool worker wait on a pool task; resolve those waits here on
-    // the calling thread first (workers stay free to run the fit), so the
-    // sharded phase below never parks a worker on maintenance that was
-    // already due at batch entry.
-    for (const group& g : groups) g.detector->prepare_pushes(g.items.size());
-
-    // Shard one group per grain-claimed chunk, rotating the starting
-    // group between batches so no stream is systematically served first
-    // (round-robin fairness: a refit-heavy stream holds at most one
-    // worker while the dynamic claiming spreads the rest). One dispatch
-    // at a time: see dispatch_mu_.
-    const std::size_t rotation =
-        shard_rotation_.fetch_add(1, std::memory_order_relaxed) % groups.size();
-    sync::mutex_lock dispatch(dispatch_mu_);
-    parallel_for(*pool_, 0, groups.size(), /*grain=*/1, [&](std::size_t g) {
-        run_group(groups[(g + rotation) % groups.size()]);
-    });
-    return results;
 }
 
 // Blocks until the calling thread holds the stream's drain role.
@@ -568,7 +478,10 @@ ingest_result stream_server::ingest_batch(stream_id id,
     // caller-thread auto-drain would have thrown it.
     e->rethrow_parked_drain_error();
 
-    // Validate and stage the payloads before touching the entry lock.
+    // Validate and stage the payloads before touching the entry lock. A
+    // NaN or an infinity would enter the refit window (or a tracker's
+    // running sums) and poison every later model, so the whole batch is
+    // refused before anything enqueues.
     {
         sync::shared_lock guard(e->mu);
         if (e->closing.load(std::memory_order_acquire)) {
@@ -581,11 +494,17 @@ ingest_result stream_server::ingest_batch(stream_id id,
                 return {ingest_error::width_mismatch, 0, 0};
             }
         }
+        for (const std::span<const double>& y : ys) {
+            if (!all_finite(y)) {
+                e->rejected.fetch_add(ys.size(), std::memory_order_relaxed);
+                return {ingest_error::non_finite, 0, 0};
+            }
+        }
         if (ys.empty()) return {ingest_error::ok, e->inbox->next_sequence(), 0};
         if (ys.size() > e->inbox->capacity()) {
             // A run longer than the ring can never fit; report it as the
             // error it is instead of letting push_n throw (the concurrent
-            // edge's contract is error codes, not exceptions).
+            // contract is error codes, not exceptions).
             e->rejected.fetch_add(ys.size(), std::memory_order_relaxed);
             return {ingest_error::inbox_full, 0, 0};
         }
@@ -789,7 +708,8 @@ void stream_server::drain_all() {
     // drainer to retire (its sink may read the server), and take each
     // stream's drain role before joining its detector -- a caller-thread
     // auto-drain may be inside push_bin, touching the same maintenance
-    // state detector->drain() consumes.
+    // state detector->drain() consumes. The role is all the join needs:
+    // nothing else touches a detector.
     sync::mutex_lock maintenance(maint_mu_);
     std::vector<std::shared_ptr<stream_entry>> entries;
     {
@@ -800,7 +720,6 @@ void stream_server::drain_all() {
     for (const std::shared_ptr<stream_entry>& entry : entries) {
         if (!stream_entry::wait_for_drain_role(*entry, /*bail_on_closing=*/true)) continue;
         stream_entry::drain_role role(*entry);
-        sync::exclusive_lock lock(mu_);  // exclude ordered-edge pushes during the join
         entry->detector->drain();
     }
 }
@@ -833,17 +752,13 @@ void stream_server::snapshot_all(const std::string& directory) {
         // sink may read the server, and ingest_statistics takes the entry
         // lock shared, so waiting for the role while holding it exclusive
         // would deadlock against our own sink), then the entry lock stops
-        // new enqueues, and the save below runs under mu_ exclusive to
-        // exclude ordered-edge pushes. The inbox is snapshotted as
-        // residue, NOT drained, so the restored server resumes from
-        // exactly this state. Lock order everywhere: drain role, then
-        // entry lock (close_stream follows it too).
+        // new enqueues. The inbox is snapshotted as residue, NOT drained,
+        // so the restored server resumes from exactly this state. Lock
+        // order everywhere: drain role, then entry lock (close_stream
+        // follows it too).
         stream_entry::acquire_drain_role(*entry);
         stream_entry::drain_role role(*entry);
         sync::exclusive_lock entry_lock(entry->mu);
-        // Join background maintenance outside mu_ (a refit can take a
-        // while); save() re-drains anything that slips in before the
-        // exclusive section.
         entry->detector->drain();
 
         const std::string path =
@@ -916,9 +831,10 @@ void stream_server::restore_all(const std::string& directory) {
 }
 
 // Writes the format-v3 "server_stream" container record for a quiesced
-// stream. Caller holds the stream's drain role and entry lock (and
-// maint_mu_); this function takes mu_ exclusive itself around the
-// detector serialization to exclude ordered-edge pushes.
+// stream. Caller holds maint_mu_ and the stream's drain role and entry
+// lock, which together exclude every other toucher of the detector, so
+// the record streams straight into `out` under no server-wide lock: a
+// slow sink stalls this stream only.
 void stream_server::write_stream_record(stream_entry& entry, std::ostream& out,
                                         ckpt::encoding enc) {
     ckpt::set_encoding(out, enc);
@@ -937,19 +853,7 @@ void stream_server::write_stream_record(stream_entry& entry, std::ostream& out,
     const auto residue = entry.inbox->snapshot_items();
     ckpt::write_u64(out, residue.size());
     for (const auto& [seq, bin] : residue) ckpt::write_vec(out, bin.y);
-    // Serialize the detector to memory under mu_ exclusive (this is what
-    // excludes ordered-edge pushes on this stream) and write it out after
-    // releasing it, so a slow sink never stalls the other streams'
-    // pushes. The buffer carries the same encoding as the outer record:
-    // the nested detector record must decode under one codec.
-    std::ostringstream detector_bytes(std::ios::binary);
-    ckpt::set_encoding(detector_bytes, enc);
-    {
-        sync::exclusive_lock lock(mu_);
-        entry.detector->save(detector_bytes);
-    }
-    const std::string bytes = detector_bytes.str();
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    entry.detector->save(out);
     out.flush();
     if (!out) {
         throw std::runtime_error("stream_server: stream record write failed");
@@ -993,6 +897,11 @@ std::shared_ptr<stream_server::stream_entry> stream_server::read_stream_record(
         residue.reserve(residue_count);
         for (std::uint64_t r = 0; r < residue_count; ++r) {
             residue.push_back(ckpt::read_vec(in));
+            // ingest never enqueues a non-finite bin; a record that holds
+            // one was not written by a server.
+            if (!all_finite(residue.back())) {
+                throw std::runtime_error(context + ": non-finite inbox residue");
+            }
         }
         detector = load_stream_detector(in, pool_.get());
     } else {

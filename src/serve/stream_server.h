@@ -1,97 +1,77 @@
 // Sharded multi-stream serving front-end with concurrent-by-construction
 // ingest. One stream_server owns N independent stream_detector instances
-// -- any mix of streaming_diagnoser / tracking_detector /
-// incremental_pca_tracker, one per PoP / customer / vantage point -- each
-// with its own epoch space, multiplexed over one shared engine
-// thread_pool, and (since the MPSC-inbox change) each with its own
-// bounded ingest inbox so any number of collector threads can feed one
-// stream without caller-side ordering.
+// -- any mix of streaming_diagnoser / tracking_detector, one per PoP /
+// customer / vantage point -- each with its own epoch space, multiplexed
+// over one shared engine thread_pool, and each with its own bounded
+// ingest inbox so any number of collector threads can feed one stream
+// without caller-side ordering.
 //
 // Parity guarantee: the server adds routing, never arithmetic. A stream
 // served here produces bit-identical output -- verdicts, SPE, thresholds,
 // epochs -- to the same detector run alone with the same refit mode, for
-// every pool size including none. For the ordered push/push_batch API the
-// reference order is the caller's push order; for the ingest API it is
-// the *sequence order the inbox assigned at enqueue* (returned from
-// ingest(), reported to the sink): replaying those bins through a
-// standalone single-pusher detector in sequence order reproduces every
-// served output bit-for-bit. This holds by construction: per-stream state
-// is only ever touched by one drainer (or one ordered pusher) at a time,
-// and the PR-3 epoch-versioning discipline makes each detector's output a
-// function of its own input sequence alone.
+// every pool size including none. The reference order is the *sequence
+// order the inbox assigned at enqueue* (returned from ingest(), reported
+// to the sink): replaying those bins through a standalone single-pusher
+// detector in sequence order reproduces every served output bit-for-bit.
+// This holds by construction: per-stream state is only ever touched by
+// one drainer at a time, and the epoch-versioning discipline makes each
+// detector's output a function of its own input sequence alone.
 //
-// Two ingest edges per stream -- pick one at a time:
-//  - push()/push_batch(): the ordered edge. One externally-ordered pusher
-//    per stream (a serving loop with one feed per stream); results are
-//    returned synchronously.
-//  - ingest()/ingest_batch(): the concurrent edge. Any number of
-//    producer threads enqueue bins into the stream's bounded MPSC inbox
-//    (engine/mpsc_inbox.h); each accepted bin gets a monotone sequence at
-//    enqueue, and a single drainer at a time applies bins in sequence
-//    order through the detector, delivering each result to the stream's
-//    optional ingest sink. With auto_drain (the default) the draining is
-//    done opportunistically by ingesting callers (one of them claims the
-//    per-stream drain role, the rest return immediately after enqueue);
-//    with auto_drain off, bins accumulate until flush_stream(). Draining
-//    happens on caller threads by default; with pooled_drainer set, an
-//    ingest that finds work schedules a dedicated drainer task on the
-//    server's pool instead (claiming the same per-stream drain role), so
-//    ingest-to-applied latency decouples from the producers' call
-//    cadence. A pooled drainer may wait at a deferred refit's swap
-//    boundary because it runs under one of the pool's park permits --
-//    the bounded parked-worker budget (engine/thread_pool.h) that
-//    replaced the old hard no-waiting-in-jobs rule. When no permit is
-//    available (budget exhausted, zero, or no pool) the ingest falls
-//    back to caller-thread draining, so enabling the flag never costs
-//    liveness -- and never changes results: which thread drains is
-//    invisible to the sequence-order replay parity above.
-//    Backpressure when an inbox is full is per-stream policy: block
+// One way in: ingest()/ingest_batch(). Any number of producer threads
+// enqueue bins into the stream's bounded MPSC inbox (engine/mpsc_inbox.h);
+// each accepted bin gets a monotone sequence at enqueue, and a single
+// drainer at a time applies bins in sequence order through the detector,
+// delivering each result to the stream's optional ingest sink. A bin
+// holding a NaN or an infinity is refused before it reaches the inbox
+// (ingest_error::non_finite), so no served detector ever sees one.
+// With auto_drain (the default) the draining is done opportunistically
+// by ingesting callers (one of them claims the per-stream drain role,
+// the rest return immediately after enqueue); with auto_drain off, bins
+// accumulate until flush_stream(). Draining happens on caller threads by
+// default; with pooled_drainer set, an ingest that finds work schedules
+// a dedicated drainer task on the server's pool instead (claiming the
+// same per-stream drain role), so ingest-to-applied latency decouples
+// from the producers' call cadence. A pooled drainer may wait at a
+// deferred refit's swap boundary because it runs under one of the pool's
+// park permits -- the bounded parked-worker budget (engine/thread_pool.h).
+// When no permit is available (budget exhausted, zero, or no pool) the
+// ingest falls back to caller-thread draining, so enabling the flag never
+// costs liveness -- and never changes results: which thread drains is
+// invisible to the sequence-order replay parity above.
+//
+// Fairness / backpressure policy:
+//  - Backpressure when an inbox is full is per-stream policy: block
 //    (wait for the drainer), reject (ingest returns inbox_full), or
 //    drop_oldest (evict the oldest pending bin; newest data wins).
-//    Mixing the two edges *concurrently* on the same stream is a
-//    contract violation (the ordered edge bypasses the inbox); mixing
-//    them sequentially -- quiesce, then switch -- is fine.
-//
-// Fairness / backpressure policy (ordered edge):
-//  - push_batch groups the batch by stream (per-stream order preserved)
-//    and shards the groups across the pool with dynamic chunk claiming,
-//    rotating the group order round-robin between batches, so a
-//    refit-heavy stream occupies at most one worker while every other
-//    stream's group proceeds on the rest.
+//  - Streams never share a drainer: each has its own drain role, so a
+//    stream stalled at a refit boundary delays only its own bins.
 //  - Per-stream pending-refit work is bounded: a streaming_diagnoser has
 //    at most one refit computing plus one queued freshest-window snapshot
 //    (see subspace/online.h), so a stream that triggers refits faster
 //    than they fit degrades to refitting at fit speed instead of piling
 //    tasks onto the shared pool.
-//  - Before sharding a batch, the server resolves -- on the *calling*
-//    thread -- any refit wait already due within the batch (the
-//    stream_detector::prepare_pushes drain hook), so in the common case
-//    no pool worker ever parks on a refit future and a straggling fit
-//    delays only its own stream. (A refit both triggered and falling due
-//    inside one batch can still briefly park its worker; the pool's
-//    parallel_for always leaves a worker free for queued maintenance, so
-//    that is a stall bound, never a deadlock.) Detector kernels that
-//    would shard over the pool (a blocking-mode refit, a pooled rank-1
-//    fold) are safe to reach from a sharded push: parallel_for detects it
-//    is running on a worker of its own pool and degrades to a serial
-//    loop, bit-identical by the kernels' fixed-block contract.
+//  - Before each drain burst the drainer resolves any refit wait due
+//    within the burst (the stream_detector::prepare_pushes hook), on its
+//    own thread: a caller, or a pooled drainer holding a park permit.
+//    Detector kernels that shard over the pool (a blocking-mode refit, a
+//    pooled rank-1 fold) reserve the park budget out of their dispatch
+//    width, so parked drainers never starve them of a worker (on a pooled
+//    drainer's worker they run serially, bit-identical by construction).
 //
 // Threading contract: open/close/snapshot/restore serialize against each
-// other (a maintenance mutex); push/push_batch/stats may run concurrently
-// with each other from different threads provided no two of them touch
-// the same stream at once. ingest/ingest_batch/flush_stream may run
+// other (a maintenance mutex). ingest/ingest_batch/flush_stream may run
 // concurrently from any number of threads against any streams (that is
-// their point), but not concurrently with push/push_batch on the *same*
-// stream. An ingest sink may safely call the server's read accessors
-// (stats/stream/ingest_statistics): drains hold only the per-stream
-// drain role while applying, never a server-wide lock, and maintenance
-// operations never hold the server-wide lock while waiting for a drain
-// to finish. Do not call ingest or flush_stream from a job running on
-// the server's own pool (the drain may wait on a refit future; caller
-// threads may, and the server's own pooled drainer tasks may because
-// they hold a park permit, but ordinary jobs must not -- the pool's
-// assert_wait_allowed() enforces this at runtime), and quiesce all API
-// calls before destroying the server.
+// their point). An ingest sink may safely call the server's read
+// accessors (stats/stream/ingest_statistics): drains hold only the
+// per-stream drain role while applying, never a server-wide lock, and
+// maintenance operations never hold the server-wide lock while waiting
+// for a drain to finish or while writing a checkpoint record, so a slow
+// record sink stalls only the stream being written. Do not call ingest
+// or flush_stream from a job running on the server's own pool (the drain
+// may wait on a refit future; caller threads may, and the server's own
+// pooled drainer tasks may because they hold a park permit, but ordinary
+// jobs must not -- the pool's assert_wait_allowed() enforces this at
+// runtime), and quiesce all API calls before destroying the server.
 //
 // Checkpointing: snapshot_all writes format-v3 per-stream records that
 // carry the ingest inbox's configuration and *residue* (pending,
@@ -102,7 +82,6 @@
 // measurement/stream_checkpoint.h.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -130,7 +109,6 @@ using stream_id = std::uint64_t;
 enum class stream_kind {
     diagnoser,  // streaming_diagnoser: sliding window + periodic refits
     tracking,   // tracking_detector: SPE detection over rank-1 updates
-    tracker,    // incremental_pca_tracker: maintenance-only axis tracking
 };
 
 // Receives every inbox-applied bin's result, on the drainer's thread, in
@@ -164,6 +142,7 @@ enum class ingest_error {
     width_mismatch,  // a bin's width differs from the stream's dimension
     inbox_full,      // reject policy and the ring is full (nothing enqueued)
     stream_closed,   // close_stream ran while this ingest was in flight
+    non_finite,      // a bin holds a NaN or an infinity (nothing enqueued)
 };
 
 struct ingest_result {
@@ -188,7 +167,7 @@ struct ingest_stats {
     std::uint64_t applied = 0;    // bins drained through the detector
     std::uint64_t dropped = 0;    // bins evicted by drop_oldest, or
                                   // consumed by an apply that threw
-    std::uint64_t rejected = 0;   // bins refused (full / width mismatch)
+    std::uint64_t rejected = 0;   // bins refused (full / width / non-finite)
     std::uint64_t pending = 0;    // accepted - applied - dropped
     std::uint64_t next_sequence = 0;
     // Ingest-to-applied latency: monotone-clock interval from a bin's
@@ -214,19 +193,19 @@ struct stream_open_config {
     matrix a;  // routing matrix (links x OD flows)
     streaming_config streaming;
 
-    // tracking / tracker only.
+    // tracking only.
     std::size_t max_rank = 10;
-    double confidence = 0.999;       // tracking
-    separation_config separation;    // tracking
-    bool deferred_updates = false;   // tracking: pipeline folds on the pool
+    double confidence = 0.999;
+    separation_config separation;
+    bool deferred_updates = false;  // pipeline folds on the pool
 
-    // Ingest inbox wiring (concurrent edge); defaults give a blocking
-    // auto-drained inbox of tuning-default capacity.
+    // Ingest inbox wiring; defaults give a blocking auto-drained inbox of
+    // tuning-default capacity.
     ingest_options ingest;
 };
 
 struct stream_server_config {
-    // Worker threads in the shared pool. 0 = no pool at all: every push,
+    // Worker threads in the shared pool. 0 = no pool at all: every drain,
     // refit and fold runs on the calling thread (the deterministic
     // reference the parity tests compare against).
     std::size_t threads = 0;
@@ -249,11 +228,6 @@ public:
     // throws on a degenerate bootstrap.
     [[nodiscard]] stream_id open_stream(stream_open_config cfg);
 
-    // Registers an already-built detector (which must be wired to pool()
-    // or to no pool). Throws std::invalid_argument on null.
-    [[nodiscard]] stream_id adopt_stream(std::unique_ptr<stream_detector> detector,
-                                         ingest_options ingest = {});
-
     // Unpublishes the stream, wakes any producer blocked on its inbox
     // (their ingest returns stream_closed), applies every pending inbox
     // bin in sequence order, drains the detector's in-flight maintenance
@@ -262,45 +236,22 @@ public:
     // unknown id.
     void close_stream(stream_id id);
 
-    // --- Ordered edge -----------------------------------------------------
-
-    // Pushes one bin to one stream on the calling thread. Throws
-    // std::invalid_argument on an unknown id or a width mismatch.
-    detection_result push(stream_id id, std::span<const double> y);
-
-    // One batch entry: a bin destined for a stream. The span must stay
-    // valid for the duration of the push_batch call.
-    struct stream_bin {
-        stream_id id = 0;
-        std::span<const double> y;
-    };
-
-    // Pushes a batch, sharding per-stream groups across the pool (round
-    // robin; see the fairness policy above). Entries for the same stream
-    // are applied in batch order. Results are returned in batch order and
-    // are bit-identical for every pool size. Throws std::invalid_argument
-    // if any id is unknown or any bin's width does not match its stream's
-    // dimension -- validated up front, so a batch that fails validation
-    // pushes nothing. (A *detector* error surfacing mid-batch -- e.g. a
-    // background refit that failed -- still propagates after other
-    // streams' bins were applied; only validation is all-or-nothing.)
-    std::vector<detection_result> push_batch(std::span<const stream_bin> bins);
-
-    // --- Concurrent (inbox) edge ------------------------------------------
+    // --- Ingest ------------------------------------------------------------
 
     // Enqueues one bin into the stream's inbox; any number of threads may
     // ingest into the same stream concurrently. The returned sequence is
     // the stream-monotone position the bin will be applied at. Errors are
     // reported as distinct ingest_error values, never exceptions --
     // except detector errors surfacing from an auto-drain (a failed
-    // background refit), which propagate like push() would.
+    // background refit), which propagate to the ingesting caller.
     [[nodiscard]] ingest_result ingest(stream_id id, std::span<const double> y);
 
     // Enqueues a run of bins with consecutive sequences (no other
     // producer interleaves the run), all-or-nothing under the reject
-    // policy. Width is validated for every bin before anything enqueues;
-    // a run longer than the stream's ring capacity returns inbox_full
-    // under every policy (it can never fit).
+    // policy. Width and finiteness are validated for every bin before
+    // anything enqueues (one bad bin refuses the whole run); a run longer
+    // than the stream's ring capacity returns inbox_full under every
+    // policy (it can never fit).
     [[nodiscard]] ingest_result ingest_batch(stream_id id,
                                              std::span<const std::span<const double>> ys);
 
@@ -318,7 +269,7 @@ public:
     // detector errors like flush_stream.
     void flush_all();
 
-    // Counters for the ingest edge, readable at any time.
+    // Ingest counters, readable at any time.
     [[nodiscard]] ingest_stats ingest_statistics(stream_id id) const;
 
     // Re-attaches the runtime sink (e.g. after restore_all). Quiesces the
@@ -327,7 +278,9 @@ public:
 
     // --- Observation ------------------------------------------------------
 
-    // Per-stream counters, readable between pushes.
+    // Per-stream detector counters, advanced by the stream's drainer: read
+    // them from its sink or after flush_stream, never during a drain (and
+    // after drain_all for the epoch of a deferred_updates tracking stream).
     struct stream_stats {
         std::size_t dimension = 0;
         std::size_t processed = 0;
@@ -360,10 +313,9 @@ public:
     // saved, NOT drained) around the detector state -- plus a manifest
     // binding ids to files. Detector maintenance is drained first, so the
     // bytes are independent of pool size and timing. Quiesces each
-    // stream in turn (its ingest edge via the entry lock + drain role,
-    // its ordered edge via the server lock around the save) rather than
-    // freezing the whole server at once, so an in-flight drain whose
-    // sink calls back into the server can always finish. Streams opened
+    // stream in turn (drain role, then entry lock) rather than freezing
+    // the whole server at once, so an in-flight drain whose sink calls
+    // back into the server can always finish. Streams opened
     // concurrently with the snapshot may or may not be included; streams
     // cannot close mid-snapshot (maintenance ops serialize). Throws
     // std::runtime_error on I/O failure.
@@ -382,11 +334,12 @@ public:
     // same format-v3 "server_stream" container snapshot_all writes) onto
     // the given stream, in the given encoding -- interchange for records
     // that travel between hosts (the wire protocol's snapshot payload;
-    // docs/WIRE_FORMAT.md). Quiesces the stream's ingest edge for the
-    // write (drain role + entry lock), drains detector maintenance so
-    // the bytes are timing-independent, and snapshots pending inbox bins
-    // as residue without applying them; the stream stays open and
-    // resumes afterwards. Throws std::invalid_argument on an unknown id,
+    // docs/WIRE_FORMAT.md). Quiesces the stream for the write (drain role
+    // + entry lock, no server-wide lock: other streams keep serving while
+    // a slow `out` stalls this one), drains detector maintenance so the
+    // bytes are timing-independent, and snapshots pending inbox bins as
+    // residue without applying them; the stream stays open and resumes
+    // afterwards. Throws std::invalid_argument on an unknown id,
     // std::runtime_error on I/O failure.
     void snapshot_stream(stream_id id, std::ostream& out,
                          ckpt::encoding enc = ckpt::encoding::native);
@@ -438,46 +391,29 @@ private:
     // submission failed).
     bool maybe_schedule_pooled_drainer(const std::shared_ptr<stream_entry>& e);
     std::unique_ptr<stream_detector> build_detector(stream_open_config&& cfg);
-    stream_id register_stream(std::unique_ptr<stream_detector> detector,
-                              ingest_options&& ingest);
     // Shared per-stream record codec: writes/reads the format-v3
     // "server_stream" container (inbox config + counters + residue +
     // nested detector record). The writer requires the stream quiesced
-    // (drain role + entry lock held by the caller) and takes mu_
-    // exclusive itself around the detector serialization; the reader
-    // builds a fresh, unpublished entry.
-    void write_stream_record(stream_entry& entry, std::ostream& out, ckpt::encoding enc);
+    // (maint_mu_, drain role and entry lock held by the caller) and takes
+    // no lock of its own; the reader builds a fresh, unpublished entry.
+    static void write_stream_record(stream_entry& entry, std::ostream& out, ckpt::encoding enc);
     std::shared_ptr<stream_entry> read_stream_record(std::istream& in,
                                                      const std::string& context);
 
     std::unique_ptr<thread_pool> pool_;
     mutable sync::shared_mutex mu_;
-    // Serializes the maintenance operations (close_stream, snapshot_all,
-    // restore_all) against each other WITHOUT holding mu_ across their
-    // waits: a drain in flight may invoke an ingest sink that calls the
-    // server's read accessors (mu_ shared), so a maintenance op that held
-    // mu_ exclusive while waiting for that drain to retire would
-    // deadlock. Lock order: maint_mu_ -> (entry lock / drain role) ->
-    // mu_; nothing acquires an entry lock or a drain role while holding
-    // mu_.
+    // Serializes the maintenance operations (close_stream, drain_all,
+    // snapshot_*, detach_stream, restore_*) against each other WITHOUT
+    // holding mu_ across their waits or record writes: a drain in flight
+    // may invoke an ingest sink that calls the server's read accessors
+    // (mu_ shared), so a maintenance op that held mu_ exclusive while
+    // waiting for that drain to retire would deadlock. Lock order:
+    // maint_mu_ -> (drain role -> entry lock) -> mu_; nothing acquires an
+    // entry lock or a drain role while holding mu_.
     sync::mutex maint_mu_ NETDIAG_ACQUIRED_BEFORE(mu_);
-    // Serializes the sharded phase of concurrent push_batch calls. One
-    // batch's parallel_for submits at most size-1-park_budget helper
-    // jobs, which together with the pool's park budget (at most
-    // park_budget workers parked in pooled drainer tasks) leaves at
-    // least one worker free -- that shared accounting is what guarantees
-    // maintenance tasks and nested detector kernels queued by the batch
-    // always make progress; two interleaved batch dispatches could park
-    // every worker at once, so they take turns here instead. (Caller-
-    // thread ingest drains are outside this budget entirely; pooled
-    // drainers are inside it via their park permits.)
-    sync::mutex dispatch_mu_;
     // Ordered so snapshot_all and stream_ids() enumerate deterministically.
     std::map<stream_id, std::shared_ptr<stream_entry>> streams_ NETDIAG_GUARDED_BY(mu_);
     stream_id next_id_ NETDIAG_GUARDED_BY(mu_) = 1;
-    // Round-robin offset across batches; atomic because concurrent
-    // push_batch calls (shared lock) both advance it.
-    std::atomic<std::size_t> shard_rotation_{0};
 };
 
 }  // namespace netdiag

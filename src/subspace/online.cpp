@@ -1,7 +1,6 @@
 #include "subspace/online.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -99,26 +98,9 @@ detection_result streaming_diagnoser::push_bin(std::span<const double> y) {
 }
 
 void streaming_diagnoser::maybe_apply_swap() {
-    if (!refit_pending()) return;
-    if (cfg_.mode == refit_mode::deferred) {
-        // Fixed bin boundary: the swap is a function of the stream alone.
-        if (processed_ < swap_at_) return;
-        apply_swap(take_pending());
-        return;
-    }
-    // Eager: swap at the first push that finds the fit finished. Empty
-    // the ready slot *before* applying: apply_swap may launch a queued
-    // refit, and without a pool that fit lands back in ready_ -- a reset
-    // afterwards would destroy it (and silently drop the queued refit).
-    if (ready_.has_value()) {
-        volume_anomaly_diagnoser next = std::move(*ready_);
-        ready_.reset();
-        apply_swap(std::move(next));
-        return;
-    }
-    if (inflight_.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-        apply_swap(inflight_.get());
-    }
+    // Fixed bin boundary: the swap is a function of the stream alone.
+    if (!refit_pending() || processed_ < swap_at_) return;
+    apply_swap(take_pending());
 }
 
 void streaming_diagnoser::trigger_refit() {
@@ -134,7 +116,7 @@ void streaming_diagnoser::trigger_refit() {
     // queues this trigger's window snapshot -- freshest wins, so a burst
     // of triggers during one slow fit costs a single extra fit, never an
     // unbounded backlog -- and the queued fit launches when the pending
-    // swap is applied (deterministically so in deferred mode).
+    // swap is applied.
     if (refit_pending()) {
         queued_window_ = window_to_matrix(window_);
         return;
@@ -166,7 +148,7 @@ void streaming_diagnoser::launch_refit(matrix&& snapshot) {
 
 void streaming_diagnoser::prepare_pushes(std::size_t bins) {
     pusher_cap_.assert_held();
-    if (cfg_.mode != refit_mode::deferred || !inflight_.valid()) return;
+    if (!inflight_.valid()) return;
     // The swap applies at the push whose entry count reaches swap_at_;
     // the coming pushes enter at processed_ .. processed_ + bins - 1.
     if (processed_ + bins <= swap_at_) return;
@@ -281,7 +263,7 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     cfg.separation.min_normal_axes = ckpt::read_u64(in);
     if (ckpt::read_flag(in)) cfg.separation.fixed_rank = ckpt::read_u64(in);
     const std::uint64_t mode = ckpt::read_u64(in);
-    if (mode > static_cast<std::uint64_t>(refit_mode::eager)) {
+    if (mode > static_cast<std::uint64_t>(refit_mode::deferred)) {
         throw std::runtime_error("streaming_diagnoser::restore: malformed refit mode");
     }
     cfg.mode = static_cast<refit_mode>(mode);
@@ -371,11 +353,6 @@ void incremental_pca_tracker::push(std::span<const double> y) {
     for (std::size_t i = 0; i < mean_.size(); ++i) mean_[i] += w * centered[i];
 }
 
-detection_result incremental_pca_tracker::push_bin(std::span<const double> y) {
-    push(y);
-    return {false, 0.0, std::numeric_limits<double>::infinity()};
-}
-
 vec incremental_pca_tracker::axis_variance() const {
     vec out(svd_.s.size(), 0.0);
     if (count_ < 2) return out;
@@ -384,7 +361,7 @@ vec incremental_pca_tracker::axis_variance() const {
     return out;
 }
 
-void incremental_pca_tracker::save(std::ostream& out) {
+void incremental_pca_tracker::save(std::ostream& out) const {
     ckpt::write_header(out, "incremental_pca_tracker");
     ckpt::write_vec(out, svd_.s);
     ckpt::write_matrix(out, svd_.v);

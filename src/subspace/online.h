@@ -4,14 +4,14 @@
 // The paper envisions the method as a first-level online monitor: the PCA
 // model is recomputed only occasionally (it is stable week to week), while
 // each arriving measurement is processed against the fixed projector.
-// Three push-based detectors implement the common stream_detector
-// interface (see subspace/stream_detector.h):
+// Two push-based detectors implement the common stream_detector interface
+// (see subspace/stream_detector.h):
 //  - streaming_diagnoser: keeps a sliding window and refits the full model
 //    every refit_interval measurements;
-//  - incremental_pca_tracker: maintains the principal axes with rank-1
-//    SVD row updates (the [12, 13, 24] family the paper cites), avoiding
-//    full recomputation entirely;
-//  - tracking_detector: SPE detection on top of the tracker.
+//  - tracking_detector: SPE detection on top of an incremental_pca_tracker,
+//    which maintains the principal axes with rank-1 SVD row updates (the
+//    [12, 13, 24] family the paper cites), avoiding full recomputation
+//    entirely.
 //
 // Pipelining: a refit (or rank-1 fold) is the maintenance path; testing
 // the next bin is the detection path. With an engine thread_pool the
@@ -28,7 +28,6 @@
 #include <functional>
 #include <future>
 #include <iosfwd>
-#include <limits>
 #include <optional>
 #include <span>
 
@@ -61,11 +60,6 @@ enum class refit_mode {
     // stream. Without a pool the fit runs inline but the swap still
     // honours the boundary, so results match any pool size bit-for-bit.
     deferred,
-    // Lowest latency-to-freshness: the swap is applied at the first push
-    // that finds the background fit finished. Push never blocks, but the
-    // swap bin depends on thread timing -- use deferred when replays must
-    // be reproducible.
-    eager,
 };
 
 struct streaming_config {
@@ -74,7 +68,7 @@ struct streaming_config {
     double confidence = 0.999;
     separation_config separation;
     // Non-owning; when set, blocking-mode refits shard their fit across
-    // the pool while deferred/eager refits run on it as background tasks.
+    // the pool while deferred refits run on it as background tasks.
     // Must outlive the diagnoser.
     thread_pool* pool = nullptr;
     refit_mode mode = refit_mode::blocking;
@@ -141,10 +135,9 @@ public:
     // now on the calling thread: the fit result is collected into the
     // ready slot so the swap itself never blocks. This is the
     // stream_detector drain hook the multi-stream server calls before
-    // sharding a batch across the pool and before an ingest-inbox drain
-    // burst -- a pool worker must never park on a refit future (see
-    // serve/stream_server.h). Deterministic: only *where* the wait
-    // happens moves, never the swap bin. No-op in blocking/eager modes.
+    // each ingest-inbox drain burst (see serve/stream_server.h).
+    // Deterministic: only *where* the wait happens moves, never the swap
+    // bin. No-op in blocking mode.
     void prepare_pushes(std::size_t bins) override;
 
 private:
@@ -180,21 +173,21 @@ private:
     // (freshest wins -- the queue is one slot deep, which is also the
     // per-stream refit backpressure bound the serving front-end relies
     // on), and the queued fit launches the moment the pending swap is
-    // applied. Deterministic in deferred mode, since pendingness is itself
-    // deterministic there.
+    // applied -- deterministically, since pendingness is itself
+    // deterministic.
     std::future<volume_anomaly_diagnoser> inflight_ NETDIAG_GUARDED_BY(pusher_cap_);
     std::optional<volume_anomaly_diagnoser> ready_ NETDIAG_GUARDED_BY(pusher_cap_);
     std::optional<matrix> queued_window_ NETDIAG_GUARDED_BY(pusher_cap_);
-    // deferred: processed_ value at which to swap
+    // processed_ value at which to swap
     std::size_t swap_at_ NETDIAG_GUARDED_BY(pusher_cap_) = 0;
 };
 
 // Rank-1 principal-axis tracker. Maintains (approximately) the top
 // max_rank principal axes and variances of the growing measurement matrix
-// without ever recomputing a full decomposition. As a stream_detector it
-// is maintenance-only: push_bin folds the sample and reports a non-alarm
-// (SPE 0 against an infinite threshold); every fold advances the epoch.
-class incremental_pca_tracker final : public stream_detector {
+// without ever recomputing a full decomposition. It never alarms, so it
+// is not a stream_detector: tracking_detector serves detection on top of
+// it, and the scenario matrix runs it bare as the `ipca` null control.
+class incremental_pca_tracker {
 public:
     // Throws std::invalid_argument when bootstrap has fewer than two rows
     // or max_rank is zero. A non-null pool shards the bootstrap SVD and
@@ -202,15 +195,11 @@ public:
     incremental_pca_tracker(const matrix& bootstrap_y, std::size_t max_rank,
                             thread_pool* pool = nullptr);
 
+    // Folds one measurement (synchronously) into the tracked axes.
     void push(std::span<const double> y);
 
-    detection_result push_bin(std::span<const double> y) override;
-    std::size_t dimension() const noexcept override { return mean_.size(); }
-    std::size_t processed() const noexcept override { return pushed_; }
-    std::size_t alarm_count() const noexcept override { return 0; }
-    std::uint64_t model_epoch() const noexcept override { return pushed_; }
-    void drain() override {}  // folds are synchronous
-    void save(std::ostream& out) override;
+    std::size_t dimension() const noexcept { return mean_.size(); }
+    void save(std::ostream& out) const;
     static incremental_pca_tracker restore(std::istream& in, thread_pool* pool = nullptr);
 
     std::size_t sample_count() const noexcept { return count_; }
@@ -228,7 +217,7 @@ private:
     vec mean_;
     std::size_t count_ = 0;
     std::size_t max_rank_ = 0;
-    std::uint64_t pushed_ = 0;
+    std::uint64_t pushed_ = 0;  // folds since construction (checkpointed)
     thread_pool* pool_ = nullptr;
 };
 

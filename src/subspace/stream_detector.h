@@ -1,7 +1,7 @@
 // The unified face of the streaming subsystem (Section 7.1 made
-// operational): every push-based online detector -- the window-refit
-// streaming_diagnoser, the rank-1 tracking_detector, and the bare
-// incremental_pca_tracker -- speaks this interface.
+// operational): both push-based online detectors -- the window-refit
+// streaming_diagnoser and the rank-1 tracking_detector -- speak this
+// interface, and stream_server serves anything that does.
 //
 // Model-swap semantics: each implementation separates the *detection
 // path* (test the arriving bin against an epoch-versioned model snapshot)
@@ -53,15 +53,14 @@ public:
     // against: 0 is the bootstrap model, +1 per applied swap or fold.
     virtual std::uint64_t model_epoch() const noexcept = 0;
 
-    // Drain hook for batched/inbox-fed pushes: resolves -- on the calling
-    // thread -- any maintenance wait that will fall due within the next
-    // `bins` push_bin calls, so whoever applies those bins (a sharded
-    // push_batch worker, an ingest-inbox drainer) never parks on a
-    // background task's future. Deterministic by contract: implementations
-    // may only move *where* a wait happens, never which bin a model swap
-    // applies at. The default is a no-op; detectors whose pushes can wait
-    // on pool tasks (streaming_diagnoser's deferred swap boundary)
-    // override it.
+    // Drain hook for inbox-fed pushes: resolves -- on the calling thread
+    // -- any maintenance wait that will fall due within the next `bins`
+    // push_bin calls, so the ingest-inbox drainer applying those bins
+    // waits once, up front, instead of mid-burst. Deterministic by
+    // contract: implementations may only move *where* a wait happens,
+    // never which bin a model swap applies at. The default is a no-op;
+    // detectors whose pushes can wait on pool tasks (streaming_diagnoser's
+    // deferred swap boundary) override it.
     virtual void prepare_pushes(std::size_t bins) { (void)bins; }
 
     // Blocks until in-flight background maintenance has finished

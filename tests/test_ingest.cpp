@@ -2,15 +2,16 @@
 // stream_server ingest()/ingest_batch() API, backpressure policies,
 // close/flush semantics, the N-producer parity stress (per-stream output
 // bit-identical to a standalone single-pusher detector replayed in inbox
-// sequence order, for every refit mode and pool size), and the format-v3
-// checkpoint round trip with non-empty inbox residue. This binary runs
-// under the ThreadSanitizer CI job.
+// sequence order, for every refit mode and pool size), refusal of
+// non-finite bins, and the format-v3 checkpoint round trip with non-empty
+// inbox residue. This binary runs under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -254,8 +255,8 @@ protected:
             cfg.a = routing_.a;
             cfg.streaming = diagnoser_config(mode);
         } else {
-            cfg.max_rank = kind == stream_kind::tracking ? 8 : 6;
-            cfg.deferred_updates = kind == stream_kind::tracking;
+            cfg.max_rank = 8;
+            cfg.deferred_updates = true;
         }
         cfg.ingest = std::move(ingest);
         return cfg;
@@ -266,16 +267,10 @@ protected:
     std::unique_ptr<stream_detector> standalone(stream_kind kind, std::size_t boot_offset,
                                                 refit_mode mode = refit_mode::deferred) const {
         const matrix boot = bootstrap_slice(boot_offset);
-        switch (kind) {
-            case stream_kind::diagnoser:
-                return std::make_unique<streaming_diagnoser>(boot, routing_.a,
-                                                             diagnoser_config(mode));
-            case stream_kind::tracking:
-                return std::make_unique<tracking_detector>(boot, 8);
-            case stream_kind::tracker:
-                return std::make_unique<incremental_pca_tracker>(boot, 6);
+        if (kind == stream_kind::diagnoser) {
+            return std::make_unique<streaming_diagnoser>(boot, routing_.a, diagnoser_config(mode));
         }
-        return nullptr;
+        return std::make_unique<tracking_detector>(boot, 8);
     }
 
     std::string temp_dir(const char* name) const {
@@ -299,22 +294,33 @@ struct sink_capture {
     }
 };
 
+// One (kind, refit mode) pair of the parity matrix; mode is ignored by
+// tracking streams.
+struct leg {
+    stream_kind kind;
+    refit_mode mode;
+};
+constexpr leg k_every_leg[] = {
+    {stream_kind::diagnoser, refit_mode::blocking},
+    {stream_kind::diagnoser, refit_mode::deferred},
+    {stream_kind::tracking, refit_mode::deferred},
+};
+
+std::string leg_name(const leg& l) {
+    return "kind " + std::to_string(static_cast<int>(l.kind)) + " mode " +
+           std::to_string(static_cast<int>(l.mode));
+}
+
 // ---------------------------------------------------------------------------
 // Single-producer parity: ingest is push with a sequence number.
 // ---------------------------------------------------------------------------
 
 TEST_F(IngestFixture, SingleProducerIngestMatchesPushForEveryRefitModeAndPoolSize) {
-    for (const refit_mode mode :
-         {refit_mode::blocking, refit_mode::deferred, refit_mode::eager}) {
-        // Eager swaps at a timing-dependent bin; draining after every bin
-        // pins the swap to the next bin on both sides (same device as the
-        // ordered-edge parity test).
-        const bool drain_each = mode == refit_mode::eager;
-        const auto reference = standalone(stream_kind::diagnoser, 0, mode);
+    for (const leg& l : k_every_leg) {
+        const auto reference = standalone(l.kind, 0, l.mode);
         std::vector<detection_result> expected;
         for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
             expected.push_back(reference->push_bin(y_.row(r)));
-            if (drain_each) reference->drain();
         }
 
         for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
@@ -323,25 +329,21 @@ TEST_F(IngestFixture, SingleProducerIngestMatchesPushForEveryRefitModeAndPoolSiz
             ingest_options ingest;
             ingest.capacity = 64;
             ingest.sink = capture.fn();
-            const stream_id id = server.open_stream(
-                open_config(stream_kind::diagnoser, 0, mode, std::move(ingest)));
+            const stream_id id =
+                server.open_stream(open_config(l.kind, 0, l.mode, std::move(ingest)));
             for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
                 const ingest_result res = server.ingest(id, y_.row(r));
                 ASSERT_TRUE(res.ok());
                 ASSERT_EQ(res.sequence, r - k_boot);
-                if (drain_each) {
-                    server.flush_stream(id);
-                    server.drain_all();
-                }
             }
             server.flush_stream(id);
+            server.drain_all();
             ASSERT_EQ(capture.results.size(), expected.size());
             for (std::size_t i = 0; i < expected.size(); ++i) {
                 ASSERT_EQ(capture.results[i].first, i);
                 expect_same_detection(expected[i], capture.results[i].second,
-                                      "mode " + std::to_string(static_cast<int>(mode)) +
-                                          " threads " + std::to_string(threads) + " bin " +
-                                          std::to_string(i));
+                                      leg_name(l) + " threads " + std::to_string(threads) +
+                                          " bin " + std::to_string(i));
             }
             const ingest_stats st = server.ingest_statistics(id);
             EXPECT_EQ(st.accepted, expected.size());
@@ -357,10 +359,7 @@ TEST_F(IngestFixture, SingleProducerIngestMatchesPushForEveryRefitModeAndPoolSiz
 // The acceptance-criterion stress: N >= 4 producers hammer one stream
 // concurrently; the applied output must be bit-identical to a standalone
 // single-pusher detector replaying the bins in inbox sequence order, for
-// every refit mode at pool sizes {0, 1, 2, 8}. Eager mode's swap bin is
-// timing-dependent by design when a pool is present, so its parity leg
-// runs where it is deterministic (pool 0) and the pooled legs check the
-// ordering/conservation invariants instead.
+// every (kind, refit mode) pair at pool sizes {0, 1, 2, 8}.
 // ---------------------------------------------------------------------------
 
 TEST_F(IngestFixture, FourProducerStressMatchesStandaloneReplayInSequenceOrder) {
@@ -368,18 +367,7 @@ TEST_F(IngestFixture, FourProducerStressMatchesStandaloneReplayInSequenceOrder) 
     constexpr std::size_t k_per_producer = 25;
     constexpr std::size_t k_total = k_producers * k_per_producer;
 
-    struct leg {
-        stream_kind kind;
-        refit_mode mode;  // diagnoser only
-    };
-    const leg legs[] = {
-        {stream_kind::diagnoser, refit_mode::blocking},
-        {stream_kind::diagnoser, refit_mode::deferred},
-        {stream_kind::diagnoser, refit_mode::eager},
-        {stream_kind::tracking, refit_mode::deferred},
-    };
-
-    for (const leg& l : legs) {
+    for (const leg& l : k_every_leg) {
         for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
             stream_server server({.threads = threads});
             sink_capture capture;
@@ -443,35 +431,20 @@ TEST_F(IngestFixture, FourProducerStressMatchesStandaloneReplayInSequenceOrder) 
             ASSERT_EQ(server.stats(id).processed, k_total);
 
             // Bit-exact replay against a standalone single-pusher twin fed
-            // in sequence order -- wherever the mode is deterministic.
-            const bool deterministic = l.mode != refit_mode::eager || threads == 0;
-            if (deterministic) {
-                const auto twin = standalone(l.kind, 0, l.mode);
-                std::size_t alarms = 0;
-                for (std::size_t i = 0; i < k_total; ++i) {
-                    const detection_result want = twin->push_bin(y_.row(row_of[i]));
-                    if (want.anomalous) ++alarms;
-                    expect_same_detection(
-                        want, capture.results[i].second,
-                        "kind " + std::to_string(static_cast<int>(l.kind)) + " mode " +
-                            std::to_string(static_cast<int>(l.mode)) + " threads " +
-                            std::to_string(threads) + " seq " + std::to_string(i));
-                }
-                twin->drain();
-                EXPECT_EQ(server.stats(id).alarms, twin->alarm_count());
-                EXPECT_EQ(server.stats(id).epoch, twin->model_epoch());
-                EXPECT_EQ(server.stats(id).alarms, alarms);
-            } else {
-                // Pooled eager leg: the swap bin is timing-dependent, so
-                // check the invariants that hold regardless.
-                std::size_t alarms = 0;
-                for (const auto& [seq, r] : capture.results) {
-                    EXPECT_GE(r.spe, 0.0);
-                    EXPECT_TRUE(r.threshold > 0.0 || std::isinf(r.threshold));
-                    if (r.anomalous) ++alarms;
-                }
-                EXPECT_EQ(server.stats(id).alarms, alarms);
+            // in sequence order.
+            const auto twin = standalone(l.kind, 0, l.mode);
+            std::size_t alarms = 0;
+            for (std::size_t i = 0; i < k_total; ++i) {
+                const detection_result want = twin->push_bin(y_.row(row_of[i]));
+                if (want.anomalous) ++alarms;
+                expect_same_detection(want, capture.results[i].second,
+                                      leg_name(l) + " threads " + std::to_string(threads) +
+                                          " seq " + std::to_string(i));
             }
+            twin->drain();
+            EXPECT_EQ(server.stats(id).alarms, twin->alarm_count());
+            EXPECT_EQ(server.stats(id).epoch, twin->model_epoch());
+            EXPECT_EQ(server.stats(id).alarms, alarms);
         }
     }
 }
@@ -487,14 +460,11 @@ TEST_F(IngestFixture, PooledDrainerMatchesPushForEveryRefitModeAndPoolSize) {
     const scoped_tuning tuned;
     global_tuning().pool_park_budget = 2;
 
-    for (const refit_mode mode :
-         {refit_mode::blocking, refit_mode::deferred, refit_mode::eager}) {
-        const bool drain_each = mode == refit_mode::eager;
-        const auto reference = standalone(stream_kind::diagnoser, 0, mode);
+    for (const leg& l : k_every_leg) {
+        const auto reference = standalone(l.kind, 0, l.mode);
         std::vector<detection_result> expected;
         for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
             expected.push_back(reference->push_bin(y_.row(r)));
-            if (drain_each) reference->drain();
         }
 
         for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
@@ -504,26 +474,21 @@ TEST_F(IngestFixture, PooledDrainerMatchesPushForEveryRefitModeAndPoolSize) {
             ingest.capacity = 64;
             ingest.pooled_drainer = true;
             ingest.sink = capture.fn();
-            const stream_id id = server.open_stream(
-                open_config(stream_kind::diagnoser, 0, mode, std::move(ingest)));
+            const stream_id id =
+                server.open_stream(open_config(l.kind, 0, l.mode, std::move(ingest)));
             for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
                 const ingest_result res = server.ingest(id, y_.row(r));
                 ASSERT_TRUE(res.ok());
                 ASSERT_EQ(res.sequence, r - k_boot);
-                if (drain_each) {
-                    server.flush_stream(id);
-                    server.drain_all();
-                }
             }
             server.flush_stream(id);
+            server.drain_all();
             ASSERT_EQ(capture.results.size(), expected.size());
             for (std::size_t i = 0; i < expected.size(); ++i) {
                 ASSERT_EQ(capture.results[i].first, i);
                 expect_same_detection(expected[i], capture.results[i].second,
-                                      "pooled mode " +
-                                          std::to_string(static_cast<int>(mode)) +
-                                          " threads " + std::to_string(threads) +
-                                          " bin " + std::to_string(i));
+                                      "pooled " + leg_name(l) + " threads " +
+                                          std::to_string(threads) + " bin " + std::to_string(i));
             }
             const ingest_stats st = server.ingest_statistics(id);
             EXPECT_EQ(st.accepted, expected.size());
@@ -544,17 +509,7 @@ TEST_F(IngestFixture, FourProducerPooledDrainerStressReplaysInSequenceOrder) {
     const scoped_tuning tuned;
     global_tuning().pool_park_budget = 2;
 
-    struct leg {
-        stream_kind kind;
-        refit_mode mode;  // diagnoser only
-    };
-    const leg legs[] = {
-        {stream_kind::diagnoser, refit_mode::blocking},
-        {stream_kind::diagnoser, refit_mode::deferred},
-        {stream_kind::tracking, refit_mode::deferred},
-    };
-
-    for (const leg& l : legs) {
+    for (const leg& l : k_every_leg) {
         for (const std::size_t threads : {2u, 8u}) {
             stream_server server({.threads = threads});
             sink_capture capture;
@@ -607,12 +562,9 @@ TEST_F(IngestFixture, FourProducerPooledDrainerStressReplaysInSequenceOrder) {
 
             const auto twin = standalone(l.kind, 0, l.mode);
             for (std::size_t i = 0; i < k_total; ++i) {
-                expect_same_detection(
-                    twin->push_bin(y_.row(row_of[i])), capture.results[i].second,
-                    "pooled kind " + std::to_string(static_cast<int>(l.kind)) +
-                        " mode " + std::to_string(static_cast<int>(l.mode)) +
-                        " threads " + std::to_string(threads) + " seq " +
-                        std::to_string(i));
+                expect_same_detection(twin->push_bin(y_.row(row_of[i])), capture.results[i].second,
+                                      "pooled " + leg_name(l) + " threads " +
+                                          std::to_string(threads) + " seq " + std::to_string(i));
             }
             twin->drain();
             EXPECT_EQ(server.stats(id).alarms, twin->alarm_count());
@@ -666,68 +618,173 @@ TEST_F(IngestFixture, PooledDrainerErrorSurfacesOnIngestOrFlushAndStaysConserved
     EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending) << "conservation violated";
 }
 
-// Several streams fed by several producers each, over one shared pool:
-// the per-stream drain roles must stay independent (no cross-stream
-// perturbation) while every stream replays bit-exactly.
+// Several streams -- one per (kind, refit mode) pair -- fed by several
+// producers each, over one shared pool of every size: the per-stream drain
+// roles must stay independent (no cross-stream perturbation) while every
+// stream replays bit-exactly.
 TEST_F(IngestFixture, ConcurrentProducersOnMultipleStreamsReplayIndependently) {
-    constexpr std::size_t k_streams = 3;
+    constexpr std::size_t k_streams = std::size(k_every_leg);
     constexpr std::size_t k_producers_per_stream = 2;
     constexpr std::size_t k_per_producer = 20;
-    stream_server server({.threads = 2});
+    for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
+        stream_server server({.threads = threads});
 
-    std::vector<stream_id> ids;
-    std::vector<std::unique_ptr<sink_capture>> captures;
-    for (std::size_t s = 0; s < k_streams; ++s) {
-        captures.push_back(std::make_unique<sink_capture>());
-        ingest_options ingest;
-        ingest.capacity = 64;
-        ingest.sink = captures.back()->fn();
-        ids.push_back(server.open_stream(open_config(stream_kind::diagnoser, s * 10,
-                                                     refit_mode::deferred,
-                                                     std::move(ingest))));
-    }
-
-    std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>> seq_rows(
-        k_streams * k_producers_per_stream);
-    std::vector<std::thread> producers;
-    for (std::size_t s = 0; s < k_streams; ++s) {
-        for (std::size_t p = 0; p < k_producers_per_stream; ++p) {
-            const std::size_t slot = s * k_producers_per_stream + p;
-            producers.emplace_back([&, s, p, slot] {
-                for (std::size_t i = 0; i < k_per_producer; ++i) {
-                    const std::size_t row = k_boot + s * 10 + p * k_per_producer + i;
-                    const ingest_result r = server.ingest(ids[s], y_.row(row));
-                    ASSERT_TRUE(r.ok());
-                    seq_rows[slot].emplace_back(r.sequence, row);
-                }
-            });
+        std::vector<stream_id> ids;
+        std::vector<std::unique_ptr<sink_capture>> captures;
+        for (std::size_t s = 0; s < k_streams; ++s) {
+            captures.push_back(std::make_unique<sink_capture>());
+            ingest_options ingest;
+            ingest.capacity = 64;
+            ingest.sink = captures.back()->fn();
+            ids.push_back(server.open_stream(open_config(k_every_leg[s].kind, s * 10,
+                                                         k_every_leg[s].mode, std::move(ingest))));
         }
-    }
-    for (std::thread& t : producers) t.join();
-    for (const stream_id id : ids) server.flush_stream(id);
-    server.drain_all();
 
-    constexpr std::size_t k_total = k_producers_per_stream * k_per_producer;
-    for (std::size_t s = 0; s < k_streams; ++s) {
-        std::vector<std::size_t> row_of(k_total, 0);
-        for (std::size_t p = 0; p < k_producers_per_stream; ++p) {
-            for (const auto& [seq, row] : seq_rows[s * k_producers_per_stream + p]) {
-                ASSERT_LT(seq, k_total);
-                row_of[seq] = row;
+        std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>> seq_rows(
+            k_streams * k_producers_per_stream);
+        std::vector<std::thread> producers;
+        for (std::size_t s = 0; s < k_streams; ++s) {
+            for (std::size_t p = 0; p < k_producers_per_stream; ++p) {
+                const std::size_t slot = s * k_producers_per_stream + p;
+                producers.emplace_back([&, s, p, slot] {
+                    for (std::size_t i = 0; i < k_per_producer; ++i) {
+                        const std::size_t row = k_boot + s * 10 + p * k_per_producer + i;
+                        const ingest_result r = server.ingest(ids[s], y_.row(row));
+                        ASSERT_TRUE(r.ok());
+                        seq_rows[slot].emplace_back(r.sequence, row);
+                    }
+                });
             }
         }
-        const auto& results = captures[s]->results;
-        ASSERT_EQ(results.size(), k_total);
-        const auto twin = standalone(stream_kind::diagnoser, s * 10);
-        for (std::size_t i = 0; i < k_total; ++i) {
-            ASSERT_EQ(results[i].first, i);
-            expect_same_detection(twin->push_bin(y_.row(row_of[i])), results[i].second,
-                                  "stream " + std::to_string(s) + " seq " +
-                                      std::to_string(i));
+        for (std::thread& t : producers) t.join();
+        for (const stream_id id : ids) server.flush_stream(id);
+        server.drain_all();
+
+        constexpr std::size_t k_total = k_producers_per_stream * k_per_producer;
+        for (std::size_t s = 0; s < k_streams; ++s) {
+            std::vector<std::size_t> row_of(k_total, 0);
+            for (std::size_t p = 0; p < k_producers_per_stream; ++p) {
+                for (const auto& [seq, row] : seq_rows[s * k_producers_per_stream + p]) {
+                    ASSERT_LT(seq, k_total);
+                    row_of[seq] = row;
+                }
+            }
+            const auto& results = captures[s]->results;
+            ASSERT_EQ(results.size(), k_total);
+            const auto twin = standalone(k_every_leg[s].kind, s * 10, k_every_leg[s].mode);
+            for (std::size_t i = 0; i < k_total; ++i) {
+                ASSERT_EQ(results[i].first, i);
+                expect_same_detection(twin->push_bin(y_.row(row_of[i])), results[i].second,
+                                      "threads " + std::to_string(threads) + " stream " +
+                                          std::to_string(s) + " seq " + std::to_string(i));
+            }
+            twin->drain();
+            EXPECT_EQ(server.stats(ids[s]).epoch, twin->model_epoch());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite bins: refused at the door, typed, counted, never applied.
+// ---------------------------------------------------------------------------
+
+TEST_F(IngestFixture, NonFiniteBinsAreRefusedAndNeverApplied) {
+    // One NaN in a refit window would poison every later model (and a
+    // tracking stream's running variance for good). Every served bin
+    // passes through ingest, which refuses a non-finite bin -- alone, or
+    // anywhere in a batch, all-or-nothing -- so the clean bins after it,
+    // across refits, match a shadow that never saw the bad ones.
+    const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+    for (const stream_kind kind : {stream_kind::diagnoser, stream_kind::tracking}) {
+        const std::string context = "kind " + std::to_string(static_cast<int>(kind));
+        stream_server server({.threads = 2});
+        sink_capture capture;
+        ingest_options ingest;
+        ingest.capacity = 64;
+        ingest.sink = capture.fn();
+        const stream_id id = server.open_stream(
+            open_config(kind, 0, refit_mode::deferred, std::move(ingest)));
+
+        std::uint64_t refused = 0;
+        for (std::size_t r = 0; r < 30; ++r) {
+            const std::span<const double> clean = y_.row(k_boot + r);
+            if (r % 3 == 0) {
+                // A poisoned copy arrives first, alone and as the second
+                // bin of a batch whose first bin is clean.
+                std::vector<double> poisoned(clean.begin(), clean.end());
+                poisoned[r % poisoned.size()] = bad_values[(r / 3) % 3];
+                const ingest_result alone = server.ingest(id, poisoned);
+                EXPECT_EQ(alone.error, ingest_error::non_finite) << context << " bin " << r;
+                EXPECT_EQ(alone.accepted, 0u);
+                const std::vector<std::span<const double>> batch = {clean, poisoned};
+                EXPECT_EQ(server.ingest_batch(id, batch).error, ingest_error::non_finite)
+                    << context << " bin " << r;
+                refused += 3;
+            }
+            const ingest_result ok = server.ingest(id, clean);
+            ASSERT_TRUE(ok.ok()) << context << " bin " << r;
+            EXPECT_EQ(ok.sequence, r) << "a refused bin consumed a sequence";
+        }
+        server.flush_stream(id);
+        server.drain_all();
+
+        const ingest_stats st = server.ingest_statistics(id);
+        EXPECT_EQ(st.accepted, 30u) << context;
+        EXPECT_EQ(st.applied, 30u) << context;
+        EXPECT_EQ(st.rejected, refused) << context;
+        EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending) << context;
+
+        const auto twin = standalone(kind, 0);
+        ASSERT_EQ(capture.results.size(), 30u) << context;
+        for (std::size_t r = 0; r < 30; ++r) {
+            expect_same_detection(twin->push_bin(y_.row(k_boot + r)), capture.results[r].second,
+                                  context + " bin " + std::to_string(r));
         }
         twin->drain();
-        EXPECT_EQ(server.stats(ids[s]).epoch, twin->model_epoch());
+        EXPECT_EQ(server.stats(id).epoch, twin->model_epoch()) << context;
+        EXPECT_GE(server.stats(id).epoch, 2u) << context << ": no refit was spanned";
     }
+}
+
+TEST_F(IngestFixture, NonFiniteResidueInARecordIsRejected) {
+    // A server never enqueues a non-finite bin, so a record whose residue
+    // holds one is malformed: restoring it must throw and publish nothing.
+    stream_server server({.threads = 0});
+    ingest_options ingest;
+    ingest.auto_drain = false;
+    const stream_id id = server.open_stream(
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
+    constexpr double k_marker = 12345.6789;  // a residue value findable in the record
+    std::vector<double> bin(y_.row(k_boot).begin(), y_.row(k_boot).end());
+    bin[0] = k_marker;
+    ASSERT_TRUE(server.ingest(id, bin).ok());
+    std::ostringstream out(std::ios::binary);
+    server.snapshot_stream(id, out, ckpt::encoding::native);
+    const std::string record = std::move(out).str();
+
+    std::string marker(sizeof k_marker, '\0');
+    std::memcpy(marker.data(), &k_marker, sizeof k_marker);
+    const std::size_t at = record.find(marker);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(record.find(marker, at + 1), std::string::npos) << "marker is ambiguous";
+
+    stream_server target({.threads = 0});
+    EXPECT_NO_THROW((void)target.restore_stream(record));
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        std::string poisoned = record;
+        std::memcpy(poisoned.data() + at, &bad, sizeof bad);
+        try {
+            (void)target.restore_stream(poisoned);
+            FAIL() << "a record with non-finite residue was restored";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+                << "got: " << e.what();
+        }
+    }
+    EXPECT_EQ(target.stream_count(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -743,7 +800,7 @@ TEST_F(IngestFixture, RejectPolicyReturnsDistinctErrors) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     // Unknown stream.
     EXPECT_EQ(server.ingest(id + 99, y_.row(k_boot)).error, ingest_error::unknown_stream);
@@ -795,7 +852,7 @@ TEST_F(IngestFixture, DropOldestConservesStatsAndKeepsTheNewest) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     for (std::size_t i = 0; i < 10; ++i) {
         ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok());
@@ -815,7 +872,7 @@ TEST_F(IngestFixture, DropOldestConservesStatsAndKeepsTheNewest) {
     // The survivors are the newest four bins (sequences 6..9), applied in
     // order and bit-identical to a standalone detector fed just those.
     ASSERT_EQ(capture.results.size(), 4u);
-    const auto twin = standalone(stream_kind::tracker, 0);
+    const auto twin = standalone(stream_kind::tracking, 0);
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(capture.results[i].first, 6 + i);
         expect_same_detection(twin->push_bin(y_.row(k_boot + 6 + i)),
@@ -832,7 +889,7 @@ TEST_F(IngestFixture, BlockPolicyWaitsForTheDrainer) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     constexpr std::size_t k_bins = 7;
     std::atomic<std::size_t> ingested{0};
@@ -867,7 +924,7 @@ TEST_F(IngestFixture, CloseStreamDrainsNonEmptyInboxAndWakesBlockedProducers) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     ASSERT_TRUE(server.ingest(id, y_.row(k_boot)).ok());
     ASSERT_TRUE(server.ingest(id, y_.row(k_boot + 1)).ok());
@@ -887,7 +944,7 @@ TEST_F(IngestFixture, CloseStreamDrainsNonEmptyInboxAndWakesBlockedProducers) {
     producer.join();
     EXPECT_EQ(blocked_error.load(), static_cast<int>(ingest_error::stream_closed));
     ASSERT_EQ(capture.results.size(), 2u);
-    const auto twin = standalone(stream_kind::tracker, 0);
+    const auto twin = standalone(stream_kind::tracking, 0);
     for (std::size_t i = 0; i < 2; ++i) {
         EXPECT_EQ(capture.results[i].first, i);
         expect_same_detection(twin->push_bin(y_.row(k_boot + i)), capture.results[i].second,
@@ -905,7 +962,7 @@ TEST_F(IngestFixture, IngestBatchAssignsConsecutiveSequencesUnderContention) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     constexpr std::size_t k_threads = 4;
     constexpr std::size_t k_batches = 4;
@@ -1067,13 +1124,23 @@ TEST_F(IngestFixture, SnapshotAndDrainAllWhileSinksReadTheServerDoNotDeadlock) {
             }
         });
     }
-    for (std::size_t s = 0; s < 5; ++s) {
+    // Neither snapshot_all nor drain_all applies bins, so a sink read can
+    // only come from a producer's drain. On a loaded host five rounds can
+    // finish before either producer first runs: keep the rounds going
+    // (producers parked on a full ring need the role windows between
+    // them) until a sink has read the server, bounded by a deadline so a
+    // regression fails instead of hanging.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    std::size_t rounds = 0;
+    while ((rounds < 5 || sink_reads.load() == 0) && std::chrono::steady_clock::now() < deadline) {
         server.snapshot_all(dir);
         server.drain_all();
+        ++rounds;
     }
     stop.store(true, std::memory_order_relaxed);
     for (std::thread& t : producers) t.join();
     server.flush_stream(id);
+    EXPECT_GE(rounds, 5u);
     EXPECT_GT(sink_reads.load(), 0u);
     const ingest_stats st = server.ingest_statistics(id);
     EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending);
@@ -1093,7 +1160,7 @@ TEST_F(IngestFixture, SnapshotCompletesWhileAProducerIsBlockedOnAFullInbox) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     ASSERT_TRUE(server.ingest(id, y_.row(k_boot)).ok());
     ASSERT_TRUE(server.ingest(id, y_.row(k_boot + 1)).ok());
@@ -1151,7 +1218,7 @@ TEST_F(IngestFixture, MalformedInboxCapacityInCheckpointIsRejected) {
         ingest_options ingest;
         ingest.capacity = 8;
         (void)server.open_stream(
-            open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+            open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
         server.snapshot_all(dir);
     }
     // Corrupt the capacity field (first u64 after the server_stream
@@ -1182,9 +1249,8 @@ TEST_F(IngestFixture, LegacyRawDetectorSnapshotDirectoryStillRestores) {
     const std::string dir = temp_dir("ingest_legacy_snapshot");
     std::filesystem::create_directories(dir);
     {
-        incremental_pca_tracker tracker(bootstrap_slice(0), 6);
-        save_stream_detector(tracker,
-                             (std::filesystem::path(dir) / "stream_1.ckpt").string());
+        tracking_detector detector(bootstrap_slice(0), 8);
+        save_stream_detector(detector, (std::filesystem::path(dir) / "stream_1.ckpt").string());
         std::ofstream manifest((std::filesystem::path(dir) / "manifest.ckpt").string(),
                                std::ios::binary);
         ckpt::write_header(manifest, "stream_server_manifest");
@@ -1211,9 +1277,9 @@ TEST_F(IngestFixture, VersionTwoRecordsLoadVersionOneAndFutureVersionsRejected) 
     // version-2 record is exactly a version-3 record with a patched
     // version field. Patch the committed-on-write version down to 2: it
     // must load; versions 1 and 4 must be rejected with a clear error.
-    incremental_pca_tracker tracker(bootstrap_slice(0), 6);
+    tracking_detector detector(bootstrap_slice(0), 8);
     std::ostringstream out;
-    tracker.save(out);
+    detector.save(out);
     const std::string v3_bytes = out.str();
 
     const auto with_version = [&](std::uint64_t version) {

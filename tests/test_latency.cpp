@@ -3,8 +3,8 @@
 // monotone clock shim (deterministic latency under an injected tick
 // source), the thread_pool park-permit protocol, and the budget's
 // no-deadlock guarantee (pooled drainers parked at a deferred swap
-// boundary cannot starve push_batch of workers). This binary runs under
-// the ThreadSanitizer CI job.
+// boundary cannot starve refits sharded over the same pool of workers).
+// This binary runs under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -126,7 +126,7 @@ TEST(IngestLatency, ExactUnderInjectedTickSource) {
 
     stream_server server({.threads = 0});
     stream_open_config cfg;
-    cfg.kind = stream_kind::tracker;
+    cfg.kind = stream_kind::tracking;
     cfg.bootstrap_y = boot;
     cfg.max_rank = 4;
     cfg.ingest.capacity = 16;
@@ -249,7 +249,7 @@ TEST(ParkBudget, AssertWaitAllowedGatesPoolJobsOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Budget exhaustion vs push_batch: the no-deadlock invariant end to end.
+// Budget exhaustion vs sharded refits: the no-deadlock invariant end to end.
 // ---------------------------------------------------------------------------
 
 class LatencyServerFixture : public ::testing::Test {
@@ -280,7 +280,7 @@ protected:
         return out;
     }
 
-    stream_open_config diagnoser_config(bool pooled) const {
+    stream_open_config diagnoser_config(bool pooled, refit_mode mode) const {
         stream_open_config cfg;
         cfg.kind = stream_kind::diagnoser;
         cfg.a = routing_.a;
@@ -288,7 +288,7 @@ protected:
         cfg.streaming.window = k_boot;
         cfg.streaming.refit_interval = 9;
         cfg.streaming.swap_horizon = 4;
-        cfg.streaming.mode = refit_mode::deferred;
+        cfg.streaming.mode = mode;
         cfg.streaming.separation.fixed_rank = 6;
         cfg.ingest.capacity = 64;
         cfg.ingest.policy = inbox_policy::block;
@@ -301,22 +301,28 @@ protected:
     matrix y_;
 };
 
-TEST_F(LatencyServerFixture, ParkedPooledDrainersCannotDeadlockPushBatch) {
+TEST_F(LatencyServerFixture, ParkedPooledDrainersCannotDeadlockShardedRefits) {
     // The whole budget is spent on pooled drainers for two streams whose
     // deferred refits keep parking them at swap-join boundaries, while
-    // the ordered edge keeps dispatching push_batch across two more
-    // streams on the same pool. The budget arithmetic (helpers <= size -
-    // 1 - budget, parked <= budget) must leave a worker free for the
-    // refits the parked drainers are waiting on -- completion of this
-    // test IS the assertion.
+    // two caller-drained blocking-mode streams run their refits sharded
+    // over the same pool (parallel_for from the ingesting thread). The
+    // budget arithmetic (helpers <= size - 1 - budget, parked <= budget)
+    // must leave a worker free for the refits the parked drainers are
+    // waiting on -- completion of this test IS the assertion.
     const scoped_tuning tuned;
     global_tuning().pool_park_budget = 2;
+    // Open the fit kernels' scheduling gates at unit-test sizes so the
+    // blocking refits really shard (gates never change results).
+    global_tuning().parallel_min_hardware = 1;
+    global_tuning().pca_projection_min_work = 1;
+    global_tuning().ql_parallel_min_work = 1;
     stream_server server({.threads = 4});
+    ASSERT_EQ(server.pool()->park_budget(), 2u);
 
-    const stream_id pooled_a = server.open_stream(diagnoser_config(/*pooled=*/true));
-    const stream_id pooled_b = server.open_stream(diagnoser_config(/*pooled=*/true));
-    const stream_id ordered_c = server.open_stream(diagnoser_config(/*pooled=*/false));
-    const stream_id ordered_d = server.open_stream(diagnoser_config(/*pooled=*/false));
+    const stream_id pooled_a = server.open_stream(diagnoser_config(true, refit_mode::deferred));
+    const stream_id pooled_b = server.open_stream(diagnoser_config(true, refit_mode::deferred));
+    const stream_id sharded_c = server.open_stream(diagnoser_config(false, refit_mode::blocking));
+    const stream_id sharded_d = server.open_stream(diagnoser_config(false, refit_mode::blocking));
 
     constexpr std::size_t k_bins = 60;
     std::vector<std::thread> producers;
@@ -328,12 +334,12 @@ TEST_F(LatencyServerFixture, ParkedPooledDrainersCannotDeadlockPushBatch) {
         });
     }
 
-    // Ordered-edge batches racing the parked drainers for pool workers.
+    // Caller-drained blocking refits racing the parked drainers for pool
+    // workers: every ninth bin fits a model inside this thread's ingest.
     for (std::size_t i = 0; i < k_bins; ++i) {
-        const stream_server::stream_bin bins[] = {{ordered_c, y_.row(k_boot + i)},
-                                                  {ordered_d, y_.row(k_boot + i)}};
-        const auto results = server.push_batch(bins);
-        ASSERT_EQ(results.size(), 2u);
+        for (const stream_id id : {sharded_c, sharded_d}) {
+            ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok());
+        }
     }
 
     for (std::thread& t : producers) t.join();
@@ -351,8 +357,13 @@ TEST_F(LatencyServerFixture, ParkedPooledDrainersCannotDeadlockPushBatch) {
         EXPECT_GE(st.latency_max_ms, 0.0);
         EXPECT_LE(st.latency_p50_ms, st.latency_p99_ms);
     }
-    EXPECT_EQ(server.stats(ordered_c).processed, k_bins);
-    EXPECT_EQ(server.stats(ordered_d).processed, k_bins);
+    for (const stream_id id : {sharded_c, sharded_d}) {
+        const ingest_stats st = server.ingest_statistics(id);
+        EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending)
+            << "conservation violated";
+        EXPECT_EQ(server.stats(id).processed, k_bins);
+        EXPECT_EQ(server.stats(id).epoch, k_bins / 9) << "a blocking refit did not run";
+    }
 }
 
 }  // namespace

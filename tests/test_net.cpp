@@ -14,6 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -168,6 +170,81 @@ TEST(Loopback, RemoteErrorsCarryTheSameCodesALocalIngestWould) {
     EXPECT_EQ(stats.rejected, 1u);
 
     frontend.stop();
+}
+
+// A refitting diagnoser over the synthetic links, with identity routing
+// (one OD flow per link) and a pinned normal rank.
+stream_open_config diagnoser_config(std::uint64_t seed) {
+    stream_open_config cfg;
+    cfg.kind = stream_kind::diagnoser;
+    cfg.bootstrap_y = synthetic_bootstrap(4 * k_dim, k_dim, seed);
+    cfg.a = matrix(k_dim, k_dim, 0.0);
+    for (std::size_t i = 0; i < k_dim; ++i) cfg.a(i, i) = 1.0;
+    cfg.streaming.window = 4 * k_dim;
+    cfg.streaming.refit_interval = 5;
+    cfg.streaming.swap_horizon = 2;
+    cfg.streaming.mode = refit_mode::deferred;
+    cfg.streaming.separation.fixed_rank = 2;
+    return cfg;
+}
+
+TEST(Loopback, NonFiniteBinsAreRefusedWithTheLocalCode) {
+    // The frame carries raw IEEE doubles, so a NaN or an infinity reaches
+    // the server intact and is refused there: the collector gets the
+    // typed code, nothing is applied, and the stream's detector state
+    // after the clean bins that follow -- across refits -- is byte for
+    // byte a standalone detector's that never saw the bad bins.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const bool diagnoser : {true, false}) {
+        const stream_open_config cfg = diagnoser ? diagnoser_config(5) : tracking_config(5);
+        stream_server server({.threads = 2});
+        const stream_id id = server.open_stream(cfg);
+        net::netdiag_frontend frontend(server);
+        net::remote_collector collector(frontend.port());
+
+        std::unique_ptr<stream_detector> shadow;
+        if (diagnoser) {
+            shadow = std::make_unique<streaming_diagnoser>(cfg.bootstrap_y, cfg.a, cfg.streaming);
+        } else {
+            shadow = std::make_unique<tracking_detector>(cfg.bootstrap_y, cfg.max_rank);
+        }
+
+        std::uint64_t refused = 0;
+        for (std::size_t i = 0; i < 24; ++i) {
+            const std::vector<double> clean = synthetic_bin(k_dim, 300 + i);
+            if (i % 4 == 0) {
+                std::vector<double> nan_bin = clean;
+                nan_bin[i % k_dim] = nan;
+                std::vector<double> inf_bin = clean;
+                inf_bin[(i + 1) % k_dim] = -inf;
+                EXPECT_EQ(collector.ingest(id, nan_bin).error, ingest_error::non_finite) << i;
+                EXPECT_EQ(collector.ingest_batch(id, {clean, inf_bin}).error,
+                          ingest_error::non_finite)
+                    << i;
+                refused += 3;
+            }
+            ASSERT_TRUE(collector.ingest(id, clean).ok()) << i;
+            (void)shadow->push_bin(clean);
+        }
+        collector.flush(id);
+
+        const net::stats_response stats = collector.stats(id);
+        EXPECT_EQ(stats.accepted, 24u);
+        EXPECT_EQ(stats.applied, 24u);
+        EXPECT_EQ(stats.processed, 24u);
+        EXPECT_EQ(stats.rejected, refused);
+        EXPECT_EQ(stats.epoch, shadow->model_epoch());
+        EXPECT_GE(stats.epoch, 2u) << "no refit was spanned";
+
+        // The detector record nests last in the stream record.
+        std::ostringstream detector_record(std::ios::binary);
+        ckpt::set_encoding(detector_record, ckpt::encoding::interchange);
+        shadow->save(detector_record);
+        EXPECT_TRUE(collector.snapshot(id).ends_with(std::move(detector_record).str()));
+
+        frontend.stop();
+    }
 }
 
 // One open descriptor per entry in /proc/self/fd (Linux, which is what

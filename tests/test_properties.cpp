@@ -207,8 +207,9 @@ protected:
                 cfg.max_rank = 7;
                 break;
             default:
-                cfg.kind = stream_kind::tracker;
+                cfg.kind = stream_kind::tracking;
                 cfg.max_rank = 5;
+                cfg.deferred_updates = true;
                 break;
         }
         return cfg;
@@ -233,11 +234,12 @@ TEST_P(ServerSeedSweep, BinCountsConservedAndEpochsMonotonePerStream) {
         const std::size_t row = cursors[s];
         cursors[s] = row + 1 < ds_.bin_count() ? row + 1 : k_boot;
         if (rng() % 2 == 0) {
-            server.push(ids[s], ds_.link_loads.row(row));
+            ASSERT_TRUE(server.ingest(ids[s], ds_.link_loads.row(row)).ok());
         } else {
-            const stream_server::stream_bin bin{ids[s], ds_.link_loads.row(row)};
-            server.push_batch(std::span(&bin, 1));
+            const std::span<const double> bin[] = {ds_.link_loads.row(row)};
+            ASSERT_TRUE(server.ingest_batch(ids[s], bin).ok());
         }
+        server.flush_stream(ids[s]);
         ++pushed[s];
 
         // Epochs never move backwards, and only maintenance can move them
@@ -262,10 +264,16 @@ TEST_P(ServerSeedSweep, ClosingOneStreamNeverPerturbsAnother) {
     // surviving streams' output digests must match the first run exactly.
     const auto run = [&](bool close_midway) {
         stream_server server({.threads = 2});
-        std::vector<stream_id> ids;
-        for (std::size_t s = 0; s < 3; ++s) ids.push_back(server.open_stream(make_config(s)));
-
         std::vector<std::uint64_t> digests(3, 1469598103934665603ull);  // FNV offset
+        std::vector<stream_id> ids;
+        for (std::size_t s = 0; s < 3; ++s) {
+            stream_open_config cfg = make_config(s);
+            cfg.ingest.sink = [&digests, s](std::uint64_t, const detection_result& d) {
+                digests[s] = fold_detection(digests[s], d);
+            };
+            ids.push_back(server.open_stream(std::move(cfg)));
+        }
+
         std::vector<std::size_t> cursors(3, k_boot);
         std::mt19937_64 rng(GetParam() + 5);
         bool closed = false;
@@ -278,7 +286,8 @@ TEST_P(ServerSeedSweep, ClosingOneStreamNeverPerturbsAnother) {
             if (s == 1 && closed) continue;  // same rng draws either way
             const std::size_t row = cursors[s];
             cursors[s] = row + 1 < ds_.bin_count() ? row + 1 : k_boot;
-            digests[s] = fold_detection(digests[s], server.push(ids[s], ds_.link_loads.row(row)));
+            EXPECT_TRUE(server.ingest(ids[s], ds_.link_loads.row(row)).ok());
+            server.flush_stream(ids[s]);
         }
         server.drain_all();
         return digests;

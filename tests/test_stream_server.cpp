@@ -1,23 +1,31 @@
 // The sharded multi-stream serving front-end: single-stream parity with
 // standalone detectors for every refit mode and pool size, deterministic
-// many-stream stress under a small pool, batch semantics, and
-// snapshot_all -> restore_all -> replay exactness.
+// many-stream stress under a small pool, pooled-drainer batches of
+// blocking refits, snapshot_all -> restore_all -> replay exactness,
+// migration parity, and per-stream isolation of a stalled record sink.
+// Every stream is fed through the one ingest edge; results are read from
+// the stream's sink.
 #include "serve/stream_server.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <random>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "engine/thread_pool.h"
+#include "engine/tuning.h"
 #include "measurement/link_loads.h"
 #include "net/migration.h"
 #include "subspace/online.h"
@@ -32,6 +40,28 @@ void expect_same_detection(const detection_result& want, const detection_result&
     ASSERT_EQ(got.anomalous, want.anomalous) << context;
     ASSERT_EQ(got.spe, want.spe) << context;
     ASSERT_EQ(got.threshold, want.threshold) << context;
+}
+
+// Captures (sequence, result) pairs delivered by the stream's drainer.
+// Written only by the single active drainer; read after flush_stream.
+struct sink_capture {
+    std::vector<std::pair<std::uint64_t, detection_result>> results;
+    ingest_sink fn() {
+        return [this](std::uint64_t seq, const detection_result& r) {
+            results.emplace_back(seq, r);
+        };
+    }
+};
+
+// Ingests one bin, applies it, and returns what the stream's sink saw:
+// the one-bin round trip the parity checks below are built from.
+detection_result apply_one(stream_server& server, stream_id id, const sink_capture& capture,
+                           std::span<const double> y) {
+    const std::size_t before = capture.results.size();
+    EXPECT_TRUE(server.ingest(id, y).ok());
+    server.flush_stream(id);
+    EXPECT_EQ(capture.results.size(), before + 1);
+    return capture.results.empty() ? detection_result{} : capture.results.back().second;
 }
 
 // Abilene link loads with a diurnal cycle: enough texture for stable PCA
@@ -85,9 +115,17 @@ protected:
             cfg.a = routing_.a;
             cfg.streaming = diagnoser_config(mode);
         } else {
-            cfg.max_rank = kind == stream_kind::tracking ? 8 : 6;
+            cfg.max_rank = 8;
         }
         return cfg;
+    }
+
+    // open_config with the stream's results delivered to `capture`.
+    stream_id open_captured(stream_server& server, sink_capture& capture, stream_kind kind,
+                            std::size_t boot_offset, refit_mode mode = refit_mode::deferred) const {
+        stream_open_config cfg = open_config(kind, boot_offset, mode);
+        cfg.ingest.sink = capture.fn();
+        return server.open_stream(std::move(cfg));
     }
 
     // Standalone (no server, no pool) twin of open_config: the parity
@@ -95,16 +133,10 @@ protected:
     std::unique_ptr<stream_detector> standalone(stream_kind kind, std::size_t boot_offset,
                                                 refit_mode mode = refit_mode::deferred) const {
         const matrix boot = bootstrap_slice(boot_offset);
-        switch (kind) {
-            case stream_kind::diagnoser:
-                return std::make_unique<streaming_diagnoser>(boot, routing_.a,
-                                                             diagnoser_config(mode));
-            case stream_kind::tracking:
-                return std::make_unique<tracking_detector>(boot, 8);
-            case stream_kind::tracker:
-                return std::make_unique<incremental_pca_tracker>(boot, 6);
+        if (kind == stream_kind::diagnoser) {
+            return std::make_unique<streaming_diagnoser>(boot, routing_.a, diagnoser_config(mode));
         }
-        return nullptr;
+        return std::make_unique<tracking_detector>(boot, 8);
     }
 
     std::string temp_dir(const char* name) const {
@@ -121,31 +153,37 @@ protected:
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamServerFixture, DiagnoserParityForEveryRefitModeAndPoolSize) {
-    for (const refit_mode mode :
-         {refit_mode::blocking, refit_mode::deferred, refit_mode::eager}) {
-        // Eager swaps at a timing-dependent bin; draining after every push
-        // pins the swap to the next bin on both sides, making the
-        // comparison exact there too.
-        const bool drain_each = mode == refit_mode::eager;
+    for (const refit_mode mode : {refit_mode::blocking, refit_mode::deferred}) {
         const auto reference = standalone(stream_kind::diagnoser, 0, mode);
 
         std::vector<detection_result> expected;
         for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
             expected.push_back(reference->push_bin(y_.row(r)));
-            if (drain_each) reference->drain();
         }
 
         for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
             stream_server server({.threads = threads});
-            const stream_id id =
-                server.open_stream(open_config(stream_kind::diagnoser, 0, mode));
-            for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
-                const detection_result got = server.push(id, y_.row(r));
-                expect_same_detection(expected[r - k_boot], got,
+            sink_capture capture;
+            const stream_id id = open_captured(server, capture, stream_kind::diagnoser, 0, mode);
+            // Runs of 1..4 bins through ingest_batch: a batch takes
+            // consecutive sequences, so the run boundaries must not show.
+            for (std::size_t r = k_boot, run = 1; r < k_boot + 40; r += run, run = run % 4 + 1) {
+                std::vector<std::span<const double>> bins;
+                for (std::size_t k = r; k < std::min(r + run, k_boot + 40); ++k) {
+                    bins.push_back(y_.row(k));
+                }
+                const ingest_result res = server.ingest_batch(id, bins);
+                ASSERT_TRUE(res.ok());
+                ASSERT_EQ(res.sequence, r - k_boot);
+            }
+            server.flush_stream(id);
+            ASSERT_EQ(capture.results.size(), expected.size());
+            for (std::size_t i = 0; i < expected.size(); ++i) {
+                ASSERT_EQ(capture.results[i].first, i);
+                expect_same_detection(expected[i], capture.results[i].second,
                                       "mode " + std::to_string(static_cast<int>(mode)) +
                                           " threads " + std::to_string(threads) + " bin " +
-                                          std::to_string(r));
-                if (drain_each) server.drain_all();
+                                          std::to_string(i));
             }
             EXPECT_EQ(server.stats(id).epoch, reference->model_epoch())
                 << "threads " << threads;
@@ -156,146 +194,123 @@ TEST_F(StreamServerFixture, DiagnoserParityForEveryRefitModeAndPoolSize) {
 }
 
 TEST_F(StreamServerFixture, TrackingAndTrackerParityAcrossPoolSizes) {
-    for (const stream_kind kind : {stream_kind::tracking, stream_kind::tracker}) {
-        const auto reference = standalone(kind, 5);
+    // Verdicts match the standalone tracking detector, and the whole
+    // tracker state underneath -- axes, spectrum, running mean, threshold
+    // -- lands bit-identical at every pool size: the served records are
+    // byte-for-byte the no-pool server's once re-homed on a no-pool server
+    // (pool wiring, including whether folds run pipelined, is runtime
+    // state the record echoes). Inline and pipelined folds both.
+    for (const bool deferred_updates : {false, true}) {
+        const auto reference = standalone(stream_kind::tracking, 5);
         std::vector<detection_result> expected;
         for (std::size_t r = k_boot + 5; r < k_boot + 45; ++r) {
             expected.push_back(reference->push_bin(y_.row(r)));
         }
 
+        std::string no_pool_record;
         for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
             stream_server server({.threads = threads});
-            const stream_id id = server.open_stream(open_config(kind, 5));
+            sink_capture capture;
+            stream_open_config cfg = open_config(stream_kind::tracking, 5);
+            cfg.deferred_updates = deferred_updates;
+            cfg.ingest.sink = capture.fn();
+            const stream_id id = server.open_stream(std::move(cfg));
+            const std::string context = "deferred_updates " +
+                                        std::to_string(deferred_updates) + " threads " +
+                                        std::to_string(threads);
             for (std::size_t r = k_boot + 5; r < k_boot + 45; ++r) {
-                const detection_result got = server.push(id, y_.row(r));
-                expect_same_detection(expected[r - k_boot - 5], got,
-                                      "kind " + std::to_string(static_cast<int>(kind)) +
-                                          " threads " + std::to_string(threads));
+                expect_same_detection(expected[r - k_boot - 5],
+                                      apply_one(server, id, capture, y_.row(r)),
+                                      context + " bin " + std::to_string(r));
             }
             server.drain_all();
-            EXPECT_EQ(server.stats(id).epoch, reference->model_epoch())
-                << "threads " << threads;
-        }
-    }
-}
+            EXPECT_EQ(server.stats(id).epoch, reference->model_epoch()) << context;
 
-// ---------------------------------------------------------------------------
-// Batch semantics.
-// ---------------------------------------------------------------------------
-
-TEST_F(StreamServerFixture, PushBatchMatchesSequentialPushesBitForBit) {
-    // Three streams of different kinds; batches interleave them and repeat
-    // the same stream within one batch (order within a stream must be the
-    // batch order).
-    for (const std::size_t threads : {0u, 2u}) {
-        stream_server server({.threads = threads});
-        stream_server sequential({.threads = 0});
-        std::vector<stream_id> ids, seq_ids;
-        for (const stream_kind kind :
-             {stream_kind::diagnoser, stream_kind::tracking, stream_kind::tracker}) {
-            ids.push_back(server.open_stream(open_config(kind, 10)));
-            seq_ids.push_back(sequential.open_stream(open_config(kind, 10)));
-        }
-
-        std::size_t cursor = k_boot + 10;
-        for (std::size_t round = 0; round < 12; ++round) {
-            // Batch: two bins for stream 0, one for 1, one for 2.
-            std::vector<stream_server::stream_bin> batch;
-            batch.push_back({ids[0], y_.row(cursor)});
-            batch.push_back({ids[1], y_.row(cursor)});
-            batch.push_back({ids[0], y_.row(cursor + 1)});
-            batch.push_back({ids[2], y_.row(cursor)});
-            const std::vector<detection_result> got = server.push_batch(batch);
-            ASSERT_EQ(got.size(), batch.size());
-
-            std::vector<detection_result> want;
-            want.push_back(sequential.push(seq_ids[0], y_.row(cursor)));
-            want.push_back(sequential.push(seq_ids[1], y_.row(cursor)));
-            want.push_back(sequential.push(seq_ids[0], y_.row(cursor + 1)));
-            want.push_back(sequential.push(seq_ids[2], y_.row(cursor)));
-            for (std::size_t i = 0; i < want.size(); ++i) {
-                expect_same_detection(want[i], got[i],
-                                      "threads " + std::to_string(threads) + " round " +
-                                          std::to_string(round) + " item " +
-                                          std::to_string(i));
+            std::ostringstream record(std::ios::binary);
+            server.snapshot_stream(id, record);
+            stream_server rehomed({.threads = 0});
+            const stream_id copy = rehomed.restore_stream(std::move(record).str());
+            std::ostringstream normalized(std::ios::binary);
+            rehomed.snapshot_stream(copy, normalized);
+            if (threads == 0) {
+                no_pool_record = std::move(normalized).str();
+            } else {
+                EXPECT_EQ(std::move(normalized).str(), no_pool_record) << context;
             }
-            cursor += 2;
-        }
-        for (std::size_t s = 0; s < ids.size(); ++s) {
-            EXPECT_EQ(server.stats(ids[s]).processed, sequential.stats(seq_ids[s]).processed);
-            EXPECT_EQ(server.stats(ids[s]).epoch, sequential.stats(seq_ids[s]).epoch);
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Blocking refits inside pooled drains.
+// ---------------------------------------------------------------------------
 
 TEST_F(StreamServerFixture, BlockingModeStreamsInPooledBatchesStayBitIdentical) {
-    // A blocking-mode refit that fires inside a sharded batch runs its
-    // fit on a pool worker; the worker-side parallel_for degradation must
-    // keep the result bit-identical to the standalone serial detector and
-    // the batch must complete (no nested-dispatch deadlock). Mix in a
-    // second blocking stream and a tracking stream so the sharded path is
-    // taken and refits land on workers, repeatedly crossing the
-    // refit_interval (9) during the run.
+    // Pooled drainer tasks apply ingest_batch runs on pool workers, so a
+    // blocking-mode refit that fires inside one runs its fit on a worker;
+    // the worker-side parallel_for degradation must keep the result
+    // bit-identical to the standalone serial detector and every drain
+    // must complete (no nested-dispatch deadlock). Two blocking streams
+    // and a tracking stream keep several drainers in flight at once,
+    // repeatedly crossing the refit_interval (9) during the run.
+    const scoped_tuning tuned;
+    global_tuning().pool_park_budget = 2;
     const auto ref_a = standalone(stream_kind::diagnoser, 0, refit_mode::blocking);
     const auto ref_b = standalone(stream_kind::diagnoser, 30, refit_mode::blocking);
     const auto ref_c = standalone(stream_kind::tracking, 15);
+    std::vector<detection_result> want_a, want_b, want_c;
+    for (std::size_t r = 0; r < 30; ++r) {
+        want_a.push_back(ref_a->push_bin(y_.row(k_boot + r)));
+        want_b.push_back(ref_b->push_bin(y_.row(k_boot + 30 + r)));
+        want_c.push_back(ref_c->push_bin(y_.row(k_boot + 15 + r)));
+    }
 
     for (const std::size_t threads : {2u, 8u}) {
         stream_server server({.threads = threads});
-        const stream_id a =
-            server.open_stream(open_config(stream_kind::diagnoser, 0, refit_mode::blocking));
-        const stream_id b =
-            server.open_stream(open_config(stream_kind::diagnoser, 30, refit_mode::blocking));
-        const stream_id c = server.open_stream(open_config(stream_kind::tracking, 15));
+        sink_capture cap_a, cap_b, cap_c;
+        const auto open_pooled = [&](sink_capture& capture, stream_kind kind,
+                                     std::size_t boot, refit_mode mode) {
+            stream_open_config cfg = open_config(kind, boot, mode);
+            cfg.ingest.pooled_drainer = true;
+            cfg.ingest.sink = capture.fn();
+            return server.open_stream(std::move(cfg));
+        };
+        const stream_id a = open_pooled(cap_a, stream_kind::diagnoser, 0, refit_mode::blocking);
+        const stream_id b = open_pooled(cap_b, stream_kind::diagnoser, 30, refit_mode::blocking);
+        const stream_id c = open_pooled(cap_c, stream_kind::tracking, 15, refit_mode::deferred);
 
-        for (std::size_t r = 0; r < 30; ++r) {
-            const std::vector<stream_server::stream_bin> batch = {
-                {a, y_.row(k_boot + r)},
-                {b, y_.row(k_boot + 30 + r)},
-                {c, y_.row(k_boot + 15 + r)},
-            };
-            const std::vector<detection_result> got = server.push_batch(batch);
-            if (threads == 2) {  // build the reference once, on the first pool size
-                expect_same_detection(ref_a->push_bin(y_.row(k_boot + r)), got[0],
-                                      "a bin " + std::to_string(r));
-                expect_same_detection(ref_b->push_bin(y_.row(k_boot + 30 + r)), got[1],
-                                      "b bin " + std::to_string(r));
-                expect_same_detection(ref_c->push_bin(y_.row(k_boot + 15 + r)), got[2],
-                                      "c bin " + std::to_string(r));
+        for (std::size_t r = 0; r < 30; r += 3) {
+            for (const auto& [id, first] : {std::pair{a, k_boot}, std::pair{b, k_boot + 30},
+                                            std::pair{c, k_boot + 15}}) {
+                const std::vector<std::span<const double>> bins = {
+                    y_.row(first + r), y_.row(first + r + 1), y_.row(first + r + 2)};
+                ASSERT_TRUE(server.ingest_batch(id, bins).ok());
             }
         }
+        server.flush_all();
         server.drain_all();
-        EXPECT_EQ(server.stats(a).epoch, ref_a->model_epoch()) << "threads " << threads;
-        EXPECT_EQ(server.stats(b).epoch, ref_b->model_epoch()) << "threads " << threads;
-        EXPECT_EQ(server.stats(a).alarms, ref_a->alarm_count()) << "threads " << threads;
+
+        const std::string context = "threads " + std::to_string(threads);
+        for (const auto& [capture, want, name] :
+             {std::tuple{&cap_a, &want_a, "a"}, std::tuple{&cap_b, &want_b, "b"},
+              std::tuple{&cap_c, &want_c, "c"}}) {
+            ASSERT_EQ(capture->results.size(), want->size()) << context << " " << name;
+            for (std::size_t r = 0; r < want->size(); ++r) {
+                expect_same_detection((*want)[r], capture->results[r].second,
+                                      context + " " + name + " bin " + std::to_string(r));
+            }
+        }
+        EXPECT_EQ(server.stats(a).epoch, ref_a->model_epoch()) << context;
+        EXPECT_EQ(server.stats(b).epoch, ref_b->model_epoch()) << context;
+        EXPECT_EQ(server.stats(a).alarms, ref_a->alarm_count()) << context;
     }
-}
-
-TEST_F(StreamServerFixture, PushBatchValidatesEveryBinBeforePushingAnything) {
-    stream_server server({.threads = 0});
-    const stream_id id = server.open_stream(open_config(stream_kind::tracker, 0));
-
-    // Unknown id: nothing is pushed.
-    std::vector<stream_server::stream_bin> batch;
-    batch.push_back({id, y_.row(k_boot)});
-    batch.push_back({id + 999, y_.row(k_boot)});
-    EXPECT_THROW(server.push_batch(batch), std::invalid_argument);
-    EXPECT_EQ(server.stats(id).processed, 0u) << "a bin was pushed despite the bad batch";
-
-    // Width mismatch anywhere in the batch: nothing is pushed either --
-    // a partially applied batch would break the stream's replay parity.
-    const std::vector<double> narrow(y_.cols() - 1, 0.0);
-    batch.clear();
-    batch.push_back({id, y_.row(k_boot)});
-    batch.push_back({id, narrow});
-    EXPECT_THROW(server.push_batch(batch), std::invalid_argument);
-    EXPECT_EQ(server.stats(id).processed, 0u) << "a bin was pushed despite the bad width";
 }
 
 // ---------------------------------------------------------------------------
 // Deterministic N-stream stress: 32 streams of mixed kinds over a small
-// pool, interleaved push / push_batch / close / open driven by a fixed
-// seed, every output compared bit-for-bit against standalone shadows.
+// pool, interleaved single ingests / multi-stream rounds / close / open
+// driven by a fixed seed, every output compared bit-for-bit against
+// standalone shadows.
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamServerFixture, ThirtyTwoStreamSeededStressMatchesShadows) {
@@ -305,7 +320,10 @@ TEST_F(StreamServerFixture, ThirtyTwoStreamSeededStressMatchesShadows) {
     struct shadow {
         stream_id id = 0;
         std::unique_ptr<stream_detector> twin;
-        std::size_t cursor = 0;  // next y_ row for this stream
+        std::unique_ptr<sink_capture> capture;
+        std::size_t cursor = 0;            // next y_ row for this stream
+        std::vector<std::size_t> pending;  // rows ingested, not yet verified
+        std::size_t verified = 0;          // capture results checked so far
     };
     std::vector<shadow> live;
 
@@ -314,60 +332,57 @@ TEST_F(StreamServerFixture, ThirtyTwoStreamSeededStressMatchesShadows) {
         const std::size_t boot = next_boot;
         next_boot = (next_boot + 7) % 150;
         shadow s;
-        s.id = server.open_stream(open_config(kind, boot));
+        s.capture = std::make_unique<sink_capture>();
+        s.id = open_captured(server, *s.capture, kind, boot);
         s.twin = standalone(kind, boot);
         s.cursor = boot + k_boot;
         live.push_back(std::move(s));
     };
-
-    const stream_kind kinds[] = {stream_kind::diagnoser, stream_kind::tracking,
-                                 stream_kind::tracker};
-    for (std::size_t s = 0; s < k_streams; ++s) spawn(kinds[s % 3]);
-
-    std::mt19937_64 rng(271828);
-    const auto next_row = [&](shadow& s) {
+    const auto ingest_next = [&](shadow& s) {
         const std::size_t row = s.cursor;
         s.cursor = row + 1 < y_.rows() ? row + 1 : k_boot;  // wrap, stay in range
-        return row;
+        ASSERT_TRUE(server.ingest(s.id, y_.row(row)).ok());
+        s.pending.push_back(row);
+    };
+    const auto verify = [&](shadow& s, const std::string& context) {
+        ASSERT_EQ(s.capture->results.size(), s.verified + s.pending.size()) << context;
+        for (const std::size_t row : s.pending) {
+            expect_same_detection(s.twin->push_bin(y_.row(row)),
+                                  s.capture->results[s.verified++].second, context);
+        }
+        s.pending.clear();
     };
 
+    const stream_kind kinds[] = {stream_kind::diagnoser, stream_kind::tracking};
+    for (std::size_t s = 0; s < k_streams; ++s) spawn(kinds[s % 2]);
+
+    std::mt19937_64 rng(271828);
     for (std::size_t step = 0; step < 400; ++step) {
         const std::uint64_t roll = rng() % 100;
+        const std::string context = "step " + std::to_string(step);
         if (roll < 55 && !live.empty()) {
-            // Single push to one stream.
+            // One bin to one stream.
             shadow& s = live[rng() % live.size()];
-            const std::size_t row = next_row(s);
-            const detection_result got = server.push(s.id, y_.row(row));
-            const detection_result want = s.twin->push_bin(y_.row(row));
-            expect_same_detection(want, got, "step " + std::to_string(step));
+            ingest_next(s);
+            server.flush_stream(s.id);
+            verify(s, context);
         } else if (roll < 85 && !live.empty()) {
-            // Batch across up to 8 distinct streams.
-            const std::size_t batch_streams = 1 + rng() % std::min<std::size_t>(8, live.size());
+            // A round across up to 8 streams (repeats allowed), applied by
+            // one flush_all.
+            const std::size_t round_streams = 1 + rng() % std::min<std::size_t>(8, live.size());
             std::vector<std::size_t> picks;
-            for (std::size_t b = 0; b < batch_streams; ++b) picks.push_back(rng() % live.size());
-            std::vector<stream_server::stream_bin> batch;
-            std::vector<std::size_t> rows;
-            for (const std::size_t p : picks) {
-                const std::size_t row = next_row(live[p]);
-                rows.push_back(row);
-                batch.push_back({live[p].id, y_.row(row)});
-            }
-            const std::vector<detection_result> got = server.push_batch(batch);
-            ASSERT_EQ(got.size(), batch.size());
-            for (std::size_t b = 0; b < picks.size(); ++b) {
-                const detection_result want = live[picks[b]].twin->push_bin(y_.row(rows[b]));
-                expect_same_detection(want, got[b],
-                                      "step " + std::to_string(step) + " item " +
-                                          std::to_string(b));
-            }
+            for (std::size_t b = 0; b < round_streams; ++b) picks.push_back(rng() % live.size());
+            for (const std::size_t p : picks) ingest_next(live[p]);
+            server.flush_all();
+            for (const std::size_t p : picks) verify(live[p], context);
         } else if (roll < 92 && live.size() > 4) {
             // Close one stream; the remaining streams must be unperturbed
-            // (their shadows keep verifying that on every later push).
+            // (their shadows keep verifying that on every later bin).
             const std::size_t victim = rng() % live.size();
             server.close_stream(live[victim].id);
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
         } else {
-            spawn(kinds[rng() % 3]);
+            spawn(kinds[rng() % 2]);
         }
     }
 
@@ -383,10 +398,9 @@ TEST_F(StreamServerFixture, ThirtyTwoStreamSeededStressMatchesShadows) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent callers: the documented threading contract is one pusher
-// per stream; several pusher threads over disjoint stream sets (plus a
-// churn thread opening and closing its own streams) must leave every
-// stream's output bit-identical to a standalone run. This is the
+// Concurrent callers: several feeder threads over disjoint stream sets
+// (plus a churn thread opening and closing its own streams) must leave
+// every stream's output bit-identical to a standalone run. This is the
 // server-side data-race surface the ThreadSanitizer CI job exercises.
 // ---------------------------------------------------------------------------
 
@@ -398,73 +412,64 @@ TEST_F(StreamServerFixture, ConcurrentPushersOnDisjointStreamsMatchShadows) {
 
     struct owned_stream {
         stream_id id = 0;
-        stream_kind kind = stream_kind::tracker;
+        stream_kind kind = stream_kind::tracking;
         std::size_t boot = 0;
+        std::unique_ptr<sink_capture> capture;
     };
     std::vector<std::vector<owned_stream>> owned(k_threads);
-    const stream_kind kinds[] = {stream_kind::diagnoser, stream_kind::tracking,
-                                 stream_kind::tracker};
+    const stream_kind kinds[] = {stream_kind::diagnoser, stream_kind::tracking};
     for (std::size_t t = 0; t < k_threads; ++t) {
         for (std::size_t s = 0; s < k_per_thread; ++s) {
             const std::size_t n = t * k_per_thread + s;
-            owned[t].push_back({server.open_stream(open_config(kinds[n % 3], n * 9)),
-                                kinds[n % 3], n * 9});
+            owned_stream os{0, kinds[n % 2], n * 9, std::make_unique<sink_capture>()};
+            os.id = open_captured(server, *os.capture, os.kind, os.boot);
+            owned[t].push_back(std::move(os));
         }
     }
 
-    // Each pusher interleaves single pushes and same-thread batches over
-    // its own streams; results are recorded for post-join verification.
-    std::vector<std::vector<detection_result>> recorded(k_threads);
-    std::vector<std::thread> pushers;
+    // Each feeder alternates a round over all its streams applied by one
+    // flush each, and ingest + flush per stream.
+    std::vector<std::thread> feeders;
     for (std::size_t t = 0; t < k_threads; ++t) {
-        pushers.emplace_back([&, t] {
+        feeders.emplace_back([&, t] {
             for (std::size_t b = 0; b < k_bins; ++b) {
+                for (const owned_stream& os : owned[t]) {
+                    EXPECT_TRUE(server.ingest(os.id, y_.row(os.boot + k_boot + b)).ok());
+                    if (b % 3 != 0) server.flush_stream(os.id);
+                }
                 if (b % 3 == 0) {
-                    // Batch across this thread's streams.
-                    std::vector<stream_server::stream_bin> batch;
-                    for (const owned_stream& os : owned[t]) {
-                        batch.push_back({os.id, y_.row(os.boot + k_boot + b)});
-                    }
-                    const auto results = server.push_batch(batch);
-                    recorded[t].insert(recorded[t].end(), results.begin(), results.end());
-                } else {
-                    for (const owned_stream& os : owned[t]) {
-                        recorded[t].push_back(server.push(os.id, y_.row(os.boot + k_boot + b)));
-                    }
+                    for (const owned_stream& os : owned[t]) server.flush_stream(os.id);
                 }
             }
         });
     }
-    // Churn thread: opens its own short-lived streams, pushes, closes.
-    // Must never perturb the pusher threads' streams.
+    // Churn thread: opens its own short-lived streams, ingests, closes.
+    // Must never perturb the feeder threads' streams.
     std::thread churn([&] {
         for (std::size_t round = 0; round < 6; ++round) {
-            const stream_id id = server.open_stream(open_config(stream_kind::tracker, 100));
-            for (std::size_t b = 0; b < 5; ++b) server.push(id, y_.row(100 + k_boot + b));
+            const stream_id id = server.open_stream(open_config(stream_kind::tracking, 100));
+            for (std::size_t b = 0; b < 5; ++b) {
+                EXPECT_TRUE(server.ingest(id, y_.row(100 + k_boot + b)).ok());
+            }
             server.close_stream(id);
         }
     });
-    for (std::thread& th : pushers) th.join();
+    for (std::thread& th : feeders) th.join();
     churn.join();
     server.drain_all();
 
-    // Verify per-stream sequences against standalone shadows, in the
-    // exact order each pusher recorded them.
+    // Verify per-stream sequences against standalone shadows.
     for (std::size_t t = 0; t < k_threads; ++t) {
-        std::vector<std::unique_ptr<stream_detector>> twins;
-        for (const owned_stream& os : owned[t]) twins.push_back(standalone(os.kind, os.boot));
-        std::size_t cursor = 0;
-        for (std::size_t b = 0; b < k_bins; ++b) {
-            for (std::size_t s = 0; s < owned[t].size(); ++s) {
-                const detection_result want =
-                    twins[s]->push_bin(y_.row(owned[t][s].boot + k_boot + b));
-                expect_same_detection(want, recorded[t][cursor++],
-                                      "thread " + std::to_string(t) + " bin " +
-                                          std::to_string(b) + " stream " + std::to_string(s));
+        for (const owned_stream& os : owned[t]) {
+            const auto twin = standalone(os.kind, os.boot);
+            ASSERT_EQ(os.capture->results.size(), k_bins);
+            for (std::size_t b = 0; b < k_bins; ++b) {
+                expect_same_detection(twin->push_bin(y_.row(os.boot + k_boot + b)),
+                                      os.capture->results[b].second,
+                                      "thread " + std::to_string(t) + " bin " + std::to_string(b) +
+                                          " stream " + std::to_string(os.id));
             }
-        }
-        for (std::size_t s = 0; s < owned[t].size(); ++s) {
-            EXPECT_EQ(server.stats(owned[t][s].id).epoch, twins[s]->model_epoch());
+            EXPECT_EQ(server.stats(os.id).epoch, twin->model_epoch());
         }
     }
     EXPECT_EQ(server.stream_count(), k_threads * k_per_thread);
@@ -475,70 +480,86 @@ TEST_F(StreamServerFixture, ConcurrentPushersOnDisjointStreamsMatchShadows) {
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamServerFixture, SnapshotAllRestoreAllReplaysExactlyWithRefitInFlight) {
-    const std::string dir = temp_dir("server_snapshot");
-    stream_server original({.threads = 2});
-    std::vector<stream_id> ids;
-    ids.push_back(original.open_stream(open_config(stream_kind::diagnoser, 0)));
-    ids.push_back(original.open_stream(open_config(stream_kind::tracking, 20)));
-    ids.push_back(original.open_stream(open_config(stream_kind::tracker, 40)));
-
-    // Push until the diagnoser has a refit pending but not yet swapped
-    // (trigger at 9, swap at 13): pendingness must survive the round trip.
-    std::vector<std::size_t> cursors = {k_boot, k_boot + 20, k_boot + 40};
-    for (std::size_t r = 0; r < 11; ++r) {
-        for (std::size_t s = 0; s < ids.size(); ++s) {
-            original.push(ids[s], y_.row(cursors[s]++));
-        }
-    }
-    {
-        const auto& diag =
-            dynamic_cast<const streaming_diagnoser&>(original.stream(ids[0]));
-        ASSERT_TRUE(diag.refit_pending());
-    }
-
-    original.snapshot_all(dir);
-
-    // Restore into a server with a *different* pool size: pool wiring is
+    // One stream per (kind, refit mode), snapshotted at every pool size and
+    // restored into a server with a *different* pool size: pool wiring is
     // runtime, not state, and the replay must still be bit-identical.
-    stream_server restored({.threads = 1});
-    restored.restore_all(dir);
-    ASSERT_EQ(restored.stream_count(), 3u);
-    ASSERT_EQ(restored.stream_ids(), original.stream_ids());
-    for (const stream_id id : ids) {
-        EXPECT_EQ(restored.stats(id).processed, original.stats(id).processed);
-        EXPECT_EQ(restored.stats(id).epoch, original.stats(id).epoch);
-    }
+    for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
+        const std::string dir = temp_dir("server_snapshot");
+        const std::string context = "threads " + std::to_string(threads);
+        stream_server original({.threads = threads});
+        std::vector<std::unique_ptr<sink_capture>> original_caps;
+        std::vector<stream_id> ids;
+        const auto open_one = [&](stream_kind kind, std::size_t boot, refit_mode mode) {
+            original_caps.push_back(std::make_unique<sink_capture>());
+            ids.push_back(open_captured(original, *original_caps.back(), kind, boot, mode));
+        };
+        open_one(stream_kind::diagnoser, 0, refit_mode::deferred);
+        open_one(stream_kind::diagnoser, 20, refit_mode::blocking);
+        open_one(stream_kind::tracking, 40, refit_mode::deferred);
 
-    for (std::size_t r = 0; r < 30; ++r) {
-        for (std::size_t s = 0; s < ids.size(); ++s) {
-            const std::size_t row = cursors[s]++;
-            const detection_result want = original.push(ids[s], y_.row(row));
-            const detection_result got = restored.push(ids[s], y_.row(row));
-            expect_same_detection(want, got,
-                                  "stream " + std::to_string(s) + " replay bin " +
-                                      std::to_string(r));
-            ASSERT_EQ(restored.stats(ids[s]).epoch, original.stats(ids[s]).epoch)
-                << "stream " << s << " bin " << r;
+        // Apply until the deferred diagnoser has a refit pending but not
+        // yet swapped (trigger at 9, swap at 13): pendingness must survive
+        // the round trip.
+        std::vector<std::size_t> cursors = {k_boot, k_boot + 20, k_boot + 40};
+        for (std::size_t r = 0; r < 11; ++r) {
+            for (std::size_t s = 0; s < ids.size(); ++s) {
+                (void)apply_one(original, ids[s], *original_caps[s], y_.row(cursors[s]++));
+            }
         }
+        {
+            const auto& diag = dynamic_cast<const streaming_diagnoser&>(original.stream(ids[0]));
+            ASSERT_TRUE(diag.refit_pending()) << context;
+        }
+
+        original.snapshot_all(dir);
+
+        // Sinks are runtime wiring too: re-attach them after the restore.
+        stream_server restored({.threads = 8 - threads});
+        restored.restore_all(dir);
+        ASSERT_EQ(restored.stream_count(), 3u);
+        ASSERT_EQ(restored.stream_ids(), original.stream_ids());
+        std::vector<std::unique_ptr<sink_capture>> restored_caps;
+        for (const stream_id id : ids) {
+            EXPECT_EQ(restored.stats(id).processed, original.stats(id).processed) << context;
+            EXPECT_EQ(restored.stats(id).epoch, original.stats(id).epoch) << context;
+            restored_caps.push_back(std::make_unique<sink_capture>());
+            restored.set_ingest_sink(id, restored_caps.back()->fn());
+        }
+
+        for (std::size_t r = 0; r < 30; ++r) {
+            for (std::size_t s = 0; s < ids.size(); ++s) {
+                const std::size_t row = cursors[s]++;
+                const detection_result want =
+                    apply_one(original, ids[s], *original_caps[s], y_.row(row));
+                const detection_result got =
+                    apply_one(restored, ids[s], *restored_caps[s], y_.row(row));
+                expect_same_detection(want, got,
+                                      context + " stream " + std::to_string(s) + " replay bin " +
+                                          std::to_string(r));
+                ASSERT_EQ(restored.stats(ids[s]).epoch, original.stats(ids[s]).epoch)
+                    << context << " stream " << s << " bin " << r;
+            }
+        }
+        // The diagnoser's pending refit must have swapped during the replay.
+        EXPECT_GE(restored.stats(ids[0]).epoch, 1u) << context;
+
+        // New streams opened after a restore must not collide with restored
+        // ids.
+        const stream_id fresh = restored.open_stream(open_config(stream_kind::tracking, 80));
+        for (const stream_id id : ids) EXPECT_NE(fresh, id);
+
+        std::filesystem::remove_all(dir);
     }
-    // The diagnoser's pending refit must have swapped during the replay.
-    EXPECT_GE(restored.stats(ids[0]).epoch, 1u);
-
-    // New streams opened after a restore must not collide with restored ids.
-    const stream_id fresh = restored.open_stream(open_config(stream_kind::tracker, 80));
-    for (const stream_id id : ids) EXPECT_NE(fresh, id);
-
-    std::filesystem::remove_all(dir);
 }
 
 TEST_F(StreamServerFixture, RestoreAllRequiresAnEmptyServer) {
     const std::string dir = temp_dir("server_snapshot_nonempty");
     stream_server a({.threads = 0});
-    (void)a.open_stream(open_config(stream_kind::tracker, 0));
+    (void)a.open_stream(open_config(stream_kind::tracking, 0));
     a.snapshot_all(dir);
 
     stream_server b({.threads = 0});
-    (void)b.open_stream(open_config(stream_kind::tracker, 10));
+    (void)b.open_stream(open_config(stream_kind::tracking, 10));
     EXPECT_THROW(b.restore_all(dir), std::logic_error);
     std::filesystem::remove_all(dir);
 }
@@ -549,20 +570,126 @@ TEST_F(StreamServerFixture, RestoreAllRequiresAnEmptyServer) {
 
 TEST_F(StreamServerFixture, UnknownStreamIdThrowsEverywhere) {
     stream_server server({.threads = 0});
-    EXPECT_THROW(server.push(42, y_.row(0)), std::invalid_argument);
+    EXPECT_THROW(server.flush_stream(42), std::invalid_argument);
     EXPECT_THROW(server.close_stream(42), std::invalid_argument);
     EXPECT_THROW(server.stats(42), std::invalid_argument);
     EXPECT_THROW(server.stream(42), std::invalid_argument);
-    EXPECT_THROW((void)server.adopt_stream(nullptr), std::invalid_argument);
+    EXPECT_THROW((void)server.ingest_statistics(42), std::invalid_argument);
+    std::ostringstream record(std::ios::binary);
+    EXPECT_THROW(server.snapshot_stream(42, record), std::invalid_argument);
+    EXPECT_THROW(server.detach_stream(42, record), std::invalid_argument);
+    // The ingest edge reports codes, not exceptions.
+    EXPECT_EQ(server.ingest(42, y_.row(0)).error, ingest_error::unknown_stream);
 }
 
 TEST_F(StreamServerFixture, StreamIdsAreNeverReused) {
     stream_server server({.threads = 0});
-    const stream_id a = server.open_stream(open_config(stream_kind::tracker, 0));
+    const stream_id a = server.open_stream(open_config(stream_kind::tracking, 0));
     server.close_stream(a);
-    const stream_id b = server.open_stream(open_config(stream_kind::tracker, 0));
+    const stream_id b = server.open_stream(open_config(stream_kind::tracking, 0));
     EXPECT_NE(a, b);
     EXPECT_EQ(server.stream_count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// A stalled record sink stalls only its own stream: snapshot_stream and
+// detach_stream write the detector straight into the caller's stream
+// under that stream's quiesce alone, so while the write is parked the
+// server keeps serving every other stream.
+// ---------------------------------------------------------------------------
+
+// A streambuf with no buffer of its own whose writes park until the test
+// opens the gate: a record sink stalled mid-record (a slow disk, a peer
+// that stopped reading).
+class gated_streambuf : public std::streambuf {
+public:
+    bool entered() const { return entered_.load(); }
+    void open() { open_.store(true); }
+    const std::string& bytes() const { return bytes_; }
+
+protected:
+    int_type overflow(int_type ch) override {
+        gate();
+        if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+            bytes_.push_back(traits_type::to_char_type(ch));
+        }
+        return traits_type::not_eof(ch);
+    }
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+        gate();
+        bytes_.append(s, static_cast<std::size_t>(n));
+        return n;
+    }
+
+private:
+    void gate() {
+        entered_.store(true);
+        while (!open_.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::atomic<bool> entered_{false};
+    std::atomic<bool> open_{false};
+    std::string bytes_;
+};
+
+TEST_F(StreamServerFixture, StalledRecordSinkStallsOnlyItsOwnStream) {
+    for (const bool detach : {false, true}) {
+        const std::string context = detach ? "detach_stream" : "snapshot_stream";
+        stream_server server({.threads = 2});
+        sink_capture other_capture;
+        const stream_id stalled = server.open_stream(open_config(stream_kind::diagnoser, 0));
+        const stream_id other = open_captured(server, other_capture, stream_kind::diagnoser, 30);
+        for (std::size_t r = 0; r < 11; ++r) {
+            ASSERT_TRUE(server.ingest(stalled, y_.row(k_boot + r)).ok());
+        }
+        server.flush_stream(stalled);
+
+        gated_streambuf gate;
+        std::ostream out(&gate);
+        std::thread writer([&] {
+            if (detach) {
+                server.detach_stream(stalled, out);
+            } else {
+                server.snapshot_stream(stalled, out);
+            }
+        });
+        while (!gate.entered()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+        // The writer is parked inside the record. Serve the other stream
+        // from a second thread so a regression (a server-wide lock held
+        // across the write) fails on a deadline instead of hanging.
+        std::atomic<bool> done{false};
+        std::thread feeder([&] {
+            for (std::size_t r = 0; r < 20; ++r) {
+                if (!server.ingest(other, y_.row(k_boot + 30 + r)).ok()) break;
+                server.flush_stream(other);
+            }
+            (void)server.ingest_statistics(other);
+            done.store(true);
+        });
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_TRUE(done.load()) << context << ": another stream stalled behind the record";
+        gate.open();
+        writer.join();
+        feeder.join();
+
+        const auto twin = standalone(stream_kind::diagnoser, 30);
+        ASSERT_EQ(other_capture.results.size(), 20u) << context;
+        for (std::size_t r = 0; r < 20; ++r) {
+            expect_same_detection(twin->push_bin(y_.row(k_boot + 30 + r)),
+                                  other_capture.results[r].second,
+                                  context + " bin " + std::to_string(r));
+        }
+        EXPECT_EQ(server.ingest_statistics(other).applied, 20u) << context;
+
+        // The parked record came out whole once released.
+        stream_server target({.threads = 0});
+        const stream_id restored = target.restore_stream(gate.bytes());
+        EXPECT_EQ(target.stats(restored).processed, 11u) << context;
+        EXPECT_EQ(server.stream_count(), detach ? 1u : 2u) << context;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -574,39 +701,43 @@ TEST_F(StreamServerFixture, StreamIdsAreNeverReused) {
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamServerFixture, MigrationParityForEveryRefitModeAndPoolSize) {
-    for (const refit_mode mode :
-         {refit_mode::blocking, refit_mode::deferred, refit_mode::eager}) {
-        const bool drain_each = mode == refit_mode::eager;  // pin eager's swap bin
-        const auto reference = standalone(stream_kind::diagnoser, 0, mode);
+    const std::pair<stream_kind, refit_mode> legs[] = {
+        {stream_kind::diagnoser, refit_mode::blocking},
+        {stream_kind::diagnoser, refit_mode::deferred},
+        {stream_kind::tracking, refit_mode::deferred},
+    };
+    for (const auto& [kind, mode] : legs) {
+        const auto reference = standalone(kind, 0, mode);
 
         std::vector<detection_result> expected;
         for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
             expected.push_back(reference->push_bin(y_.row(r)));
-            if (drain_each) reference->drain();
         }
 
         for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
             stream_server source({.threads = threads});
             stream_server target({.threads = threads});
-            const stream_id id =
-                source.open_stream(open_config(stream_kind::diagnoser, 0, mode));
+            sink_capture before, after;
+            const stream_id id = open_captured(source, before, kind, 0, mode);
 
-            const std::string context = "mode " + std::to_string(static_cast<int>(mode)) +
+            const std::string context = "kind " + std::to_string(static_cast<int>(kind)) +
+                                        " mode " + std::to_string(static_cast<int>(mode)) +
                                         " threads " + std::to_string(threads);
             for (std::size_t r = k_boot; r < k_boot + 20; ++r) {
-                expect_same_detection(expected[r - k_boot], source.push(id, y_.row(r)),
+                expect_same_detection(expected[r - k_boot],
+                                      apply_one(source, id, before, y_.row(r)),
                                       context + " pre-move bin " + std::to_string(r));
-                if (drain_each) source.drain_all();
             }
 
             const stream_id moved = net::migrate_stream(source, id, target);
-            EXPECT_THROW(source.push(id, y_.row(k_boot)), std::invalid_argument)
+            EXPECT_EQ(source.ingest(id, y_.row(k_boot)).error, ingest_error::unknown_stream)
                 << context << ": the source must forget a detached stream";
+            target.set_ingest_sink(moved, after.fn());
 
             for (std::size_t r = k_boot + 20; r < k_boot + 40; ++r) {
-                expect_same_detection(expected[r - k_boot], target.push(moved, y_.row(r)),
+                expect_same_detection(expected[r - k_boot],
+                                      apply_one(target, moved, after, y_.row(r)),
                                       context + " post-move bin " + std::to_string(r));
-                if (drain_each) target.drain_all();
             }
             target.drain_all();
             EXPECT_EQ(target.stats(moved).epoch, reference->model_epoch()) << context;
@@ -617,18 +748,20 @@ TEST_F(StreamServerFixture, MigrationParityForEveryRefitModeAndPoolSize) {
 }
 
 TEST_F(StreamServerFixture, MigrationMidRefitKeepsThePendingRefitPending) {
-    // 11 pushes with interval 9 / horizon 4: a refit has been triggered
+    // 11 bins with interval 9 / horizon 4: a refit has been triggered
     // (bin 9) but not swapped (bin 13) -- the migration happens with the
     // refit in flight, and pendingness must survive the move.
     const auto reference = standalone(stream_kind::diagnoser, 0);
     stream_server source({.threads = 2});
     stream_server target({.threads = 1});  // pool wiring is runtime, not state
-    const stream_id id = source.open_stream(open_config(stream_kind::diagnoser, 0));
+    sink_capture before, after;
+    const stream_id id = open_captured(source, before, stream_kind::diagnoser, 0);
 
     std::size_t cursor = k_boot;
     for (std::size_t r = 0; r < 11; ++r) {
         const std::size_t row = cursor++;
-        expect_same_detection(reference->push_bin(y_.row(row)), source.push(id, y_.row(row)),
+        expect_same_detection(reference->push_bin(y_.row(row)),
+                              apply_one(source, id, before, y_.row(row)),
                               "pre-move bin " + std::to_string(r));
     }
     ASSERT_TRUE(
@@ -637,13 +770,14 @@ TEST_F(StreamServerFixture, MigrationMidRefitKeepsThePendingRefitPending) {
     const stream_id moved = net::migrate_stream(source, id, target);
     EXPECT_TRUE(
         dynamic_cast<const streaming_diagnoser&>(target.stream(moved)).refit_pending());
+    target.set_ingest_sink(moved, after.fn());
 
     // The pending refit must swap at the same bin the shadow's does, and
     // everything after stays bit-identical.
     for (std::size_t r = 0; r < 30; ++r) {
         const std::size_t row = cursor++;
         expect_same_detection(reference->push_bin(y_.row(row)),
-                              target.push(moved, y_.row(row)),
+                              apply_one(target, moved, after, y_.row(row)),
                               "post-move bin " + std::to_string(r));
         ASSERT_EQ(target.stats(moved).epoch, reference->model_epoch()) << "bin " << r;
     }
@@ -753,20 +887,6 @@ TEST_F(StreamServerFixture, ConcurrentIngestDuringDetachSeesOnlyCleanErrors) {
     EXPECT_EQ(drained.pending, 0u);
     EXPECT_EQ(drained.accepted, drained.applied + drained.dropped);
     EXPECT_EQ(target.stats(moved).processed, drained.applied);
-}
-
-TEST_F(StreamServerFixture, AdoptedDetectorServesLikeAnOpenedOne) {
-    stream_server server({.threads = 1});
-    streaming_config cfg = diagnoser_config(refit_mode::deferred);
-    cfg.pool = server.pool();
-    const stream_id id = server.adopt_stream(
-        std::make_unique<streaming_diagnoser>(bootstrap_slice(0), routing_.a, cfg));
-
-    const auto reference = standalone(stream_kind::diagnoser, 0);
-    for (std::size_t r = k_boot; r < k_boot + 25; ++r) {
-        expect_same_detection(reference->push_bin(y_.row(r)), server.push(id, y_.row(r)),
-                              "bin " + std::to_string(r));
-    }
 }
 
 }  // namespace

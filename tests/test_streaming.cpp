@@ -105,7 +105,8 @@ TEST_F(StreamingFixture, SlowBackgroundRefitDoesNotDelayDetection) {
     cfg.window = 400;
     cfg.refit_interval = 5;  // trigger quickly
     cfg.pool = &pool;
-    cfg.mode = refit_mode::eager;
+    cfg.mode = refit_mode::deferred;
+    cfg.swap_horizon = 30;  // trigger at bin 5, swap before bin 35
     cfg.refit_observer = [&refits_started, &release_fit] {
         ++refits_started;
         while (!release_fit.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -129,7 +130,8 @@ TEST_F(StreamingFixture, SlowBackgroundRefitDoesNotDelayDetection) {
     }
     EXPECT_GE(refits_started.load(), 1);
 
-    // Release the fit; the next pushes apply the swap exactly once.
+    // Release the fit; the push at the boundary applies the swap exactly
+    // once.
     release_fit.store(true);
     diag.drain();
     diag.push(stream_.row(35));
@@ -164,7 +166,8 @@ TEST_F(StreamingFixture, DeferredPushesBeforeBoundaryNeverWait) {
 
 // ---------------------------------------------------------------------------
 // Deterministic mode: the full output sequence is bit-identical for any
-// pool size (including none), for all three stream detectors.
+// pool size (including none), for both stream detectors and the tracker
+// beneath tracking_detector.
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamingFixture, DeferredModeBitIdenticalAcrossThreadCounts) {
@@ -256,14 +259,13 @@ TEST_F(StreamingFixture, EpochAdvancesOncePerAppliedSwap) {
     EXPECT_EQ(epochs[23], 2u);
 }
 
-TEST_F(StreamingFixture, InterfaceCoversAllThreeDetectors) {
+TEST_F(StreamingFixture, InterfaceCoversBothDetectors) {
     streaming_config cfg;
     cfg.window = 400;
     cfg.refit_interval = 0;
     std::vector<std::unique_ptr<stream_detector>> detectors;
     detectors.push_back(std::make_unique<streaming_diagnoser>(bootstrap_, routing_.a, cfg));
     detectors.push_back(std::make_unique<tracking_detector>(bootstrap_, 10));
-    detectors.push_back(std::make_unique<incremental_pca_tracker>(bootstrap_, 10));
 
     for (auto& det : detectors) {
         EXPECT_EQ(det->dimension(), bootstrap_.cols());
@@ -272,10 +274,10 @@ TEST_F(StreamingFixture, InterfaceCoversAllThreeDetectors) {
         EXPECT_LE(det->alarm_count(), det->processed());
         det->drain();
     }
-    // The maintenance-only tracker advances its epoch every fold and never
-    // alarms.
-    EXPECT_EQ(detectors[2]->model_epoch(), 10u);
-    EXPECT_EQ(detectors[2]->alarm_count(), 0u);
+    // With refits off the diagnoser keeps its bootstrap model; the
+    // tracking detector folds every bin, advancing its epoch each time.
+    EXPECT_EQ(detectors[0]->model_epoch(), 0u);
+    EXPECT_EQ(detectors[1]->model_epoch(), 10u);
 }
 
 // ---------------------------------------------------------------------------
@@ -369,7 +371,10 @@ TEST_F(StreamingFixture, TrackerCheckpointReplaysExactly) {
     for (std::size_t r = 0; r < 20; ++r) live.push(stream_.row(r));
 
     const std::string path = temp_checkpoint_path("tracker.ckpt");
-    save_stream_detector(live, path);
+    {
+        std::ofstream out(path, std::ios::binary);
+        live.save(out);
+    }
     incremental_pca_tracker restored = [&] {
         std::ifstream in(path, std::ios::binary);
         return incremental_pca_tracker::restore(in);
@@ -396,6 +401,40 @@ TEST_F(StreamingFixture, CheckpointRejectsGarbage) {
     EXPECT_THROW(load_stream_detector(path), std::runtime_error);
     EXPECT_THROW(load_stream_detector(path + ".missing"), std::runtime_error);
     std::remove(path.c_str());
+}
+
+TEST_F(StreamingFixture, RetiredEagerModeTagIsRejected) {
+    // Refit-mode tag 2 (the timing-dependent eager mode) is retired: a
+    // record carrying it is malformed, not a mode to fall back from.
+    // Blocking and deferred records of the same diagnoser differ only in
+    // that tag, which locates it.
+    const auto record_of = [&](refit_mode mode) {
+        streaming_config cfg;
+        cfg.window = 400;
+        cfg.mode = mode;
+        streaming_diagnoser diag(bootstrap_, routing_.a, cfg);
+        std::ostringstream out(std::ios::binary);
+        diag.save(out);
+        return std::move(out).str();
+    };
+    const std::string blocking = record_of(refit_mode::blocking);
+    std::string retired = record_of(refit_mode::deferred);
+    ASSERT_EQ(retired.size(), blocking.size());
+    std::size_t tag_at = std::string::npos;
+    for (std::size_t i = 0; i < retired.size(); ++i) {
+        if (retired[i] == blocking[i]) continue;
+        ASSERT_EQ(tag_at, std::string::npos) << "records differ beyond the mode tag";
+        ASSERT_EQ(retired[i], 1);
+        tag_at = i;
+    }
+    ASSERT_NE(tag_at, std::string::npos);
+    {
+        std::istringstream in(retired, std::ios::binary);
+        EXPECT_NO_THROW((void)load_stream_detector(in));
+    }
+    retired[tag_at] = 2;
+    std::istringstream in(retired, std::ios::binary);
+    EXPECT_THROW((void)load_stream_detector(in), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -485,43 +524,6 @@ TEST_F(StreamingFixture, QueuedRefitCascadeIsBitIdenticalAcrossPoolSizes) {
         }
         diag.drain();
     }
-}
-
-TEST_F(StreamingFixture, EagerQueuedRefitSurvivesPoollessRestore) {
-    // Eager mode, refit held captive so a second trigger queues: after a
-    // checkpoint (which drains the captive fit into the ready slot) is
-    // restored *without* a pool, the queued fit runs inline at the swap
-    // and lands back in the ready slot -- the eager swap branch must not
-    // destroy it there (it used to reset the slot after applying, which
-    // silently dropped the queued refit and its paid-for fit).
-    thread_pool pool(2);
-    std::atomic<int> fits{0};
-    std::atomic<bool> release{false};
-    streaming_config cfg;
-    cfg.window = 400;
-    cfg.refit_interval = 5;
-    cfg.pool = &pool;
-    cfg.mode = refit_mode::eager;
-    cfg.refit_observer = [&fits, &release] {
-        if (fits.fetch_add(1) == 0) {
-            while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-    };
-
-    streaming_diagnoser live(bootstrap_, routing_.a, cfg);
-    for (std::size_t r = 0; r < 10; ++r) live.push(stream_.row(r));
-    ASSERT_TRUE(live.refit_queued()) << "second trigger should have queued";
-    release.store(true);
-
-    const std::string path = temp_checkpoint_path("eager_queued.ckpt");
-    save_stream_detector(live, path);  // drains: ready + queued both serialized
-
-    std::unique_ptr<stream_detector> restored = load_stream_detector(path);  // no pool
-    restored->push_bin(stream_.row(10));  // applies swap 1, runs the queued fit inline
-    EXPECT_EQ(restored->model_epoch(), 1u);
-    restored->push_bin(stream_.row(11));  // must find and apply the queued fit's model
-    EXPECT_EQ(restored->model_epoch(), 2u) << "queued refit was dropped at the eager swap";
-    std::remove(path.c_str());
 }
 
 TEST_F(StreamingFixture, QueuedRefitSurvivesCheckpointRoundTrip) {

@@ -30,7 +30,7 @@ struct tuning {
     std::size_t parallel_min_links = 1024;      // m gate (scheduling)
     std::size_t spe_series_min_work = 1u << 15; // rows*m*rank gate (scheduling)
 
-    // --- subspace/pca.cpp: fit_pca axis projections ----------------------
+    // --- subspace/pca.cpp: offline fit_pca all-axes projections ----------
     std::size_t pca_projection_min_work = 1u << 18;  // t*m gate (scheduling)
 
     // --- linalg/ops.cpp: blocked covariance Gram -------------------------

@@ -330,6 +330,11 @@ matrix read_matrix(std::istream& in) {
         (rows != 0 && cols > (1u << 28) / rows)) {
         throw std::runtime_error("stream_checkpoint: matrix too large");
     }
+    // A matrix is 0x0 or has both extents; anything else is not a record
+    // this codec wrote (and would throw std::invalid_argument below).
+    if ((rows == 0) != (cols == 0)) {
+        throw std::runtime_error("stream_checkpoint: matrix with one zero extent");
+    }
     check_payload_fits(in, rows * cols * sizeof(double), "matrix");
     matrix value(rows, cols, 0.0);
     read_doubles(in, value.data(), value.size(), mode);

@@ -1,5 +1,7 @@
 #include "subspace/diagnoser.h"
 
+#include <utility>
+
 namespace netdiag {
 
 volume_anomaly_diagnoser::volume_anomaly_diagnoser(const matrix& y, const matrix& a,
@@ -15,10 +17,16 @@ volume_anomaly_diagnoser::volume_anomaly_diagnoser(const matrix& y, const matrix
 
 volume_anomaly_diagnoser::volume_anomaly_diagnoser(subspace_model model, const matrix& a,
                                                    double confidence)
+    : volume_anomaly_diagnoser(std::move(model), std::make_shared<const routing_terms>(a),
+                               confidence) {}
+
+volume_anomaly_diagnoser::volume_anomaly_diagnoser(subspace_model model,
+                                                   std::shared_ptr<const routing_terms> terms,
+                                                   double confidence)
     : model_(std::make_unique<subspace_model>(std::move(model))),
       detector_(*model_, confidence),
-      identifier_(*model_, a),
-      quantifier_(a) {}
+      identifier_(*model_, terms),
+      quantifier_(std::move(terms)) {}
 
 diagnosis volume_anomaly_diagnoser::diagnose(std::span<const double> y) const {
     return diagnose_residual(model_->residual(y));

@@ -44,8 +44,16 @@ public:
     volume_anomaly_diagnoser(const matrix& y, const matrix& a, double confidence,
                              const separation_config& sep, thread_pool* pool);
 
-    // Assembles from an existing model (ablations, online refits).
+    // Assembles from an existing model (ablations), building the routing
+    // terms from a.
     volume_anomaly_diagnoser(subspace_model model, const matrix& a, double confidence);
+
+    // Assembles from an existing model and routing terms shared with other
+    // diagnosers of the same stream (streaming refits and restores). The
+    // terms are read, never copied. Throws std::invalid_argument when terms
+    // is null or does not match the model's dimension.
+    volume_anomaly_diagnoser(subspace_model model, std::shared_ptr<const routing_terms> terms,
+                             double confidence);
 
     // Movable but not copyable: detector_ and identifier_ point at the
     // heap-held model, so moves keep them valid (the streaming subsystem

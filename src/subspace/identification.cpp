@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace netdiag {
 
@@ -12,27 +13,41 @@ constexpr double k_undetectable_tol = 1e-9;
 
 }  // namespace
 
+routing_terms::routing_terms(const matrix& a) {
+    if (a.empty()) throw std::invalid_argument("routing_terms: empty routing matrix");
+    theta_.assign(a.cols(), a.rows(), 0.0);
+    column_norm_.assign(a.cols(), 0.0);
+    column_sum_.assign(a.cols(), 0.0);
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+        vec column = a.column(i);
+        const double cn = norm(column);
+        column_norm_[i] = cn;
+        column_sum_[i] = sum(column);
+        if (cn == 0.0) continue;  // flow crosses no links: theta_i stays zero
+        scale(column, 1.0 / cn);
+        theta_.set_row(i, column);
+    }
+}
+
 flow_identifier::flow_identifier(const subspace_model& model, const matrix& a)
-    : model_(&model) {
+    : flow_identifier(model, std::make_shared<const routing_terms>(a)) {}
+
+flow_identifier::flow_identifier(const subspace_model& model,
+                                 std::shared_ptr<const routing_terms> terms)
+    : model_(&model), terms_(std::move(terms)) {
+    if (!terms_) throw std::invalid_argument("flow_identifier: null routing terms");
     const std::size_t m = model.dimension();
-    if (a.rows() != m) {
+    if (terms_->links() != m) {
         throw std::invalid_argument("flow_identifier: routing matrix row count mismatch");
     }
-    const std::size_t n = a.cols();
-    if (n == 0) throw std::invalid_argument("flow_identifier: empty candidate set");
-
+    const std::size_t n = terms_->flows();
     theta_residual_.assign(n, m, 0.0);
     theta_norm2_.assign(n, 0.0);
-    a_col_norm_.assign(n, 0.0);
 
     bool any_identifiable = false;
     for (std::size_t i = 0; i < n; ++i) {
-        vec column = a.column(i);
-        const double cn = norm(column);
-        a_col_norm_[i] = cn;
-        if (cn == 0.0) continue;  // flow crosses no links: never identifiable
-        scale(column, 1.0 / cn);  // theta_i
-        const vec theta_res = model.project_direction_residual(column);
+        if (terms_->column_norm(i) == 0.0) continue;  // never identifiable
+        const vec theta_res = model.project_direction_residual(terms_->theta(i));
         const double n2 = norm_squared(theta_res);
         // Directions aligned with the normal subspace have C~ theta ~ 0 and
         // cannot be distinguished from normal variation (Section 5.4).
@@ -121,10 +136,10 @@ std::span<const double> flow_identifier::residual_direction(std::size_t flow) co
 }
 
 double flow_identifier::routing_column_norm(std::size_t flow) const {
-    if (flow >= a_col_norm_.size()) {
+    if (flow >= terms_->flows()) {
         throw std::out_of_range("flow_identifier: flow index out of range");
     }
-    return a_col_norm_[flow];
+    return terms_->column_norm(flow);
 }
 
 }  // namespace netdiag

@@ -8,9 +8,15 @@
 // the algebra, minimizing ||C~ y*_i|| is equivalent to maximizing
 //     <theta~_i, y~>^2 / ||theta~_i||^2,   theta~_i = C~ theta_i,
 // which this class evaluates with precomputed theta~_i in O(m) per flow.
+//
+// theta_i, ||A_i|| and sum(A_i) depend on the routing matrix alone, so they
+// live in routing_terms: a streaming_diagnoser builds them once per stream
+// and every model epoch (live, pending, in-flight fit) shares them. Only
+// theta~_i = C~ theta_i is rebuilt per model.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -18,6 +24,33 @@
 #include "subspace/model.h"
 
 namespace netdiag {
+
+// What identification and quantification read from a routing matrix A
+// (links x flows), computed once:
+//   theta(i)        theta_i = A_i / ||A_i||, a contiguous row (zero when
+//                   A_i is zero)
+//   column_norm(i)  ||A_i||
+//   column_sum(i)   sum(A_i)
+// Immutable after construction, so a pool worker's refit and the push
+// thread read one instance concurrently through shared_ptr<const>.
+// Accessors take flow < flows() unchecked.
+class routing_terms {
+public:
+    // Throws std::invalid_argument on an empty routing matrix.
+    explicit routing_terms(const matrix& a);
+
+    std::size_t links() const noexcept { return theta_.cols(); }
+    std::size_t flows() const noexcept { return theta_.rows(); }
+
+    std::span<const double> theta(std::size_t flow) const noexcept { return theta_.row(flow); }
+    double column_norm(std::size_t flow) const noexcept { return column_norm_[flow]; }
+    double column_sum(std::size_t flow) const noexcept { return column_sum_[flow]; }
+
+private:
+    matrix theta_;                     // flows x links, row i = theta_i
+    std::vector<double> column_norm_;  // ||A_i||
+    std::vector<double> column_sum_;   // sum(A_i)
+};
 
 struct identification_result {
     std::size_t flow = 0;        // index of the chosen hypothesis F_i
@@ -27,11 +60,15 @@ struct identification_result {
 
 class flow_identifier {
 public:
-    // Prepares candidate directions from the routing matrix a (links x
-    // flows). Flows whose direction lies (numerically) inside the normal
-    // subspace are undetectable (Section 5.4) and are never selected.
-    // Throws std::invalid_argument when a's row count differs from the
-    // model dimension or when no flow is identifiable.
+    // Prepares candidate directions theta~_i = C~ theta_i from shared
+    // routing terms. Flows whose direction lies (numerically) inside the
+    // normal subspace are undetectable (Section 5.4) and are never
+    // selected. Throws std::invalid_argument when terms is null, its link
+    // count differs from the model dimension, or no flow is identifiable.
+    flow_identifier(const subspace_model& model, std::shared_ptr<const routing_terms> terms);
+
+    // Same, building the routing terms from a (links x flows) on each
+    // call: for offline callers that fit one model per matrix.
     flow_identifier(const subspace_model& model, const matrix& a);
 
     std::size_t candidate_count() const noexcept { return theta_residual_.rows(); }
@@ -61,9 +98,9 @@ public:
 
 private:
     const subspace_model* model_;
+    std::shared_ptr<const routing_terms> terms_;
     matrix theta_residual_;            // flows x m, row i = theta~_i
     std::vector<double> theta_norm2_;  // ||theta~_i||^2
-    std::vector<double> a_col_norm_;   // ||A_i||
 };
 
 }  // namespace netdiag

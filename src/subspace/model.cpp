@@ -20,6 +20,12 @@ subspace_model::subspace_model(pca_model pca, std::size_t normal_rank)
     : pca_(std::move(pca)), rank_(normal_rank) {
     const std::size_t m = pca_.dimension();
     if (rank_ > m) throw std::invalid_argument("subspace_model: normal rank exceeds dimension");
+    if (pca_.principal_axes.cols() < rank_) {
+        throw std::invalid_argument("subspace_model: fewer principal axes than the normal rank");
+    }
+    if (pca_.axis_variance.size() != m || pca_.column_means.size() != m) {
+        throw std::invalid_argument("subspace_model: variances or means do not match dimension");
+    }
 
     // Store P^T (rank x m) so every projection reads contiguous rows.
     // rank 0 leaves it the empty 0x0 matrix (C~ = I, residual == input).
@@ -33,9 +39,12 @@ subspace_model::subspace_model(pca_model pca, std::size_t normal_rank)
 
 subspace_model subspace_model::fit(const matrix& y, const separation_config& sep,
                                    thread_pool* pool) {
-    pca_model pca = fit_pca(y, pool);
-    const std::size_t rank = separate_normal_rank(pca, sep);
-    return {std::move(pca), rank};
+    pca_axes_fit fit = fit_pca_axes(y, pool);
+    const std::size_t rank =
+        separate_normal_rank(fit.model.dimension(), sep, [&fit](std::size_t i) {
+            return pca_axis_projection(fit.centered, fit.model.principal_axes, i);
+        });
+    return {std::move(fit.model), rank};
 }
 
 matrix subspace_model::dense_residual_projector() const {

@@ -8,6 +8,10 @@
 // reductions are combined in block order, so results are bit-identical for
 // any thread count; an optional engine thread_pool shards the blocks for
 // very large m.
+//
+// A model from subspace_model::fit keeps the axes, variances and means but
+// not the t x m temporal projections: separation reads only the leading
+// u_i, computed lazily, and nothing after the fit reads any of them.
 #pragma once
 
 #include <cstddef>
@@ -24,16 +28,22 @@ class thread_pool;
 
 class subspace_model {
 public:
-    // Fits PCA to raw link measurements y (t x m) and separates the
-    // subspaces with the given rule. A non-null pool parallelizes the
-    // covariance accumulation, eigensolve rotation updates, and axis
-    // projections (bit-identical for every pool size; see fit_pca).
+    // Fits PCA axes to raw link measurements y (t x m) and separates the
+    // subspaces with the given rule, projecting axis i only when the
+    // 3-sigma walk reaches it (fit_pca_axes + pca_axis_projection). The
+    // rank equals separate_normal_rank(fit_pca(y), sep) bit for bit, but
+    // pca().projections stays empty: every served fit goes through here.
+    // A non-null pool parallelizes the covariance accumulation and the
+    // eigensolve rotation updates (bit-identical for every pool size).
     static subspace_model fit(const matrix& y, const separation_config& sep = {},
                               thread_pool* pool = nullptr);
 
     // Assembles a model from an existing PCA with an explicit normal rank
-    // (used by ablations and the online tracker). Throws
-    // std::invalid_argument when normal_rank exceeds the dimension.
+    // (used by ablations, checkpoint restore and the online tracker).
+    // Throws std::invalid_argument when normal_rank exceeds the dimension
+    // m (the axes' row count), when the axes have fewer than normal_rank
+    // columns, or when the variances or means are not m long. The
+    // projections are not read.
     subspace_model(pca_model pca, std::size_t normal_rank);
 
     std::size_t dimension() const noexcept { return pca_.dimension(); }

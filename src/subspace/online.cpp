@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "engine/thread_pool.h"
@@ -14,26 +15,39 @@ namespace netdiag {
 namespace {
 
 // Shared (de)serialization of a fitted model: the PCA plus the normal
-// rank fully determine a subspace_model, and with the routing matrix and
-// confidence they rebuild a volume_anomaly_diagnoser exactly.
+// rank fully determine a subspace_model, and with the routing terms and
+// confidence they rebuild a volume_anomaly_diagnoser exactly. Served
+// models carry no projections, so their slot is written as an empty 0x0
+// matrix; the layout (format version 3) is unchanged.
 void write_model(std::ostream& out, const subspace_model& model) {
     const pca_model& pca = model.pca();
     ckpt::write_matrix(out, pca.principal_axes);
     ckpt::write_vec(out, pca.axis_variance);
-    ckpt::write_matrix(out, pca.projections);
+    ckpt::write_matrix(out, matrix{});
     ckpt::write_vec(out, pca.column_means);
     ckpt::write_u64(out, pca.sample_count);
     ckpt::write_u64(out, model.normal_rank());
 }
 
-subspace_model read_model(std::istream& in) {
+// Reads a model block and checks every shape against the routing
+// matrix's link count m, so a record that disagrees with itself is
+// malformed input (std::runtime_error) -- never an out-of-bounds read, a
+// silently different threshold or a fit that fails later on a worker.
+subspace_model read_model(std::istream& in, std::size_t m) {
     pca_model pca;
     pca.principal_axes = ckpt::read_matrix(in);
     pca.axis_variance = ckpt::read_vec(in);
-    pca.projections = ckpt::read_matrix(in);
+    // Records written before served models dropped their projections hold
+    // t x m here. Nothing reads the slot: accept any shape and discard it.
+    (void)ckpt::read_matrix(in);
     pca.column_means = ckpt::read_vec(in);
     pca.sample_count = ckpt::read_u64(in);
-    const std::size_t rank = ckpt::read_u64(in);
+    const std::uint64_t rank = ckpt::read_u64(in);
+    if (pca.principal_axes.rows() != m || pca.principal_axes.cols() != m ||
+        pca.axis_variance.size() != m || pca.column_means.size() != m || rank > m) {
+        throw std::runtime_error("streaming_diagnoser::restore: model shape does not match "
+                                 "the routing matrix");
+    }
     return {std::move(pca), rank};
 }
 
@@ -56,7 +70,9 @@ streaming_diagnoser::streaming_diagnoser(const matrix& bootstrap_y, const matrix
                                          streaming_config cfg)
     : cfg_(std::move(cfg)),
       a_(a),
-      diagnoser_(bootstrap_y, a, cfg_.confidence, cfg_.separation, cfg_.pool) {
+      terms_(std::make_shared<const routing_terms>(a_)),
+      diagnoser_(subspace_model::fit(bootstrap_y, cfg_.separation, cfg_.pool), terms_,
+                 cfg_.confidence) {
     if (cfg_.window < 2) throw std::invalid_argument("streaming_diagnoser: window too small");
     for (std::size_t r = 0; r < bootstrap_y.rows(); ++r) {
         const auto row = bootstrap_y.row(r);
@@ -108,8 +124,9 @@ void streaming_diagnoser::trigger_refit() {
         // Legacy path: fit inline (pool-sharded when available) and swap
         // immediately -- the triggering push pays for the whole fit.
         if (cfg_.refit_observer) cfg_.refit_observer();
-        apply_swap(volume_anomaly_diagnoser(window_to_matrix(window_), a_, cfg_.confidence,
-                                            cfg_.separation, cfg_.pool));
+        apply_swap(volume_anomaly_diagnoser(
+            subspace_model::fit(window_to_matrix(window_), cfg_.separation, cfg_.pool), terms_,
+            cfg_.confidence));
         return;
     }
     // One refit computes at a time. A trigger landing while one is pending
@@ -127,15 +144,17 @@ void streaming_diagnoser::trigger_refit() {
 void streaming_diagnoser::launch_refit(matrix&& snapshot) {
     swap_at_ = processed_ + std::max<std::size_t>(cfg_.swap_horizon, 1);
 
-    // The task owns copies of everything it reads, so the diagnoser can be
-    // moved (or destroyed after drain()) while the fit is in flight. The
-    // fit itself runs serially: a pool task must not run a nested
-    // parallel_for over its own pool, and the serial fit is bit-identical
-    // to the sharded one anyway.
-    auto fit = [snapshot = std::move(snapshot), a = a_, confidence = cfg_.confidence,
+    // The task owns everything it reads -- its snapshot, and a reference to
+    // the immutable routing terms -- so the diagnoser can be moved (or
+    // destroyed after drain()) while the fit is in flight. The fit itself
+    // runs serially: a pool task must not run a nested parallel_for over
+    // its own pool, and the serial fit is bit-identical to the sharded one
+    // anyway.
+    auto fit = [snapshot = std::move(snapshot), terms = terms_, confidence = cfg_.confidence,
                 sep = cfg_.separation, observer = cfg_.refit_observer]() {
         if (observer) observer();
-        return volume_anomaly_diagnoser(snapshot, a, confidence, sep, nullptr);
+        return volume_anomaly_diagnoser(subspace_model::fit(snapshot, sep, nullptr), terms,
+                                        confidence);
     };
     if (cfg_.pool != nullptr) {
         inflight_ = cfg_.pool->submit_task(std::move(fit));
@@ -227,6 +246,7 @@ void streaming_diagnoser::save(std::ostream& out) {
 struct streaming_diagnoser::restored_state {
     streaming_config cfg;
     matrix a;
+    std::shared_ptr<const routing_terms> terms;
     std::deque<vec> window;
     volume_anomaly_diagnoser diagnoser;
     std::uint64_t epoch = 0;
@@ -242,6 +262,7 @@ struct streaming_diagnoser::restored_state {
 streaming_diagnoser::streaming_diagnoser(restored_state&& state)
     : cfg_(std::move(state.cfg)),
       a_(std::move(state.a)),
+      terms_(std::move(state.terms)),
       window_(std::move(state.window)),
       diagnoser_(std::move(state.diagnoser)),
       epoch_(state.epoch),
@@ -275,34 +296,65 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
         throw std::runtime_error("streaming_diagnoser::restore: window too small");
     }
 
+    // Every shape below is checked against A's link count m: restore
+    // refuses a record whose parts disagree instead of serving from it.
     matrix a = ckpt::read_matrix(in);
+    if (a.empty()) throw std::runtime_error("streaming_diagnoser::restore: empty routing matrix");
+    const std::size_t m = a.rows();
     const std::uint64_t window_size = ckpt::read_u64(in);
     if (window_size > cfg.window) {
         throw std::runtime_error("streaming_diagnoser::restore: window larger than configured");
     }
+    if (window_size < 2) {
+        throw std::runtime_error("streaming_diagnoser::restore: window too short to refit");
+    }
     std::deque<vec> window;
-    for (std::uint64_t r = 0; r < window_size; ++r) window.push_back(ckpt::read_vec(in));
+    for (std::uint64_t r = 0; r < window_size; ++r) {
+        window.push_back(ckpt::read_vec(in));
+        if (window.back().size() != m) {
+            throw std::runtime_error("streaming_diagnoser::restore: window row width mismatch");
+        }
+    }
 
     const std::uint64_t epoch = ckpt::read_u64(in);
     const std::size_t processed = ckpt::read_u64(in);
     const std::size_t alarms = ckpt::read_u64(in);
     const std::size_t refits = ckpt::read_u64(in);
     const std::size_t since_refit = ckpt::read_u64(in);
-    volume_anomaly_diagnoser diagnoser(read_model(in), a, cfg.confidence);
-    std::optional<volume_anomaly_diagnoser> ready;
+    subspace_model live_model = read_model(in, m);
+    std::optional<subspace_model> ready_model;
     std::size_t swap_at = 0;
     if (ckpt::read_flag(in)) {
         swap_at = ckpt::read_u64(in);
-        ready.emplace(read_model(in), a, cfg.confidence);
+        ready_model = read_model(in, m);
     }
     std::optional<matrix> queued_window;
-    if (ckpt::read_flag(in)) queued_window = ckpt::read_matrix(in);
+    if (ckpt::read_flag(in)) {
+        queued_window = ckpt::read_matrix(in);
+        if (queued_window->cols() != m || queued_window->rows() < 2) {
+            throw std::runtime_error("streaming_diagnoser::restore: queued window shape mismatch");
+        }
+    }
+
+    // The diagnosers' constructors re-check what the public API forbids
+    // (unidentifiable flows, a confidence outside (0, 1), ...). Coming
+    // from a record, any of those is malformed input.
+    auto terms = std::make_shared<const routing_terms>(a);
+    std::optional<volume_anomaly_diagnoser> diagnoser;
+    std::optional<volume_anomaly_diagnoser> ready;
+    try {
+        diagnoser.emplace(std::move(live_model), terms, cfg.confidence);
+        if (ready_model) ready.emplace(std::move(*ready_model), terms, cfg.confidence);
+    } catch (const std::invalid_argument& e) {
+        throw std::runtime_error(std::string("streaming_diagnoser::restore: ") + e.what());
+    }
 
     restored_state state{
         .cfg = std::move(cfg),
         .a = std::move(a),
+        .terms = std::move(terms),
         .window = std::move(window),
-        .diagnoser = std::move(diagnoser),
+        .diagnoser = std::move(*diagnoser),
         .epoch = epoch,
         .processed = processed,
         .alarms = alarms,
@@ -395,10 +447,10 @@ incremental_pca_tracker incremental_pca_tracker::restore(std::istream& in, threa
 tracking_detector::tracking_detector(const matrix& bootstrap_y, std::size_t max_rank,
                                      double confidence, const separation_config& sep,
                                      thread_pool* pool, bool deferred_updates)
-    // Fit the bootstrap PCA exactly once; the separation rank feeds both
+    // Fit the bootstrap axes exactly once; the separation rank feeds both
     // the tracker's rank floor and the normal-subspace rank.
     : tracking_detector(bootstrap_rank_tag{}, bootstrap_y, max_rank, confidence,
-                        separate_normal_rank(fit_pca(bootstrap_y, pool), sep), pool,
+                        subspace_model::fit(bootstrap_y, sep, pool).normal_rank(), pool,
                         deferred_updates) {}
 
 tracking_detector::tracking_detector(bootstrap_rank_tag, const matrix& bootstrap_y,

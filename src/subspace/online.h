@@ -28,6 +28,7 @@
 #include <functional>
 #include <future>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <span>
 
@@ -110,7 +111,10 @@ public:
 
     // Rebuilds a diagnoser saved by save(). The pool (and observer) are
     // runtime wiring, not state: pass whatever the restored stream should
-    // use. Throws std::runtime_error on malformed input.
+    // use. Throws std::runtime_error on malformed input, including any
+    // shape that disagrees with the routing matrix's link count (see
+    // docs/CHECKPOINT_FORMAT.md). A model block's projections slot is
+    // read and discarded whatever its shape.
     static streaming_diagnoser restore(std::istream& in, thread_pool* pool = nullptr);
 
     // Applied refits (== model_epoch()).
@@ -159,7 +163,10 @@ private:
     sync::role pusher_cap_;
 
     streaming_config cfg_;
-    matrix a_;
+    matrix a_;  // kept for save(); the verdict path reads terms_
+    // Built once from a_ (at construction or restore) and shared, read-only,
+    // by the live diagnoser, the pending one and the in-flight fit task.
+    std::shared_ptr<const routing_terms> terms_;
     std::deque<vec> window_ NETDIAG_GUARDED_BY(pusher_cap_);
     volume_anomaly_diagnoser diagnoser_;
     std::uint64_t epoch_ = 0;

@@ -46,45 +46,56 @@ std::size_t pca_model::rank_for_variance(double fraction) const {
     return axis_variance.size();
 }
 
-pca_model fit_pca(const matrix& y) { return fit_pca(y, nullptr); }
-
-pca_model fit_pca(const matrix& y, thread_pool* pool) {
+pca_axes_fit fit_pca_axes(const matrix& y, thread_pool* pool) {
     if (y.rows() < 2) throw std::invalid_argument("fit_pca: need at least two measurement rows");
     if (y.cols() == 0) throw std::invalid_argument("fit_pca: no measurement columns");
 
-    pca_model model;
-    model.sample_count = y.rows();
+    pca_axes_fit fit;
+    fit.model.sample_count = y.rows();
 
     centering_result centered = center_columns(y);
-    model.column_means = std::move(centered.column_means);
+    fit.model.column_means = std::move(centered.column_means);
+    fit.centered = std::move(centered.centered);
 
     // center_columns already produced the centered rows (with the same
     // mean accumulation the covariance would redo), so the Gram runs
     // straight over them — one less pass over the data, identical result.
-    const matrix cov = parallel_centered_covariance(centered.centered, pool);
+    const matrix cov = parallel_centered_covariance(fit.centered, pool);
     sym_eigen_result eig = sym_eigen(cov, pool);
 
-    model.principal_axes = std::move(eig.eigenvectors);
-    model.axis_variance = std::move(eig.eigenvalues);
+    fit.model.principal_axes = std::move(eig.eigenvectors);
+    fit.model.axis_variance = std::move(eig.eigenvalues);
     // Covariance eigenvalues are >= 0 in exact arithmetic; clamp round-off.
-    for (double& v : model.axis_variance) v = std::max(v, 0.0);
+    for (double& v : fit.model.axis_variance) v = std::max(v, 0.0);
+    return fit;
+}
 
-    // Projections u_i = Yc v_i, normalized to unit length. Each axis writes
-    // its own column, so the axis loop shards with identical arithmetic.
+vec pca_axis_projection(const matrix& centered, const matrix& axes, std::size_t i) {
+    const std::size_t t = centered.rows();
+    const std::size_t m = centered.cols();
+    const vec axis = axes.column(i);
+    vec u(t, 0.0);
+    for (std::size_t r = 0; r < t; ++r) u[r] = simd::dot(centered.row(r).data(), axis.data(), m);
+    const double n = norm(u);
+    if (n > 0.0) {
+        for (double& v : u) v /= n;
+    }
+    return u;
+}
+
+pca_model fit_pca(const matrix& y) { return fit_pca(y, nullptr); }
+
+pca_model fit_pca(const matrix& y, thread_pool* pool) {
+    pca_axes_fit fit = fit_pca_axes(y, pool);
+    pca_model& model = fit.model;
+
+    // Each axis writes its own column, so the axis loop shards with
+    // identical arithmetic.
     const std::size_t t = y.rows();
     const std::size_t m = y.cols();
     model.projections.assign(t, m, 0.0);
     const auto project_axis = [&](std::size_t i) {
-        const vec axis = model.principal_axes.column(i);
-        vec u(t, 0.0);
-        for (std::size_t r = 0; r < t; ++r) {
-            u[r] = simd::dot(centered.centered.row(r).data(), axis.data(), m);
-        }
-        const double n = norm(u);
-        if (n > 0.0) {
-            for (double& v : u) v /= n;
-        }
-        model.projections.set_column(i, u);
+        model.projections.set_column(i, pca_axis_projection(fit.centered, model.principal_axes, i));
     };
     if (pool != nullptr && parallel_hardware_ok() &&
         t * m >= global_tuning().pca_projection_min_work) {
@@ -92,7 +103,7 @@ pca_model fit_pca(const matrix& y, thread_pool* pool) {
     } else {
         for (std::size_t i = 0; i < m; ++i) project_axis(i);
     }
-    return model;
+    return std::move(model);
 }
 
 }  // namespace netdiag

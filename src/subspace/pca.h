@@ -1,11 +1,19 @@
 // Principal Component Analysis of the link measurement matrix (Section 4.2).
 //
-// Rows of Y are whole-network snapshots (points in R^m). fit_pca centers
-// the columns, eigendecomposes the sample covariance and exposes:
-//   - principal axes v_i        (columns of `principal_axes`)
-//   - captured variances        (`axis_variance`, descending)
-//   - normalized projections u_i = Y v_i / ||Y v_i||  (columns of
-//     `projections`), the common temporal patterns of Figure 4.
+// Rows of Y are whole-network snapshots (points in R^m). A fit has two
+// halves:
+//   - the axes half (fit_pca_axes): center the columns, form the sample
+//     covariance and eigendecompose it into principal axes v_i (columns of
+//     `principal_axes`) and captured variances (`axis_variance`,
+//     descending);
+//   - the projection half (pca_axis_projection): the normalized
+//     projection u_i = Yc v_i / ||Yc v_i|| of the centered data on one
+//     axis, the common temporal pattern of Figure 4.
+// fit_pca runs both halves over every axis (`projections`, t x m) for
+// offline callers that read every u_i. Served fits (subspace_model::fit:
+// streaming refits, the streaming bootstrap, tracking_detector's
+// bootstrap) run only the axes half and project axis i lazily, when the
+// 3-sigma separation walk reaches it; their models carry no projections.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +28,7 @@ class thread_pool;
 struct pca_model {
     matrix principal_axes;  // m x m, orthonormal columns, variance-ordered
     vec axis_variance;      // sample variance captured per axis, descending
-    matrix projections;     // t x m, unit-norm columns u_i
+    matrix projections;     // t x m, unit-norm columns u_i (fit_pca only; else empty)
     vec column_means;       // per-link means removed before the analysis
     std::size_t sample_count = 0;
 
@@ -35,15 +43,33 @@ struct pca_model {
     std::size_t rank_for_variance(double fraction) const;
 };
 
-// Fits PCA to raw (uncentered) link measurements, t x m with t >= 2.
-// Throws std::invalid_argument on degenerate shapes.
+// The axes half of a fit, plus the centered data the projection half reads.
+struct pca_axes_fit {
+    pca_model model;  // projections left empty
+    matrix centered;  // t x m: y minus model.column_means
+};
+
+// Centers raw (uncentered) link measurements y (t x m, t >= 2) and
+// eigendecomposes their covariance. A non-null pool shards the covariance
+// accumulation (fixed row blocks) and the eigensolve rotation updates;
+// the result is bit-identical for every pool size. Throws
+// std::invalid_argument on degenerate shapes.
+pca_axes_fit fit_pca_axes(const matrix& y, thread_pool* pool = nullptr);
+
+// The projection half for one axis: u_i = Yc v_i / ||Yc v_i||, with v_i
+// column i of `axes` (left unnormalized when Yc v_i is zero). Every fit
+// computes u_i with exactly this arithmetic.
+vec pca_axis_projection(const matrix& centered, const matrix& axes, std::size_t i);
+
+// Both halves over all m axes. Throws std::invalid_argument on degenerate
+// shapes.
 pca_model fit_pca(const matrix& y);
 
-// Same fit with the covariance accumulation, eigensolve rotation updates,
-// and per-axis projections sharded across the pool. The covariance uses a
-// fixed row-block decomposition and the remaining stages are element-wise
-// independent, so the result is bit-identical for every pool size
-// (including pool == nullptr, which fit_pca(y) delegates to).
+// Same fit with the axes half pool-sharded (see fit_pca_axes) and the
+// per-axis projections sharded across the pool once t * m reaches
+// tuning's pca_projection_min_work. Each axis writes its own column, so
+// the result is bit-identical for every pool size (including pool ==
+// nullptr, which fit_pca(y) delegates to).
 pca_model fit_pca(const matrix& y, thread_pool* pool);
 
 }  // namespace netdiag

@@ -1,39 +1,36 @@
 #include "subspace/quantification.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace netdiag {
 
-quantifier::quantifier(const matrix& a) {
-    if (a.empty()) throw std::invalid_argument("quantifier: empty routing matrix");
-    a_bar_ = a;
-    column_norm_.assign(a.cols(), 0.0);
-    column_sum_.assign(a.cols(), 0.0);
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-        const vec col = a.column(j);
-        column_norm_[j] = norm(col);
-        column_sum_[j] = sum(col);
-        if (column_sum_[j] > 0.0) {
-            for (std::size_t i = 0; i < a.rows(); ++i) a_bar_(i, j) = a(i, j) / column_sum_[j];
-        }
-    }
+quantifier::quantifier(std::shared_ptr<const routing_terms> terms) : terms_(std::move(terms)) {
+    if (!terms_) throw std::invalid_argument("quantifier: null routing terms");
 }
 
+quantifier::quantifier(const matrix& a) : quantifier(std::make_shared<const routing_terms>(a)) {}
+
 double quantifier::estimate_bytes(std::size_t flow, double magnitude) const {
-    if (flow >= a_bar_.cols()) throw std::out_of_range("quantifier: flow index out of range");
-    if (column_sum_[flow] == 0.0 || column_norm_[flow] == 0.0) return 0.0;
+    if (flow >= terms_->flows()) throw std::out_of_range("quantifier: flow index out of range");
+    const double column_norm = terms_->column_norm(flow);
+    const double column_sum = terms_->column_sum(flow);
+    if (column_sum == 0.0 || column_norm == 0.0) return 0.0;
     // A-bar_i^T (theta_i f) = f * ||A_i||^2 / (sum(A_i) * ||A_i||)
     //                      = f * ||A_i|| / sum(A_i).
-    return magnitude * column_norm_[flow] / column_sum_[flow];
+    return magnitude * column_norm / column_sum;
 }
 
 double quantifier::estimate_bytes_from_link_traffic(std::size_t flow,
                                                     std::span<const double> y_prime) const {
-    if (flow >= a_bar_.cols()) throw std::out_of_range("quantifier: flow index out of range");
-    if (y_prime.size() != a_bar_.rows()) {
+    if (flow >= terms_->flows()) throw std::out_of_range("quantifier: flow index out of range");
+    if (y_prime.size() != terms_->links()) {
         throw std::invalid_argument("quantifier: link traffic vector size mismatch");
     }
-    return dot(a_bar_.column(flow), y_prime);
+    const double column_norm = terms_->column_norm(flow);
+    const double column_sum = terms_->column_sum(flow);
+    if (column_sum == 0.0 || column_norm == 0.0) return 0.0;
+    return dot(terms_->theta(flow), y_prime) * column_norm / column_sum;
 }
 
 }  // namespace netdiag

@@ -12,20 +12,30 @@ void separation_config::validate() const {
     if (k_sigma <= 0.0) throw std::invalid_argument("separation_config: k_sigma must be positive");
 }
 
-std::size_t separate_normal_rank(const pca_model& model, const separation_config& cfg) {
+std::size_t separate_normal_rank(std::size_t dimension, const separation_config& cfg,
+                                 const std::function<vec(std::size_t)>& projection) {
     cfg.validate();
-    const std::size_t m = model.dimension();
+    const std::size_t m = dimension;
     if (cfg.fixed_rank) return std::min(*cfg.fixed_rank, m);
 
     std::size_t rank = m;  // if no axis looks anomalous, everything is normal
     for (std::size_t i = 0; i < m; ++i) {
-        const vec u = model.projections.column(i);
-        if (!sigma_exceedances(u, cfg.k_sigma).empty()) {
+        if (!sigma_exceedances(projection(i), cfg.k_sigma).empty()) {
             rank = i;
             break;
         }
     }
     return std::clamp(rank, std::min(cfg.min_normal_axes, m), m);
+}
+
+std::size_t separate_normal_rank(const pca_model& model, const separation_config& cfg) {
+    const std::size_t m = model.dimension();
+    return separate_normal_rank(m, cfg, [&model, m](std::size_t i) {
+        if (model.projections.cols() != m) {
+            throw std::invalid_argument("separate_normal_rank: model carries no projections");
+        }
+        return model.projections.column(i);
+    });
 }
 
 }  // namespace netdiag

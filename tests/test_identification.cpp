@@ -6,6 +6,7 @@
 #include <random>
 
 #include "measurement/link_loads.h"
+#include "subspace/diagnoser.h"
 #include "subspace/quantification.h"
 #include "topology/builders.h"
 #include "topology/routing.h"
@@ -229,6 +230,99 @@ TEST_F(IdentificationFixture, QuantifierValidation) {
     const vec bad(3, 0.0);
     EXPECT_THROW(quant.estimate_bytes_from_link_traffic(0, bad), std::invalid_argument);
     EXPECT_THROW(quantifier(matrix{}), std::invalid_argument);
+}
+
+// Four links whose only correlated variation runs along (1, 1, 0, 0).
+// Walsh-pattern rows make every sample mean and cross-covariance exact, so
+// the first principal axis is theta_0 of a flow over links 0 and 1.
+matrix walsh_links() {
+    matrix y(8, 4, 0.0);
+    for (std::size_t r = 0; r < y.rows(); ++r) {
+        const double w1 = (r & 1u) != 0 ? -1.0 : 1.0;
+        const double w2 = (r & 2u) != 0 ? -1.0 : 1.0;
+        const double w3 = (r & 4u) != 0 ? -1.0 : 1.0;
+        y(r, 0) = 100.0 + 10.0 * w1;
+        y(r, 1) = 100.0 + 10.0 * w1;
+        y(r, 2) = 50.0 + 2.0 * w2;
+        y(r, 3) = 80.0 + w3;
+    }
+    return y;
+}
+
+// Routing terms shared across a stream's diagnosers must build the same
+// diagnoser, bit for bit, as the routing matrix they were computed from --
+// including a flow that crosses no link and a flow the normal subspace
+// swallows.
+TEST(RoutingTerms, SharedTermsBuildTheSameDiagnoserAsTheRoutingMatrix) {
+    const matrix y = walsh_links();
+    matrix a(4, 5, 0.0);
+    a(0, 0) = a(1, 0) = 1.0;  // along the normal axis: undetectable
+    // flow 1 crosses no link
+    a(2, 2) = 1.0;
+    a(2, 3) = a(3, 3) = 1.0;
+    a(0, 4) = a(3, 4) = 0.5;
+    separation_config sep;
+    sep.fixed_rank = 1;
+
+    const auto terms = std::make_shared<const routing_terms>(a);
+    const volume_anomaly_diagnoser shared(subspace_model::fit(y, sep), terms, 0.999);
+    const volume_anomaly_diagnoser from_a(subspace_model::fit(y, sep), a, 0.999);
+    ASSERT_EQ(terms->links(), 4u);
+    ASSERT_EQ(terms->flows(), 5u);
+
+    // The terms and theta~ with the arithmetic spelled out: theta_i =
+    // A_i * (1 / ||A_i||), theta~_i = C~ theta_i, dropped below 1e-9.
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+        vec column = a.column(i);
+        const double cn = norm(column);
+        EXPECT_EQ(terms->column_norm(i), cn) << i;
+        EXPECT_EQ(terms->column_sum(i), sum(column)) << i;
+        vec expected_residual(4, 0.0);
+        double expected_norm2 = 0.0;
+        if (cn > 0.0) {
+            scale(column, 1.0 / cn);
+            EXPECT_EQ(vec(terms->theta(i).begin(), terms->theta(i).end()), column) << i;
+            const vec residual = shared.model().project_direction_residual(column);
+            if (norm_squared(residual) >= 1e-9) {
+                expected_residual = residual;
+                expected_norm2 = norm_squared(residual);
+            }
+        }
+        for (const volume_anomaly_diagnoser* d : {&shared, &from_a}) {
+            const auto got = d->identifier().residual_direction(i);
+            EXPECT_EQ(vec(got.begin(), got.end()), expected_residual) << i;
+            EXPECT_EQ(d->identifier().residual_direction_norm_squared(i), expected_norm2) << i;
+            EXPECT_EQ(d->identifier().routing_column_norm(i), cn) << i;
+        }
+    }
+    EXPECT_EQ(shared.identifier().residual_direction_norm_squared(0), 0.0);
+    EXPECT_EQ(shared.identifier().residual_direction_norm_squared(1), 0.0);
+    EXPECT_EQ(shared.detector().threshold(), from_a.detector().threshold());
+
+    std::size_t alarms = 0;
+    for (std::size_t flow = 0; flow < a.cols(); ++flow) {
+        for (const double bytes : {40.0, -25.0}) {
+            vec spiked(y.row(3).begin(), y.row(3).end());
+            axpy(bytes, a.column(flow), spiked);
+            const diagnosis d1 = shared.diagnose(spiked);
+            const diagnosis d2 = from_a.diagnose(spiked);
+            EXPECT_EQ(d1.anomalous, d2.anomalous) << flow;
+            EXPECT_EQ(d1.spe, d2.spe) << flow;
+            EXPECT_EQ(d1.threshold, d2.threshold) << flow;
+            EXPECT_EQ(d1.flow.value_or(99), d2.flow.value_or(99)) << flow;
+            EXPECT_EQ(d1.magnitude, d2.magnitude) << flow;
+            EXPECT_EQ(d1.estimated_bytes, d2.estimated_bytes) << flow;
+            alarms += d1.anomalous ? 1 : 0;
+        }
+    }
+    EXPECT_GT(alarms, 0u);
+
+    // A flow that crosses no link quantifies to zero bytes in both forms.
+    const quantifier quant(terms);
+    EXPECT_EQ(quant.estimate_bytes(1, 5.0), 0.0);
+    EXPECT_EQ(quant.estimate_bytes_from_link_traffic(1, vec(4, 3.0)), 0.0);
+    EXPECT_THROW(quantifier(std::shared_ptr<const routing_terms>{}), std::invalid_argument);
+    EXPECT_THROW(routing_terms(matrix{}), std::invalid_argument);
 }
 
 }  // namespace

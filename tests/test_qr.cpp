@@ -4,7 +4,6 @@
 #include <random>
 
 #include "linalg/error.h"
-#include "linalg/lu.h"
 #include "linalg/ops.h"
 #include "linalg/qr.h"
 
@@ -72,47 +71,6 @@ TEST(LeastSquares, RhsSizeMismatchThrows) {
     const matrix a(4, 2, 1.0);
     const vec b(3, 1.0);
     EXPECT_THROW(least_squares(a, b), std::invalid_argument);
-}
-
-TEST(Lu, SolveRecoverKnownSolution) {
-    const matrix a{{4.0, 3.0}, {6.0, 3.0}};
-    const vec b{10.0, 12.0};
-    const vec x = solve(a, b);
-    EXPECT_NEAR(x[0], 1.0, 1e-12);
-    EXPECT_NEAR(x[1], 2.0, 1e-12);
-}
-
-TEST(Lu, SolveRandomSystems) {
-    for (std::uint64_t seed : {10u, 11u, 12u}) {
-        const matrix a = random_matrix(7, 7, seed);
-        const vec x_true = random_matrix(7, 1, seed + 100).column(0);
-        const vec b = multiply(a, x_true);
-        EXPECT_TRUE(approx_equal(solve(a, b), x_true, 1e-9)) << "seed " << seed;
-    }
-}
-
-TEST(Lu, SingularMatrixThrows) {
-    const matrix a{{1.0, 2.0}, {2.0, 4.0}};
-    const vec b{1.0, 2.0};
-    EXPECT_THROW(solve(a, b), numerical_error);
-}
-
-TEST(Lu, InverseTimesOriginalIsIdentity) {
-    const matrix a = random_matrix(6, 6, 20);
-    const matrix inv = inverse(a);
-    EXPECT_TRUE(approx_equal(multiply(a, inv), matrix::identity(6), 1e-9));
-    EXPECT_TRUE(approx_equal(multiply(inv, a), matrix::identity(6), 1e-9));
-}
-
-TEST(Lu, DeterminantKnownValues) {
-    EXPECT_NEAR(determinant(matrix{{2.0, 0.0}, {0.0, 3.0}}), 6.0, 1e-12);
-    EXPECT_NEAR(determinant(matrix{{0.0, 1.0}, {1.0, 0.0}}), -1.0, 1e-12);  // permutation
-    EXPECT_DOUBLE_EQ(determinant(matrix{{1.0, 2.0}, {2.0, 4.0}}), 0.0);     // singular
-}
-
-TEST(Lu, DeterminantMatchesEigenProductForDiagonal) {
-    const matrix a{{2.0, 0.0, 0.0}, {0.0, -1.5, 0.0}, {0.0, 0.0, 4.0}};
-    EXPECT_NEAR(determinant(a), -12.0, 1e-12);
 }
 
 }  // namespace

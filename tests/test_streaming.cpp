@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/thread_pool.h"
@@ -808,6 +809,181 @@ TEST(GoldenCheckpoint, InterchangeFixturesLoadOnAnyHostIncludingByteSwapped) {
         EXPECT_EQ(replayed.str(), read_file_bytes(after))
             << "interchange replay diverged from the native golden replay; regenerate "
                "with NETDIAG_REGEN_GOLDEN=1 if the format changed intentionally";
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Records from before served models dropped their projections. The
+// committed golden_streaming_diagnoser_projections.ckpt (interchange) was
+// written by that earlier build from the stream below: its model blocks
+// carry full t x m projections, a refit awaits its swap and another is
+// queued. It cannot be regenerated by this build; the digest is the
+// verdict sequence that build produced on replay.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t k_legacy_links = 6;
+constexpr std::size_t k_legacy_boot_rows = 24;
+constexpr std::size_t k_legacy_prefix_bins = 8;  // pushed before the save
+constexpr std::size_t k_legacy_replay_bins = 28;
+constexpr std::uint64_t k_legacy_replay_digest = 0xe588247066fcdf7cull;
+
+// Six links, nine flows: ring pairs, a three-link flow, a flow that
+// crosses no link and a half-weighted one.
+matrix legacy_routing() {
+    matrix a(k_legacy_links, 9, 0.0);
+    for (std::size_t j = 0; j < 6; ++j) {
+        a(j, j) = 1.0;
+        a((j + 1) % k_legacy_links, j) = 1.0;
+    }
+    a(0, 6) = a(2, 6) = a(4, 6) = 1.0;
+    a(1, 8) = a(3, 8) = 0.5;
+    return a;
+}
+
+// Two exact-arithmetic patterns (a triangle wave on every link, a 3-step
+// shift on links 3..5), mt19937_64 noise and a flow spike every 4th bin.
+matrix legacy_bins(std::size_t rows, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    const matrix a = legacy_routing();
+    matrix y(rows, k_legacy_links, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t phase = r % 8;
+        const double day = 1.0 + 0.25 * static_cast<double>(phase < 4 ? phase : 8 - phase);
+        const double shift = 0.5 * static_cast<double>(r % 3);
+        for (std::size_t c = 0; c < k_legacy_links; ++c) {
+            const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;
+            const double level = c < 3 ? day : day + shift;
+            y(r, c) = 1e6 * static_cast<double>(1 + c % 5) * (level + 0.0625 * u);
+        }
+        if (r % 4 == 1) {
+            const std::size_t flow = r % 9;
+            for (std::size_t c = 0; c < k_legacy_links; ++c) y(r, c) += 4e6 * a(c, flow);
+        }
+    }
+    return y;
+}
+
+streaming_config legacy_config() {
+    streaming_config cfg;
+    cfg.window = 32;
+    cfg.refit_interval = 4;
+    cfg.confidence = 0.99;
+    cfg.mode = refit_mode::deferred;
+    cfg.swap_horizon = 6;
+    return cfg;
+}
+
+// FNV-1a over every diagnosis field's exact bits.
+std::uint64_t fold_diagnosis(std::uint64_t digest, const diagnosis& d) {
+    const auto mix = [&digest](std::uint64_t v) {
+        digest ^= v;
+        digest *= 1099511628211ull;
+    };
+    mix(d.anomalous ? 1 : 0);
+    mix(std::bit_cast<std::uint64_t>(d.spe));
+    mix(std::bit_cast<std::uint64_t>(d.threshold));
+    mix(d.flow ? *d.flow : ~std::uint64_t{0});
+    mix(std::bit_cast<std::uint64_t>(d.magnitude));
+    mix(std::bit_cast<std::uint64_t>(d.estimated_bytes));
+    return digest;
+}
+
+// Walks a streaming_diagnoser record (docs/CHECKPOINT_FORMAT.md) to its
+// model blocks and returns each block's projections-slot shape: the live
+// model's, then the pending refit's when the record holds one.
+std::vector<std::pair<std::size_t, std::size_t>> projection_slot_shapes(
+    const std::string& record) {
+    std::istringstream in(record, std::ios::binary);
+    ckpt::expect_header(in, "streaming_diagnoser");
+    (void)ckpt::read_u64(in);  // window
+    (void)ckpt::read_u64(in);  // refit interval
+    (void)ckpt::read_f64(in);  // confidence
+    (void)ckpt::read_f64(in);  // k_sigma
+    (void)ckpt::read_u64(in);  // min_normal_axes
+    if (ckpt::read_flag(in)) (void)ckpt::read_u64(in);  // fixed rank
+    (void)ckpt::read_u64(in);     // refit mode
+    (void)ckpt::read_u64(in);     // swap horizon
+    (void)ckpt::read_matrix(in);  // A
+    const std::uint64_t window_rows = ckpt::read_u64(in);
+    for (std::uint64_t r = 0; r < window_rows; ++r) (void)ckpt::read_vec(in);
+    for (int counter = 0; counter < 5; ++counter) (void)ckpt::read_u64(in);
+
+    std::vector<std::pair<std::size_t, std::size_t>> shapes;
+    const auto model_block = [&] {
+        (void)ckpt::read_matrix(in);  // axes
+        (void)ckpt::read_vec(in);     // variances
+        const matrix projections = ckpt::read_matrix(in);
+        shapes.emplace_back(projections.rows(), projections.cols());
+        (void)ckpt::read_vec(in);  // means
+        (void)ckpt::read_u64(in);  // sample count
+        (void)ckpt::read_u64(in);  // normal rank
+    };
+    model_block();
+    if (ckpt::read_flag(in)) {
+        (void)ckpt::read_u64(in);  // swap bin
+        model_block();
+    }
+    return shapes;
+}
+
+TEST(GoldenCheckpoint, RecordWithProjectionsLoadsAndReplaysBitExactly) {
+    const std::string fixture = golden_fixture_path("golden_streaming_diagnoser_projections.ckpt");
+    const std::string bytes = read_file_bytes(fixture);
+    // The fixture really is an old record: both model blocks hold t x m.
+    const auto old_shapes = projection_slot_shapes(bytes);
+    ASSERT_EQ(old_shapes.size(), 2u);
+    for (const auto& [rows, cols] : old_shapes) {
+        EXPECT_GT(rows, 0u);
+        EXPECT_EQ(cols, k_legacy_links);
+    }
+
+    std::unique_ptr<stream_detector> loaded = load_stream_detector(fixture);
+    auto& restored = dynamic_cast<streaming_diagnoser&>(*loaded);
+    ASSERT_EQ(restored.processed(), k_legacy_prefix_bins);
+    EXPECT_TRUE(restored.refit_pending());
+    EXPECT_TRUE(restored.refit_queued());
+
+    const matrix bins = legacy_bins(k_legacy_prefix_bins + k_legacy_replay_bins, 99);
+    std::uint64_t digest = 1469598103934665603ull;
+    std::size_t alarms = 0;
+    for (std::size_t r = k_legacy_prefix_bins; r < bins.rows(); ++r) {
+        const diagnosis d = restored.push(bins.row(r));
+        alarms += d.anomalous ? 1 : 0;
+        digest = fold_diagnosis(digest, d);
+    }
+    EXPECT_EQ(restored.model_epoch(), 5u);
+    EXPECT_EQ(alarms, 4u);
+    EXPECT_EQ(digest, k_legacy_replay_digest)
+        << "a record written before served models dropped their projections no longer "
+           "replays to the verdicts that build produced";
+
+    // A fresh stream over the same bins reaches the same verdicts.
+    streaming_diagnoser fresh(legacy_bins(k_legacy_boot_rows, 4321), legacy_routing(),
+                              legacy_config());
+    std::uint64_t fresh_digest = 1469598103934665603ull;
+    for (std::size_t r = 0; r < bins.rows(); ++r) {
+        const diagnosis d = fresh.push(bins.row(r));
+        if (r >= k_legacy_prefix_bins) fresh_digest = fold_diagnosis(fresh_digest, d);
+    }
+    EXPECT_EQ(fresh_digest, k_legacy_replay_digest);
+}
+
+TEST(StreamingCheckpoint, FreshRecordsWriteAnEmptyProjectionsSlot) {
+    streaming_diagnoser det(legacy_bins(k_legacy_boot_rows, 4321), legacy_routing(),
+                            legacy_config());
+    const matrix bins = legacy_bins(k_legacy_prefix_bins, 99);
+    for (std::size_t r = 0; r < bins.rows(); ++r) det.push(bins.row(r));
+    ASSERT_TRUE(det.refit_pending());
+    for (const ckpt::encoding enc : {ckpt::encoding::native, ckpt::encoding::interchange}) {
+        std::ostringstream out(std::ios::binary);
+        ckpt::set_encoding(out, enc);
+        det.save(out);
+        const auto shapes = projection_slot_shapes(out.str());
+        ASSERT_EQ(shapes.size(), 2u);
+        for (const auto& [rows, cols] : shapes) {
+            EXPECT_EQ(rows, 0u);
+            EXPECT_EQ(cols, 0u);
+        }
     }
 }
 

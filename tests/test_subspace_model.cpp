@@ -165,6 +165,75 @@ TEST(SeparationRule, KSigmaValidation) {
     EXPECT_THROW(separate_normal_rank(fit_pca(y), sep), std::invalid_argument);
 }
 
+// A served fit projects axis i only when the 3-sigma walk reaches it; the
+// offline fit projects every axis first. Both run the one walk over the
+// one u_i arithmetic, so their ranks -- and everything else the model
+// keeps -- must be bit-equal.
+void expect_served_fit_matches_offline(const matrix& y, const separation_config& sep,
+                                       std::size_t expected_rank) {
+    const pca_model offline = fit_pca(y);
+    const subspace_model served = subspace_model::fit(y, sep);
+    EXPECT_EQ(served.normal_rank(), separate_normal_rank(offline, sep));
+    EXPECT_EQ(served.normal_rank(), expected_rank);
+    EXPECT_EQ(served.pca().principal_axes, offline.principal_axes);
+    EXPECT_EQ(served.pca().axis_variance, offline.axis_variance);
+    EXPECT_EQ(served.pca().column_means, offline.column_means);
+    EXPECT_EQ(served.pca().sample_count, offline.sample_count);
+    EXPECT_TRUE(served.pca().projections.empty());
+}
+
+TEST(SeparationRule, ServedFitMatchesOfflineFit) {
+    // One spike dominating the variance puts the excursion on axis 0.
+    matrix spiked = structured_data(200, 6, 21);
+    for (std::size_t c = 0; c < 6; ++c) spiked(90, c) += 5000.0;
+    {
+        SCOPED_TRACE("excursion on axis 0");
+        separation_config from_zero;
+        from_zero.min_normal_axes = 0;
+        expect_served_fit_matches_offline(spiked, from_zero, 0);
+    }
+    {
+        // Eight rows cannot hold a 3-sigma deviation (|z| <= 7/sqrt(8) <
+        // 2.5), so the walk visits every axis and keeps them all.
+        SCOPED_TRACE("no excursion");
+        expect_served_fit_matches_offline(structured_data(8, 5, 22), {}, 5);
+    }
+    {
+        SCOPED_TRACE("fixed rank");
+        separation_config fixed;
+        fixed.fixed_rank = 3;
+        expect_served_fit_matches_offline(spiked, fixed, 3);
+    }
+    {
+        SCOPED_TRACE("min_normal_axes clamp");
+        separation_config clamped;
+        clamped.min_normal_axes = 2;
+        expect_served_fit_matches_offline(spiked, clamped, 2);
+    }
+}
+
+TEST(SeparationRule, OfflineWalkNeedsProjections) {
+    const subspace_model served = subspace_model::fit(structured_data(100, 4, 24));
+    EXPECT_THROW(separate_normal_rank(served.pca()), std::invalid_argument);
+    separation_config fixed;
+    fixed.fixed_rank = 2;
+    EXPECT_EQ(separate_normal_rank(served.pca(), fixed), 2u);
+}
+
+TEST(SubspaceModel, ConstructorRejectsShapesThatDisagreeWithTheAxes) {
+    const pca_model base = fit_pca(structured_data(60, 4, 25));
+    pca_model narrow = base;
+    narrow.principal_axes = matrix(4, 1, 0.5);
+    EXPECT_THROW(subspace_model(narrow, 2), std::invalid_argument);
+    EXPECT_NO_THROW(subspace_model(narrow, 1));
+    pca_model short_variances = base;
+    short_variances.axis_variance.pop_back();
+    EXPECT_THROW(subspace_model(short_variances, 2), std::invalid_argument);
+    pca_model short_means = base;
+    short_means.column_means.pop_back();
+    EXPECT_THROW(subspace_model(short_means, 2), std::invalid_argument);
+}
+
 TEST(SpeDetector, ThresholdComesFromQStatistic) {
     const matrix y = structured_data(600, 8, 14);
     const subspace_model model = subspace_model::fit(y);

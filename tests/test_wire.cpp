@@ -23,6 +23,7 @@
 #include "measurement/stream_checkpoint.h"
 #include "net/frontend.h"
 #include "net/protocol.h"
+#include "net/remote_collector.h"
 #include "serve/stream_server.h"
 #include "subspace/online.h"
 
@@ -669,6 +670,146 @@ TEST(WireFuzz, MutatedRestoreRequestsRestoreWholeOrPublishNothing) {
     EXPECT_GT(malformed, 1000u);
     EXPECT_GT(restored, 0u);
     EXPECT_EQ(s->server.stream_ids(), std::vector<stream_id>{s->id});
+}
+
+// Hand-written streaming_diagnoser records over 6 links whose parts
+// disagree with each other or with what the public API allows. Every
+// field but the one-zero-extent matrix header decodes on its own; only
+// restore's checks against A's link count m can refuse the record.
+enum class record_fault {
+    none,
+    narrow_axes,         // axes with fewer columns than the rank
+    short_variances,     // variances shorter than m
+    short_means,         // means shorter than m
+    narrow_window_row,   // one window row narrower than m
+    short_window,        // a one-row window: the next refit cannot fit it
+    narrow_queued,       // the queued window narrower than m
+    axes_row_mismatch,   // axes over 5 links, A over 6
+    rank_above_m,        // normal rank larger than m
+    zero_cols_header,    // a matrix header with rows > 0 and cols = 0
+    bad_confidence,      // confidence outside (0, 1)
+};
+
+constexpr std::array<record_fault, 10> k_record_faults = {
+    record_fault::narrow_axes,       record_fault::short_variances,
+    record_fault::short_means,       record_fault::narrow_window_row,
+    record_fault::short_window,      record_fault::narrow_queued,
+    record_fault::axes_row_mismatch, record_fault::rank_above_m,
+    record_fault::zero_cols_header,  record_fault::bad_confidence};
+
+std::string fault_record(record_fault fault) {
+    constexpr std::size_t m = 6;
+    constexpr std::size_t t = 8;
+    const auto is = [fault](record_fault f) { return fault == f; };
+    const auto ramp = [](std::size_t rows, std::size_t cols) {
+        matrix out(rows, cols, 0.0);
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < cols; ++c) {
+                out(r, c) = 100.0 + static_cast<double>((r * 7 + c * 3) % 11);
+            }
+        }
+        return out;
+    };
+
+    std::ostringstream out(std::ios::binary);
+    ckpt::set_encoding(out, ckpt::encoding::interchange);
+    ckpt::write_header(out, "streaming_diagnoser");
+    ckpt::write_u64(out, 16);      // window
+    ckpt::write_u64(out, 4);       // refit interval
+    ckpt::write_f64(out, is(record_fault::bad_confidence) ? 1.5 : 0.999);  // confidence
+    ckpt::write_f64(out, 3.0);     // k_sigma
+    ckpt::write_u64(out, 1);       // min_normal_axes
+    ckpt::write_flag(out, false);  // no fixed rank
+    ckpt::write_u64(out, 1);       // refit_mode::deferred
+    ckpt::write_u64(out, 2);       // swap horizon
+    ckpt::write_matrix(out, matrix::identity(m));  // A: one flow per link
+
+    const matrix window = ramp(t, m);
+    const std::size_t window_rows = is(record_fault::short_window) ? 1 : t;
+    ckpt::write_u64(out, window_rows);
+    for (std::size_t r = 0; r < window_rows; ++r) {
+        const auto row = window.row(r);
+        const std::size_t width = is(record_fault::narrow_window_row) && r == 3 ? m - 1 : m;
+        ckpt::write_vec(out, vec(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(width)));
+    }
+    for (int counter = 0; counter < 5; ++counter) ckpt::write_u64(out, 0);
+
+    // The live model: identity axes, descending variances, rank 2.
+    const std::size_t axes_dim = is(record_fault::axes_row_mismatch) ? m - 1 : m;
+    if (is(record_fault::zero_cols_header)) {
+        out.put('M');  // interchange matrix tag, then rows and cols (LE words)
+        for (std::uint64_t word : {std::uint64_t{m}, std::uint64_t{0}}) {
+            for (int b = 0; b < 8; ++b) out.put(static_cast<char>((word >> (8 * b)) & 0xff));
+        }
+    } else if (is(record_fault::narrow_axes)) {
+        matrix axes(m, 1, 0.0);
+        axes(0, 0) = 1.0;
+        ckpt::write_matrix(out, axes);
+    } else {
+        ckpt::write_matrix(out, matrix::identity(axes_dim));
+    }
+    vec variances(is(record_fault::short_variances) ? m - 1 : axes_dim, 0.0);
+    for (std::size_t i = 0; i < variances.size(); ++i) {
+        variances[i] = static_cast<double>(variances.size() - i);
+    }
+    ckpt::write_vec(out, variances);
+    ckpt::write_matrix(out, matrix{});  // projections slot
+    ckpt::write_vec(out, vec(is(record_fault::short_means) ? m - 1 : axes_dim, 100.0));
+    ckpt::write_u64(out, t);
+    ckpt::write_u64(out, is(record_fault::rank_above_m) ? m + 1 : 2);
+
+    ckpt::write_flag(out, false);  // no refit awaiting its swap
+    ckpt::write_flag(out, is(record_fault::narrow_queued));
+    if (is(record_fault::narrow_queued)) ckpt::write_matrix(out, ramp(t, m - 1));
+    return std::move(out).str();
+}
+
+// Restore checks every shape against A's link count and refuses a record
+// whose parts disagree with std::runtime_error (the codec's malformed-
+// input signal), instead of reading out of bounds, serving a silently
+// different threshold, or failing later on a refit worker.
+TEST(RestoreChecks, StreamingDiagnoserRefusesEveryInconsistentRecord) {
+    {
+        std::istringstream in(fault_record(record_fault::none), std::ios::binary);
+        const streaming_diagnoser restored = streaming_diagnoser::restore(in);
+        EXPECT_EQ(restored.dimension(), 6u);
+        EXPECT_EQ(restored.current().model().normal_rank(), 2u);
+    }
+    for (const record_fault fault : k_record_faults) {
+        std::istringstream in(fault_record(fault), std::ios::binary);
+        EXPECT_THROW((void)streaming_diagnoser::restore(in), std::runtime_error)
+            << "fault " << static_cast<int>(fault);
+    }
+}
+
+// The same records as restore requests over loopback: each answers
+// malformed_payload, publishes nothing, and the server keeps serving.
+TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
+    stream_server server({.threads = 0});
+    net::netdiag_frontend frontend(server);
+    net::remote_collector collector(frontend.port());
+    const std::uint64_t id = collector.restore(fault_record(record_fault::none));
+    const std::vector<stream_id> before = server.stream_ids();
+
+    for (const record_fault fault : k_record_faults) {
+        try {
+            (void)collector.restore(fault_record(fault));
+            ADD_FAILURE() << "fault " << static_cast<int>(fault) << " restored";
+        } catch (const net::remote_error& e) {
+            EXPECT_EQ(e.code(), net::wire_errc::malformed_payload)
+                << "fault " << static_cast<int>(fault) << ": " << e.what();
+        }
+        EXPECT_EQ(server.stream_ids(), before) << "fault " << static_cast<int>(fault);
+    }
+
+    // Three bins: fewer than the record's refit interval.
+    const vec bin(6, 104.0);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(collector.ingest(id, bin).ok()) << i;
+    collector.flush(id);
+    const net::stats_response stats = collector.stats(id);
+    EXPECT_EQ(stats.applied, 3u);
+    EXPECT_EQ(stats.processed, 3u);
+    frontend.stop();
 }
 
 // Interchange record mutations through the checkpoint loader: the other

@@ -13,10 +13,14 @@
 //      time- or randomness-dependent would break the bit-identical replay
 //      guarantee the serving stack advertises.
 //  R2  Kernel purity: the numeric kernels (src/linalg/, engine/simd.h,
-//      subspace/model.cpp, subspace/pca.cpp) must not call std::fma --
-//      the -ffp-contract=off contract demands the same double rounding
-//      everywhere -- and must not iterate unordered containers, whose
-//      traversal order would feed reductions in nondeterministic order.
+//      subspace/model.cpp, subspace/pca.cpp) and the rest of a refit's
+//      arithmetic (subspace/separation.cpp's 3-sigma walk,
+//      stats/descriptive.cpp's mean and sigma behind it, and the routing
+//      terms in subspace/identification.cpp and quantification.cpp) must
+//      not call std::fma -- the -ffp-contract=off contract demands the
+//      same double rounding everywhere, so a refit replays bit for bit --
+//      and must not iterate unordered containers, whose traversal order
+//      would feed reductions in nondeterministic order.
 //  R3  Tuning doc parity: every knob declared in engine/tuning.h must be
 //      documented (backticked) in docs/TUNING.md.
 //  R4  Error-code doc parity: every ingest_error enumerator (except ok)
@@ -219,7 +223,11 @@ void check_r1(const fs::path& root, const std::string& relpath,
 
 bool is_kernel_file(const std::string& relpath) {
     return relpath.rfind("src/linalg/", 0) == 0 || relpath == "src/engine/simd.h" ||
-           relpath == "src/subspace/model.cpp" || relpath == "src/subspace/pca.cpp";
+           relpath == "src/subspace/model.cpp" || relpath == "src/subspace/pca.cpp" ||
+           relpath == "src/subspace/separation.cpp" ||
+           relpath == "src/subspace/identification.cpp" ||
+           relpath == "src/subspace/quantification.cpp" ||
+           relpath == "src/stats/descriptive.cpp";
 }
 
 const char* const k_r2_tokens[] = {"fma", "unordered_map", "unordered_set"};

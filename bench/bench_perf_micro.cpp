@@ -372,15 +372,9 @@ engine_benchmark run_streaming_push_sweep(const std::vector<std::size_t>& thread
 // no-pool server. The identical flag is the ingest parity contract:
 // every run's applied output -- replayed through a standalone
 // single-pusher detector in the exact sequence order the inbox assigned
-// -- matches bit-for-bit. With `pooled` the stream opts into dedicated
-// pooled drainer tasks under a park budget of 2; the no-pool serial leg
-// and the 1-thread leg (budget clamps to 0 there) exercise the
-// caller-drain fallback, so the parity contract covers the mode switch
-// itself.
+// -- matches bit-for-bit.
 engine_benchmark run_multipusher_sweep(const std::vector<std::size_t>& thread_counts,
-                                       std::size_t producers, bool quick, bool pooled) {
-    scoped_tuning tuned;
-    if (pooled) global_tuning().pool_park_budget = 2;
+                                       std::size_t producers, bool quick) {
     const dataset& ds = sprint1();
     const std::size_t boot_rows = 144;  // one day of 10-minute bins
     const std::size_t bins =
@@ -418,7 +412,6 @@ engine_benchmark run_multipusher_sweep(const std::vector<std::size_t>& thread_co
         cfg.streaming = stream_cfg;
         cfg.ingest.capacity = 512;
         cfg.ingest.policy = inbox_policy::block;
-        cfg.ingest.pooled_drainer = pooled;
         cfg.ingest.sink = [&rc](std::uint64_t, const detection_result& r) {
             rc.results.push_back(r);
         };
@@ -474,8 +467,7 @@ engine_benchmark run_multipusher_sweep(const std::vector<std::size_t>& thread_co
     };
 
     engine_benchmark out;
-    out.name = "multipusher_ingest_" + std::to_string(producers) + "producers" +
-               (pooled ? "_pooled" : "");
+    out.name = "multipusher_ingest_" + std::to_string(producers) + "producers";
     out.items = bins;
     out.has_worst = true;
     out.has_latency = true;
@@ -579,14 +571,9 @@ bool run_engine_comparison(const std::string& json_path, bool quick) {
     benches.push_back(run_spe_sweep(thread_counts, quick));
     benches.push_back(run_injection_sweep(thread_counts, quick));
     benches.push_back(run_streaming_push_sweep(thread_counts, quick));
-    // Producer fan-in through the MPSC ingest inbox (pool sizes within):
-    // once draining on producer threads, once with pooled drainer tasks
-    // under a park budget, so the JSON carries an ingest-to-applied
-    // latency digest for both modes side by side.
-    benches.push_back(
-        run_multipusher_sweep(thread_counts, /*producers=*/4, quick, /*pooled=*/false));
-    benches.push_back(
-        run_multipusher_sweep(thread_counts, /*producers=*/4, quick, /*pooled=*/true));
+    // Producer fan-in through the MPSC ingest inbox (pool sizes within),
+    // with an ingest-to-applied latency digest per pool size.
+    benches.push_back(run_multipusher_sweep(thread_counts, /*producers=*/4, quick));
 
     bool all_identical = true;
     for (const engine_benchmark& eb : benches) {

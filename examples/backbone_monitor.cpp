@@ -219,8 +219,7 @@ int main(int argc, char** argv) {
         });
     }
     for (std::thread& c : collectors) c.join();
-    // Shutdown: apply every feed's residual bins (including anything a
-    // pooled drainer is still working through), then join the background
+    // Shutdown: apply every feed's residual bins, then join the background
     // refits so the final report reflects a settled pair of hosts.
     server.flush_all();
     standby.flush_all();

@@ -23,7 +23,7 @@ namespace netdiag {
 // retry; reset it whenever the awaited condition makes progress. The
 // yield count and sleep duration are tuning knobs (`role_wait_spin_yields`
 // and `role_wait_sleep_us`, see docs/TUNING.md) so bench_autotune can
-// sweep them alongside the drainer/budget knobs; both are pure
+// sweep them alongside the drainer knobs; both are pure
 // scheduling -- they move latency, never results.
 inline void spin_then_sleep_backoff(std::size_t spin) {
     if (spin < global_tuning().role_wait_spin_yields) {

@@ -74,11 +74,12 @@ public:
     // capacity is rounded up to the next power of two (>= 1); capacity()
     // reports the effective value. start_sequence is the sequence the
     // first accepted push receives.
-    // Largest accepted capacity: far beyond any sane inbox, small enough
-    // that the power-of-two rounding below cannot overflow and that a
-    // corrupted checkpoint's capacity field fails loudly instead of
-    // attempting a giant allocation.
-    static constexpr std::size_t k_max_capacity = std::size_t{1} << 24;
+    // Largest accepted capacity: 64x the default ingest inbox, small
+    // enough that the power-of-two rounding below cannot overflow and
+    // that a checkpoint's capacity field can never make restore allocate
+    // more than 2^16 cells up front (2.5 MiB of the server's 40-byte
+    // cells).
+    static constexpr std::size_t k_max_capacity = std::size_t{1} << 16;
 
     explicit mpsc_inbox(std::size_t capacity, inbox_policy policy = inbox_policy::block,
                         std::uint64_t start_sequence = 0)
@@ -131,8 +132,7 @@ public:
     // The producer-side wait of the block policy: parks briefly (bounded
     // by a ~1ms timeout) until a pop or close() makes another attempt
     // worthwhile. Callers loop try_push_n / wait_for_space. A blocking
-    // boundary: on a pool worker this is only legal under a park permit
-    // (engine/thread_pool.h).
+    // boundary: never legal on a pool worker (engine/thread_pool.h).
     void wait_for_space() NETDIAG_EXCLUDES(wait_mu_) {
         thread_pool::assert_wait_allowed();
         sync::mutex_lock lock(wait_mu_);

@@ -164,35 +164,4 @@ public:
     void assert_held() const noexcept NETDIAG_ASSERT_CAPABILITY(this) {}
 };
 
-// A zero-size capability for the thread_pool's bounded parked-worker
-// budget. Historically the pool had a hard rule -- jobs must never wait
-// on other jobs -- because a full complement of parked workers starves
-// the queue. The rule is now "no waiting beyond the budget": a job may
-// legally block (future.get(), inbox space waits, role hand-offs) only
-// while it holds one of the pool's park permits, of which there are at
-// most size()-1 so at least one worker always stays runnable.
-//
-// The permit itself changes hands through an atomic counter
-// (thread_pool::try_acquire_park_permit), which the analysis cannot
-// watch; this capability marks the hand-off points so functions that
-// park can be annotated NETDIAG_REQUIRES(park) and audited statically.
-// Runtime enforcement is separate: thread_pool::assert_wait_allowed()
-// throws when a pool worker waits without a permit.
-class NETDIAG_CAPABILITY("park") park {
-public:
-    park() = default;
-
-    // The pool just granted this job a park permit (the budget counter
-    // reservation succeeded).
-    void acquire() const noexcept NETDIAG_ACQUIRE() {}
-
-    // The permit was returned to the budget.
-    void release() const noexcept NETDIAG_RELEASE() {}
-
-    // The permit is held here by protocol the analysis cannot see (e.g.
-    // a drainer task whose whole body runs under one permit). Runtime
-    // no-op.
-    void assert_held() const noexcept NETDIAG_ASSERT_CAPABILITY(this) {}
-};
-
 }  // namespace netdiag::sync

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "engine/tuning.h"
-
 namespace netdiag {
 
 namespace detail {
@@ -15,11 +13,6 @@ namespace {
 // contract (a nested dispatch would park this worker on jobs that may
 // sit behind other parked workers in the queue).
 thread_local const thread_pool* current_worker_pool = nullptr;
-
-// True while the job running on this worker holds a park permit (set by
-// parked_job_scope). Read by assert_wait_allowed to tell a budgeted park
-// from an illegal in-job wait.
-thread_local bool current_job_may_park = false;
 }  // namespace
 
 bool on_worker_of(const thread_pool& pool) noexcept {
@@ -30,10 +23,6 @@ bool on_worker_of(const thread_pool& pool) noexcept {
 
 thread_pool::thread_pool(std::size_t threads) {
     if (threads == 0) threads = hardware_threads();
-    // Snapshot the budget once: a fixed reservation keeps parallel_for's
-    // width computation race-free against permits acquired mid-dispatch.
-    // Clamped to threads-1 so at least one worker can never park.
-    park_budget_ = std::min(global_tuning().pool_park_budget, threads - 1);
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) {
         workers_.emplace_back([this] { worker_loop(); });
@@ -49,41 +38,12 @@ thread_pool::~thread_pool() {
     for (std::thread& w : workers_) w.join();
 }
 
-thread_pool::park_permit thread_pool::try_acquire_park_permit() noexcept {
-    std::size_t held = parked_permits_.load(std::memory_order_relaxed);
-    while (held < park_budget_) {
-        if (parked_permits_.compare_exchange_weak(held, held + 1,
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_relaxed)) {
-            return park_permit(this);
-        }
-    }
-    return park_permit();
-}
-
-void thread_pool::release_park_permit() noexcept {
-    parked_permits_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
 void thread_pool::assert_wait_allowed() {
-    if (detail::current_worker_pool != nullptr && !detail::current_job_may_park) {
+    if (detail::current_worker_pool != nullptr) {
         throw std::logic_error(
-            "thread_pool: a pool job is waiting without a park permit "
-            "(blocking in jobs is only legal under the parked-worker budget; "
+            "thread_pool: a pool job is about to wait (pool jobs never wait; "
             "see engine/thread_pool.h)");
     }
-}
-
-thread_pool::parked_job_scope::parked_job_scope(const park_permit& permit) noexcept {
-    if (permit) {
-        previous_ = detail::current_job_may_park;
-        detail::current_job_may_park = true;
-        engaged_ = true;
-    }
-}
-
-thread_pool::parked_job_scope::~parked_job_scope() {
-    if (engaged_) detail::current_job_may_park = previous_;
 }
 
 void thread_pool::submit(std::function<void()> job) {

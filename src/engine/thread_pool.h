@@ -14,13 +14,10 @@
 //                    claimed dynamically, for bodies with non-uniform
 //                    per-index cost.
 //
-// Jobs normally must not wait on other jobs. The exception is the
-// bounded parked-worker budget (park_budget() / try_acquire_park_permit):
-// up to size()-1 workers may legally park at a blocking boundary while
-// holding a permit, and parallel_for reserves that many workers out of
-// its dispatch width, so at least one worker is always free to drain the
-// queue. See assert_wait_allowed() for the runtime check and sync::park
-// for the static capability.
+// The waiting contract is one rule: a pool job never waits. Every
+// blocking wait (a future.get(), an inbox space wait, a drain-role or
+// swap boundary) happens on a thread the pool does not own, so the queue
+// can always drain. assert_wait_allowed() checks the rule at runtime.
 #pragma once
 
 #include <algorithm>
@@ -43,9 +40,7 @@ namespace netdiag {
 class thread_pool {
 public:
     // threads == 0 selects hardware_threads(). The pool always has at
-    // least one worker so submit() can never deadlock. The parked-worker
-    // budget is snapshotted here from global_tuning().pool_park_budget,
-    // clamped to size()-1 (see park_budget()).
+    // least one worker so submit() can never deadlock.
     explicit thread_pool(std::size_t threads = 0);
     ~thread_pool();
 
@@ -54,86 +49,18 @@ public:
 
     std::size_t size() const noexcept { return workers_.size(); }
 
-    // Workers this pool may lend to jobs that legally park at a blocking
-    // boundary (pooled ingest drainers). Fixed at construction; always
-    // <= size()-1, so even with every permit parked at once, at least
-    // one worker remains to drain the queue -- and parallel_for below
-    // reserves the same headroom out of its dispatch width, preserving
-    // the >=1-free-worker no-deadlock invariant under any interleaving
-    // of sharded kernels and parked drainers.
-    std::size_t park_budget() const noexcept { return park_budget_; }
-
-    // A reservation against the park budget. Move-only RAII: returns the
-    // permit on destruction. An empty permit (default-constructed, moved
-    // from, or from a failed try_acquire) confers nothing.
-    class park_permit {
-    public:
-        park_permit() noexcept = default;
-        ~park_permit() { reset(); }
-
-        park_permit(park_permit&& other) noexcept : pool_(other.pool_) {
-            other.pool_ = nullptr;
-        }
-        park_permit& operator=(park_permit&& other) noexcept {
-            if (this != &other) {
-                reset();
-                pool_ = other.pool_;
-                other.pool_ = nullptr;
-            }
-            return *this;
-        }
-        park_permit(const park_permit&) = delete;
-        park_permit& operator=(const park_permit&) = delete;
-
-        explicit operator bool() const noexcept { return pool_ != nullptr; }
-        void reset() noexcept;
-
-    private:
-        friend class thread_pool;
-        explicit park_permit(thread_pool* pool) noexcept : pool_(pool) {}
-        thread_pool* pool_ = nullptr;
-    };
-
-    // Tries to reserve one permit from the budget. Returns an empty
-    // permit when the budget is exhausted (or zero) -- callers fall back
-    // to doing the blocking work on their own thread.
-    [[nodiscard]] park_permit try_acquire_park_permit() noexcept;
-
-    // Runtime half of the budget rule: call at every blocking boundary
-    // (future.get(), inbox space waits, role-wait loops). Throws
-    // std::logic_error when the calling thread is a pool worker whose
-    // current job does not run under a parked_job_scope -- i.e. a job is
-    // about to wait outside the budget, the deadlock the old hard
-    // no-waiting rule prevented. No-op on non-worker threads. The static
-    // half is the sync::park capability (engine/sync.h).
+    // Runtime check of the no-waiting rule: call at every blocking
+    // boundary that can wait on pool work (a future.get(), an inbox space
+    // wait). Throws std::logic_error when the calling thread is a worker
+    // of any pool -- a job about to wait could deadlock once every worker
+    // waits. No-op on every other thread.
     static void assert_wait_allowed();
 
-    // Marks the current job as running under `permit` for the scope's
-    // lifetime: blocking waits on this thread pass assert_wait_allowed()
-    // while it is alive. An empty permit marks nothing. Not nestable
-    // across threads (thread_local flag); nesting on one thread restores
-    // the previous state on destruction.
-    class parked_job_scope {
-    public:
-        explicit parked_job_scope(const park_permit& permit) noexcept;
-        ~parked_job_scope();
-
-        parked_job_scope(const parked_job_scope&) = delete;
-        parked_job_scope& operator=(const parked_job_scope&) = delete;
-
-    private:
-        bool previous_ = false;
-        bool engaged_ = false;
-    };
-
-    // Enqueues a job for execution on some worker. Jobs must not *wait*
-    // on other jobs in the same pool beyond the park budget: a job may
-    // block only while it holds a park_permit and runs the wait under a
-    // parked_job_scope (a future.get() from inside an unbudgeted job can
-    // deadlock once every worker is parked on such a wait; the budget
-    // caps parked workers at size()-1 so the queue always drains). A
-    // parallel_for over this pool from inside a job is safe: it detects
-    // the nesting and degrades to a serial loop (bit-identical results).
+    // Enqueues a job for execution on some worker. The job must never
+    // wait (a future.get() from inside a job can deadlock once every
+    // worker is parked on such a wait). A parallel_for over this pool from
+    // inside a job is safe: it detects the nesting and degrades to a
+    // serial loop (bit-identical results).
     void submit(std::function<void()> job) NETDIAG_EXCLUDES(mu_);
 
     // Enqueues a callable and returns a future for its result. Exceptions
@@ -154,23 +81,13 @@ public:
 
 private:
     void worker_loop() NETDIAG_EXCLUDES(mu_);
-    void release_park_permit() noexcept;
 
     std::vector<std::thread> workers_;
-    std::size_t park_budget_ = 0;
-    std::atomic<std::size_t> parked_permits_{0};
     sync::mutex mu_;
     sync::condition_variable cv_;
     std::queue<std::function<void()>> jobs_ NETDIAG_GUARDED_BY(mu_);
     bool stop_ NETDIAG_GUARDED_BY(mu_) = false;
 };
-
-inline void thread_pool::park_permit::reset() noexcept {
-    if (pool_ != nullptr) {
-        pool_->release_park_permit();
-        pool_ = nullptr;
-    }
-}
 
 namespace detail {
 
@@ -196,23 +113,18 @@ struct parallel_for_sync {
 }  // namespace detail
 
 // Runs body(i) for every i in [begin, end), sharded across the pool in
-// contiguous chunks (at most pool.size() - pool.park_budget() of them,
-// each >= 1 index -- the budgeted workers are left out of the dispatch
-// width so a sweep in flight and a full complement of parked drainers
-// can never claim the same worker twice; with the default budget of 0
-// the split is one chunk per worker as before). The
+// contiguous chunks (at most pool.size() of them, each >= 1 index). The
 // first chunk runs on the calling thread, so a 1-thread pool degenerates
 // to a plain serial loop with no handoff. Blocks until every index has
 // run; rethrows the first exception any chunk raised. Empty ranges are a
 // no-op. Results must be written to per-index slots by the body — the
 // chunking itself imposes no ordering on side effects.
 //
-// Called from inside a job of the same pool (e.g. a blocking-mode refit
-// applied by a pooled ingest drainer task), the dispatch
-// degrades to a plain serial loop: results are bit-identical either way
-// by the kernels' fixed-block contract, and the alternative — parking
-// this worker on chunks that may be queued behind other parked workers —
-// is the deadlock the no-nesting rule exists to prevent.
+// Called from inside a job of the same pool, the dispatch degrades to a
+// plain serial loop: results are bit-identical either way by the
+// kernels' fixed-block contract, and the alternative — parking this
+// worker on chunks that may be queued behind other waiting workers — is
+// the wait the no-waiting rule forbids.
 template <typename Body>
 void parallel_for(thread_pool& pool, std::size_t begin, std::size_t end, Body&& body) {
     if (begin >= end) return;
@@ -221,9 +133,7 @@ void parallel_for(thread_pool& pool, std::size_t begin, std::size_t end, Body&& 
         return;
     }
     const std::size_t count = end - begin;
-    // Reserve the park budget out of the dispatch width (park_budget() <=
-    // size()-1, so at least one chunk always remains).
-    const std::size_t chunks = std::min(pool.size() - pool.park_budget(), count);
+    const std::size_t chunks = std::min(pool.size(), count);
     const std::size_t base = count / chunks;
     const std::size_t extra = count % chunks;  // first `extra` chunks get one more
 
@@ -301,10 +211,7 @@ void parallel_for(thread_pool& pool, std::size_t begin, std::size_t end, std::si
     }
     const std::size_t count = end - begin;
     const std::size_t chunks = (count + grain - 1) / grain;
-    // Same park-budget reservation as the static overload: helpers come
-    // out of the unbudgeted workers only (the caller drains regardless).
-    const std::size_t helpers =
-        std::min(pool.size() - 1 - pool.park_budget(), chunks - 1);
+    const std::size_t helpers = std::min(pool.size() - 1, chunks - 1);
 
     auto next_chunk = std::make_shared<std::atomic<std::size_t>>(0);
     const auto drain_chunks = [&body, next_chunk, begin, end, grain, chunks] {

@@ -47,7 +47,6 @@ constexpr knob_field k_knob_fields[] = {
     {"parallel_min_hardware", &tuning::parallel_min_hardware},
     {"ingest_inbox_capacity", &tuning::ingest_inbox_capacity},
     {"ingest_drain_burst", &tuning::ingest_drain_burst},
-    {"pool_park_budget", &tuning::pool_park_budget},
     {"role_wait_spin_yields", &tuning::role_wait_spin_yields},
     {"role_wait_sleep_us", &tuning::role_wait_sleep_us},
 };

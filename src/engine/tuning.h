@@ -60,12 +60,6 @@ struct tuning {
     std::size_t ingest_inbox_capacity = 1024;  // default ring size (scheduling)
     std::size_t ingest_drain_burst = 64;       // bins applied per drain pass (scheduling)
 
-    // --- engine/thread_pool.h: bounded parked-worker budget --------------
-    // Workers a pool may lend to jobs that legally park at a blocking
-    // boundary (e.g. pooled ingest drainers); snapshotted per pool at
-    // construction and clamped to size()-1 (scheduling).
-    std::size_t pool_park_budget = 0;
-
     // --- engine/backoff.h: spin-then-sleep protocol waits ----------------
     std::size_t role_wait_spin_yields = 64;  // yields before sleeping (scheduling)
     std::size_t role_wait_sleep_us = 1000;   // microseconds per sleep retry (scheduling)

@@ -84,21 +84,6 @@ struct stream_server::stream_entry {
     std::atomic<std::uint64_t> applied{0};
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint64_t> rejected{0};
-    // One pooled drainer task in flight per stream at most: producers
-    // race on this flag, the loser knows a task is already scheduled (or
-    // running) and returns right after enqueueing. The task clears it
-    // after releasing the drain role and re-checks the inbox, so a
-    // producer that enqueued between the last pop and the clear either
-    // sees the flag still set or wins it and schedules the next task --
-    // the same lost-drain re-check shape as drain_entry.
-    std::atomic<bool> drainer_scheduled{false};
-    // A detector error thrown inside a pooled drainer task has no caller
-    // to propagate to; it parks here (first error wins) and rethrows on
-    // the stream's next ingest or flush_stream, mirroring where a
-    // caller-thread auto-drain would have thrown.
-    std::atomic<bool> drain_error_set{false};
-    sync::mutex error_mu;
-    std::exception_ptr drain_error NETDIAG_GUARDED_BY(error_mu);
     // Ingest-to-applied latency accounting, written by the drainer per
     // applied bin, read by ingest_statistics. A dedicated mutex (never
     // held across detector or inbox calls) rather than the drain role:
@@ -117,27 +102,6 @@ struct stream_server::stream_entry {
         latency_hist.record(std::log2(static_cast<double>(std::max<std::uint64_t>(ns, 1))));
         ++latency_count;
         latency_max_ns = std::max(latency_max_ns, ns);
-    }
-
-    void park_drain_error(std::exception_ptr error) NETDIAG_EXCLUDES(error_mu) {
-        sync::mutex_lock lock(error_mu);
-        if (!drain_error) {
-            drain_error = std::move(error);
-            drain_error_set.store(true, std::memory_order_release);
-        }
-    }
-
-    // Rethrows (once) an error a pooled drainer parked. The atomic flag
-    // keeps the common path lock-free.
-    void rethrow_parked_drain_error() NETDIAG_EXCLUDES(error_mu) {
-        if (!drain_error_set.load(std::memory_order_acquire)) return;
-        std::exception_ptr error;
-        {
-            sync::mutex_lock lock(error_mu);
-            error = std::exchange(drain_error, nullptr);
-            drain_error_set.store(false, std::memory_order_release);
-        }
-        if (error) std::rethrow_exception(error);
     }
 
     // RAII release of an already-acquired drain role (close_stream is the
@@ -172,8 +136,6 @@ struct stream_server::stream_entry {
     static void apply_pending(stream_entry& e, bool yield_to_waiters)
         NETDIAG_REQUIRES(e.drain_cap);
     static void drain_entry(stream_entry& e) NETDIAG_EXCLUDES(e.drain_cap);
-    static void run_pooled_drainer(stream_entry& e, const thread_pool::park_permit& permit)
-        NETDIAG_EXCLUDES(e.drain_cap);
 };
 
 std::shared_ptr<stream_server::stream_entry> stream_server::make_entry(
@@ -226,7 +188,7 @@ std::unique_ptr<stream_detector> stream_server::build_detector(stream_open_confi
         case stream_kind::tracking:
             return std::make_unique<tracking_detector>(cfg.bootstrap_y, cfg.max_rank,
                                                        cfg.confidence, cfg.separation,
-                                                       pool_.get(), cfg.deferred_updates);
+                                                       pool_.get());
     }
     throw std::invalid_argument("stream_server: unknown stream kind");
 }
@@ -346,10 +308,6 @@ void stream_server::stream_entry::apply_pending(stream_entry& e, bool yield_to_w
         if (pending == 0) return;
         const std::size_t burst =
             std::min(pending, std::max<std::size_t>(global_tuning().ingest_drain_burst, 1));
-        // Resolve refit waits falling due within this burst here, on the
-        // drainer's thread -- a caller thread, or a pooled drainer task
-        // running under a park permit.
-        e.detector->prepare_pushes(burst);
         std::size_t popped = 0;
         for (std::size_t i = 0; i < burst; ++i) {
             if (!e.inbox->try_pop(bin, seq)) break;
@@ -359,9 +317,9 @@ void stream_server::stream_entry::apply_pending(stream_entry& e, bool yield_to_w
                 result = e.detector->push_bin(bin.y);
             } catch (...) {
                 // The bin was consumed but never applied (e.g. a failed
-                // background refit surfacing here); account for it so the
-                // accepted == applied + dropped + pending invariant
-                // survives the error.
+                // refit surfacing at its swap or trigger bin); account for
+                // it so the accepted == applied + dropped + pending
+                // invariant survives the error.
                 e.dropped.fetch_add(1, std::memory_order_relaxed);
                 throw;
             }
@@ -393,77 +351,6 @@ void stream_server::stream_entry::drain_entry(stream_entry& e) {
     }
 }
 
-// Body of a pooled drainer task. Runs on a pool worker under a park
-// permit, so the blocking boundaries inside apply_pending (a deferred
-// swap join, a refit wait) are legal here -- that is the whole point:
-// the producer returns after enqueueing and this task absorbs the wait.
-// Exactly one such task exists per stream (drainer_scheduled); it drains
-// until the inbox is observed empty, handing the flag back between
-// rounds so the scheduling race with producers has the same lost-drain
-// shape as drain_entry.
-void stream_server::stream_entry::run_pooled_drainer(stream_entry& e,
-                                                     const thread_pool::park_permit& permit) {
-    thread_pool::parked_job_scope scope(permit);
-    for (;;) {
-        if (!wait_for_drain_role(e, /*bail_on_closing=*/true)) {
-            // close_stream owns the role for good and applies the residue
-            // itself; drainer_scheduled staying set on a dying stream is
-            // harmless (the entry is unpublished).
-            return;
-        }
-        bool errored = false;
-        {
-            drain_role role(e);
-            try {
-                apply_pending(e, /*yield_to_waiters=*/true);
-            } catch (...) {
-                e.park_drain_error(std::current_exception());
-                errored = true;
-            }
-        }
-        e.drainer_scheduled.store(false, std::memory_order_seq_cst);
-        if (errored) return;
-        if (e.inbox->empty()) return;
-        // Bins remain: either a producer enqueued after our last pop (and
-        // saw the flag still set), or apply_pending yielded to a parked
-        // maintenance op. Re-arm and go again -- unless a producer beat
-        // us to the flag and scheduled the next task.
-        if (e.drainer_scheduled.exchange(true, std::memory_order_seq_cst)) return;
-    }
-}
-
-// Tries to delegate a stream's auto-drain to a dedicated pool task.
-// Returns true when no caller-thread drain is needed (a task is now, or
-// was already, responsible for the pending bins -- or the inbox is
-// empty); false sends the caller down the classic self-drain path. The
-// permit is acquired BEFORE submitting: a task that had to acquire it
-// inside the pool could fail there, with no caller left to fall back on.
-bool stream_server::maybe_schedule_pooled_drainer(const std::shared_ptr<stream_entry>& e) {
-    if (!e->opts.pooled_drainer || pool_ == nullptr || pool_->park_budget() == 0) {
-        return false;
-    }
-    if (e->inbox->empty()) return true;
-    if (e->drainer_scheduled.exchange(true, std::memory_order_seq_cst)) return true;
-    thread_pool::park_permit permit = pool_->try_acquire_park_permit();
-    if (!permit) {
-        // Budget spent by other streams' drainers: drain on the caller.
-        e->drainer_scheduled.store(false, std::memory_order_seq_cst);
-        return false;
-    }
-    // std::function requires copyable callables; the move-only permit
-    // rides in a shared_ptr and releases itself when the task retires.
-    auto shared_permit = std::make_shared<thread_pool::park_permit>(std::move(permit));
-    try {
-        pool_->submit([e, shared_permit] {
-            stream_entry::run_pooled_drainer(*e, *shared_permit);
-        });
-    } catch (...) {
-        e->drainer_scheduled.store(false, std::memory_order_seq_cst);
-        return false;  // permit released by shared_permit's destructor
-    }
-    return true;
-}
-
 ingest_result stream_server::ingest(stream_id id, std::span<const double> y) {
     const std::span<const double> one[] = {y};
     return ingest_batch(id, one);
@@ -473,10 +360,6 @@ ingest_result stream_server::ingest_batch(stream_id id,
                                           std::span<const std::span<const double>> ys) {
     const std::shared_ptr<stream_entry> e = find_entry(id);
     if (e == nullptr) return {ingest_error::unknown_stream, 0, 0};
-    // A pooled drainer task had nobody to throw to; its parked detector
-    // error surfaces on the stream's next ingest, exactly where a
-    // caller-thread auto-drain would have thrown it.
-    e->rethrow_parked_drain_error();
 
     // Validate and stage the payloads before touching the entry lock. A
     // NaN or an infinity would enter the refit window (or a tracker's
@@ -581,37 +464,21 @@ ingest_result stream_server::ingest_batch(stream_id id,
             e->inbox->wait_for_space();
         }
     }
-    // Pooled mode hands the drain to a dedicated pool task so this call
-    // returns as soon as the bins are enqueued; when the budget is spent
-    // (or pooled mode is off) the producer drains on its own thread as
-    // before -- the fallback is what keeps progress independent of the
-    // pool's state.
-    if (e->opts.auto_drain) {
-        if (!maybe_schedule_pooled_drainer(e)) stream_entry::drain_entry(*e);
-    }
+    if (e->opts.auto_drain) stream_entry::drain_entry(*e);
     return out;
 }
 
 void stream_server::flush_stream(stream_id id) {
     const std::shared_ptr<stream_entry> e = entry_or_throw(id);
     for (std::size_t spin = 0;; ++spin) {
-        // Surface a pooled drainer's parked error instead of reporting a
-        // clean flush: the erroring drainer dropped its bin and retired,
-        // so the empty-and-idle exit below could otherwise succeed.
-        e->rethrow_parked_drain_error();
         // A concurrent close_stream applies the residue itself (and owns
         // the drain role until teardown): nothing left for us.
         if (e->closing.load(std::memory_order_acquire)) return;
         stream_entry::drain_entry(*e);
         // Done only when the inbox is empty AND no drainer is mid-apply
         // (an active drainer may have popped the last bin but not pushed
-        // it through the detector yet). Re-check for a parked error at
-        // the exit: the drainer may have erred and retired between this
-        // iteration's check above and drain_entry's role handoff.
-        if (e->inbox->empty() && !e->draining.load(std::memory_order_seq_cst)) {
-            e->rethrow_parked_drain_error();
-            return;
-        }
+        // it through the detector yet).
+        if (e->inbox->empty() && !e->draining.load(std::memory_order_seq_cst)) return;
         spin_then_sleep_backoff(spin);
     }
 }
@@ -891,8 +758,17 @@ std::shared_ptr<stream_server::stream_entry> stream_server::read_stream_record(
         rejected = ckpt::read_u64(in);
         next_sequence = ckpt::read_u64(in);
         const std::uint64_t residue_count = ckpt::read_u64(in);
-        if (residue_count > opts.capacity || residue_count > next_sequence) {
+        if (residue_count > opts.capacity) {
             throw std::runtime_error(context + ": malformed inbox residue");
+        }
+        // A server writes a record only while the stream is quiesced, so
+        // every record it writes balances: each accepted bin was applied,
+        // dropped or travels in the residue, and the inbox has handed out
+        // exactly one sequence per accepted bin. (Written without sums so
+        // no field can wrap the comparison.)
+        if (applied > accepted || dropped > accepted - applied ||
+            residue_count != accepted - applied - dropped || next_sequence != accepted) {
+            throw std::runtime_error(context + ": inconsistent ingest counters");
         }
         residue.reserve(residue_count);
         for (std::uint64_t r = 0; r < residue_count; ++r) {

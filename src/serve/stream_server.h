@@ -24,20 +24,12 @@
 // delivering each result to the stream's optional ingest sink. A bin
 // holding a NaN or an infinity is refused before it reaches the inbox
 // (ingest_error::non_finite), so no served detector ever sees one.
-// With auto_drain (the default) the draining is done opportunistically
-// by ingesting callers (one of them claims the per-stream drain role,
-// the rest return immediately after enqueue); with auto_drain off, bins
-// accumulate until flush_stream(). Draining happens on caller threads by
-// default; with pooled_drainer set, an ingest that finds work schedules
-// a dedicated drainer task on the server's pool instead (claiming the
-// same per-stream drain role), so ingest-to-applied latency decouples
-// from the producers' call cadence. A pooled drainer may wait at a
-// deferred refit's swap boundary because it runs under one of the pool's
-// park permits -- the bounded parked-worker budget (engine/thread_pool.h).
-// When no permit is available (budget exhausted, zero, or no pool) the
-// ingest falls back to caller-thread draining, so enabling the flag never
-// costs liveness -- and never changes results: which thread drains is
-// invisible to the sequence-order replay parity above.
+// Every drain runs on a thread that called in, never on the pool: with
+// auto_drain (the default) an ingesting caller claims the per-stream
+// drain role and applies pending bins (the rest return immediately after
+// enqueue); with auto_drain off, bins accumulate until flush_stream(),
+// which drains on its caller's thread. Which caller drains is invisible
+// to the sequence-order replay parity above.
 //
 // Fairness / backpressure policy:
 //  - Backpressure when an inbox is full is per-stream policy: block
@@ -50,13 +42,10 @@
 //    (see subspace/online.h), so a stream that triggers refits faster
 //    than they fit degrades to refitting at fit speed instead of piling
 //    tasks onto the shared pool.
-//  - Before each drain burst the drainer resolves any refit wait due
-//    within the burst (the stream_detector::prepare_pushes hook), on its
-//    own thread: a caller, or a pooled drainer holding a park permit.
-//    Detector kernels that shard over the pool (a blocking-mode refit, a
-//    pooled rank-1 fold) reserve the park budget out of their dispatch
-//    width, so parked drainers never starve them of a worker (on a pooled
-//    drainer's worker they run serially, bit-identical by construction).
+//  - The pool runs exactly two kinds of work: deferred refit fits and the
+//    shards of kernels a caller runs (a bootstrap or blocking-mode fit, a
+//    wide rank-1 fold). Neither ever waits, so a drainer waiting at a
+//    deferred swap boundary always gets a worker to finish its fit.
 //
 // Threading contract: open/close/snapshot/restore serialize against each
 // other (a maintenance mutex). ingest/ingest_batch/flush_stream may run
@@ -68,10 +57,9 @@
 // for a drain to finish or while writing a checkpoint record, so a slow
 // record sink stalls only the stream being written. Do not call ingest
 // or flush_stream from a job running on the server's own pool (the drain
-// may wait on a refit future; caller threads may, and the server's own
-// pooled drainer tasks may because they hold a park permit, but ordinary
-// jobs must not -- the pool's assert_wait_allowed() enforces this at
-// runtime), and quiesce all API calls before destroying the server.
+// may wait on a refit future, and pool jobs never wait -- the pool's
+// assert_wait_allowed() enforces this at runtime), and quiesce all API
+// calls before destroying the server.
 //
 // Checkpointing: snapshot_all writes format-v3 per-stream records that
 // carry the ingest inbox's configuration and *residue* (pending,
@@ -122,17 +110,10 @@ struct ingest_options {
     // Rounded up to a power of two.
     std::size_t capacity = 0;
     inbox_policy policy = inbox_policy::block;
-    // true: ingesting callers opportunistically drain (one at a time).
-    // false: bins accumulate until flush_stream() or close_stream().
+    // true: ingesting callers opportunistically drain (one at a time, on
+    // their own thread). false: bins accumulate until flush_stream() or
+    // close_stream().
     bool auto_drain = true;
-    // With auto_drain: enqueue-side drains are handed to a dedicated
-    // task on the server's pool (under a park permit from the pool's
-    // parked-worker budget) instead of running on the ingesting caller.
-    // Falls back to caller-thread draining whenever no permit or pool is
-    // available; never affects results, only who pays the drain latency.
-    // Runtime wiring like the sink: not serialized by checkpoints, so a
-    // restored stream drains on caller threads.
-    bool pooled_drainer = false;
     ingest_sink sink;
 };
 
@@ -197,7 +178,6 @@ struct stream_open_config {
     std::size_t max_rank = 10;
     double confidence = 0.999;
     separation_config separation;
-    bool deferred_updates = false;  // pipeline folds on the pool
 
     // Ingest inbox wiring; defaults give a blocking auto-drained inbox of
     // tuning-default capacity.
@@ -243,7 +223,8 @@ public:
     // the stream-monotone position the bin will be applied at. Errors are
     // reported as distinct ingest_error values, never exceptions --
     // except detector errors surfacing from an auto-drain (a failed
-    // background refit), which propagate to the ingesting caller.
+    // refit, thrown by the bin that would have applied it), which
+    // propagate to the ingesting caller; that bin counts as dropped.
     [[nodiscard]] ingest_result ingest(stream_id id, std::span<const double> y);
 
     // Enqueues a run of bins with consecutive sequences (no other
@@ -263,8 +244,8 @@ public:
 
     // flush_stream over every open stream (drain-role-correct: each
     // stream is flushed through the same claim/hand-over protocol as
-    // flush_stream, so it composes with concurrent drains, producers and
-    // pooled drainer tasks). Streams closed concurrently are skipped;
+    // flush_stream, so it composes with concurrent drains and
+    // producers). Streams closed concurrently are skipped;
     // streams opened concurrently may or may not be flushed. Rethrows
     // detector errors like flush_stream.
     void flush_all();
@@ -279,8 +260,7 @@ public:
     // --- Observation ------------------------------------------------------
 
     // Per-stream detector counters, advanced by the stream's drainer: read
-    // them from its sink or after flush_stream, never during a drain (and
-    // after drain_all for the epoch of a deferred_updates tracking stream).
+    // them from its sink or after flush_stream, never during a drain.
     struct stream_stats {
         std::size_t dimension = 0;
         std::size_t processed = 0;
@@ -367,7 +347,10 @@ public:
     // wiring it to this server's pool and registering it under a FRESH
     // id on this server -- the caller re-points collectors at the
     // returned id. Inbox residue is re-enqueued under its original
-    // sequence numbers. Throws std::runtime_error on malformed input.
+    // sequence numbers. Throws std::runtime_error on malformed input,
+    // including ingest counters that do not balance (a server writes
+    // accepted == applied + dropped + residue and next sequence ==
+    // accepted) and an inbox capacity above mpsc_inbox::k_max_capacity.
     [[nodiscard]] stream_id restore_stream(std::istream& in);
 
     // Same, from one record held in memory and parsed where it lies (a
@@ -385,17 +368,15 @@ private:
                                                     std::uint64_t start_sequence);
     std::shared_ptr<stream_entry> find_entry(stream_id id) const;
     std::shared_ptr<stream_entry> entry_or_throw(stream_id id) const;
-    // Hands an auto-drain to a pooled drainer task when the stream opted
-    // in and a park permit is available. Returns false when the caller
-    // must drain itself (no pool, zero budget, permits exhausted, or the
-    // submission failed).
-    bool maybe_schedule_pooled_drainer(const std::shared_ptr<stream_entry>& e);
     std::unique_ptr<stream_detector> build_detector(stream_open_config&& cfg);
     // Shared per-stream record codec: writes/reads the format-v3
     // "server_stream" container (inbox config + counters + residue +
     // nested detector record). The writer requires the stream quiesced
     // (maint_mu_, drain role and entry lock held by the caller) and takes
-    // no lock of its own; the reader builds a fresh, unpublished entry.
+    // no lock of its own; the reader builds a fresh, unpublished entry and
+    // refuses a record whose counters do not balance the way a quiesced
+    // stream's always do (accepted == applied + dropped + residue and
+    // next sequence == accepted).
     static void write_stream_record(stream_entry& entry, std::ostream& out, ckpt::encoding enc);
     std::shared_ptr<stream_entry> read_stream_record(std::istream& in,
                                                      const std::string& context);

@@ -165,18 +165,6 @@ void streaming_diagnoser::launch_refit(matrix&& snapshot) {
     }
 }
 
-void streaming_diagnoser::prepare_pushes(std::size_t bins) {
-    pusher_cap_.assert_held();
-    if (!inflight_.valid()) return;
-    // The swap applies at the push whose entry count reaches swap_at_;
-    // the coming pushes enter at processed_ .. processed_ + bins - 1.
-    if (processed_ + bins <= swap_at_) return;
-    // The deferred swap boundary is a blocking wait on a pool task: legal
-    // on a caller thread, and on a pool worker only under a park permit.
-    thread_pool::assert_wait_allowed();
-    ready_ = inflight_.get();
-}
-
 volume_anomaly_diagnoser streaming_diagnoser::take_pending() {
     if (ready_.has_value()) {
         volume_anomaly_diagnoser out = std::move(*ready_);
@@ -184,7 +172,8 @@ volume_anomaly_diagnoser streaming_diagnoser::take_pending() {
         return out;
     }
     // The boundary arrived before the fit finished: this is the one place
-    // the push path may wait, and only for the remainder of the fit.
+    // the push path may wait, and only for the remainder of the fit. A
+    // failed fit throws here, from the swap bin's push.
     thread_pool::assert_wait_allowed();
     return inflight_.get();
 }
@@ -446,26 +435,17 @@ incremental_pca_tracker incremental_pca_tracker::restore(std::istream& in, threa
 
 tracking_detector::tracking_detector(const matrix& bootstrap_y, std::size_t max_rank,
                                      double confidence, const separation_config& sep,
-                                     thread_pool* pool, bool deferred_updates)
+                                     thread_pool* pool)
     // Fit the bootstrap axes exactly once; the separation rank feeds both
     // the tracker's rank floor and the normal-subspace rank.
     : tracking_detector(bootstrap_rank_tag{}, bootstrap_y, max_rank, confidence,
-                        subspace_model::fit(bootstrap_y, sep, pool).normal_rank(), pool,
-                        deferred_updates) {}
+                        subspace_model::fit(bootstrap_y, sep, pool).normal_rank(), pool) {}
 
 tracking_detector::tracking_detector(bootstrap_rank_tag, const matrix& bootstrap_y,
                                      std::size_t max_rank, double confidence,
-                                     std::size_t bootstrap_normal_rank, thread_pool* pool,
-                                     bool deferred_updates)
-    // Deferred folds run *on* the pool, so the tracker math inside them
-    // must stay serial (no nested parallel_for); inline folds shard their
-    // rank-1 update across the pool instead. Either way the arithmetic is
-    // identical.
-    : tracker_(bootstrap_y, std::max(max_rank, bootstrap_normal_rank + 1),
-               deferred_updates ? nullptr : pool),
-      confidence_(confidence),
-      pool_(pool),
-      deferred_updates_(deferred_updates && pool != nullptr) {
+                                     std::size_t bootstrap_normal_rank, thread_pool* pool)
+    : tracker_(bootstrap_y, std::max(max_rank, bootstrap_normal_rank + 1), pool),
+      confidence_(confidence) {
     if (!(confidence > 0.0 && confidence < 1.0)) {
         throw std::invalid_argument("tracking_detector: confidence outside (0, 1)");
     }
@@ -477,25 +457,6 @@ tracking_detector::tracking_detector(bootstrap_rank_tag, const matrix& bootstrap
         total_variance_sum_ += norm_squared(centered.centered.row(r));
     }
     refresh_threshold();
-}
-
-tracking_detector::~tracking_detector() {
-    try {
-        join_fold();
-    } catch (...) {
-    }
-}
-
-void tracking_detector::join_fold() {
-    if (fold_inflight_.valid()) {
-        thread_pool::assert_wait_allowed();
-        fold_inflight_.get();
-    }
-}
-
-void tracking_detector::drain() {
-    pusher_cap_.assert_held();
-    join_fold();
 }
 
 void tracking_detector::refresh_threshold() {
@@ -519,7 +480,7 @@ void tracking_detector::refresh_threshold() {
     threshold_ = q_statistic_threshold(spectrum, normal_rank_, confidence_);
 }
 
-detection_result tracking_detector::test_current(std::span<const double> y) const {
+detection_result tracking_detector::test(std::span<const double> y) const {
     if (y.size() != dimension_) {
         throw std::invalid_argument("tracking_detector: measurement size mismatch");
     }
@@ -534,60 +495,27 @@ detection_result tracking_detector::test_current(std::span<const double> y) cons
     return {spe > threshold_, spe, threshold_};
 }
 
-detection_result tracking_detector::test(std::span<const double> y) {
-    pusher_cap_.assert_held();
-    join_fold();
-    return test_current(y);
-}
-
-double tracking_detector::threshold() {
-    pusher_cap_.assert_held();
-    join_fold();
-    return threshold_;
-}
-
-const incremental_pca_tracker& tracking_detector::tracker() {
-    pusher_cap_.assert_held();
-    join_fold();
-    return tracker_;
-}
-
 void tracking_detector::fold(std::span<const double> y) {
     const vec centered = subtract(y, tracker_.running_mean());
     total_variance_sum_ += norm_squared(centered);
     tracker_.push(y);
     refresh_threshold();
-    epoch_.fetch_add(1, std::memory_order_relaxed);
+    ++epoch_;
 }
 
 detection_result tracking_detector::push(std::span<const double> y) {
-    // Single-pusher contract: see pusher_cap_ in the header.
-    pusher_cap_.assert_held();
-    // Bin t is tested against the model of bins < t -- exactly the serial
-    // ordering -- while the fold of bin t may overlap the caller's gap to
-    // bin t+1. The join above bounds the pipeline at one fold of lag.
-    join_fold();
-    const detection_result result = test_current(y);
+    // Bin t is tested against the model of bins < t, then folded in.
+    const detection_result result = test(y);
     ++processed_;
     if (result.anomalous) ++alarms_;
-
-    if (deferred_updates_) {
-        // Only the background task needs its own copy of the measurement;
-        // the inline path folds the span directly.
-        vec sample(y.begin(), y.end());
-        fold_inflight_ =
-            pool_->submit_task([this, sample = std::move(sample)] { fold(sample); });
-    } else {
-        fold(y);
-    }
+    fold(y);
     return result;
 }
 
 void tracking_detector::save(std::ostream& out) {
-    pusher_cap_.assert_held();
-    join_fold();
     ckpt::write_header(out, "tracking_detector");
-    ckpt::write_flag(out, deferred_updates_);
+    // The retired "deferred updates" slot: always 0, ignored on restore.
+    ckpt::write_flag(out, false);
     ckpt::write_f64(out, confidence_);
     ckpt::write_u64(out, normal_rank_);
     ckpt::write_u64(out, dimension_);
@@ -595,13 +523,12 @@ void tracking_detector::save(std::ostream& out) {
     ckpt::write_f64(out, total_variance_sum_);
     ckpt::write_u64(out, processed_);
     ckpt::write_u64(out, alarms_);
-    ckpt::write_u64(out, epoch_.load(std::memory_order_relaxed));
+    ckpt::write_u64(out, epoch_);
     tracker_.save(out);
 }
 
 struct tracking_detector::restored_state {
     std::optional<incremental_pca_tracker> tracker;
-    bool deferred_updates = false;
     double confidence = 0.999;
     std::size_t normal_rank = 0;
     std::size_t dimension = 0;
@@ -610,7 +537,6 @@ struct tracking_detector::restored_state {
     std::size_t processed = 0;
     std::size_t alarms = 0;
     std::uint64_t epoch = 0;
-    thread_pool* pool = nullptr;
 };
 
 tracking_detector::tracking_detector(restored_state&& state)
@@ -622,29 +548,12 @@ tracking_detector::tracking_detector(restored_state&& state)
       total_variance_sum_(state.total_variance_sum),
       processed_(state.processed),
       alarms_(state.alarms),
-      epoch_(state.epoch),
-      pool_(state.pool),
-      deferred_updates_(state.deferred_updates && state.pool != nullptr) {}
-
-tracking_detector::tracking_detector(tracking_detector&& other)
-    // Join first (via the comma in the first initializer) so no worker is
-    // still writing through the moved-from object's `this`.
-    : tracker_((other.join_fold(), std::move(other.tracker_))),
-      confidence_(other.confidence_),
-      normal_rank_(other.normal_rank_),
-      dimension_(other.dimension_),
-      threshold_(other.threshold_),
-      total_variance_sum_(other.total_variance_sum_),
-      processed_(other.processed_),
-      alarms_(other.alarms_),
-      epoch_(other.epoch_.load(std::memory_order_relaxed)),
-      pool_(other.pool_),
-      deferred_updates_(other.deferred_updates_) {}
+      epoch_(state.epoch) {}
 
 tracking_detector tracking_detector::restore(std::istream& in, thread_pool* pool) {
     ckpt::expect_header(in, "tracking_detector");
     restored_state state;
-    state.deferred_updates = ckpt::read_flag(in);
+    (void)ckpt::read_flag(in);  // retired "deferred updates" flag (see the header)
     state.confidence = ckpt::read_f64(in);
     state.normal_rank = ckpt::read_u64(in);
     state.dimension = ckpt::read_u64(in);
@@ -653,9 +562,7 @@ tracking_detector tracking_detector::restore(std::istream& in, thread_pool* pool
     state.processed = ckpt::read_u64(in);
     state.alarms = ckpt::read_u64(in);
     state.epoch = ckpt::read_u64(in);
-    state.pool = pool;
-    incremental_pca_tracker tracker = incremental_pca_tracker::restore(
-        in, (state.deferred_updates && pool != nullptr) ? nullptr : pool);
+    incremental_pca_tracker tracker = incremental_pca_tracker::restore(in, pool);
     if (tracker.dimension() != state.dimension ||
         !(state.confidence > 0.0 && state.confidence < 1.0)) {
         throw std::runtime_error("tracking_detector::restore: inconsistent state");

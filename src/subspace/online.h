@@ -13,15 +13,16 @@
 //    [12, 13, 24] family the paper cites), avoiding full recomputation
 //    entirely.
 //
-// Pipelining: a refit (or rank-1 fold) is the maintenance path; testing
-// the next bin is the detection path. With an engine thread_pool the
-// maintenance runs as a background task while detection keeps reading the
-// current epoch-versioned model snapshot, and the snapshot swap is applied
-// on the push thread at a deterministic bin boundary -- so the output
-// sequence depends only on the input stream, never on thread timing.
+// Pipelining: a refit is the maintenance path; testing the next bin is
+// the detection path. With an engine thread_pool a deferred refit runs as
+// a background task while detection keeps reading the current
+// epoch-versioned model snapshot, and the snapshot swap is applied on the
+// push thread at a deterministic bin boundary -- so the output sequence
+// depends only on the input stream, never on thread timing. A tracker's
+// rank-1 fold is cheap and runs on the push thread (sharded over the pool
+// once it is wide enough).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -134,16 +135,6 @@ public:
     }
     const volume_anomaly_diagnoser& current() const noexcept { return diagnoser_; }
 
-    // When a background refit (or a finished one awaiting its deferred
-    // boundary) will swap within the next `bins` pushes, resolves the wait
-    // now on the calling thread: the fit result is collected into the
-    // ready slot so the swap itself never blocks. This is the
-    // stream_detector drain hook the multi-stream server calls before
-    // each ingest-inbox drain burst (see serve/stream_server.h).
-    // Deterministic: only *where* the wait happens moves, never the swap
-    // bin. No-op in blocking mode.
-    void prepare_pushes(std::size_t bins) override;
-
 private:
     struct restored_state;  // defined in online.cpp
     explicit streaming_diagnoser(restored_state&& state);
@@ -155,7 +146,7 @@ private:
     volume_anomaly_diagnoser take_pending() NETDIAG_REQUIRES(pusher_cap_);
 
     // The single-pusher contract as a capability: push/push_bin/drain/
-    // save/prepare_pushes must come from one thread at a time (the
+    // save must come from one thread at a time (the
     // stream_detector contract), so the window and the deferred-refit
     // slots below are confined to whoever plays that role. Entry points
     // assert it; the background fit task touches none of these fields
@@ -235,52 +226,42 @@ private:
 // Q-statistic threshold uses the tracked residual eigenvalues plus the
 // untracked remainder variance spread uniformly over the remaining
 // dimensions -- a documented approximation, since the tracker keeps only
-// max_rank components.
+// max_rank components. Every fold runs inline on the pusher's thread, so
+// the detector has no background work: drain() is a no-op.
 class tracking_detector final : public stream_detector {
 public:
     // max_rank bounds the tracked spectrum; it is raised to the separation
     // rank + 1 when smaller, so a tracked residual tail always exists.
     // The bootstrap PCA is fit exactly once (shared by the rank raise and
     // the subspace separation); a non-null pool shards that fit and every
-    // rank-1 fold. deferred_updates additionally moves each fold onto the
-    // pool as a background task: push tests bin t against the model of
-    // bins < t (exactly the serial arithmetic, hence bit-identical), and
-    // the fold of bin t overlaps the caller's gap to bin t+1, waiting at
-    // most one fold behind. Throws std::invalid_argument on a degenerate
-    // bootstrap or a confidence outside (0, 1).
+    // rank-1 fold wide enough to pay for it (bit-identical for any pool
+    // size). Throws std::invalid_argument on a degenerate bootstrap or a
+    // confidence outside (0, 1).
     tracking_detector(const matrix& bootstrap_y, std::size_t max_rank,
                       double confidence = 0.999, const separation_config& sep = {},
-                      thread_pool* pool = nullptr, bool deferred_updates = false);
-
-    // Joins the source's in-flight fold, then moves (folds capture `this`,
-    // so a live fold must never survive a move).
-    tracking_detector(tracking_detector&& other);
-
-    // Joins any in-flight fold.
-    ~tracking_detector() override;
+                      thread_pool* pool = nullptr);
 
     // Tests the measurement against the current model, then folds it into
     // the tracked decomposition (every measurement refines the model).
     detection_result push(std::span<const double> y);
 
-    // Test only, without updating the model. Joins an in-flight fold so
-    // the verdict always reflects every pushed measurement.
-    detection_result test(std::span<const double> y);
+    // Test only, without updating the model.
+    detection_result test(std::span<const double> y) const;
 
     detection_result push_bin(std::span<const double> y) override { return push(y); }
     std::size_t dimension() const noexcept override { return dimension_; }
     std::size_t processed() const noexcept override { return processed_; }
     std::size_t alarm_count() const noexcept override { return alarms_; }
-    std::uint64_t model_epoch() const noexcept override {
-        return epoch_.load(std::memory_order_relaxed);
-    }
-    void drain() override;
+    std::uint64_t model_epoch() const noexcept override { return epoch_; }
+    void drain() override {}
     void save(std::ostream& out) override;
+    // The record's retired "deferred updates" flag is read and ignored
+    // (folds give identical bits wherever they ran).
     static tracking_detector restore(std::istream& in, thread_pool* pool = nullptr);
 
     std::size_t normal_rank() const noexcept { return normal_rank_; }
-    double threshold();
-    const incremental_pca_tracker& tracker();
+    double threshold() const noexcept { return threshold_; }
+    const incremental_pca_tracker& tracker() const noexcept { return tracker_; }
 
 private:
     struct restored_state;  // defined in online.cpp
@@ -293,21 +274,10 @@ private:
     // would otherwise be ambiguous against the rank).
     struct bootstrap_rank_tag {};
     tracking_detector(bootstrap_rank_tag, const matrix& bootstrap_y, std::size_t max_rank,
-                      double confidence, std::size_t bootstrap_normal_rank, thread_pool* pool,
-                      bool deferred_updates);
+                      double confidence, std::size_t bootstrap_normal_rank, thread_pool* pool);
 
-    detection_result test_current(std::span<const double> y) const;
-    // Runs on the push thread (inline mode) or on a pool worker (deferred
-    // mode) -- but never concurrently with itself or a test: push joins
-    // the previous fold first. Deliberately outside the pusher capability.
     void fold(std::span<const double> y);
-    void join_fold() NETDIAG_REQUIRES(pusher_cap_);
     void refresh_threshold();
-
-    // Single-pusher contract (see streaming_diagnoser::pusher_cap_):
-    // guards the fold pipeline handle so only the pushing role can join
-    // or replace the in-flight fold.
-    sync::role pusher_cap_;
 
     incremental_pca_tracker tracker_;
     double confidence_ = 0.999;
@@ -317,12 +287,7 @@ private:
     double total_variance_sum_ = 0.0;  // running sum of ||y - mean||^2
     std::size_t processed_ = 0;
     std::size_t alarms_ = 0;
-    // Folds applied; atomic because a deferred fold advances it from a
-    // worker while model_epoch() may read it from the push thread.
-    std::atomic<std::uint64_t> epoch_{0};
-    thread_pool* pool_ = nullptr;
-    bool deferred_updates_ = false;
-    std::future<void> fold_inflight_ NETDIAG_GUARDED_BY(pusher_cap_);
+    std::uint64_t epoch_ = 0;  // folds applied
 };
 
 }  // namespace netdiag

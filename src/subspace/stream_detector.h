@@ -6,11 +6,14 @@
 // Model-swap semantics: each implementation separates the *detection
 // path* (test the arriving bin against an epoch-versioned model snapshot)
 // from the *maintenance path* (refit or fold that produces the next
-// snapshot). Maintenance may run on an engine thread_pool so push_bin
-// never stalls on it; the snapshot swap is applied on the push thread at
-// a deterministic bin boundary, so for a fixed input stream the entire
-// output sequence -- verdicts, epochs, alarm counts -- is bit-identical
-// for every pool size, including no pool at all.
+// snapshot). A refit may run as a background task on an engine
+// thread_pool so push_bin never stalls on it; the snapshot swap is
+// applied on the push thread at a deterministic bin boundary, so for a
+// fixed input stream the entire output sequence -- verdicts, epochs,
+// alarm counts -- is bit-identical for every pool size, including no
+// pool at all. The push thread is never a pool worker: the one wait a
+// push may make (a swap boundary reached before its fit finished) is
+// only legal off the pool (engine/thread_pool.h).
 //
 // Checkpointing: save() serializes the complete detector state (current
 // model, maintenance buffers, pending refit, counters, epoch) after
@@ -38,7 +41,8 @@ public:
 
     // Processes one measurement bin: tests it against the current model
     // epoch, then feeds it to the maintenance path. Never blocks on a
-    // background refit except at that refit's own swap boundary.
+    // background refit except at that refit's own swap boundary; a
+    // failed refit throws from the push that would have applied it.
     virtual detection_result push_bin(std::span<const double> y) = 0;
 
     // Width of a measurement bin (the link count m).
@@ -52,16 +56,6 @@ public:
     // Monotone version of the model snapshot the next push_bin will test
     // against: 0 is the bootstrap model, +1 per applied swap or fold.
     virtual std::uint64_t model_epoch() const noexcept = 0;
-
-    // Drain hook for inbox-fed pushes: resolves -- on the calling thread
-    // -- any maintenance wait that will fall due within the next `bins`
-    // push_bin calls, so the ingest-inbox drainer applying those bins
-    // waits once, up front, instead of mid-burst. Deterministic by
-    // contract: implementations may only move *where* a wait happens,
-    // never which bin a model swap applies at. The default is a no-op;
-    // detectors whose pushes can wait on pool tasks (streaming_diagnoser's
-    // deferred swap boundary) override it.
-    virtual void prepare_pushes(std::size_t bins) { (void)bins; }
 
     // Blocks until in-flight background maintenance has finished
     // computing. A deferred snapshot still waits for its scheduled bin

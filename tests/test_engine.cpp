@@ -7,7 +7,9 @@
 #include <cstddef>
 #include <numeric>
 #include <random>
+#include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "engine/thread_pool.h"
@@ -164,6 +166,43 @@ TEST(ParallelFor, NestedDispatchFromAPoolJobDegradesToSerial) {
             }
         }
     }
+}
+
+TEST(ThreadPool, AssertWaitAllowedRefusesEveryPoolJob) {
+    // The waiting contract is one rule: a pool job never waits. Threads
+    // the pool does not own may always wait.
+    EXPECT_NO_THROW(thread_pool::assert_wait_allowed());
+    bool outsider_ok = false;
+    std::thread outsider([&outsider_ok] {
+        thread_pool::assert_wait_allowed();
+        outsider_ok = true;
+    });
+    outsider.join();
+    EXPECT_TRUE(outsider_ok);
+
+    const auto refused = [] {
+        try {
+            thread_pool::assert_wait_allowed();
+            return false;
+        } catch (const std::logic_error&) {
+            return true;
+        }
+    };
+    // Every submitted job, on every worker of every pool size.
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        thread_pool pool(threads);
+        std::vector<std::future<bool>> jobs;
+        for (std::size_t j = 0; j < 4 * threads; ++j) jobs.push_back(pool.submit_task(refused));
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            EXPECT_TRUE(jobs[j].get()) << "threads=" << threads << " job=" << j;
+        }
+    }
+    // Kernel shards too: parallel_for runs chunk 0 on the caller (allowed)
+    // and every other chunk as a pool job (refused).
+    thread_pool pool(4);
+    std::vector<int> threw(8, -1);
+    parallel_for(pool, 0, threw.size(), [&](std::size_t i) { threw[i] = refused() ? 1 : 0; });
+    EXPECT_EQ(threw, (std::vector<int>{0, 0, 1, 1, 1, 1, 1, 1}));
 }
 
 TEST(SubmitTask, ReturnsFutureValue) {

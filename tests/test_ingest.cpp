@@ -256,7 +256,6 @@ protected:
             cfg.streaming = diagnoser_config(mode);
         } else {
             cfg.max_rank = 8;
-            cfg.deferred_updates = true;
         }
         cfg.ingest = std::move(ingest);
         return cfg;
@@ -447,175 +446,6 @@ TEST_F(IngestFixture, FourProducerStressMatchesStandaloneReplayInSequenceOrder) 
             EXPECT_EQ(server.stats(id).alarms, alarms);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Pooled drainer tasks: same parity contract, drains decoupled from the
-// producers' call cadence by dedicated pool tasks under the parked-worker
-// budget (engine/thread_pool.h). Pool sizes 0 and 1 clamp the budget to
-// zero, exercising the caller-drain fallback behind the same option.
-// ---------------------------------------------------------------------------
-
-TEST_F(IngestFixture, PooledDrainerMatchesPushForEveryRefitModeAndPoolSize) {
-    const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 2;
-
-    for (const leg& l : k_every_leg) {
-        const auto reference = standalone(l.kind, 0, l.mode);
-        std::vector<detection_result> expected;
-        for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
-            expected.push_back(reference->push_bin(y_.row(r)));
-        }
-
-        for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
-            stream_server server({.threads = threads});
-            sink_capture capture;
-            ingest_options ingest;
-            ingest.capacity = 64;
-            ingest.pooled_drainer = true;
-            ingest.sink = capture.fn();
-            const stream_id id =
-                server.open_stream(open_config(l.kind, 0, l.mode, std::move(ingest)));
-            for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
-                const ingest_result res = server.ingest(id, y_.row(r));
-                ASSERT_TRUE(res.ok());
-                ASSERT_EQ(res.sequence, r - k_boot);
-            }
-            server.flush_stream(id);
-            server.drain_all();
-            ASSERT_EQ(capture.results.size(), expected.size());
-            for (std::size_t i = 0; i < expected.size(); ++i) {
-                ASSERT_EQ(capture.results[i].first, i);
-                expect_same_detection(expected[i], capture.results[i].second,
-                                      "pooled " + leg_name(l) + " threads " +
-                                          std::to_string(threads) + " bin " + std::to_string(i));
-            }
-            const ingest_stats st = server.ingest_statistics(id);
-            EXPECT_EQ(st.accepted, expected.size());
-            EXPECT_EQ(st.applied, expected.size());
-            EXPECT_EQ(st.pending, 0u);
-            EXPECT_EQ(st.latency_count, expected.size());
-            EXPECT_EQ(server.stats(id).alarms, reference->alarm_count());
-            EXPECT_EQ(server.stats(id).epoch, reference->model_epoch());
-        }
-    }
-}
-
-TEST_F(IngestFixture, FourProducerPooledDrainerStressReplaysInSequenceOrder) {
-    constexpr std::size_t k_producers = 4;
-    constexpr std::size_t k_per_producer = 25;
-    constexpr std::size_t k_total = k_producers * k_per_producer;
-
-    const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 2;
-
-    for (const leg& l : k_every_leg) {
-        for (const std::size_t threads : {2u, 8u}) {
-            stream_server server({.threads = threads});
-            sink_capture capture;
-            ingest_options ingest;
-            ingest.capacity = 128;
-            ingest.policy = inbox_policy::block;
-            ingest.pooled_drainer = true;
-            ingest.sink = capture.fn();
-            const stream_id id =
-                server.open_stream(open_config(l.kind, 0, l.mode, std::move(ingest)));
-
-            std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>> seq_rows(
-                k_producers);
-            std::vector<std::thread> producers;
-            for (std::size_t p = 0; p < k_producers; ++p) {
-                producers.emplace_back([&, p] {
-                    for (std::size_t i = 0; i < k_per_producer; ++i) {
-                        const std::size_t row = k_boot + p * k_per_producer + i;
-                        const ingest_result r = server.ingest(id, y_.row(row));
-                        ASSERT_TRUE(r.ok()) << "producer " << p << " bin " << i;
-                        seq_rows[p].emplace_back(r.sequence, row);
-                    }
-                });
-            }
-            for (std::thread& t : producers) t.join();
-            server.flush_stream(id);
-            server.drain_all();
-
-            std::vector<std::size_t> row_of(k_total, 0);
-            std::vector<bool> seen(k_total, false);
-            for (std::size_t p = 0; p < k_producers; ++p) {
-                for (const auto& [seq, row] : seq_rows[p]) {
-                    ASSERT_LT(seq, k_total);
-                    ASSERT_FALSE(seen[seq]) << "duplicate sequence " << seq;
-                    seen[seq] = true;
-                    row_of[seq] = row;
-                }
-            }
-
-            const ingest_stats st = server.ingest_statistics(id);
-            ASSERT_EQ(st.accepted, k_total);
-            ASSERT_EQ(st.applied, k_total);
-            ASSERT_EQ(st.dropped, 0u);
-            ASSERT_EQ(st.pending, 0u);
-            ASSERT_EQ(st.latency_count, k_total);
-            ASSERT_EQ(capture.results.size(), k_total);
-            for (std::size_t i = 0; i < k_total; ++i) {
-                ASSERT_EQ(capture.results[i].first, i) << "sink out of sequence order";
-            }
-
-            const auto twin = standalone(l.kind, 0, l.mode);
-            for (std::size_t i = 0; i < k_total; ++i) {
-                expect_same_detection(twin->push_bin(y_.row(row_of[i])), capture.results[i].second,
-                                      "pooled " + leg_name(l) + " threads " +
-                                          std::to_string(threads) + " seq " + std::to_string(i));
-            }
-            twin->drain();
-            EXPECT_EQ(server.stats(id).alarms, twin->alarm_count());
-            EXPECT_EQ(server.stats(id).epoch, twin->model_epoch());
-        }
-    }
-}
-
-TEST_F(IngestFixture, PooledDrainerErrorSurfacesOnIngestOrFlushAndStaysConserved) {
-    // A pooled drainer has no caller to throw to; a detector error must
-    // park and surface on the stream's next ingest or flush -- never
-    // vanish -- and the conservation invariant must survive it.
-    const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 1;
-    stream_server server({.threads = 2});
-
-    ingest_options ingest;
-    ingest.capacity = 16;
-    ingest.pooled_drainer = true;
-    stream_open_config cfg =
-        open_config(stream_kind::diagnoser, 0, refit_mode::blocking, std::move(ingest));
-    cfg.streaming.refit_interval = 3;
-    cfg.streaming.refit_observer = [] { throw std::runtime_error("fit exploded"); };
-    const stream_id id = server.open_stream(std::move(cfg));
-
-    // Bin 3 triggers the blocking refit, whose observer throws inside
-    // whichever drain applies it: a pooled drainer (error parks, ingest
-    // returns ok) or the caller-drain fallback when the budget permit is
-    // momentarily held (error throws out of ingest, like auto_drain
-    // always did).
-    bool threw_on_ingest = false;
-    for (std::size_t i = 0; i < 3; ++i) {
-        try {
-            const ingest_result r = server.ingest(id, y_.row(k_boot + i));
-            ASSERT_TRUE(r.ok());
-        } catch (const std::runtime_error&) {
-            threw_on_ingest = true;
-        }
-    }
-    if (!threw_on_ingest) {
-        EXPECT_THROW(server.flush_stream(id), std::runtime_error);
-    }
-    // The error surfaced exactly once; the stream keeps working.
-    EXPECT_NO_THROW(server.flush_stream(id));
-
-    const ingest_stats st = server.ingest_statistics(id);
-    EXPECT_EQ(st.accepted, 3u);
-    EXPECT_EQ(st.applied, 2u);
-    EXPECT_EQ(st.dropped, 1u);
-    EXPECT_EQ(st.pending, 0u);
-    EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending) << "conservation violated";
 }
 
 // Several streams -- one per (kind, refit mode) pair -- fed by several
@@ -1187,28 +1017,58 @@ TEST_F(IngestFixture, SnapshotCompletesWhileAProducerIsBlockedOnAFullInbox) {
 TEST_F(IngestFixture, FailedApplyCountsTheBinSoStatsStayConserved) {
     // A detector error surfacing mid-drain consumes the popped bin; it
     // must be accounted (as dropped) or the conservation invariant would
-    // be silently broken for the rest of the stream's life.
-    stream_server server({.threads = 0});
-    ingest_options ingest;
-    ingest.capacity = 16;
-    stream_open_config cfg =
-        open_config(stream_kind::diagnoser, 0, refit_mode::blocking, std::move(ingest));
-    cfg.streaming.refit_interval = 3;
-    cfg.streaming.refit_observer = [] { throw std::runtime_error("fit exploded"); };
-    const stream_id id = server.open_stream(std::move(cfg));
+    // be silently broken for the rest of the stream's life. Bin 3 triggers
+    // a refit whose observer throws. A blocking or pool-less deferred fit
+    // runs inline and throws from that trigger bin; a pooled deferred fit
+    // runs as a pool task and throws from its swap bin (trigger + 4),
+    // which waits for it on the draining caller's thread. The error
+    // reaches that caller: the ingest with auto_drain, the flush without.
+    struct failing_leg {
+        refit_mode mode;
+        std::size_t threads;
+        std::size_t failing_bin;
+    };
+    constexpr failing_leg k_legs[] = {
+        {refit_mode::blocking, 0, 2},
+        {refit_mode::deferred, 0, 2},
+        {refit_mode::deferred, 2, 7},
+    };
+    for (const failing_leg& l : k_legs) {
+        for (const bool auto_drain : {true, false}) {
+            const std::string context = "mode " + std::to_string(static_cast<int>(l.mode)) +
+                                        " threads " + std::to_string(l.threads) +
+                                        " auto_drain " + std::to_string(auto_drain);
+            stream_server server({.threads = l.threads});
+            ingest_options ingest;
+            ingest.capacity = 16;
+            ingest.auto_drain = auto_drain;
+            stream_open_config cfg =
+                open_config(stream_kind::diagnoser, 0, l.mode, std::move(ingest));
+            cfg.streaming.refit_interval = 3;
+            cfg.streaming.refit_observer = [] { throw std::runtime_error("fit exploded"); };
+            const stream_id id = server.open_stream(std::move(cfg));
 
-    ASSERT_TRUE(server.ingest(id, y_.row(k_boot)).ok());
-    ASSERT_TRUE(server.ingest(id, y_.row(k_boot + 1)).ok());
-    // Bin 3 triggers the blocking refit, whose observer throws inside the
-    // auto-drain; the error propagates to the ingesting caller.
-    EXPECT_THROW((void)server.ingest(id, y_.row(k_boot + 2)), std::runtime_error);
+            for (std::size_t i = 0; i < l.failing_bin; ++i) {
+                ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok()) << context;
+            }
+            if (auto_drain) {
+                EXPECT_THROW((void)server.ingest(id, y_.row(k_boot + l.failing_bin)),
+                             std::runtime_error)
+                    << context;
+            } else {
+                ASSERT_TRUE(server.ingest(id, y_.row(k_boot + l.failing_bin)).ok()) << context;
+                EXPECT_THROW(server.flush_stream(id), std::runtime_error) << context;
+            }
 
-    const ingest_stats st = server.ingest_statistics(id);
-    EXPECT_EQ(st.accepted, 3u);
-    EXPECT_EQ(st.applied, 2u);
-    EXPECT_EQ(st.dropped, 1u);
-    EXPECT_EQ(st.pending, 0u);
-    EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending) << "conservation violated";
+            const ingest_stats st = server.ingest_statistics(id);
+            EXPECT_EQ(st.accepted, l.failing_bin + 1) << context;
+            EXPECT_EQ(st.applied, l.failing_bin) << context;
+            EXPECT_EQ(st.dropped, 1u) << context;
+            EXPECT_EQ(st.pending, 0u) << context;
+            EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending)
+                << context << ": conservation violated";
+        }
+    }
 }
 
 TEST_F(IngestFixture, MalformedInboxCapacityInCheckpointIsRejected) {

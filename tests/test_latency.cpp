@@ -1,23 +1,21 @@
-// Ingest-to-applied latency accounting and the parked-worker budget: the
-// histogram percentile edges the serving layer leans on, the engine's
-// monotone clock shim (deterministic latency under an injected tick
-// source), the thread_pool park-permit protocol, and the budget's
-// no-deadlock guarantee (pooled drainers parked at a deferred swap
-// boundary cannot starve refits sharded over the same pool of workers).
-// This binary runs under the ThreadSanitizer CI job.
+// Ingest-to-applied latency accounting: the histogram percentile edges
+// the serving layer leans on, the engine's monotone clock shim
+// (deterministic latency under an injected tick source), and a shared
+// pool serving deferred refit fits and sharded blocking refits at once
+// (drainers waiting at a deferred swap boundary on caller threads never
+// starve either kind of pool work). This binary runs under the
+// ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "engine/clock.h"
-#include "engine/thread_pool.h"
 #include "engine/tuning.h"
 #include "measurement/link_loads.h"
 #include "serve/stream_server.h"
@@ -169,87 +167,7 @@ TEST(IngestLatency, ExactUnderInjectedTickSource) {
 }
 
 // ---------------------------------------------------------------------------
-// Park-permit protocol on the pool itself.
-// ---------------------------------------------------------------------------
-
-TEST(ParkBudget, BudgetClampsToLeaveOneWorkerUnparked) {
-    {
-        const thread_pool pool(3);
-        EXPECT_EQ(pool.park_budget(), 0u) << "default budget must be off";
-    }
-    const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 8;
-    const thread_pool wide(3);
-    EXPECT_EQ(wide.park_budget(), 2u);
-    const thread_pool narrow(1);
-    EXPECT_EQ(narrow.park_budget(), 0u);
-}
-
-TEST(ParkBudget, PermitsExhaustAtTheBudgetAndComeBackOnRelease) {
-    const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 2;
-    thread_pool pool(4);
-    ASSERT_EQ(pool.park_budget(), 2u);
-
-    thread_pool::park_permit a = pool.try_acquire_park_permit();
-    thread_pool::park_permit b = pool.try_acquire_park_permit();
-    EXPECT_TRUE(static_cast<bool>(a));
-    EXPECT_TRUE(static_cast<bool>(b));
-    EXPECT_FALSE(static_cast<bool>(pool.try_acquire_park_permit()))
-        << "third permit must be refused at budget 2";
-
-    a.reset();
-    thread_pool::park_permit c = pool.try_acquire_park_permit();
-    EXPECT_TRUE(static_cast<bool>(c)) << "released permit must be reusable";
-}
-
-TEST(ParkBudget, AssertWaitAllowedGatesPoolJobsOnly) {
-    // Caller threads are never restricted.
-    EXPECT_NO_THROW(thread_pool::assert_wait_allowed());
-
-    const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 1;
-    thread_pool pool(2);
-
-    // A pool job without a permit hits the runtime gate.
-    std::promise<bool> bare_threw;
-    pool.submit([&bare_threw] {
-        try {
-            thread_pool::assert_wait_allowed();
-            bare_threw.set_value(false);
-        } catch (const std::logic_error&) {
-            bare_threw.set_value(true);
-        }
-    });
-    EXPECT_TRUE(bare_threw.get_future().get());
-
-    // The same wait is legal under a permit-backed parked scope, and the
-    // permission ends with the scope.
-    thread_pool::park_permit permit = pool.try_acquire_park_permit();
-    ASSERT_TRUE(static_cast<bool>(permit));
-    std::promise<bool> scoped_ok;
-    pool.submit([&scoped_ok, &permit] {
-        bool ok = true;
-        {
-            const thread_pool::parked_job_scope scope(permit);
-            try {
-                thread_pool::assert_wait_allowed();
-            } catch (const std::logic_error&) {
-                ok = false;
-            }
-        }
-        try {
-            thread_pool::assert_wait_allowed();
-            ok = false;  // must throw again outside the scope
-        } catch (const std::logic_error&) {
-        }
-        scoped_ok.set_value(ok);
-    });
-    EXPECT_TRUE(scoped_ok.get_future().get());
-}
-
-// ---------------------------------------------------------------------------
-// Budget exhaustion vs sharded refits: the no-deadlock invariant end to end.
+// Deferred fits and sharded refits on one pool, every drain on a caller.
 // ---------------------------------------------------------------------------
 
 class LatencyServerFixture : public ::testing::Test {
@@ -280,7 +198,7 @@ protected:
         return out;
     }
 
-    stream_open_config diagnoser_config(bool pooled, refit_mode mode) const {
+    stream_open_config diagnoser_config(refit_mode mode) const {
         stream_open_config cfg;
         cfg.kind = stream_kind::diagnoser;
         cfg.a = routing_.a;
@@ -292,7 +210,6 @@ protected:
         cfg.streaming.separation.fixed_rank = 6;
         cfg.ingest.capacity = 64;
         cfg.ingest.policy = inbox_policy::block;
-        cfg.ingest.pooled_drainer = pooled;
         return cfg;
     }
 
@@ -301,32 +218,29 @@ protected:
     matrix y_;
 };
 
-TEST_F(LatencyServerFixture, ParkedPooledDrainersCannotDeadlockShardedRefits) {
-    // The whole budget is spent on pooled drainers for two streams whose
-    // deferred refits keep parking them at swap-join boundaries, while
-    // two caller-drained blocking-mode streams run their refits sharded
-    // over the same pool (parallel_for from the ingesting thread). The
-    // budget arithmetic (helpers <= size - 1 - budget, parked <= budget)
-    // must leave a worker free for the refits the parked drainers are
-    // waiting on -- completion of this test IS the assertion.
+TEST_F(LatencyServerFixture, CallerDrainedDeferredFitsAndShardedRefitsShareThePool) {
+    // Two producer threads feed caller-drained deferred streams whose fits
+    // queue on the pool and whose drains wait at swap boundaries on the
+    // producers' own threads, while two blocking-mode streams shard their
+    // fits over the same pool from this thread (parallel_for from an
+    // ingest). Pool jobs never wait, so every queued fit finds a worker --
+    // completion of this test IS the no-deadlock assertion.
     const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 2;
     // Open the fit kernels' scheduling gates at unit-test sizes so the
     // blocking refits really shard (gates never change results).
     global_tuning().parallel_min_hardware = 1;
     global_tuning().pca_projection_min_work = 1;
     global_tuning().ql_parallel_min_work = 1;
     stream_server server({.threads = 4});
-    ASSERT_EQ(server.pool()->park_budget(), 2u);
 
-    const stream_id pooled_a = server.open_stream(diagnoser_config(true, refit_mode::deferred));
-    const stream_id pooled_b = server.open_stream(diagnoser_config(true, refit_mode::deferred));
-    const stream_id sharded_c = server.open_stream(diagnoser_config(false, refit_mode::blocking));
-    const stream_id sharded_d = server.open_stream(diagnoser_config(false, refit_mode::blocking));
+    const stream_id deferred_a = server.open_stream(diagnoser_config(refit_mode::deferred));
+    const stream_id deferred_b = server.open_stream(diagnoser_config(refit_mode::deferred));
+    const stream_id sharded_c = server.open_stream(diagnoser_config(refit_mode::blocking));
+    const stream_id sharded_d = server.open_stream(diagnoser_config(refit_mode::blocking));
 
     constexpr std::size_t k_bins = 60;
     std::vector<std::thread> producers;
-    for (const stream_id id : {pooled_a, pooled_b}) {
+    for (const stream_id id : {deferred_a, deferred_b}) {
         producers.emplace_back([&, id] {
             for (std::size_t i = 0; i < k_bins; ++i) {
                 ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok());
@@ -334,8 +248,8 @@ TEST_F(LatencyServerFixture, ParkedPooledDrainersCannotDeadlockShardedRefits) {
         });
     }
 
-    // Caller-drained blocking refits racing the parked drainers for pool
-    // workers: every ninth bin fits a model inside this thread's ingest.
+    // Blocking refits racing the deferred fits for pool workers: every
+    // ninth bin fits a model, sharded, inside this thread's ingest.
     for (std::size_t i = 0; i < k_bins; ++i) {
         for (const stream_id id : {sharded_c, sharded_d}) {
             ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok());
@@ -346,7 +260,7 @@ TEST_F(LatencyServerFixture, ParkedPooledDrainersCannotDeadlockShardedRefits) {
     server.flush_all();
     server.drain_all();
 
-    for (const stream_id id : {pooled_a, pooled_b}) {
+    for (const stream_id id : {deferred_a, deferred_b}) {
         const ingest_stats st = server.ingest_statistics(id);
         EXPECT_EQ(st.accepted, k_bins);
         EXPECT_EQ(st.applied, k_bins);

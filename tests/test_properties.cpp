@@ -209,7 +209,6 @@ protected:
             default:
                 cfg.kind = stream_kind::tracking;
                 cfg.max_rank = 5;
-                cfg.deferred_updates = true;
                 break;
         }
         return cfg;

@@ -1,7 +1,7 @@
 // The sharded multi-stream serving front-end: single-stream parity with
 // standalone detectors for every refit mode and pool size, deterministic
-// many-stream stress under a small pool, pooled-drainer batches of
-// blocking refits, snapshot_all -> restore_all -> replay exactness,
+// many-stream stress under a small pool, batches of blocking refits
+// sharded over the pool, snapshot_all -> restore_all -> replay exactness,
 // migration parity, and per-stream isolation of a stalled record sink.
 // Every stream is fed through the one ingest edge; results are read from
 // the stream's sink.
@@ -198,63 +198,60 @@ TEST_F(StreamServerFixture, TrackingAndTrackerParityAcrossPoolSizes) {
     // tracker state underneath -- axes, spectrum, running mean, threshold
     // -- lands bit-identical at every pool size: the served records are
     // byte-for-byte the no-pool server's once re-homed on a no-pool server
-    // (pool wiring, including whether folds run pipelined, is runtime
-    // state the record echoes). Inline and pipelined folds both.
-    for (const bool deferred_updates : {false, true}) {
-        const auto reference = standalone(stream_kind::tracking, 5);
-        std::vector<detection_result> expected;
+    // (pool wiring is runtime state, not part of the record).
+    const auto reference = standalone(stream_kind::tracking, 5);
+    std::vector<detection_result> expected;
+    for (std::size_t r = k_boot + 5; r < k_boot + 45; ++r) {
+        expected.push_back(reference->push_bin(y_.row(r)));
+    }
+
+    std::string no_pool_record;
+    for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
+        stream_server server({.threads = threads});
+        sink_capture capture;
+        stream_open_config cfg = open_config(stream_kind::tracking, 5);
+        cfg.ingest.sink = capture.fn();
+        const stream_id id = server.open_stream(std::move(cfg));
+        const std::string context = "threads " + std::to_string(threads);
         for (std::size_t r = k_boot + 5; r < k_boot + 45; ++r) {
-            expected.push_back(reference->push_bin(y_.row(r)));
+            expect_same_detection(expected[r - k_boot - 5],
+                                  apply_one(server, id, capture, y_.row(r)),
+                                  context + " bin " + std::to_string(r));
         }
+        server.drain_all();
+        EXPECT_EQ(server.stats(id).epoch, reference->model_epoch()) << context;
 
-        std::string no_pool_record;
-        for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
-            stream_server server({.threads = threads});
-            sink_capture capture;
-            stream_open_config cfg = open_config(stream_kind::tracking, 5);
-            cfg.deferred_updates = deferred_updates;
-            cfg.ingest.sink = capture.fn();
-            const stream_id id = server.open_stream(std::move(cfg));
-            const std::string context = "deferred_updates " +
-                                        std::to_string(deferred_updates) + " threads " +
-                                        std::to_string(threads);
-            for (std::size_t r = k_boot + 5; r < k_boot + 45; ++r) {
-                expect_same_detection(expected[r - k_boot - 5],
-                                      apply_one(server, id, capture, y_.row(r)),
-                                      context + " bin " + std::to_string(r));
-            }
-            server.drain_all();
-            EXPECT_EQ(server.stats(id).epoch, reference->model_epoch()) << context;
-
-            std::ostringstream record(std::ios::binary);
-            server.snapshot_stream(id, record);
-            stream_server rehomed({.threads = 0});
-            const stream_id copy = rehomed.restore_stream(std::move(record).str());
-            std::ostringstream normalized(std::ios::binary);
-            rehomed.snapshot_stream(copy, normalized);
-            if (threads == 0) {
-                no_pool_record = std::move(normalized).str();
-            } else {
-                EXPECT_EQ(std::move(normalized).str(), no_pool_record) << context;
-            }
+        std::ostringstream record(std::ios::binary);
+        server.snapshot_stream(id, record);
+        stream_server rehomed({.threads = 0});
+        const stream_id copy = rehomed.restore_stream(std::move(record).str());
+        std::ostringstream normalized(std::ios::binary);
+        rehomed.snapshot_stream(copy, normalized);
+        if (threads == 0) {
+            no_pool_record = std::move(normalized).str();
+        } else {
+            EXPECT_EQ(std::move(normalized).str(), no_pool_record) << context;
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Blocking refits inside pooled drains.
+// Blocking refits sharded over the pool from caller drains.
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamServerFixture, BlockingModeStreamsInPooledBatchesStayBitIdentical) {
-    // Pooled drainer tasks apply ingest_batch runs on pool workers, so a
-    // blocking-mode refit that fires inside one runs its fit on a worker;
-    // the worker-side parallel_for degradation must keep the result
-    // bit-identical to the standalone serial detector and every drain
-    // must complete (no nested-dispatch deadlock). Two blocking streams
-    // and a tracking stream keep several drainers in flight at once,
-    // repeatedly crossing the refit_interval (9) during the run.
+    // Caller drains apply ingest_batch runs, so a blocking-mode refit that
+    // fires inside one shards its fit over the server's pool from the
+    // ingesting thread; the sharded fit must stay bit-identical to the
+    // standalone serial detector and every drain must complete. Two
+    // blocking streams and a tracking stream share the pool, repeatedly
+    // crossing the refit_interval (9) during the run; the fit kernels'
+    // scheduling gates are opened so the refits really shard (gates
+    // never change results).
     const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 2;
+    global_tuning().parallel_min_hardware = 1;
+    global_tuning().pca_projection_min_work = 1;
+    global_tuning().ql_parallel_min_work = 1;
     const auto ref_a = standalone(stream_kind::diagnoser, 0, refit_mode::blocking);
     const auto ref_b = standalone(stream_kind::diagnoser, 30, refit_mode::blocking);
     const auto ref_c = standalone(stream_kind::tracking, 15);
@@ -268,16 +265,18 @@ TEST_F(StreamServerFixture, BlockingModeStreamsInPooledBatchesStayBitIdentical) 
     for (const std::size_t threads : {2u, 8u}) {
         stream_server server({.threads = threads});
         sink_capture cap_a, cap_b, cap_c;
-        const auto open_pooled = [&](sink_capture& capture, stream_kind kind,
-                                     std::size_t boot, refit_mode mode) {
+        const auto open_with_sink = [&](sink_capture& capture, stream_kind kind,
+                                        std::size_t boot, refit_mode mode) {
             stream_open_config cfg = open_config(kind, boot, mode);
-            cfg.ingest.pooled_drainer = true;
             cfg.ingest.sink = capture.fn();
             return server.open_stream(std::move(cfg));
         };
-        const stream_id a = open_pooled(cap_a, stream_kind::diagnoser, 0, refit_mode::blocking);
-        const stream_id b = open_pooled(cap_b, stream_kind::diagnoser, 30, refit_mode::blocking);
-        const stream_id c = open_pooled(cap_c, stream_kind::tracking, 15, refit_mode::deferred);
+        const stream_id a =
+            open_with_sink(cap_a, stream_kind::diagnoser, 0, refit_mode::blocking);
+        const stream_id b =
+            open_with_sink(cap_b, stream_kind::diagnoser, 30, refit_mode::blocking);
+        const stream_id c =
+            open_with_sink(cap_c, stream_kind::tracking, 15, refit_mode::deferred);
 
         for (std::size_t r = 0; r < 30; r += 3) {
             for (const auto& [id, first] : {std::pair{a, k_boot}, std::pair{b, k_boot + 30},

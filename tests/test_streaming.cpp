@@ -198,24 +198,6 @@ TEST_F(StreamingFixture, DeferredModeBitIdenticalAcrossThreadCounts) {
     }
 }
 
-TEST_F(StreamingFixture, TrackingDetectorDeferredFoldsBitIdenticalAcrossThreadCounts) {
-    tracking_detector reference(bootstrap_, 12);  // fully serial
-    std::vector<detection_result> expected;
-    for (std::size_t r = 0; r < 60; ++r) expected.push_back(reference.push(stream_.row(r)));
-
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        thread_pool pool(threads);
-        tracking_detector det(bootstrap_, 12, 0.999, {}, &pool, /*deferred_updates=*/true);
-        for (std::size_t r = 0; r < 60; ++r) {
-            const detection_result d = det.push(stream_.row(r));
-            expect_same_detection(expected[r], d, r);
-        }
-        det.drain();
-        EXPECT_EQ(det.model_epoch(), reference.model_epoch()) << "threads=" << threads;
-        EXPECT_EQ(det.threshold(), reference.threshold()) << "threads=" << threads;
-    }
-}
-
 TEST_F(StreamingFixture, TrackerPooledFoldsBitIdenticalAcrossThreadCounts) {
     // Engage the pooled rank-1 update at unit-test sizes.
     const scoped_tuning guard;
@@ -659,6 +641,33 @@ TEST(GoldenCheckpoint, ReplaysBitExactlyOrRejectsForeignEndianness) {
         << "replaying the golden checkpoint no longer reproduces the committed state; "
            "if the format or the fold arithmetic changed intentionally, regenerate with "
            "NETDIAG_REGEN_GOLDEN=1";
+
+    // Records written while folds could run as pool tasks may hold 1 in
+    // the retired "deferred updates" flag right after the header. Folds
+    // give identical bits wherever they run, so the fixture with that
+    // flag patched to 1 replays to the same bytes -- with no pool and
+    // with a pool sharding every fold.
+    std::string flagged = read_file_bytes(fixture);
+    std::ostringstream header;
+    ckpt::write_header(header, "tracking_detector");
+    const std::size_t flag_at = header.str().size();  // the flag word's low byte
+    ASSERT_EQ(flagged.at(flag_at), '\0') << "committed records write 0";
+    flagged[flag_at] = '\1';
+    const scoped_tuning guard;
+    global_tuning().svd_update_parallel_min_work = 1;
+    global_tuning().parallel_min_hardware = 1;
+    thread_pool pool(2);
+    for (thread_pool* p : {static_cast<thread_pool*>(nullptr), &pool}) {
+        std::istringstream in(flagged, std::ios::binary);
+        std::unique_ptr<stream_detector> from_flagged = load_stream_detector(in, p);
+        ASSERT_EQ(from_flagged->processed(), k_golden_prefix_bins);
+        for (std::size_t r = k_golden_prefix_bins; r < bins.rows(); ++r) {
+            from_flagged->push_bin(bins.row(r));
+        }
+        std::ostringstream flagged_replay;
+        from_flagged->save(flagged_replay);
+        EXPECT_EQ(flagged_replay.str(), read_file_bytes(after)) << (p ? "pooled" : "no pool");
+    }
 }
 
 TEST(GoldenCheckpoint, ByteSwappedMagicIsRejectedWithAnEndiannessError) {

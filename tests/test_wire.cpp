@@ -17,6 +17,8 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -782,8 +784,56 @@ TEST(RestoreChecks, StreamingDiagnoserRefusesEveryInconsistentRecord) {
     }
 }
 
+// The inbox capacity and ingest counters of a hand-built server_stream
+// record. The defaults balance the way every record a server writes
+// does: accepted == applied + dropped + residue (one bin) and next
+// sequence == accepted.
+struct inbox_fields {
+    std::uint64_t capacity = 16;
+    std::uint64_t accepted = 6;
+    std::uint64_t applied = 4;
+    std::uint64_t dropped = 1;
+    std::uint64_t next_sequence = 6;
+};
+
+// Wraps the consistent streaming_diagnoser record in a server_stream
+// container (docs/CHECKPOINT_FORMAT.md) holding one residue bin.
+std::string server_stream_record(const inbox_fields& f) {
+    std::ostringstream out(std::ios::binary);
+    ckpt::set_encoding(out, ckpt::encoding::interchange);
+    ckpt::write_header(out, "server_stream");
+    ckpt::write_u64(out, f.capacity);
+    ckpt::write_u64(out, 0);      // inbox_policy::block
+    ckpt::write_flag(out, true);  // auto_drain
+    ckpt::write_u64(out, f.accepted);
+    ckpt::write_u64(out, f.applied);
+    ckpt::write_u64(out, f.dropped);
+    ckpt::write_u64(out, 0);  // rejected
+    ckpt::write_u64(out, f.next_sequence);
+    ckpt::write_u64(out, 1);  // residue count
+    ckpt::write_vec(out, vec(6, 104.0));
+    out << fault_record(record_fault::none);
+    return std::move(out).str();
+}
+
+// Containers no server writes: unbalanced counters, and an inbox larger
+// than restore may allocate (mpsc_inbox::k_max_capacity is 2^16).
+const std::array<std::pair<const char*, inbox_fields>, 6> k_inbox_faults = {{
+    {"applied above accepted", {.accepted = 5, .applied = 100, .dropped = 0,
+                                .next_sequence = 5}},
+    {"accepted bins unaccounted", {.accepted = 9, .next_sequence = 9}},
+    {"sequence ahead of accepted", {.next_sequence = 9}},
+    {"sequence behind accepted", {.next_sequence = 5}},
+    // applied + dropped + residue wraps to exactly accepted.
+    {"counters that wrap", {.accepted = 1, .applied = ~std::uint64_t{0}, .dropped = 1,
+                            .next_sequence = 1}},
+    {"capacity above the cap", {.capacity = std::uint64_t{1} << 17}},
+}};
+
 // The same records as restore requests over loopback: each answers
 // malformed_payload, publishes nothing, and the server keeps serving.
+// The faulty containers are refused the same way, and by a local
+// restore_stream too.
 TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
     stream_server server({.threads = 0});
     net::netdiag_frontend frontend(server);
@@ -800,6 +850,30 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
                 << "fault " << static_cast<int>(fault) << ": " << e.what();
         }
         EXPECT_EQ(server.stream_ids(), before) << "fault " << static_cast<int>(fault);
+    }
+    for (const auto& [fault, fields] : k_inbox_faults) {
+        const std::string record = server_stream_record(fields);
+        EXPECT_THROW((void)server.restore_stream(std::string_view(record)), std::runtime_error)
+            << fault;
+        std::istringstream in(record, std::ios::binary);
+        EXPECT_THROW((void)server.restore_stream(in), std::runtime_error) << fault;
+        try {
+            (void)collector.restore(record);
+            ADD_FAILURE() << fault << " restored";
+        } catch (const net::remote_error& e) {
+            EXPECT_EQ(e.code(), net::wire_errc::malformed_payload) << fault << ": " << e.what();
+        }
+        EXPECT_EQ(server.stream_ids(), before) << fault;
+    }
+    // Balanced containers restore with their counters, up to the cap.
+    for (const std::uint64_t capacity : {std::uint64_t{16}, std::uint64_t{1} << 16}) {
+        const stream_id fresh = collector.restore(server_stream_record({.capacity = capacity}));
+        const ingest_stats st = server.ingest_statistics(fresh);
+        EXPECT_EQ(st.accepted, 6u) << capacity;
+        EXPECT_EQ(st.applied, 4u) << capacity;
+        EXPECT_EQ(st.dropped, 1u) << capacity;
+        EXPECT_EQ(st.pending, 1u) << capacity;
+        EXPECT_EQ(st.next_sequence, 6u) << capacity;
     }
 
     // Three bins: fewer than the record's refit interval.

@@ -1,16 +1,13 @@
 // Host autotuner for the engine/tuning.h knobs: sweeps the block widths on
 // representative kernel workloads, probes the parallel gates for their
-// serial-vs-pooled crossover on this machine, and writes the winners as a
-// netdiag-tuning-profile-v1 JSON document (format: docs/TUNING.md) that
-// tuning::load_profile() can apply in another process.
+// serial-vs-pooled crossover on this machine, and prints the value it
+// would choose for each knob next to the default (docs/TUNING.md).
 //
 // Block widths are part of the numerical contract (changing one moves
-// results within rounding), so the tuner only *reports* them — applying a
-// profile is the caller's explicit choice. Gate knobs are pure scheduling
-// and safe to apply anywhere.
+// results within rounding) and gates are pure scheduling; either way the
+// tuner only *reports*: changing a default is an edit to engine/tuning.h.
 //
 // Flags: --quick            small shapes and single-iteration timings (CI)
-//        --json=PATH        output path (default tuning_profile.json)
 //        --threads=N        pool size for the gate probes (default: all)
 //
 // Gate probes need real concurrency: on a host below the
@@ -21,10 +18,8 @@
 #include <cstring>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "engine/batch_detector.h"
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
 #include "engine/tuning.h"
@@ -32,9 +27,6 @@
 #include "linalg/ops.h"
 #include "linalg/svd.h"
 #include "linalg/svd_update.h"
-#include "measurement/presets.h"
-#include "serve/stream_server.h"
-#include "subspace/diagnoser.h"
 #include "subspace/model.h"
 
 namespace {
@@ -168,14 +160,11 @@ knob_report probe_gate(const char* name, std::size_t tuning::*member,
 
 int main(int argc, char** argv) {
     bool quick = false;
-    std::string json_path = "tuning_profile.json";
     std::size_t pool_threads = 0;  // 0: thread_pool picks hardware_threads()
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
         } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
             pool_threads = static_cast<std::size_t>(std::stoull(argv[i] + 10));
         } else {
@@ -315,102 +304,13 @@ int main(int argc, char** argv) {
                 return time_best_ms(iterations, [&] { append_row(base, row.row(0), k, p); });
             },
             [](std::size_t m) { return m * 32; }));
-
-        // diagnose_grain: argmin over the pooled full-pipeline sweep.
-        {
-            const dataset ds = make_sprint1_dataset();
-            const volume_anomaly_diagnoser diag(ds.link_loads, ds.routing.a, 0.999);
-            const batch_detector engine(pool.size());
-            knob_report report;
-            report.name = "diagnose_grain";
-            report.fallback = tuning{}.diagnose_grain;
-            report.measured = true;
-            double best_ms = 0.0;
-            for (const std::size_t grain : {4, 8, 16, 32, 64}) {
-                const scoped_tuning guard;
-                global_tuning().diagnose_grain = grain;
-                const double ms = time_best_ms(
-                    iterations, [&] { engine.test_all(diag.detector(), ds.link_loads); });
-                if (report.chosen == 0 || ms < best_ms) {
-                    best_ms = ms;
-                    report.chosen = grain;
-                }
-            }
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "argmin over pooled sweep, %.3f ms", best_ms);
-            report.detail = buf;
-            reports.push_back(report);
-        }
-
-        // Role-wait backoff: argmin over a contended drain-role workload
-        // (two producers fan into one stream, so the loser of every role
-        // exchange sits in spin_then_sleep_backoff). Swept one knob at a
-        // time with the other at its default.
-        {
-            const matrix boot = random_matrix(64, 16, 23);
-            const int rounds = quick ? 128 : 512;
-            const auto contended_ingest_ms = [&] {
-                stream_server server({.threads = 0});
-                stream_open_config cfg;
-                cfg.kind = stream_kind::tracking;
-                cfg.bootstrap_y = boot;
-                cfg.max_rank = 4;
-                cfg.ingest.capacity = 64;
-                cfg.ingest.policy = inbox_policy::block;
-                const stream_id id = server.open_stream(std::move(cfg));
-                std::vector<std::thread> producers;
-                const auto start = std::chrono::steady_clock::now();
-                for (int p = 0; p < 2; ++p) {
-                    producers.emplace_back([&] {
-                        for (int i = 0; i < rounds; ++i) {
-                            (void)server.ingest(id, boot.row(i % boot.rows()));
-                        }
-                    });
-                }
-                for (std::thread& t : producers) t.join();
-                server.flush_stream(id);
-                return elapsed_ms(start);
-            };
-            const auto sweep_backoff = [&](const char* name, std::size_t tuning::*member,
-                                           const std::vector<std::size_t>& candidates) {
-                knob_report report;
-                report.name = name;
-                report.fallback = tuning{}.*member;
-                report.measured = true;
-                double best_ms = 0.0;
-                for (const std::size_t value : candidates) {
-                    const scoped_tuning guard;
-                    global_tuning().*member = value;
-                    double ms = contended_ingest_ms();
-                    for (int i = 1; i < iterations; ++i) {
-                        ms = std::min(ms, contended_ingest_ms());
-                    }
-                    if (report.chosen == 0 || ms < best_ms) {
-                        best_ms = ms;
-                        report.chosen = value;
-                    }
-                }
-                char buf[64];
-                std::snprintf(buf, sizeof buf, "argmin over contended ingest, %.3f ms",
-                              best_ms);
-                report.detail = buf;
-                reports.push_back(report);
-            };
-            sweep_backoff("role_wait_spin_yields", &tuning::role_wait_spin_yields,
-                          {8, 64, 256});
-            sweep_backoff("role_wait_sleep_us", &tuning::role_wait_sleep_us,
-                          {200, 1000, 4000});
-        }
     } else {
         std::printf("host below the parallel_min_hardware floor (%zu hardware thread%s): "
-                    "gate probes skipped, defaults recorded.\n",
+                    "gate probes skipped, defaults kept.\n",
                     hardware, hardware == 1 ? "" : "s");
     }
 
-    // Assemble the tuned block. Knobs without a probe (ingest scheduling,
-    // the hardware floor itself) keep their defaults.
-    tuning tuned;
-    std::printf("\nchosen profile:\n");
+    std::printf("\nchosen values:\n");
     for (knob_report& r : reports) {
         if (r.chosen == 0) {
             r.chosen = r.fallback;
@@ -418,35 +318,5 @@ int main(int argc, char** argv) {
         }
         print_report(r);
     }
-    for (const knob_report& r : reports) {
-        // Map names back onto members via save/load round trip semantics:
-        // the few knobs swept here are assigned directly.
-        if (r.name == "covariance_row_block_min") tuned.covariance_row_block_min = r.chosen;
-        else if (r.name == "svd_row_block") tuned.svd_row_block = r.chosen;
-        else if (r.name == "link_block") tuned.link_block = r.chosen;
-        else if (r.name == "svd_parallel_min_rows") tuned.svd_parallel_min_rows = r.chosen;
-        else if (r.name == "parallel_min_links") tuned.parallel_min_links = r.chosen;
-        else if (r.name == "spe_series_min_work") tuned.spe_series_min_work = r.chosen;
-        else if (r.name == "pca_projection_min_work") tuned.pca_projection_min_work = r.chosen;
-        else if (r.name == "ql_parallel_min_work") tuned.ql_parallel_min_work = r.chosen;
-        else if (r.name == "jacobi_parallel_min_dim") tuned.jacobi_parallel_min_dim = r.chosen;
-        else if (r.name == "svd_update_parallel_min_work") tuned.svd_update_parallel_min_work = r.chosen;
-        else if (r.name == "diagnose_grain") tuned.diagnose_grain = r.chosen;
-        else if (r.name == "role_wait_spin_yields") tuned.role_wait_spin_yields = r.chosen;
-        else if (r.name == "role_wait_sleep_us") tuned.role_wait_sleep_us = r.chosen;
-    }
-
-    try {
-        tuned.save_profile(json_path);
-        // Round-trip self check: a profile this build cannot re-load is a bug.
-        if (tuning::load_profile(json_path) != tuned) {
-            std::fprintf(stderr, "bench_autotune: profile round trip diverged\n");
-            return 1;
-        }
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "bench_autotune: %s\n", e.what());
-        return 1;
-    }
-    std::printf("\nWrote %s (load with tuning::load_profile)\n", json_path.c_str());
     return 0;
 }

@@ -10,9 +10,7 @@
 //      against the serial path, so this doubles as a smoke test.
 //      Flags: --quick (small shapes, for CI smoke),
 //             --engine-json=PATH (default BENCH_engine.json),
-//             --engine-only (skip the google-benchmark suite),
-//             --tuning-profile=PATH (apply a bench_autotune profile to
-//             global_tuning() before the sweeps; see docs/TUNING.md).
+//             --engine-only (skip the google-benchmark suite).
 //   2. The google-benchmark microbenchmark suite (compiled only when the
 //      dependency is available; all remaining flags are forwarded to it).
 #include <algorithm>
@@ -362,7 +360,7 @@ engine_benchmark run_streaming_push_sweep(const std::vector<std::size_t>& thread
 }
 
 // Multi-pusher ingest: P producer threads feed ONE diagnoser stream
-// concurrently through the MPSC inbox edge (block policy, auto-drain),
+// concurrently through the MPSC inbox edge (auto-drain),
 // with no caller-side ordering. Reported per pool size: total wall clock
 // from first ingest to the final flush (aggregate fan-in throughput),
 // the worst single ingest() call (the straggler bound: a producer that
@@ -411,7 +409,6 @@ engine_benchmark run_multipusher_sweep(const std::vector<std::size_t>& thread_co
         cfg.bootstrap_y = bootstrap;
         cfg.streaming = stream_cfg;
         cfg.ingest.capacity = 512;
-        cfg.ingest.policy = inbox_policy::block;
         cfg.ingest.sink = [&rc](std::uint64_t, const detection_result& r) {
             rc.results.push_back(r);
         };
@@ -714,14 +711,6 @@ int main(int argc, char** argv) {
             engine_only = true;
         } else if (std::strncmp(argv[i], "--engine-json=", 14) == 0) {
             json_path = argv[i] + 14;
-        } else if (std::strncmp(argv[i], "--tuning-profile=", 17) == 0) {
-            try {
-                global_tuning() = tuning::load_profile(std::string(argv[i] + 17));
-                std::printf("applied tuning profile %s\n", argv[i] + 17);
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "bench_perf_micro: %s\n", e.what());
-                return 1;
-            }
         } else {
             forwarded.push_back(argv[i]);
         }

@@ -144,8 +144,7 @@ int main(int argc, char** argv) {
         cfg.streaming.mode = refit_mode::deferred;
         cfg.streaming.swap_horizon = 8;  // ...swapped in 80 minutes after the trigger
         cfg.streaming.confidence = 0.999;
-        cfg.ingest.capacity = 256;               // the collector's fan-in buffer
-        cfg.ingest.policy = inbox_policy::block;  // backpressure, never loss
+        cfg.ingest.capacity = 256;  // the collector's fan-in buffer
         ids[f] = server.open_stream(std::move(cfg));
         server.set_ingest_sink(ids[f], make_sink(server, ids[f], f));
     }

@@ -15,22 +15,21 @@
 #include <cstddef>
 #include <thread>
 
-#include "engine/tuning.h"
-
 namespace netdiag {
 
+// Retries that yield before the waiter starts sleeping, and the length of
+// each sleep after that. Pure scheduling: they move latency, never results
+// (docs/TUNING.md).
+inline constexpr std::size_t k_role_wait_spin_yields = 64;
+inline constexpr std::chrono::microseconds k_role_wait_sleep_us{1000};
+
 // Call with an iteration counter that starts at 0 and increments per
-// retry; reset it whenever the awaited condition makes progress. The
-// yield count and sleep duration are tuning knobs (`role_wait_spin_yields`
-// and `role_wait_sleep_us`, see docs/TUNING.md) so bench_autotune can
-// sweep them alongside the drainer knobs; both are pure
-// scheduling -- they move latency, never results.
+// retry; reset it whenever the awaited condition makes progress.
 inline void spin_then_sleep_backoff(std::size_t spin) {
-    if (spin < global_tuning().role_wait_spin_yields) {
+    if (spin < k_role_wait_spin_yields) {
         std::this_thread::yield();
     } else {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(global_tuning().role_wait_sleep_us));
+        std::this_thread::sleep_for(k_role_wait_sleep_us);
     }
 }
 

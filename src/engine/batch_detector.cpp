@@ -1,9 +1,16 @@
 #include "engine/batch_detector.h"
 
 #include "engine/thread_pool.h"
-#include "engine/tuning.h"
 
 namespace netdiag {
+
+namespace {
+
+// Rows a diagnose_all worker claims at a time (pure scheduling: the
+// results are per-row, so the chunking never changes a bit).
+constexpr std::size_t k_diagnose_grain = 16;
+
+}  // namespace
 
 batch_detector::batch_detector(std::size_t threads)
     : pool_(std::make_unique<thread_pool>(threads)) {}
@@ -25,7 +32,7 @@ std::vector<diagnosis> batch_detector::diagnose_all(const volume_anomaly_diagnos
     std::vector<diagnosis> out(y.rows());
     // Dynamic chunking: anomalous rows additionally pay for identification,
     // so threads claim fixed-size row chunks instead of one static span.
-    parallel_for(*pool_, 0, y.rows(), global_tuning().diagnose_grain,
+    parallel_for(*pool_, 0, y.rows(), k_diagnose_grain,
                  [&](std::size_t r) { out[r] = diagnoser.diagnose(y.row(r)); });
     return out;
 }

@@ -7,23 +7,19 @@
 // cell's sequence -- so enqueue assigns every accepted item a *monotone
 // sequence number* with no lock on the fast path, and the consumer pops
 // items in exactly that sequence order. The dequeue side also uses the
-// CAS protocol (not a plain single-consumer load/store) because the
-// drop_oldest policy lets a *producer* evict the oldest pending item
-// concurrently with the drainer; the structure stays correct with any
-// number of concurrent poppers, while the owner of the inbox is expected
-// to funnel *applying* popped items through a single logical drainer (the
-// stream_server does this with a per-stream drain role flag).
+// CAS protocol (not a plain single-consumer load/store), so the structure
+// stays correct with any number of concurrent poppers, while the owner of
+// the inbox is expected to funnel *applying* popped items through a single
+// logical drainer (the stream_server does this with a per-stream drain
+// role flag).
 //
-// Backpressure policies when the ring is full:
-//  - block:       the producer waits until the consumer frees a cell (a
-//                 condition-variable wait off the fast path; close() wakes
-//                 every blocked producer).
-//  - reject:      push returns status full and nothing is enqueued. A
-//                 multi-item push_n is all-or-nothing: either every item
-//                 gets a consecutive sequence or none is enqueued.
-//  - drop_oldest: the producer pops and discards the oldest pending item
-//                 (counted in the push_result) until its own fits; newest
-//                 data wins under overload.
+// Backpressure: a push never waits. On a full ring it returns status full
+// and enqueues nothing; a multi-item push_n is all-or-nothing (either
+// every item gets a consecutive sequence or none is enqueued). A producer
+// that wants to wait loops push_n / wait_for_space -- a condition-variable
+// wait off the fast path that close() cuts short -- so it can place the
+// wait outside its own locks (the stream_server does exactly that, so a
+// parked producer can never wedge a snapshot).
 //
 // Sequences are exposed with a caller-chosen base (start_sequence) so a
 // restored inbox -- checkpoint residue re-enqueued after a restore, see
@@ -50,15 +46,9 @@
 
 namespace netdiag {
 
-enum class inbox_policy {
-    block,        // full push waits for the consumer
-    reject,       // full push returns status full
-    drop_oldest,  // full push evicts the oldest pending item(s)
-};
-
 enum class inbox_push_status {
     accepted,  // enqueued; push_result::sequence is the first assigned sequence
-    full,      // reject policy only: no space, nothing enqueued
+    full,      // no room for the whole run; nothing enqueued
     closed,    // close() was called; nothing enqueued
 };
 
@@ -68,7 +58,6 @@ public:
     struct push_result {
         inbox_push_status status = inbox_push_status::accepted;
         std::uint64_t sequence = 0;  // first sequence of the pushed run (accepted only)
-        std::uint64_t dropped = 0;   // items evicted by this push (drop_oldest only)
     };
 
     // capacity is rounded up to the next power of two (>= 1); capacity()
@@ -81,9 +70,8 @@ public:
     // cells).
     static constexpr std::size_t k_max_capacity = std::size_t{1} << 16;
 
-    explicit mpsc_inbox(std::size_t capacity, inbox_policy policy = inbox_policy::block,
-                        std::uint64_t start_sequence = 0)
-        : policy_(policy), base_(start_sequence) {
+    explicit mpsc_inbox(std::size_t capacity, std::uint64_t start_sequence = 0)
+        : base_(start_sequence) {
         if (capacity == 0) throw std::invalid_argument("mpsc_inbox: capacity must be > 0");
         if (capacity > k_max_capacity) {
             throw std::invalid_argument("mpsc_inbox: capacity too large");
@@ -102,37 +90,36 @@ public:
     mpsc_inbox& operator=(const mpsc_inbox&) = delete;
 
     std::size_t capacity() const noexcept { return capacity_; }
-    inbox_policy policy() const noexcept { return policy_; }
 
-    // Enqueues one item under the configured policy. The item is moved
-    // from only when the push is accepted.
-    [[nodiscard]] push_result push(T value) NETDIAG_EXCLUDES(wait_mu_) {
+    // Enqueues one item. The item is moved from only when the push is
+    // accepted.
+    [[nodiscard]] push_result push(T value) {
         std::span<T> one(&value, 1);
         return push_n(one);
     }
 
     // Enqueues values.size() items with *consecutive* sequences (no other
-    // producer's item interleaves the run), all-or-nothing: on full under
-    // the reject policy nothing is enqueued. Throws std::invalid_argument
-    // when the run is larger than the ring itself. An empty run is
-    // accepted with sequence == next_sequence() and enqueues nothing.
-    [[nodiscard]] push_result push_n(std::span<T> values) NETDIAG_EXCLUDES(wait_mu_) {
-        return push_impl(values, /*may_wait=*/true);
+    // producer's item interleaves the run), all-or-nothing: a ring without
+    // room for the whole run returns status full and enqueues nothing.
+    // Throws std::invalid_argument when the run is larger than the ring
+    // itself. An empty run is accepted with sequence == next_sequence()
+    // and enqueues nothing.
+    [[nodiscard]] push_result push_n(std::span<T> values) {
+        if (values.size() > capacity_) {
+            throw std::invalid_argument("mpsc_inbox: batch larger than ring capacity");
+        }
+        if (closed_.load(std::memory_order_acquire)) return {inbox_push_status::closed, 0};
+        if (values.empty()) return {inbox_push_status::accepted, next_sequence()};
+        std::uint64_t pos = 0;
+        if (!try_reserve(values.size(), &pos)) return {inbox_push_status::full, 0};
+        fill(pos, values);
+        return {inbox_push_status::accepted, base_ + pos};
     }
 
-    // push_n that never blocks: under the block policy a full ring
-    // returns status full instead of waiting, so a caller can place the
-    // wait itself (wait_for_space) without holding its own locks across
-    // it -- the stream_server does exactly that so a parked producer can
-    // never wedge a snapshot.
-    [[nodiscard]] push_result try_push_n(std::span<T> values) NETDIAG_EXCLUDES(wait_mu_) {
-        return push_impl(values, /*may_wait=*/false);
-    }
-
-    // The producer-side wait of the block policy: parks briefly (bounded
-    // by a ~1ms timeout) until a pop or close() makes another attempt
-    // worthwhile. Callers loop try_push_n / wait_for_space. A blocking
-    // boundary: never legal on a pool worker (engine/thread_pool.h).
+    // The producer-side wait: parks briefly (bounded by a ~1ms timeout)
+    // until a pop or close() makes another attempt worthwhile. Callers
+    // loop push_n / wait_for_space. A blocking boundary: never legal on a
+    // pool worker (engine/thread_pool.h).
     void wait_for_space() NETDIAG_EXCLUDES(wait_mu_) {
         thread_pool::assert_wait_allowed();
         sync::mutex_lock lock(wait_mu_);
@@ -145,8 +132,8 @@ public:
     }
 
     // Pops the oldest pending item, returning false when the ring is
-    // empty. Safe to call from several threads at once (the drop_oldest
-    // policy relies on that); items come out in sequence order overall.
+    // empty. Safe to call from several threads at once; items come out in
+    // sequence order overall.
     //
     // The position CASes (here and in try_reserve) are seq_cst rather
     // than relaxed: the inbox's owner pairs ring-position reads with a
@@ -234,45 +221,11 @@ private:
         T value{};
     };
 
-    push_result push_impl(std::span<T> values, bool may_wait) NETDIAG_EXCLUDES(wait_mu_) {
-        if (values.size() > capacity_) {
-            throw std::invalid_argument("mpsc_inbox: batch larger than ring capacity");
-        }
-        if (closed_.load(std::memory_order_acquire)) return {inbox_push_status::closed, 0, 0};
-        if (values.empty()) return {inbox_push_status::accepted, next_sequence(), 0};
-
-        std::uint64_t dropped = 0;
-        for (;;) {
-            std::uint64_t pos = 0;
-            if (try_reserve(values.size(), &pos)) {
-                fill(pos, values);
-                return {inbox_push_status::accepted, base_ + pos, dropped};
-            }
-            if (closed_.load(std::memory_order_acquire)) {
-                return {inbox_push_status::closed, 0, dropped};
-            }
-            switch (policy_) {
-                case inbox_policy::reject:
-                    return {inbox_push_status::full, 0, dropped};
-                case inbox_policy::drop_oldest: {
-                    T victim;
-                    std::uint64_t seq = 0;
-                    if (try_pop(victim, seq)) ++dropped;
-                    break;  // retry the reservation
-                }
-                case inbox_policy::block:
-                    if (!may_wait) return {inbox_push_status::full, 0, dropped};
-                    wait_for_space();
-                    break;
-            }
-        }
-    }
-
     // Claims `count` consecutive tickets when the ring has room for all
     // of them, using a conservative dequeue-position read: the consumer
     // only ever advances, so a stale read can under-report free space
-    // (producing a spurious full, resolved by the policy loop) but never
-    // over-report it.
+    // (producing a spurious full, resolved by the caller's retry) but
+    // never over-report it.
     [[nodiscard]] bool try_reserve(std::size_t count, std::uint64_t* out_pos) {
         std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
         for (;;) {
@@ -309,7 +262,6 @@ private:
 
     std::size_t capacity_ = 0;
     std::size_t mask_ = 0;
-    inbox_policy policy_ = inbox_policy::block;
     std::uint64_t base_ = 0;
     std::unique_ptr<cell[]> cells_;
     std::atomic<std::uint64_t> enqueue_pos_{0};

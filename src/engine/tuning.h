@@ -3,9 +3,9 @@
 //
 // docs/TUNING.md is the authoritative catalog: per-knob rationale, which
 // kernel each knob gates, its contract class (numerical contract vs pure
-// scheduling), and the autotune profile workflow all live there — the
-// comments here are deliberately one-line pointers so header and docs
-// cannot drift apart.
+// scheduling), and the autotune workflow all live there — the comments
+// here are deliberately one-line pointers so header and docs cannot
+// drift apart.
 //
 // Two contract classes (see docs/TUNING.md#contract-classes):
 //  * block widths are part of the numerical contract — the fixed block
@@ -19,8 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
-#include <string>
 
 namespace netdiag {
 
@@ -48,32 +46,10 @@ struct tuning {
     // --- linalg/svd_update.cpp: rank-1 row update ------------------------
     std::size_t svd_update_parallel_min_work = 1u << 15;  // m*k gate (scheduling)
 
-    // --- engine/batch_detector.cpp: diagnose_all chunking ----------------
-    std::size_t diagnose_grain = 16;  // dynamic chunk size (scheduling)
-
     // --- engine/thread_pool.h consumers: host concurrency floor ----------
     // Pool ignored by the compute kernels when the host has fewer hardware
     // threads than this (scheduling; see parallel_hardware_ok()).
     std::size_t parallel_min_hardware = 2;
-
-    // --- serve/stream_server.cpp: multi-pusher ingest inboxes ------------
-    std::size_t ingest_inbox_capacity = 1024;  // default ring size (scheduling)
-    std::size_t ingest_drain_burst = 64;       // bins applied per drain pass (scheduling)
-
-    // --- engine/backoff.h: spin-then-sleep protocol waits ----------------
-    std::size_t role_wait_spin_yields = 64;  // yields before sleeping (scheduling)
-    std::size_t role_wait_sleep_us = 1000;   // microseconds per sleep retry (scheduling)
-
-    // Writes this block as a netdiag-tuning-profile-v1 JSON document
-    // (format: docs/TUNING.md#profile-format).
-    void save_profile(std::ostream& out, std::size_t hardware_concurrency = 0) const;
-    void save_profile(const std::string& path, std::size_t hardware_concurrency = 0) const;
-
-    // Parses a profile written by save_profile (or bench_autotune) and
-    // returns defaults overridden by every knob the profile lists. Throws
-    // std::runtime_error on malformed input or unknown knob names.
-    static tuning load_profile(std::istream& in);
-    static tuning load_profile(const std::string& path);
 
     bool operator==(const tuning&) const = default;
 };

@@ -248,14 +248,6 @@ sym_eigen_result sorted_descending(std::vector<double> d, const matrix& v) {
 
 }  // namespace
 
-namespace detail {
-
-std::size_t& jacobi_parallel_min_dim() noexcept {
-    return global_tuning().jacobi_parallel_min_dim;
-}
-
-}  // namespace detail
-
 sym_eigen_result sym_eigen(const matrix& a) { return sym_eigen(a, nullptr); }
 
 sym_eigen_result sym_eigen(const matrix& a, thread_pool* pool) {
@@ -290,7 +282,7 @@ sym_eigen_result sym_eigen_jacobi(const matrix& a, thread_pool* pool) {
     matrix vt = matrix::identity(n);
     const double total_scale = std::max(frobenius_norm(w), 1e-300);
     const bool shard =
-        pool != nullptr && parallel_hardware_ok() && n >= detail::jacobi_parallel_min_dim();
+        pool != nullptr && parallel_hardware_ok() && n >= global_tuning().jacobi_parallel_min_dim;
 
     for (int sweep = 0; sweep < k_max_jacobi_sweeps; ++sweep) {
         double off = 0.0;

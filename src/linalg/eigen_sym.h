@@ -40,19 +40,9 @@ sym_eigen_result sym_eigen(const matrix& a, thread_pool* pool);
 sym_eigen_result sym_eigen_jacobi(const matrix& a);
 
 // Jacobi with the per-rotation O(n) row updates sharded across the pool;
-// bit-identical to the serial call for any pool size.
+// bit-identical to the serial call for any pool size. The pool engages
+// only from global_tuning().jacobi_parallel_min_dim up (default 2048: a
+// per-rotation dispatch amortizes only for very large matrices).
 sym_eigen_result sym_eigen_jacobi(const matrix& a, thread_pool* pool);
-
-namespace detail {
-
-// The dimension gate below which sym_eigen_jacobi ignores the pool: an
-// alias for global_tuning().jacobi_parallel_min_dim (engine/tuning.h).
-// Defaults to 2048: a per-rotation parallel_for dispatch only amortizes
-// its mutex/condvar cost for very large matrices. Mutable so the parity
-// suite can drive the sharded path at unit-test sizes (restore the old
-// value afterwards).
-std::size_t& jacobi_parallel_min_dim() noexcept;
-
-}  // namespace detail
 
 }  // namespace netdiag

@@ -123,9 +123,11 @@ frame handle_request(stream_server& server, const frame& request) {
         return dispatch(server, request);
     } catch (const wire_decode_error& e) {
         return error_frame(wire_errc::malformed_payload, e.what());
-    } catch (const std::invalid_argument& e) {
-        // The server's unknown-id / validation signal on the ops that
-        // throw instead of returning codes (flush, snapshot, close).
+    } catch (const unknown_stream_error& e) {
+        // The server's unknown-id signal on the ops that throw instead of
+        // returning codes (flush, snapshot, stats, close). Any other
+        // exception -- a refit that threw std::invalid_argument included
+        // -- is a server error on a stream that stays open.
         return error_frame(wire_errc::unknown_stream, e.what());
     } catch (const std::exception& e) {
         return error_frame(wire_errc::server_error, e.what());

@@ -36,10 +36,10 @@ namespace netdiag::net {
 
 // Maps one request frame to its response frame against the server.
 // Unknown frame types yield resp_error{unknown_op}; malformed payloads
-// yield resp_error{malformed_payload}; server-side exceptions yield
-// resp_error{server_error} (or the specific code when one fits, e.g.
-// unknown_stream). req_shutdown is answered with resp_shutdown here and
-// acted on by the transport layer.
+// yield resp_error{malformed_payload}; an unknown stream id yields
+// resp_error{unknown_stream} and every other server-side exception
+// resp_error{server_error}. req_shutdown is answered with resp_shutdown
+// here and acted on by the transport layer.
 frame handle_request(stream_server& server, const frame& request);
 
 class netdiag_frontend {

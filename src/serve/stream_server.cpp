@@ -9,7 +9,7 @@
 
 #include "engine/backoff.h"
 #include "engine/clock.h"
-#include "engine/tuning.h"
+#include "engine/mpsc_inbox.h"
 #include "measurement/stream_checkpoint.h"
 #include "stats/histogram.h"
 
@@ -22,6 +22,16 @@ constexpr const char* k_manifest_tag = "stream_server_manifest";
 // residue wrapped around the nested detector record. See
 // docs/CHECKPOINT_FORMAT.md.
 constexpr const char* k_server_stream_tag = "server_stream";
+// The record's retired backpressure-policy slot: writers store 0 (block);
+// 1 and 2 (the retired reject and drop_oldest) still load, and serve as
+// block. Anything larger was never written by a server.
+constexpr std::uint64_t k_max_retired_policy = 2;
+
+// Ring size of a stream opened with ingest_options::capacity == 0.
+constexpr std::size_t k_default_inbox_capacity = 1024;
+// Bins a drainer applies per pass before it re-checks for a waiting
+// maintenance op (scheduling only).
+constexpr std::size_t k_drain_burst = 64;
 
 std::string checkpoint_filename(stream_id id) {
     return "stream_" + std::to_string(id) + ".ckpt";
@@ -29,6 +39,10 @@ std::string checkpoint_filename(stream_id id) {
 
 bool all_finite(std::span<const double> y) {
     return std::all_of(y.begin(), y.end(), [](double v) { return std::isfinite(v); });
+}
+
+[[noreturn]] void throw_unknown_stream(stream_id id) {
+    throw unknown_stream_error("stream_server: unknown stream id " + std::to_string(id));
 }
 
 }  // namespace
@@ -45,7 +59,7 @@ bool all_finite(std::span<const double> y) {
 struct stream_server::stream_entry {
     // What travels through the inbox: the measurement plus the monotone
     // tick of its enqueue staging, so the drainer can charge the full
-    // ingest-to-applied interval (including any block-policy wait and
+    // ingest-to-applied interval (including any wait for ring space and
     // queueing delay) to the latency histogram. Ticks are runtime-only:
     // checkpoints serialize the payload and restamp at restore.
     struct ingest_item {
@@ -84,6 +98,20 @@ struct stream_server::stream_entry {
     std::atomic<std::uint64_t> applied{0};
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint64_t> rejected{0};
+    // The detector's counters as stats() reports them. The detector is
+    // the drainer's alone (it may be mid-push on another connection's
+    // thread), so the drainer copies them here after every bin it pushes
+    // and stats() reads only these.
+    std::atomic<std::size_t> processed{0};
+    std::atomic<std::size_t> alarms{0};
+    std::atomic<std::uint64_t> epoch{0};
+
+    void publish_detector_counters() NETDIAG_REQUIRES(drain_cap) {
+        processed.store(detector->processed(), std::memory_order_relaxed);
+        alarms.store(detector->alarm_count(), std::memory_order_relaxed);
+        epoch.store(detector->model_epoch(), std::memory_order_relaxed);
+    }
+
     // Ingest-to-applied latency accounting, written by the drainer per
     // applied bin, read by ingest_statistics. A dedicated mutex (never
     // held across detector or inbox calls) rather than the drain role:
@@ -148,11 +176,11 @@ std::shared_ptr<stream_server::stream_entry> stream_server::make_entry(
     // yet, so this thread holds the drain role by construction.
     entry->drain_cap.assert_held();
     entry->sink = std::move(entry->opts.sink);
-    const std::size_t capacity = entry->opts.capacity != 0
-                                     ? entry->opts.capacity
-                                     : global_tuning().ingest_inbox_capacity;
-    entry->inbox = std::make_unique<mpsc_inbox<stream_entry::ingest_item>>(
-        capacity, entry->opts.policy, start_sequence);
+    entry->publish_detector_counters();
+    const std::size_t capacity =
+        entry->opts.capacity != 0 ? entry->opts.capacity : k_default_inbox_capacity;
+    entry->inbox =
+        std::make_unique<mpsc_inbox<stream_entry::ingest_item>>(capacity, start_sequence);
     entry->opts.capacity = entry->inbox->capacity();
     // log2(ns) domain, quarter-log2 buckets: covers 1ns..2^40ns (~18min)
     // with 160 fixed bins. The entry is unpublished; the lock is for the
@@ -214,9 +242,7 @@ std::shared_ptr<stream_server::stream_entry> stream_server::find_entry(stream_id
 std::shared_ptr<stream_server::stream_entry> stream_server::entry_or_throw(
     stream_id id) const {
     std::shared_ptr<stream_entry> entry = find_entry(id);
-    if (entry == nullptr) {
-        throw std::invalid_argument("stream_server: unknown stream id " + std::to_string(id));
-    }
+    if (entry == nullptr) throw_unknown_stream(id);
     return entry;
 }
 
@@ -231,10 +257,7 @@ void stream_server::close_stream(stream_id id) {
     {
         sync::exclusive_lock lock(mu_);
         const auto it = streams_.find(id);
-        if (it == streams_.end()) {
-            throw std::invalid_argument("stream_server: unknown stream id " +
-                                        std::to_string(id));
-        }
+        if (it == streams_.end()) throw_unknown_stream(id);
         victim = std::move(it->second);
         streams_.erase(it);
     }
@@ -306,8 +329,7 @@ void stream_server::stream_entry::apply_pending(stream_entry& e, bool yield_to_w
         if (yield_to_waiters && e.role_waiters.load(std::memory_order_relaxed) > 0) return;
         const std::size_t pending = e.inbox->approx_size();
         if (pending == 0) return;
-        const std::size_t burst =
-            std::min(pending, std::max<std::size_t>(global_tuning().ingest_drain_burst, 1));
+        const std::size_t burst = std::min(pending, k_drain_burst);
         std::size_t popped = 0;
         for (std::size_t i = 0; i < burst; ++i) {
             if (!e.inbox->try_pop(bin, seq)) break;
@@ -321,8 +343,10 @@ void stream_server::stream_entry::apply_pending(stream_entry& e, bool yield_to_w
                 // it so the accepted == applied + dropped + pending
                 // invariant survives the error.
                 e.dropped.fetch_add(1, std::memory_order_relaxed);
+                e.publish_detector_counters();
                 throw;
             }
+            e.publish_detector_counters();
             e.applied.fetch_add(1, std::memory_order_relaxed);
             e.record_latency(bin.enqueue_tick, monotone_now_ns());
             if (e.sink) e.sink(seq, result);
@@ -393,9 +417,9 @@ ingest_result stream_server::ingest_batch(stream_id id,
         }
     }
 
-    // One stamp for the whole batch, taken at staging: a block-policy
-    // retry keeps the original stamp, so the reported latency charges the
-    // full wait for ring space to the bins that waited.
+    // One stamp for the whole batch, taken at staging: a retry after a
+    // full ring keeps the original stamp, so the reported latency charges
+    // the full wait for ring space to the bins that waited.
     std::vector<stream_entry::ingest_item> items;
     items.reserve(ys.size());
     const std::uint64_t enqueue_tick = monotone_now_ns();
@@ -404,7 +428,7 @@ ingest_result stream_server::ingest_batch(stream_id id,
     }
 
     // The entry lock guards only the closing-check + enqueue attempt (so
-    // a close/snapshot can quiesce enqueues). The block-policy wait
+    // a close/snapshot can quiesce enqueues). The wait for ring space
     // happens OUTSIDE it -- a producer parked on a full ring must never
     // hold the lock a snapshot/set_ingest_sink needs to quiesce the
     // stream -- and the drain at the end runs outside it too, since its
@@ -426,11 +450,7 @@ ingest_result stream_server::ingest_batch(stream_id id,
             // way (bins briefly pending before they are visible), which
             // the derived pending absorbs by construction.
             e->accepted.fetch_add(ys.size(), std::memory_order_seq_cst);
-            const auto pushed =
-                e->inbox->try_push_n(std::span<stream_entry::ingest_item>(items));
-            if (pushed.dropped > 0) {
-                e->dropped.fetch_add(pushed.dropped, std::memory_order_relaxed);
-            }
+            const auto pushed = e->inbox->push_n(std::span<stream_entry::ingest_item>(items));
             switch (pushed.status) {
                 case inbox_push_status::accepted:
                     out = {ingest_error::ok, pushed.sequence, ys.size()};
@@ -440,23 +460,19 @@ ingest_result stream_server::ingest_batch(stream_id id,
                     return {ingest_error::stream_closed, 0, 0};
                 case inbox_push_status::full:
                     e->accepted.fetch_sub(ys.size(), std::memory_order_seq_cst);
-                    if (e->opts.policy != inbox_policy::block) {
-                        e->rejected.fetch_add(ys.size(), std::memory_order_relaxed);
-                        return {ingest_error::inbox_full, 0, 0};
-                    }
                     must_wait = true;
                     break;
             }
         }
         if (!must_wait) break;
-        // Full under the block policy: an auto-drain producer first tries
-        // to make room itself (without it, every producer could end up
-        // parked here with a full ring and no drainer anywhere -- a
-        // successful enqueue is otherwise the only drain trigger) and
-        // retries immediately when that freed space; it only parks when
-        // the ring is still full (another drainer holds the role, or a
-        // maintenance op does). Accumulate-mode (auto_drain off) streams
-        // rely on flush_stream, as documented.
+        // Full ring: an auto-drain producer first tries to make room
+        // itself (without it, every producer could end up parked here
+        // with a full ring and no drainer anywhere -- a successful
+        // enqueue is otherwise the only drain trigger) and retries
+        // immediately when that freed space; it only parks when the ring
+        // is still full (another drainer holds the role, or a maintenance
+        // op does). Accumulate-mode (auto_drain off) streams rely on
+        // flush_stream, as documented.
         if (e->opts.auto_drain) {
             stream_entry::drain_entry(*e);
             if (!e->inbox->empty()) e->inbox->wait_for_space();
@@ -490,7 +506,7 @@ void stream_server::flush_all() {
     for (const stream_id id : stream_ids()) {
         try {
             flush_stream(id);
-        } catch (const std::invalid_argument&) {
+        } catch (const unknown_stream_error&) {
             // Closed between the listing and the flush: close applied the
             // residue itself, which is exactly what a flush wants.
         }
@@ -549,8 +565,8 @@ void stream_server::set_ingest_sink(stream_id id, ingest_sink sink) {
 
 stream_server::stream_stats stream_server::stats(stream_id id) const {
     const std::shared_ptr<stream_entry> e = entry_or_throw(id);
-    const stream_detector& det = *e->detector;
-    return {det.dimension(), det.processed(), det.alarm_count(), det.model_epoch()};
+    return {e->detector->dimension(), e->processed.load(std::memory_order_relaxed),
+            e->alarms.load(std::memory_order_relaxed), e->epoch.load(std::memory_order_relaxed)};
 }
 
 const stream_detector& stream_server::stream(stream_id id) const {
@@ -558,12 +574,12 @@ const stream_detector& stream_server::stream(stream_id id) const {
 }
 
 std::size_t stream_server::stream_count() const {
-    std::shared_lock lock(mu_);
+    sync::shared_lock lock(mu_);
     return streams_.size();
 }
 
 std::vector<stream_id> stream_server::stream_ids() const {
-    std::shared_lock lock(mu_);
+    sync::shared_lock lock(mu_);
     std::vector<stream_id> ids;
     ids.reserve(streams_.size());
     for (const auto& [id, entry] : streams_) ids.push_back(id);
@@ -707,7 +723,7 @@ void stream_server::write_stream_record(stream_entry& entry, std::ostream& out,
     ckpt::set_encoding(out, enc);
     ckpt::write_header(out, k_server_stream_tag);
     ckpt::write_u64(out, entry.inbox->capacity());
-    ckpt::write_u64(out, static_cast<std::uint64_t>(entry.opts.policy));
+    ckpt::write_u64(out, 0);  // retired policy slot (block)
     ckpt::write_flag(out, entry.opts.auto_drain);
     ckpt::write_u64(out, entry.accepted.load(std::memory_order_relaxed));
     ckpt::write_u64(out, entry.applied.load(std::memory_order_relaxed));
@@ -746,11 +762,9 @@ std::shared_ptr<stream_server::stream_entry> stream_server::read_stream_record(
             opts.capacity > mpsc_inbox<stream_entry::ingest_item>::k_max_capacity) {
             throw std::runtime_error(context + ": malformed inbox capacity");
         }
-        const std::uint64_t policy = ckpt::read_u64(in);
-        if (policy > static_cast<std::uint64_t>(inbox_policy::drop_oldest)) {
+        if (ckpt::read_u64(in) > k_max_retired_policy) {
             throw std::runtime_error(context + ": malformed ingest policy");
         }
-        opts.policy = static_cast<inbox_policy>(policy);
         opts.auto_drain = ckpt::read_flag(in);
         accepted = ckpt::read_u64(in);
         applied = ckpt::read_u64(in);
@@ -835,10 +849,7 @@ void stream_server::detach_stream(stream_id id, std::ostream& out, ckpt::encodin
     {
         sync::exclusive_lock lock(mu_);
         const auto it = streams_.find(id);
-        if (it == streams_.end()) {
-            throw std::invalid_argument("stream_server: unknown stream id " +
-                                        std::to_string(id));
-        }
+        if (it == streams_.end()) throw_unknown_stream(id);
         victim = std::move(it->second);
         streams_.erase(it);
     }

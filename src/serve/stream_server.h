@@ -32,9 +32,10 @@
 // to the sequence-order replay parity above.
 //
 // Fairness / backpressure policy:
-//  - Backpressure when an inbox is full is per-stream policy: block
-//    (wait for the drainer), reject (ingest returns inbox_full), or
-//    drop_oldest (evict the oldest pending bin; newest data wins).
+//  - When an inbox is full the producer waits for the drainer (an
+//    auto-draining producer first drains the stream itself), outside
+//    every lock: a full ring never evicts a pending bin or refuses one
+//    that fits.
 //  - Streams never share a drainer: each has its own drain role, so a
 //    stream stalled at a refit boundary delays only its own bins.
 //  - Per-stream pending-refit work is bounded: a streaming_diagnoser has
@@ -76,11 +77,11 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "engine/mpsc_inbox.h"
 #include "engine/sync.h"
 #include "engine/thread_pool.h"
 #include "linalg/matrix.h"
@@ -94,6 +95,16 @@ namespace netdiag {
 // snapshot_all / restore_all round trips). Never reused after close.
 using stream_id = std::uint64_t;
 
+// What the operations that take an id and throw rather than return a
+// code (close, flush, snapshot, detach, stats, ...) throw when no open
+// stream has that id. A std::invalid_argument, so existing catch sites
+// keep working; the wire frontend maps exactly this type to
+// unknown_stream, and every other exception to a server error.
+class unknown_stream_error : public std::invalid_argument {
+public:
+    using std::invalid_argument::invalid_argument;
+};
+
 enum class stream_kind {
     diagnoser,  // streaming_diagnoser: sliding window + periodic refits
     tracking,   // tracking_detector: SPE detection over rank-1 updates
@@ -106,10 +117,9 @@ using ingest_sink = std::function<void(std::uint64_t sequence, const detection_r
 
 // Per-stream ingest-inbox configuration.
 struct ingest_options {
-    // Ring capacity; 0 selects global_tuning().ingest_inbox_capacity.
-    // Rounded up to a power of two.
+    // Ring capacity; 0 selects the default of 1024 bins. Rounded up to a
+    // power of two.
     std::size_t capacity = 0;
-    inbox_policy policy = inbox_policy::block;
     // true: ingesting callers opportunistically drain (one at a time, on
     // their own thread). false: bins accumulate until flush_stream() or
     // close_stream().
@@ -121,7 +131,7 @@ enum class ingest_error {
     ok = 0,
     unknown_stream,  // no such id
     width_mismatch,  // a bin's width differs from the stream's dimension
-    inbox_full,      // reject policy and the ring is full (nothing enqueued)
+    inbox_full,      // batch longer than the ring: it can never fit (nothing enqueued)
     stream_closed,   // close_stream ran while this ingest was in flight
     non_finite,      // a bin holds a NaN or an infinity (nothing enqueued)
 };
@@ -146,8 +156,7 @@ struct ingest_result {
 struct ingest_stats {
     std::uint64_t accepted = 0;   // bins enqueued successfully
     std::uint64_t applied = 0;    // bins drained through the detector
-    std::uint64_t dropped = 0;    // bins evicted by drop_oldest, or
-                                  // consumed by an apply that threw
+    std::uint64_t dropped = 0;    // bins consumed by an apply that threw
     std::uint64_t rejected = 0;   // bins refused (full / width / non-finite)
     std::uint64_t pending = 0;    // accepted - applied - dropped
     std::uint64_t next_sequence = 0;
@@ -179,8 +188,8 @@ struct stream_open_config {
     double confidence = 0.999;
     separation_config separation;
 
-    // Ingest inbox wiring; defaults give a blocking auto-drained inbox of
-    // tuning-default capacity.
+    // Ingest inbox wiring; defaults give an auto-drained inbox of the
+    // default capacity.
     ingest_options ingest;
 };
 
@@ -212,7 +221,7 @@ public:
     // (their ingest returns stream_closed), applies every pending inbox
     // bin in sequence order, drains the detector's in-flight maintenance
     // and removes it. Other streams are untouched -- closing a stream
-    // never perturbs their output. Throws std::invalid_argument on an
+    // never perturbs their output. Throws unknown_stream_error on an
     // unknown id.
     void close_stream(stream_id id);
 
@@ -228,18 +237,18 @@ public:
     [[nodiscard]] ingest_result ingest(stream_id id, std::span<const double> y);
 
     // Enqueues a run of bins with consecutive sequences (no other
-    // producer interleaves the run), all-or-nothing under the reject
-    // policy. Width and finiteness are validated for every bin before
-    // anything enqueues (one bad bin refuses the whole run); a run longer
-    // than the stream's ring capacity returns inbox_full under every
-    // policy (it can never fit).
+    // producer interleaves the run), waiting for ring space while the
+    // inbox is full. Width and finiteness are validated for every bin
+    // before anything enqueues (one bad bin refuses the whole run); a run
+    // longer than the stream's ring capacity returns inbox_full (it can
+    // never fit).
     [[nodiscard]] ingest_result ingest_batch(stream_id id,
                                              std::span<const std::span<const double>> ys);
 
     // Applies every bin currently pending in the stream's inbox (waiting
     // for an active drainer to hand over if necessary). Returns when the
     // inbox has been observed empty with no drain in progress. Throws
-    // std::invalid_argument on an unknown id; rethrows detector errors.
+    // unknown_stream_error on an unknown id; rethrows detector errors.
     void flush_stream(stream_id id);
 
     // flush_stream over every open stream (drain-role-correct: each
@@ -259,8 +268,10 @@ public:
 
     // --- Observation ------------------------------------------------------
 
-    // Per-stream detector counters, advanced by the stream's drainer: read
-    // them from its sink or after flush_stream, never during a drain.
+    // Per-stream detector counters, which the stream's drainer publishes
+    // after every applied bin: safe to read at any time, from a sink or
+    // while another thread drains. Throws unknown_stream_error on an
+    // unknown id.
     struct stream_stats {
         std::size_t dimension = 0;
         std::size_t processed = 0;
@@ -319,7 +330,7 @@ public:
     // a slow `out` stalls this one), drains detector maintenance so the
     // bytes are timing-independent, and snapshots pending inbox bins as
     // residue without applying them; the stream stays open and resumes
-    // afterwards. Throws std::invalid_argument on an unknown id,
+    // afterwards. Throws unknown_stream_error on an unknown id,
     // std::runtime_error on I/O failure.
     void snapshot_stream(stream_id id, std::ostream& out,
                          ckpt::encoding enc = ckpt::encoding::native);
@@ -336,7 +347,7 @@ public:
     // and the replay stays bit-exact). The record is written before the
     // detector is destroyed, but a caller that cannot afford to lose the
     // stream on a flaky sink should detach into a memory buffer and
-    // forward from there. Throws std::invalid_argument on an unknown id,
+    // forward from there. Throws unknown_stream_error on an unknown id,
     // std::runtime_error on I/O failure.
     void detach_stream(stream_id id, std::ostream& out,
                        ckpt::encoding enc = ckpt::encoding::interchange);

@@ -401,21 +401,22 @@ TEST(ParallelFit, SymEigenBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelFit, SymEigenJacobiBitIdenticalAcrossThreadCounts) {
     // Jacobi's per-rotation dispatch only amortizes at n >= 2048 — far too
-    // slow to eigensolve in a unit test — so the gate is lowered through
-    // its test seam to actually drive the sharded row updates here.
+    // slow to eigensolve in a unit test — so the gate is lowered under a
+    // scoped_tuning to actually drive the sharded row updates here.
     const force_sharding sharding;
     const matrix cov = parallel_column_covariance(random_measurements(300, 130, 44), nullptr);
     const sym_eigen_result serial = sym_eigen_jacobi(cov);
 
-    const std::size_t saved_gate = detail::jacobi_parallel_min_dim();
-    detail::jacobi_parallel_min_dim() = 64;
-    for (std::size_t threads : k_thread_counts) {
-        thread_pool pool(threads);
-        const sym_eigen_result parallel = sym_eigen_jacobi(cov, &pool);
-        EXPECT_EQ(parallel.eigenvalues, serial.eigenvalues) << "threads=" << threads;
-        EXPECT_EQ(parallel.eigenvectors, serial.eigenvectors) << "threads=" << threads;
+    {
+        const scoped_tuning gate;
+        global_tuning().jacobi_parallel_min_dim = 64;
+        for (std::size_t threads : k_thread_counts) {
+            thread_pool pool(threads);
+            const sym_eigen_result parallel = sym_eigen_jacobi(cov, &pool);
+            EXPECT_EQ(parallel.eigenvalues, serial.eigenvalues) << "threads=" << threads;
+            EXPECT_EQ(parallel.eigenvectors, serial.eigenvectors) << "threads=" << threads;
+        }
     }
-    detail::jacobi_parallel_min_dim() = saved_gate;
 
     // And above the (restored) gate the pool is ignored but still valid.
     thread_pool pool(2);

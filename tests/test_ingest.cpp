@@ -1,5 +1,5 @@
 // The multi-pusher ingest edge: the engine mpsc_inbox primitive, the
-// stream_server ingest()/ingest_batch() API, backpressure policies,
+// stream_server ingest()/ingest_batch() API, backpressure,
 // close/flush semantics, the N-producer parity stress (per-stream output
 // bit-identical to a standalone single-pusher detector replayed in inbox
 // sequence order, for every refit mode and pool size), refusal of
@@ -46,8 +46,19 @@ void expect_same_detection(const detection_result& want, const detection_result&
 // mpsc_inbox primitive.
 // ---------------------------------------------------------------------------
 
+// The producer-side loop the stream_server runs: a push never waits, so a
+// producer that must not give up its item waits for space and retries.
+template <typename T>
+typename mpsc_inbox<T>::push_result push_waiting(mpsc_inbox<T>& inbox, T value) {
+    for (;;) {
+        const auto r = inbox.push(value);
+        if (r.status != inbox_push_status::full) return r;
+        inbox.wait_for_space();
+    }
+}
+
 TEST(MpscInbox, AssignsMonotoneSequencesAndPopsInOrder) {
-    mpsc_inbox<int> inbox(4, inbox_policy::reject);
+    mpsc_inbox<int> inbox(4);
     EXPECT_EQ(inbox.capacity(), 4u);
     for (int i = 0; i < 4; ++i) {
         const auto r = inbox.push(100 + i);
@@ -88,7 +99,7 @@ TEST(MpscInbox, RejectsZeroAndOversizedCapacities) {
 }
 
 TEST(MpscInbox, PushNIsAllOrNothingWithConsecutiveSequences) {
-    mpsc_inbox<int> inbox(8, inbox_policy::reject);
+    mpsc_inbox<int> inbox(8);
     std::vector<int> a = {1, 2, 3};
     const auto ra = inbox.push_n(std::span<int>(a));
     ASSERT_EQ(ra.status, inbox_push_status::accepted);
@@ -108,34 +119,18 @@ TEST(MpscInbox, PushNIsAllOrNothingWithConsecutiveSequences) {
         std::invalid_argument);
 }
 
-TEST(MpscInbox, DropOldestEvictsExactlyTheOldest) {
-    mpsc_inbox<int> inbox(4, inbox_policy::drop_oldest);
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_EQ(inbox.push(i).status, inbox_push_status::accepted);
-    }
-    const auto r = inbox.push(4);
-    ASSERT_EQ(r.status, inbox_push_status::accepted);
-    EXPECT_EQ(r.sequence, 4u);
-    EXPECT_EQ(r.dropped, 1u);
-
-    int value = 0;
-    std::uint64_t seq = 0;
-    std::vector<int> drained;
-    while (inbox.try_pop(value, seq)) drained.push_back(value);
-    EXPECT_EQ(drained, (std::vector<int>{1, 2, 3, 4}));
-}
-
 TEST(MpscInbox, CloseWakesBlockedProducers) {
-    mpsc_inbox<int> inbox(2, inbox_policy::block);
+    mpsc_inbox<int> inbox(2);
     ASSERT_EQ(inbox.push(0).status, inbox_push_status::accepted);
     ASSERT_EQ(inbox.push(1).status, inbox_push_status::accepted);
+    EXPECT_EQ(inbox.push(2).status, inbox_push_status::full);  // a push never waits
     std::atomic<int> status{-1};
     std::thread producer([&] {
-        const auto r = inbox.push(2);  // blocks: ring is full
+        const auto r = push_waiting(inbox, 2);  // waits: ring is full
         status.store(static_cast<int>(r.status), std::memory_order_release);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(status.load(std::memory_order_acquire), -1) << "producer should be blocked";
+    EXPECT_EQ(status.load(std::memory_order_acquire), -1) << "producer should be waiting";
     inbox.close();
     producer.join();
     EXPECT_EQ(status.load(), static_cast<int>(inbox_push_status::closed));
@@ -151,13 +146,13 @@ TEST(MpscInbox, ConcurrentProducersDeliverEveryItemExactlyOnceInSequenceOrder) {
     constexpr std::size_t k_producers = 4;
     constexpr std::size_t k_per_producer = 400;
     constexpr std::size_t k_total = k_producers * k_per_producer;
-    mpsc_inbox<std::uint64_t> inbox(64, inbox_policy::block);
+    mpsc_inbox<std::uint64_t> inbox(64);
 
     std::vector<std::thread> producers;
     for (std::size_t p = 0; p < k_producers; ++p) {
         producers.emplace_back([&, p] {
             for (std::size_t i = 0; i < k_per_producer; ++i) {
-                const auto r = inbox.push(p * k_per_producer + i);
+                const auto r = push_waiting(inbox, std::uint64_t{p * k_per_producer + i});
                 ASSERT_EQ(r.status, inbox_push_status::accepted);
             }
         });
@@ -372,7 +367,6 @@ TEST_F(IngestFixture, FourProducerStressMatchesStandaloneReplayInSequenceOrder) 
             sink_capture capture;
             ingest_options ingest;
             ingest.capacity = 128;
-            ingest.policy = inbox_policy::block;
             ingest.sink = capture.fn();
             const stream_id id =
                 server.open_stream(open_config(l.kind, 0, l.mode, std::move(ingest)));
@@ -626,7 +620,6 @@ TEST_F(IngestFixture, RejectPolicyReturnsDistinctErrors) {
     sink_capture capture;
     ingest_options ingest;
     ingest.capacity = 4;
-    ingest.policy = inbox_policy::reject;
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
@@ -641,30 +634,24 @@ TEST_F(IngestFixture, RejectPolicyReturnsDistinctErrors) {
     EXPECT_EQ(server.ingest_statistics(id).rejected, 1u);
     EXPECT_EQ(server.ingest_statistics(id).pending, 0u);
 
-    // Full inbox.
+    // Fill the ring.
     for (std::size_t i = 0; i < 4; ++i) {
         ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok());
     }
-    EXPECT_EQ(server.ingest(id, y_.row(k_boot + 4)).error, ingest_error::inbox_full);
-    const ingest_stats st = server.ingest_statistics(id);
-    EXPECT_EQ(st.accepted, 4u);
-    EXPECT_EQ(st.rejected, 2u);
-    EXPECT_EQ(st.pending, 4u);
 
-    // A batch that does not fit is all-or-nothing.
-    std::vector<std::span<const double>> batch = {y_.row(k_boot + 5), y_.row(k_boot + 6)};
-    EXPECT_EQ(server.ingest_batch(id, batch).error, ingest_error::inbox_full);
-    EXPECT_EQ(server.ingest_statistics(id).pending, 4u);
-
-    // A batch longer than the ring itself is an error code under every
-    // policy (the concurrent edge never throws), not an exception.
+    // A batch longer than the ring itself can never fit: an error code
+    // (the concurrent edge never throws), not a wait and not an exception.
     std::vector<std::span<const double>> oversized(5, y_.row(k_boot));
     EXPECT_EQ(server.ingest_batch(id, oversized).error, ingest_error::inbox_full);
-    EXPECT_EQ(server.ingest_statistics(id).pending, 4u);
+    const ingest_stats st = server.ingest_statistics(id);
+    EXPECT_EQ(st.accepted, 4u);
+    EXPECT_EQ(st.rejected, 6u);
+    EXPECT_EQ(st.pending, 4u);
 
     // Draining makes room again.
     server.flush_stream(id);
     EXPECT_EQ(server.ingest_statistics(id).applied, 4u);
+    std::vector<std::span<const double>> batch = {y_.row(k_boot + 4), y_.row(k_boot + 5)};
     EXPECT_TRUE(server.ingest_batch(id, batch).ok());
     server.flush_stream(id);
     EXPECT_EQ(capture.results.size(), 6u);
@@ -673,49 +660,11 @@ TEST_F(IngestFixture, RejectPolicyReturnsDistinctErrors) {
     }
 }
 
-TEST_F(IngestFixture, DropOldestConservesStatsAndKeepsTheNewest) {
-    stream_server server({.threads = 0});
-    sink_capture capture;
-    ingest_options ingest;
-    ingest.capacity = 4;
-    ingest.policy = inbox_policy::drop_oldest;
-    ingest.auto_drain = false;
-    ingest.sink = capture.fn();
-    const stream_id id = server.open_stream(
-        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
-
-    for (std::size_t i = 0; i < 10; ++i) {
-        ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok());
-    }
-    ingest_stats st = server.ingest_statistics(id);
-    EXPECT_EQ(st.accepted, 10u);
-    EXPECT_EQ(st.dropped, 6u);
-    EXPECT_EQ(st.pending, 4u);
-    EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending) << "conservation violated";
-
-    server.flush_stream(id);
-    st = server.ingest_statistics(id);
-    EXPECT_EQ(st.applied, 4u);
-    EXPECT_EQ(st.pending, 0u);
-    EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending) << "conservation violated";
-
-    // The survivors are the newest four bins (sequences 6..9), applied in
-    // order and bit-identical to a standalone detector fed just those.
-    ASSERT_EQ(capture.results.size(), 4u);
-    const auto twin = standalone(stream_kind::tracking, 0);
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(capture.results[i].first, 6 + i);
-        expect_same_detection(twin->push_bin(y_.row(k_boot + 6 + i)),
-                              capture.results[i].second, "survivor " + std::to_string(i));
-    }
-}
-
 TEST_F(IngestFixture, BlockPolicyWaitsForTheDrainer) {
     stream_server server({.threads = 0});
     sink_capture capture;
     ingest_options ingest;
     ingest.capacity = 2;
-    ingest.policy = inbox_policy::block;
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
@@ -750,7 +699,6 @@ TEST_F(IngestFixture, CloseStreamDrainsNonEmptyInboxAndWakesBlockedProducers) {
     sink_capture capture;
     ingest_options ingest;
     ingest.capacity = 2;
-    ingest.policy = inbox_policy::block;
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
@@ -978,7 +926,7 @@ TEST_F(IngestFixture, SnapshotAndDrainAllWhileSinksReadTheServerDoNotDeadlock) {
 }
 
 TEST_F(IngestFixture, SnapshotCompletesWhileAProducerIsBlockedOnAFullInbox) {
-    // Regression: a block-policy producer parked on a full ring must not
+    // Regression: a producer parked on a full ring must not
     // hold the stream quiescence lock -- snapshot_all has to complete
     // (freezing the full inbox as residue) while the producer stays
     // parked, and the producer must finish once someone drains.
@@ -986,7 +934,6 @@ TEST_F(IngestFixture, SnapshotCompletesWhileAProducerIsBlockedOnAFullInbox) {
     sink_capture capture;
     ingest_options ingest;
     ingest.capacity = 2;
-    ingest.policy = inbox_policy::block;
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(

@@ -209,7 +209,6 @@ protected:
         cfg.streaming.mode = mode;
         cfg.streaming.separation.fixed_rank = 6;
         cfg.ingest.capacity = 64;
-        cfg.ingest.policy = inbox_policy::block;
         return cfg;
     }
 

@@ -18,6 +18,7 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,6 +130,62 @@ TEST(Loopback, RemoteIngestMatchesALocalShadowBitForBit) {
     // routing, never arithmetic.
     EXPECT_EQ(collector.snapshot(remote_id), local_record(shadow, shadow_id));
 
+    frontend.stop();
+}
+
+// A remote req_stats reads a stream's detector counters while another
+// connection's ingest pushes bins through the detector. The drainer
+// publishes the counters after every bin, so the poller sees them grow
+// monotonically (and ThreadSanitizer sees no race), and once the ingest
+// is flushed they equal a local shadow's.
+TEST(Loopback, StatsPollingDuringRemoteIngestMatchesTheShadow) {
+    constexpr std::size_t k_bins = 1000;
+    stream_server server({.threads = 0});
+    const stream_id id = server.open_stream(tracking_config(21));
+    net::netdiag_frontend frontend(server);
+
+    std::atomic<bool> ingest_done{false};
+    std::thread producer([&] {
+        net::remote_collector collector(frontend.port());
+        for (std::size_t i = 0; i < k_bins; ++i) {
+            if (!collector.ingest(id, synthetic_bin(k_dim, 7000 + i)).ok()) {
+                ADD_FAILURE() << "remote ingest failed at bin " << i;
+                break;
+            }
+        }
+        ingest_done.store(true, std::memory_order_release);
+    });
+
+    net::remote_collector poller(frontend.port());
+    std::size_t polls = 0;
+    net::stats_response last;
+    while (!ingest_done.load(std::memory_order_acquire)) {
+        const net::stats_response st = poller.stats(id);
+        EXPECT_GE(st.processed, last.processed);
+        EXPECT_GE(st.alarms, last.alarms);
+        EXPECT_GE(st.epoch, last.epoch);
+        EXPECT_LE(st.alarms, st.processed);
+        last = st;
+        ++polls;
+    }
+    producer.join();
+    EXPECT_GT(polls, 0u);
+
+    stream_server shadow({.threads = 0});
+    const stream_id shadow_id = shadow.open_stream(tracking_config(21));
+    for (std::size_t i = 0; i < k_bins; ++i) {
+        ASSERT_TRUE(shadow.ingest(shadow_id, synthetic_bin(k_dim, 7000 + i)).ok()) << i;
+    }
+    shadow.flush_stream(shadow_id);
+
+    poller.flush(id);
+    const net::stats_response got = poller.stats(id);
+    const stream_server::stream_stats want = shadow.stats(shadow_id);
+    EXPECT_EQ(got.processed, k_bins);
+    EXPECT_EQ(got.processed, want.processed);
+    EXPECT_EQ(got.alarms, want.alarms);
+    EXPECT_EQ(got.epoch, want.epoch);
+    EXPECT_EQ(got.applied, k_bins);
     frontend.stop();
 }
 
@@ -245,6 +302,47 @@ TEST(Loopback, NonFiniteBinsAreRefusedWithTheLocalCode) {
 
         frontend.stop();
     }
+}
+
+// A refit that throws std::invalid_argument fails the ingest that
+// triggered it on a stream that stays open. Locally the ingest throws;
+// remotely the same bins surface as remote_error{server_error}, never as
+// the unknown_stream code an unknown id gets.
+TEST(Loopback, RefitFailureIsAServerErrorNotAnUnknownStream) {
+    stream_open_config cfg = diagnoser_config(13);
+    cfg.streaming.mode = refit_mode::blocking;
+    cfg.streaming.refit_interval = 3;
+    cfg.streaming.refit_observer = [] { throw std::invalid_argument("refit refused"); };
+
+    stream_server local({.threads = 0});
+    const stream_id local_id = local.open_stream(cfg);
+    stream_server server({.threads = 0});
+    const stream_id id = server.open_stream(cfg);
+    net::netdiag_frontend frontend(server);
+    net::remote_collector collector(frontend.port());
+
+    for (std::size_t i = 0; i < 2; ++i) {
+        const std::vector<double> bin = synthetic_bin(k_dim, 500 + i);
+        ASSERT_TRUE(local.ingest(local_id, bin).ok()) << i;
+        ASSERT_TRUE(collector.ingest(id, bin).ok()) << i;
+    }
+    const std::vector<double> third = synthetic_bin(k_dim, 502);
+    EXPECT_THROW((void)local.ingest(local_id, third), std::invalid_argument);
+    try {
+        (void)collector.ingest(id, third);
+        ADD_FAILURE() << "the refit failure did not surface remotely";
+    } catch (const net::remote_error& e) {
+        EXPECT_EQ(e.code(), net::wire_errc::server_error) << e.what();
+    }
+
+    // The stream is still open, and the failed bin counts as dropped.
+    EXPECT_EQ(server.stream_count(), 1u);
+    const net::stats_response stats = collector.stats(id);
+    EXPECT_EQ(stats.accepted, 3u);
+    EXPECT_EQ(stats.applied, 2u);
+    EXPECT_EQ(stats.dropped, 1u);
+    EXPECT_EQ(stats.pending, 0u);
+    frontend.stop();
 }
 
 // One open descriptor per entry in /proc/self/fd (Linux, which is what

@@ -790,6 +790,7 @@ TEST(RestoreChecks, StreamingDiagnoserRefusesEveryInconsistentRecord) {
 // sequence == accepted.
 struct inbox_fields {
     std::uint64_t capacity = 16;
+    std::uint64_t policy = 0;  // retired slot: writers store 0 (block)
     std::uint64_t accepted = 6;
     std::uint64_t applied = 4;
     std::uint64_t dropped = 1;
@@ -803,7 +804,7 @@ std::string server_stream_record(const inbox_fields& f) {
     ckpt::set_encoding(out, ckpt::encoding::interchange);
     ckpt::write_header(out, "server_stream");
     ckpt::write_u64(out, f.capacity);
-    ckpt::write_u64(out, 0);      // inbox_policy::block
+    ckpt::write_u64(out, f.policy);
     ckpt::write_flag(out, true);  // auto_drain
     ckpt::write_u64(out, f.accepted);
     ckpt::write_u64(out, f.applied);
@@ -816,9 +817,10 @@ std::string server_stream_record(const inbox_fields& f) {
     return std::move(out).str();
 }
 
-// Containers no server writes: unbalanced counters, and an inbox larger
-// than restore may allocate (mpsc_inbox::k_max_capacity is 2^16).
-const std::array<std::pair<const char*, inbox_fields>, 6> k_inbox_faults = {{
+// Containers no server writes: unbalanced counters, an inbox larger than
+// restore may allocate (mpsc_inbox::k_max_capacity is 2^16), and a policy
+// slot above the retired values 1 and 2.
+const std::array<std::pair<const char*, inbox_fields>, 7> k_inbox_faults = {{
     {"applied above accepted", {.accepted = 5, .applied = 100, .dropped = 0,
                                 .next_sequence = 5}},
     {"accepted bins unaccounted", {.accepted = 9, .next_sequence = 9}},
@@ -828,6 +830,7 @@ const std::array<std::pair<const char*, inbox_fields>, 6> k_inbox_faults = {{
     {"counters that wrap", {.accepted = 1, .applied = ~std::uint64_t{0}, .dropped = 1,
                             .next_sequence = 1}},
     {"capacity above the cap", {.capacity = std::uint64_t{1} << 17}},
+    {"policy slot above 2", {.policy = 3}},
 }};
 
 // The same records as restore requests over loopback: each answers
@@ -876,8 +879,44 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
         EXPECT_EQ(st.next_sequence, 6u) << capacity;
     }
 
-    // Three bins: fewer than the record's refit interval.
+    // The retired reject (1) and drop_oldest (2) slot values load, locally
+    // and over loopback, are written back as 0, and serve as block: a
+    // two-bin batch into a two-bin ring that holds the record's residue
+    // bin waits for the auto-drain instead of being refused (reject) or
+    // evicting the residue (drop_oldest).
     const vec bin(6, 104.0);
+    for (const std::uint64_t policy : {std::uint64_t{1}, std::uint64_t{2}}) {
+        const std::string record = server_stream_record({.capacity = 2, .policy = policy});
+        const std::string rewritten = server_stream_record({.capacity = 2});
+        std::istringstream in(record, std::ios::binary);
+        for (const stream_id local :
+             {server.restore_stream(std::string_view(record)), server.restore_stream(in)}) {
+            std::ostringstream out(std::ios::binary);
+            server.snapshot_stream(local, out, ckpt::encoding::interchange);
+            EXPECT_EQ(std::move(out).str(), rewritten) << policy;
+            const std::vector<std::span<const double>> batch(2, bin);
+            ASSERT_TRUE(server.ingest_batch(local, batch).ok()) << policy;
+            server.flush_stream(local);
+            const ingest_stats st = server.ingest_statistics(local);
+            EXPECT_EQ(st.accepted, 8u) << policy;
+            EXPECT_EQ(st.applied, 7u) << policy;
+            EXPECT_EQ(st.dropped, 1u) << policy;
+            EXPECT_EQ(st.pending, 0u) << policy;
+            EXPECT_EQ(server.stats(local).processed, 3u) << policy;
+        }
+        const std::uint64_t remote = collector.restore(record);
+        EXPECT_EQ(collector.snapshot(remote), rewritten) << policy;
+        ASSERT_TRUE(collector.ingest_batch(remote, {bin, bin}).ok()) << policy;
+        collector.flush(remote);
+        const net::stats_response st = collector.stats(remote);
+        EXPECT_EQ(st.accepted, 8u) << policy;
+        EXPECT_EQ(st.applied, 7u) << policy;
+        EXPECT_EQ(st.dropped, 1u) << policy;
+        EXPECT_EQ(st.pending, 0u) << policy;
+        EXPECT_EQ(st.processed, 3u) << policy;
+    }
+
+    // Three bins: fewer than the record's refit interval.
     for (int i = 0; i < 3; ++i) ASSERT_TRUE(collector.ingest(id, bin).ok()) << i;
     collector.flush(id);
     const net::stats_response stats = collector.stats(id);

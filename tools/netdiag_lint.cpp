@@ -36,6 +36,13 @@
 //      only under src/net/. Everything else speaks the wire protocol
 //      through net::tcp_socket and friends, so portability shims and
 //      SO_* option handling stay in one reviewed place.
+//  R7  Annotated locks only: src/ outside engine/sync.h must not use the
+//      raw standard mutexes, condition variables or lock guards
+//      (std::mutex, std::shared_mutex, std::condition_variable,
+//      std::lock_guard, std::unique_lock, std::shared_lock,
+//      std::scoped_lock). They carry no capability attributes, so the
+//      thread-safety analysis cannot see what they guard; the sync::
+//      wrappers forward to them with the annotations attached.
 //
 // Scanning is token-based on comment- and string-stripped source, so a
 // comment saying "no std::thread here" does not trip R1. R5 and R6 scan
@@ -297,6 +304,29 @@ void check_r6(const std::string& relpath, const std::vector<std::string>& raw_li
     }
 }
 
+// --- R7: annotated locks only -----------------------------------------------
+
+const char* const k_r7_tokens[] = {
+    "std::mutex",      "std::shared_mutex", "std::condition_variable",
+    "std::lock_guard", "std::unique_lock",  "std::shared_lock",
+    "std::scoped_lock",
+};
+
+void check_r7(const std::string& relpath, const std::vector<std::string>& lines,
+              std::vector<violation>& out) {
+    if (relpath == "src/engine/sync.h") return;  // the wrappers themselves
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        for (const char* token : k_r7_tokens) {
+            if (has_token(lines[i], token)) {
+                out.push_back({relpath, i + 1, "R7",
+                               std::string("raw '") + token +
+                                   "' outside src/engine/sync.h -- invisible to the "
+                                   "thread-safety analysis; use the sync:: wrappers"});
+            }
+        }
+    }
+}
+
 // --- R3 / R4: doc parity ----------------------------------------------------
 
 bool doc_mentions(const std::string& doc, const std::string& name) {
@@ -401,6 +431,7 @@ int main(int argc, char** argv) {
             const std::string relpath = rel(root, file);
             check_r1(root, relpath, lines, violations);
             check_r2(relpath, lines, violations);
+            check_r7(relpath, lines, violations);
             if (has_scenarios || has_net) {
                 std::vector<std::string> raw_lines(1);
                 for (const char c : *text) {

@@ -25,7 +25,6 @@
 
 #include "engine/batch_detector.h"
 #include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "eval/injection.h"
 #include "linalg/svd.h"
 #include "linalg/svd_update.h"
@@ -156,8 +155,9 @@ bool same_pca(const pca_model& a, const pca_model& b) {
            a.projections == b.projections && a.column_means == b.column_means;
 }
 
-// PCA fit (covariance + eigensolve + projections) through the parallel
-// fit path. Bit-identical across thread counts by construction.
+// PCA fit through the parallel fit path: the covariance blocks and the
+// per-axis projections shard, the eigensolve runs serially. Bit-identical
+// across thread counts by construction.
 engine_benchmark run_fit_sweep(const std::vector<std::size_t>& thread_counts, bool quick) {
     const matrix y = synthetic_measurements(quick ? 400 : 2400, quick ? 96 : 256);
     const int iterations = quick ? 1 : 3;
@@ -253,37 +253,6 @@ engine_benchmark run_injection_sweep(const std::vector<std::size_t>& thread_coun
         out.identical_to_serial =
             out.identical_to_serial && same_results(serial, engine.run_injection(ds, diag, cfg));
         const double ms = time_best_ms(iterations, [&] { engine.run_injection(ds, diag, cfg); });
-        out.parallel.push_back({t, ms});
-    }
-    return out;
-}
-
-// Pooled one-sided Jacobi SVD vs the serial kernel (same fixed-block
-// arithmetic, so the comparison is bit-exact).
-engine_benchmark run_svd_sweep(const std::vector<std::size_t>& thread_counts, bool quick) {
-    const matrix y = synthetic_measurements(quick ? 1200 : 2400, quick ? 48 : 96);
-    const int iterations = quick ? 1 : 3;
-
-    // The default row gate only engages for very tall matrices; this sweep
-    // exists to measure the sharded kernel itself, so open the gate for
-    // its duration (exactly what the tuning struct is for).
-    const scoped_tuning guard;
-    global_tuning().svd_parallel_min_rows = 1024;
-
-    engine_benchmark out;
-    out.name = "svd_jacobi";
-    out.items = y.rows() * y.cols();
-
-    const svd_result serial = svd(y);
-    out.serial_ms = time_best_ms(iterations, [&] { svd(y); });
-
-    out.identical_to_serial = true;
-    for (std::size_t t : thread_counts) {
-        thread_pool pool(t);
-        const svd_result pooled = svd(y, &pool);
-        out.identical_to_serial = out.identical_to_serial && pooled.s == serial.s &&
-                                  pooled.u == serial.u && pooled.v == serial.v;
-        const double ms = time_best_ms(iterations, [&] { svd(y, &pool); });
         out.parallel.push_back({t, ms});
     }
     return out;
@@ -563,7 +532,6 @@ bool run_engine_comparison(const std::string& json_path, bool quick) {
 
     std::vector<engine_benchmark> benches;
     benches.push_back(run_fit_sweep(thread_counts, quick));
-    benches.push_back(run_svd_sweep(thread_counts, quick));
     benches.push_back(run_spe_series_sweep(thread_counts, quick));
     benches.push_back(run_spe_sweep(thread_counts, quick));
     benches.push_back(run_injection_sweep(thread_counts, quick));

@@ -19,7 +19,7 @@ namespace netdiag {
 
 // Retries that yield before the waiter starts sleeping, and the length of
 // each sleep after that. Pure scheduling: they move latency, never results
-// (docs/TUNING.md).
+// (docs/ARCHITECTURE.md, "Fixed scheduling constants").
 inline constexpr std::size_t k_role_wait_spin_yields = 64;
 inline constexpr std::chrono::microseconds k_role_wait_sleep_us{1000};
 

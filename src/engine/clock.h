@@ -10,7 +10,7 @@
 // The tick source is injectable so tests can feed a deterministic clock
 // (fixed increments per call) and assert exact latency values instead of
 // racing the scheduler. Injection is process-global and meant for
-// single-threaded test setup, mirroring the global_tuning() seam.
+// single-threaded test setup.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,7 @@
 // defined (CMake option of the same name). There is no runtime dispatch:
 // a binary computes the same bits on every machine it runs on.
 //
-// Determinism contract (see docs/TUNING.md and docs/ARCHITECTURE.md):
+// Determinism contract (see docs/ARCHITECTURE.md):
 //
 //  * Every reducing primitive accumulates into exactly NETDIAG_SIMD_LANES
 //    (= 4) logical lanes regardless of ISA -- lane l sums the elements at
@@ -24,8 +24,8 @@
 //    element as the plain loops they replaced: bit-identical by
 //    construction, on every path.
 //  * None of these primitives depend on a thread pool. Kernels call them
-//    inside the fixed blocks of engine/tuning.h, so pool-size
-//    bit-identity is preserved exactly as before.
+//    inside fixed blocks whose widths are named constants at each kernel,
+//    so pool-size bit-identity is preserved exactly as before.
 #pragma once
 
 #include <cstddef>

@@ -14,6 +14,16 @@
 //                    claimed dynamically, for bodies with non-uniform
 //                    per-index cost.
 //
+// parallel_for's callers are the batch sweeps (batch_detector, the ROC
+// and injection sweeps) and three numeric kernels: the blocked covariance
+// Gram, fit_pca's per-axis projections and spe_series rows. Each kernel
+// engages a pool it is given once its work crosses a fixed size, and
+// writes through fixed blocks, so its bits never depend on the pool. The
+// other kernels (eigensolvers, SVD, rank-1 updates, one residual
+// projection) run serially: no caller's shape ever crossed the gates of
+// the sharded paths they used to have (docs/ARCHITECTURE.md, "Which
+// kernels shard").
+//
 // The waiting contract is one rule: a pool job never waits. Every
 // blocking wait (a future.get(), an inbox space wait, a drain-role or
 // swap boundary) happens on a thread the pool does not own, so the queue

@@ -7,8 +7,6 @@
 #include <stdexcept>
 
 #include "engine/simd.h"
-#include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "linalg/error.h"
 #include "linalg/ops.h"
 
@@ -18,16 +16,6 @@ namespace {
 
 constexpr int k_max_ql_iterations = 50;
 constexpr int k_max_jacobi_sweeps = 100;
-
-// Gates below which the pool is ignored (the sharded work per dispatch is
-// too small to amortize a parallel_for) live in the global tuning struct.
-// The QL path dispatches once per iteration with a whole batched rotation
-// sequence, so it gates on the batch's total work (rotations x rows): big
-// early-sweep batches shard, the tiny deflation batches near convergence
-// stay serial. Jacobi must dispatch per rotation (~n flops, its rotation
-// parameters depend on the previous rotation's result), so it only pays
-// off for very large matrices; its gate doubles as the test seam the
-// header documents.
 
 void require_symmetric(const matrix& a, const char* who) {
     if (a.rows() != a.cols()) {
@@ -130,29 +118,13 @@ void tridiagonalize(matrix& v, std::vector<double>& d, std::vector<double>& e) {
 // (i, i + 1) with i = hi - 1 - j, in that order, as one contiguous
 // simd::rotate_pair per rotation. Each matrix element sees the same
 // rotations in the same order as the classic per-row interleaved loop, so
-// the arithmetic is bit-identical; sharding splits the element-wise
-// columns, so the pool cannot change it either.
+// the arithmetic is bit-identical to it.
 void apply_rotation_batch(matrix& vt, std::size_t hi, const std::vector<double>& rot_c,
-                          const std::vector<double>& rot_s, thread_pool* pool) {
+                          const std::vector<double>& rot_s) {
     const std::size_t n = vt.cols();
-    const auto apply_columns = [&](std::size_t lo, std::size_t len) {
-        for (std::size_t j = 0; j < rot_c.size(); ++j) {
-            const std::size_t i = hi - 1 - j;
-            simd::rotate_pair(vt.row(i).data() + lo, vt.row(i + 1).data() + lo, len, rot_c[j],
-                              rot_s[j]);
-        }
-    };
-    if (pool != nullptr && parallel_hardware_ok() &&
-        rot_c.size() * n >= global_tuning().ql_parallel_min_work) {
-        const std::size_t chunks =
-            std::min<std::size_t>(4 * pool->size(), (n + 255) / 256);
-        const std::size_t width = (n + chunks - 1) / chunks;
-        parallel_for(*pool, 0, chunks, [&](std::size_t c) {
-            const std::size_t lo = c * width;
-            if (lo < n) apply_columns(lo, std::min(n, lo + width) - lo);
-        });
-    } else {
-        apply_columns(0, n);
+    for (std::size_t j = 0; j < rot_c.size(); ++j) {
+        const std::size_t i = hi - 1 - j;
+        simd::rotate_pair(vt.row(i).data(), vt.row(i + 1).data(), n, rot_c[j], rot_s[j]);
     }
 }
 
@@ -160,7 +132,7 @@ void apply_rotation_batch(matrix& vt, std::size_t hi, const std::vector<double>&
 // rotations into the transposed eigenvector matrix vt. Classic tql2
 // recurrence; the per-iteration rotation sequence only depends on (d, e),
 // so it is recorded first and applied to vt as one batch per iteration.
-void ql_iterate(matrix& vt, std::vector<double>& d, std::vector<double>& e, thread_pool* pool) {
+void ql_iterate(matrix& vt, std::vector<double>& d, std::vector<double>& e) {
     const std::size_t n = vt.rows();
     for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
     e[n - 1] = 0.0;
@@ -217,7 +189,7 @@ void ql_iterate(matrix& vt, std::vector<double>& d, std::vector<double>& e, thre
                     rot_c.push_back(c);
                     rot_s.push_back(s);
                 }
-                apply_rotation_batch(vt, m, rot_c, rot_s, pool);
+                apply_rotation_batch(vt, m, rot_c, rot_s);
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
                 e[l] = s * p;
                 d[l] = c * p;
@@ -248,9 +220,7 @@ sym_eigen_result sorted_descending(std::vector<double> d, const matrix& v) {
 
 }  // namespace
 
-sym_eigen_result sym_eigen(const matrix& a) { return sym_eigen(a, nullptr); }
-
-sym_eigen_result sym_eigen(const matrix& a, thread_pool* pool) {
+sym_eigen_result sym_eigen(const matrix& a) {
     require_symmetric(a, "sym_eigen");
     const std::size_t n = a.rows();
     if (n == 0) return {};
@@ -263,13 +233,11 @@ sym_eigen_result sym_eigen(const matrix& a, thread_pool* pool) {
     // QL works on the transpose so each Givens rotation is a contiguous
     // pair-of-rows update; the copies are exact, so results are unchanged.
     matrix vt = transpose(v);
-    ql_iterate(vt, d, e, pool);
+    ql_iterate(vt, d, e);
     return sorted_descending(std::move(d), transpose(vt));
 }
 
-sym_eigen_result sym_eigen_jacobi(const matrix& a) { return sym_eigen_jacobi(a, nullptr); }
-
-sym_eigen_result sym_eigen_jacobi(const matrix& a, thread_pool* pool) {
+sym_eigen_result sym_eigen_jacobi(const matrix& a) {
     require_symmetric(a, "sym_eigen_jacobi");
     const std::size_t n = a.rows();
     if (n == 0) return {};
@@ -281,8 +249,6 @@ sym_eigen_result sym_eigen_jacobi(const matrix& a, thread_pool* pool) {
     // its rows where the classic loop read columns changes nothing.
     matrix vt = matrix::identity(n);
     const double total_scale = std::max(frobenius_norm(w), 1e-300);
-    const bool shard =
-        pool != nullptr && parallel_hardware_ok() && n >= global_tuning().jacobi_parallel_min_dim;
 
     for (int sweep = 0; sweep < k_max_jacobi_sweeps; ++sweep) {
         double off = 0.0;
@@ -308,30 +274,17 @@ sym_eigen_result sym_eigen_jacobi(const matrix& a, thread_pool* pool) {
                 const double app = w(p, p);
                 const double aqq = w(q, q);
 
-                // Rotate rows p and q of w and vt over a column range, then
-                // re-mirror the rotated entries onto columns p and q. The
-                // four entries at the row intersections get closed-form
-                // values afterwards, so the garbage the row rotation leaves
-                // there is never read.
-                const auto update_columns = [&](std::size_t lo, std::size_t len) {
-                    simd::rotate_pair(w.row(p).data() + lo, w.row(q).data() + lo, len, c, s);
-                    simd::rotate_pair(vt.row(p).data() + lo, vt.row(q).data() + lo, len, c, s);
-                    for (std::size_t k = lo; k < lo + len; ++k) {
-                        if (k == p || k == q) continue;
-                        w(k, p) = w(p, k);
-                        w(k, q) = w(q, k);
-                    }
-                };
-                if (shard) {
-                    const std::size_t chunks =
-                        std::min<std::size_t>(4 * pool->size(), (n + 255) / 256);
-                    const std::size_t width = (n + chunks - 1) / chunks;
-                    parallel_for(*pool, 0, chunks, [&](std::size_t chunk) {
-                        const std::size_t lo = chunk * width;
-                        if (lo < n) update_columns(lo, std::min(n, lo + width) - lo);
-                    });
-                } else {
-                    update_columns(0, n);
+                // Rotate rows p and q of w and vt, then re-mirror the
+                // rotated entries onto columns p and q. The four entries at
+                // the row intersections get closed-form values afterwards,
+                // so the garbage the row rotation leaves there is never
+                // read.
+                simd::rotate_pair(w.row(p).data(), w.row(q).data(), n, c, s);
+                simd::rotate_pair(vt.row(p).data(), vt.row(q).data(), n, c, s);
+                for (std::size_t k = 0; k < n; ++k) {
+                    if (k == p || k == q) continue;
+                    w(k, p) = w(p, k);
+                    w(k, q) = w(q, k);
                 }
 
                 w(p, p) = c * c * app - 2.0 * s * c * apq + s * s * aqq;

@@ -7,7 +7,9 @@
 //                        simple; used as a cross-check in the test suite.
 //
 // Both return eigenvalues sorted in descending order with eigenvectors as
-// the matching columns of an orthogonal matrix.
+// the matching columns of an orthogonal matrix. Both run serially; no
+// caller's m x m covariance is large enough for sharded rotations to
+// engage (docs/ARCHITECTURE.md, "Which kernels shard").
 #pragma once
 
 #include <vector>
@@ -15,8 +17,6 @@
 #include "linalg/matrix.h"
 
 namespace netdiag {
-
-class thread_pool;
 
 struct sym_eigen_result {
     std::vector<double> eigenvalues;  // descending
@@ -28,21 +28,7 @@ struct sym_eigen_result {
 // a small relative tolerance), netdiag::numerical_error on non-convergence.
 sym_eigen_result sym_eigen(const matrix& a);
 
-// Same decomposition with the O(n) eigenvector-rotation updates sharded
-// across the pool: each QL iteration batches its rotation sequence and
-// applies it row-parallel. Every matrix element sees the same arithmetic
-// in the same order for any pool size, so the result is bit-identical to
-// the serial call (pool == nullptr degrades to it). The pool only engages
-// above a dimension threshold where the sharding amortizes.
-sym_eigen_result sym_eigen(const matrix& a, thread_pool* pool);
-
 // Same contract, computed with cyclic Jacobi rotations.
 sym_eigen_result sym_eigen_jacobi(const matrix& a);
-
-// Jacobi with the per-rotation O(n) row updates sharded across the pool;
-// bit-identical to the serial call for any pool size. The pool engages
-// only from global_tuning().jacobi_parallel_min_dim up (default 2048: a
-// per-rotation dispatch amortizes only for very large matrices).
-sym_eigen_result sym_eigen_jacobi(const matrix& a, thread_pool* pool);
 
 }  // namespace netdiag

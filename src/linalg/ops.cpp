@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
-#include "engine/tuning.h"
 
 namespace netdiag {
 
@@ -115,28 +113,24 @@ matrix column_covariance(const matrix& y) {
     return cov;
 }
 
-namespace {
+// Block shape of the covariance Gram: at least 256 rows per partial
+// block, at most 64 blocks (each partial is m x m, so the cap bounds
+// temporary memory). Both are part of the numerical contract: the block
+// layout is a function of the input shape only -- never the thread count
+// -- so the reduction order is fixed, and changing either value moves
+// fit results within rounding.
+constexpr std::size_t k_covariance_min_block_rows = 256;
+constexpr std::size_t k_covariance_max_blocks = 64;
 
-// Shared core of the two parallel covariance entry points: blocked Gram
-// accumulation with the partials reduced in block order. `means` is null
-// for already-centered input (the per-row subtraction is skipped, which
-// produces identical products when the rows equal raw - means bitwise).
-matrix blocked_covariance(const matrix& y, const vec* means, thread_pool* pool,
-                          const char* who) {
-    if (y.rows() < 2) {
-        throw std::invalid_argument(std::string(who) + ": need at least two rows");
+matrix parallel_centered_covariance(const matrix& centered, thread_pool* pool) {
+    if (centered.rows() < 2) {
+        throw std::invalid_argument("parallel_centered_covariance: need at least two rows");
     }
-    const std::size_t t = y.rows();
-    const std::size_t m = y.cols();
+    const std::size_t t = centered.rows();
+    const std::size_t m = centered.cols();
 
-    // Block shape: at least covariance_row_block_min rows per partial-Gram
-    // block, at most covariance_max_blocks blocks (each partial is m x m,
-    // so the cap bounds temporary memory). Both knobs are functions of the
-    // input shape only — never the thread count — so the reduction order
-    // is fixed (numerical contract; see docs/TUNING.md).
-    const std::size_t min_block = std::max<std::size_t>(global_tuning().covariance_row_block_min, 1);
-    const std::size_t max_blocks = std::max<std::size_t>(global_tuning().covariance_max_blocks, 1);
-    const std::size_t row_block = std::max(min_block, (t + max_blocks - 1) / max_blocks);
+    const std::size_t row_block = std::max(
+        k_covariance_min_block_rows, (t + k_covariance_max_blocks - 1) / k_covariance_max_blocks);
     const std::size_t blocks = (t + row_block - 1) / row_block;
     std::vector<matrix> partial(blocks);
 
@@ -145,14 +139,8 @@ matrix blocked_covariance(const matrix& y, const vec* means, thread_pool* pool,
         const std::size_t row_end = std::min(t, row_begin + row_block);
         matrix& acc = partial[b];
         acc.assign(m, m, 0.0);
-        vec centered(m);
         for (std::size_t r = row_begin; r < row_end; ++r) {
-            const auto raw = y.row(r);
-            std::span<const double> row = raw;
-            if (means != nullptr) {
-                for (std::size_t j = 0; j < m; ++j) centered[j] = raw[j] - (*means)[j];
-                row = centered;
-            }
+            const auto row = centered.row(r);
             for (std::size_t i = 0; i < m; ++i) {
                 const double ci = row[i];
                 if (ci == 0.0) continue;
@@ -161,7 +149,7 @@ matrix blocked_covariance(const matrix& y, const vec* means, thread_pool* pool,
         }
     };
 
-    if (pool != nullptr && parallel_hardware_ok() && blocks > 1) {
+    if (pool != nullptr && blocks > 1) {
         parallel_for(*pool, 0, blocks, accumulate_block);
     } else {
         for (std::size_t b = 0; b < blocks; ++b) accumulate_block(b);
@@ -183,23 +171,6 @@ matrix blocked_covariance(const matrix& y, const vec* means, thread_pool* pool,
         }
     }
     return cov;
-}
-
-}  // namespace
-
-matrix parallel_column_covariance(const matrix& y, thread_pool* pool) {
-    // Shape validation happens in blocked_covariance (before the means
-    // below are ever used). Means accumulate exactly as in
-    // column_covariance (and center_columns) so the centering is identical
-    // between the paths.
-    vec means(y.cols(), 0.0);
-    for (std::size_t r = 0; r < y.rows(); ++r) axpy(1.0, y.row(r), means);
-    if (y.rows() > 0) scale(means, 1.0 / static_cast<double>(y.rows()));
-    return blocked_covariance(y, &means, pool, "parallel_column_covariance");
-}
-
-matrix parallel_centered_covariance(const matrix& centered, thread_pool* pool) {
-    return blocked_covariance(centered, nullptr, pool, "parallel_centered_covariance");
 }
 
 double max_off_diagonal(const matrix& a) {

@@ -39,21 +39,17 @@ double frobenius_norm(const matrix& a);
 // Y_c is y with column means removed. Requires at least two rows.
 matrix column_covariance(const matrix& y);
 
-// Same covariance via sharded Gram accumulation: rows are split into
-// fixed-size blocks, each block accumulates a partial Gram matrix, and the
-// partials are reduced in block order. The block decomposition is a
-// function of the shape only — never of the thread count — so the result
-// is bit-identical for any pool size, including pool == nullptr. The
-// blocked reduction reassociates the row sum relative to
+// Covariance of rows that are already column-centered (center_columns
+// output; fit_pca_axes feeds it), via blocked Gram accumulation: rows are
+// split into blocks of at least k_covariance_min_block_rows (256) and at
+// most k_covariance_max_blocks (64) blocks, each block accumulates a
+// partial Gram matrix, and the partials are reduced in block order. The
+// block layout is a function of the shape only -- never of the thread
+// count -- so the result is bit-identical for any pool size, including
+// pool == nullptr; a non-null pool accumulates the blocks in parallel.
+// The blocked reduction reassociates the row sum relative to
 // column_covariance, so the two agree only to rounding (~1e-15 relative;
-// see test_engine.cpp).
-matrix parallel_column_covariance(const matrix& y, thread_pool* pool);
-
-// Same sharded accumulation for rows that are already column-centered
-// (e.g. center_columns output): skips the mean pass and the per-row
-// subtraction. Bit-identical to parallel_column_covariance on the raw
-// matrix when the centering used identical means, since center_columns
-// and parallel_column_covariance accumulate means the same way.
+// see test_engine.cpp). Requires at least two rows.
 matrix parallel_centered_covariance(const matrix& centered, thread_pool* pool);
 
 // Largest absolute off-diagonal element; requires a square matrix.

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "engine/simd.h"
-#include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "linalg/error.h"
 #include "linalg/ops.h"
 #include "linalg/vector_ops.h"
@@ -18,6 +16,11 @@ namespace {
 
 constexpr int k_max_sweeps = 60;
 
+// Width of the fixed column blocks the (alpha, beta, gamma) moments are
+// accumulated over (numerical contract: changing it moves results within
+// rounding).
+constexpr std::size_t k_svd_moment_block = 512;
+
 // One-sided Jacobi, cache-blocked and vectorized. The matrix arrives
 // transposed: wt is m x t with row j holding column j of the original tall
 // matrix, and vt is m x m with row j holding column j of the accumulated
@@ -26,27 +29,22 @@ constexpr int k_max_sweeps = 60;
 // row-major original, column p and column q only ever met one cache line
 // at a time.
 //
-// Pairs are scheduled round-robin (the circle method): each round pairs
-// every column exactly once with all pairs disjoint, so one pool dispatch
-// covers m/2 independent rotations, instead of the two dispatches per
-// single rotation the previous cyclic sweep paid. Disjoint pairs touch
-// disjoint rows of wt and vt, so execution order within a round cannot
-// affect the result: pooled runs of any size are bit-identical to serial.
+// Pairs are visited round-robin (the circle method): each round pairs
+// every column exactly once with all pairs disjoint, and M - 1 rounds
+// visit every unordered pair. The schedule fixes the rotation order, and
+// with it every bit of the result.
 //
 // The (alpha, beta, gamma) moments are accumulated over fixed column
-// blocks of width tuning.svd_row_block combined in block order (and in
-// fixed 4-lane order within a block — see engine/simd.h), so the
+// blocks of width k_svd_moment_block combined in block order (and in
+// fixed 4-lane order within a block -- see engine/simd.h), so the
 // reassociation pattern is a function of the problem shape only.
-void jacobi_orthogonalize_cols(matrix& wt, matrix& vt, thread_pool* pool) {
+void jacobi_orthogonalize_cols(matrix& wt, matrix& vt) {
     const std::size_t m = wt.rows();
     if (m < 2) return;
     const std::size_t t = wt.cols();
     const double eps = 1e-15;
 
-    const std::size_t block = std::max<std::size_t>(global_tuning().svd_row_block, 1);
-    const std::size_t blocks = (t + block - 1) / block;
-    const bool shard = pool != nullptr && parallel_hardware_ok() &&
-                       t >= global_tuning().svd_parallel_min_rows;
+    const std::size_t blocks = (t + k_svd_moment_block - 1) / k_svd_moment_block;
 
     // Round-robin schedule: M players (a phantom "bye" pads odd m), player
     // 0 fixed, the rest rotating one slot per round. M - 1 rounds visit
@@ -55,40 +53,29 @@ void jacobi_orthogonalize_cols(matrix& wt, matrix& vt, thread_pool* pool) {
     std::vector<std::size_t> players(M);
     std::iota(players.begin(), players.end(), std::size_t{0});
 
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    pairs.reserve(M / 2);
-    std::vector<char> rotated(M / 2, 0);
-
     for (int sweep = 0; sweep < k_max_sweeps; ++sweep) {
         bool converged = true;
         for (std::size_t round = 0; round + 1 < M; ++round) {
-            pairs.clear();
             for (std::size_t i = 0; i < M / 2; ++i) {
                 std::size_t p = players[i];
                 std::size_t q = players[M - 1 - i];
                 if (p >= m || q >= m) continue;  // the bye sits this round out
                 if (p > q) std::swap(p, q);
-                pairs.emplace_back(p, q);
-            }
 
-            const auto rotate_pair_job = [&](std::size_t idx) {
-                const auto [p, q] = pairs[idx];
                 const double* wp = wt.row(p).data();
                 const double* wq = wt.row(q).data();
                 double alpha = 0.0, beta = 0.0, gamma = 0.0;
                 for (std::size_t b = 0; b < blocks; ++b) {
-                    const std::size_t lo = b * block;
-                    const std::size_t len = std::min(t, lo + block) - lo;
+                    const std::size_t lo = b * k_svd_moment_block;
+                    const std::size_t len = std::min(t, lo + k_svd_moment_block) - lo;
                     double a, bb, g;
                     simd::dot3(wp + lo, wq + lo, len, a, bb, g);
                     alpha += a;
                     beta += bb;
                     gamma += g;
                 }
-
-                rotated[idx] = 0;
-                if (std::abs(gamma) <= eps * std::sqrt(alpha * beta) || gamma == 0.0) return;
-                rotated[idx] = 1;
+                if (std::abs(gamma) <= eps * std::sqrt(alpha * beta) || gamma == 0.0) continue;
+                converged = false;
 
                 const double zeta = (beta - alpha) / (2.0 * gamma);
                 const double sign = zeta >= 0.0 ? 1.0 : -1.0;
@@ -98,15 +85,6 @@ void jacobi_orthogonalize_cols(matrix& wt, matrix& vt, thread_pool* pool) {
 
                 simd::rotate_pair(wt.row(p).data(), wt.row(q).data(), t, cos, sin);
                 simd::rotate_pair(vt.row(p).data(), vt.row(q).data(), m, cos, sin);
-            };
-
-            if (shard && pairs.size() > 1) {
-                parallel_for(*pool, 0, pairs.size(), rotate_pair_job);
-            } else {
-                for (std::size_t i = 0; i < pairs.size(); ++i) rotate_pair_job(i);
-            }
-            for (std::size_t i = 0; i < pairs.size(); ++i) {
-                if (rotated[i] != 0) converged = false;
             }
 
             // Advance the schedule: slot 0 is fixed, slots 1..M-1 rotate.
@@ -145,7 +123,7 @@ void complete_orthonormal_columns(matrix& u, const std::vector<bool>& is_zero) {
     }
 }
 
-svd_result svd_tall(const matrix& a, thread_pool* pool) {
+svd_result svd_tall(const matrix& a) {
     const std::size_t t = a.rows();
     const std::size_t m = a.cols();
 
@@ -156,7 +134,7 @@ svd_result svd_tall(const matrix& a, thread_pool* pool) {
         for (std::size_t j = 0; j < m; ++j) wt(j, r) = arow[j];
     }
     matrix vt = matrix::identity(m);
-    jacobi_orthogonalize_cols(wt, vt, pool);
+    jacobi_orthogonalize_cols(wt, vt);
 
     // Singular values are the norms of the rotated columns (= wt rows);
     // normalizing a row in place turns it into the matching column of u.
@@ -205,13 +183,11 @@ svd_result svd_tall(const matrix& a, thread_pool* pool) {
 
 }  // namespace
 
-svd_result svd(const matrix& a) { return svd(a, nullptr); }
-
-svd_result svd(const matrix& a, thread_pool* pool) {
+svd_result svd(const matrix& a) {
     if (a.empty()) return {};
-    if (a.rows() >= a.cols()) return svd_tall(a, pool);
+    if (a.rows() >= a.cols()) return svd_tall(a);
     // Wide matrix: factor the transpose and swap the roles of u and v.
-    svd_result st = svd_tall(transpose(a), pool);
+    svd_result st = svd_tall(transpose(a));
     return {std::move(st.v), std::move(st.s), std::move(st.u)};
 }
 

@@ -3,7 +3,11 @@
 // Implemented with one-sided Jacobi rotations: numerically very accurate
 // (relative accuracy even for tiny singular values) and simple enough to
 // audit. For the matrix shapes this library cares about (about 1000 x 50
-// link measurement matrices) a handful of sweeps suffices.
+// link measurement matrices) a handful of sweeps suffices. The column
+// moments are accumulated over fixed 512-row blocks in block order, so
+// the rounding pattern is a function of the shape only. It runs serially:
+// no caller factors a matrix tall enough to pay for sharding the rotation
+// rounds (docs/ARCHITECTURE.md, "Which kernels shard").
 #pragma once
 
 #include <vector>
@@ -11,8 +15,6 @@
 #include "linalg/matrix.h"
 
 namespace netdiag {
-
-class thread_pool;
 
 struct svd_result {
     matrix u;                       // rows(a) x k, orthonormal columns
@@ -25,15 +27,5 @@ struct svd_result {
 // have orthonormal columns. Throws netdiag::numerical_error if the Jacobi
 // sweeps fail to converge (pathological input).
 svd_result svd(const matrix& a);
-
-// Same decomposition with the Jacobi inner loops sharded across the pool,
-// mirroring the sym_eigen pattern: the per-pair (alpha, beta, gamma)
-// reduction runs over fixed row blocks combined in block order, and the
-// O(rows) rotation applications are row-parallel. The block layout depends
-// only on the shape and tuning, never the thread count, so the result is
-// bit-identical for every pool size (pool == nullptr degrades to the same
-// blocked kernel; svd(a) delegates here). The pool only engages above
-// tuning().svd_parallel_min_rows.
-svd_result svd(const matrix& a, thread_pool* pool);
 
 }  // namespace netdiag

@@ -14,8 +14,6 @@
 
 namespace netdiag {
 
-class thread_pool;
-
 // Right singular structure of a data matrix: Y ~ U diag(s) V^T.
 // Only s and V are kept; the subspace method never needs U.
 struct right_svd {
@@ -23,21 +21,14 @@ struct right_svd {
     matrix v;               // cols(Y) x k, orthonormal columns
 };
 
-// Initialize from a full data matrix (wraps svd()). A non-null pool shards
-// the Jacobi inner loops (bit-identical for every pool size; see svd).
+// Initialize from a full data matrix (wraps svd()).
 right_svd right_svd_of(const matrix& y);
-right_svd right_svd_of(const matrix& y, thread_pool* pool);
 
 // Update (s, V) after appending row y to the data matrix, keeping at most
 // max_rank components (the smallest is dropped if the update would exceed
 // it). Throws std::invalid_argument if y's size differs from V's rows.
-// A non-null pool shards the O(m k) stages -- the coefficient/residual
-// split and the basis recombination -- each of which computes every output
-// element with the same per-element arithmetic as the serial loop, so the
-// update is bit-identical for every pool size. The small core SVD (k+1
-// square) always runs serially.
+// O(m k) plus a (k+1)-square core SVD, run serially on the caller's
+// thread (docs/ARCHITECTURE.md, "Which kernels shard").
 right_svd append_row(const right_svd& current, std::span<const double> y, std::size_t max_rank);
-right_svd append_row(const right_svd& current, std::span<const double> y, std::size_t max_rank,
-                     thread_pool* pool);
 
 }  // namespace netdiag

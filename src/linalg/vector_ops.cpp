@@ -81,4 +81,11 @@ bool approx_equal(std::span<const double> a, std::span<const double> b, double t
     return true;
 }
 
+bool all_finite(std::span<const double> a) {
+    for (const double v : a) {
+        if (!std::isfinite(v)) return false;
+    }
+    return true;
+}
+
 }  // namespace netdiag

@@ -44,4 +44,7 @@ vec normalized(std::span<const double> a);
 // True when both vectors have equal length and elements within tol.
 bool approx_equal(std::span<const double> a, std::span<const double> b, double tol);
 
+// True when no element is a NaN or an infinity.
+bool all_finite(std::span<const double> a);
+
 }  // namespace netdiag

@@ -498,7 +498,7 @@ std::unique_ptr<stream_detector> load_stream_detector(std::istream& in, thread_p
         return std::make_unique<streaming_diagnoser>(streaming_diagnoser::restore(in, pool));
     }
     if (tag == "tracking_detector") {
-        return std::make_unique<tracking_detector>(tracking_detector::restore(in, pool));
+        return std::make_unique<tracking_detector>(tracking_detector::restore(in));
     }
     throw std::runtime_error("load_stream_detector: unknown detector tag " + tag);
 }

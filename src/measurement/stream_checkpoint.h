@@ -147,8 +147,9 @@ void save_stream_detector(stream_detector& detector, const std::string& path,
 // detected from the magic -- dispatching on the type tag to
 // streaming_diagnoser::restore() or tracking_detector::restore(); any
 // other tag (a bare incremental_pca_tracker record included) is
-// rejected. The pool is runtime wiring, not checkpoint state:
-// the restored detector uses the one given here. Throws
+// rejected. The pool is runtime wiring, not checkpoint state: a
+// restored streaming_diagnoser runs its refits on the one given here (a
+// tracking_detector folds on the caller's thread and takes none). Throws
 // std::runtime_error on I/O failure, an unknown tag, or malformed
 // content.
 std::unique_ptr<stream_detector> load_stream_detector(const std::string& path,

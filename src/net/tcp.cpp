@@ -9,9 +9,11 @@
 
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 namespace netdiag::net {
@@ -26,6 +28,9 @@ namespace {
 iovec piece(std::string_view bytes) {
     return {const_cast<char*>(bytes.data()), bytes.size()};
 }
+
+// Pause before retrying an accept() that failed for lack of resources.
+constexpr std::chrono::milliseconds k_accept_retry_delay{10};
 
 sockaddr_in loopback_addr(std::uint16_t port) {
     sockaddr_in addr{};
@@ -150,9 +155,10 @@ tcp_listener::tcp_listener(std::uint16_t port) {
 
 tcp_socket tcp_listener::accept() {
     for (;;) {
-        // Snapshot the fd: close() may race us (that is its job); an
-        // accept on a closed/shutdown fd returns an error and we report
-        // the invalid socket that means "listener is gone".
+        // Snapshot the fd: close() may race us (that is its job). It
+        // clears fd_ before shutting the socket down, so an accept that
+        // fails because the listener is gone finds fd_ < 0 on the next
+        // pass and reports the invalid socket that means "closed".
         const int fd = fd_.load(std::memory_order_acquire);
         if (fd < 0) return tcp_socket{};
         const int conn = ::accept(fd, nullptr, nullptr);
@@ -162,8 +168,16 @@ tcp_socket tcp_listener::accept() {
             (void)::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
             return sock;
         }
-        if (errno == EINTR) continue;
-        return tcp_socket{};
+        // Unless close() caused it, the failure is the connection's or the
+        // process's, not the listener's: a peer that reset before we
+        // accepted (ECONNABORTED, or a pending network error Linux reports
+        // here) or a resource limit (EMFILE, ENFILE, ENOBUFS, ENOMEM).
+        // Keep listening; back off briefly unless the failure was an
+        // interrupt or an aborted peer, so a process out of descriptors
+        // does not spin while it waits for connections to close.
+        if (errno == EINTR || errno == ECONNABORTED) continue;
+        if (fd_.load(std::memory_order_acquire) < 0) return tcp_socket{};
+        std::this_thread::sleep_for(k_accept_retry_delay);
     }
 }
 

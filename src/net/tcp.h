@@ -71,8 +71,10 @@ public:
 
     std::uint16_t local_port() const noexcept { return port_; }
 
-    // Blocks for the next connection. Returns an invalid socket once the
-    // listener is closed (and on transient accept errors after that).
+    // Blocks for the next connection. Returns an invalid socket only once
+    // the listener is closed; a failed accept() (a descriptor limit, a
+    // peer that reset first) is retried, after a short pause when the
+    // process is out of resources.
     tcp_socket accept();
 
     void close() noexcept;

@@ -10,6 +10,7 @@
 #include "engine/backoff.h"
 #include "engine/clock.h"
 #include "engine/mpsc_inbox.h"
+#include "linalg/vector_ops.h"
 #include "measurement/stream_checkpoint.h"
 #include "stats/histogram.h"
 
@@ -35,10 +36,6 @@ constexpr std::size_t k_drain_burst = 64;
 
 std::string checkpoint_filename(stream_id id) {
     return "stream_" + std::to_string(id) + ".ckpt";
-}
-
-bool all_finite(std::span<const double> y) {
-    return std::all_of(y.begin(), y.end(), [](double v) { return std::isfinite(v); });
 }
 
 [[noreturn]] void throw_unknown_stream(stream_id id) {

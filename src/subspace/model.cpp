@@ -5,16 +5,22 @@
 
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "subspace/qstat.h"
 
 namespace netdiag {
 
-// Block width and parallel gates come from the global tuning struct
-// (defaults match the old hardcoded constants). The link-block layout is a
-// function of m and tuning only — never of the thread count — and the
-// per-block partial coefficients are reduced in block order, so serial and
-// sharded projections are bit-identical.
+namespace {
+
+// Links per block of the two-stage residual projection (numerical
+// contract: the per-block partial coefficients are reduced in block order,
+// so changing the width moves results within rounding).
+constexpr std::size_t k_link_block = 256;
+
+// Minimum rows * m * rank before spe_series shards its rows over a pool
+// (scheduling only: each row writes its own slot).
+constexpr std::size_t k_spe_series_min_work = std::size_t{1} << 15;
+
+}  // namespace
 
 subspace_model::subspace_model(pca_model pca, std::size_t normal_rank)
     : pca_(std::move(pca)), rank_(normal_rank) {
@@ -61,25 +67,24 @@ matrix subspace_model::dense_residual_projector() const {
     return c_tilde;
 }
 
-vec subspace_model::residual(std::span<const double> y, thread_pool* pool) const {
+vec subspace_model::residual(std::span<const double> y) const {
     if (y.size() != dimension()) throw std::invalid_argument("subspace_model: vector size mismatch");
     const vec centered = subtract(y, pca_.column_means);
-    return project_direction_residual(centered, pool);
+    return project_direction_residual(centered);
 }
 
-vec subspace_model::modeled(std::span<const double> y, thread_pool* pool) const {
+vec subspace_model::modeled(std::span<const double> y) const {
     if (y.size() != dimension()) throw std::invalid_argument("subspace_model: vector size mismatch");
     const vec centered = subtract(y, pca_.column_means);
-    const vec resid = project_direction_residual(centered, pool);
+    const vec resid = project_direction_residual(centered);
     return subtract(centered, resid);
 }
 
-double subspace_model::spe(std::span<const double> y, thread_pool* pool) const {
-    return norm_squared(residual(y, pool));
+double subspace_model::spe(std::span<const double> y) const {
+    return norm_squared(residual(y));
 }
 
-vec subspace_model::project_direction_residual(std::span<const double> direction,
-                                               thread_pool* pool) const {
+vec subspace_model::project_direction_residual(std::span<const double> direction) const {
     const std::size_t m = dimension();
     if (direction.size() != m) {
         throw std::invalid_argument("subspace_model: direction size mismatch");
@@ -87,10 +92,7 @@ vec subspace_model::project_direction_residual(std::span<const double> direction
     vec out(direction.begin(), direction.end());
     if (rank_ == 0 || m == 0) return out;
 
-    const std::size_t k_link_block = std::max<std::size_t>(global_tuning().link_block, 1);
     const std::size_t blocks = (m + k_link_block - 1) / k_link_block;
-    const bool shard = pool != nullptr && parallel_hardware_ok() &&
-                       m >= global_tuning().parallel_min_links && blocks > 1;
 
     // Stage 1: coefficients c = P^T x, accumulated per link block.
     vec coeffs(rank_, 0.0);
@@ -100,39 +102,26 @@ vec subspace_model::project_direction_residual(std::span<const double> direction
             coeffs[k] = simd::dot(normal_axes_t_.row(k).data(), direction.data(), m);
         }
     } else {
-        vec partial(blocks * rank_, 0.0);
-        const auto accumulate_block = [&](std::size_t b) {
+        // Per-block partial dots, summed in block order.
+        for (std::size_t b = 0; b < blocks; ++b) {
             const std::size_t begin = b * k_link_block;
             const std::size_t len = std::min(m, begin + k_link_block) - begin;
             for (std::size_t k = 0; k < rank_; ++k) {
-                partial[b * rank_ + k] = simd::dot(normal_axes_t_.row(k).data() + begin,
-                                                   direction.data() + begin, len);
+                coeffs[k] += simd::dot(normal_axes_t_.row(k).data() + begin,
+                                       direction.data() + begin, len);
             }
-        };
-        if (shard) {
-            parallel_for(*pool, 0, blocks, accumulate_block);
-        } else {
-            for (std::size_t b = 0; b < blocks; ++b) accumulate_block(b);
-        }
-        for (std::size_t b = 0; b < blocks; ++b) {
-            for (std::size_t k = 0; k < rank_; ++k) coeffs[k] += partial[b * rank_ + k];
         }
     }
 
     // Stage 2: out = x - P c, element-wise over the same blocks (axpy with
     // -c_k performs the identical subtract per element).
-    const auto subtract_block = [&](std::size_t b) {
+    for (std::size_t b = 0; b < blocks; ++b) {
         const std::size_t begin = b * k_link_block;
         const std::size_t len = std::min(m, begin + k_link_block) - begin;
         for (std::size_t k = 0; k < rank_; ++k) {
             simd::axpy(-coeffs[k], normal_axes_t_.row(k).data() + begin, out.data() + begin,
                        len);
         }
-    };
-    if (shard) {
-        parallel_for(*pool, 0, blocks, subtract_block);
-    } else {
-        for (std::size_t b = 0; b < blocks; ++b) subtract_block(b);
     }
     return out;
 }
@@ -141,8 +130,7 @@ vec subspace_model::spe_series(const matrix& y, thread_pool* pool) const {
     if (y.cols() != dimension()) throw std::invalid_argument("spe_series: column count mismatch");
     vec out(y.rows(), 0.0);
     const std::size_t work = y.rows() * dimension() * std::max<std::size_t>(rank_, 1);
-    if (pool != nullptr && parallel_hardware_ok() &&
-        work >= global_tuning().spe_series_min_work) {
+    if (pool != nullptr && work >= k_spe_series_min_work) {
         parallel_for(*pool, 0, y.rows(), [&](std::size_t r) { out[r] = spe(y.row(r)); });
     } else {
         for (std::size_t r = 0; r < y.rows(); ++r) out[r] = spe(y.row(r));

@@ -4,10 +4,10 @@
 // The residual projector C~ = I - P P^T is never materialized: with P the
 // m x r matrix of normal axes, residual(x) = x - P (P^T x) costs O(m r)
 // per projection instead of the O(m^2) dense multiply, and stores O(m r).
-// The link dimension is processed in fixed-size blocks whose partial
-// reductions are combined in block order, so results are bit-identical for
-// any thread count; an optional engine thread_pool shards the blocks for
-// very large m.
+// The link dimension is processed in fixed 256-link blocks whose partial
+// reductions are combined in block order, so the rounding pattern is a
+// function of m only. One projection runs serially; spe_series can shard
+// its rows over an engine thread_pool.
 //
 // A model from subspace_model::fit keeps the axes, variances and means but
 // not the t x m temporal projections: separation reads only the leading
@@ -33,8 +33,8 @@ public:
     // 3-sigma walk reaches it (fit_pca_axes + pca_axis_projection). The
     // rank equals separate_normal_rank(fit_pca(y), sep) bit for bit, but
     // pca().projections stays empty: every served fit goes through here.
-    // A non-null pool parallelizes the covariance accumulation and the
-    // eigensolve rotation updates (bit-identical for every pool size).
+    // A non-null pool shards the covariance accumulation over its fixed
+    // row blocks (bit-identical for every pool size).
     static subspace_model fit(const matrix& y, const separation_config& sep = {},
                               thread_pool* pool = nullptr);
 
@@ -59,19 +59,17 @@ public:
     // residual(y)  = C~ (y - mean)     -- the anomalous component y~
     // modeled(y)   = C  (y - mean)     -- the normal component y^ (centered)
     // spe(y)       = ||residual(y)||^2 -- the squared prediction error
-    // A non-null pool shards the link dimension in fixed blocks (only
-    // engaged for very large m); results are identical for any pool size.
-    vec residual(std::span<const double> y, thread_pool* pool = nullptr) const;
-    vec modeled(std::span<const double> y, thread_pool* pool = nullptr) const;
-    double spe(std::span<const double> y, thread_pool* pool = nullptr) const;
+    vec residual(std::span<const double> y) const;
+    vec modeled(std::span<const double> y) const;
+    double spe(std::span<const double> y) const;
 
     // C~ applied to a direction (no mean removal): used for anomaly
     // direction vectors theta_i, which are displacements, not measurements.
-    vec project_direction_residual(std::span<const double> direction,
-                                   thread_pool* pool = nullptr) const;
+    vec project_direction_residual(std::span<const double> direction) const;
 
     // SPE for every row of a measurement matrix. A non-null pool shards
-    // the rows (one result slot per row, bit-identical to serial).
+    // the rows once rows * m * rank reaches 2^15 (one result slot per row,
+    // bit-identical to serial).
     vec spe_series(const matrix& y, thread_pool* pool = nullptr) const;
 
     // Jackson-Mudholkar threshold delta^2_alpha at the given confidence.

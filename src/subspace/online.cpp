@@ -1,6 +1,8 @@
 #include "subspace/online.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -13,6 +15,14 @@
 namespace netdiag {
 
 namespace {
+
+// Restore refuses a record holding a NaN or an infinity in detector state:
+// the codec decodes any double, and a non-finite window value or model
+// entry would poison every later SPE and refit, so the stream would go
+// silently blind instead of failing at the door.
+bool all_entries_finite(const matrix& values) {
+    return all_finite(std::span<const double>(values.data(), values.size()));
+}
 
 // Shared (de)serialization of a fitted model: the PCA plus the normal
 // rank fully determine a subspace_model, and with the routing terms and
@@ -47,6 +57,10 @@ subspace_model read_model(std::istream& in, std::size_t m) {
         pca.axis_variance.size() != m || pca.column_means.size() != m || rank > m) {
         throw std::runtime_error("streaming_diagnoser::restore: model shape does not match "
                                  "the routing matrix");
+    }
+    if (!all_entries_finite(pca.principal_axes) || !all_finite(pca.axis_variance) ||
+        !all_finite(pca.column_means)) {
+        throw std::runtime_error("streaming_diagnoser::restore: non-finite model value");
     }
     return {std::move(pca), rank};
 }
@@ -289,6 +303,9 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     // refuses a record whose parts disagree instead of serving from it.
     matrix a = ckpt::read_matrix(in);
     if (a.empty()) throw std::runtime_error("streaming_diagnoser::restore: empty routing matrix");
+    if (!all_entries_finite(a)) {
+        throw std::runtime_error("streaming_diagnoser::restore: non-finite routing matrix value");
+    }
     const std::size_t m = a.rows();
     const std::uint64_t window_size = ckpt::read_u64(in);
     if (window_size > cfg.window) {
@@ -302,6 +319,9 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
         window.push_back(ckpt::read_vec(in));
         if (window.back().size() != m) {
             throw std::runtime_error("streaming_diagnoser::restore: window row width mismatch");
+        }
+        if (!all_finite(window.back())) {
+            throw std::runtime_error("streaming_diagnoser::restore: non-finite window value");
         }
     }
 
@@ -322,6 +342,9 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
         queued_window = ckpt::read_matrix(in);
         if (queued_window->cols() != m || queued_window->rows() < 2) {
             throw std::runtime_error("streaming_diagnoser::restore: queued window shape mismatch");
+        }
+        if (!all_entries_finite(*queued_window)) {
+            throw std::runtime_error("streaming_diagnoser::restore: non-finite queued window");
         }
     }
 
@@ -360,9 +383,8 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
 // incremental_pca_tracker
 // ---------------------------------------------------------------------------
 
-incremental_pca_tracker::incremental_pca_tracker(const matrix& bootstrap_y, std::size_t max_rank,
-                                                 thread_pool* pool)
-    : max_rank_(max_rank), pool_(pool) {
+incremental_pca_tracker::incremental_pca_tracker(const matrix& bootstrap_y, std::size_t max_rank)
+    : max_rank_(max_rank) {
     if (bootstrap_y.rows() < 2) {
         throw std::invalid_argument("incremental_pca_tracker: need at least two bootstrap rows");
     }
@@ -372,7 +394,7 @@ incremental_pca_tracker::incremental_pca_tracker(const matrix& bootstrap_y, std:
     mean_ = std::move(centered.column_means);
     count_ = bootstrap_y.rows();
 
-    right_svd full = right_svd_of(centered.centered, pool_);
+    right_svd full = right_svd_of(centered.centered);
     const std::size_t keep = std::min(max_rank_, full.s.size());
     svd_.s.assign(full.s.begin(), full.s.begin() + static_cast<std::ptrdiff_t>(keep));
     svd_.v.assign(full.v.rows(), keep, 0.0);
@@ -387,7 +409,7 @@ void incremental_pca_tracker::push(std::span<const double> y) {
     // mean drifts slowly relative to the update stream, so treating it as
     // quasi-static is the standard approximation for subspace tracking.
     const vec centered = subtract(y, mean_);
-    svd_ = append_row(svd_, centered, max_rank_, pool_);
+    svd_ = append_row(svd_, centered, max_rank_);
     ++count_;
     ++pushed_;
     const double w = 1.0 / static_cast<double>(count_);
@@ -412,7 +434,7 @@ void incremental_pca_tracker::save(std::ostream& out) const {
     ckpt::write_u64(out, pushed_);
 }
 
-incremental_pca_tracker incremental_pca_tracker::restore(std::istream& in, thread_pool* pool) {
+incremental_pca_tracker incremental_pca_tracker::restore(std::istream& in) {
     ckpt::expect_header(in, "incremental_pca_tracker");
     incremental_pca_tracker out;
     out.svd_.s = ckpt::read_vec(in);
@@ -421,10 +443,12 @@ incremental_pca_tracker incremental_pca_tracker::restore(std::istream& in, threa
     out.count_ = ckpt::read_u64(in);
     out.max_rank_ = ckpt::read_u64(in);
     out.pushed_ = ckpt::read_u64(in);
-    out.pool_ = pool;
     if (out.max_rank_ == 0 || out.svd_.s.size() != out.svd_.v.cols() ||
         out.svd_.v.rows() != out.mean_.size()) {
         throw std::runtime_error("incremental_pca_tracker::restore: inconsistent state");
+    }
+    if (!all_finite(out.svd_.s) || !all_entries_finite(out.svd_.v) || !all_finite(out.mean_)) {
+        throw std::runtime_error("incremental_pca_tracker::restore: non-finite state");
     }
     return out;
 }
@@ -439,12 +463,12 @@ tracking_detector::tracking_detector(const matrix& bootstrap_y, std::size_t max_
     // Fit the bootstrap axes exactly once; the separation rank feeds both
     // the tracker's rank floor and the normal-subspace rank.
     : tracking_detector(bootstrap_rank_tag{}, bootstrap_y, max_rank, confidence,
-                        subspace_model::fit(bootstrap_y, sep, pool).normal_rank(), pool) {}
+                        subspace_model::fit(bootstrap_y, sep, pool).normal_rank()) {}
 
 tracking_detector::tracking_detector(bootstrap_rank_tag, const matrix& bootstrap_y,
                                      std::size_t max_rank, double confidence,
-                                     std::size_t bootstrap_normal_rank, thread_pool* pool)
-    : tracker_(bootstrap_y, std::max(max_rank, bootstrap_normal_rank + 1), pool),
+                                     std::size_t bootstrap_normal_rank)
+    : tracker_(bootstrap_y, std::max(max_rank, bootstrap_normal_rank + 1)),
       confidence_(confidence) {
     if (!(confidence > 0.0 && confidence < 1.0)) {
         throw std::invalid_argument("tracking_detector: confidence outside (0, 1)");
@@ -550,7 +574,7 @@ tracking_detector::tracking_detector(restored_state&& state)
       alarms_(state.alarms),
       epoch_(state.epoch) {}
 
-tracking_detector tracking_detector::restore(std::istream& in, thread_pool* pool) {
+tracking_detector tracking_detector::restore(std::istream& in) {
     ckpt::expect_header(in, "tracking_detector");
     restored_state state;
     (void)ckpt::read_flag(in);  // retired "deferred updates" flag (see the header)
@@ -562,10 +586,17 @@ tracking_detector tracking_detector::restore(std::istream& in, thread_pool* pool
     state.processed = ckpt::read_u64(in);
     state.alarms = ckpt::read_u64(in);
     state.epoch = ckpt::read_u64(in);
-    incremental_pca_tracker tracker = incremental_pca_tracker::restore(in, pool);
+    incremental_pca_tracker tracker = incremental_pca_tracker::restore(in);
     if (tracker.dimension() != state.dimension ||
         !(state.confidence > 0.0 && state.confidence < 1.0)) {
         throw std::runtime_error("tracking_detector::restore: inconsistent state");
+    }
+    // +inf is a legal threshold: q_statistic_threshold's value for an
+    // empty residual tail.
+    if (std::isnan(state.threshold) ||
+        state.threshold == -std::numeric_limits<double>::infinity() ||
+        !std::isfinite(state.total_variance_sum)) {
+        throw std::runtime_error("tracking_detector::restore: non-finite state");
     }
     state.tracker = std::move(tracker);
     return tracking_detector(std::move(state));

@@ -19,8 +19,7 @@
 // epoch-versioned model snapshot, and the snapshot swap is applied on the
 // push thread at a deterministic bin boundary -- so the output sequence
 // depends only on the input stream, never on thread timing. A tracker's
-// rank-1 fold is cheap and runs on the push thread (sharded over the pool
-// once it is wide enough).
+// rank-1 fold is cheap and runs serially on the push thread.
 #pragma once
 
 #include <cstddef>
@@ -113,9 +112,10 @@ public:
     // Rebuilds a diagnoser saved by save(). The pool (and observer) are
     // runtime wiring, not state: pass whatever the restored stream should
     // use. Throws std::runtime_error on malformed input, including any
-    // shape that disagrees with the routing matrix's link count (see
-    // docs/CHECKPOINT_FORMAT.md). A model block's projections slot is
-    // read and discarded whatever its shape.
+    // shape that disagrees with the routing matrix's link count and any
+    // non-finite value in A, the window, the queued window or a model's
+    // axes, variances or means (see docs/CHECKPOINT_FORMAT.md). A model
+    // block's projections slot is read and discarded whatever its shape.
     static streaming_diagnoser restore(std::istream& in, thread_pool* pool = nullptr);
 
     // Applied refits (== model_epoch()).
@@ -188,17 +188,17 @@ private:
 class incremental_pca_tracker {
 public:
     // Throws std::invalid_argument when bootstrap has fewer than two rows
-    // or max_rank is zero. A non-null pool shards the bootstrap SVD and
-    // every rank-1 fold (bit-identical for any pool size).
-    incremental_pca_tracker(const matrix& bootstrap_y, std::size_t max_rank,
-                            thread_pool* pool = nullptr);
+    // or max_rank is zero.
+    incremental_pca_tracker(const matrix& bootstrap_y, std::size_t max_rank);
 
     // Folds one measurement (synchronously) into the tracked axes.
     void push(std::span<const double> y);
 
     std::size_t dimension() const noexcept { return mean_.size(); }
     void save(std::ostream& out) const;
-    static incremental_pca_tracker restore(std::istream& in, thread_pool* pool = nullptr);
+    // Throws std::runtime_error on inconsistent shapes or any non-finite
+    // value in s, V or the running mean.
+    static incremental_pca_tracker restore(std::istream& in);
 
     std::size_t sample_count() const noexcept { return count_; }
     std::size_t rank() const noexcept { return svd_.v.cols(); }
@@ -216,7 +216,6 @@ private:
     std::size_t count_ = 0;
     std::size_t max_rank_ = 0;
     std::uint64_t pushed_ = 0;  // folds since construction (checkpointed)
-    thread_pool* pool_ = nullptr;
 };
 
 // Fully incremental online detector built on rank-1 SVD updates: the
@@ -233,10 +232,10 @@ public:
     // max_rank bounds the tracked spectrum; it is raised to the separation
     // rank + 1 when smaller, so a tracked residual tail always exists.
     // The bootstrap PCA is fit exactly once (shared by the rank raise and
-    // the subspace separation); a non-null pool shards that fit and every
-    // rank-1 fold wide enough to pay for it (bit-identical for any pool
-    // size). Throws std::invalid_argument on a degenerate bootstrap or a
-    // confidence outside (0, 1).
+    // the subspace separation); a non-null pool shards that fit's
+    // covariance (bit-identical for any pool size). Throws
+    // std::invalid_argument on a degenerate bootstrap or a confidence
+    // outside (0, 1).
     tracking_detector(const matrix& bootstrap_y, std::size_t max_rank,
                       double confidence = 0.999, const separation_config& sep = {},
                       thread_pool* pool = nullptr);
@@ -256,8 +255,11 @@ public:
     void drain() override {}
     void save(std::ostream& out) override;
     // The record's retired "deferred updates" flag is read and ignored
-    // (folds give identical bits wherever they ran).
-    static tracking_detector restore(std::istream& in, thread_pool* pool = nullptr);
+    // (folds give identical bits wherever they ran). Throws
+    // std::runtime_error on inconsistent state, a NaN threshold or any
+    // other non-finite double (the threshold may be +inf: the Q-statistic
+    // of an empty residual tail).
+    static tracking_detector restore(std::istream& in);
 
     std::size_t normal_rank() const noexcept { return normal_rank_; }
     double threshold() const noexcept { return threshold_; }
@@ -274,7 +276,7 @@ private:
     // would otherwise be ambiguous against the rank).
     struct bootstrap_rank_tag {};
     tracking_detector(bootstrap_rank_tag, const matrix& bootstrap_y, std::size_t max_rank,
-                      double confidence, std::size_t bootstrap_normal_rank, thread_pool* pool);
+                      double confidence, std::size_t bootstrap_normal_rank);
 
     void fold(std::span<const double> y);
     void refresh_threshold();

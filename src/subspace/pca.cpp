@@ -6,12 +6,19 @@
 
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/ops.h"
 #include "measurement/centering.h"
 
 namespace netdiag {
+
+namespace {
+
+// Minimum t * m before fit_pca shards its per-axis projections over a pool
+// (scheduling only: each axis writes its own column).
+constexpr std::size_t k_projection_min_work = std::size_t{1} << 18;
+
+}  // namespace
 
 double pca_model::variance_fraction(std::size_t i) const {
     if (i >= axis_variance.size()) {
@@ -61,7 +68,7 @@ pca_axes_fit fit_pca_axes(const matrix& y, thread_pool* pool) {
     // mean accumulation the covariance would redo), so the Gram runs
     // straight over them — one less pass over the data, identical result.
     const matrix cov = parallel_centered_covariance(fit.centered, pool);
-    sym_eigen_result eig = sym_eigen(cov, pool);
+    sym_eigen_result eig = sym_eigen(cov);
 
     fit.model.principal_axes = std::move(eig.eigenvectors);
     fit.model.axis_variance = std::move(eig.eigenvalues);
@@ -97,8 +104,7 @@ pca_model fit_pca(const matrix& y, thread_pool* pool) {
     const auto project_axis = [&](std::size_t i) {
         model.projections.set_column(i, pca_axis_projection(fit.centered, model.principal_axes, i));
     };
-    if (pool != nullptr && parallel_hardware_ok() &&
-        t * m >= global_tuning().pca_projection_min_work) {
+    if (pool != nullptr && t * m >= k_projection_min_work) {
         parallel_for(*pool, 0, m, project_axis);
     } else {
         for (std::size_t i = 0; i < m; ++i) project_axis(i);

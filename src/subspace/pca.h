@@ -51,9 +51,9 @@ struct pca_axes_fit {
 
 // Centers raw (uncentered) link measurements y (t x m, t >= 2) and
 // eigendecomposes their covariance. A non-null pool shards the covariance
-// accumulation (fixed row blocks) and the eigensolve rotation updates;
-// the result is bit-identical for every pool size. Throws
-// std::invalid_argument on degenerate shapes.
+// accumulation over its fixed row blocks (engaged once t > 256); the
+// eigensolve runs serially, and the result is bit-identical for every
+// pool size. Throws std::invalid_argument on degenerate shapes.
 pca_axes_fit fit_pca_axes(const matrix& y, thread_pool* pool = nullptr);
 
 // The projection half for one axis: u_i = Yc v_i / ||Yc v_i||, with v_i
@@ -65,11 +65,11 @@ vec pca_axis_projection(const matrix& centered, const matrix& axes, std::size_t 
 // shapes.
 pca_model fit_pca(const matrix& y);
 
-// Same fit with the axes half pool-sharded (see fit_pca_axes) and the
-// per-axis projections sharded across the pool once t * m reaches
-// tuning's pca_projection_min_work. Each axis writes its own column, so
-// the result is bit-identical for every pool size (including pool ==
-// nullptr, which fit_pca(y) delegates to).
+// Same fit with the covariance pool-sharded (see fit_pca_axes) and the
+// per-axis projections sharded across the pool once t * m reaches 2^18.
+// Each axis writes its own column, so the result is bit-identical for
+// every pool size (including pool == nullptr, which fit_pca(y) delegates
+// to).
 pca_model fit_pca(const matrix& y, thread_pool* pool);
 
 }  // namespace netdiag

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/ops.h"
 #include "measurement/centering.h"
@@ -335,14 +334,6 @@ TEST_F(BatchParityFixture, InjectionSweepMatchesSerialBitForBit) {
 // relative to the plain serial kernels, within rounding.
 // ---------------------------------------------------------------------------
 
-// The parallel_min_hardware floor (default 2) downgrades every pooled call
-// to serial on single-core hosts, which would make these parity tests
-// compare serial against serial; lower it so the sharded paths really run.
-struct force_sharding {
-    scoped_tuning guard;
-    force_sharding() { global_tuning().parallel_min_hardware = 1; }
-};
-
 matrix random_measurements(std::size_t t, std::size_t m, std::uint64_t seed) {
     std::mt19937_64 rng(seed);
     std::normal_distribution<double> gauss(0.0, 1.0);
@@ -357,14 +348,13 @@ matrix random_measurements(std::size_t t, std::size_t m, std::uint64_t seed) {
 }
 
 TEST(ParallelFit, ColumnCovarianceBitIdenticalAcrossThreadCounts) {
-    // 600 rows -> 3 fixed blocks: the block reduction must not depend on
-    // the pool size at all.
-    const force_sharding sharding;
-    const matrix y = random_measurements(600, 24, 41);
-    const matrix base = parallel_column_covariance(y, nullptr);
+    // 600 rows -> 3 fixed 256-row blocks (the last one ragged): the block
+    // reduction must not depend on the pool size at all.
+    const matrix centered = center_columns(random_measurements(600, 24, 41)).centered;
+    const matrix base = parallel_centered_covariance(centered, nullptr);
     for (std::size_t threads : k_thread_counts) {
         thread_pool pool(threads);
-        ASSERT_EQ(parallel_column_covariance(y, &pool), base) << "threads=" << threads;
+        ASSERT_EQ(parallel_centered_covariance(centered, &pool), base) << "threads=" << threads;
     }
 }
 
@@ -373,78 +363,45 @@ TEST(ParallelFit, ColumnCovarianceMatchesSerialWithinRounding) {
     // column_covariance; the two agree to rounding, not bit-for-bit.
     const matrix y = random_measurements(600, 24, 42);
     const matrix serial = column_covariance(y);
-    const matrix blocked = parallel_column_covariance(y, nullptr);
+    const matrix blocked = parallel_centered_covariance(center_columns(y).centered, nullptr);
     double scale = 0.0;
     for (std::size_t i = 0; i < serial.rows(); ++i) scale = std::max(scale, std::abs(serial(i, i)));
     EXPECT_TRUE(approx_equal(blocked, serial, 1e-12 * scale));
 }
 
 TEST(ParallelFit, ColumnCovarianceValidation) {
-    EXPECT_THROW(parallel_column_covariance(matrix(1, 3, 0.0), nullptr), std::invalid_argument);
-}
-
-TEST(ParallelFit, SymEigenBitIdenticalAcrossThreadCounts) {
-    // The QL gate is work-based (rotations x rows >= 2^17): at n = 420 a
-    // full-length rotation batch carries ~n^2 = 176k > 131k of work, so
-    // the sharded rotation batches really run; they must reproduce the
-    // serial result exactly.
-    const force_sharding sharding;
-    const matrix cov = parallel_column_covariance(random_measurements(500, 420, 43), nullptr);
-    const sym_eigen_result serial = sym_eigen(cov);
-    for (std::size_t threads : k_thread_counts) {
-        thread_pool pool(threads);
-        const sym_eigen_result parallel = sym_eigen(cov, &pool);
-        ASSERT_EQ(parallel.eigenvalues, serial.eigenvalues) << "threads=" << threads;
-        ASSERT_EQ(parallel.eigenvectors, serial.eigenvectors) << "threads=" << threads;
-    }
-}
-
-TEST(ParallelFit, SymEigenJacobiBitIdenticalAcrossThreadCounts) {
-    // Jacobi's per-rotation dispatch only amortizes at n >= 2048 — far too
-    // slow to eigensolve in a unit test — so the gate is lowered under a
-    // scoped_tuning to actually drive the sharded row updates here.
-    const force_sharding sharding;
-    const matrix cov = parallel_column_covariance(random_measurements(300, 130, 44), nullptr);
-    const sym_eigen_result serial = sym_eigen_jacobi(cov);
-
-    {
-        const scoped_tuning gate;
-        global_tuning().jacobi_parallel_min_dim = 64;
-        for (std::size_t threads : k_thread_counts) {
-            thread_pool pool(threads);
-            const sym_eigen_result parallel = sym_eigen_jacobi(cov, &pool);
-            EXPECT_EQ(parallel.eigenvalues, serial.eigenvalues) << "threads=" << threads;
-            EXPECT_EQ(parallel.eigenvectors, serial.eigenvectors) << "threads=" << threads;
-        }
-    }
-
-    // And above the (restored) gate the pool is ignored but still valid.
-    thread_pool pool(2);
-    const sym_eigen_result gated = sym_eigen_jacobi(cov, &pool);
-    EXPECT_EQ(gated.eigenvalues, serial.eigenvalues);
-    EXPECT_EQ(gated.eigenvectors, serial.eigenvectors);
+    EXPECT_THROW(parallel_centered_covariance(matrix(1, 3, 0.0), nullptr), std::invalid_argument);
 }
 
 TEST(ParallelFit, CenteredCovarianceMatchesColumnCovariancePath) {
-    // fit_pca feeds center_columns output straight into the Gram; the two
-    // entry points must agree bit-for-bit because they accumulate means
-    // identically.
-    const force_sharding sharding;
+    // fit_pca feeds center_columns output straight into the blocked Gram:
+    // the axes it eigensolves are exactly those of the centered
+    // covariance, at every pool size, and that covariance agrees with
+    // column_covariance on the raw rows to rounding.
     const matrix y = random_measurements(600, 24, 51);
-    const matrix via_raw = parallel_column_covariance(y, nullptr);
     const centering_result centered = center_columns(y);
     const matrix via_centered = parallel_centered_covariance(centered.centered, nullptr);
-    ASSERT_EQ(via_centered, via_raw);
+    const sym_eigen_result eig = sym_eigen(via_centered);
+    const matrix reference = column_covariance(y);
+    double scale = 0.0;
+    for (std::size_t i = 0; i < reference.rows(); ++i) {
+        scale = std::max(scale, std::abs(reference(i, i)));
+    }
+    EXPECT_TRUE(approx_equal(via_centered, reference, 1e-12 * scale));
     for (std::size_t threads : k_thread_counts) {
         thread_pool pool(threads);
-        ASSERT_EQ(parallel_centered_covariance(centered.centered, &pool), via_raw)
+        ASSERT_EQ(parallel_centered_covariance(centered.centered, &pool), via_centered)
+            << "threads=" << threads;
+        ASSERT_EQ(fit_pca_axes(y, &pool).model.principal_axes, eig.eigenvectors)
             << "threads=" << threads;
     }
 }
 
 TEST(ParallelFit, FitPcaBitIdenticalAcrossThreadCounts) {
-    const force_sharding sharding;
-    const matrix y = random_measurements(700, 40, 45);
+    // 2100 x 128 crosses both sharded paths: nine covariance row blocks
+    // (the last one ragged) and t * m = 268,800 >= 2^18, so the per-axis
+    // projections shard too.
+    const matrix y = random_measurements(2100, 128, 45);
     const pca_model serial = fit_pca(y);
     for (std::size_t threads : k_thread_counts) {
         thread_pool pool(threads);
@@ -457,7 +414,6 @@ TEST(ParallelFit, FitPcaBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelFit, SubspaceFitBitIdenticalAcrossThreadCounts) {
-    const force_sharding sharding;
     const matrix y = random_measurements(500, 32, 46);
     const subspace_model serial = subspace_model::fit(y);
     for (std::size_t threads : k_thread_counts) {
@@ -469,10 +425,10 @@ TEST(ParallelFit, SubspaceFitBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Low-rank residual projection: link-block sharding parity.
+// Low-rank residual projection across several link blocks.
 // ---------------------------------------------------------------------------
 
-// A hand-built model with m large enough to engage the link-block sharding
+// A hand-built model with m large enough to span several 256-link blocks
 // (fitting a real PCA at this dimension would dwarf the test). The first
 // `rank` principal axes are Gram-Schmidt-orthonormalized pseudo-random
 // vectors; the remaining columns are irrelevant to the residual.
@@ -497,27 +453,9 @@ subspace_model wide_lowrank_model(std::size_t m, std::size_t rank, std::uint64_t
     return {std::move(pca), rank};
 }
 
-TEST(LowRankResidual, LinkShardedProjectionBitIdenticalAcrossThreadCounts) {
-    const force_sharding sharding;
-    const std::size_t m = 1536;  // > the 1024-link parallel gate, 6 blocks
-    const subspace_model model = wide_lowrank_model(m, 3, 47);
-    std::mt19937_64 rng(48);
-    std::normal_distribution<double> gauss(0.0, 1.0);
-    vec x(m, 0.0);
-    for (double& v : x) v = 100.0 + gauss(rng);
-
-    const vec serial = model.project_direction_residual(x);
-    const double serial_spe = model.spe(x);
-    for (std::size_t threads : k_thread_counts) {
-        thread_pool pool(threads);
-        ASSERT_EQ(model.project_direction_residual(x, &pool), serial) << "threads=" << threads;
-        ASSERT_EQ(model.residual(x, &pool), model.residual(x)) << "threads=" << threads;
-        ASSERT_EQ(model.spe(x, &pool), serial_spe) << "threads=" << threads;
-    }
-}
-
 TEST(LowRankResidual, LinkShardedProjectionMatchesDenseProjector) {
-    const force_sharding sharding;
+    // m = 1536: six 256-link blocks whose partial coefficients are summed
+    // in block order.
     const std::size_t m = 1536;
     const subspace_model model = wide_lowrank_model(m, 3, 49);
     std::mt19937_64 rng(50);
@@ -526,16 +464,14 @@ TEST(LowRankResidual, LinkShardedProjectionMatchesDenseProjector) {
     for (double& v : x) v = gauss(rng);
 
     const vec dense = multiply(model.dense_residual_projector(), x);
-    thread_pool pool(8);
-    const vec sharded = model.project_direction_residual(x, &pool);
-    ASSERT_EQ(sharded.size(), dense.size());
+    const vec blocked = model.project_direction_residual(x);
+    ASSERT_EQ(blocked.size(), dense.size());
     for (std::size_t i = 0; i < m; i += 53) {
-        EXPECT_NEAR(sharded[i], dense[i], 1e-9) << "link " << i;
+        EXPECT_NEAR(blocked[i], dense[i], 1e-9) << "link " << i;
     }
 }
 
 TEST_F(BatchParityFixture, ModelSpeSeriesWithPoolMatchesSerialBitForBit) {
-    const force_sharding sharding;
     const vec serial = diagnoser_->model().spe_series(ds_->link_loads);
     for (std::size_t threads : k_thread_counts) {
         thread_pool pool(threads);

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "engine/mpsc_inbox.h"
-#include "engine/tuning.h"
 #include "measurement/link_loads.h"
 #include "measurement/stream_checkpoint.h"
 #include "serve/stream_server.h"

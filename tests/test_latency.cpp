@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "engine/clock.h"
-#include "engine/tuning.h"
 #include "measurement/link_loads.h"
 #include "serve/stream_server.h"
 #include "stats/histogram.h"
@@ -172,13 +171,15 @@ TEST(IngestLatency, ExactUnderInjectedTickSource) {
 
 class LatencyServerFixture : public ::testing::Test {
 protected:
-    static constexpr std::size_t k_boot = 60;
+    // Bootstrap rows, and the refit window: over the covariance's 256-row
+    // block, so a blocking-mode refit really shards across the pool.
+    static constexpr std::size_t k_boot = 264;
 
     void SetUp() override {
         topo_ = make_abilene();
         routing_ = build_routing(topo_);
         const std::size_t n = routing_.flow_count();
-        const std::size_t t_total = 300;
+        const std::size_t t_total = 330;
 
         std::mt19937_64 rng(90210);
         std::normal_distribution<double> gauss(0.0, 1.0);
@@ -223,13 +224,8 @@ TEST_F(LatencyServerFixture, CallerDrainedDeferredFitsAndShardedRefitsShareThePo
     // producers' own threads, while two blocking-mode streams shard their
     // fits over the same pool from this thread (parallel_for from an
     // ingest). Pool jobs never wait, so every queued fit finds a worker --
-    // completion of this test IS the no-deadlock assertion.
-    const scoped_tuning tuned;
-    // Open the fit kernels' scheduling gates at unit-test sizes so the
-    // blocking refits really shard (gates never change results).
-    global_tuning().parallel_min_hardware = 1;
-    global_tuning().pca_projection_min_work = 1;
-    global_tuning().ql_parallel_min_work = 1;
+    // completion of this test IS the no-deadlock assertion. The 264-row
+    // windows give every blocking refit two covariance blocks to shard.
     stream_server server({.threads = 4});
 
     const stream_id deferred_a = server.open_stream(diagnoser_config(refit_mode::deferred));

@@ -7,12 +7,19 @@
 // against a single-process run.
 #include "net/frontend.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -25,7 +32,9 @@
 
 #include "linalg/matrix.h"
 #include "net/migration.h"
+#include "net/protocol.h"
 #include "net/remote_collector.h"
+#include "net/wire.h"
 #include "serve/stream_server.h"
 
 namespace netdiag {
@@ -388,6 +397,93 @@ TEST(Loopback, FinishedConnectionsReleaseTheirFileDescriptors) {
     net::remote_collector collector(frontend.port());
     ASSERT_TRUE(collector.ingest(id, synthetic_bin(k_dim, 999)).ok());
     frontend.stop();
+}
+
+// Connects a raw client socket (created by the caller, so connecting
+// needs no new descriptor) to the loopback port.
+bool connect_raw(int fd, std::uint16_t port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    return ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
+}
+
+// One req_stats round trip on a fresh connection whose receive times out
+// after 2 s: false when no stats response arrives in time, so a frontend
+// that stopped accepting fails the caller instead of hanging it.
+bool stats_answered(std::uint16_t port, std::uint64_t stream) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return false;
+    const timeval timeout{2, 0};
+    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    bool answered = false;
+    const std::string request =
+        net::encode_frame(static_cast<std::uint8_t>(net::msg_type::req_stats),
+                          net::encode(net::stats_request{stream}));
+    if (connect_raw(fd, port) &&
+        ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+            static_cast<ssize_t>(request.size())) {
+        net::frame_decoder decoder;
+        net::frame reply;
+        for (;;) {
+            const net::frame_decoder::progress p = decoder.next(reply);
+            if (p == net::frame_decoder::progress::frame_ready) {
+                answered = reply.type == static_cast<std::uint8_t>(net::msg_type::resp_stats);
+                break;
+            }
+            if (p == net::frame_decoder::progress::error) break;
+            const std::span<char> window = decoder.prepare();
+            const ssize_t got = ::recv(fd, window.data(), window.size(), 0);
+            if (got <= 0) break;  // timed out, reset or closed
+            decoder.commit(static_cast<std::size_t>(got));
+        }
+    }
+    ::close(fd);
+    return answered;
+}
+
+// The death-test child's body: fill the descriptor table so the
+// frontend's accept() fails with EMFILE, free it again, and exit 0 only
+// if a fresh connection's req_stats is answered.
+[[noreturn]] void serve_after_a_descriptor_shortage() {
+    stream_server server({.threads = 0});
+    const stream_id id = server.open_stream(tracking_config(3));
+    net::netdiag_frontend frontend(server);
+
+    // The first client's socket exists before the limit drops, so its
+    // connect() needs no descriptor, but the accept() answering it does.
+    // The lowest free descriptor number is the limit at which every new
+    // descriptor fails.
+    const int first = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+    rlimit saved{};
+    if (first < 0 || probe < 0 || ::getrlimit(RLIMIT_NOFILE, &saved) != 0) std::_Exit(2);
+    ::close(probe);
+    rlimit lowered = saved;
+    lowered.rlim_cur = static_cast<rlim_t>(probe);
+    if (::setrlimit(RLIMIT_NOFILE, &lowered) != 0) std::_Exit(2);
+    const bool connected = connect_raw(first, frontend.port());
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));  // accept() hits EMFILE
+    if (::setrlimit(RLIMIT_NOFILE, &saved) != 0 || !connected) std::_Exit(2);
+
+    const bool answered = stats_answered(frontend.port(), id);
+    const bool stopped = frontend.stopped();
+    // No teardown: the verdict is the exit code.
+    std::_Exit(answered && !stopped ? 0 : 1);
+}
+
+// A failed accept() is the process's trouble, not the listener's: while
+// the descriptor table is full accept() fails with EMFILE, and once
+// descriptors free up the frontend must serve new connections again.
+// The lowered limit stays inside the death-test child.
+TEST(LoopbackDeathTest, AcceptRecoversFromADescriptorShortage) {
+#ifdef GTEST_FLAG_SET
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
+    EXPECT_EXIT(serve_after_a_descriptor_shortage(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Loopback, ShutdownRequestStopsTheFrontendButNotTheServer) {

@@ -8,10 +8,9 @@
 #include <vector>
 
 #include "engine/thread_pool.h"
-#include "engine/tuning.h"
-#include "linalg/eigen_sym.h"
 #include "linalg/ops.h"
 #include "linalg/svd.h"
+#include "measurement/centering.h"
 #include "subspace/model.h"
 
 namespace netdiag {
@@ -132,12 +131,11 @@ TEST(SimdPrimitives, RotatePairMatchesFallbackBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-level parity: every kernel that now routes through engine/simd.h,
-// driven at shapes that straddle its tuned block boundaries, with and
-// without a pool. Gates are lowered through scoped_tuning (including the
-// parallel_min_hardware floor, so the sharded paths run on 1-core hosts)
-// and the pooled result must equal the serial result bit-for-bit -- the
-// fixed-block contract.
+// Kernel-level parity: every kernel that routes through engine/simd.h,
+// driven at shapes past its fixed block widths so the last block is
+// ragged. Where a kernel shards over a pool, the pooled result must equal
+// the serial result bit-for-bit -- the fixed-block contract -- and every
+// kernel still agrees with its plain reference to rounding.
 // ---------------------------------------------------------------------------
 
 matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
@@ -149,18 +147,14 @@ matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
 }
 
 TEST(SimdKernels, BlockedCovarianceParityAcrossOddBlockShapes) {
-    const scoped_tuning guard;
-    global_tuning().parallel_min_hardware = 1;
-    // 101 rows with a 7-row minimum block and a 5-block cap: row_block =
-    // max(7, ceil(101/5)) = 21 -> 5 blocks, the last one ragged (17 rows).
-    global_tuning().covariance_row_block_min = 7;
-    global_tuning().covariance_max_blocks = 5;
-
-    const matrix y = random_matrix(101, 17, 21);
-    const matrix serial = parallel_column_covariance(y, nullptr);
+    // 601 rows over 256-row blocks: 3 blocks, the last one ragged (89 rows).
+    const matrix y = random_matrix(601, 17, 21);
+    const matrix centered = center_columns(y).centered;
+    const matrix serial = parallel_centered_covariance(centered, nullptr);
     for (std::size_t threads : {1u, 2u, 8u}) {
         thread_pool pool(threads);
-        ASSERT_EQ(parallel_column_covariance(y, &pool), serial) << "threads=" << threads;
+        ASSERT_EQ(parallel_centered_covariance(centered, &pool), serial)
+            << "threads=" << threads;
     }
     // And the blocked result still agrees with the one-pass serial kernel
     // to rounding (they reassociate the row sum differently).
@@ -175,87 +169,66 @@ TEST(SimdKernels, BlockedCovarianceParityAcrossOddBlockShapes) {
 }
 
 TEST(SimdKernels, SvdParityAcrossOddBlockShapes) {
-    const scoped_tuning guard;
-    global_tuning().parallel_min_hardware = 1;
-    global_tuning().svd_parallel_min_rows = 4;
-    global_tuning().svd_row_block = 12;  // 37 and 53 rows straddle 12-blocks raggedly
-
-    for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{37, 11},
-                                     std::pair<std::size_t, std::size_t>{53, 8},
-                                     std::pair<std::size_t, std::size_t>{12, 12}}) {
+    // 600 and 1100 rows straddle the 512-row moment blocks raggedly; the
+    // wide shape factors its 600-row transpose.
+    for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{600, 11},
+                                     std::pair<std::size_t, std::size_t>{1100, 8},
+                                     std::pair<std::size_t, std::size_t>{9, 600}}) {
         const matrix a = random_matrix(rows, cols, 2000 + rows + cols);
-        const svd_result serial = svd(a);
-        for (std::size_t threads : {1u, 2u, 8u}) {
-            thread_pool pool(threads);
-            const svd_result pooled = svd(a, &pool);
-            ASSERT_EQ(pooled.s, serial.s) << rows << "x" << cols << " threads=" << threads;
-            ASSERT_EQ(pooled.u, serial.u) << rows << "x" << cols << " threads=" << threads;
-            ASSERT_EQ(pooled.v, serial.v) << rows << "x" << cols << " threads=" << threads;
+        const svd_result f = svd(a);
+        // Singular vectors stay orthonormal under the SIMD moment path...
+        for (const matrix* basis : {&f.u, &f.v}) {
+            for (std::size_t i = 0; i < basis->cols(); ++i) {
+                for (std::size_t j = i; j < basis->cols(); ++j) {
+                    double acc = 0.0;
+                    for (std::size_t r = 0; r < basis->rows(); ++r) {
+                        acc += (*basis)(r, i) * (*basis)(r, j);
+                    }
+                    EXPECT_NEAR(acc, i == j ? 1.0 : 0.0, 1e-9)
+                        << rows << "x" << cols << " cols " << i << "," << j;
+                }
+            }
         }
-        // Left singular vectors stay orthonormal under the SIMD moment path.
-        for (std::size_t i = 0; i < serial.u.cols(); ++i) {
-            std::vector<double> ui(serial.u.rows());
-            for (std::size_t r = 0; r < serial.u.rows(); ++r) ui[r] = serial.u(r, i);
-            EXPECT_NEAR(simd::dot(ui.data(), ui.data(), ui.size()), 1.0, 1e-9) << "col " << i;
+        // ...and U diag(s) V^T reproduces the input.
+        double worst = 0.0;
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < cols; ++c) {
+                double acc = 0.0;
+                for (std::size_t k = 0; k < f.s.size(); ++k) acc += f.u(r, k) * f.s[k] * f.v(c, k);
+                worst = std::max(worst, std::abs(acc - a(r, c)));
+            }
         }
-    }
-}
-
-TEST(SimdKernels, SymEigenParityWithLoweredGate) {
-    const scoped_tuning guard;
-    global_tuning().parallel_min_hardware = 1;
-    global_tuning().ql_parallel_min_work = 1;
-
-    const matrix cov = parallel_column_covariance(random_matrix(120, 33, 22), nullptr);
-    const sym_eigen_result serial = sym_eigen(cov);
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        thread_pool pool(threads);
-        const sym_eigen_result pooled = sym_eigen(cov, &pool);
-        ASSERT_EQ(pooled.eigenvalues, serial.eigenvalues) << "threads=" << threads;
-        ASSERT_EQ(pooled.eigenvectors, serial.eigenvectors) << "threads=" << threads;
-    }
-}
-
-TEST(SimdKernels, SymEigenJacobiParityWithLoweredGate) {
-    const scoped_tuning guard;
-    global_tuning().parallel_min_hardware = 1;
-    global_tuning().jacobi_parallel_min_dim = 8;
-
-    const matrix cov = parallel_column_covariance(random_matrix(90, 29, 23), nullptr);
-    const sym_eigen_result serial = sym_eigen_jacobi(cov);
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        thread_pool pool(threads);
-        const sym_eigen_result pooled = sym_eigen_jacobi(cov, &pool);
-        ASSERT_EQ(pooled.eigenvalues, serial.eigenvalues) << "threads=" << threads;
-        ASSERT_EQ(pooled.eigenvectors, serial.eigenvectors) << "threads=" << threads;
+        EXPECT_LT(worst, 1e-9) << rows << "x" << cols;
     }
 }
 
 TEST(SimdKernels, ResidualProjectionParityAcrossOddLinkBlocks) {
-    const scoped_tuning guard;
-    global_tuning().parallel_min_hardware = 1;
-    // m = 100 with 24-link blocks: 5 blocks, last one ragged (4 links).
-    global_tuning().link_block = 24;
-    global_tuning().parallel_min_links = 16;
-    global_tuning().spe_series_min_work = 1;
-
-    const matrix y = random_matrix(80, 100, 24);
-    const subspace_model serial_model = subspace_model::fit(y);
+    // m = 300 links over 256-link blocks: 2 blocks, the last one ragged
+    // (44 links). spe_series shards its rows: 400 * 300 * rank >= 2^15.
+    const matrix y = random_matrix(400, 300, 24);
+    separation_config sep;
+    sep.fixed_rank = 6;  // white noise has no 3-sigma structure to separate
+    const subspace_model serial_model = subspace_model::fit(y, sep);
+    ASSERT_EQ(serial_model.normal_rank(), 6u);
     const vec serial_spe = serial_model.spe_series(y);
 
     std::mt19937_64 rng(25);
     std::normal_distribution<double> gauss(0.0, 1.0);
-    vec x(100, 0.0);
+    vec x(300, 0.0);
     for (double& v : x) v = gauss(rng);
     const vec serial_resid = serial_model.project_direction_residual(x);
+    const vec dense = multiply(serial_model.dense_residual_projector(), x);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        ASSERT_NEAR(serial_resid[i], dense[i], 1e-9) << "link " << i;
+    }
 
     for (std::size_t threads : {1u, 2u, 8u}) {
         thread_pool pool(threads);
-        const subspace_model pooled_model = subspace_model::fit(y, {}, &pool);
+        const subspace_model pooled_model = subspace_model::fit(y, sep, &pool);
         ASSERT_EQ(pooled_model.normal_rank(), serial_model.normal_rank()) << "threads=" << threads;
-        ASSERT_EQ(pooled_model.spe_series(y, &pool), serial_spe) << "threads=" << threads;
-        ASSERT_EQ(serial_model.project_direction_residual(x, &pool), serial_resid)
+        ASSERT_EQ(pooled_model.project_direction_residual(x), serial_resid)
             << "threads=" << threads;
+        ASSERT_EQ(pooled_model.spe_series(y, &pool), serial_spe) << "threads=" << threads;
     }
 }
 

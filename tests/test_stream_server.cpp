@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "measurement/link_loads.h"
 #include "net/migration.h"
 #include "subspace/online.h"
@@ -91,15 +90,16 @@ protected:
         y_ = link_loads_from_flows(routing_.a, x);
     }
 
-    matrix bootstrap_slice(std::size_t first_row) const {
-        matrix out(k_boot, y_.cols());
-        for (std::size_t r = 0; r < k_boot; ++r) out.set_row(r, y_.row(first_row + r));
+    matrix bootstrap_slice(std::size_t first_row, std::size_t rows = k_boot) const {
+        matrix out(rows, y_.cols());
+        for (std::size_t r = 0; r < rows; ++r) out.set_row(r, y_.row(first_row + r));
         return out;
     }
 
-    streaming_config diagnoser_config(refit_mode mode) const {
+    // The refit window equals the bootstrap length.
+    streaming_config diagnoser_config(refit_mode mode, std::size_t window = k_boot) const {
         streaming_config cfg;
-        cfg.window = k_boot;
+        cfg.window = window;
         cfg.refit_interval = 9;
         cfg.swap_horizon = 4;
         cfg.mode = mode;
@@ -107,13 +107,14 @@ protected:
     }
 
     stream_open_config open_config(stream_kind kind, std::size_t boot_offset,
-                                   refit_mode mode = refit_mode::deferred) const {
+                                   refit_mode mode = refit_mode::deferred,
+                                   std::size_t boot_rows = k_boot) const {
         stream_open_config cfg;
         cfg.kind = kind;
-        cfg.bootstrap_y = bootstrap_slice(boot_offset);
+        cfg.bootstrap_y = bootstrap_slice(boot_offset, boot_rows);
         if (kind == stream_kind::diagnoser) {
             cfg.a = routing_.a;
-            cfg.streaming = diagnoser_config(mode);
+            cfg.streaming = diagnoser_config(mode, boot_rows);
         } else {
             cfg.max_rank = 8;
         }
@@ -131,10 +132,12 @@ protected:
     // Standalone (no server, no pool) twin of open_config: the parity
     // reference every server stream is compared against bit-for-bit.
     std::unique_ptr<stream_detector> standalone(stream_kind kind, std::size_t boot_offset,
-                                                refit_mode mode = refit_mode::deferred) const {
-        const matrix boot = bootstrap_slice(boot_offset);
+                                                refit_mode mode = refit_mode::deferred,
+                                                std::size_t boot_rows = k_boot) const {
+        const matrix boot = bootstrap_slice(boot_offset, boot_rows);
         if (kind == stream_kind::diagnoser) {
-            return std::make_unique<streaming_diagnoser>(boot, routing_.a, diagnoser_config(mode));
+            return std::make_unique<streaming_diagnoser>(boot, routing_.a,
+                                                         diagnoser_config(mode, boot_rows));
         }
         return std::make_unique<tracking_detector>(boot, 8);
     }
@@ -245,20 +248,17 @@ TEST_F(StreamServerFixture, BlockingModeStreamsInPooledBatchesStayBitIdentical) 
     // ingesting thread; the sharded fit must stay bit-identical to the
     // standalone serial detector and every drain must complete. Two
     // blocking streams and a tracking stream share the pool, repeatedly
-    // crossing the refit_interval (9) during the run; the fit kernels'
-    // scheduling gates are opened so the refits really shard (gates
-    // never change results).
-    const scoped_tuning tuned;
-    global_tuning().parallel_min_hardware = 1;
-    global_tuning().pca_projection_min_work = 1;
-    global_tuning().ql_parallel_min_work = 1;
-    const auto ref_a = standalone(stream_kind::diagnoser, 0, refit_mode::blocking);
-    const auto ref_b = standalone(stream_kind::diagnoser, 30, refit_mode::blocking);
+    // crossing the refit_interval (9) during the run. The blocking
+    // streams' 264-row windows span two 256-row covariance blocks, so
+    // their refits really shard.
+    constexpr std::size_t k_wide = 264;
+    const auto ref_a = standalone(stream_kind::diagnoser, 0, refit_mode::blocking, k_wide);
+    const auto ref_b = standalone(stream_kind::diagnoser, 30, refit_mode::blocking, k_wide);
     const auto ref_c = standalone(stream_kind::tracking, 15);
     std::vector<detection_result> want_a, want_b, want_c;
     for (std::size_t r = 0; r < 30; ++r) {
-        want_a.push_back(ref_a->push_bin(y_.row(k_boot + r)));
-        want_b.push_back(ref_b->push_bin(y_.row(k_boot + 30 + r)));
+        want_a.push_back(ref_a->push_bin(y_.row(k_wide + r)));
+        want_b.push_back(ref_b->push_bin(y_.row(k_wide + 30 + r)));
         want_c.push_back(ref_c->push_bin(y_.row(k_boot + 15 + r)));
     }
 
@@ -266,20 +266,21 @@ TEST_F(StreamServerFixture, BlockingModeStreamsInPooledBatchesStayBitIdentical) 
         stream_server server({.threads = threads});
         sink_capture cap_a, cap_b, cap_c;
         const auto open_with_sink = [&](sink_capture& capture, stream_kind kind,
-                                        std::size_t boot, refit_mode mode) {
-            stream_open_config cfg = open_config(kind, boot, mode);
+                                        std::size_t boot, refit_mode mode,
+                                        std::size_t boot_rows) {
+            stream_open_config cfg = open_config(kind, boot, mode, boot_rows);
             cfg.ingest.sink = capture.fn();
             return server.open_stream(std::move(cfg));
         };
         const stream_id a =
-            open_with_sink(cap_a, stream_kind::diagnoser, 0, refit_mode::blocking);
+            open_with_sink(cap_a, stream_kind::diagnoser, 0, refit_mode::blocking, k_wide);
         const stream_id b =
-            open_with_sink(cap_b, stream_kind::diagnoser, 30, refit_mode::blocking);
+            open_with_sink(cap_b, stream_kind::diagnoser, 30, refit_mode::blocking, k_wide);
         const stream_id c =
-            open_with_sink(cap_c, stream_kind::tracking, 15, refit_mode::deferred);
+            open_with_sink(cap_c, stream_kind::tracking, 15, refit_mode::deferred, k_boot);
 
         for (std::size_t r = 0; r < 30; r += 3) {
-            for (const auto& [id, first] : {std::pair{a, k_boot}, std::pair{b, k_boot + 30},
+            for (const auto& [id, first] : {std::pair{a, k_wide}, std::pair{b, k_wide + 30},
                                             std::pair{c, k_boot + 15}}) {
                 const std::vector<std::span<const double>> bins = {
                     y_.row(first + r), y_.row(first + r + 1), y_.row(first + r + 2)};

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "linalg/ops.h"
 #include "measurement/link_loads.h"
 #include "measurement/stream_checkpoint.h"
@@ -195,26 +194,6 @@ TEST_F(StreamingFixture, DeferredModeBitIdenticalAcrossThreadCounts) {
         EXPECT_EQ(diag.model_epoch(), reference.model_epoch()) << "threads=" << threads;
         EXPECT_EQ(diag.alarm_count(), reference.alarm_count()) << "threads=" << threads;
         diag.drain();
-    }
-}
-
-TEST_F(StreamingFixture, TrackerPooledFoldsBitIdenticalAcrossThreadCounts) {
-    // Engage the pooled rank-1 update at unit-test sizes.
-    const scoped_tuning guard;
-    global_tuning().svd_update_parallel_min_work = 1;
-    global_tuning().svd_parallel_min_rows = 8;
-    global_tuning().parallel_min_hardware = 1;
-
-    incremental_pca_tracker reference(bootstrap_, 10);
-    for (std::size_t r = 0; r < 40; ++r) reference.push(stream_.row(r));
-
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        thread_pool pool(threads);
-        incremental_pca_tracker tracker(bootstrap_, 10, &pool);
-        for (std::size_t r = 0; r < 40; ++r) tracker.push(stream_.row(r));
-        ASSERT_EQ(tracker.axes(), reference.axes()) << "threads=" << threads;
-        ASSERT_EQ(tracker.axis_variance(), reference.axis_variance()) << "threads=" << threads;
-        ASSERT_EQ(tracker.running_mean(), reference.running_mean()) << "threads=" << threads;
     }
 }
 
@@ -645,17 +624,14 @@ TEST(GoldenCheckpoint, ReplaysBitExactlyOrRejectsForeignEndianness) {
     // Records written while folds could run as pool tasks may hold 1 in
     // the retired "deferred updates" flag right after the header. Folds
     // give identical bits wherever they run, so the fixture with that
-    // flag patched to 1 replays to the same bytes -- with no pool and
-    // with a pool sharding every fold.
+    // flag patched to 1 replays to the same bytes -- loaded with no pool
+    // and with one.
     std::string flagged = read_file_bytes(fixture);
     std::ostringstream header;
     ckpt::write_header(header, "tracking_detector");
     const std::size_t flag_at = header.str().size();  // the flag word's low byte
     ASSERT_EQ(flagged.at(flag_at), '\0') << "committed records write 0";
     flagged[flag_at] = '\1';
-    const scoped_tuning guard;
-    global_tuning().svd_update_parallel_min_work = 1;
-    global_tuning().parallel_min_hardware = 1;
     thread_pool pool(2);
     for (thread_pool* p : {static_cast<thread_pool*>(nullptr), &pool}) {
         std::istringstream in(flagged, std::ios::binary);

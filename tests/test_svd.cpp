@@ -5,8 +5,6 @@
 #include <cmath>
 #include <random>
 
-#include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "linalg/ops.h"
 
 namespace netdiag {
@@ -128,60 +126,6 @@ INSTANTIATE_TEST_SUITE_P(VariousShapes, SvdShapes,
                                            std::pair<std::size_t, std::size_t>{64, 8},
                                            std::pair<std::size_t, std::size_t>{8, 64},
                                            std::pair<std::size_t, std::size_t>{100, 49}));
-
-// ---------------------------------------------------------------------------
-// Parallel SVD parity: the pooled Jacobi must reproduce the serial result
-// bit-for-bit at every thread count.
-// ---------------------------------------------------------------------------
-
-void expect_same_svd(const svd_result& a, const svd_result& b, std::size_t threads) {
-    ASSERT_EQ(a.s, b.s) << "threads=" << threads;
-    ASSERT_EQ(a.u, b.u) << "threads=" << threads;
-    ASSERT_EQ(a.v, b.v) << "threads=" << threads;
-}
-
-TEST(SvdParallel, BitIdenticalAcrossThreadCountsAboveGate) {
-    // The default gate needs impractically tall matrices for a unit test,
-    // so lower it; 1200 rows then shards with several 512-row moment
-    // blocks in play.
-    const scoped_tuning guard;
-    global_tuning().svd_parallel_min_rows = 1024;
-    global_tuning().parallel_min_hardware = 1;
-
-    const matrix a = random_matrix(1200, 24, 77);
-    const svd_result serial = svd(a);
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        thread_pool pool(threads);
-        expect_same_svd(serial, svd(a, &pool), threads);
-    }
-}
-
-TEST(SvdParallel, BitIdenticalAtUnitTestSizesThroughTheTuningSeam) {
-    // Drive the sharded path at small shapes by lowering the gates.
-    const scoped_tuning guard;
-    global_tuning().svd_parallel_min_rows = 4;
-    global_tuning().svd_row_block = 16;
-    global_tuning().parallel_min_hardware = 1;
-
-    for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{60, 9},
-                                    std::pair<std::size_t, std::size_t>{9, 60},
-                                    std::pair<std::size_t, std::size_t>{33, 33}}) {
-        const matrix a = random_matrix(rows, cols, 900 + rows + cols);
-        const svd_result serial = svd(a);
-        check_svd(a, serial, 1e-9);
-        for (std::size_t threads : {1u, 2u, 8u}) {
-            thread_pool pool(threads);
-            expect_same_svd(serial, svd(a, &pool), threads);
-        }
-    }
-}
-
-TEST(SvdParallel, BelowGateIgnoresPoolAndStillMatches) {
-    const matrix a = random_matrix(40, 7, 78);
-    const svd_result serial = svd(a);
-    thread_pool pool(4);
-    expect_same_svd(serial, svd(a, &pool), 4);
-}
 
 }  // namespace
 }  // namespace netdiag

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <random>
 
-#include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "linalg/ops.h"
 #include "linalg/svd.h"
 
@@ -105,71 +103,6 @@ TEST(SvdUpdate, ZeroMaxRankThrows) {
     const right_svd state = right_svd_of(random_matrix(5, 3, 8));
     const vec row(3, 1.0);
     EXPECT_THROW(append_row(state, row, 0), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel rank-1 update parity across thread counts.
-// ---------------------------------------------------------------------------
-
-TEST(SvdUpdateParallel, RightSvdOfBitIdenticalAcrossThreadCounts) {
-    const scoped_tuning guard;
-    global_tuning().svd_parallel_min_rows = 8;
-    global_tuning().parallel_min_hardware = 1;
-
-    const matrix y = random_matrix(90, 12, 41);
-    const right_svd serial = right_svd_of(y);
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        thread_pool pool(threads);
-        const right_svd pooled = right_svd_of(y, &pool);
-        ASSERT_EQ(pooled.s, serial.s) << "threads=" << threads;
-        ASSERT_EQ(pooled.v, serial.v) << "threads=" << threads;
-    }
-}
-
-TEST(SvdUpdateParallel, AppendRowBitIdenticalAcrossThreadCounts) {
-    const scoped_tuning guard;
-    global_tuning().svd_update_parallel_min_work = 1;
-    global_tuning().parallel_min_hardware = 1;
-
-    const matrix y = random_matrix(60, 20, 42);
-    const right_svd base = right_svd_of(y);
-    const matrix row_mat = random_matrix(1, 20, 43);
-    const vec row(row_mat.row(0).begin(), row_mat.row(0).end());
-
-    const right_svd serial = append_row(base, row, 12);
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        thread_pool pool(threads);
-        const right_svd pooled = append_row(base, row, 12, &pool);
-        ASSERT_EQ(pooled.s, serial.s) << "threads=" << threads;
-        ASSERT_EQ(pooled.v, serial.v) << "threads=" << threads;
-    }
-}
-
-TEST(SvdUpdateParallel, ChainedUpdatesBitIdenticalAcrossThreadCounts) {
-    const scoped_tuning guard;
-    global_tuning().svd_update_parallel_min_work = 1;
-    global_tuning().parallel_min_hardware = 1;
-
-    const matrix y = random_matrix(30, 10, 44);
-    std::mt19937_64 rng(45);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    std::vector<vec> rows;
-    for (int step = 0; step < 6; ++step) {
-        vec row(10);
-        for (double& v : row) v = dist(rng);
-        rows.push_back(std::move(row));
-    }
-
-    right_svd serial = right_svd_of(y);
-    for (const vec& row : rows) serial = append_row(serial, row, 6);
-
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        thread_pool pool(threads);
-        right_svd pooled = right_svd_of(y);
-        for (const vec& row : rows) pooled = append_row(pooled, row, 6, &pool);
-        ASSERT_EQ(pooled.s, serial.s) << "threads=" << threads;
-        ASSERT_EQ(pooled.v, serial.v) << "threads=" << threads;
-    }
 }
 
 }  // namespace

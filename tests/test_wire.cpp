@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <span>
@@ -690,6 +692,14 @@ enum class record_fault {
     rank_above_m,        // normal rank larger than m
     zero_cols_header,    // a matrix header with rows > 0 and cols = 0
     bad_confidence,      // confidence outside (0, 1)
+    // Non-finite detector state, one slot each: every shape agrees, so
+    // only restore's finiteness checks can refuse these.
+    nan_routing,         // a NaN entry in A
+    nan_window_value,    // a NaN in one window row
+    inf_queued_value,    // an infinity in the queued window
+    nan_axis_entry,      // a NaN in the principal axes
+    inf_variance,        // an infinite axis variance
+    nan_mean,            // a NaN column mean
 };
 
 constexpr std::array<record_fault, 10> k_record_faults = {
@@ -724,9 +734,12 @@ std::string fault_record(record_fault fault) {
     ckpt::write_flag(out, false);  // no fixed rank
     ckpt::write_u64(out, 1);       // refit_mode::deferred
     ckpt::write_u64(out, 2);       // swap horizon
-    ckpt::write_matrix(out, matrix::identity(m));  // A: one flow per link
+    matrix a = matrix::identity(m);  // A: one flow per link
+    if (is(record_fault::nan_routing)) a(1, 0) = std::nan("");
+    ckpt::write_matrix(out, a);
 
-    const matrix window = ramp(t, m);
+    matrix window = ramp(t, m);
+    if (is(record_fault::nan_window_value)) window(3, 2) = std::nan("");
     const std::size_t window_rows = is(record_fault::short_window) ? 1 : t;
     ckpt::write_u64(out, window_rows);
     for (std::size_t r = 0; r < window_rows; ++r) {
@@ -748,23 +761,94 @@ std::string fault_record(record_fault fault) {
         axes(0, 0) = 1.0;
         ckpt::write_matrix(out, axes);
     } else {
-        ckpt::write_matrix(out, matrix::identity(axes_dim));
+        matrix axes = matrix::identity(axes_dim);
+        if (is(record_fault::nan_axis_entry)) axes(4, 1) = std::nan("");
+        ckpt::write_matrix(out, axes);
     }
     vec variances(is(record_fault::short_variances) ? m - 1 : axes_dim, 0.0);
     for (std::size_t i = 0; i < variances.size(); ++i) {
         variances[i] = static_cast<double>(variances.size() - i);
     }
+    if (is(record_fault::inf_variance)) variances[3] = std::numeric_limits<double>::infinity();
     ckpt::write_vec(out, variances);
     ckpt::write_matrix(out, matrix{});  // projections slot
-    ckpt::write_vec(out, vec(is(record_fault::short_means) ? m - 1 : axes_dim, 100.0));
+    vec means(is(record_fault::short_means) ? m - 1 : axes_dim, 100.0);
+    if (is(record_fault::nan_mean)) means[2] = std::nan("");
+    ckpt::write_vec(out, means);
     ckpt::write_u64(out, t);
     ckpt::write_u64(out, is(record_fault::rank_above_m) ? m + 1 : 2);
 
     ckpt::write_flag(out, false);  // no refit awaiting its swap
-    ckpt::write_flag(out, is(record_fault::narrow_queued));
+    const bool queued = is(record_fault::narrow_queued) || is(record_fault::inf_queued_value);
+    ckpt::write_flag(out, queued);
     if (is(record_fault::narrow_queued)) ckpt::write_matrix(out, ramp(t, m - 1));
+    if (is(record_fault::inf_queued_value)) {
+        matrix queued_window = ramp(t, m);
+        queued_window(5, 1) = -std::numeric_limits<double>::infinity();
+        ckpt::write_matrix(out, queued_window);
+    }
     return std::move(out).str();
 }
+
+constexpr std::array<record_fault, 6> k_nonfinite_faults = {
+    record_fault::nan_routing,    record_fault::nan_window_value, record_fault::inf_queued_value,
+    record_fault::nan_axis_entry, record_fault::inf_variance,     record_fault::nan_mean};
+
+// A hand-written tracking_detector record over 6 links tracking 3 axes,
+// with one non-finite value in the slot a fault names. tracker_fault::none
+// restores, and so does an infinite threshold: q_statistic_threshold
+// returns +inf for an empty residual tail.
+enum class tracker_fault {
+    none,
+    inf_threshold,       // legal
+    nan_threshold,       // the saved Q-threshold
+    inf_variance_sum,    // the running total-variance sum
+    nan_singular_value,  // the tracker's s
+    inf_axis_entry,      // the tracker's V
+    nan_running_mean,    // the tracker's running mean
+};
+
+std::string tracker_record(tracker_fault fault) {
+    constexpr std::size_t m = 6;
+    constexpr std::size_t k = 3;
+    const auto is = [fault](tracker_fault f) { return fault == f; };
+    const double nan = std::nan("");
+    const double inf = std::numeric_limits<double>::infinity();
+
+    std::ostringstream out(std::ios::binary);
+    ckpt::set_encoding(out, ckpt::encoding::interchange);
+    ckpt::write_header(out, "tracking_detector");
+    ckpt::write_flag(out, false);  // retired "deferred updates" flag
+    ckpt::write_f64(out, 0.999);   // confidence
+    ckpt::write_u64(out, 1);       // normal rank
+    ckpt::write_u64(out, m);       // dimension
+    ckpt::write_f64(out, is(tracker_fault::nan_threshold)   ? nan
+                         : is(tracker_fault::inf_threshold) ? inf
+                                                            : 12.5);
+    ckpt::write_f64(out, is(tracker_fault::inf_variance_sum) ? inf : 300.0);
+    for (int counter = 0; counter < 3; ++counter) ckpt::write_u64(out, 0);  // counters
+
+    ckpt::write_header(out, "incremental_pca_tracker");
+    vec s{30.0, 20.0, 10.0};
+    if (is(tracker_fault::nan_singular_value)) s[1] = nan;
+    ckpt::write_vec(out, s);
+    matrix v(m, k, 0.0);
+    for (std::size_t j = 0; j < k; ++j) v(j, j) = 1.0;
+    if (is(tracker_fault::inf_axis_entry)) v(4, 2) = inf;
+    ckpt::write_matrix(out, v);
+    vec mean(m, 100.0);
+    if (is(tracker_fault::nan_running_mean)) mean[5] = nan;
+    ckpt::write_vec(out, mean);
+    ckpt::write_u64(out, 8);  // sample count
+    ckpt::write_u64(out, k);  // max rank
+    ckpt::write_u64(out, 0);  // folds
+    return std::move(out).str();
+}
+
+constexpr std::array<tracker_fault, 5> k_tracker_nonfinite_faults = {
+    tracker_fault::nan_threshold, tracker_fault::inf_variance_sum,
+    tracker_fault::nan_singular_value, tracker_fault::inf_axis_entry,
+    tracker_fault::nan_running_mean};
 
 // Restore checks every shape against A's link count and refuses a record
 // whose parts disagree with std::runtime_error (the codec's malformed-
@@ -868,6 +952,40 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
         }
         EXPECT_EQ(server.stream_ids(), before) << fault;
     }
+    // Non-finite detector state, one fault per slot of both detector
+    // kinds: every shape agrees, so only the finiteness checks refuse
+    // them, locally through both restore_stream overloads and over
+    // loopback. Restoring one would leave a stream that raises no alarm.
+    std::vector<std::pair<std::string, std::string>> nonfinite;
+    for (const record_fault fault : k_nonfinite_faults) {
+        nonfinite.emplace_back("streaming fault " + std::to_string(static_cast<int>(fault)),
+                               fault_record(fault));
+    }
+    for (const tracker_fault fault : k_tracker_nonfinite_faults) {
+        nonfinite.emplace_back("tracking fault " + std::to_string(static_cast<int>(fault)),
+                               tracker_record(fault));
+    }
+    for (const auto& [name, record] : nonfinite) {
+        EXPECT_THROW((void)server.restore_stream(std::string_view(record)), std::runtime_error)
+            << name;
+        std::istringstream in(record, std::ios::binary);
+        EXPECT_THROW((void)server.restore_stream(in), std::runtime_error) << name;
+        try {
+            (void)collector.restore(record);
+            ADD_FAILURE() << name << " restored";
+        } catch (const net::remote_error& e) {
+            EXPECT_EQ(e.code(), net::wire_errc::malformed_payload) << name << ": " << e.what();
+        }
+        EXPECT_EQ(server.stream_ids(), before) << name;
+    }
+    // The same tracking record with finite state, or with the legal +inf
+    // threshold, restores.
+    for (const tracker_fault fault : {tracker_fault::none, tracker_fault::inf_threshold}) {
+        const stream_id tracked = collector.restore(tracker_record(fault));
+        EXPECT_EQ(server.stats(tracked).dimension, 6u) << static_cast<int>(fault);
+        server.close_stream(tracked);
+    }
+
     // Balanced containers restore with their counters, up to the cap.
     for (const std::uint64_t capacity : {std::uint64_t{16}, std::uint64_t{1} << 16}) {
         const stream_id fresh = collector.restore(server_stream_record({.capacity = capacity}));

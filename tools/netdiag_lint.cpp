@@ -1,7 +1,7 @@
 // netdiag-lint: repo-contract checker for rules no generic tool knows.
 //
 // The codebase carries determinism contracts that are documented in
-// docs/ARCHITECTURE.md and docs/TUNING.md but that neither the compiler
+// docs/ARCHITECTURE.md but that neither the compiler
 // nor clang-tidy can enforce, because they are about *this* repo's layout:
 //
 //  R1  Determinism / layering: src/ outside src/engine/ and src/net/ must
@@ -21,8 +21,6 @@
 //      same double rounding everywhere, so a refit replays bit for bit --
 //      and must not iterate unordered containers, whose traversal order
 //      would feed reductions in nondeterministic order.
-//  R3  Tuning doc parity: every knob declared in engine/tuning.h must be
-//      documented (backticked) in docs/TUNING.md.
 //  R4  Error-code doc parity: every ingest_error enumerator (except ok)
 //      must appear (backticked) in README.md's backpressure section.
 //  R5  Scenario layering: kernel and engine paths (the R2 kernel set plus
@@ -47,9 +45,11 @@
 // Scanning is token-based on comment- and string-stripped source, so a
 // comment saying "no std::thread here" does not trip R1. R5 and R6 scan
 // raw lines instead, because include paths live inside string literals. A
-// rule whose anchor (src/, tuning.h, the enum, src/scenarios/, ...) is
-// absent under --root is skipped: the test fixtures under
-// tests/lint_fixtures/ rely on that to exercise one rule at a time.
+// rule whose anchor (src/, the enum, src/scenarios/, ...) is absent under
+// --root is skipped: the test fixtures under tests/lint_fixtures/ rely on
+// that to exercise one rule at a time. (R3, a tuning-doc parity rule, was
+// retired with the tuning block it checked; the other rules keep their
+// numbers.)
 //
 // Exit status: 0 clean, 1 violations (one "file:line: [rule] ..." line
 // each), 2 usage or I/O error. Run via scripts/netdiag_lint.sh or the
@@ -327,36 +327,10 @@ void check_r7(const std::string& relpath, const std::vector<std::string>& lines,
     }
 }
 
-// --- R3 / R4: doc parity ----------------------------------------------------
+// --- R4: doc parity ---------------------------------------------------------
 
 bool doc_mentions(const std::string& doc, const std::string& name) {
     return doc.find("`" + name + "`") != std::string::npos;
-}
-
-void check_r3(const fs::path& root, std::vector<violation>& out) {
-    const auto tuning = read_file(root / "src/engine/tuning.h");
-    if (!tuning) return;  // rule skipped: no tuning header under this root
-    const auto doc = read_file(root / "docs/TUNING.md");
-    const std::vector<std::string> lines = stripped_lines(*tuning);
-
-    const std::regex knob_re(R"(^\s*std::size_t\s+(\w+)\s*=)");
-    bool in_struct = false;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::string& line = lines[i];
-        if (!in_struct) {
-            if (line.find("struct tuning") != std::string::npos) in_struct = true;
-            continue;
-        }
-        if (line.find("};") != std::string::npos) break;
-        std::smatch m;
-        if (std::regex_search(line, m, knob_re)) {
-            const std::string knob = m[1];
-            if (!doc || !doc_mentions(*doc, knob)) {
-                out.push_back({"src/engine/tuning.h", i + 1, "R3",
-                               "knob '" + knob + "' is not documented in docs/TUNING.md"});
-            }
-        }
-    }
 }
 
 void check_r4(const fs::path& root, std::vector<violation>& out) {
@@ -446,7 +420,6 @@ int main(int argc, char** argv) {
             }
         }
     }
-    check_r3(root, violations);
     check_r4(root, violations);
 
     for (const violation& v : violations) {

@@ -6,8 +6,11 @@
 // Two parts:
 //   1. Engine comparison (always built): wall-clock of the serial
 //      detection sweeps vs batch_detector at several thread counts,
-//      written to BENCH_engine.json. Results are checked bit-identical
-//      against the serial path, so this doubles as a smoke test.
+//      written to BENCH_engine.json. The four kernel rows report the
+//      median and interquartile range of five runs per pool size; the
+//      two streaming rows are single runs. Results are checked
+//      bit-identical against the serial path, so this doubles as a smoke
+//      test.
 //      Flags: --quick (small shapes, for CI smoke),
 //             --engine-json=PATH (default BENCH_engine.json),
 //             --engine-only (skip the google-benchmark suite).
@@ -57,17 +60,35 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
         .count();
 }
 
-// Best-of-N wall clock of fn(), in milliseconds.
+// Runs per kernel-row timing: enough for a median and an interquartile
+// range, so a row can back a claim against its own spread.
+constexpr int k_kernel_runs = 5;
+
+// Median and interquartile range of k_kernel_runs wall-clock runs.
+struct run_spread {
+    double median_ms = 0.0;
+    double iqr_ms = 0.0;
+};
+
+// Quantile q of sorted values, interpolating linearly between order
+// statistics (the (n - 1) q position).
+double quantile(const std::vector<double>& sorted, double q) {
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
 template <typename Fn>
-double time_best_ms(int iterations, Fn&& fn) {
-    double best = 0.0;
-    for (int i = 0; i < iterations; ++i) {
+run_spread time_runs_ms(Fn&& fn) {
+    std::vector<double> ms;
+    for (int i = 0; i < k_kernel_runs; ++i) {
         const auto start = std::chrono::steady_clock::now();
         fn();
-        const double ms = elapsed_ms(start);
-        if (i == 0 || ms < best) best = ms;
+        ms.push_back(elapsed_ms(start));
     }
-    return best;
+    std::sort(ms.begin(), ms.end());
+    return {quantile(ms, 0.5), quantile(ms, 0.75) - quantile(ms, 0.25)};
 }
 
 // Per-stream ingest-to-applied latency digest, copied straight out of
@@ -81,6 +102,7 @@ struct latency_digest {
 struct thread_timing {
     std::size_t threads = 0;
     double ms = 0.0;
+    double iqr_ms = 0.0;    // only meaningful when the benchmark sets has_spread
     double worst_ms = 0.0;  // only meaningful when the benchmark sets has_worst
     latency_digest latency{};  // only meaningful when the benchmark sets has_latency
 };
@@ -91,6 +113,10 @@ struct engine_benchmark {
     double serial_ms = 0.0;
     std::vector<thread_timing> parallel;
     bool identical_to_serial = false;
+    // Kernel rows time k_kernel_runs runs: ms fields are medians, with
+    // their interquartile ranges. Other rows are single runs.
+    bool has_spread = false;
+    double serial_iqr_ms = 0.0;
     // Latency-style benchmarks additionally report the worst single
     // dispatch (e.g. the slowest ingest() call of a fan-in run).
     bool has_worst = false;
@@ -150,6 +176,21 @@ matrix synthetic_measurements(std::size_t t, std::size_t m) {
     return y;
 }
 
+// Records a kernel row's serial spread.
+void set_serial(engine_benchmark& out, run_spread spread) {
+    out.has_spread = true;
+    out.serial_ms = spread.median_ms;
+    out.serial_iqr_ms = spread.iqr_ms;
+}
+
+thread_timing pool_timing(std::size_t threads, run_spread spread) {
+    thread_timing timing;
+    timing.threads = threads;
+    timing.ms = spread.median_ms;
+    timing.iqr_ms = spread.iqr_ms;
+    return timing;
+}
+
 bool same_pca(const pca_model& a, const pca_model& b) {
     return a.principal_axes == b.principal_axes && a.axis_variance == b.axis_variance &&
            a.projections == b.projections && a.column_means == b.column_means;
@@ -160,21 +201,19 @@ bool same_pca(const pca_model& a, const pca_model& b) {
 // across thread counts by construction.
 engine_benchmark run_fit_sweep(const std::vector<std::size_t>& thread_counts, bool quick) {
     const matrix y = synthetic_measurements(quick ? 400 : 2400, quick ? 96 : 256);
-    const int iterations = quick ? 1 : 3;
 
     engine_benchmark out;
     out.name = "pca_fit";
     out.items = y.rows() * y.cols();
 
     const pca_model serial = fit_pca(y);
-    out.serial_ms = time_best_ms(iterations, [&] { fit_pca(y); });
+    set_serial(out, time_runs_ms([&] { fit_pca(y); }));
 
     out.identical_to_serial = true;
     for (std::size_t t : thread_counts) {
         thread_pool pool(t);
         out.identical_to_serial = out.identical_to_serial && same_pca(serial, fit_pca(y, &pool));
-        const double ms = time_best_ms(iterations, [&] { fit_pca(y, &pool); });
-        out.parallel.push_back({t, ms});
+        out.parallel.push_back(pool_timing(t, time_runs_ms([&] { fit_pca(y, &pool); })));
     }
     return out;
 }
@@ -185,22 +224,21 @@ engine_benchmark run_spe_series_sweep(const std::vector<std::size_t>& thread_cou
                                       bool quick) {
     const subspace_model& model = sprint1_diagnoser().model();
     const matrix big_y = tile_rows(sprint1().link_loads, quick ? 2 : 16);
-    const int iterations = quick ? 1 : 3;
 
     engine_benchmark out;
     out.name = "spe_series_lowrank";
     out.items = big_y.rows();
 
     const vec serial = model.spe_series(big_y);
-    out.serial_ms = time_best_ms(iterations, [&] { model.spe_series(big_y); });
+    set_serial(out, time_runs_ms([&] { model.spe_series(big_y); }));
 
     out.identical_to_serial = true;
     for (std::size_t t : thread_counts) {
         thread_pool pool(t);
         out.identical_to_serial =
             out.identical_to_serial && serial == model.spe_series(big_y, &pool);
-        const double ms = time_best_ms(iterations, [&] { model.spe_series(big_y, &pool); });
-        out.parallel.push_back({t, ms});
+        out.parallel.push_back(
+            pool_timing(t, time_runs_ms([&] { model.spe_series(big_y, &pool); })));
     }
     return out;
 }
@@ -208,23 +246,21 @@ engine_benchmark run_spe_series_sweep(const std::vector<std::size_t>& thread_cou
 engine_benchmark run_spe_sweep(const std::vector<std::size_t>& thread_counts, bool quick) {
     const auto& diag = sprint1_diagnoser();
     const matrix big_y = tile_rows(sprint1().link_loads, quick ? 2 : 16);
-    const int iterations = quick ? 1 : 3;
 
     engine_benchmark out;
     out.name = "spe_sweep_test_all";
     out.items = big_y.rows();
 
     const auto serial = diag.detector().test_all(big_y);
-    out.serial_ms = time_best_ms(iterations, [&] { diag.detector().test_all(big_y); });
+    set_serial(out, time_runs_ms([&] { diag.detector().test_all(big_y); }));
 
     out.identical_to_serial = true;
     for (std::size_t t : thread_counts) {
         const batch_detector engine(t);
         out.identical_to_serial =
             out.identical_to_serial && same_results(serial, engine.test_all(diag.detector(), big_y));
-        const double ms =
-            time_best_ms(iterations, [&] { engine.test_all(diag.detector(), big_y); });
-        out.parallel.push_back({t, ms});
+        out.parallel.push_back(
+            pool_timing(t, time_runs_ms([&] { engine.test_all(diag.detector(), big_y); })));
     }
     return out;
 }
@@ -237,23 +273,21 @@ engine_benchmark run_injection_sweep(const std::vector<std::size_t>& thread_coun
     cfg.spike_bytes = 3.0e7;
     cfg.t_begin = 300;
     cfg.t_end = quick ? 303 : 312;
-    const int iterations = quick ? 1 : 3;
 
     engine_benchmark out;
     out.name = "injection_sweep";
     out.items = ds.routing.flow_count() * (cfg.t_end - cfg.t_begin);
 
     const injection_summary serial = run_injection_experiment(ds, diag, cfg);
-    out.serial_ms =
-        time_best_ms(iterations, [&] { run_injection_experiment(ds, diag, cfg); });
+    set_serial(out, time_runs_ms([&] { run_injection_experiment(ds, diag, cfg); }));
 
     out.identical_to_serial = true;
     for (std::size_t t : thread_counts) {
         const batch_detector engine(t);
         out.identical_to_serial =
             out.identical_to_serial && same_results(serial, engine.run_injection(ds, diag, cfg));
-        const double ms = time_best_ms(iterations, [&] { engine.run_injection(ds, diag, cfg); });
-        out.parallel.push_back({t, ms});
+        out.parallel.push_back(
+            pool_timing(t, time_runs_ms([&] { engine.run_injection(ds, diag, cfg); })));
     }
     return out;
 }
@@ -467,7 +501,11 @@ bool write_engine_json(const std::string& path, const std::vector<engine_benchma
         std::fprintf(f, "    {\n");
         std::fprintf(f, "      \"name\": \"%s\",\n", eb.name.c_str());
         std::fprintf(f, "      \"items\": %zu,\n", eb.items);
+        if (eb.has_spread) std::fprintf(f, "      \"runs\": %d,\n", k_kernel_runs);
         std::fprintf(f, "      \"serial_ms\": %.6f,\n", eb.serial_ms);
+        if (eb.has_spread) {
+            std::fprintf(f, "      \"serial_iqr_ms\": %.6f,\n", eb.serial_iqr_ms);
+        }
         if (eb.has_worst) {
             std::fprintf(f, "      \"serial_worst_batch_ms\": %.6f,\n", eb.serial_worst_ms);
         }
@@ -492,6 +530,7 @@ bool write_engine_json(const std::string& path, const std::vector<engine_benchma
                          "\"measured\": %s",
                          tt.threads, tt.ms, speedup,
                          tt.threads > std::thread::hardware_concurrency() ? "false" : "true");
+            if (eb.has_spread) std::fprintf(f, ", \"iqr_ms\": %.6f", tt.iqr_ms);
             if (eb.has_worst) {
                 std::fprintf(f, ", \"worst_batch_ms\": %.6f", tt.worst_ms);
             }
@@ -544,8 +583,16 @@ bool run_engine_comparison(const std::string& json_path, bool quick) {
     for (const engine_benchmark& eb : benches) {
         std::printf("%-22s %zu items, serial %.3f ms, results %s\n", eb.name.c_str(), eb.items,
                     eb.serial_ms, eb.identical_to_serial ? "bit-identical" : "DIVERGED");
+        if (eb.has_spread) {
+            std::printf("    median of %d runs; serial IQR %.3f ms\n", k_kernel_runs,
+                        eb.serial_iqr_ms);
+        }
         for (const thread_timing& tt : eb.parallel) {
-            if (eb.has_worst) {
+            if (eb.has_spread) {
+                std::printf("    %zu thread%s: %.3f ms (%.2fx), IQR %.3f ms\n", tt.threads,
+                            tt.threads == 1 ? " " : "s", tt.ms,
+                            tt.ms > 0.0 ? eb.serial_ms / tt.ms : 0.0, tt.iqr_ms);
+            } else if (eb.has_worst) {
                 std::printf("    %zu thread%s: %.3f ms (%.2fx), worst batch %.3f ms\n",
                             tt.threads, tt.threads == 1 ? " " : "s", tt.ms,
                             tt.ms > 0.0 ? eb.serial_ms / tt.ms : 0.0, tt.worst_ms);

@@ -20,9 +20,9 @@
 //    so all three paths perform the identical rounding sequence and the
 //    SIMD and scalar builds stay bit-identical on top of the tolerance
 //    contract the parity suite enforces.
-//  * Element-wise primitives (axpy, rotate_pair) do the same mul/add per
-//    element as the plain loops they replaced: bit-identical by
-//    construction, on every path.
+//  * Element-wise primitives (axpy, rotate_pair, gram_upper) do the same
+//    mul/add per element as the plain loops they replaced: bit-identical
+//    by construction, on every path.
 //  * None of these primitives depend on a thread pool. Kernels call them
 //    inside fixed blocks whose widths are named constants at each kernel,
 //    so pool-size bit-identity is preserved exactly as before.
@@ -125,6 +125,23 @@ inline void rotate_pair(double* x, double* y, std::size_t n, double c, double s)
     }
 }
 
+// Upper triangle of the Gram matrix of `rows` rows of length m (both x and
+// g row-major with stride m): g[i*m + j] += sum_r x[r*m + i] * x[r*m + j]
+// for every j >= i, the rows added one at a time in order, each product
+// rounded before its add. Per element this is the plain row loop, so it is
+// bit-identical on every path. Entries below the diagonal are scratch: the
+// vector paths may add their (equal) Gram values there too.
+inline void gram_upper(const double* x, std::size_t rows, std::size_t m, double* g) noexcept {
+    for (std::size_t r = 0; r < rows; ++r) {
+        const double* row = x + r * m;
+        for (std::size_t i = 0; i < m; ++i) {
+            const double xi = row[i];
+            double* gi = g + i * m;
+            for (std::size_t j = i; j < m; ++j) gi[j] += xi * row[j];
+        }
+    }
+}
+
 }  // namespace fallback
 
 // ---------------------------------------------------------------------------
@@ -201,6 +218,97 @@ inline void rotate_pair(double* x, double* y, std::size_t n, double c, double s)
         const double yi = y[i];
         x[i] = c * xi - s * yi;
         y[i] = s * xi + c * yi;
+    }
+}
+
+namespace detail {
+// g[i..i+4) x [j..j+8) += the Gram of the rows: one 4 x 8 register tile,
+// eight accumulators that see every row in order.
+inline void gram_tile_4x8(const double* x, std::size_t rows, std::size_t m, std::size_t i,
+                          std::size_t j, double* g) noexcept {
+    double* g0 = g + i * m + j;
+    double* g1 = g0 + m;
+    double* g2 = g1 + m;
+    double* g3 = g2 + m;
+    __m256d a0l = _mm256_loadu_pd(g0), a0h = _mm256_loadu_pd(g0 + 4);
+    __m256d a1l = _mm256_loadu_pd(g1), a1h = _mm256_loadu_pd(g1 + 4);
+    __m256d a2l = _mm256_loadu_pd(g2), a2h = _mm256_loadu_pd(g2 + 4);
+    __m256d a3l = _mm256_loadu_pd(g3), a3h = _mm256_loadu_pd(g3 + 4);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const double* row = x + r * m;
+        const __m256d lo = _mm256_loadu_pd(row + j);
+        const __m256d hi = _mm256_loadu_pd(row + j + 4);
+        __m256d b = _mm256_broadcast_sd(row + i);
+        a0l = _mm256_add_pd(a0l, _mm256_mul_pd(b, lo));
+        a0h = _mm256_add_pd(a0h, _mm256_mul_pd(b, hi));
+        b = _mm256_broadcast_sd(row + i + 1);
+        a1l = _mm256_add_pd(a1l, _mm256_mul_pd(b, lo));
+        a1h = _mm256_add_pd(a1h, _mm256_mul_pd(b, hi));
+        b = _mm256_broadcast_sd(row + i + 2);
+        a2l = _mm256_add_pd(a2l, _mm256_mul_pd(b, lo));
+        a2h = _mm256_add_pd(a2h, _mm256_mul_pd(b, hi));
+        b = _mm256_broadcast_sd(row + i + 3);
+        a3l = _mm256_add_pd(a3l, _mm256_mul_pd(b, lo));
+        a3h = _mm256_add_pd(a3h, _mm256_mul_pd(b, hi));
+    }
+    _mm256_storeu_pd(g0, a0l);
+    _mm256_storeu_pd(g0 + 4, a0h);
+    _mm256_storeu_pd(g1, a1l);
+    _mm256_storeu_pd(g1 + 4, a1h);
+    _mm256_storeu_pd(g2, a2l);
+    _mm256_storeu_pd(g2 + 4, a2h);
+    _mm256_storeu_pd(g3, a3l);
+    _mm256_storeu_pd(g3 + 4, a3h);
+}
+
+// The 4 x 4 edge tile.
+inline void gram_tile_4x4(const double* x, std::size_t rows, std::size_t m, std::size_t i,
+                          std::size_t j, double* g) noexcept {
+    double* g0 = g + i * m + j;
+    __m256d a0 = _mm256_loadu_pd(g0);
+    __m256d a1 = _mm256_loadu_pd(g0 + m);
+    __m256d a2 = _mm256_loadu_pd(g0 + 2 * m);
+    __m256d a3 = _mm256_loadu_pd(g0 + 3 * m);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const double* row = x + r * m;
+        const __m256d v = _mm256_loadu_pd(row + j);
+        a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_broadcast_sd(row + i), v));
+        a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_broadcast_sd(row + i + 1), v));
+        a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_broadcast_sd(row + i + 2), v));
+        a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_broadcast_sd(row + i + 3), v));
+    }
+    _mm256_storeu_pd(g0, a0);
+    _mm256_storeu_pd(g0 + m, a1);
+    _mm256_storeu_pd(g0 + 2 * m, a2);
+    _mm256_storeu_pd(g0 + 3 * m, a3);
+}
+
+// One scalar element, the rows in order.
+inline void gram_element(const double* x, std::size_t rows, std::size_t m, std::size_t i,
+                         std::size_t j, double* g) noexcept {
+    double acc = g[i * m + j];
+    for (std::size_t r = 0; r < rows; ++r) acc += x[r * m + i] * x[r * m + j];
+    g[i * m + j] = acc;
+}
+}  // namespace detail
+
+// Row bands of four from the diagonal: 4 x 8 tiles, then a 4 x 4 tile and
+// scalar columns at the right edge; the last m % 4 rows are scalar.
+inline void gram_upper(const double* x, std::size_t rows, std::size_t m, double* g) noexcept {
+    std::size_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+        std::size_t j = i;
+        for (; j + 8 <= m; j += 8) detail::gram_tile_4x8(x, rows, m, i, j, g);
+        if (j + 4 <= m) {
+            detail::gram_tile_4x4(x, rows, m, i, j, g);
+            j += 4;
+        }
+        for (; j < m; ++j) {
+            for (std::size_t k = i; k < i + 4; ++k) detail::gram_element(x, rows, m, k, j, g);
+        }
+    }
+    for (; i < m; ++i) {
+        for (std::size_t j = i; j < m; ++j) detail::gram_element(x, rows, m, i, j, g);
     }
 }
 
@@ -286,6 +394,9 @@ inline void rotate_pair(double* x, double* y, std::size_t n, double c, double s)
     }
 }
 
+// The Gram tile has no NEON form yet: the scalar loop computes its bits.
+using fallback::gram_upper;
+
 // ---------------------------------------------------------------------------
 // Scalar build: the fallback is the primary path.
 // ---------------------------------------------------------------------------
@@ -294,6 +405,7 @@ inline void rotate_pair(double* x, double* y, std::size_t n, double c, double s)
 using fallback::axpy;
 using fallback::dot;
 using fallback::dot3;
+using fallback::gram_upper;
 using fallback::rotate_pair;
 
 #endif

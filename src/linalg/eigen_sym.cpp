@@ -31,12 +31,17 @@ void require_symmetric(const matrix& a, const char* who) {
     }
 }
 
-// Householder reduction of the symmetric matrix held in v to tridiagonal
-// form; v is overwritten with the accumulated orthogonal transform, d gets
-// the diagonal and e the sub-diagonal. Classic tred2 recurrence.
-void tridiagonalize(matrix& v, std::vector<double>& d, std::vector<double>& e) {
-    const std::size_t n = v.rows();
-    for (std::size_t j = 0; j < n; ++j) d[j] = v(n - 1, j);
+// Householder reduction of a symmetric matrix to tridiagonal form: the
+// classic tred2 recurrence, held transposed. w starts as a^T, and every
+// element the column-major recurrence reads as v(r, c) lives at w(c, r),
+// so the same operations run in the same order over contiguous rows and
+// every bit matches. On return d[0..n) holds scratch except d[k] = h_k for
+// k >= 1, e[1..n) holds the sub-diagonal, row k of w holds reflector k in
+// its first k entries (the identity when h_k == 0) and w(k, k) holds the
+// diagonal.
+void reduce_to_tridiagonal(matrix& w, std::vector<double>& d, std::vector<double>& e) {
+    const std::size_t n = w.rows();
+    for (std::size_t j = 0; j < n; ++j) d[j] = w(j, n - 1);
 
     for (std::size_t i = n - 1; i > 0; --i) {
         double scale = 0.0;
@@ -45,9 +50,9 @@ void tridiagonalize(matrix& v, std::vector<double>& d, std::vector<double>& e) {
         if (scale == 0.0) {
             e[i] = d[i - 1];
             for (std::size_t j = 0; j < i; ++j) {
-                d[j] = v(i - 1, j);
-                v(i, j) = 0.0;
-                v(j, i) = 0.0;
+                d[j] = w(j, i - 1);
+                w(j, i) = 0.0;
+                w(i, j) = 0.0;
             }
         } else {
             for (std::size_t k = 0; k < i; ++k) {
@@ -64,11 +69,12 @@ void tridiagonalize(matrix& v, std::vector<double>& d, std::vector<double>& e) {
 
             for (std::size_t j = 0; j < i; ++j) {
                 f = d[j];
-                v(j, i) = f;
-                g = e[j] + v(j, j) * f;
+                w(i, j) = f;
+                const double* wj = w.row(j).data();
+                g = e[j] + wj[j] * f;
                 for (std::size_t k = j + 1; k < i; ++k) {
-                    g += v(k, j) * d[k];
-                    e[k] += v(k, j) * f;
+                    g += wj[k] * d[k];
+                    e[k] += wj[k] * f;
                 }
                 e[j] = g;
             }
@@ -82,34 +88,43 @@ void tridiagonalize(matrix& v, std::vector<double>& d, std::vector<double>& e) {
             for (std::size_t j = 0; j < i; ++j) {
                 f = d[j];
                 g = e[j];
-                for (std::size_t k = j; k < i; ++k) v(k, j) -= f * e[k] + g * d[k];
-                d[j] = v(i - 1, j);
-                v(i, j) = 0.0;
+                double* wj = w.row(j).data();
+                for (std::size_t k = j; k < i; ++k) wj[k] -= f * e[k] + g * d[k];
+                d[j] = w(j, i - 1);
+                w(j, i) = 0.0;
             }
         }
         d[i] = h;
     }
+}
 
-    // Accumulate the Householder transformations.
+// Accumulates the reflectors reduce_to_tridiagonal left in w into the
+// transposed orthogonal transform (row j of w = column j of Q), and moves
+// the diagonal into d. tred2's accumulation, held transposed like the
+// reduction.
+void accumulate_reflectors(matrix& w, std::vector<double>& d, std::vector<double>& e) {
+    const std::size_t n = w.rows();
     for (std::size_t i = 0; i + 1 < n; ++i) {
-        v(n - 1, i) = v(i, i);
-        v(i, i) = 1.0;
+        w(i, n - 1) = w(i, i);
+        w(i, i) = 1.0;
         const double h = d[i + 1];
+        double* u = w.row(i + 1).data();
         if (h != 0.0) {
-            for (std::size_t k = 0; k <= i; ++k) d[k] = v(k, i + 1) / h;
+            for (std::size_t k = 0; k <= i; ++k) d[k] = u[k] / h;
             for (std::size_t j = 0; j <= i; ++j) {
+                double* wj = w.row(j).data();
                 double g = 0.0;
-                for (std::size_t k = 0; k <= i; ++k) g += v(k, i + 1) * v(k, j);
-                for (std::size_t k = 0; k <= i; ++k) v(k, j) -= g * d[k];
+                for (std::size_t k = 0; k <= i; ++k) g += u[k] * wj[k];
+                for (std::size_t k = 0; k <= i; ++k) wj[k] -= g * d[k];
             }
         }
-        for (std::size_t k = 0; k <= i; ++k) v(k, i + 1) = 0.0;
+        for (std::size_t k = 0; k <= i; ++k) u[k] = 0.0;
     }
     for (std::size_t j = 0; j < n; ++j) {
-        d[j] = v(n - 1, j);
-        v(n - 1, j) = 0.0;
+        d[j] = w(j, n - 1);
+        w(j, n - 1) = 0.0;
     }
-    v(n - 1, n - 1) = 1.0;
+    w(n - 1, n - 1) = 1.0;
     e[0] = 0.0;
 }
 
@@ -128,12 +143,15 @@ void apply_rotation_batch(matrix& vt, std::size_t hi, const std::vector<double>&
     }
 }
 
-// Implicit-shift QL iteration on the tridiagonal (d, e), accumulating the
-// rotations into the transposed eigenvector matrix vt. Classic tql2
-// recurrence; the per-iteration rotation sequence only depends on (d, e),
-// so it is recorded first and applied to vt as one batch per iteration.
-void ql_iterate(matrix& vt, std::vector<double>& d, std::vector<double>& e) {
-    const std::size_t n = vt.rows();
+// Implicit-shift QL iteration on the tridiagonal (d, e): the classic tql2
+// recurrence. Each iteration's rotation sequence depends only on (d, e),
+// and the recurrence never reads the eigenvectors, so it hands every
+// iteration's batch to on_batch(hi, rot_c, rot_s) -- which applies it to
+// the transposed eigenvector matrix or records it -- and the eigenvalues
+// come out the same either way.
+template <class OnBatch>
+void ql_iterate(std::vector<double>& d, std::vector<double>& e, OnBatch&& on_batch) {
+    const std::size_t n = d.size();
     for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
     e[n - 1] = 0.0;
 
@@ -189,7 +207,7 @@ void ql_iterate(matrix& vt, std::vector<double>& d, std::vector<double>& e) {
                     rot_c.push_back(c);
                     rot_s.push_back(s);
                 }
-                apply_rotation_batch(vt, m, rot_c, rot_s);
+                on_batch(m, rot_c, rot_s);
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
                 e[l] = s * p;
                 d[l] = c * p;
@@ -200,20 +218,27 @@ void ql_iterate(matrix& vt, std::vector<double>& d, std::vector<double>& e) {
     }
 }
 
-// Sort eigenpairs by descending eigenvalue, permuting eigenvector columns.
-sym_eigen_result sorted_descending(std::vector<double> d, const matrix& v) {
-    const std::size_t n = d.size();
-    std::vector<std::size_t> order(n);
+// Indices of d in descending order of value (stable).
+std::vector<std::size_t> descending_order(const std::vector<double>& d) {
+    std::vector<std::size_t> order(d.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) { return d[a] > d[b]; });
+    return order;
+}
 
+// Sort eigenpairs by descending eigenvalue; row j of vt is the eigenvector
+// of d[j], and column j of the result pairs with eigenvalues[j].
+sym_eigen_result sorted_descending(const std::vector<double>& d, const matrix& vt) {
+    const std::size_t n = d.size();
+    const std::vector<std::size_t> order = descending_order(d);
     sym_eigen_result out;
     out.eigenvalues.resize(n);
     out.eigenvectors.assign(n, n);
     for (std::size_t j = 0; j < n; ++j) {
         out.eigenvalues[j] = d[order[j]];
-        for (std::size_t i = 0; i < n; ++i) out.eigenvectors(i, j) = v(i, order[j]);
+        const auto v = vt.row(order[j]);
+        for (std::size_t i = 0; i < n; ++i) out.eigenvectors(i, j) = v[i];
     }
     return out;
 }
@@ -226,15 +251,87 @@ sym_eigen_result sym_eigen(const matrix& a) {
     if (n == 0) return {};
     if (n == 1) return {{a(0, 0)}, matrix::identity(1)};
 
-    matrix v = a;
+    // The transform comes out transposed, which is the layout QL wants:
+    // each Givens rotation is a contiguous pair-of-rows update.
+    matrix vt = transpose(a);
     std::vector<double> d(n, 0.0);
     std::vector<double> e(n, 0.0);
-    tridiagonalize(v, d, e);
-    // QL works on the transpose so each Givens rotation is a contiguous
-    // pair-of-rows update; the copies are exact, so results are unchanged.
-    matrix vt = transpose(v);
-    ql_iterate(vt, d, e);
-    return sorted_descending(std::move(d), transpose(vt));
+    reduce_to_tridiagonal(vt, d, e);
+    accumulate_reflectors(vt, d, e);
+    ql_iterate(d, e, [&vt](std::size_t hi, const std::vector<double>& c,
+                           const std::vector<double>& s) { apply_rotation_batch(vt, hi, c, s); });
+    return sorted_descending(d, vt);
+}
+
+sym_spectrum::sym_spectrum(const matrix& a) {
+    require_symmetric(a, "sym_spectrum");
+    const std::size_t n = a.rows();
+    if (n == 0) return;
+    if (n == 1) {
+        // sym_eigen's value as is (QL would add 0.0, turning -0.0 into +0.0).
+        eigenvalues_ = {a(0, 0)};
+        order_ = {0};
+        return;
+    }
+
+    reflectors_ = transpose(a);
+    std::vector<double> d(n, 0.0);
+    std::vector<double> e(n, 0.0);
+    reduce_to_tridiagonal(reflectors_, d, e);
+    // What accumulate_reflectors would leave in d and e, without the
+    // accumulation: the recurrence below never reads the transform.
+    reflector_h_ = d;
+    for (std::size_t j = 0; j < n; ++j) d[j] = reflectors_(j, j);
+    e[0] = 0.0;
+    ql_iterate(d, e, [this](std::size_t hi, const std::vector<double>& c,
+                            const std::vector<double>& s) {
+        rot_c_.insert(rot_c_.end(), c.begin(), c.end());
+        rot_s_.insert(rot_s_.end(), s.begin(), s.end());
+        batch_hi_.push_back(hi);
+        batch_end_.push_back(rot_c_.size());
+    });
+    order_ = descending_order(d);
+    eigenvalues_.resize(n);
+    for (std::size_t j = 0; j < n; ++j) eigenvalues_[j] = d[order_[j]];
+}
+
+matrix sym_spectrum::eigenvectors(std::size_t first, std::size_t count) const {
+    const std::size_t n = dimension();
+    if (first > n || count > n - first) {
+        throw std::out_of_range("sym_spectrum::eigenvectors: columns past the dimension");
+    }
+    if (count == 0) return {};
+    // z_k = M_1 ... M_N e_p for QL index p: the recorded rotations, last
+    // first, each transposed (sign of s flipped), on n x count rows so one
+    // contiguous rotate_pair moves every requested vector at once.
+    matrix z(n, count, 0.0);
+    for (std::size_t k = 0; k < count; ++k) z(order_[first + k], k) = 1.0;
+    for (std::size_t b = batch_hi_.size(); b-- > 0;) {
+        const std::size_t begin = b == 0 ? 0 : batch_end_[b - 1];
+        for (std::size_t idx = batch_end_[b]; idx-- > begin;) {
+            const std::size_t i = batch_hi_[b] - 1 - (idx - begin);
+            simd::rotate_pair(z.row(i).data(), z.row(i + 1).data(), count, rot_c_[idx],
+                              -rot_s_[idx]);
+        }
+    }
+
+    // Q z_k with Q = H_{n-1} ... H_1: reflector 1 first, with the same
+    // arithmetic accumulate_reflectors applies to each column of Q.
+    matrix zt = transpose(z);
+    std::vector<double> scaled(n, 0.0);
+    for (std::size_t r = 1; r < n; ++r) {
+        const double h = reflector_h_[r];
+        if (h == 0.0) continue;
+        const double* u = reflectors_.row(r).data();
+        for (std::size_t i = 0; i < r; ++i) scaled[i] = u[i] / h;
+        for (std::size_t k = 0; k < count; ++k) {
+            double* v = zt.row(k).data();
+            double g = 0.0;
+            for (std::size_t i = 0; i < r; ++i) g += u[i] * v[i];
+            for (std::size_t i = 0; i < r; ++i) v[i] -= g * scaled[i];
+        }
+    }
+    return transpose(zt);
 }
 
 sym_eigen_result sym_eigen_jacobi(const matrix& a) {
@@ -258,7 +355,7 @@ sym_eigen_result sym_eigen_jacobi(const matrix& a) {
         if (std::sqrt(off) <= 1e-14 * total_scale) {
             std::vector<double> d(n);
             for (std::size_t i = 0; i < n; ++i) d[i] = w(i, i);
-            return sorted_descending(std::move(d), transpose(vt));
+            return sorted_descending(d, vt);
         }
 
         for (std::size_t p = 0; p < n; ++p) {

@@ -134,19 +134,15 @@ matrix parallel_centered_covariance(const matrix& centered, thread_pool* pool) {
     const std::size_t blocks = (t + row_block - 1) / row_block;
     std::vector<matrix> partial(blocks);
 
+    // Each block's Gram runs in register tiles that add the block's rows
+    // in order, so every upper-triangle element sees the same products in
+    // the same order as a plain row loop.
     const auto accumulate_block = [&](std::size_t b) {
         const std::size_t row_begin = b * row_block;
         const std::size_t row_end = std::min(t, row_begin + row_block);
         matrix& acc = partial[b];
         acc.assign(m, m, 0.0);
-        for (std::size_t r = row_begin; r < row_end; ++r) {
-            const auto row = centered.row(r);
-            for (std::size_t i = 0; i < m; ++i) {
-                const double ci = row[i];
-                if (ci == 0.0) continue;
-                simd::axpy(ci, row.data() + i, acc.row(i).data() + i, m - i);
-            }
-        }
+        simd::gram_upper(centered.row(row_begin).data(), row_end - row_begin, m, acc.data());
     };
 
     if (pool != nullptr && blocks > 1) {

@@ -43,7 +43,8 @@ matrix column_covariance(const matrix& y);
 // output; fit_pca_axes feeds it), via blocked Gram accumulation: rows are
 // split into blocks of at least k_covariance_min_block_rows (256) and at
 // most k_covariance_max_blocks (64) blocks, each block accumulates a
-// partial Gram matrix, and the partials are reduced in block order. The
+// partial Gram matrix in register tiles (simd::gram_upper, adding the
+// block's rows in order), and the partials are reduced in block order. The
 // block layout is a function of the shape only -- never of the thread
 // count -- so the result is bit-identical for any pool size, including
 // pool == nullptr; a non-null pool accumulates the blocks in parallel.

@@ -58,20 +58,6 @@ detector_run run_tracking(const scenario_dataset& sd) {
     return run;
 }
 
-detector_run run_ipca(const scenario_dataset& sd) {
-    incremental_pca_tracker tracker(train_link_loads(sd), 8);
-    const matrix eval = eval_link_loads(sd);
-    detector_run run;
-    run.detector = "ipca";
-    // Maintenance only: the tracker scores nothing and never alarms.
-    for (std::size_t r = 0; r < eval.rows(); ++r) {
-        tracker.push(eval.row(r));
-        run.scores.push_back(0.0);
-        run.alarms.push_back(false);
-    }
-    return run;
-}
-
 // Turns a full-span residual-norm series into a run: the evaluation slice
 // becomes the scores, thresholded at mean + 3 sigma of the second half of
 // the training region (the first half absorbs forecast warm-up).
@@ -102,8 +88,8 @@ detector_run run_from_norms(const std::string& name, const scenario_dataset& sd,
 
 const std::vector<std::string>& scenario_detector_names() {
     static const std::vector<std::string> names{
-        "subspace", "streaming", "tracking", "ipca",
-        "ewma",     "fourier",   "holt_winters", "wavelet",
+        "subspace", "streaming", "tracking",     "ewma",
+        "fourier",  "holt_winters", "wavelet",
     };
     return names;
 }
@@ -112,7 +98,6 @@ detector_run run_scenario_detector(const std::string& detector, const scenario_d
     if (detector == "subspace") return run_subspace(sd);
     if (detector == "streaming") return run_streaming(sd);
     if (detector == "tracking") return run_tracking(sd);
-    if (detector == "ipca") return run_ipca(sd);
 
     const matrix& y = sd.data.link_loads;
     if (detector == "ewma") {

@@ -41,8 +41,7 @@ struct scenario_cell_score {
 };
 
 // Canonical detector order (the bench matrix column order): subspace,
-// streaming, tracking, ipca (the maintenance-only null control, which
-// never alarms), ewma, fourier, holt_winters, wavelet.
+// streaming, tracking, ewma, fourier, holt_winters, wavelet.
 const std::vector<std::string>& scenario_detector_names();
 
 // Runs one detector over the scenario. Temporal baselines model each link

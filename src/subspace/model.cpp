@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
@@ -19,6 +20,10 @@ constexpr std::size_t k_link_block = 256;
 // Minimum rows * m * rank before spe_series shards its rows over a pool
 // (scheduling only: each row writes its own slot).
 constexpr std::size_t k_spe_series_min_work = std::size_t{1} << 15;
+
+// Axes a served fit forms per replay of the QL rotations: a walk that
+// stops by axis 3 (normal rank <= 3, the common case) costs one replay.
+constexpr std::size_t k_axis_block = 4;
 
 }  // namespace
 
@@ -45,11 +50,29 @@ subspace_model::subspace_model(pca_model pca, std::size_t normal_rank)
 
 subspace_model subspace_model::fit(const matrix& y, const separation_config& sep,
                                    thread_pool* pool) {
-    pca_axes_fit fit = fit_pca_axes(y, pool);
-    const std::size_t rank =
-        separate_normal_rank(fit.model.dimension(), sep, [&fit](std::size_t i) {
-            return pca_axis_projection(fit.centered, fit.model.principal_axes, i);
-        });
+    pca_spectrum_fit fit = fit_pca_spectrum(y, pool);
+    const std::size_t m = fit.spectrum.dimension();
+    // Block b holds axes [b * k_axis_block, ...), formed when first read.
+    std::vector<matrix> blocks;
+    const auto block_of = [&](std::size_t axis) -> const matrix& {
+        while (blocks.size() * k_axis_block <= axis) {
+            const std::size_t first = blocks.size() * k_axis_block;
+            blocks.push_back(fit.spectrum.eigenvectors(first, std::min(k_axis_block, m - first)));
+        }
+        return blocks[axis / k_axis_block];
+    };
+    const std::size_t rank = separate_normal_rank(m, sep, [&](std::size_t i) {
+        return pca_axis_projection(fit.centered, block_of(i), i % k_axis_block);
+    });
+
+    // Keep the normal axes and the one the walk stopped at.
+    const std::size_t keep = std::min(rank + 1, m);
+    matrix& axes = fit.model.principal_axes;
+    axes.assign(m, keep, 0.0);
+    for (std::size_t k = 0; k < keep; ++k) {
+        const matrix& block = block_of(k);
+        for (std::size_t r = 0; r < m; ++r) axes(r, k) = block(r, k % k_axis_block);
+    }
     return {std::move(fit.model), rank};
 }
 

@@ -9,9 +9,11 @@
 // function of m only. One projection runs serially; spe_series can shard
 // its rows over an engine thread_pool.
 //
-// A model from subspace_model::fit keeps the axes, variances and means but
-// not the t x m temporal projections: separation reads only the leading
-// u_i, computed lazily, and nothing after the fit reads any of them.
+// A model from subspace_model::fit keeps every variance and the means, but
+// only the axes its separation walk read -- the r normal axes and the one
+// at which the walk stopped -- and none of the t x m temporal
+// projections: the walk forms and projects axis i lazily, and nothing
+// after the fit reads the rest.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +30,16 @@ class thread_pool;
 
 class subspace_model {
 public:
-    // Fits PCA axes to raw link measurements y (t x m) and separates the
-    // subspaces with the given rule, projecting axis i only when the
-    // 3-sigma walk reaches it (fit_pca_axes + pca_axis_projection). The
-    // rank equals separate_normal_rank(fit_pca(y), sep) bit for bit, but
-    // pca().projections stays empty: every served fit goes through here.
-    // A non-null pool shards the covariance accumulation over its fixed
-    // row blocks (bit-identical for every pool size).
+    // Fits PCA to raw link measurements y (t x m) and separates the
+    // subspaces with the given rule, forming and projecting axis i only
+    // when the 3-sigma walk reaches it (fit_pca_spectrum +
+    // pca_axis_projection). The variances equal fit_pca(y)'s bit for bit,
+    // and the rank equals separate_normal_rank(fit_pca(y), sep); the axes
+    // equal fit_pca(y)'s to rounding, and pca().principal_axes holds only
+    // the first min(rank + 1, m) of them, pca().projections none. Every
+    // served fit goes through here. A non-null pool shards the covariance
+    // accumulation over its fixed row blocks (bit-identical for every pool
+    // size).
     static subspace_model fit(const matrix& y, const separation_config& sep = {},
                               thread_pool* pool = nullptr);
 

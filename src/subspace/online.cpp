@@ -43,6 +43,8 @@ void write_model(std::ostream& out, const subspace_model& model) {
 // matrix's link count m, so a record that disagrees with itself is
 // malformed input (std::runtime_error) -- never an out-of-bounds read, a
 // silently different threshold or a fit that fails later on a worker.
+// The axes are m x k with max(rank, 1) <= k <= m: served fits keep
+// min(rank + 1, m) axes, and records from before that hold all m.
 subspace_model read_model(std::istream& in, std::size_t m) {
     pca_model pca;
     pca.principal_axes = ckpt::read_matrix(in);
@@ -53,7 +55,8 @@ subspace_model read_model(std::istream& in, std::size_t m) {
     pca.column_means = ckpt::read_vec(in);
     pca.sample_count = ckpt::read_u64(in);
     const std::uint64_t rank = ckpt::read_u64(in);
-    if (pca.principal_axes.rows() != m || pca.principal_axes.cols() != m ||
+    const std::size_t axes = pca.principal_axes.cols();
+    if (pca.principal_axes.rows() != m || axes > m || axes < std::max<std::uint64_t>(rank, 1) ||
         pca.axis_variance.size() != m || pca.column_means.size() != m || rank > m) {
         throw std::runtime_error("streaming_diagnoser::restore: model shape does not match "
                                  "the routing matrix");
@@ -293,10 +296,15 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     cfg.mode = static_cast<refit_mode>(mode);
     cfg.swap_horizon = ckpt::read_u64(in);
     cfg.pool = pool;
-    // Re-check the constructor's invariant: restore must never build a
-    // diagnoser the public API forbids.
+    // Re-check the constructor's invariants: restore must never build a
+    // diagnoser the public API forbids, nor one whose first refit throws.
     if (cfg.window < 2) {
         throw std::runtime_error("streaming_diagnoser::restore: window too small");
+    }
+    try {
+        cfg.separation.validate();
+    } catch (const std::invalid_argument& e) {
+        throw std::runtime_error(std::string("streaming_diagnoser::restore: ") + e.what());
     }
 
     // Every shape below is checked against A's link count m: restore

@@ -184,7 +184,7 @@ private:
 // max_rank principal axes and variances of the growing measurement matrix
 // without ever recomputing a full decomposition. It never alarms, so it
 // is not a stream_detector: tracking_detector serves detection on top of
-// it, and the scenario matrix runs it bare as the `ipca` null control.
+// it.
 class incremental_pca_tracker {
 public:
     // Throws std::invalid_argument when bootstrap has fewer than two rows

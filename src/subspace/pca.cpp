@@ -6,7 +6,6 @@
 
 #include "engine/simd.h"
 #include "engine/thread_pool.h"
-#include "linalg/eigen_sym.h"
 #include "linalg/ops.h"
 #include "measurement/centering.h"
 
@@ -17,6 +16,34 @@ namespace {
 // Minimum t * m before fit_pca shards its per-axis projections over a pool
 // (scheduling only: each axis writes its own column).
 constexpr std::size_t k_projection_min_work = std::size_t{1} << 18;
+
+struct centered_covariance {
+    pca_model model;  // means and sample count only
+    matrix centered;
+    matrix cov;
+};
+
+centered_covariance center_and_covariance(const matrix& y, thread_pool* pool) {
+    if (y.rows() < 2) throw std::invalid_argument("fit_pca: need at least two measurement rows");
+    if (y.cols() == 0) throw std::invalid_argument("fit_pca: no measurement columns");
+
+    centered_covariance out;
+    out.model.sample_count = y.rows();
+    centering_result centered = center_columns(y);
+    out.model.column_means = std::move(centered.column_means);
+    out.centered = std::move(centered.centered);
+    // center_columns already produced the centered rows (with the same
+    // mean accumulation the covariance would redo), so the Gram runs
+    // straight over them — one less pass over the data, identical result.
+    out.cov = parallel_centered_covariance(out.centered, pool);
+    return out;
+}
+
+// Covariance eigenvalues are >= 0 in exact arithmetic; clamp round-off.
+vec clamped_variances(vec eigenvalues) {
+    for (double& v : eigenvalues) v = std::max(v, 0.0);
+    return eigenvalues;
+}
 
 }  // namespace
 
@@ -54,27 +81,18 @@ std::size_t pca_model::rank_for_variance(double fraction) const {
 }
 
 pca_axes_fit fit_pca_axes(const matrix& y, thread_pool* pool) {
-    if (y.rows() < 2) throw std::invalid_argument("fit_pca: need at least two measurement rows");
-    if (y.cols() == 0) throw std::invalid_argument("fit_pca: no measurement columns");
-
-    pca_axes_fit fit;
-    fit.model.sample_count = y.rows();
-
-    centering_result centered = center_columns(y);
-    fit.model.column_means = std::move(centered.column_means);
-    fit.centered = std::move(centered.centered);
-
-    // center_columns already produced the centered rows (with the same
-    // mean accumulation the covariance would redo), so the Gram runs
-    // straight over them — one less pass over the data, identical result.
-    const matrix cov = parallel_centered_covariance(fit.centered, pool);
-    sym_eigen_result eig = sym_eigen(cov);
-
+    centered_covariance fit = center_and_covariance(y, pool);
+    sym_eigen_result eig = sym_eigen(fit.cov);
     fit.model.principal_axes = std::move(eig.eigenvectors);
-    fit.model.axis_variance = std::move(eig.eigenvalues);
-    // Covariance eigenvalues are >= 0 in exact arithmetic; clamp round-off.
-    for (double& v : fit.model.axis_variance) v = std::max(v, 0.0);
-    return fit;
+    fit.model.axis_variance = clamped_variances(std::move(eig.eigenvalues));
+    return {std::move(fit.model), std::move(fit.centered)};
+}
+
+pca_spectrum_fit fit_pca_spectrum(const matrix& y, thread_pool* pool) {
+    centered_covariance fit = center_and_covariance(y, pool);
+    sym_spectrum spectrum(fit.cov);
+    fit.model.axis_variance = clamped_variances(spectrum.eigenvalues());
+    return {std::move(fit.model), std::move(fit.centered), std::move(spectrum)};
 }
 
 vec pca_axis_projection(const matrix& centered, const matrix& axes, std::size_t i) {

@@ -2,22 +2,25 @@
 //
 // Rows of Y are whole-network snapshots (points in R^m). A fit has two
 // halves:
-//   - the axes half (fit_pca_axes): center the columns, form the sample
-//     covariance and eigendecompose it into principal axes v_i (columns of
+//   - the axes half: center the columns, form the sample covariance and
+//     eigendecompose it into principal axes v_i (columns of
 //     `principal_axes`) and captured variances (`axis_variance`,
 //     descending);
 //   - the projection half (pca_axis_projection): the normalized
 //     projection u_i = Yc v_i / ||Yc v_i|| of the centered data on one
 //     axis, the common temporal pattern of Figure 4.
 // fit_pca runs both halves over every axis (`projections`, t x m) for
-// offline callers that read every u_i. Served fits (subspace_model::fit:
-// streaming refits, the streaming bootstrap, tracking_detector's
-// bootstrap) run only the axes half and project axis i lazily, when the
-// 3-sigma separation walk reaches it; their models carry no projections.
+// offline callers that read every u_i; its axes half, fit_pca_axes, forms
+// all m axes with sym_eigen. Served fits (subspace_model::fit: streaming
+// refits, the streaming bootstrap, tracking_detector's bootstrap) run
+// fit_pca_spectrum instead: the same variances bit for bit, with axis i
+// formed -- and projected -- only when the 3-sigma separation walk reaches
+// it. Their models carry no projections and only the axes the walk read.
 #pragma once
 
 #include <cstddef>
 
+#include "linalg/eigen_sym.h"
 #include "linalg/matrix.h"
 #include "linalg/vector_ops.h"
 
@@ -26,8 +29,10 @@ namespace netdiag {
 class thread_pool;
 
 struct pca_model {
-    matrix principal_axes;  // m x m, orthonormal columns, variance-ordered
-    vec axis_variance;      // sample variance captured per axis, descending
+    // m x k orthonormal columns, variance-ordered: all m axes from fit_pca
+    // and fit_pca_axes, the leading min(r + 1, m) in a served model.
+    matrix principal_axes;
+    vec axis_variance;      // sample variance captured per axis (all m), descending
     matrix projections;     // t x m, unit-norm columns u_i (fit_pca only; else empty)
     vec column_means;       // per-link means removed before the analysis
     std::size_t sample_count = 0;
@@ -55,6 +60,19 @@ struct pca_axes_fit {
 // eigensolve runs serially, and the result is bit-identical for every
 // pool size. Throws std::invalid_argument on degenerate shapes.
 pca_axes_fit fit_pca_axes(const matrix& y, thread_pool* pool = nullptr);
+
+// The axes half of a served fit: the centering, covariance and variances
+// of fit_pca_axes bit for bit, with the axes left in factored form.
+// spectrum.eigenvectors(first, count) forms any of them, equal to
+// fit_pca_axes's columns to rounding.
+struct pca_spectrum_fit {
+    pca_model model;        // principal_axes and projections left empty
+    matrix centered;        // t x m: y minus model.column_means
+    sym_spectrum spectrum;  // of the covariance; eigenvalues unclamped
+};
+
+// Same shapes, pool and errors as fit_pca_axes.
+pca_spectrum_fit fit_pca_spectrum(const matrix& y, thread_pool* pool = nullptr);
 
 // The projection half for one axis: u_i = Yc v_i / ||Yc v_i||, with v_i
 // column i of `axes` (left unnormalized when Yc v_i is zero). Every fit

@@ -9,7 +9,11 @@
 namespace netdiag {
 
 void separation_config::validate() const {
-    if (k_sigma <= 0.0) throw std::invalid_argument("separation_config: k_sigma must be positive");
+    // Written so NaN fails too; an infinite k_sigma would send every axis
+    // to the normal subspace.
+    if (!(std::isfinite(k_sigma) && k_sigma > 0.0)) {
+        throw std::invalid_argument("separation_config: k_sigma must be finite and positive");
+    }
 }
 
 std::size_t separate_normal_rank(std::size_t dimension, const separation_config& cfg,

@@ -25,7 +25,7 @@ struct separation_config {
     std::size_t min_normal_axes = 1;         // never let the normal space vanish
     std::optional<std::size_t> fixed_rank;   // bypass the rule entirely (ablations)
 
-    // Throws std::invalid_argument for non-positive k_sigma.
+    // Throws std::invalid_argument unless k_sigma is finite and positive.
     void validate() const;
 };
 

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <random>
 #include <future>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -421,6 +424,124 @@ TEST(ParallelFit, SubspaceFitBitIdenticalAcrossThreadCounts) {
         const subspace_model parallel = subspace_model::fit(y, {}, &pool);
         ASSERT_EQ(parallel.normal_rank(), serial.normal_rank()) << "threads=" << threads;
         ASSERT_EQ(parallel.spe_series(y), serial.spe_series(y)) << "threads=" << threads;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned bits. The covariance's register tiles and the row-major
+// tridiagonal reduction promise the same bits as the row loop and the
+// column-major recurrence they replaced; these digests were recorded by
+// running this test against those kernels. The inputs come from
+// splitmix64 rather than <random>'s distributions, whose algorithms the
+// standard leaves to each library.
+// ---------------------------------------------------------------------------
+
+// splitmix64's next value, as a double in [-1, 1).
+double pinned_uniform(std::uint64_t& state) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    return static_cast<double>(z >> 11) * 0x1.0p-52 - 1.0;
+}
+
+// t x m link loads with per-link levels and scales; every fifth link is
+// constant, so its centered column is exactly zero.
+matrix pinned_measurements(std::size_t t, std::size_t m, std::uint64_t seed) {
+    std::uint64_t state = seed;
+    matrix y(t, m, 0.0);
+    for (std::size_t r = 0; r < t; ++r) {
+        for (std::size_t c = 0; c < m; ++c) {
+            const double level = 1e3 * static_cast<double>(1 + c % 7);
+            const double noise = pinned_uniform(state) * static_cast<double>(1 + c % 3);
+            y(r, c) = c % 5 == 4 ? level : level + noise;
+        }
+    }
+    return y;
+}
+
+// FNV-1a over the exact bits of every element.
+std::uint64_t bits_digest(std::span<const double> values,
+                          std::uint64_t digest = 1469598103934665603ull) {
+    for (const double v : values) {
+        digest ^= std::bit_cast<std::uint64_t>(v);
+        digest *= 1099511628211ull;
+    }
+    return digest;
+}
+
+std::uint64_t bits_digest(const matrix& a, std::uint64_t digest = 1469598103934665603ull) {
+    return bits_digest(std::span<const double>(a.data(), a.size()), digest);
+}
+
+TEST(PinnedBits, CenteredCovarianceSerialAndPooled) {
+    struct pinned_shape {
+        std::size_t m;
+        std::size_t t;
+        std::uint64_t digest;
+    };
+    constexpr pinned_shape k_pinned[] = {
+        {1, 2, 0x22d8bd37d9f52c73ull},
+        {1, 255, 0xf668ae0e5ee22c7cull},
+        {1, 256, 0xc458d01cf98c145dull},
+        {1, 257, 0xde543518d9bbc75dull},
+        {1, 1008, 0xa86bdc9f714cb955ull},
+        {5, 2, 0x4d123120c9539c13ull},
+        {5, 255, 0x20df81eb0b1092dull},
+        {5, 256, 0x2329d430781d759ull},
+        {5, 257, 0xa206165cf43996c0ull},
+        {5, 1008, 0xb64171bccfab2716ull},
+        {9, 2, 0xb7398215a4d887bcull},
+        {9, 255, 0xd51e25364e975154ull},
+        {9, 256, 0xc4b1b412f95875full},
+        {9, 257, 0x71c95f2622e424a2ull},
+        {9, 1008, 0xc69bd89376c44987ull},
+        {41, 2, 0x60f23e19e2d3533dull},
+        {41, 255, 0x6a685b09b3ae4743ull},
+        {41, 256, 0xae1f453b338a6ebcull},
+        {41, 257, 0xc4581ef2da71253ull},
+        {41, 1008, 0x20630e884f857b4cull},
+        {156, 2, 0x9398143efec06f38ull},
+        {156, 255, 0xba7f4a118fc38ddull},
+        {156, 256, 0xe38c6f35641d04adull},
+        {156, 257, 0x8c0ceec6483e670dull},
+        {156, 1008, 0x7a36ccc949e2b769ull},
+        {257, 2, 0xf492a4be65174545ull},
+        {257, 255, 0xe95f36690f795a21ull},
+        {257, 256, 0xee07f1521beb1bd2ull},
+        {257, 257, 0xcbb768fb18eb3d2bull},
+        {257, 1008, 0x1d38d6d1622fd5f1ull},
+    };
+    thread_pool pool(3);
+    for (const pinned_shape& p : k_pinned) {
+        const matrix centered =
+            center_columns(pinned_measurements(p.t, p.m, 1000 * p.m + p.t)).centered;
+        const std::uint64_t serial = bits_digest(parallel_centered_covariance(centered, nullptr));
+        const std::uint64_t pooled = bits_digest(parallel_centered_covariance(centered, &pool));
+        EXPECT_EQ(serial, p.digest) << "m=" << p.m << " t=" << p.t << std::hex << " 0x" << serial;
+        EXPECT_EQ(pooled, p.digest) << "m=" << p.m << " t=" << p.t << std::hex << " 0x" << pooled;
+    }
+}
+
+TEST(PinnedBits, SymEigenValuesAndVectors) {
+    struct pinned_eigen {
+        std::size_t m;
+        std::uint64_t values;
+        std::uint64_t vectors;
+    };
+    constexpr pinned_eigen k_pinned[] = {
+        {41, 0x9c7c9f9fdd2b3972ull, 0x6221599164924295ull},
+        {156, 0x75f938552d878ed8ull, 0xaead9171576389e7ull},
+        {256, 0x9ec8b679a277515bull, 0xcb07401a85b141dcull},
+    };
+    for (const pinned_eigen& p : k_pinned) {
+        const matrix cov = parallel_centered_covariance(
+            center_columns(pinned_measurements(2 * p.m, p.m, 77 + p.m)).centered, nullptr);
+        const sym_eigen_result eig = sym_eigen(cov);
+        const std::uint64_t values = bits_digest(eig.eigenvalues);
+        const std::uint64_t vectors = bits_digest(eig.eigenvectors);
+        EXPECT_EQ(values, p.values) << "m=" << p.m << std::hex << " 0x" << values;
+        EXPECT_EQ(vectors, p.vectors) << "m=" << p.m << std::hex << " 0x" << vectors;
     }
 }
 

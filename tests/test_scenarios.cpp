@@ -202,15 +202,6 @@ TEST(ScenarioEvaluate, SubspaceDetectsTheDdosRamp) {
     EXPECT_EQ(cell.delay.labels_scored, 1u);
 }
 
-TEST(ScenarioEvaluate, NullControlNeverAlarms) {
-    const scenario_dataset sd = build_scenario("coordinated_multi_od", small_config());
-    const detector_run run = run_scenario_detector("ipca", sd);
-    EXPECT_EQ(std::count(run.alarms.begin(), run.alarms.end(), true), 0);
-    const scenario_cell_score cell = score_scenario_run(sd, run);
-    EXPECT_EQ(cell.card.detected_bin_count, 0u);
-    EXPECT_NEAR(cell.auc, 0.5, 1e-9);  // constant scores sit on the diagonal
-}
-
 TEST(ScenarioEvaluate, ScorerValidatesRunLengths) {
     const scenario_dataset sd = build_scenario("ddos_ramp", small_config());
     detector_run run = run_scenario_detector("wavelet", sd);

@@ -138,6 +138,28 @@ TEST(SimdPrimitives, RotatePairMatchesFallbackBitForBit) {
 // kernel still agrees with its plain reference to rounding.
 // ---------------------------------------------------------------------------
 
+TEST(SimdPrimitives, GramUpperMatchesFallbackBitForBit) {
+    // Widths straddle the 4 x 8 tiles, the 4 x 4 edge tile, the scalar
+    // edge columns and the m % 4 scalar rows; g starts non-zero, so the
+    // accumulation into existing values is compared too.
+    for (const std::size_t m :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 11u, 12u, 13u, 16u, 17u, 23u, 41u}) {
+        for (const std::size_t rows : {0u, 1u, 2u, 3u, 5u, 17u, 256u}) {
+            const std::vector<double> x = random_vec(rows * m, 700 + 31 * m + rows);
+            std::vector<double> tiled = random_vec(m * m, 900 + m);
+            std::vector<double> reference = tiled;
+            simd::gram_upper(x.data(), rows, m, tiled.data());
+            simd::fallback::gram_upper(x.data(), rows, m, reference.data());
+            for (std::size_t i = 0; i < m; ++i) {
+                for (std::size_t j = i; j < m; ++j) {
+                    ASSERT_EQ(tiled[i * m + j], reference[i * m + j])
+                        << "m=" << m << " rows=" << rows << " (" << i << ", " << j << ")";
+                }
+            }
+        }
+    }
+}
+
 matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
     std::mt19937_64 rng(seed);
     std::normal_distribution<double> gauss(0.0, 1.0);

@@ -802,15 +802,18 @@ TEST(GoldenCheckpoint, InterchangeFixturesLoadOnAnyHostIncludingByteSwapped) {
 // committed golden_streaming_diagnoser_projections.ckpt (interchange) was
 // written by that earlier build from the stream below: its model blocks
 // carry full t x m projections, a refit awaits its swap and another is
-// queued. It cannot be regenerated by this build; the digest is the
-// verdict sequence that build produced on replay.
+// queued. It cannot be regenerated by this build. The digest is the
+// verdict sequence this build replays from it: it moved (from
+// 0xe588247066fcdf7c) when served fits began forming their axes from the
+// factored spectrum, because the refits after the restore form their axes
+// differently, within rounding.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t k_legacy_links = 6;
 constexpr std::size_t k_legacy_boot_rows = 24;
 constexpr std::size_t k_legacy_prefix_bins = 8;  // pushed before the save
 constexpr std::size_t k_legacy_replay_bins = 28;
-constexpr std::uint64_t k_legacy_replay_digest = 0xe588247066fcdf7cull;
+constexpr std::uint64_t k_legacy_replay_digest = 0xd616a0653ad4fc72ull;
 
 // Six links, nine flows: ring pairs, a three-link flow, a flow that
 // crosses no link and a half-weighted one.
@@ -873,11 +876,18 @@ std::uint64_t fold_diagnosis(std::uint64_t digest, const diagnosis& d) {
     return digest;
 }
 
+struct model_block_shape {
+    std::size_t axes_rows = 0;
+    std::size_t axes_cols = 0;
+    std::size_t projection_rows = 0;
+    std::size_t projection_cols = 0;
+    std::size_t normal_rank = 0;
+};
+
 // Walks a streaming_diagnoser record (docs/CHECKPOINT_FORMAT.md) to its
-// model blocks and returns each block's projections-slot shape: the live
-// model's, then the pending refit's when the record holds one.
-std::vector<std::pair<std::size_t, std::size_t>> projection_slot_shapes(
-    const std::string& record) {
+// model blocks and returns each block's shapes: the live model's, then the
+// pending refit's when the record holds one.
+std::vector<model_block_shape> model_block_shapes(const std::string& record) {
     std::istringstream in(record, std::ios::binary);
     ckpt::expect_header(in, "streaming_diagnoser");
     (void)ckpt::read_u64(in);  // window
@@ -893,15 +903,20 @@ std::vector<std::pair<std::size_t, std::size_t>> projection_slot_shapes(
     for (std::uint64_t r = 0; r < window_rows; ++r) (void)ckpt::read_vec(in);
     for (int counter = 0; counter < 5; ++counter) (void)ckpt::read_u64(in);
 
-    std::vector<std::pair<std::size_t, std::size_t>> shapes;
+    std::vector<model_block_shape> shapes;
     const auto model_block = [&] {
-        (void)ckpt::read_matrix(in);  // axes
-        (void)ckpt::read_vec(in);     // variances
+        model_block_shape shape;
+        const matrix axes = ckpt::read_matrix(in);
+        shape.axes_rows = axes.rows();
+        shape.axes_cols = axes.cols();
+        (void)ckpt::read_vec(in);  // variances
         const matrix projections = ckpt::read_matrix(in);
-        shapes.emplace_back(projections.rows(), projections.cols());
+        shape.projection_rows = projections.rows();
+        shape.projection_cols = projections.cols();
         (void)ckpt::read_vec(in);  // means
         (void)ckpt::read_u64(in);  // sample count
-        (void)ckpt::read_u64(in);  // normal rank
+        shape.normal_rank = ckpt::read_u64(in);
+        shapes.push_back(shape);
     };
     model_block();
     if (ckpt::read_flag(in)) {
@@ -914,12 +929,15 @@ std::vector<std::pair<std::size_t, std::size_t>> projection_slot_shapes(
 TEST(GoldenCheckpoint, RecordWithProjectionsLoadsAndReplaysBitExactly) {
     const std::string fixture = golden_fixture_path("golden_streaming_diagnoser_projections.ckpt");
     const std::string bytes = read_file_bytes(fixture);
-    // The fixture really is an old record: both model blocks hold t x m.
-    const auto old_shapes = projection_slot_shapes(bytes);
+    // The fixture really is an old record: both model blocks hold t x m
+    // projections and all m axes.
+    const auto old_shapes = model_block_shapes(bytes);
     ASSERT_EQ(old_shapes.size(), 2u);
-    for (const auto& [rows, cols] : old_shapes) {
-        EXPECT_GT(rows, 0u);
-        EXPECT_EQ(cols, k_legacy_links);
+    for (const model_block_shape& shape : old_shapes) {
+        EXPECT_GT(shape.projection_rows, 0u);
+        EXPECT_EQ(shape.projection_cols, k_legacy_links);
+        EXPECT_EQ(shape.axes_rows, k_legacy_links);
+        EXPECT_EQ(shape.axes_cols, k_legacy_links);
     }
 
     std::unique_ptr<stream_detector> loaded = load_stream_detector(fixture);
@@ -927,30 +945,53 @@ TEST(GoldenCheckpoint, RecordWithProjectionsLoadsAndReplaysBitExactly) {
     ASSERT_EQ(restored.processed(), k_legacy_prefix_bins);
     EXPECT_TRUE(restored.refit_pending());
     EXPECT_TRUE(restored.refit_queued());
+    // The record's live model and its pending refit were fitted by the
+    // build that wrote it; every later epoch is fitted by this build.
+    const std::uint64_t first_local_epoch = restored.model_epoch() + 2;
 
     const matrix bins = legacy_bins(k_legacy_prefix_bins + k_legacy_replay_bins, 99);
+    std::vector<diagnosis> replayed;
+    std::vector<std::uint64_t> epochs;
     std::uint64_t digest = 1469598103934665603ull;
     std::size_t alarms = 0;
     for (std::size_t r = k_legacy_prefix_bins; r < bins.rows(); ++r) {
         const diagnosis d = restored.push(bins.row(r));
         alarms += d.anomalous ? 1 : 0;
         digest = fold_diagnosis(digest, d);
+        replayed.push_back(d);
+        epochs.push_back(restored.model_epoch());
     }
     EXPECT_EQ(restored.model_epoch(), 5u);
     EXPECT_EQ(alarms, 4u);
     EXPECT_EQ(digest, k_legacy_replay_digest)
         << "a record written before served models dropped their projections no longer "
-           "replays to the verdicts that build produced";
+           "replays to the verdicts this build produced";
 
-    // A fresh stream over the same bins reaches the same verdicts.
+    // A fresh stream over the same bins reaches the same verdicts: the
+    // same flags, flows and thresholds on every bin, and the same bits
+    // from the first model this build fitted after the restore on. Before
+    // that, the fresh stream's own bootstrap and refit axes (formed from
+    // the factored spectrum) differ from the record's (formed by the full
+    // eigensolve) within rounding, and so does the last bit of an SPE.
     streaming_diagnoser fresh(legacy_bins(k_legacy_boot_rows, 4321), legacy_routing(),
                               legacy_config());
-    std::uint64_t fresh_digest = 1469598103934665603ull;
-    for (std::size_t r = 0; r < bins.rows(); ++r) {
-        const diagnosis d = fresh.push(bins.row(r));
-        if (r >= k_legacy_prefix_bins) fresh_digest = fold_diagnosis(fresh_digest, d);
+    for (std::size_t r = 0; r < k_legacy_prefix_bins; ++r) (void)fresh.push(bins.row(r));
+    std::uint64_t restored_tail = 1469598103934665603ull;
+    std::uint64_t fresh_tail = 1469598103934665603ull;
+    for (std::size_t k = 0; k < k_legacy_replay_bins; ++k) {
+        const diagnosis d = fresh.push(bins.row(k_legacy_prefix_bins + k));
+        EXPECT_EQ(fresh.model_epoch(), epochs[k]) << "bin " << k;
+        EXPECT_EQ(d.anomalous, replayed[k].anomalous) << "bin " << k;
+        EXPECT_EQ(d.flow, replayed[k].flow) << "bin " << k;
+        EXPECT_EQ(d.threshold, replayed[k].threshold) << "bin " << k;
+        EXPECT_NEAR(d.spe, replayed[k].spe, 1e-12 * replayed[k].spe) << "bin " << k;
+        if (epochs[k] >= first_local_epoch) {
+            fresh_tail = fold_diagnosis(fresh_tail, d);
+            restored_tail = fold_diagnosis(restored_tail, replayed[k]);
+        }
     }
-    EXPECT_EQ(fresh_digest, k_legacy_replay_digest);
+    ASSERT_GE(epochs.back(), first_local_epoch);
+    EXPECT_EQ(fresh_tail, restored_tail);
 }
 
 TEST(StreamingCheckpoint, FreshRecordsWriteAnEmptyProjectionsSlot) {
@@ -963,12 +1004,40 @@ TEST(StreamingCheckpoint, FreshRecordsWriteAnEmptyProjectionsSlot) {
         std::ostringstream out(std::ios::binary);
         ckpt::set_encoding(out, enc);
         det.save(out);
-        const auto shapes = projection_slot_shapes(out.str());
+        const auto shapes = model_block_shapes(out.str());
         ASSERT_EQ(shapes.size(), 2u);
-        for (const auto& [rows, cols] : shapes) {
-            EXPECT_EQ(rows, 0u);
-            EXPECT_EQ(cols, 0u);
+        for (const model_block_shape& shape : shapes) {
+            EXPECT_EQ(shape.projection_rows, 0u);
+            EXPECT_EQ(shape.projection_cols, 0u);
         }
+    }
+}
+
+// A served model keeps the normal axes and the one axis at which the
+// 3-sigma walk stopped, and its record holds exactly those: m x (r + 1).
+TEST(StreamingCheckpoint, FreshRecordsKeepOnlyTheAxesTheWalkRead) {
+    streaming_diagnoser det(legacy_bins(k_legacy_boot_rows, 4321), legacy_routing(),
+                            legacy_config());
+    const matrix bins = legacy_bins(k_legacy_prefix_bins, 99);
+    for (std::size_t r = 0; r < bins.rows(); ++r) det.push(bins.row(r));
+    ASSERT_TRUE(det.refit_pending());
+    std::ostringstream out(std::ios::binary);
+    det.save(out);
+    const auto shapes = model_block_shapes(out.str());
+    ASSERT_EQ(shapes.size(), 2u);
+    for (const model_block_shape& shape : shapes) {
+        EXPECT_EQ(shape.axes_rows, k_legacy_links);
+        EXPECT_EQ(shape.axes_cols, std::min(shape.normal_rank + 1, k_legacy_links));
+        EXPECT_LT(shape.axes_cols, k_legacy_links);
+    }
+    // And the record restores into the same verdicts.
+    std::istringstream in(out.str(), std::ios::binary);
+    streaming_diagnoser restored = streaming_diagnoser::restore(in);
+    const matrix more = legacy_bins(k_legacy_prefix_bins + 12, 99);
+    for (std::size_t r = k_legacy_prefix_bins; r < more.rows(); ++r) {
+        const diagnosis a = det.push(more.row(r));
+        const diagnosis b = restored.push(more.row(r));
+        EXPECT_EQ(fold_diagnosis(0, a), fold_diagnosis(0, b)) << "bin " << r;
     }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <stdexcept>
 
@@ -160,26 +162,42 @@ TEST(SeparationRule, SpikeInProjectionPushesAxisToAnomalous) {
 
 TEST(SeparationRule, KSigmaValidation) {
     const matrix y = structured_data(100, 4, 13);
-    separation_config sep;
-    sep.k_sigma = 0.0;
-    EXPECT_THROW(separate_normal_rank(fit_pca(y), sep), std::invalid_argument);
+    const pca_model pca = fit_pca(y);
+    for (const double k_sigma : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()}) {
+        separation_config sep;
+        sep.k_sigma = k_sigma;
+        EXPECT_THROW(separate_normal_rank(pca, sep), std::invalid_argument) << k_sigma;
+    }
 }
 
-// A served fit projects axis i only when the 3-sigma walk reaches it; the
-// offline fit projects every axis first. Both run the one walk over the
-// one u_i arithmetic, so their ranks -- and everything else the model
-// keeps -- must be bit-equal.
+// A served fit forms and projects axis i only when the 3-sigma walk
+// reaches it; the offline fit forms and projects every axis first. Both
+// run the one walk over the one u_i arithmetic on the same variances, so
+// the rank, variances, means and count are bit-equal; the served model
+// keeps the r + 1 axes the walk read, equal to the offline columns to
+// rounding.
 void expect_served_fit_matches_offline(const matrix& y, const separation_config& sep,
                                        std::size_t expected_rank) {
     const pca_model offline = fit_pca(y);
     const subspace_model served = subspace_model::fit(y, sep);
+    const std::size_t m = y.cols();
     EXPECT_EQ(served.normal_rank(), separate_normal_rank(offline, sep));
     EXPECT_EQ(served.normal_rank(), expected_rank);
-    EXPECT_EQ(served.pca().principal_axes, offline.principal_axes);
     EXPECT_EQ(served.pca().axis_variance, offline.axis_variance);
     EXPECT_EQ(served.pca().column_means, offline.column_means);
     EXPECT_EQ(served.pca().sample_count, offline.sample_count);
     EXPECT_TRUE(served.pca().projections.empty());
+
+    const matrix& axes = served.pca().principal_axes;
+    ASSERT_EQ(axes.rows(), m);
+    ASSERT_EQ(axes.cols(), std::min(expected_rank + 1, m));
+    for (std::size_t k = 0; k < axes.cols(); ++k) {
+        for (std::size_t i = 0; i < m; ++i) {
+            EXPECT_NEAR(axes(i, k), offline.principal_axes(i, k), 1e-12)
+                << "axis " << k << " link " << i;
+        }
+    }
 }
 
 TEST(SeparationRule, ServedFitMatchesOfflineFit) {
@@ -261,8 +279,9 @@ TEST(SpeDetector, LargeResidualSpikeIsFlagged) {
 
     vec measurement(y.row(100).begin(), y.row(100).end());
     // Push the measurement along the least-variance principal axis: it is
-    // almost surely in the anomalous subspace.
-    const vec worst_axis = model.pca().principal_axes.column(7);
+    // almost surely in the anomalous subspace. A served model keeps only
+    // the axes its walk read, so the axis comes from the offline fit.
+    const vec worst_axis = fit_pca(y).principal_axes.column(7);
     axpy(50.0, worst_axis, measurement);
     EXPECT_TRUE(det.test(measurement).anomalous);
 }

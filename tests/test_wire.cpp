@@ -692,6 +692,10 @@ enum class record_fault {
     rank_above_m,        // normal rank larger than m
     zero_cols_header,    // a matrix header with rows > 0 and cols = 0
     bad_confidence,      // confidence outside (0, 1)
+    nan_k_sigma,         // a k_sigma the separation rule refuses: NaN,
+    inf_k_sigma,         // +inf (the walk would form every axis),
+    zero_k_sigma,        // zero
+    negative_k_sigma,    // or negative
     // Non-finite detector state, one slot each: every shape agrees, so
     // only restore's finiteness checks can refuse these.
     nan_routing,         // a NaN entry in A
@@ -702,12 +706,14 @@ enum class record_fault {
     nan_mean,            // a NaN column mean
 };
 
-constexpr std::array<record_fault, 10> k_record_faults = {
+constexpr std::array<record_fault, 14> k_record_faults = {
     record_fault::narrow_axes,       record_fault::short_variances,
     record_fault::short_means,       record_fault::narrow_window_row,
     record_fault::short_window,      record_fault::narrow_queued,
     record_fault::axes_row_mismatch, record_fault::rank_above_m,
-    record_fault::zero_cols_header,  record_fault::bad_confidence};
+    record_fault::zero_cols_header,  record_fault::bad_confidence,
+    record_fault::nan_k_sigma,       record_fault::inf_k_sigma,
+    record_fault::zero_k_sigma,      record_fault::negative_k_sigma};
 
 std::string fault_record(record_fault fault) {
     constexpr std::size_t m = 6;
@@ -729,7 +735,12 @@ std::string fault_record(record_fault fault) {
     ckpt::write_u64(out, 16);      // window
     ckpt::write_u64(out, 4);       // refit interval
     ckpt::write_f64(out, is(record_fault::bad_confidence) ? 1.5 : 0.999);  // confidence
-    ckpt::write_f64(out, 3.0);     // k_sigma
+    double k_sigma = 3.0;
+    if (is(record_fault::nan_k_sigma)) k_sigma = std::nan("");
+    if (is(record_fault::inf_k_sigma)) k_sigma = std::numeric_limits<double>::infinity();
+    if (is(record_fault::zero_k_sigma)) k_sigma = 0.0;
+    if (is(record_fault::negative_k_sigma)) k_sigma = -1.0;
+    ckpt::write_f64(out, k_sigma);
     ckpt::write_u64(out, 1);       // min_normal_axes
     ckpt::write_flag(out, false);  // no fixed rank
     ckpt::write_u64(out, 1);       // refit_mode::deferred

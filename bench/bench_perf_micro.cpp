@@ -6,11 +6,10 @@
 // Two parts:
 //   1. Engine comparison (always built): wall-clock of the serial
 //      detection sweeps vs batch_detector at several thread counts,
-//      written to BENCH_engine.json. The four kernel rows report the
-//      median and interquartile range of five runs per pool size; the
-//      two streaming rows are single runs. Results are checked
-//      bit-identical against the serial path, so this doubles as a smoke
-//      test.
+//      written to BENCH_engine.json. Each of the four kernel rows reports
+//      the median and interquartile range of five runs per pool size.
+//      Results are checked bit-identical against the serial path, so
+//      this doubles as a smoke test.
 //      Flags: --quick (small shapes, for CI smoke),
 //             --engine-json=PATH (default BENCH_engine.json),
 //             --engine-only (skip the google-benchmark suite).
@@ -32,9 +31,7 @@
 #include "linalg/svd.h"
 #include "linalg/svd_update.h"
 #include "measurement/presets.h"
-#include "serve/stream_server.h"
 #include "subspace/diagnoser.h"
-#include "subspace/online.h"
 
 namespace {
 
@@ -91,40 +88,21 @@ run_spread time_runs_ms(Fn&& fn) {
     return {quantile(ms, 0.5), quantile(ms, 0.75) - quantile(ms, 0.25)};
 }
 
-// Per-stream ingest-to-applied latency digest, copied straight out of
-// ingest_statistics() at the end of a run.
-struct latency_digest {
-    double p50_ms = 0.0;
-    double p99_ms = 0.0;
-    double max_ms = 0.0;
-};
-
+// Every row times k_kernel_runs runs: ms fields are medians, with their
+// interquartile ranges.
 struct thread_timing {
     std::size_t threads = 0;
     double ms = 0.0;
-    double iqr_ms = 0.0;    // only meaningful when the benchmark sets has_spread
-    double worst_ms = 0.0;  // only meaningful when the benchmark sets has_worst
-    latency_digest latency{};  // only meaningful when the benchmark sets has_latency
+    double iqr_ms = 0.0;
 };
 
 struct engine_benchmark {
     std::string name;
     std::size_t items = 0;  // rows or (flow, t) cells swept per run
     double serial_ms = 0.0;
+    double serial_iqr_ms = 0.0;
     std::vector<thread_timing> parallel;
     bool identical_to_serial = false;
-    // Kernel rows time k_kernel_runs runs: ms fields are medians, with
-    // their interquartile ranges. Other rows are single runs.
-    bool has_spread = false;
-    double serial_iqr_ms = 0.0;
-    // Latency-style benchmarks additionally report the worst single
-    // dispatch (e.g. the slowest ingest() call of a fan-in run).
-    bool has_worst = false;
-    double serial_worst_ms = 0.0;
-    // Ingest benchmarks additionally report the ingest-to-applied
-    // latency digest (enqueue staging to detector apply, per bin).
-    bool has_latency = false;
-    latency_digest serial_latency;
 };
 
 // Tiles the 1008 x 49 week vertically so the sweep has enough rows to
@@ -178,7 +156,6 @@ matrix synthetic_measurements(std::size_t t, std::size_t m) {
 
 // Records a kernel row's serial spread.
 void set_serial(engine_benchmark& out, run_spread spread) {
-    out.has_spread = true;
     out.serial_ms = spread.median_ms;
     out.serial_iqr_ms = spread.iqr_ms;
 }
@@ -292,199 +269,6 @@ engine_benchmark run_injection_sweep(const std::vector<std::size_t>& thread_coun
     return out;
 }
 
-// Streaming push path with periodic refits in flight. The recorded metric
-// is the *maximum* push latency over the stream: in blocking mode the
-// triggering push pays for the whole model fit; in deferred mode the fit
-// runs as a background task and pushes only swap at the horizon, so the
-// worst push stays near the per-bin diagnosis cost. "serial" is the
-// blocking mode; the identical flag checks that the deferred run at every
-// pool size reproduces the no-pool deferred run bit-for-bit (the
-// determinism contract -- blocking and deferred swap at different bins by
-// design, so they are not compared against each other).
-engine_benchmark run_streaming_push_sweep(const std::vector<std::size_t>& thread_counts,
-                                          bool quick) {
-    const dataset& ds = sprint1();
-    const std::size_t bootstrap_bins = 432;
-    matrix bootstrap(bootstrap_bins, ds.link_loads.cols());
-    for (std::size_t r = 0; r < bootstrap_bins; ++r) bootstrap.set_row(r, ds.link_loads.row(r));
-    const std::size_t pushed_bins =
-        std::min(ds.bin_count() - bootstrap_bins, quick ? std::size_t{120} : std::size_t{432});
-
-    streaming_config base;
-    base.window = bootstrap_bins;
-    base.refit_interval = quick ? 40 : 72;
-    base.mode = refit_mode::deferred;
-    base.swap_horizon = 8;
-
-    const auto max_push_ms = [&](streaming_config cfg, std::vector<diagnosis>* trace) {
-        streaming_diagnoser diag(bootstrap, ds.routing.a, cfg);
-        double worst = 0.0;
-        for (std::size_t r = 0; r < pushed_bins; ++r) {
-            const auto start = std::chrono::steady_clock::now();
-            diagnosis d = diag.push(ds.link_loads.row(bootstrap_bins + r));
-            worst = std::max(worst, elapsed_ms(start));
-            if (trace != nullptr) trace->push_back(std::move(d));
-        }
-        diag.drain();
-        return worst;
-    };
-
-    engine_benchmark out;
-    out.name = "streaming_push_max_latency";
-    out.items = pushed_bins;
-
-    streaming_config blocking = base;
-    blocking.mode = refit_mode::blocking;
-    out.serial_ms = max_push_ms(blocking, nullptr);
-
-    std::vector<diagnosis> reference;  // deferred without a pool
-    max_push_ms(base, &reference);
-
-    out.identical_to_serial = true;
-    for (std::size_t t : thread_counts) {
-        thread_pool pool(t);
-        streaming_config cfg = base;
-        cfg.pool = &pool;
-        std::vector<diagnosis> trace;
-        const double ms = max_push_ms(cfg, &trace);
-        bool same = trace.size() == reference.size();
-        for (std::size_t r = 0; same && r < trace.size(); ++r) {
-            same = trace[r].anomalous == reference[r].anomalous &&
-                   trace[r].spe == reference[r].spe &&
-                   trace[r].threshold == reference[r].threshold &&
-                   trace[r].flow == reference[r].flow &&
-                   trace[r].magnitude == reference[r].magnitude &&
-                   trace[r].estimated_bytes == reference[r].estimated_bytes;
-        }
-        out.identical_to_serial = out.identical_to_serial && same;
-        out.parallel.push_back({t, ms});
-    }
-    return out;
-}
-
-// Multi-pusher ingest: P producer threads feed ONE diagnoser stream
-// concurrently through the MPSC inbox edge (auto-drain),
-// with no caller-side ordering. Reported per pool size: total wall clock
-// from first ingest to the final flush (aggregate fan-in throughput),
-// the worst single ingest() call (the straggler bound: a producer that
-// wins the drain role pays for applying pending bins, including any
-// refit wait falling due), and the per-bin ingest-to-applied latency
-// digest from ingest_statistics(). "serial" is one producer over the
-// no-pool server. The identical flag is the ingest parity contract:
-// every run's applied output -- replayed through a standalone
-// single-pusher detector in the exact sequence order the inbox assigned
-// -- matches bit-for-bit.
-engine_benchmark run_multipusher_sweep(const std::vector<std::size_t>& thread_counts,
-                                       std::size_t producers, bool quick) {
-    const dataset& ds = sprint1();
-    const std::size_t boot_rows = 144;  // one day of 10-minute bins
-    const std::size_t bins =
-        std::min(ds.bin_count() - boot_rows, quick ? std::size_t{192} : std::size_t{576});
-
-    matrix bootstrap(boot_rows, ds.link_loads.cols());
-    for (std::size_t r = 0; r < boot_rows; ++r) bootstrap.set_row(r, ds.link_loads.row(r));
-
-    streaming_config stream_cfg;
-    stream_cfg.window = boot_rows;
-    stream_cfg.refit_interval = quick ? 24 : 48;
-    stream_cfg.swap_horizon = 8;
-    stream_cfg.mode = refit_mode::deferred;
-    // Producer interleaving decides the refit windows' row order; pin the
-    // separation rank so no interleaving can produce a model with an
-    // empty residual subspace (which the diagnoser rejects).
-    stream_cfg.separation.fixed_rank = 8;
-
-    struct run_capture {
-        std::vector<detection_result> results;  // in sequence order
-        std::vector<std::size_t> row_of;        // sequence -> dataset row
-    };
-
-    const auto run = [&](std::size_t pool_threads, std::size_t n_producers, double* total_ms,
-                         double* worst_ms, latency_digest* latency) {
-        stream_server server({.threads = pool_threads});
-        run_capture rc;
-        rc.results.reserve(bins);
-        rc.row_of.assign(bins, 0);
-
-        stream_open_config cfg;
-        cfg.kind = stream_kind::diagnoser;
-        cfg.a = ds.routing.a;
-        cfg.bootstrap_y = bootstrap;
-        cfg.streaming = stream_cfg;
-        cfg.ingest.capacity = 512;
-        cfg.ingest.sink = [&rc](std::uint64_t, const detection_result& r) {
-            rc.results.push_back(r);
-        };
-        const stream_id id = server.open_stream(std::move(cfg));
-
-        // Disjoint contiguous row slices, one per producer.
-        const std::size_t share = (bins + n_producers - 1) / n_producers;
-        std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>> recorded(n_producers);
-        std::vector<double> worst(n_producers, 0.0);
-
-        const auto start = std::chrono::steady_clock::now();
-        std::vector<std::thread> threads;
-        for (std::size_t p = 0; p < n_producers; ++p) {
-            threads.emplace_back([&, p] {
-                const std::size_t begin = p * share;
-                const std::size_t end = std::min(bins, begin + share);
-                for (std::size_t i = begin; i < end; ++i) {
-                    const std::size_t row = boot_rows + i;
-                    const auto push_start = std::chrono::steady_clock::now();
-                    const ingest_result r = server.ingest(id, ds.link_loads.row(row));
-                    worst[p] = std::max(worst[p], elapsed_ms(push_start));
-                    if (r.ok()) recorded[p].emplace_back(r.sequence, row);
-                }
-            });
-        }
-        for (std::thread& t : threads) t.join();
-        server.flush_stream(id);
-        *total_ms = elapsed_ms(start);
-        *worst_ms = *std::max_element(worst.begin(), worst.end());
-        const ingest_stats st = server.ingest_statistics(id);
-        latency->p50_ms = st.latency_p50_ms;
-        latency->p99_ms = st.latency_p99_ms;
-        latency->max_ms = st.latency_max_ms;
-        server.drain_all();
-
-        for (const auto& rec : recorded) {
-            for (const auto& [seq, row] : rec) rc.row_of[seq] = row;
-        }
-        return rc;
-    };
-
-    // The parity check: a standalone single-pusher detector fed the run's
-    // bins in inbox sequence order must reproduce every result.
-    const auto replay_matches = [&](const run_capture& rc) {
-        if (rc.results.size() != bins) return false;
-        streaming_diagnoser twin(bootstrap, ds.routing.a, stream_cfg);
-        std::vector<detection_result> want;
-        want.reserve(bins);
-        for (std::size_t i = 0; i < bins; ++i) {
-            want.push_back(twin.push_bin(ds.link_loads.row(rc.row_of[i])));
-        }
-        return same_results(want, rc.results);
-    };
-
-    engine_benchmark out;
-    out.name = "multipusher_ingest_" + std::to_string(producers) + "producers";
-    out.items = bins;
-    out.has_worst = true;
-    out.has_latency = true;
-
-    run_capture serial = run(0, 1, &out.serial_ms, &out.serial_worst_ms, &out.serial_latency);
-    out.identical_to_serial = replay_matches(serial);
-
-    for (const std::size_t t : thread_counts) {
-        thread_timing timing;
-        timing.threads = t;
-        run_capture rc = run(t, producers, &timing.ms, &timing.worst_ms, &timing.latency);
-        out.identical_to_serial = out.identical_to_serial && replay_matches(rc);
-        out.parallel.push_back(timing);
-    }
-    return out;
-}
-
 bool write_engine_json(const std::string& path, const std::vector<engine_benchmark>& benches,
                        bool quick) {
     std::FILE* f = std::fopen(path.c_str(), "w");
@@ -501,22 +285,9 @@ bool write_engine_json(const std::string& path, const std::vector<engine_benchma
         std::fprintf(f, "    {\n");
         std::fprintf(f, "      \"name\": \"%s\",\n", eb.name.c_str());
         std::fprintf(f, "      \"items\": %zu,\n", eb.items);
-        if (eb.has_spread) std::fprintf(f, "      \"runs\": %d,\n", k_kernel_runs);
+        std::fprintf(f, "      \"runs\": %d,\n", k_kernel_runs);
         std::fprintf(f, "      \"serial_ms\": %.6f,\n", eb.serial_ms);
-        if (eb.has_spread) {
-            std::fprintf(f, "      \"serial_iqr_ms\": %.6f,\n", eb.serial_iqr_ms);
-        }
-        if (eb.has_worst) {
-            std::fprintf(f, "      \"serial_worst_batch_ms\": %.6f,\n", eb.serial_worst_ms);
-        }
-        if (eb.has_latency) {
-            std::fprintf(f, "      \"ingest_latency_p50_ms\": %.6f,\n",
-                         eb.serial_latency.p50_ms);
-            std::fprintf(f, "      \"ingest_latency_p99_ms\": %.6f,\n",
-                         eb.serial_latency.p99_ms);
-            std::fprintf(f, "      \"ingest_latency_max_ms\": %.6f,\n",
-                         eb.serial_latency.max_ms);
-        }
+        std::fprintf(f, "      \"serial_iqr_ms\": %.6f,\n", eb.serial_iqr_ms);
         std::fprintf(f, "      \"identical_to_serial\": %s,\n",
                      eb.identical_to_serial ? "true" : "false");
         std::fprintf(f, "      \"parallel\": [\n");
@@ -527,21 +298,10 @@ bool write_engine_json(const std::string& path, const std::vector<engine_benchma
             // is scheduling noise, not a measurement.
             std::fprintf(f,
                          "        {\"threads\": %zu, \"ms\": %.6f, \"speedup\": %.3f, "
-                         "\"measured\": %s",
+                         "\"measured\": %s, \"iqr_ms\": %.6f}%s\n",
                          tt.threads, tt.ms, speedup,
-                         tt.threads > std::thread::hardware_concurrency() ? "false" : "true");
-            if (eb.has_spread) std::fprintf(f, ", \"iqr_ms\": %.6f", tt.iqr_ms);
-            if (eb.has_worst) {
-                std::fprintf(f, ", \"worst_batch_ms\": %.6f", tt.worst_ms);
-            }
-            if (eb.has_latency) {
-                std::fprintf(f,
-                             ", \"ingest_latency_p50_ms\": %.6f, "
-                             "\"ingest_latency_p99_ms\": %.6f, "
-                             "\"ingest_latency_max_ms\": %.6f",
-                             tt.latency.p50_ms, tt.latency.p99_ms, tt.latency.max_ms);
-            }
-            std::fprintf(f, "}%s\n", p + 1 < eb.parallel.size() ? "," : "");
+                         tt.threads > std::thread::hardware_concurrency() ? "false" : "true",
+                         tt.iqr_ms, p + 1 < eb.parallel.size() ? "," : "");
         }
         std::fprintf(f, "      ]\n");
         std::fprintf(f, "    }%s\n", b + 1 < benches.size() ? "," : "");
@@ -574,38 +334,17 @@ bool run_engine_comparison(const std::string& json_path, bool quick) {
     benches.push_back(run_spe_series_sweep(thread_counts, quick));
     benches.push_back(run_spe_sweep(thread_counts, quick));
     benches.push_back(run_injection_sweep(thread_counts, quick));
-    benches.push_back(run_streaming_push_sweep(thread_counts, quick));
-    // Producer fan-in through the MPSC ingest inbox (pool sizes within),
-    // with an ingest-to-applied latency digest per pool size.
-    benches.push_back(run_multipusher_sweep(thread_counts, /*producers=*/4, quick));
 
     bool all_identical = true;
     for (const engine_benchmark& eb : benches) {
         std::printf("%-22s %zu items, serial %.3f ms, results %s\n", eb.name.c_str(), eb.items,
                     eb.serial_ms, eb.identical_to_serial ? "bit-identical" : "DIVERGED");
-        if (eb.has_spread) {
-            std::printf("    median of %d runs; serial IQR %.3f ms\n", k_kernel_runs,
-                        eb.serial_iqr_ms);
-        }
+        std::printf("    median of %d runs; serial IQR %.3f ms\n", k_kernel_runs,
+                    eb.serial_iqr_ms);
         for (const thread_timing& tt : eb.parallel) {
-            if (eb.has_spread) {
-                std::printf("    %zu thread%s: %.3f ms (%.2fx), IQR %.3f ms\n", tt.threads,
-                            tt.threads == 1 ? " " : "s", tt.ms,
-                            tt.ms > 0.0 ? eb.serial_ms / tt.ms : 0.0, tt.iqr_ms);
-            } else if (eb.has_worst) {
-                std::printf("    %zu thread%s: %.3f ms (%.2fx), worst batch %.3f ms\n",
-                            tt.threads, tt.threads == 1 ? " " : "s", tt.ms,
-                            tt.ms > 0.0 ? eb.serial_ms / tt.ms : 0.0, tt.worst_ms);
-            } else {
-                std::printf("    %zu thread%s: %.3f ms (%.2fx)\n", tt.threads,
-                            tt.threads == 1 ? " " : "s", tt.ms,
-                            tt.ms > 0.0 ? eb.serial_ms / tt.ms : 0.0);
-            }
-            if (eb.has_latency) {
-                std::printf("        ingest-to-applied p50 %.3f ms, p99 %.3f ms, "
-                            "max %.3f ms\n",
-                            tt.latency.p50_ms, tt.latency.p99_ms, tt.latency.max_ms);
-            }
+            std::printf("    %zu thread%s: %.3f ms (%.2fx), IQR %.3f ms\n", tt.threads,
+                        tt.threads == 1 ? " " : "s", tt.ms,
+                        tt.ms > 0.0 ? eb.serial_ms / tt.ms : 0.0, tt.iqr_ms);
         }
         all_identical = all_identical && eb.identical_to_serial;
     }

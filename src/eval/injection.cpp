@@ -49,11 +49,12 @@ injection_summary run_injection_experiment(const dataset& ds,
         base_residuals.push_back(model.residual(ds.link_loads.row(t)));
     }
 
-    // Residual shift per flow: C~ A_i = ||A_i|| * theta~_i.
+    // Residual shift per flow: C~ A_i = ||A_i|| * theta~_i (zero for an
+    // undetectable flow), formed once per flow.
     std::vector<vec> shift(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const auto theta_res = identifier.residual_direction(i);
-        shift[i] = scaled(theta_res, identifier.routing_column_norm(i) * cfg.spike_bytes);
+        shift[i] = scaled(identifier.residual_direction(i),
+                          identifier.routing_column_norm(i) * cfg.spike_bytes);
     }
 
     // Map phase: sweep each flow independently into its own slot.

@@ -18,6 +18,10 @@ namespace {
 
 constexpr std::uint64_t k_magic = 0x314b434453444eull;             // "NDSDCK1" packed
 constexpr std::uint64_t k_interchange_magic = 0x3149434453444eull;  // "NDSDCI1" packed
+// Version 4: streaming_diagnoser records carry the routing matrix as
+// per-flow runs of its nonzeros instead of a dense matrix, their lengths
+// and link indices in the u64 array primitive (new in this version);
+// version-2 and -3 records still load, their dense A converted once.
 // Version 3: the stream_server's per-stream records became containers
 // that carry the ingest-inbox configuration, counters and residue around
 // the nested detector record (tag "server_stream"); detector record
@@ -28,7 +32,7 @@ constexpr std::uint64_t k_interchange_magic = 0x3149434453444eull;  // "NDSDCI1"
 // The interchange encoding wraps the same logical layouts (same version
 // numbers) in tagged little-endian primitives; see the header comment
 // and docs/CHECKPOINT_FORMAT.md.
-constexpr std::uint64_t k_format_version = 3;
+constexpr std::uint64_t k_format_version = 4;
 constexpr std::uint64_t k_min_format_version = 2;
 
 // Encoding state attached to a stream (std::ios_base::iword). The
@@ -66,6 +70,7 @@ constexpr char k_tag_f64 = 'F';
 constexpr char k_tag_string = 'S';
 constexpr char k_tag_vec = 'V';
 constexpr char k_tag_matrix = 'M';
+constexpr char k_tag_u64_array = 'W';
 
 // std::byteswap is C++23; the magic-word probes below need it.
 constexpr std::uint64_t byteswap_u64(std::uint64_t v) {
@@ -141,14 +146,16 @@ void check_payload_fits(std::istream& in, std::uint64_t claimed_bytes, const cha
     }
 }
 
-// Bulk double payloads. Doubles travel as their IEEE bit patterns; in
-// interchange mode each 8-byte pattern is little-endian on the wire. On
-// a little-endian host the in-memory layout already matches, so the bulk
-// path is a single raw write/read.
-void write_doubles(std::ostream& out, const double* data, std::size_t count, long mode) {
+// Bulk 8-byte payloads: doubles, which travel as their IEEE bit
+// patterns, and u64 words. In interchange mode each word is
+// little-endian on the wire. On a little-endian host the in-memory layout
+// already matches, so the bulk path is a single raw write/read.
+template <typename Word>
+void write_words(std::ostream& out, const Word* data, std::size_t count, long mode) {
+    static_assert(sizeof(Word) == sizeof(std::uint64_t));
     if (count == 0) return;
     if (mode == k_mode_native || std::endian::native == std::endian::little) {
-        write_raw(out, data, count * sizeof(double));
+        write_raw(out, data, count * sizeof(Word));
         return;
     }
     for (std::size_t i = 0; i < count; ++i) {
@@ -174,16 +181,51 @@ static_assert(!needs_byteswap(k_mode_interchange_swapped, /*host_little=*/false)
 static_assert(!needs_byteswap(k_mode_native, /*host_little=*/true));
 static_assert(!needs_byteswap(k_mode_native, /*host_little=*/false));
 
-void read_doubles(std::istream& in, double* data, std::size_t count, long mode) {
+template <typename Word>
+void read_words(std::istream& in, Word* data, std::size_t count, long mode) {
+    static_assert(sizeof(Word) == sizeof(std::uint64_t));
     if (count == 0) return;
-    read_raw(in, data, count * sizeof(double));
+    read_raw(in, data, count * sizeof(Word));
     if (!needs_byteswap(mode, std::endian::native == std::endian::little)) return;
     for (std::size_t i = 0; i < count; ++i) {
         std::uint64_t bits = 0;
         std::memcpy(&bits, data + i, sizeof bits);
         bits = byteswap_u64(bits);
-        data[i] = std::bit_cast<double>(bits);
+        data[i] = std::bit_cast<Word>(bits);
     }
+}
+
+// A count, then that many 8-byte words: the layout of a vec and of a u64
+// array, which differ only in their interchange tag.
+template <typename Word>
+void write_array(std::ostream& out, const std::vector<Word>& value, char tag) {
+    const long mode = stream_mode(out);
+    if (mode == k_mode_native) {
+        write_u64(out, value.size());
+    } else {
+        write_tag(out, tag);
+        write_u64_le(out, value.size());
+    }
+    write_words(out, value.data(), value.size(), mode);
+}
+
+template <typename Word>
+std::vector<Word> read_array(std::istream& in, char tag, const char* what) {
+    const long mode = stream_mode(in);
+    std::uint64_t size = 0;
+    if (mode == k_mode_native) {
+        size = read_u64(in);
+    } else {
+        expect_tag(in, tag);
+        size = read_u64_word(in, mode);
+    }
+    if (size > (1u << 28)) {
+        throw std::runtime_error(std::string("stream_checkpoint: ") + what + " too large");
+    }
+    check_payload_fits(in, size * sizeof(Word), what);
+    std::vector<Word> value(size, Word{});
+    read_words(in, value.data(), size, mode);
+    return value;
 }
 
 }  // namespace
@@ -231,14 +273,11 @@ void write_string(std::ostream& out, const std::string& value) {
 }
 
 void write_vec(std::ostream& out, const std::vector<double>& value) {
-    const long mode = stream_mode(out);
-    if (mode == k_mode_native) {
-        write_u64(out, value.size());
-    } else {
-        write_tag(out, k_tag_vec);
-        write_u64_le(out, value.size());
-    }
-    write_doubles(out, value.data(), value.size(), mode);
+    write_array(out, value, k_tag_vec);
+}
+
+void write_u64_array(std::ostream& out, const std::vector<std::uint64_t>& value) {
+    write_array(out, value, k_tag_u64_array);
 }
 
 void write_matrix(std::ostream& out, const matrix& value) {
@@ -251,7 +290,7 @@ void write_matrix(std::ostream& out, const matrix& value) {
         write_u64_le(out, value.rows());
         write_u64_le(out, value.cols());
     }
-    write_doubles(out, value.data(), value.size(), mode);
+    write_words(out, value.data(), value.size(), mode);
 }
 
 std::uint64_t read_u64(std::istream& in) {
@@ -299,19 +338,11 @@ std::string read_string(std::istream& in) {
 }
 
 std::vector<double> read_vec(std::istream& in) {
-    const long mode = stream_mode(in);
-    std::uint64_t size = 0;
-    if (mode == k_mode_native) {
-        size = read_u64(in);
-    } else {
-        expect_tag(in, k_tag_vec);
-        size = read_u64_word(in, mode);
-    }
-    if (size > (1u << 28)) throw std::runtime_error("stream_checkpoint: vector too large");
-    check_payload_fits(in, size * sizeof(double), "vector");
-    std::vector<double> value(size, 0.0);
-    read_doubles(in, value.data(), size, mode);
-    return value;
+    return read_array<double>(in, k_tag_vec, "vector");
+}
+
+std::vector<std::uint64_t> read_u64_array(std::istream& in) {
+    return read_array<std::uint64_t>(in, k_tag_u64_array, "u64 array");
 }
 
 matrix read_matrix(std::istream& in) {
@@ -337,7 +368,7 @@ matrix read_matrix(std::istream& in) {
     }
     check_payload_fits(in, rows * cols * sizeof(double), "matrix");
     matrix value(rows, cols, 0.0);
-    read_doubles(in, value.data(), value.size(), mode);
+    read_words(in, value.data(), value.size(), mode);
     return value;
 }
 
@@ -438,11 +469,13 @@ std::uint64_t format_version() noexcept { return k_format_version; }
 
 std::uint64_t min_supported_format_version() noexcept { return k_min_format_version; }
 
-void expect_header(std::istream& in, const std::string& type_tag) {
-    const std::string tag = read_header(in);
-    if (tag != type_tag) {
-        throw std::runtime_error("stream_checkpoint: expected " + type_tag + ", found " + tag);
+std::uint64_t expect_header(std::istream& in, const std::string& type_tag) {
+    const header_info info = read_header_info(in);
+    if (info.type_tag != type_tag) {
+        throw std::runtime_error("stream_checkpoint: expected " + type_tag + ", found " +
+                                 info.type_tag);
     }
+    return info.version;
 }
 
 view_streambuf::view_streambuf(std::string_view bytes) {

@@ -71,6 +71,8 @@ void write_flag(std::ostream& out, bool value);
 void write_string(std::ostream& out, const std::string& value);
 void write_vec(std::ostream& out, const std::vector<double>& value);
 void write_matrix(std::ostream& out, const matrix& value);
+// A count, then that many u64 words in one bulk write (format 4 on).
+void write_u64_array(std::ostream& out, const std::vector<std::uint64_t>& value);
 
 std::uint64_t read_u64(std::istream& in);
 double read_f64(std::istream& in);
@@ -78,6 +80,7 @@ bool read_flag(std::istream& in);
 std::string read_string(std::istream& in);
 std::vector<double> read_vec(std::istream& in);
 matrix read_matrix(std::istream& in);
+std::vector<std::uint64_t> read_u64_array(std::istream& in);
 
 // Bytes between the stream's current position and its end, or nullopt
 // when the stream is not seekable. The readers above validate every
@@ -111,9 +114,10 @@ header_info read_header_info(std::istream& in);
 // read_header_info, returning only the tag.
 std::string read_header(std::istream& in);
 // Reads the header and throws unless the tag matches (restore guards).
-void expect_header(std::istream& in, const std::string& type_tag);
+// Returns the record's format version, for readers whose layout changed.
+std::uint64_t expect_header(std::istream& in, const std::string& type_tag);
 
-// The version write_header stamps on new records (currently 3) and the
+// The version write_header stamps on new records (currently 4) and the
 // oldest version read_header still accepts (currently 2; version-1 files
 // predate the queued-refit slot and are rejected). The byte-level spec
 // of every version lives in docs/CHECKPOINT_FORMAT.md.
@@ -157,7 +161,7 @@ std::unique_ptr<stream_detector> load_stream_detector(const std::string& path,
 
 // Same, reading a detector record from the stream's current position --
 // the seam for container records that nest a detector record after their
-// own fields (the stream_server's format-v3 per-stream checkpoints). The
+// own fields (the stream_server's server_stream per-stream checkpoints). The
 // stream must be seekable across the record header.
 std::unique_ptr<stream_detector> load_stream_detector(std::istream& in,
                                                       thread_pool* pool = nullptr);

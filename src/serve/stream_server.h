@@ -62,7 +62,7 @@
 // assert_wait_allowed() enforces this at runtime), and quiesce all API
 // calls before destroying the server.
 //
-// Checkpointing: snapshot_all writes format-v3 per-stream records that
+// Checkpointing: snapshot_all writes server_stream per-stream records that
 // carry the ingest inbox's configuration and *residue* (pending,
 // not-yet-applied bins) next to the detector state, so a server
 // snapshotted with non-empty inboxes restores to exactly that state and
@@ -299,7 +299,7 @@ public:
     // --- Checkpointing ----------------------------------------------------
 
     // Checkpoints every stream into directory (created if missing):
-    // stream_<id>.ckpt per stream -- a format-v3 record carrying the
+    // stream_<id>.ckpt per stream -- a server_stream record carrying the
     // ingest inbox configuration, counters and residue (pending bins are
     // saved, NOT drained) around the detector state -- plus a manifest
     // binding ids to files. Detector maintenance is drained first, so the
@@ -322,7 +322,7 @@ public:
     void restore_all(const std::string& directory);
 
     // Checkpoints ONE stream as a self-contained per-stream record (the
-    // same format-v3 "server_stream" container snapshot_all writes) onto
+    // same "server_stream" container snapshot_all writes) onto
     // the given stream, in the given encoding -- interchange for records
     // that travel between hosts (the wire protocol's snapshot payload;
     // docs/WIRE_FORMAT.md). Quiesces the stream for the write (drain role
@@ -380,8 +380,8 @@ private:
     std::shared_ptr<stream_entry> find_entry(stream_id id) const;
     std::shared_ptr<stream_entry> entry_or_throw(stream_id id) const;
     std::unique_ptr<stream_detector> build_detector(stream_open_config&& cfg);
-    // Shared per-stream record codec: writes/reads the format-v3
-    // "server_stream" container (inbox config + counters + residue +
+    // Shared per-stream record codec: writes/reads the (format v3 and
+    // later) "server_stream" container (inbox config + counters + residue +
     // nested detector record). The writer requires the stream quiesced
     // (maint_mu_, drain role and entry lock held by the caller) and takes
     // no lock of its own; the reader builds a fresh, unpublished entry and

@@ -72,6 +72,12 @@ public:
     // direction vectors theta_i, which are displacements, not measurements.
     vec project_direction_residual(std::span<const double> direction) const;
 
+    // Normal axis v_k (k < normal_rank(), unchecked), m long and
+    // contiguous: identification dots it with each flow's sparse theta_i.
+    std::span<const double> normal_axis(std::size_t k) const noexcept {
+        return normal_axes_t_.row(k);
+    }
+
     // SPE for every row of a measurement matrix. A non-null pool shards
     // the rows once rows * m * rank reaches 2^15 (one result slot per row,
     // bit-identical to serial).

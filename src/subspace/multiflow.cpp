@@ -74,6 +74,7 @@ multi_flow_result identify_multi_flow_greedy(const subspace_model& model, const 
     if (max_flows == 0) throw std::invalid_argument("identify_multi_flow_greedy: max_flows zero");
 
     const flow_identifier identifier(model, a);
+    const routing_terms& routing = identifier.routing();
     std::vector<std::size_t> chosen;
     vec residual = model.residual(y);
 
@@ -82,14 +83,17 @@ multi_flow_result identify_multi_flow_greedy(const subspace_model& model, const 
 
     while (chosen.size() < max_flows && best.residual_spe > target_spe) {
         // Pick the single flow explaining the most of the current residual,
-        // excluding those already chosen.
+        // excluding those already chosen. The working residual stays inside
+        // the residual subspace, so <theta~_i, r> = theta_i^T r: a sparse
+        // dot over flow i's path.
         double best_score = -1.0;
         std::size_t best_flow = identifier.candidate_count();
         for (std::size_t i = 0; i < identifier.candidate_count(); ++i) {
-            if (identifier.residual_direction_norm_squared(i) == 0.0) continue;
+            const double norm2 = identifier.residual_direction_norm_squared(i);
+            if (norm2 == 0.0) continue;
             if (std::find(chosen.begin(), chosen.end(), i) != chosen.end()) continue;
-            const double proj = dot(identifier.residual_direction(i), residual);
-            const double score = proj * proj / identifier.residual_direction_norm_squared(i);
+            const double proj = routing.theta_dot(i, residual);
+            const double score = proj * proj / norm2;
             if (score > best_score) {
                 best_score = score;
                 best_flow = i;

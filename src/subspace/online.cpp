@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "engine/thread_pool.h"
 #include "measurement/centering.h"
@@ -28,7 +30,7 @@ bool all_entries_finite(const matrix& values) {
 // rank fully determine a subspace_model, and with the routing terms and
 // confidence they rebuild a volume_anomaly_diagnoser exactly. Served
 // models carry no projections, so their slot is written as an empty 0x0
-// matrix; the layout (format version 3) is unchanged.
+// matrix.
 void write_model(std::ostream& out, const subspace_model& model) {
     const pca_model& pca = model.pca();
     ckpt::write_matrix(out, pca.principal_axes);
@@ -68,6 +70,58 @@ subspace_model read_model(std::istream& in, std::size_t m) {
     return {std::move(pca), rank};
 }
 
+// The routing block of a format-4 record: A as per-flow runs (link
+// count, each flow's run length, every run's links, then all values; see
+// docs/CHECKPOINT_FORMAT.md).
+void write_routing(std::ostream& out, const routing_terms& terms) {
+    std::vector<std::uint64_t> lengths(terms.flows());
+    std::vector<std::uint64_t> links;
+    std::vector<double> values;
+    links.reserve(terms.nonzeros());
+    values.reserve(terms.nonzeros());
+    for (std::size_t i = 0; i < terms.flows(); ++i) {
+        const auto run = terms.run_links(i);
+        lengths[i] = run.size();
+        links.insert(links.end(), run.begin(), run.end());
+        const auto run_values = terms.run_values(i);
+        values.insert(values.end(), run_values.begin(), run_values.end());
+    }
+    ckpt::write_u64(out, terms.links());
+    ckpt::write_u64_array(out, lengths);
+    ckpt::write_u64_array(out, links);
+    ckpt::write_vec(out, values);
+}
+
+// Reads the routing block of a record written with the given format
+// version. Versions 2 and 3 hold A dense, converted here once. The codec
+// checks each array's count against the remaining input before
+// allocating it; routing_terms then refuses runs whose lengths disagree
+// with the arrays, whose links do not ascend below m, or whose values are
+// zero or non-finite.
+std::shared_ptr<const routing_terms> read_routing(std::istream& in, std::uint64_t version) {
+    if (version < 4) {
+        const matrix a = ckpt::read_matrix(in);
+        if (a.empty()) {
+            throw std::runtime_error("streaming_diagnoser::restore: empty routing matrix");
+        }
+        if (!all_entries_finite(a)) {
+            throw std::runtime_error(
+                "streaming_diagnoser::restore: non-finite routing matrix value");
+        }
+        return std::make_shared<const routing_terms>(a);
+    }
+    const std::uint64_t links = ckpt::read_u64(in);
+    const std::vector<std::uint64_t> lengths = ckpt::read_u64_array(in);
+    const std::vector<std::uint64_t> run_links = ckpt::read_u64_array(in);
+    std::vector<double> values = ckpt::read_vec(in);
+    try {
+        return std::make_shared<const routing_terms>(links, lengths, run_links,
+                                                     std::move(values));
+    } catch (const std::invalid_argument& e) {
+        throw std::runtime_error(std::string("streaming_diagnoser::restore: ") + e.what());
+    }
+}
+
 }  // namespace
 
 matrix window_to_matrix(const std::deque<vec>& window) {
@@ -86,8 +140,7 @@ matrix window_to_matrix(const std::deque<vec>& window) {
 streaming_diagnoser::streaming_diagnoser(const matrix& bootstrap_y, const matrix& a,
                                          streaming_config cfg)
     : cfg_(std::move(cfg)),
-      a_(a),
-      terms_(std::make_shared<const routing_terms>(a_)),
+      terms_(std::make_shared<const routing_terms>(a)),
       diagnoser_(subspace_model::fit(bootstrap_y, cfg_.separation, cfg_.pool), terms_,
                  cfg_.confidence) {
     if (cfg_.window < 2) throw std::invalid_argument("streaming_diagnoser: window too small");
@@ -231,7 +284,7 @@ void streaming_diagnoser::save(std::ostream& out) {
     if (cfg_.separation.fixed_rank) ckpt::write_u64(out, *cfg_.separation.fixed_rank);
     ckpt::write_u64(out, static_cast<std::uint64_t>(cfg_.mode));
     ckpt::write_u64(out, cfg_.swap_horizon);
-    ckpt::write_matrix(out, a_);
+    write_routing(out, *terms_);
     ckpt::write_u64(out, window_.size());
     for (const vec& row : window_) ckpt::write_vec(out, row);
     ckpt::write_u64(out, epoch_);
@@ -251,7 +304,6 @@ void streaming_diagnoser::save(std::ostream& out) {
 
 struct streaming_diagnoser::restored_state {
     streaming_config cfg;
-    matrix a;
     std::shared_ptr<const routing_terms> terms;
     std::deque<vec> window;
     volume_anomaly_diagnoser diagnoser;
@@ -267,7 +319,6 @@ struct streaming_diagnoser::restored_state {
 
 streaming_diagnoser::streaming_diagnoser(restored_state&& state)
     : cfg_(std::move(state.cfg)),
-      a_(std::move(state.a)),
       terms_(std::move(state.terms)),
       window_(std::move(state.window)),
       diagnoser_(std::move(state.diagnoser)),
@@ -281,7 +332,7 @@ streaming_diagnoser::streaming_diagnoser(restored_state&& state)
       swap_at_(state.swap_at) {}
 
 streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* pool) {
-    ckpt::expect_header(in, "streaming_diagnoser");
+    const std::uint64_t version = ckpt::expect_header(in, "streaming_diagnoser");
     streaming_config cfg;
     cfg.window = ckpt::read_u64(in);
     cfg.refit_interval = ckpt::read_u64(in);
@@ -309,12 +360,8 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
 
     // Every shape below is checked against A's link count m: restore
     // refuses a record whose parts disagree instead of serving from it.
-    matrix a = ckpt::read_matrix(in);
-    if (a.empty()) throw std::runtime_error("streaming_diagnoser::restore: empty routing matrix");
-    if (!all_entries_finite(a)) {
-        throw std::runtime_error("streaming_diagnoser::restore: non-finite routing matrix value");
-    }
-    const std::size_t m = a.rows();
+    std::shared_ptr<const routing_terms> terms = read_routing(in, version);
+    const std::size_t m = terms->links();
     const std::uint64_t window_size = ckpt::read_u64(in);
     if (window_size > cfg.window) {
         throw std::runtime_error("streaming_diagnoser::restore: window larger than configured");
@@ -338,6 +385,9 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     const std::size_t alarms = ckpt::read_u64(in);
     const std::size_t refits = ckpt::read_u64(in);
     const std::size_t since_refit = ckpt::read_u64(in);
+    if (alarms > processed) {
+        throw std::runtime_error("streaming_diagnoser::restore: more alarms than processed bins");
+    }
     subspace_model live_model = read_model(in, m);
     std::optional<subspace_model> ready_model;
     std::size_t swap_at = 0;
@@ -348,7 +398,8 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     std::optional<matrix> queued_window;
     if (ckpt::read_flag(in)) {
         queued_window = ckpt::read_matrix(in);
-        if (queued_window->cols() != m || queued_window->rows() < 2) {
+        if (queued_window->cols() != m || queued_window->rows() < 2 ||
+            queued_window->rows() > cfg.window) {
             throw std::runtime_error("streaming_diagnoser::restore: queued window shape mismatch");
         }
         if (!all_entries_finite(*queued_window)) {
@@ -359,7 +410,6 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     // The diagnosers' constructors re-check what the public API forbids
     // (unidentifiable flows, a confidence outside (0, 1), ...). Coming
     // from a record, any of those is malformed input.
-    auto terms = std::make_shared<const routing_terms>(a);
     std::optional<volume_anomaly_diagnoser> diagnoser;
     std::optional<volume_anomaly_diagnoser> ready;
     try {
@@ -371,7 +421,6 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
 
     restored_state state{
         .cfg = std::move(cfg),
-        .a = std::move(a),
         .terms = std::move(terms),
         .window = std::move(window),
         .diagnoser = std::move(*diagnoser),
@@ -595,7 +644,7 @@ tracking_detector tracking_detector::restore(std::istream& in) {
     state.alarms = ckpt::read_u64(in);
     state.epoch = ckpt::read_u64(in);
     incremental_pca_tracker tracker = incremental_pca_tracker::restore(in);
-    if (tracker.dimension() != state.dimension ||
+    if (tracker.dimension() != state.dimension || state.alarms > state.processed ||
         !(state.confidence > 0.0 && state.confidence < 1.0)) {
         throw std::runtime_error("tracking_detector::restore: inconsistent state");
     }

@@ -83,8 +83,10 @@ struct streaming_config {
 class streaming_diagnoser final : public stream_detector {
 public:
     // bootstrap_y supplies the initial model (epoch 0) and seeds the
-    // window. Throws std::invalid_argument when bootstrap has fewer than
-    // two rows or the routing matrix does not match its width.
+    // window. The routing matrix a (links x flows) is read once, into the
+    // stream's sparse routing terms, and not kept. Throws
+    // std::invalid_argument when bootstrap has fewer than two rows or the
+    // routing matrix does not match its width.
     streaming_diagnoser(const matrix& bootstrap_y, const matrix& a, streaming_config cfg = {});
 
     streaming_diagnoser(streaming_diagnoser&&) = default;
@@ -102,7 +104,7 @@ public:
     // stream_detector interface. push_bin is push() minus the
     // identification fields.
     detection_result push_bin(std::span<const double> y) override;
-    std::size_t dimension() const noexcept override { return a_.rows(); }
+    std::size_t dimension() const noexcept override { return terms_->links(); }
     std::size_t processed() const noexcept override { return processed_; }
     std::size_t alarm_count() const noexcept override { return alarms_; }
     std::uint64_t model_epoch() const noexcept override { return epoch_; }
@@ -111,11 +113,15 @@ public:
 
     // Rebuilds a diagnoser saved by save(). The pool (and observer) are
     // runtime wiring, not state: pass whatever the restored stream should
-    // use. Throws std::runtime_error on malformed input, including any
-    // shape that disagrees with the routing matrix's link count and any
-    // non-finite value in A, the window, the queued window or a model's
-    // axes, variances or means (see docs/CHECKPOINT_FORMAT.md). A model
-    // block's projections slot is read and discarded whatever its shape.
+    // use. Format-4 records carry A as per-flow runs and build the
+    // routing terms straight from them; a version-2 or -3 record's dense
+    // A is converted once. Throws std::runtime_error on malformed input,
+    // including malformed runs, any shape that disagrees with the routing
+    // matrix's link count, a queued window longer than the configured
+    // window, more alarms than processed bins, and any non-finite value in
+    // A, the window, the queued window or a model's axes, variances or
+    // means (see docs/CHECKPOINT_FORMAT.md). A model block's projections
+    // slot is read and discarded whatever its shape.
     static streaming_diagnoser restore(std::istream& in, thread_pool* pool = nullptr);
 
     // Applied refits (== model_epoch()).
@@ -154,9 +160,9 @@ private:
     sync::role pusher_cap_;
 
     streaming_config cfg_;
-    matrix a_;  // kept for save(); the verdict path reads terms_
-    // Built once from a_ (at construction or restore) and shared, read-only,
-    // by the live diagnoser, the pending one and the in-flight fit task.
+    // A as sparse runs, built once (at construction or restore) and
+    // shared, read-only, by the live diagnoser, the pending one and the
+    // in-flight fit task; save() writes A from it.
     std::shared_ptr<const routing_terms> terms_;
     std::deque<vec> window_ NETDIAG_GUARDED_BY(pusher_cap_);
     volume_anomaly_diagnoser diagnoser_;
@@ -256,9 +262,10 @@ public:
     void save(std::ostream& out) override;
     // The record's retired "deferred updates" flag is read and ignored
     // (folds give identical bits wherever they ran). Throws
-    // std::runtime_error on inconsistent state, a NaN threshold or any
-    // other non-finite double (the threshold may be +inf: the Q-statistic
-    // of an empty residual tail).
+    // std::runtime_error on inconsistent state (more alarms than
+    // processed bins included), a NaN threshold or any other non-finite
+    // double (the threshold may be +inf: the Q-statistic of an empty
+    // residual tail).
     static tracking_detector restore(std::istream& in);
 
     std::size_t normal_rank() const noexcept { return normal_rank_; }

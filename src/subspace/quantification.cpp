@@ -30,7 +30,7 @@ double quantifier::estimate_bytes_from_link_traffic(std::size_t flow,
     const double column_norm = terms_->column_norm(flow);
     const double column_sum = terms_->column_sum(flow);
     if (column_sum == 0.0 || column_norm == 0.0) return 0.0;
-    return dot(terms_->theta(flow), y_prime) * column_norm / column_sum;
+    return terms_->theta_dot(flow, y_prime) * column_norm / column_sum;
 }
 
 }  // namespace netdiag

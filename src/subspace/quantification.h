@@ -7,8 +7,8 @@
 // unit column sums.
 //
 // A-bar is never stored: A-bar_i = theta_i ||A_i|| / sum(A_i), so the
-// quantifier reads the shared routing terms (subspace/identification.h)
-// and holds no matrix of its own.
+// quantifier reads the shared routing terms (subspace/identification.h),
+// A's per-flow runs, and holds no matrix of its own.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +35,9 @@ public:
     double estimate_bytes(std::size_t flow, double magnitude) const;
 
     // General form: A-bar_flow^T y_prime for an explicit anomalous link
-    // traffic vector, computed as (theta_flow^T y_prime) ||A_i|| / sum(A_i).
-    // Zero for a flow that crosses no links.
+    // traffic vector, computed as (theta_flow^T y_prime) ||A_i|| / sum(A_i)
+    // with a sparse dot over the flow's path. Zero for a flow that crosses
+    // no links.
     double estimate_bytes_from_link_traffic(std::size_t flow,
                                             std::span<const double> y_prime) const;
 

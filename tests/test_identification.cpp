@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include "measurement/link_loads.h"
 #include "subspace/diagnoser.h"
@@ -269,28 +271,50 @@ TEST(RoutingTerms, SharedTermsBuildTheSameDiagnoserAsTheRoutingMatrix) {
     const volume_anomaly_diagnoser from_a(subspace_model::fit(y, sep), a, 0.999);
     ASSERT_EQ(terms->links(), 4u);
     ASSERT_EQ(terms->flows(), 5u);
+    EXPECT_EQ(terms->nonzeros(), 7u);
 
-    // The terms and theta~ with the arithmetic spelled out: theta_i =
-    // A_i * (1 / ||A_i||), theta~_i = C~ theta_i, dropped below 1e-9.
+    // The runs and theta~ with the dense arithmetic spelled out: theta_i =
+    // A_i * (1 / ||A_i||), ||theta~_i||^2 = ||theta_i||^2 - ||P^T theta_i||^2
+    // (0 below 1e-9), theta~_i = C~ theta_i.
+    const subspace_model& model = shared.model();
     for (std::size_t i = 0; i < a.cols(); ++i) {
         vec column = a.column(i);
         const double cn = norm(column);
         EXPECT_EQ(terms->column_norm(i), cn) << i;
         EXPECT_EQ(terms->column_sum(i), sum(column)) << i;
+        std::vector<std::uint32_t> links;
+        vec values;
+        for (std::size_t l = 0; l < column.size(); ++l) {
+            if (column[l] == 0.0) continue;
+            links.push_back(static_cast<std::uint32_t>(l));
+            values.push_back(column[l]);
+        }
+        const auto run_links = terms->run_links(i);
+        const auto run_values = terms->run_values(i);
+        EXPECT_EQ(std::vector<std::uint32_t>(run_links.begin(), run_links.end()), links) << i;
+        EXPECT_EQ(vec(run_values.begin(), run_values.end()), values) << i;
+
         vec expected_residual(4, 0.0);
         double expected_norm2 = 0.0;
         if (cn > 0.0) {
             scale(column, 1.0 / cn);
-            EXPECT_EQ(vec(terms->theta(i).begin(), terms->theta(i).end()), column) << i;
-            const vec residual = shared.model().project_direction_residual(column);
-            if (norm_squared(residual) >= 1e-9) {
-                expected_residual = residual;
-                expected_norm2 = norm_squared(residual);
+            EXPECT_EQ(terms->theta(i), column) << i;
+            double norm2 = norm_squared(column);
+            double normal2 = 0.0;
+            for (std::size_t k = 0; k < model.normal_rank(); ++k) {
+                const double c = dot(model.normal_axis(k), column);
+                normal2 += c * c;
             }
+            norm2 -= normal2;
+            if (norm2 >= 1e-9) {
+                expected_residual = model.project_direction_residual(column);
+                expected_norm2 = norm2;
+            }
+        } else {
+            EXPECT_EQ(terms->theta(i), vec(4, 0.0)) << i;
         }
         for (const volume_anomaly_diagnoser* d : {&shared, &from_a}) {
-            const auto got = d->identifier().residual_direction(i);
-            EXPECT_EQ(vec(got.begin(), got.end()), expected_residual) << i;
+            EXPECT_EQ(d->identifier().residual_direction(i), expected_residual) << i;
             EXPECT_EQ(d->identifier().residual_direction_norm_squared(i), expected_norm2) << i;
             EXPECT_EQ(d->identifier().routing_column_norm(i), cn) << i;
         }
@@ -323,6 +347,182 @@ TEST(RoutingTerms, SharedTermsBuildTheSameDiagnoserAsTheRoutingMatrix) {
     EXPECT_EQ(quant.estimate_bytes_from_link_traffic(1, vec(4, 3.0)), 0.0);
     EXPECT_THROW(quantifier(std::shared_ptr<const routing_terms>{}), std::invalid_argument);
     EXPECT_THROW(routing_terms(matrix{}), std::invalid_argument);
+}
+
+// Runs as a record holds them build the same terms as the dense matrix,
+// and the runs constructor refuses every malformed shape.
+TEST(RoutingTerms, RunsBuildTheSameTermsAsTheDenseMatrix) {
+    matrix a(5, 4, 0.0);
+    a(0, 0) = a(3, 0) = 1.0;
+    a(1, 2) = 0.25;
+    a(2, 2) = 3.0;
+    a(4, 2) = -2.0;
+    a(4, 3) = 1.0;
+    const routing_terms dense(a);
+    const std::vector<std::uint64_t> lengths{2, 0, 3, 1};
+    const std::vector<std::uint64_t> links{0, 3, 1, 2, 4, 4};
+    const routing_terms runs(5, lengths, links, {1.0, 1.0, 0.25, 3.0, -2.0, 1.0});
+    ASSERT_EQ(runs.flows(), dense.flows());
+    ASSERT_EQ(runs.links(), dense.links());
+    const vec y{1.5, -2.0, 0.75, 4.0, 3.25};
+    for (std::size_t i = 0; i < dense.flows(); ++i) {
+        EXPECT_EQ(runs.column_norm(i), dense.column_norm(i)) << i;
+        EXPECT_EQ(runs.column_sum(i), dense.column_sum(i)) << i;
+        EXPECT_EQ(runs.theta(i), dense.theta(i)) << i;
+        EXPECT_EQ(runs.theta_dot(i, y), dot(dense.theta(i), y)) << i;
+    }
+
+    const auto refuses = [](std::size_t links, std::vector<std::uint64_t> run_lengths,
+                            std::vector<std::uint64_t> run_links, vec values) {
+        EXPECT_THROW(routing_terms(links, run_lengths, run_links, std::move(values)),
+                     std::invalid_argument);
+    };
+    refuses(0, {1}, {0}, {1.0});                  // no links
+    refuses(3, {}, {}, {});                       // no flows
+    refuses(std::size_t{1} << 32, {1}, {0}, {1.0});  // links past 32 bits
+    refuses(3, {1}, {3}, {1.0});                  // link index past m
+    refuses(3, {1}, {std::uint64_t{1} << 32}, {1.0});  // one that narrows to link 0
+    refuses(3, {2}, {1, 1}, {1.0, 1.0});          // repeated link
+    refuses(3, {2}, {2, 1}, {1.0, 1.0});          // decreasing links
+    refuses(3, {1}, {0}, {0.0});                  // zero value
+    refuses(3, {1}, {0}, {std::nan("")});         // NaN value
+    refuses(3, {1}, {0}, {-HUGE_VAL});            // infinite value
+    refuses(3, {1, 2}, {0, 1}, {1.0, 1.0});       // lengths past the runs
+    refuses(3, {1}, {0, 1}, {1.0, 1.0});          // lengths short of the runs
+    refuses(3, {2}, {0, 1}, {1.0});               // links and values disagree
+}
+
+// The sparse identity against theta~ formed densely, the way
+// identification worked before it went sparse: for every link count and
+// normal rank, the undetectable flows and the chosen flow are the same and
+// the magnitudes agree to rounding. The routing holds a flow that crosses
+// no link, two flows on one path and (for rank >= 1) a flow along a
+// normal axis.
+TEST(SparseIdentification, MatchesADenseResidualDirectionReference) {
+    for (const std::size_t m : {std::size_t{4}, std::size_t{41}, std::size_t{156}}) {
+        std::mt19937_64 rng(17 + m);
+        std::normal_distribution<double> gauss(0.0, 1.0);
+        std::uniform_int_distribution<std::size_t> pick_link(0, m - 1);
+        const std::size_t t = 3 * m + 16;
+        // Three strong shared patterns plus link noise.
+        matrix y(t, m, 0.0);
+        matrix loadings(3, m, 0.0);
+        for (double& v : std::span<double>(loadings.data(), loadings.size())) v = gauss(rng);
+        for (std::size_t r = 0; r < t; ++r) {
+            const double f[3] = {8.0 * gauss(rng), 4.0 * gauss(rng), 2.0 * gauss(rng)};
+            for (std::size_t c = 0; c < m; ++c) {
+                y(r, c) = 100.0 + f[0] * loadings(0, c) + f[1] * loadings(1, c) +
+                          f[2] * loadings(2, c) + 0.3 * gauss(rng);
+            }
+        }
+
+        for (std::size_t rank = 0; rank <= 3 && rank < m; ++rank) {
+            separation_config sep;
+            sep.fixed_rank = rank;
+            sep.min_normal_axes = 0;
+            const subspace_model model = subspace_model::fit(y, sep);
+            ASSERT_EQ(model.normal_rank(), rank);
+
+            const std::size_t n = 2 * m + 4;
+            matrix a(m, n, 0.0);
+            // Flow 0 crosses no link; flows 1 and 2 share one path.
+            for (std::size_t i = 1; i < n; ++i) {
+                const std::size_t hops = 1 + (i * 7) % std::min<std::size_t>(m, 5);
+                for (std::size_t h = 0; h < hops; ++h) a(pick_link(rng), i) = 1.0;
+            }
+            for (std::size_t l = 0; l < m; ++l) a(l, 2) = a(l, 1);
+            if (rank > 0) {  // the last flow lies along the first normal axis
+                const auto axis = model.normal_axis(0);
+                for (std::size_t l = 0; l < m; ++l) a(l, n - 1) = axis[l];
+            }
+            const flow_identifier identifier(model, a);
+
+            // The dense reference: theta~_i = C~ theta_i, dropped below 1e-9.
+            std::vector<vec> theta_res(n);
+            vec ref_norm2(n, 0.0);
+            for (std::size_t i = 0; i < n; ++i) {
+                vec column = a.column(i);
+                const double cn = norm(column);
+                if (cn == 0.0) continue;
+                scale(column, 1.0 / cn);
+                const vec tr = model.project_direction_residual(column);
+                if (norm_squared(tr) < 1e-9) continue;
+                theta_res[i] = tr;
+                ref_norm2[i] = norm_squared(tr);
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(identifier.residual_direction_norm_squared(i) == 0.0,
+                          ref_norm2[i] == 0.0)
+                    << "m " << m << " rank " << rank << " flow " << i;
+            }
+            EXPECT_EQ(identifier.residual_direction_norm_squared(0), 0.0);
+            if (rank > 0) {
+                EXPECT_EQ(identifier.residual_direction_norm_squared(n - 1), 0.0);
+            }
+
+            std::size_t tied_trials = 0;
+            for (std::size_t trial = 0; trial < 40; ++trial) {
+                const std::size_t flow = 1 + (trial * 13) % (n - 1);
+                vec spiked(y.row(trial % t).begin(), y.row(trial % t).end());
+                axpy((trial % 2 == 0 ? 60.0 : -45.0), a.column(flow), spiked);
+                const vec residual = model.residual(spiked);
+                vec ref_score(n, -1.0);
+                vec ref_magnitude(n, 0.0);
+                std::size_t best_flow = 0;
+                for (std::size_t i = 0; i < n; ++i) {
+                    if (ref_norm2[i] == 0.0) continue;
+                    const double proj = dot(theta_res[i], residual);
+                    ref_score[i] = proj * proj / ref_norm2[i];
+                    ref_magnitude[i] = proj / ref_norm2[i];
+                    if (ref_score[i] > ref_score[best_flow]) best_flow = i;
+                }
+                // Flows on other paths whose score ties the best to rounding:
+                // with a one-dimensional residual space (m = 4, rank 3) every
+                // detectable flow ties, and either form may pick any of them.
+                const double tie_floor = ref_score[best_flow] * (1.0 - 1e-9);
+                bool tied = false;
+                for (std::size_t i = 0; i < n; ++i) {
+                    tied = tied ||
+                           (ref_score[i] >= tie_floor && a.column(i) != a.column(best_flow));
+                }
+                tied_trials += tied ? 1 : 0;
+                const identification_result single = identifier.identify(spiked);
+                const identification_result fast = identifier.identify_residual(residual);
+                const identification_result top = identifier.identify_top_k(spiked, 3).front();
+                if (!tied) {
+                    ASSERT_EQ(single.flow, best_flow) << "m " << m << " rank " << rank;
+                    ASSERT_EQ(fast.flow, best_flow) << "m " << m << " rank " << rank;
+                    // identify_top_k sorts without a tie rule, so its first
+                    // entry may be either of two flows on one path.
+                    ASSERT_EQ(a.column(top.flow), a.column(best_flow)) << "m " << m;
+                }
+                for (const identification_result& got : {single, fast, top}) {
+                    if (tied) {
+                        ASSERT_GE(ref_score[got.flow], tie_floor) << "m " << m << " rank " << rank;
+                    }
+                    const double expected = ref_magnitude[got.flow];
+                    EXPECT_NEAR(got.magnitude, expected, 1e-10 * std::abs(expected))
+                        << "m " << m << " rank " << rank << " trial " << trial;
+                }
+            }
+            if (m > 4) {
+                EXPECT_EQ(tied_trials, 0u) << "m " << m << " rank " << rank;
+            }
+        }
+    }
+}
+
+// The sparse dot reads the residual at every link index of a run, so a
+// residual or measurement of the wrong length is refused up front.
+TEST_F(IdentificationFixture, WrongLengthResidualOrMeasurementThrows) {
+    const flow_identifier identifier(*model_, routing_.a);
+    const std::size_t m = routing_.a.rows();
+    for (const std::size_t len : {m - 1, m + 1, std::size_t{0}}) {
+        const vec bad(len, 1.0);
+        EXPECT_THROW((void)identifier.identify_residual(bad), std::invalid_argument) << len;
+        EXPECT_THROW((void)identifier.identify(bad), std::invalid_argument) << len;
+        EXPECT_THROW((void)identifier.identify_top_k(bad, 3), std::invalid_argument) << len;
+    }
 }
 
 }  // namespace

@@ -815,7 +815,8 @@ TEST_F(IngestFixture, SnapshotWithInboxResidueRestoresAndReplaysExactly) {
 
     original.snapshot_all(dir);
 
-    // The per-stream record is a format-v3 server_stream container.
+    // The per-stream record is a server_stream container of the current
+    // format version.
     {
         std::ifstream in((std::filesystem::path(dir) / ("stream_" + std::to_string(id) +
                                                         ".ckpt")).string(),
@@ -823,7 +824,7 @@ TEST_F(IngestFixture, SnapshotWithInboxResidueRestoresAndReplaysExactly) {
         ASSERT_TRUE(in.is_open());
         const ckpt::header_info hdr = ckpt::read_header_info(in);
         EXPECT_EQ(hdr.type_tag, "server_stream");
-        EXPECT_EQ(hdr.version, 3u);
+        EXPECT_EQ(hdr.version, 4u);
         EXPECT_EQ(hdr.version, ckpt::format_version());
     }
 
@@ -1079,30 +1080,32 @@ TEST_F(IngestFixture, LegacyRawDetectorSnapshotDirectoryStillRestores) {
 }
 
 TEST_F(IngestFixture, VersionTwoRecordsLoadVersionOneAndFutureVersionsRejected) {
-    // Detector record layouts are identical in versions 2 and 3, so a
-    // version-2 record is exactly a version-3 record with a patched
-    // version field. Patch the committed-on-write version down to 2: it
-    // must load; versions 1 and 4 must be rejected with a clear error.
+    // tracking_detector records have one layout in versions 2 to 4, so a
+    // version-2 or -3 record is exactly a version-4 record with a patched
+    // version field (streaming_diagnoser records changed A's layout in
+    // version 4; tests/test_streaming.cpp replays a committed v3 one).
+    // Patch the version written on save down: 2 and 3 must load; versions
+    // 1 and 5 must be rejected with a clear error.
     tracking_detector detector(bootstrap_slice(0), 8);
     std::ostringstream out;
     detector.save(out);
-    const std::string v3_bytes = out.str();
+    const std::string v4_bytes = out.str();
 
     const auto with_version = [&](std::uint64_t version) {
-        std::string bytes = v3_bytes;
+        std::string bytes = v4_bytes;
         for (std::size_t b = 0; b < 8; ++b) {
             bytes[8 + b] = static_cast<char>((version >> (8 * b)) & 0xff);
         }
         return bytes;
     };
 
-    {
-        std::istringstream in(with_version(2));
+    for (const std::uint64_t old : {std::uint64_t{2}, std::uint64_t{3}}) {
+        std::istringstream in(with_version(old));
         const std::unique_ptr<stream_detector> restored = load_stream_detector(in);
-        ASSERT_NE(restored, nullptr);
-        EXPECT_EQ(restored->dimension(), y_.cols());
+        ASSERT_NE(restored, nullptr) << old;
+        EXPECT_EQ(restored->dimension(), y_.cols()) << old;
     }
-    for (const std::uint64_t bad : {std::uint64_t{1}, std::uint64_t{4}}) {
+    for (const std::uint64_t bad : {std::uint64_t{1}, std::uint64_t{5}}) {
         std::istringstream in(with_version(bad));
         try {
             load_stream_detector(in);

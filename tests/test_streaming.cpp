@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <sstream>
 #include <string>
@@ -674,8 +675,8 @@ TEST(GoldenCheckpoint, ByteSwappedMagicIsRejectedWithAnEndiannessError) {
 // token stream and reversing every 8-byte word -- exactly what a
 // big-endian host that wrote words in its native order would produce.
 // The tokens are self-contained ('U'/'F' word, 'S' length + raw bytes,
-// 'V' count + doubles, 'M' rows + cols + doubles), so the walk needs no
-// schema. Lengths are read as little-endian BEFORE their field is
+// 'V' count + doubles, 'W' count + words, 'M' rows + cols + doubles), so
+// the walk needs no schema. Lengths are read as little-endian BEFORE their field is
 // swapped; string payloads are raw bytes and stay untouched.
 std::string byte_swapped_interchange(const std::string& bytes) {
     auto le64_at = [&](std::size_t pos) {
@@ -716,7 +717,8 @@ std::string byte_swapped_interchange(const std::string& bytes) {
                 pos += 8 + len;
                 break;
             }
-            case 'V': {
+            case 'V':
+            case 'W': {
                 const std::uint64_t count = le64_at(pos);
                 swap_word(pos);
                 pos += 8;
@@ -802,18 +804,24 @@ TEST(GoldenCheckpoint, InterchangeFixturesLoadOnAnyHostIncludingByteSwapped) {
 // committed golden_streaming_diagnoser_projections.ckpt (interchange) was
 // written by that earlier build from the stream below: its model blocks
 // carry full t x m projections, a refit awaits its swap and another is
-// queued. It cannot be regenerated by this build. The digest is the
-// verdict sequence this build replays from it: it moved (from
-// 0xe588247066fcdf7c) when served fits began forming their axes from the
-// factored spectrum, because the refits after the restore form their axes
-// differently, within rounding.
+// queued. It cannot be regenerated by this build. The replay digest is the
+// verdict sequence this build replays from it, every field's bits: it
+// moved (from 0xe588247066fcdf7c) when served fits began forming their
+// axes from the factored spectrum, because the refits after the restore
+// form their axes differently, within rounding, and again (from
+// 0xd616a0653ad4fc72) when identification stopped forming theta~, which
+// moves magnitudes and byte estimates in their last bits. The verdict
+// digest folds only the alarm flags, thresholds, identified flows and
+// epochs; the build before identification went sparse replayed the same
+// one.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t k_legacy_links = 6;
 constexpr std::size_t k_legacy_boot_rows = 24;
 constexpr std::size_t k_legacy_prefix_bins = 8;  // pushed before the save
 constexpr std::size_t k_legacy_replay_bins = 28;
-constexpr std::uint64_t k_legacy_replay_digest = 0xd616a0653ad4fc72ull;
+constexpr std::uint64_t k_legacy_replay_digest = 0xe89824f9471c4239ull;
+constexpr std::uint64_t k_legacy_verdict_digest = 0x4f41c00ea8c8072full;
 
 // Six links, nine flows: ring pairs, a three-link flow, a flow that
 // crosses no link and a half-weighted one.
@@ -884,21 +892,42 @@ struct model_block_shape {
     std::size_t normal_rank = 0;
 };
 
-// Walks a streaming_diagnoser record (docs/CHECKPOINT_FORMAT.md) to its
-// model blocks and returns each block's shapes: the live model's, then the
-// pending refit's when the record holds one.
-std::vector<model_block_shape> model_block_shapes(const std::string& record) {
-    std::istringstream in(record, std::ios::binary);
-    ckpt::expect_header(in, "streaming_diagnoser");
+// Walks a streaming_diagnoser record (docs/CHECKPOINT_FORMAT.md) through
+// its header and configuration, returning the record's format version.
+std::uint64_t skip_to_routing(std::istream& in) {
+    const std::uint64_t version = ckpt::expect_header(in, "streaming_diagnoser");
     (void)ckpt::read_u64(in);  // window
     (void)ckpt::read_u64(in);  // refit interval
     (void)ckpt::read_f64(in);  // confidence
     (void)ckpt::read_f64(in);  // k_sigma
     (void)ckpt::read_u64(in);  // min_normal_axes
     if (ckpt::read_flag(in)) (void)ckpt::read_u64(in);  // fixed rank
-    (void)ckpt::read_u64(in);     // refit mode
-    (void)ckpt::read_u64(in);     // swap horizon
-    (void)ckpt::read_matrix(in);  // A
+    (void)ckpt::read_u64(in);  // refit mode
+    (void)ckpt::read_u64(in);  // swap horizon
+    return version;
+}
+
+// Skips the routing matrix: dense in version-2 and -3 records, per-flow
+// runs from version 4 on.
+void skip_routing(std::istream& in, std::uint64_t version) {
+    if (version < 4) {
+        (void)ckpt::read_matrix(in);
+        return;
+    }
+    (void)ckpt::read_u64(in);  // links
+    const std::vector<std::uint64_t> lengths = ckpt::read_u64_array(in);
+    const std::uint64_t nonzeros = std::accumulate(lengths.begin(), lengths.end(),
+                                                   std::uint64_t{0});
+    EXPECT_EQ(ckpt::read_u64_array(in).size(), nonzeros);  // run links
+    EXPECT_EQ(ckpt::read_vec(in).size(), nonzeros);        // run values
+}
+
+// Walks a streaming_diagnoser record to its model blocks and returns each
+// block's shapes: the live model's, then the pending refit's when the
+// record holds one.
+std::vector<model_block_shape> model_block_shapes(const std::string& record) {
+    std::istringstream in(record, std::ios::binary);
+    skip_routing(in, skip_to_routing(in));
     const std::uint64_t window_rows = ckpt::read_u64(in);
     for (std::uint64_t r = 0; r < window_rows; ++r) (void)ckpt::read_vec(in);
     for (int counter = 0; counter < 5; ++counter) (void)ckpt::read_u64(in);
@@ -953,16 +982,28 @@ TEST(GoldenCheckpoint, RecordWithProjectionsLoadsAndReplaysBitExactly) {
     std::vector<diagnosis> replayed;
     std::vector<std::uint64_t> epochs;
     std::uint64_t digest = 1469598103934665603ull;
+    std::uint64_t verdicts = 1469598103934665603ull;
+    const auto mix = [&verdicts](std::uint64_t v) {
+        verdicts ^= v;
+        verdicts *= 1099511628211ull;
+    };
     std::size_t alarms = 0;
     for (std::size_t r = k_legacy_prefix_bins; r < bins.rows(); ++r) {
         const diagnosis d = restored.push(bins.row(r));
         alarms += d.anomalous ? 1 : 0;
         digest = fold_diagnosis(digest, d);
+        mix(d.anomalous ? 1 : 0);
+        mix(std::bit_cast<std::uint64_t>(d.threshold));
+        mix(d.flow ? *d.flow : ~std::uint64_t{0});
+        mix(restored.model_epoch());
         replayed.push_back(d);
         epochs.push_back(restored.model_epoch());
     }
     EXPECT_EQ(restored.model_epoch(), 5u);
     EXPECT_EQ(alarms, 4u);
+    EXPECT_EQ(verdicts, k_legacy_verdict_digest)
+        << "the legacy record no longer replays to the same alarms, thresholds, flows and "
+           "epochs";
     EXPECT_EQ(digest, k_legacy_replay_digest)
         << "a record written before served models dropped their projections no longer "
            "replays to the verdicts this build produced";
@@ -1039,6 +1080,66 @@ TEST(StreamingCheckpoint, FreshRecordsKeepOnlyTheAxesTheWalkRead) {
         const diagnosis b = restored.push(more.row(r));
         EXPECT_EQ(fold_diagnosis(0, a), fold_diagnosis(0, b)) << "bin " << r;
     }
+}
+
+// A version-4 record carries A as per-flow runs, and restoring it builds
+// the routing terms straight from them: save, restore and save again give
+// the same bytes, with a refit pending and another queued, in both
+// encodings. The legacy fixture's dense A converts to the same runs.
+TEST(StreamingCheckpoint, RunRecordsRoundTripByteForByte) {
+    streaming_diagnoser det(legacy_bins(k_legacy_boot_rows, 4321), legacy_routing(),
+                            legacy_config());
+    const matrix bins = legacy_bins(k_legacy_prefix_bins + 6, 99);
+    for (std::size_t r = 0; r < bins.rows(); ++r) det.push(bins.row(r));
+    ASSERT_TRUE(det.refit_pending());
+    ASSERT_TRUE(det.refit_queued());
+    for (const ckpt::encoding enc : {ckpt::encoding::native, ckpt::encoding::interchange}) {
+        std::ostringstream first(std::ios::binary);
+        ckpt::set_encoding(first, enc);
+        det.save(first);
+        const std::string bytes = std::move(first).str();
+        std::istringstream header(bytes, std::ios::binary);
+        EXPECT_EQ(ckpt::read_header_info(header).version, 4u);
+        EXPECT_EQ(model_block_shapes(bytes).size(), 2u);
+
+        std::istringstream in(bytes, std::ios::binary);
+        streaming_diagnoser restored = streaming_diagnoser::restore(in);
+        std::ostringstream second(std::ios::binary);
+        ckpt::set_encoding(second, enc);
+        restored.save(second);
+        EXPECT_EQ(std::move(second).str(), bytes) << static_cast<int>(enc);
+    }
+    {
+        // An opposite-endian writer's record, u64 arrays included, loads
+        // and saves back as the conforming bytes.
+        std::ostringstream out(std::ios::binary);
+        ckpt::set_encoding(out, ckpt::encoding::interchange);
+        det.save(out);
+        const std::string bytes = std::move(out).str();
+        std::istringstream in(byte_swapped_interchange(bytes), std::ios::binary);
+        streaming_diagnoser restored = streaming_diagnoser::restore(in);
+        std::ostringstream again(std::ios::binary);
+        ckpt::set_encoding(again, ckpt::encoding::interchange);
+        restored.save(again);
+        EXPECT_EQ(std::move(again).str(), bytes);
+    }
+
+    // The v3 fixture's dense A becomes the runs a fresh stream writes.
+    std::unique_ptr<stream_detector> legacy = load_stream_detector(
+        golden_fixture_path("golden_streaming_diagnoser_projections.ckpt"));
+    std::ostringstream resaved(std::ios::binary);
+    legacy->save(resaved);
+    std::ostringstream fresh(std::ios::binary);
+    det.save(fresh);
+    const auto routing_block = [](const std::string& record) {
+        std::istringstream in(record, std::ios::binary);
+        const std::uint64_t version = skip_to_routing(in);
+        EXPECT_EQ(version, 4u);
+        const auto begin = static_cast<std::size_t>(in.tellg());
+        skip_routing(in, version);
+        return record.substr(begin, static_cast<std::size_t>(in.tellg()) - begin);
+    };
+    EXPECT_EQ(routing_block(resaved.str()), routing_block(fresh.str()));
 }
 
 TEST(GoldenCheckpoint, ConvertCheckpointRoundTripsByteIdentically) {

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <random>
@@ -678,10 +679,12 @@ TEST(WireFuzz, MutatedRestoreRequestsRestoreWholeOrPublishNothing) {
 
 // Hand-written streaming_diagnoser records over 6 links whose parts
 // disagree with each other or with what the public API allows. Every
-// field but the one-zero-extent matrix header decodes on its own; only
+// field but the one-zero-extent matrix header and the two array headers
+// that claim more words than the input holds decodes on its own; only
 // restore's checks against A's link count m can refuse the record.
 enum class record_fault {
     none,
+    legacy_dense_routing,  // consistent, but version 3 with a dense A
     narrow_axes,         // axes with fewer columns than the rank
     short_variances,     // variances shorter than m
     short_means,         // means shorter than m
@@ -696,9 +699,27 @@ enum class record_fault {
     inf_k_sigma,         // +inf (the walk would form every axis),
     zero_k_sigma,        // zero
     negative_k_sigma,    // or negative
+    long_queued,         // a queued window longer than the configured window
+    alarms_above_processed,  // more alarms than processed bins
+    // A's runs (format 4), one defect each.
+    routing_no_links,        // a link count of zero
+    routing_no_flows,        // an empty run-length array
+    routing_link_past_m,     // a link index equal to m
+    routing_repeated_link,   // one link twice in a run
+    routing_decreasing_links,  // a run whose links descend
+    routing_zero_value,      // a stored zero
+    routing_inf_value,       // an infinite value
+    routing_run_past_m,      // a run length above m
+    routing_link_count,      // fewer link indices than the run lengths sum to
+    routing_value_count,     // fewer values than the run lengths sum to
+    routing_flows_past_input,  // a run-length array claiming 2^24 words the input lacks
+    routing_runs_past_input,   // a link-index array claiming 2^20 words the input lacks
+    // A dense routing matrix in a version-3 record (the legacy reader).
+    legacy_empty_routing,    // a 0 x 0 A
+    legacy_nan_routing,      // a NaN entry in A
     // Non-finite detector state, one slot each: every shape agrees, so
     // only restore's finiteness checks can refuse these.
-    nan_routing,         // a NaN entry in A
+    nan_routing,         // a NaN value in A's runs
     nan_window_value,    // a NaN in one window row
     inf_queued_value,    // an infinity in the queued window
     nan_axis_entry,      // a NaN in the principal axes
@@ -706,14 +727,39 @@ enum class record_fault {
     nan_mean,            // a NaN column mean
 };
 
-constexpr std::array<record_fault, 14> k_record_faults = {
-    record_fault::narrow_axes,       record_fault::short_variances,
-    record_fault::short_means,       record_fault::narrow_window_row,
-    record_fault::short_window,      record_fault::narrow_queued,
-    record_fault::axes_row_mismatch, record_fault::rank_above_m,
-    record_fault::zero_cols_header,  record_fault::bad_confidence,
-    record_fault::nan_k_sigma,       record_fault::inf_k_sigma,
-    record_fault::zero_k_sigma,      record_fault::negative_k_sigma};
+constexpr std::array<record_fault, 30> k_record_faults = {
+    record_fault::narrow_axes,           record_fault::short_variances,
+    record_fault::short_means,           record_fault::narrow_window_row,
+    record_fault::short_window,          record_fault::narrow_queued,
+    record_fault::axes_row_mismatch,     record_fault::rank_above_m,
+    record_fault::zero_cols_header,      record_fault::bad_confidence,
+    record_fault::nan_k_sigma,           record_fault::inf_k_sigma,
+    record_fault::zero_k_sigma,          record_fault::negative_k_sigma,
+    record_fault::long_queued,           record_fault::alarms_above_processed,
+    record_fault::routing_no_links,      record_fault::routing_no_flows,
+    record_fault::routing_link_past_m,   record_fault::routing_repeated_link,
+    record_fault::routing_decreasing_links, record_fault::routing_zero_value,
+    record_fault::routing_inf_value,     record_fault::routing_run_past_m,
+    record_fault::routing_link_count,    record_fault::routing_value_count,
+    record_fault::routing_flows_past_input, record_fault::routing_runs_past_input,
+    record_fault::legacy_empty_routing,  record_fault::legacy_nan_routing};
+
+// The consistent record written the way a version-3 build wrote it: A as a
+// dense matrix. The legacy faults above write it this way too.
+constexpr bool is_legacy(record_fault fault) {
+    return fault == record_fault::legacy_dense_routing ||
+           fault == record_fault::legacy_empty_routing ||
+           fault == record_fault::legacy_nan_routing;
+}
+
+// An interchange array header ('W' u64 array, 'M' matrix, ...) whose
+// words may claim what the record does not hold.
+void put_header(std::ostream& out, char tag, std::initializer_list<std::uint64_t> words) {
+    out.put(tag);
+    for (const std::uint64_t word : words) {
+        for (int b = 0; b < 8; ++b) out.put(static_cast<char>((word >> (8 * b)) & 0xff));
+    }
+}
 
 std::string fault_record(record_fault fault) {
     constexpr std::size_t m = 6;
@@ -745,9 +791,47 @@ std::string fault_record(record_fault fault) {
     ckpt::write_flag(out, false);  // no fixed rank
     ckpt::write_u64(out, 1);       // refit_mode::deferred
     ckpt::write_u64(out, 2);       // swap horizon
-    matrix a = matrix::identity(m);  // A: one flow per link
-    if (is(record_fault::nan_routing)) a(1, 0) = std::nan("");
-    ckpt::write_matrix(out, a);
+
+    // A as runs: one flow per link (the identity), unless a fault says
+    // otherwise. A fault that needs a run of two gives flow 0 the run
+    // (first, second).
+    std::vector<std::uint64_t> lengths(m, 1);
+    std::vector<std::uint64_t> run_links{0, 1, 2, 3, 4, 5};
+    vec values(m, 1.0);
+    const auto two_link_run = [&](std::uint64_t first, std::uint64_t second) {
+        lengths[0] = 2;
+        run_links.insert(run_links.begin() + 1, second);
+        run_links[0] = first;
+        values.push_back(1.0);
+    };
+    if (is(record_fault::routing_repeated_link)) two_link_run(3, 3);
+    if (is(record_fault::routing_decreasing_links)) two_link_run(3, 0);
+    if (is(record_fault::routing_link_past_m)) run_links[2] = m;
+    if (is(record_fault::routing_zero_value)) values[4] = 0.0;
+    if (is(record_fault::routing_inf_value)) values[4] = std::numeric_limits<double>::infinity();
+    if (is(record_fault::nan_routing)) values[1] = std::nan("");
+    if (is(record_fault::routing_run_past_m)) lengths[5] = m + 1;
+    if (is(record_fault::routing_link_count)) run_links.pop_back();
+    if (is(record_fault::routing_value_count)) values.pop_back();
+    if (is(record_fault::routing_no_flows)) lengths.clear();
+    if (is_legacy(fault)) {
+        matrix a = matrix::identity(m);
+        if (is(record_fault::legacy_nan_routing)) a(1, 0) = std::nan("");
+        ckpt::write_matrix(out, is(record_fault::legacy_empty_routing) ? matrix{} : a);
+    } else {
+        ckpt::write_u64(out, is(record_fault::routing_no_links) ? 0 : m);
+        if (is(record_fault::routing_flows_past_input)) {
+            put_header(out, 'W', {std::uint64_t{1} << 24});
+        } else {
+            ckpt::write_u64_array(out, lengths);
+        }
+        if (is(record_fault::routing_runs_past_input)) {
+            put_header(out, 'W', {std::uint64_t{1} << 20});
+            return std::move(out).str();
+        }
+        ckpt::write_u64_array(out, run_links);
+        ckpt::write_vec(out, values);
+    }
 
     matrix window = ramp(t, m);
     if (is(record_fault::nan_window_value)) window(3, 2) = std::nan("");
@@ -758,15 +842,16 @@ std::string fault_record(record_fault fault) {
         const std::size_t width = is(record_fault::narrow_window_row) && r == 3 ? m - 1 : m;
         ckpt::write_vec(out, vec(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(width)));
     }
-    for (int counter = 0; counter < 5; ++counter) ckpt::write_u64(out, 0);
+    ckpt::write_u64(out, 0);                                              // epoch
+    ckpt::write_u64(out, 0);                                              // processed
+    ckpt::write_u64(out, is(record_fault::alarms_above_processed) ? 1 : 0);  // alarms
+    ckpt::write_u64(out, 0);                                              // refits
+    ckpt::write_u64(out, 0);                                              // since refit
 
     // The live model: identity axes, descending variances, rank 2.
     const std::size_t axes_dim = is(record_fault::axes_row_mismatch) ? m - 1 : m;
     if (is(record_fault::zero_cols_header)) {
-        out.put('M');  // interchange matrix tag, then rows and cols (LE words)
-        for (std::uint64_t word : {std::uint64_t{m}, std::uint64_t{0}}) {
-            for (int b = 0; b < 8; ++b) out.put(static_cast<char>((word >> (8 * b)) & 0xff));
-        }
+        put_header(out, 'M', {m, 0});  // rows and cols, no entries
     } else if (is(record_fault::narrow_axes)) {
         matrix axes(m, 1, 0.0);
         axes(0, 0) = 1.0;
@@ -790,15 +875,24 @@ std::string fault_record(record_fault fault) {
     ckpt::write_u64(out, is(record_fault::rank_above_m) ? m + 1 : 2);
 
     ckpt::write_flag(out, false);  // no refit awaiting its swap
-    const bool queued = is(record_fault::narrow_queued) || is(record_fault::inf_queued_value);
+    const bool queued = is(record_fault::narrow_queued) || is(record_fault::inf_queued_value) ||
+                        is(record_fault::long_queued);
     ckpt::write_flag(out, queued);
     if (is(record_fault::narrow_queued)) ckpt::write_matrix(out, ramp(t, m - 1));
+    if (is(record_fault::long_queued)) ckpt::write_matrix(out, ramp(17, m));  // window is 16
     if (is(record_fault::inf_queued_value)) {
         matrix queued_window = ramp(t, m);
         queued_window(5, 1) = -std::numeric_limits<double>::infinity();
         ckpt::write_matrix(out, queued_window);
     }
-    return std::move(out).str();
+    std::string record = std::move(out).str();
+    if (is_legacy(fault)) {
+        // The version word's low byte, after the 8-byte magic and its 'U'
+        // tag: 4 -> 3.
+        EXPECT_EQ(record[9], 4);
+        record[9] = 3;
+    }
+    return record;
 }
 
 constexpr std::array<record_fault, 6> k_nonfinite_faults = {
@@ -811,6 +905,7 @@ constexpr std::array<record_fault, 6> k_nonfinite_faults = {
 // returns +inf for an empty residual tail.
 enum class tracker_fault {
     none,
+    alarms_above_processed,  // more alarms than processed bins
     inf_threshold,       // legal
     nan_threshold,       // the saved Q-threshold
     inf_variance_sum,    // the running total-variance sum
@@ -837,7 +932,9 @@ std::string tracker_record(tracker_fault fault) {
                          : is(tracker_fault::inf_threshold) ? inf
                                                             : 12.5);
     ckpt::write_f64(out, is(tracker_fault::inf_variance_sum) ? inf : 300.0);
-    for (int counter = 0; counter < 3; ++counter) ckpt::write_u64(out, 0);  // counters
+    ckpt::write_u64(out, 0);                                                // processed
+    ckpt::write_u64(out, is(tracker_fault::alarms_above_processed) ? 1 : 0);  // alarms
+    ckpt::write_u64(out, 0);                                                // epoch
 
     ckpt::write_header(out, "incremental_pca_tracker");
     vec s{30.0, 20.0, 10.0};
@@ -868,9 +965,19 @@ constexpr std::array<tracker_fault, 5> k_tracker_nonfinite_faults = {
 TEST(RestoreChecks, StreamingDiagnoserRefusesEveryInconsistentRecord) {
     {
         std::istringstream in(fault_record(record_fault::none), std::ios::binary);
-        const streaming_diagnoser restored = streaming_diagnoser::restore(in);
+        streaming_diagnoser restored = streaming_diagnoser::restore(in);
         EXPECT_EQ(restored.dimension(), 6u);
         EXPECT_EQ(restored.current().model().normal_rank(), 2u);
+        // The same record at version 3, A dense, converts to the same runs:
+        // both save the same bytes.
+        std::istringstream legacy_in(fault_record(record_fault::legacy_dense_routing),
+                                     std::ios::binary);
+        streaming_diagnoser legacy = streaming_diagnoser::restore(legacy_in);
+        std::ostringstream saved(std::ios::binary);
+        std::ostringstream legacy_saved(std::ios::binary);
+        restored.save(saved);
+        legacy.save(legacy_saved);
+        EXPECT_EQ(legacy_saved.str(), saved.str());
     }
     for (const record_fault fault : k_record_faults) {
         std::istringstream in(fault_record(fault), std::ios::binary);
@@ -937,6 +1044,8 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
     net::netdiag_frontend frontend(server);
     net::remote_collector collector(frontend.port());
     const std::uint64_t id = collector.restore(fault_record(record_fault::none));
+    // A version-3 record, A dense, restores over loopback too.
+    server.close_stream(collector.restore(fault_record(record_fault::legacy_dense_routing)));
     const std::vector<stream_id> before = server.stream_ids();
 
     for (const record_fault fault : k_record_faults) {
@@ -967,16 +1076,20 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
     // kinds: every shape agrees, so only the finiteness checks refuse
     // them, locally through both restore_stream overloads and over
     // loopback. Restoring one would leave a stream that raises no alarm.
-    std::vector<std::pair<std::string, std::string>> nonfinite;
+    // A tracking record counting more alarms than bins is refused the
+    // same way.
+    std::vector<std::pair<std::string, std::string>> refused;
     for (const record_fault fault : k_nonfinite_faults) {
-        nonfinite.emplace_back("streaming fault " + std::to_string(static_cast<int>(fault)),
-                               fault_record(fault));
+        refused.emplace_back("streaming fault " + std::to_string(static_cast<int>(fault)),
+                             fault_record(fault));
     }
     for (const tracker_fault fault : k_tracker_nonfinite_faults) {
-        nonfinite.emplace_back("tracking fault " + std::to_string(static_cast<int>(fault)),
-                               tracker_record(fault));
+        refused.emplace_back("tracking fault " + std::to_string(static_cast<int>(fault)),
+                             tracker_record(fault));
     }
-    for (const auto& [name, record] : nonfinite) {
+    refused.emplace_back("tracking alarms above processed",
+                         tracker_record(tracker_fault::alarms_above_processed));
+    for (const auto& [name, record] : refused) {
         EXPECT_THROW((void)server.restore_stream(std::string_view(record)), std::runtime_error)
             << name;
         std::istringstream in(record, std::ios::binary);

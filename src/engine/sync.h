@@ -15,7 +15,6 @@
 // touch role-confined state.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -130,30 +129,22 @@ public:
         native.release();  // ownership stays with `lock`
     }
 
-    template <class Rep, class Period>
-    std::cv_status wait_for(mutex_lock& lock, const std::chrono::duration<Rep, Period>& dur) {
-        std::unique_lock<std::mutex> native(lock.mu_->native(), std::adopt_lock);
-        const std::cv_status status = cv_.wait_for(native, dur);
-        native.release();
-        return status;
-    }
-
 private:
     std::condition_variable cv_;
 };
 
 // A zero-size capability for logical roles enforced by protocol: ownership
-// changes hands through an atomic flag or a documented single-caller
-// contract, not through a mutex the analysis can watch. The methods are
-// no-ops that mark the hand-off points; the payoff is that every field
-// NETDIAG_GUARDED_BY a role can only be touched by functions that acquired
-// or asserted it.
+// changes hands through a flag (set under a mutex, but held long after it
+// is released) or a documented single-caller contract, not through a lock
+// the analysis can watch. The methods are no-ops that mark the hand-off
+// points; the payoff is that every field NETDIAG_GUARDED_BY a role can
+// only be touched by functions that acquired or asserted it.
 class NETDIAG_CAPABILITY("role") role {
 public:
     role() = default;
 
-    // The protocol just granted this thread the role (e.g. it won the
-    // draining-flag CAS).
+    // The protocol just granted this thread the role (e.g. it set the
+    // draining flag).
     void acquire() const noexcept NETDIAG_ACQUIRE() {}
 
     // The protocol released the role (e.g. the draining flag was cleared).

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
-#include "engine/backoff.h"
 #include "engine/clock.h"
-#include "engine/mpsc_inbox.h"
 #include "linalg/vector_ops.h"
 #include "measurement/stream_checkpoint.h"
 #include "stats/histogram.h"
@@ -28,11 +28,25 @@ constexpr const char* k_server_stream_tag = "server_stream";
 // block. Anything larger was never written by a server.
 constexpr std::uint64_t k_max_retired_policy = 2;
 
-// Ring size of a stream opened with ingest_options::capacity == 0.
+// Inbox bound of a stream opened with ingest_options::capacity == 0.
 constexpr std::size_t k_default_inbox_capacity = 1024;
-// Bins a drainer applies per pass before it re-checks for a waiting
-// maintenance op (scheduling only).
-constexpr std::size_t k_drain_burst = 64;
+// Largest accepted inbox bound: 64x the default, small enough that the
+// power-of-two rounding below cannot overflow and that a checkpoint's
+// capacity field never admits more than 2^16 residue bins.
+constexpr std::size_t k_max_inbox_capacity = std::size_t{1} << 16;
+
+// The effective bound of a requested capacity: 0 selects the default,
+// anything else rounds up to a power of two.
+std::size_t inbox_capacity(std::size_t requested) {
+    if (requested == 0) return k_default_inbox_capacity;
+    if (requested > k_max_inbox_capacity) {
+        throw std::invalid_argument("stream_server: inbox capacity above " +
+                                    std::to_string(k_max_inbox_capacity));
+    }
+    std::size_t cap = 1;
+    while (cap < requested) cap <<= 1;
+    return cap;
+}
 
 std::string checkpoint_filename(stream_id id) {
     return "stream_" + std::to_string(id) + ".ckpt";
@@ -44,102 +58,88 @@ std::string checkpoint_filename(stream_id id) {
 
 }  // namespace
 
-// One served stream: the detector plus its ingest inbox. The per-entry
-// lock decouples ingest from the server-wide map lock (mu_): ingest holds
-// mu_ only for the id lookup, then works under this lock, so a drain that
-// waits at a refit boundary never stalls opens/closes or other streams'
-// ingests. Lifecycle: close/snapshot/detach take the entry lock
-// exclusively to quiesce the stream; ingest/flush take it shared. The
-// draining flag is the single-drainer role: whoever wins the exchange
-// applies pending bins in sequence order, everyone else returns after
-// enqueueing.
+// One served stream: the detector plus its inbox, a bounded FIFO of
+// pending bins. One mutex guards the FIFO and all of the stream's
+// bookkeeping; one condition variable carries every wait on it (room,
+// the drain role, a flush), and every change those waits read notifies
+// all. The mutex is never held across push_bin, a sink call or
+// detector->drain(); the record write holds it, so no producer enqueues
+// into the residue it freezes. The draining flag is the single-drainer
+// role. A drainer clears it in the critical section that finds the FIFO
+// empty, so a bin enqueued while the role was held is never stranded.
 struct stream_server::stream_entry {
-    // What travels through the inbox: the measurement plus the monotone
-    // tick of its enqueue staging, so the drainer can charge the full
-    // ingest-to-applied interval (including any wait for ring space and
-    // queueing delay) to the latency histogram. Ticks are runtime-only:
-    // checkpoints serialize the payload and restamp at restore.
+    // A bin plus the tick of its enqueue staging, so its latency includes
+    // any wait for room. Ticks are runtime-only: records restamp them.
     struct ingest_item {
         vec y;
         std::uint64_t enqueue_tick = 0;
     };
 
     std::unique_ptr<stream_detector> detector;
-    ingest_options opts;  // capacity holds the effective (rounded) ring size
-    std::unique_ptr<mpsc_inbox<ingest_item>> inbox;
-    mutable sync::shared_mutex mu;
-    // The single-drainer role as a capability the analysis can track:
-    // whoever owns the draining flag below holds drain_cap, and only
-    // holders may run apply_pending or touch the sink. The flag (not the
-    // capability, which is a zero-size no-op) is what changes hands at
-    // runtime.
+    ingest_options opts;  // capacity holds the effective (power-of-two) bound
+
+    sync::mutex mu;
+    sync::condition_variable cv;
+    std::deque<ingest_item> pending NETDIAG_GUARDED_BY(mu);
+    // Sequence of the next accepted bin; the FIFO's front holds
+    // next_sequence - pending.size().
+    std::uint64_t next_sequence NETDIAG_GUARDED_BY(mu) = 0;
+    bool draining NETDIAG_GUARDED_BY(mu) = false;
+    bool closing NETDIAG_GUARDED_BY(mu) = false;
+    // Maintenance ops parked in wait_for_drain_role. Opportunistic drains
+    // yield to them, or sustained ingest could starve them of the role.
+    std::size_t role_waiters NETDIAG_GUARDED_BY(mu) = 0;
+    std::uint64_t accepted NETDIAG_GUARDED_BY(mu) = 0;
+    std::uint64_t applied NETDIAG_GUARDED_BY(mu) = 0;
+    std::uint64_t dropped NETDIAG_GUARDED_BY(mu) = 0;
+    std::uint64_t rejected NETDIAG_GUARDED_BY(mu) = 0;
+    // The detector's counters, copied by the drainer after every bin (the
+    // detector itself is the drainer's alone), for stats().
+    std::size_t processed NETDIAG_GUARDED_BY(mu) = 0;
+    std::size_t alarms NETDIAG_GUARDED_BY(mu) = 0;
+    std::uint64_t epoch NETDIAG_GUARDED_BY(mu) = 0;
+    // Ingest-to-applied latency: log2(ns) in quarter-log2 buckets (~19%
+    // slack on a percentile), exact max kept aside.
+    histogram latency_hist NETDIAG_GUARDED_BY(mu);
+    std::uint64_t latency_count NETDIAG_GUARDED_BY(mu) = 0;
+    std::uint64_t latency_max_ns NETDIAG_GUARDED_BY(mu) = 0;
+
+    // The drain role as a capability the analysis can track: whoever set
+    // the draining flag holds it, and only holders apply bins or call the
+    // sink. It is a zero-size no-op; the flag changes hands at runtime.
     sync::role drain_cap;
     // Applied-bin callback, invoked only by the drainer; hoisted out of
     // opts so the analysis can pin it to the role capability.
     ingest_sink sink NETDIAG_GUARDED_BY(drain_cap);
-    // The single-drainer role flag. All operations on this flag (and the
-    // inbox's position words) are seq_cst: the lost-drain re-checks and
-    // flush's "empty and nobody draining" exit combine the two variables,
-    // which is only sound in one total order -- with weaker orders a
-    // thread could observe a drainer's pop yet a stale role flag and
-    // return while the last bin is still mid-apply.
-    std::atomic<bool> draining{false};
-    std::atomic<bool> closing{false};
-    // Threads parked in wait_for_drain_role (close/snapshot/drain_all/
-    // set_ingest_sink). Opportunistic auto-drains yield to them: under
-    // sustained ingest the role is otherwise held almost continuously by
-    // alternating producers, and a maintenance op could starve for
-    // minutes waiting for a free window.
-    std::atomic<std::size_t> role_waiters{0};
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> applied{0};
-    std::atomic<std::uint64_t> dropped{0};
-    std::atomic<std::uint64_t> rejected{0};
-    // The detector's counters as stats() reports them. The detector is
-    // the drainer's alone (it may be mid-push on another connection's
-    // thread), so the drainer copies them here after every bin it pushes
-    // and stats() reads only these.
-    std::atomic<std::size_t> processed{0};
-    std::atomic<std::size_t> alarms{0};
-    std::atomic<std::uint64_t> epoch{0};
 
-    void publish_detector_counters() NETDIAG_REQUIRES(drain_cap) {
-        processed.store(detector->processed(), std::memory_order_relaxed);
-        alarms.store(detector->alarm_count(), std::memory_order_relaxed);
-        epoch.store(detector->model_epoch(), std::memory_order_relaxed);
+    void publish_detector_counters() NETDIAG_REQUIRES(mu, drain_cap) {
+        processed = detector->processed();
+        alarms = detector->alarm_count();
+        epoch = detector->model_epoch();
     }
 
-    // Ingest-to-applied latency accounting, written by the drainer per
-    // applied bin, read by ingest_statistics. A dedicated mutex (never
-    // held across detector or inbox calls) rather than the drain role:
-    // readers are not drainers. Histogram domain is log2(latency_ns)
-    // with quarter-log2 buckets -- fixed memory, ~19% worst-case
-    // relative slack on the reported percentile, exact max kept aside.
-    sync::mutex latency_mu;
-    histogram latency_hist NETDIAG_GUARDED_BY(latency_mu);
-    std::uint64_t latency_count NETDIAG_GUARDED_BY(latency_mu) = 0;
-    std::uint64_t latency_max_ns NETDIAG_GUARDED_BY(latency_mu) = 0;
-
-    void record_latency(std::uint64_t enqueue_tick, std::uint64_t now)
-        NETDIAG_EXCLUDES(latency_mu) {
+    void record_latency(std::uint64_t enqueue_tick, std::uint64_t now) NETDIAG_REQUIRES(mu) {
         const std::uint64_t ns = now > enqueue_tick ? now - enqueue_tick : 0;
-        sync::mutex_lock lock(latency_mu);
         latency_hist.record(std::log2(static_cast<double>(std::max<std::uint64_t>(ns, 1))));
         ++latency_count;
         latency_max_ns = std::max(latency_max_ns, ns);
     }
 
-    // RAII release of an already-acquired drain role (close_stream is the
-    // one holder that never releases: it adopts the role for teardown).
-    // The adopt shape: the constructor REQUIRES the capability instead of
-    // acquiring it, the destructor releases it -- acquisition happened in
-    // try_claim_drain_role / wait_for_drain_role.
+    void release_drain_role() NETDIAG_REQUIRES(mu) NETDIAG_RELEASE(drain_cap) {
+        draining = false;
+        drain_cap.release();
+        cv.notify_all();
+    }
+
+    // RAII release of a maintenance op's drain role (close_stream and
+    // detach_stream keep theirs). The adopt shape: the constructor
+    // REQUIRES the capability wait_for_drain_role acquired.
     class NETDIAG_SCOPED_CAPABILITY drain_role {
     public:
         explicit drain_role(stream_entry& e) NETDIAG_REQUIRES(e.drain_cap) : e_(e) {}
         ~drain_role() NETDIAG_RELEASE() {
-            e_.drain_cap.release();
-            e_.draining.store(false, std::memory_order_seq_cst);
+            sync::mutex_lock lock(e_.mu);
+            e_.release_drain_role();
         }
         drain_role(const drain_role&) = delete;
         drain_role& operator=(const drain_role&) = delete;
@@ -148,42 +148,43 @@ struct stream_server::stream_entry {
         stream_entry& e_;
     };
 
-    // One attempt at the role: wins iff nobody held the draining flag.
-    static bool try_claim_drain_role(stream_entry& e) NETDIAG_TRY_ACQUIRE(true, e.drain_cap) {
-        if (e.draining.exchange(true, std::memory_order_seq_cst)) return false;
-        e.drain_cap.acquire();  // no-op: the exchange above won the role
-        return true;
-    }
-
+    static bool try_claim_drain_role(stream_entry& e) NETDIAG_TRY_ACQUIRE(true, e.drain_cap)
+        NETDIAG_EXCLUDES(e.mu);
     static bool wait_for_drain_role(stream_entry& e, bool bail_on_closing)
-        NETDIAG_TRY_ACQUIRE(true, e.drain_cap);
-    static void acquire_drain_role(stream_entry& e) NETDIAG_ACQUIRE(e.drain_cap);
-    static void apply_pending(stream_entry& e, bool yield_to_waiters)
-        NETDIAG_REQUIRES(e.drain_cap);
-    static void drain_entry(stream_entry& e) NETDIAG_EXCLUDES(e.drain_cap);
+        NETDIAG_TRY_ACQUIRE(true, e.drain_cap) NETDIAG_EXCLUDES(e.mu);
+    static void acquire_drain_role(stream_entry& e) NETDIAG_ACQUIRE(e.drain_cap)
+        NETDIAG_EXCLUDES(e.mu);
+    static std::uint64_t pop(stream_entry& e, ingest_item& bin) NETDIAG_REQUIRES(e.mu);
+    static void apply(stream_entry& e, const ingest_item& bin, std::uint64_t sequence)
+        NETDIAG_REQUIRES(e.drain_cap) NETDIAG_EXCLUDES(e.mu);
+    static void apply_pending(stream_entry& e) NETDIAG_REQUIRES(e.drain_cap)
+        NETDIAG_EXCLUDES(e.mu);
+    static void drain_and_release(stream_entry& e) NETDIAG_RELEASE(e.drain_cap)
+        NETDIAG_EXCLUDES(e.mu);
+    static void drain_entry(stream_entry& e) NETDIAG_EXCLUDES(e.mu, e.drain_cap);
+    static ingest_result enqueue(stream_entry& e, std::span<const std::span<const double>> ys)
+        NETDIAG_EXCLUDES(e.mu, e.drain_cap);
+    static void flush(stream_entry& e) NETDIAG_EXCLUDES(e.mu, e.drain_cap);
+    static void close(stream_entry& e) NETDIAG_EXCLUDES(e.mu);
+    static void write_record(stream_entry& e, std::ostream& out, ckpt::encoding enc)
+        NETDIAG_REQUIRES(e.drain_cap) NETDIAG_EXCLUDES(e.mu);
 };
 
 std::shared_ptr<stream_server::stream_entry> stream_server::make_entry(
-    std::unique_ptr<stream_detector> detector, ingest_options&& opts,
-    std::uint64_t start_sequence) {
+    std::unique_ptr<stream_detector> detector, ingest_options&& opts) {
     auto entry = std::make_shared<stream_server::stream_entry>();
-    entry->detector = std::move(detector);
     entry->opts = std::move(opts);
-    // The entry is freshly built and unpublished: no drainer can exist
-    // yet, so this thread holds the drain role by construction.
+    entry->opts.capacity = inbox_capacity(entry->opts.capacity);
+    entry->detector = std::move(detector);
+    // Unpublished: this thread holds the drain role by construction, and
+    // the lock is for the static analysis only.
     entry->drain_cap.assert_held();
     entry->sink = std::move(entry->opts.sink);
-    entry->publish_detector_counters();
-    const std::size_t capacity =
-        entry->opts.capacity != 0 ? entry->opts.capacity : k_default_inbox_capacity;
-    entry->inbox =
-        std::make_unique<mpsc_inbox<stream_entry::ingest_item>>(capacity, start_sequence);
-    entry->opts.capacity = entry->inbox->capacity();
-    // log2(ns) domain, quarter-log2 buckets: covers 1ns..2^40ns (~18min)
-    // with 160 fixed bins. The entry is unpublished; the lock is for the
-    // static analysis, not for contention.
     {
-        sync::mutex_lock lock(entry->latency_mu);
+        sync::mutex_lock lock(entry->mu);
+        entry->publish_detector_counters();
+        // log2(ns) domain, quarter-log2 buckets: covers 1ns..2^40ns (~18min)
+        // with 160 fixed bins.
         entry->latency_hist = histogram{0.0, 40.0, std::vector<std::size_t>(160, 0)};
     }
     return entry;
@@ -222,8 +223,7 @@ stream_id stream_server::open_stream(stream_open_config cfg) {
     // Build outside the lock: bootstrap fits can be expensive and touch
     // only the new detector (plus the pool, which is thread-safe).
     ingest_options ingest = std::move(cfg.ingest);
-    auto entry = make_entry(build_detector(std::move(cfg)), std::move(ingest),
-                            /*start_sequence=*/0);
+    auto entry = make_entry(build_detector(std::move(cfg)), std::move(ingest));
     sync::exclusive_lock lock(mu_);
     const stream_id id = next_id_++;
     streams_.emplace(id, std::move(entry));
@@ -243,6 +243,15 @@ std::shared_ptr<stream_server::stream_entry> stream_server::entry_or_throw(
     return entry;
 }
 
+// Sets the closing flag and wakes every waiter: producers waiting for
+// room return stream_closed, and no enqueue or opportunistic drain can
+// follow.
+void stream_server::stream_entry::close(stream_entry& e) {
+    sync::mutex_lock lock(e.mu);
+    e.closing = true;
+    e.cv.notify_all();
+}
+
 void stream_server::close_stream(stream_id id) {
     // Serialize with the other maintenance ops; unpublish under the map
     // lock, everything else outside it: joining a multi-second refit (or
@@ -258,29 +267,29 @@ void stream_server::close_stream(stream_id id) {
         victim = std::move(it->second);
         streams_.erase(it);
     }
-    // Stop the concurrent edge: new ingests bounce off the map lookup,
-    // producers blocked on a full inbox wake and return stream_closed,
-    // in-flight ingests either finish enqueueing (their bins are drained
-    // below) or observe the closing flag.
-    victim->closing.store(true, std::memory_order_release);
-    victim->inbox->close();
-    // Take the drain role -- waiting out an active drainer -- and keep it
-    // for good: after this point no late auto-drain can touch the
-    // detector. Then wait for in-flight enqueues (shared holders of the
-    // entry lock) and apply every pending bin in sequence order: a
-    // non-empty inbox is drained before the stream disappears.
+    // New ingests bounce off the map lookup and the closing flag refuses
+    // the rest. Take the drain role for good -- no late auto-drain may
+    // touch the detector -- and apply every pending bin in sequence order.
+    stream_entry::close(*victim);
     stream_entry::acquire_drain_role(*victim);
-    {
-        sync::exclusive_lock entry_lock(victim->mu);
-        stream_entry::apply_pending(*victim, /*yield_to_waiters=*/false);
-    }
+    stream_entry::apply_pending(*victim);
     // Join the stream's background maintenance before teardown so a refit
     // failure surfaces here instead of being swallowed by the destructor.
     victim->detector->drain();
-    // The role is adopted permanently: the draining flag stays set so no
-    // late auto-drain can ever touch the dying detector. Balance the
-    // acquire for the analysis only -- this compiles to nothing.
+    // The role is kept: the draining flag stays set. Balance the acquire
+    // for the analysis only -- this compiles to nothing.
     victim->drain_cap.release();
+}
+
+// One attempt at the role for an opportunistic drain: wins only when a
+// bin is pending, nobody drains, no maintenance op waits for the role and
+// the stream is not closing (close and detach own the residue).
+bool stream_server::stream_entry::try_claim_drain_role(stream_entry& e) {
+    sync::mutex_lock lock(e.mu);
+    if (e.pending.empty() || e.draining || e.closing || e.role_waiters > 0) return false;
+    e.draining = true;
+    e.drain_cap.acquire();  // no-op: the flag above changed hands
+    return true;
 }
 
 // Blocks until the calling thread holds the stream's drain role.
@@ -288,19 +297,14 @@ void stream_server::close_stream(stream_id id) {
 // close_stream owns the stream (close takes the role and never releases
 // it, so waiting would hang forever).
 bool stream_server::stream_entry::wait_for_drain_role(stream_entry& e, bool bail_on_closing) {
-    e.role_waiters.fetch_add(1, std::memory_order_relaxed);
-    for (std::size_t spin = 0;; ++spin) {
-        if (!e.draining.exchange(true, std::memory_order_seq_cst)) {
-            e.role_waiters.fetch_sub(1, std::memory_order_relaxed);
-            e.drain_cap.acquire();  // no-op: the exchange won the role
-            return true;
-        }
-        if (bail_on_closing && e.closing.load(std::memory_order_acquire)) {
-            e.role_waiters.fetch_sub(1, std::memory_order_relaxed);
-            return false;
-        }
-        spin_then_sleep_backoff(spin);
-    }
+    sync::mutex_lock lock(e.mu);
+    ++e.role_waiters;
+    while (e.draining && !(bail_on_closing && e.closing)) e.cv.wait(lock);
+    --e.role_waiters;
+    if (e.draining) return false;
+    e.draining = true;
+    e.drain_cap.acquire();  // no-op: the flag above changed hands
+    return true;
 }
 
 // wait_for_drain_role in the shape the analysis accepts for an
@@ -311,65 +315,84 @@ void stream_server::stream_entry::acquire_drain_role(stream_entry& e) {
     }
 }
 
-// Pops and applies every pending bin in sequence order. Caller must hold
-// the drain role (the draining flag). With yield_to_waiters (the
-// opportunistic auto-drain path) the loop returns early when a
-// maintenance op is parked in wait_for_drain_role, so it can take the
-// role promptly; the remaining bins are applied by a later ingest or
-// flush_stream. Maintenance's own applies (close_stream) pass false and
-// always run to empty.
-void stream_server::stream_entry::apply_pending(stream_entry& e, bool yield_to_waiters) {
-    ingest_item bin;
-    std::uint64_t seq = 0;
-    std::size_t stall = 0;
+// Removes the FIFO's front bin and returns its sequence.
+std::uint64_t stream_server::stream_entry::pop(stream_entry& e, ingest_item& bin) {
+    const std::uint64_t sequence = e.next_sequence - e.pending.size();
+    bin = std::move(e.pending.front());
+    e.pending.pop_front();
+    e.cv.notify_all();  // room for a waiting producer
+    return sequence;
+}
+
+// Pushes one popped bin through the detector, counts it and hands the
+// result to the sink. Caller must hold the drain role.
+void stream_server::stream_entry::apply(stream_entry& e, const ingest_item& bin,
+                                        std::uint64_t sequence) {
+    detection_result result;
+    try {
+        result = e.detector->push_bin(bin.y);
+    } catch (...) {
+        // A consumed bin that never applied (e.g. a failed refit) counts
+        // as dropped, so accepted == applied + dropped + pending holds.
+        sync::mutex_lock lock(e.mu);
+        ++e.dropped;
+        e.publish_detector_counters();
+        throw;
+    }
+    const std::uint64_t now = monotone_now_ns();
+    {
+        sync::mutex_lock lock(e.mu);
+        ++e.applied;
+        e.publish_detector_counters();
+        e.record_latency(bin.enqueue_tick, now);
+    }
+    if (e.sink) e.sink(sequence, result);
+}
+
+// close_stream's apply: every pending bin, keeping the role.
+void stream_server::stream_entry::apply_pending(stream_entry& e) {
     for (;;) {
-        if (yield_to_waiters && e.role_waiters.load(std::memory_order_relaxed) > 0) return;
-        const std::size_t pending = e.inbox->approx_size();
-        if (pending == 0) return;
-        const std::size_t burst = std::min(pending, k_drain_burst);
-        std::size_t popped = 0;
-        for (std::size_t i = 0; i < burst; ++i) {
-            if (!e.inbox->try_pop(bin, seq)) break;
-            ++popped;
-            detection_result result;
-            try {
-                result = e.detector->push_bin(bin.y);
-            } catch (...) {
-                // The bin was consumed but never applied (e.g. a failed
-                // refit surfacing at its swap or trigger bin); account for
-                // it so the accepted == applied + dropped + pending
-                // invariant survives the error.
-                e.dropped.fetch_add(1, std::memory_order_relaxed);
-                e.publish_detector_counters();
-                throw;
-            }
-            e.publish_detector_counters();
-            e.applied.fetch_add(1, std::memory_order_relaxed);
-            e.record_latency(bin.enqueue_tick, monotone_now_ns());
-            if (e.sink) e.sink(seq, result);
+        ingest_item bin;
+        std::uint64_t sequence = 0;
+        {
+            sync::mutex_lock lock(e.mu);
+            if (e.pending.empty()) return;
+            sequence = pop(e, bin);
         }
-        if (popped == 0) {
-            // approx_size counted a ticket whose cell the producer has
-            // not published yet; give it time instead of spinning hot.
-            spin_then_sleep_backoff(stall++);
-        } else {
-            stall = 0;
+        apply(e, bin, sequence);
+    }
+}
+
+// The opportunistic drain: applies pending bins and releases the role in
+// the critical section that finds the FIFO empty -- or a maintenance op
+// waiting for the role; a later ingest or flush applies what is left.
+void stream_server::stream_entry::drain_and_release(stream_entry& e) {
+    for (;;) {
+        ingest_item bin;
+        std::uint64_t sequence = 0;
+        {
+            sync::mutex_lock lock(e.mu);
+            if (e.pending.empty() || e.role_waiters > 0) {
+                e.release_drain_role();
+                return;
+            }
+            sequence = pop(e, bin);
+        }
+        try {
+            apply(e, bin, sequence);
+        } catch (...) {
+            sync::mutex_lock lock(e.mu);
+            e.release_drain_role();
+            throw;
         }
     }
 }
 
-// Claims the per-stream drain role and applies pending bins until the
-// inbox is observed empty; returns immediately when another drainer is
-// active (or close_stream owns the stream -- close applies the residue
-// itself). The re-check loop closes the window where a producer enqueues
-// after the drainer's last pop but before the role release.
+// Claims the drain role and applies pending bins; returns at once when
+// another drainer is active, a maintenance op waits or the stream is
+// closing.
 void stream_server::stream_entry::drain_entry(stream_entry& e) {
-    while (!e.inbox->empty()) {
-        if (e.role_waiters.load(std::memory_order_relaxed) > 0) return;  // yield
-        if (!try_claim_drain_role(e)) return;
-        drain_role role(e);
-        apply_pending(e, /*yield_to_waiters=*/true);
-    }
+    if (try_claim_drain_role(e)) drain_and_release(e);
 }
 
 ingest_result stream_server::ingest(stream_id id, std::span<const double> y) {
@@ -381,118 +404,96 @@ ingest_result stream_server::ingest_batch(stream_id id,
                                           std::span<const std::span<const double>> ys) {
     const std::shared_ptr<stream_entry> e = find_entry(id);
     if (e == nullptr) return {ingest_error::unknown_stream, 0, 0};
+    return stream_entry::enqueue(*e, ys);
+}
 
-    // Validate and stage the payloads before touching the entry lock. A
-    // NaN or an infinity would enter the refit window (or a tracker's
-    // running sums) and poison every later model, so the whole batch is
-    // refused before anything enqueues.
-    {
-        sync::shared_lock guard(e->mu);
-        if (e->closing.load(std::memory_order_acquire)) {
-            return {ingest_error::stream_closed, 0, 0};
-        }
-        const std::size_t dim = e->detector->dimension();
+ingest_result stream_server::stream_entry::enqueue(stream_entry& e,
+                                                   std::span<const std::span<const double>> ys) {
+    // Validate and stage outside the lock (a stream's width never
+    // changes). A NaN or an infinity would poison every later model, so
+    // one bad bin refuses the whole batch; a run longer than the inbox
+    // bound can never fit. Closing takes precedence over each refusal.
+    const std::size_t dim = e.detector->dimension();
+    ingest_error refused = ingest_error::ok;
+    if (std::any_of(ys.begin(), ys.end(), [dim](auto y) { return y.size() != dim; })) {
+        refused = ingest_error::width_mismatch;
+    } else if (!std::all_of(ys.begin(), ys.end(), [](auto y) { return all_finite(y); })) {
+        refused = ingest_error::non_finite;
+    } else if (ys.size() > e.opts.capacity) {
+        refused = ingest_error::inbox_full;
+    }
+    // One stamp for the whole batch, taken at staging, so the reported
+    // latency charges any wait for room to the bins that waited.
+    std::vector<ingest_item> items;
+    if (refused == ingest_error::ok) {
+        items.reserve(ys.size());
+        const std::uint64_t enqueue_tick = monotone_now_ns();
         for (const std::span<const double>& y : ys) {
-            if (y.size() != dim) {
-                e->rejected.fetch_add(ys.size(), std::memory_order_relaxed);
-                return {ingest_error::width_mismatch, 0, 0};
-            }
-        }
-        for (const std::span<const double>& y : ys) {
-            if (!all_finite(y)) {
-                e->rejected.fetch_add(ys.size(), std::memory_order_relaxed);
-                return {ingest_error::non_finite, 0, 0};
-            }
-        }
-        if (ys.empty()) return {ingest_error::ok, e->inbox->next_sequence(), 0};
-        if (ys.size() > e->inbox->capacity()) {
-            // A run longer than the ring can never fit; report it as the
-            // error it is instead of letting push_n throw (the concurrent
-            // contract is error codes, not exceptions).
-            e->rejected.fetch_add(ys.size(), std::memory_order_relaxed);
-            return {ingest_error::inbox_full, 0, 0};
+            items.push_back({vec(y.begin(), y.end()), enqueue_tick});
         }
     }
 
-    // One stamp for the whole batch, taken at staging: a retry after a
-    // full ring keeps the original stamp, so the reported latency charges
-    // the full wait for ring space to the bins that waited.
-    std::vector<stream_entry::ingest_item> items;
-    items.reserve(ys.size());
-    const std::uint64_t enqueue_tick = monotone_now_ns();
-    for (const std::span<const double>& y : ys) {
-        items.push_back({vec(y.begin(), y.end()), enqueue_tick});
-    }
-
-    // The entry lock guards only the closing-check + enqueue attempt (so
-    // a close/snapshot can quiesce enqueues). The wait for ring space
-    // happens OUTSIDE it -- a producer parked on a full ring must never
-    // hold the lock a snapshot/set_ingest_sink needs to quiesce the
-    // stream -- and the drain at the end runs outside it too, since its
-    // sink may call back into the server.
+    // A full inbox never evicts a pending bin or refuses a batch that
+    // fits: the producer waits for room. An auto-draining producer first
+    // drains itself whenever the role is free (or every producer could
+    // wait with no drainer anywhere); accumulate-mode streams wait for
+    // flush_stream. Drains run outside the lock: a sink may call back in.
     ingest_result out;
+    bool claimed = false;
     for (;;) {
-        bool must_wait = false;
         {
-            sync::shared_lock guard(e->mu);
-            if (e->closing.load(std::memory_order_acquire)) {
-                return {ingest_error::stream_closed, 0, 0};
+            sync::mutex_lock lock(e.mu);
+            if (e.closing) return {ingest_error::stream_closed, 0, 0};
+            if (refused != ingest_error::ok) {
+                e.rejected += ys.size();
+                return {refused, 0, 0};
             }
-            // Count the batch accepted BEFORE the push and roll back on
-            // the outcomes that didn't take it. With the add after the
-            // push, a drainer could apply these bins (applied +=) while
-            // accepted still excluded them, and ingest_statistics would
-            // observe accepted < applied + dropped -- the conservation
-            // identity broken mid-flight. Counting first errs the other
-            // way (bins briefly pending before they are visible), which
-            // the derived pending absorbs by construction.
-            e->accepted.fetch_add(ys.size(), std::memory_order_seq_cst);
-            const auto pushed = e->inbox->push_n(std::span<stream_entry::ingest_item>(items));
-            switch (pushed.status) {
-                case inbox_push_status::accepted:
-                    out = {ingest_error::ok, pushed.sequence, ys.size()};
-                    break;
-                case inbox_push_status::closed:
-                    e->accepted.fetch_sub(ys.size(), std::memory_order_seq_cst);
-                    return {ingest_error::stream_closed, 0, 0};
-                case inbox_push_status::full:
-                    e->accepted.fetch_sub(ys.size(), std::memory_order_seq_cst);
-                    must_wait = true;
-                    break;
+            if (ys.empty()) return {ingest_error::ok, e.next_sequence, 0};
+            bool fits = false;
+            for (;;) {
+                fits = e.pending.size() + items.size() <= e.opts.capacity;
+                if (fits || (e.opts.auto_drain && !e.draining && e.role_waiters == 0)) break;
+                thread_pool::assert_wait_allowed();
+                e.cv.wait(lock);
+                if (e.closing) return {ingest_error::stream_closed, 0, 0};
+            }
+            if (fits) {
+                out = {ingest_error::ok, e.next_sequence, items.size()};
+                e.next_sequence += items.size();
+                e.accepted += items.size();
+                std::move(items.begin(), items.end(), std::back_inserter(e.pending));
+                claimed = e.opts.auto_drain && !e.draining && e.role_waiters == 0;
+                if (claimed) e.draining = true;
+                break;
             }
         }
-        if (!must_wait) break;
-        // Full ring: an auto-drain producer first tries to make room
-        // itself (without it, every producer could end up parked here
-        // with a full ring and no drainer anywhere -- a successful
-        // enqueue is otherwise the only drain trigger) and retries
-        // immediately when that freed space; it only parks when the ring
-        // is still full (another drainer holds the role, or a maintenance
-        // op does). Accumulate-mode (auto_drain off) streams rely on
-        // flush_stream, as documented.
-        if (e->opts.auto_drain) {
-            stream_entry::drain_entry(*e);
-            if (!e->inbox->empty()) e->inbox->wait_for_space();
-        } else {
-            e->inbox->wait_for_space();
-        }
+        drain_entry(e);
     }
-    if (e->opts.auto_drain) stream_entry::drain_entry(*e);
+    if (claimed) {
+        e.drain_cap.acquire();  // no-op: the flag above changed hands
+        drain_and_release(e);
+    }
     return out;
 }
 
 void stream_server::flush_stream(stream_id id) {
     const std::shared_ptr<stream_entry> e = entry_or_throw(id);
-    for (std::size_t spin = 0;; ++spin) {
-        // A concurrent close_stream applies the residue itself (and owns
-        // the drain role until teardown): nothing left for us.
-        if (e->closing.load(std::memory_order_acquire)) return;
-        stream_entry::drain_entry(*e);
-        // Done only when the inbox is empty AND no drainer is mid-apply
-        // (an active drainer may have popped the last bin but not pushed
-        // it through the detector yet).
-        if (e->inbox->empty() && !e->draining.load(std::memory_order_seq_cst)) return;
-        spin_then_sleep_backoff(spin);
+    stream_entry::flush(*e);
+}
+
+void stream_server::stream_entry::flush(stream_entry& e) {
+    for (;;) {
+        drain_entry(e);
+        sync::mutex_lock lock(e.mu);
+        for (;;) {
+            // A concurrent close applies the residue itself.
+            if (e.closing) return;
+            // Done only when no drainer is mid-apply either (one may have
+            // popped the last bin without applying it yet).
+            if (!e.draining && e.pending.empty()) return;
+            if (!e.draining && e.role_waiters == 0) break;  // ours to drain
+            e.cv.wait(lock);
+        }
     }
 }
 
@@ -513,57 +514,41 @@ void stream_server::flush_all() {
 ingest_stats stream_server::ingest_statistics(stream_id id) const {
     const std::shared_ptr<stream_entry> e = entry_or_throw(id);
     ingest_stats st;
-    // The shared entry lock pins the reads against close/snapshot
-    // quiesce; producers and the drainer still run. Conservation holds
-    // regardless: pending is DERIVED from the counters rather than read
-    // from the ring, and producers count accepted before their bins are
-    // visible (see ingest_batch), so reading applied and dropped first
-    // and accepted last can only overestimate pending, never drive the
-    // identity negative. The saturation below covers the one remaining
-    // skew (a producer's rollback between our reads).
-    sync::shared_lock guard(e->mu);
-    st.applied = e->applied.load(std::memory_order_seq_cst);
-    st.dropped = e->dropped.load(std::memory_order_seq_cst);
-    st.rejected = e->rejected.load(std::memory_order_seq_cst);
-    st.accepted = e->accepted.load(std::memory_order_seq_cst);
-    const std::uint64_t settled = st.applied + st.dropped;
-    st.pending = st.accepted > settled ? st.accepted - settled : 0;
-    st.next_sequence = e->inbox->next_sequence();
-    {
-        sync::mutex_lock latency(e->latency_mu);
-        st.latency_count = e->latency_count;
-        if (e->latency_count > 0) {
-            // Histogram buckets hold log2(ns); the percentile is the
-            // bucket's upper edge, so the exponentiated value is an upper
-            // bound on the true sample quantile. The max is exact.
-            st.latency_p50_ms = std::exp2(e->latency_hist.percentile(0.50)) / 1e6;
-            st.latency_p99_ms = std::exp2(e->latency_hist.percentile(0.99)) / 1e6;
-            st.latency_max_ms = static_cast<double>(e->latency_max_ns) / 1e6;
-        }
+    sync::mutex_lock lock(e->mu);
+    st.accepted = e->accepted;
+    st.applied = e->applied;
+    st.dropped = e->dropped;
+    st.rejected = e->rejected;
+    st.pending = e->accepted - e->applied - e->dropped;
+    st.next_sequence = e->next_sequence;
+    st.latency_count = e->latency_count;
+    if (e->latency_count > 0) {
+        // Histogram buckets hold log2(ns); the percentile is the bucket's
+        // upper edge, so the exponentiated value is an upper bound on the
+        // true sample quantile. The max is exact.
+        st.latency_p50_ms = std::exp2(e->latency_hist.percentile(0.50)) / 1e6;
+        st.latency_p99_ms = std::exp2(e->latency_hist.percentile(0.99)) / 1e6;
+        st.latency_max_ms = static_cast<double>(e->latency_max_ns) / 1e6;
     }
     return st;
 }
 
 void stream_server::set_ingest_sink(stream_id id, ingest_sink sink) {
     const std::shared_ptr<stream_entry> e = entry_or_throw(id);
-    // Quiesce the ingest edge for the swap: the drain role waits out an
-    // active drainer first (so the swap cannot race a sink invocation,
-    // and so we never wait for the role while holding the entry lock the
-    // drainer's sink may need -- see snapshot_all), then the entry lock
-    // stops new enqueues.
+    // The sink is the drain role's alone: waiting out an active drainer
+    // for the role is all the swap needs.
     if (!stream_entry::wait_for_drain_role(*e, /*bail_on_closing=*/true)) {
         throw std::invalid_argument("stream_server: stream " + std::to_string(id) +
                                     " is closing");
     }
     stream_entry::drain_role role(*e);
-    sync::exclusive_lock guard(e->mu);
     e->sink = std::move(sink);
 }
 
 stream_server::stream_stats stream_server::stats(stream_id id) const {
     const std::shared_ptr<stream_entry> e = entry_or_throw(id);
-    return {e->detector->dimension(), e->processed.load(std::memory_order_relaxed),
-            e->alarms.load(std::memory_order_relaxed), e->epoch.load(std::memory_order_relaxed)};
+    sync::mutex_lock lock(e->mu);
+    return {e->detector->dimension(), e->processed, e->alarms, e->epoch};
 }
 
 const stream_detector& stream_server::stream(stream_id id) const {
@@ -628,17 +613,13 @@ void stream_server::snapshot_all(const std::string& directory) {
     }
     for (auto& [id, entry] : entries) {
         // Quiesce this stream: the drain role waits out an active drainer
-        // FIRST (holding neither mu_ nor the entry lock -- the drainer's
-        // sink may read the server, and ingest_statistics takes the entry
-        // lock shared, so waiting for the role while holding it exclusive
-        // would deadlock against our own sink), then the entry lock stops
-        // new enqueues. The inbox is snapshotted as residue, NOT drained,
-        // so the restored server resumes from exactly this state. Lock
-        // order everywhere: drain role, then entry lock (close_stream
-        // follows it too).
+        // (holding neither mu_ nor the entry's mutex -- the drainer's sink
+        // may read the server), then the record is written under the
+        // entry's mutex, which stops new enqueues. The inbox is
+        // snapshotted as residue, NOT drained, so the restored server
+        // resumes from exactly this state.
         stream_entry::acquire_drain_role(*entry);
         stream_entry::drain_role role(*entry);
-        sync::exclusive_lock entry_lock(entry->mu);
         entry->detector->drain();
 
         const std::string path =
@@ -647,7 +628,7 @@ void stream_server::snapshot_all(const std::string& directory) {
         if (!out) {
             throw std::runtime_error("stream_server::snapshot_all: cannot open " + path);
         }
-        write_stream_record(*entry, out, ckpt::encoding::native);
+        stream_entry::write_record(*entry, out, ckpt::encoding::native);
     }
 
     const std::string manifest_path =
@@ -711,29 +692,29 @@ void stream_server::restore_all(const std::string& directory) {
 }
 
 // Writes the format-v3 "server_stream" container record for a quiesced
-// stream. Caller holds maint_mu_ and the stream's drain role and entry
-// lock, which together exclude every other toucher of the detector, so
-// the record streams straight into `out` under no server-wide lock: a
-// slow sink stalls this stream only.
-void stream_server::write_stream_record(stream_entry& entry, std::ostream& out,
-                                        ckpt::encoding enc) {
+// stream. The caller holds maint_mu_ and the drain role, which exclude
+// every other toucher of the detector; the entry's mutex, held for the
+// whole write, stops producers from enqueueing into the residue. No
+// server-wide lock is held, so a slow sink stalls this stream only.
+void stream_server::stream_entry::write_record(stream_entry& e, std::ostream& out,
+                                               ckpt::encoding enc) {
+    sync::mutex_lock lock(e.mu);
     ckpt::set_encoding(out, enc);
     ckpt::write_header(out, k_server_stream_tag);
-    ckpt::write_u64(out, entry.inbox->capacity());
+    ckpt::write_u64(out, e.opts.capacity);
     ckpt::write_u64(out, 0);  // retired policy slot (block)
-    ckpt::write_flag(out, entry.opts.auto_drain);
-    ckpt::write_u64(out, entry.accepted.load(std::memory_order_relaxed));
-    ckpt::write_u64(out, entry.applied.load(std::memory_order_relaxed));
-    ckpt::write_u64(out, entry.dropped.load(std::memory_order_relaxed));
-    ckpt::write_u64(out, entry.rejected.load(std::memory_order_relaxed));
-    ckpt::write_u64(out, entry.inbox->next_sequence());
+    ckpt::write_flag(out, e.opts.auto_drain);
+    ckpt::write_u64(out, e.accepted);
+    ckpt::write_u64(out, e.applied);
+    ckpt::write_u64(out, e.dropped);
+    ckpt::write_u64(out, e.rejected);
+    ckpt::write_u64(out, e.next_sequence);
     // Enqueue ticks are runtime-only: residue serializes the payload and
     // the restore restamps, so a checkpointed bin's latency is charged
     // from the restore, not across the downtime (or the migration).
-    const auto residue = entry.inbox->snapshot_items();
-    ckpt::write_u64(out, residue.size());
-    for (const auto& [seq, bin] : residue) ckpt::write_vec(out, bin.y);
-    entry.detector->save(out);
+    ckpt::write_u64(out, e.pending.size());
+    for (const ingest_item& bin : e.pending) ckpt::write_vec(out, bin.y);
+    e.detector->save(out);
     out.flush();
     if (!out) {
         throw std::runtime_error("stream_server: stream record write failed");
@@ -755,8 +736,7 @@ std::shared_ptr<stream_server::stream_entry> stream_server::read_stream_record(
     const ckpt::header_info hdr = ckpt::read_header_info(in);
     if (hdr.type_tag == k_server_stream_tag) {
         opts.capacity = ckpt::read_u64(in);
-        if (opts.capacity == 0 ||
-            opts.capacity > mpsc_inbox<stream_entry::ingest_item>::k_max_capacity) {
+        if (opts.capacity == 0 || opts.capacity > k_max_inbox_capacity) {
             throw std::runtime_error(context + ": malformed inbox capacity");
         }
         if (ckpt::read_u64(in) > k_max_retired_policy) {
@@ -799,26 +779,25 @@ std::shared_ptr<stream_server::stream_entry> stream_server::read_stream_record(
         detector = load_stream_detector(in, pool_.get());
     }
 
-    auto entry = make_entry(std::move(detector), std::move(opts),
-                            next_sequence - residue.size());
+    auto entry = make_entry(std::move(detector), std::move(opts));
     const std::uint64_t restamp_tick = monotone_now_ns();
-    for (vec& bin : residue) {
-        if (bin.size() != entry->detector->dimension()) {
-            throw std::runtime_error(context + ": inbox residue width mismatch");
+    {
+        // Unpublished: the lock is for the static analysis only.
+        sync::mutex_lock lock(entry->mu);
+        for (vec& bin : residue) {
+            if (bin.size() != entry->detector->dimension()) {
+                throw std::runtime_error(context + ": inbox residue width mismatch");
+            }
+            entry->pending.push_back({std::move(bin), restamp_tick});
         }
-        // The residue count was validated against the inbox capacity
-        // above, so a rejected push means the checkpoint lied about one
-        // of them -- losing the bin silently would desync the replay
-        // sequence from the restored counters.
-        if (entry->inbox->push(stream_entry::ingest_item{std::move(bin), restamp_tick})
-                .status != inbox_push_status::accepted) {
-            throw std::runtime_error(context + ": inbox rejected checkpoint residue");
-        }
+        // The residue keeps its original sequences: the front of the FIFO
+        // holds next_sequence - residue size.
+        entry->next_sequence = next_sequence;
+        entry->accepted = accepted;
+        entry->applied = applied;
+        entry->dropped = dropped;
+        entry->rejected = rejected;
     }
-    entry->accepted.store(accepted, std::memory_order_relaxed);
-    entry->applied.store(applied, std::memory_order_relaxed);
-    entry->dropped.store(dropped, std::memory_order_relaxed);
-    entry->rejected.store(rejected, std::memory_order_relaxed);
     return entry;
 }
 
@@ -826,15 +805,14 @@ void stream_server::snapshot_stream(stream_id id, std::ostream& out, ckpt::encod
     // Same quiesce discipline as snapshot_all, for one stream: maint_mu_
     // serializes against close/detach/restore (so the entry cannot die
     // under us), the drain role waits out an active drainer while holding
-    // neither mu_ nor the entry lock, then the entry lock stops new
+    // neither mu_ nor the entry's mutex, then the entry's mutex stops new
     // enqueues for the duration of the record write.
     sync::mutex_lock maintenance(maint_mu_);
     const std::shared_ptr<stream_entry> e = entry_or_throw(id);
     stream_entry::acquire_drain_role(*e);
     stream_entry::drain_role role(*e);
-    sync::exclusive_lock entry_lock(e->mu);
     e->detector->drain();
-    write_stream_record(*e, out, enc);
+    stream_entry::write_record(*e, out, enc);
 }
 
 void stream_server::detach_stream(stream_id id, std::ostream& out, ckpt::encoding enc) {
@@ -851,22 +829,16 @@ void stream_server::detach_stream(stream_id id, std::ostream& out, ckpt::encodin
         streams_.erase(it);
     }
     // Stop the concurrent edge: new ingests bounce off the map lookup,
-    // producers blocked on a full inbox wake and return stream_closed,
-    // in-flight ingests either finish enqueueing (their bins travel in
-    // the residue) or observe the closing flag. Nothing is silently
-    // dropped: every accepted bin is either already applied or in the
-    // snapshot.
-    victim->closing.store(true, std::memory_order_release);
-    victim->inbox->close();
+    // and the closing flag refuses the rest (producers waiting for room
+    // included) with stream_closed. Nothing is silently dropped: every
+    // accepted bin is either already applied or in the record's residue.
+    stream_entry::close(*victim);
     stream_entry::acquire_drain_role(*victim);
-    {
-        sync::exclusive_lock entry_lock(victim->mu);
-        victim->detector->drain();
-        write_stream_record(*victim, out, enc);
-    }
-    // Like close_stream: the role is adopted permanently (the draining
-    // flag stays set) so no late auto-drain touches the dying detector;
-    // balance the acquire for the analysis only.
+    victim->detector->drain();
+    stream_entry::write_record(*victim, out, enc);
+    // Like close_stream: the role is kept (the draining flag stays set) so
+    // no late auto-drain touches the dying detector; balance the acquire
+    // for the analysis only.
     victim->drain_cap.release();
 }
 

@@ -18,12 +18,15 @@
 // detector's output a function of its own input sequence alone.
 //
 // One way in: ingest()/ingest_batch(). Any number of producer threads
-// enqueue bins into the stream's bounded MPSC inbox (engine/mpsc_inbox.h);
-// each accepted bin gets a monotone sequence at enqueue, and a single
-// drainer at a time applies bins in sequence order through the detector,
-// delivering each result to the stream's optional ingest sink. A bin
-// holding a NaN or an infinity is refused before it reaches the inbox
-// (ingest_error::non_finite), so no served detector ever sees one.
+// enqueue bins into the stream's inbox, a bounded FIFO behind one mutex
+// and one condition variable per stream that also guard its counters,
+// drain role and latency histogram. Each accepted bin gets a monotone
+// sequence at enqueue, and a single drainer at a time applies bins in
+// sequence order through the detector, delivering each result to the
+// stream's optional ingest sink; the mutex is never held across a
+// detector push or a sink call. A bin holding a NaN or an infinity is
+// refused before it reaches the inbox (ingest_error::non_finite), so no
+// served detector ever sees one.
 // Every drain runs on a thread that called in, never on the pool: with
 // auto_drain (the default) an ingesting caller claims the per-stream
 // drain role and applies pending bins (the rest return immediately after
@@ -32,10 +35,11 @@
 // to the sequence-order replay parity above.
 //
 // Fairness / backpressure policy:
-//  - When an inbox is full the producer waits for the drainer (an
-//    auto-draining producer first drains the stream itself), outside
-//    every lock: a full ring never evicts a pending bin or refuses one
-//    that fits.
+//  - When an inbox is full the producer waits for the drainer on the
+//    stream's condition variable (an auto-draining producer first drains
+//    the stream itself): a full inbox never evicts a pending bin or
+//    refuses one that fits, and a waiting producer never blocks a
+//    snapshot.
 //  - Streams never share a drainer: each has its own drain role, so a
 //    stream stalled at a refit boundary delays only its own bins.
 //  - Per-stream pending-refit work is bounded: a streaming_diagnoser has
@@ -44,8 +48,8 @@
 //    than they fit degrades to refitting at fit speed instead of piling
 //    tasks onto the shared pool.
 //  - The pool runs exactly two kinds of work: deferred refit fits and the
-//    shards of kernels a caller runs (a bootstrap or blocking-mode fit, a
-//    wide rank-1 fold). Neither ever waits, so a drainer waiting at a
+//    covariance blocks of a fit a caller runs (a bootstrap or
+//    blocking-mode fit). Neither ever waits, so a drainer waiting at a
 //    deferred swap boundary always gets a worker to finish its fit.
 //
 // Threading contract: open/close/snapshot/restore serialize against each
@@ -117,8 +121,8 @@ using ingest_sink = std::function<void(std::uint64_t sequence, const detection_r
 
 // Per-stream ingest-inbox configuration.
 struct ingest_options {
-    // Ring capacity; 0 selects the default of 1024 bins. Rounded up to a
-    // power of two.
+    // Inbox bound; 0 selects the default of 1024 bins. Rounded up to a
+    // power of two; open_stream throws std::invalid_argument above 65,536.
     std::size_t capacity = 0;
     // true: ingesting callers opportunistically drain (one at a time, on
     // their own thread). false: bins accumulate until flush_stream() or
@@ -131,7 +135,7 @@ enum class ingest_error {
     ok = 0,
     unknown_stream,  // no such id
     width_mismatch,  // a bin's width differs from the stream's dimension
-    inbox_full,      // batch longer than the ring: it can never fit (nothing enqueued)
+    inbox_full,      // batch longer than the inbox bound: it can never fit (nothing enqueued)
     stream_closed,   // close_stream ran while this ingest was in flight
     non_finite,      // a bin holds a NaN or an infinity (nothing enqueued)
 };
@@ -146,13 +150,13 @@ struct ingest_result {
 // Per-stream ingest counters. Conservation invariant:
 // accepted == applied + dropped + pending -- it holds even when an apply
 // throws (the consumed bin is counted as dropped), and it holds in every
-// snapshot ingest_statistics() returns, not just between drains: pending
-// is *derived* as accepted - applied - dropped from a read ordering that
-// makes the difference non-negative, so a concurrent drain can never be
-// observed mid-violation. Consequence of the derivation: a bin a drainer
-// has popped but not yet pushed through the detector still counts as
-// pending (it is not yet applied), so pending can exceed the ring's
-// instantaneous occupancy by the one in-flight bin.
+// snapshot ingest_statistics() returns, not just between drains: the
+// counters are read together under the stream's lock and pending is
+// *derived* as accepted - applied - dropped. Consequence of the
+// derivation: a bin a drainer has popped but not yet pushed through the
+// detector still counts as pending (it is not yet applied), so pending
+// can exceed the inbox's instantaneous occupancy by the one in-flight
+// bin.
 struct ingest_stats {
     std::uint64_t accepted = 0;   // bins enqueued successfully
     std::uint64_t applied = 0;    // bins drained through the detector
@@ -237,11 +241,11 @@ public:
     [[nodiscard]] ingest_result ingest(stream_id id, std::span<const double> y);
 
     // Enqueues a run of bins with consecutive sequences (no other
-    // producer interleaves the run), waiting for ring space while the
-    // inbox is full. Width and finiteness are validated for every bin
-    // before anything enqueues (one bad bin refuses the whole run); a run
-    // longer than the stream's ring capacity returns inbox_full (it can
-    // never fit).
+    // producer interleaves the run), waiting for room while the inbox is
+    // full. Width and finiteness are validated for every bin before
+    // anything enqueues (one bad bin refuses the whole run); a run longer
+    // than the stream's inbox bound returns inbox_full (it can never
+    // fit).
     [[nodiscard]] ingest_result ingest_batch(stream_id id,
                                              std::span<const std::span<const double>> ys);
 
@@ -269,9 +273,9 @@ public:
     // --- Observation ------------------------------------------------------
 
     // Per-stream detector counters, which the stream's drainer publishes
-    // after every applied bin: safe to read at any time, from a sink or
-    // while another thread drains. Throws unknown_stream_error on an
-    // unknown id.
+    // under the stream's lock after every applied bin: safe to read at any
+    // time, from a sink or while another thread drains. Throws
+    // unknown_stream_error on an unknown id.
     struct stream_stats {
         std::size_t dimension = 0;
         std::size_t processed = 0;
@@ -304,9 +308,10 @@ public:
     // saved, NOT drained) around the detector state -- plus a manifest
     // binding ids to files. Detector maintenance is drained first, so the
     // bytes are independent of pool size and timing. Quiesces each
-    // stream in turn (drain role, then entry lock) rather than freezing
-    // the whole server at once, so an in-flight drain whose sink calls
-    // back into the server can always finish. Streams opened
+    // stream in turn (drain role, then the stream's lock for the record
+    // write) rather than freezing the whole server at once, so an
+    // in-flight drain whose sink calls back into the server can always
+    // finish. Streams opened
     // concurrently with the snapshot may or may not be included; streams
     // cannot close mid-snapshot (maintenance ops serialize). Throws
     // std::runtime_error on I/O failure.
@@ -326,8 +331,8 @@ public:
     // the given stream, in the given encoding -- interchange for records
     // that travel between hosts (the wire protocol's snapshot payload;
     // docs/WIRE_FORMAT.md). Quiesces the stream for the write (drain role
-    // + entry lock, no server-wide lock: other streams keep serving while
-    // a slow `out` stalls this one), drains detector maintenance so the
+    // + the stream's lock, no server-wide lock: other streams keep serving
+    // while a slow `out` stalls this one), drains detector maintenance so the
     // bytes are timing-independent, and snapshots pending inbox bins as
     // residue without applying them; the stream stays open and resumes
     // afterwards. Throws unknown_stream_error on an unknown id,
@@ -338,7 +343,7 @@ public:
     // The migration primitive: removes the stream from the server while
     // writing the same record snapshot_stream writes. Unpublishes the
     // stream, closes its inbox -- concurrent ingests (including
-    // producers blocked on a full ring) return stream_closed from this
+    // producers blocked on a full inbox) return stream_closed from this
     // point on, never silently dropping a bin -- then snapshots the
     // residue WITHOUT applying it and destroys the local detector, so
     // every accepted-but-unapplied bin travels in the record and
@@ -361,7 +366,7 @@ public:
     // sequence numbers. Throws std::runtime_error on malformed input,
     // including ingest counters that do not balance (a server writes
     // accepted == applied + dropped + residue and next sequence ==
-    // accepted) and an inbox capacity above mpsc_inbox::k_max_capacity.
+    // accepted) and an inbox capacity of 0 or above 65,536.
     [[nodiscard]] stream_id restore_stream(std::istream& in);
 
     // Same, from one record held in memory and parsed where it lies (a
@@ -374,21 +379,19 @@ public:
 private:
     struct stream_entry;
 
+    // Builds an unpublished entry; throws std::invalid_argument for an
+    // inbox capacity above 65,536.
     static std::shared_ptr<stream_entry> make_entry(std::unique_ptr<stream_detector> detector,
-                                                    ingest_options&& opts,
-                                                    std::uint64_t start_sequence);
+                                                    ingest_options&& opts);
     std::shared_ptr<stream_entry> find_entry(stream_id id) const;
     std::shared_ptr<stream_entry> entry_or_throw(stream_id id) const;
     std::unique_ptr<stream_detector> build_detector(stream_open_config&& cfg);
-    // Shared per-stream record codec: writes/reads the (format v3 and
-    // later) "server_stream" container (inbox config + counters + residue +
-    // nested detector record). The writer requires the stream quiesced
-    // (maint_mu_, drain role and entry lock held by the caller) and takes
-    // no lock of its own; the reader builds a fresh, unpublished entry and
-    // refuses a record whose counters do not balance the way a quiesced
-    // stream's always do (accepted == applied + dropped + residue and
-    // next sequence == accepted).
-    static void write_stream_record(stream_entry& entry, std::ostream& out, ckpt::encoding enc);
+    // Reads the (format v3 and later) "server_stream" container that
+    // stream_entry::write_record writes (inbox config + counters + residue
+    // + nested detector record) into a fresh, unpublished entry, refusing
+    // a record whose counters do not balance the way a quiesced stream's
+    // always do (accepted == applied + dropped + residue and next
+    // sequence == accepted).
     std::shared_ptr<stream_entry> read_stream_record(std::istream& in,
                                                      const std::string& context);
 
@@ -400,8 +403,8 @@ private:
     // may invoke an ingest sink that calls the server's read accessors
     // (mu_ shared), so a maintenance op that held mu_ exclusive while
     // waiting for that drain to retire would deadlock. Lock order:
-    // maint_mu_ -> (drain role -> entry lock) -> mu_; nothing acquires an
-    // entry lock or a drain role while holding mu_.
+    // maint_mu_ -> drain role -> mu_ -> a stream's lock; nothing waits for
+    // a drain role while holding mu_ or a stream's lock.
     sync::mutex maint_mu_ NETDIAG_ACQUIRED_BEFORE(mu_);
     // Ordered so snapshot_all and stream_ids() enumerate deterministically.
     std::map<stream_id, std::shared_ptr<stream_entry>> streams_ NETDIAG_GUARDED_BY(mu_);

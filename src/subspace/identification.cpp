@@ -214,8 +214,11 @@ std::vector<identification_result> flow_identifier::identify_top_k(std::span<con
         const double proj = terms_->theta_dot(i, residual);
         scored.push_back({proj * proj / theta_norm2_[i], i, proj});
     }
-    std::sort(scored.begin(), scored.end(),
-              [](const scored_flow& a, const scored_flow& b) { return a.score > b.score; });
+    // Equal scores (two flows on one path) keep the lower index first, the
+    // flow identify() picks.
+    std::sort(scored.begin(), scored.end(), [](const scored_flow& a, const scored_flow& b) {
+        return a.score > b.score || (a.score == b.score && a.flow < b.flow);
+    });
     if (scored.size() > k) scored.resize(k);
 
     std::vector<identification_result> out;

@@ -124,9 +124,11 @@ public:
     identification_result identify_residual(std::span<const double> residual) const;
 
     // Ranked shortlist: the k hypotheses that explain the most residual
-    // traffic, best first (an operator triage list). Returns fewer than k
-    // entries when fewer flows are identifiable. Throws
-    // std::invalid_argument for k == 0 or a y of the wrong length.
+    // traffic, best first (an operator triage list); equal scores rank
+    // the lower flow index first, so the first entry is identify()'s
+    // flow. Returns fewer than k entries when fewer flows are
+    // identifiable. Throws std::invalid_argument for k == 0 or a y of the
+    // wrong length.
     std::vector<identification_result> identify_top_k(std::span<const double> y,
                                                       std::size_t k) const;
 

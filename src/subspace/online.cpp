@@ -644,7 +644,10 @@ tracking_detector tracking_detector::restore(std::istream& in) {
     state.alarms = ckpt::read_u64(in);
     state.epoch = ckpt::read_u64(in);
     incremental_pca_tracker tracker = incremental_pca_tracker::restore(in);
+    // A normal rank above the dimension would make every later push throw
+    // from q_statistic_threshold, after it had counted and folded the bin.
     if (tracker.dimension() != state.dimension || state.alarms > state.processed ||
+        state.normal_rank > state.dimension ||
         !(state.confidence > 0.0 && state.confidence < 1.0)) {
         throw std::runtime_error("tracking_detector::restore: inconsistent state");
     }

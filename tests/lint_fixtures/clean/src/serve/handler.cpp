@@ -8,5 +8,5 @@ std::string describe() {
     return "serving layer: no std::thread, no srand(), no system_clock";
 }
 
-// NOTE: we once considered std::this_thread::sleep_for here; see the
-// engine's backoff helper instead.
+// NOTE: we once considered std::this_thread::sleep_for here; wait on a
+// sync::condition_variable instead.

@@ -492,9 +492,9 @@ TEST(SparseIdentification, MatchesADenseResidualDirectionReference) {
                 if (!tied) {
                     ASSERT_EQ(single.flow, best_flow) << "m " << m << " rank " << rank;
                     ASSERT_EQ(fast.flow, best_flow) << "m " << m << " rank " << rank;
-                    // identify_top_k sorts without a tie rule, so its first
-                    // entry may be either of two flows on one path.
-                    ASSERT_EQ(a.column(top.flow), a.column(best_flow)) << "m " << m;
+                    // Two flows on one path score bit-equal; top-k breaks
+                    // the tie by index, as identify does.
+                    ASSERT_EQ(top.flow, single.flow) << "m " << m << " rank " << rank;
                 }
                 for (const identification_result& got : {single, fast, top}) {
                     if (tied) {

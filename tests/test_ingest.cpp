@@ -1,10 +1,10 @@
-// The multi-pusher ingest edge: the engine mpsc_inbox primitive, the
-// stream_server ingest()/ingest_batch() API, backpressure,
-// close/flush semantics, the N-producer parity stress (per-stream output
-// bit-identical to a standalone single-pusher detector replayed in inbox
-// sequence order, for every refit mode and pool size), refusal of
-// non-finite bins, and the format-v3 checkpoint round trip with non-empty
-// inbox residue. This binary runs under the ThreadSanitizer CI job.
+// The multi-pusher ingest edge: the stream_server ingest()/ingest_batch()
+// API, the inbox bound, backpressure, close/flush semantics, the
+// N-producer parity stress (per-stream output bit-identical to a
+// standalone single-pusher detector replayed in inbox sequence order, for
+// every refit mode and pool size), refusal of non-finite bins, and the
+// format-v3 checkpoint round trip with non-empty inbox residue. This
+// binary runs under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine/mpsc_inbox.h"
 #include "measurement/link_loads.h"
 #include "measurement/stream_checkpoint.h"
 #include "serve/stream_server.h"
@@ -39,154 +38,6 @@ void expect_same_detection(const detection_result& want, const detection_result&
     ASSERT_EQ(got.anomalous, want.anomalous) << context;
     ASSERT_EQ(got.spe, want.spe) << context;
     ASSERT_EQ(got.threshold, want.threshold) << context;
-}
-
-// ---------------------------------------------------------------------------
-// mpsc_inbox primitive.
-// ---------------------------------------------------------------------------
-
-// The producer-side loop the stream_server runs: a push never waits, so a
-// producer that must not give up its item waits for space and retries.
-template <typename T>
-typename mpsc_inbox<T>::push_result push_waiting(mpsc_inbox<T>& inbox, T value) {
-    for (;;) {
-        const auto r = inbox.push(value);
-        if (r.status != inbox_push_status::full) return r;
-        inbox.wait_for_space();
-    }
-}
-
-TEST(MpscInbox, AssignsMonotoneSequencesAndPopsInOrder) {
-    mpsc_inbox<int> inbox(4);
-    EXPECT_EQ(inbox.capacity(), 4u);
-    for (int i = 0; i < 4; ++i) {
-        const auto r = inbox.push(100 + i);
-        ASSERT_EQ(r.status, inbox_push_status::accepted);
-        EXPECT_EQ(r.sequence, static_cast<std::uint64_t>(i));
-    }
-    EXPECT_EQ(inbox.push(999).status, inbox_push_status::full);
-
-    // Wraparound: many push/pop cycles beyond the ring size keep the
-    // sequence monotone and the order FIFO.
-    int value = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t expect_seq = 0;
-    for (int cycle = 0; cycle < 3; ++cycle) {
-        while (inbox.try_pop(value, seq)) {
-            EXPECT_EQ(seq, expect_seq);
-            EXPECT_EQ(value, static_cast<int>(100 + expect_seq));
-            ++expect_seq;
-        }
-        for (int i = 0; i < 4; ++i) {
-            const auto r = inbox.push(static_cast<int>(100 + inbox.next_sequence()));
-            ASSERT_EQ(r.status, inbox_push_status::accepted);
-        }
-    }
-    EXPECT_TRUE(inbox.try_pop(value, seq));
-    EXPECT_EQ(seq, expect_seq);
-}
-
-TEST(MpscInbox, RejectsZeroAndOversizedCapacities) {
-    EXPECT_THROW(mpsc_inbox<int>(0), std::invalid_argument);
-    // A corrupted capacity (e.g. from a damaged checkpoint) must fail
-    // loudly, not hang the power-of-two rounding or attempt a giant
-    // allocation.
-    EXPECT_THROW(mpsc_inbox<int>(std::numeric_limits<std::size_t>::max()),
-                 std::invalid_argument);
-    EXPECT_THROW(mpsc_inbox<int>(mpsc_inbox<int>::k_max_capacity + 1),
-                 std::invalid_argument);
-}
-
-TEST(MpscInbox, PushNIsAllOrNothingWithConsecutiveSequences) {
-    mpsc_inbox<int> inbox(8);
-    std::vector<int> a = {1, 2, 3};
-    const auto ra = inbox.push_n(std::span<int>(a));
-    ASSERT_EQ(ra.status, inbox_push_status::accepted);
-    EXPECT_EQ(ra.sequence, 0u);
-
-    std::vector<int> big(7, 9);  // 3 pending + 7 > 8: must not partially enqueue
-    const auto rb = inbox.push_n(std::span<int>(big));
-    EXPECT_EQ(rb.status, inbox_push_status::full);
-    EXPECT_EQ(inbox.approx_size(), 3u);
-    EXPECT_EQ(inbox.next_sequence(), 3u);
-
-    EXPECT_THROW(
-        {
-            std::vector<int> too_big(9, 0);
-            (void)inbox.push_n(std::span<int>(too_big));
-        },
-        std::invalid_argument);
-}
-
-TEST(MpscInbox, CloseWakesBlockedProducers) {
-    mpsc_inbox<int> inbox(2);
-    ASSERT_EQ(inbox.push(0).status, inbox_push_status::accepted);
-    ASSERT_EQ(inbox.push(1).status, inbox_push_status::accepted);
-    EXPECT_EQ(inbox.push(2).status, inbox_push_status::full);  // a push never waits
-    std::atomic<int> status{-1};
-    std::thread producer([&] {
-        const auto r = push_waiting(inbox, 2);  // waits: ring is full
-        status.store(static_cast<int>(r.status), std::memory_order_release);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(status.load(std::memory_order_acquire), -1) << "producer should be waiting";
-    inbox.close();
-    producer.join();
-    EXPECT_EQ(status.load(), static_cast<int>(inbox_push_status::closed));
-    EXPECT_EQ(inbox.push(3).status, inbox_push_status::closed);
-    // Pending items survive a close.
-    int value = 0;
-    std::uint64_t seq = 0;
-    EXPECT_TRUE(inbox.try_pop(value, seq));
-    EXPECT_EQ(value, 0);
-}
-
-TEST(MpscInbox, ConcurrentProducersDeliverEveryItemExactlyOnceInSequenceOrder) {
-    constexpr std::size_t k_producers = 4;
-    constexpr std::size_t k_per_producer = 400;
-    constexpr std::size_t k_total = k_producers * k_per_producer;
-    mpsc_inbox<std::uint64_t> inbox(64);
-
-    std::vector<std::thread> producers;
-    for (std::size_t p = 0; p < k_producers; ++p) {
-        producers.emplace_back([&, p] {
-            for (std::size_t i = 0; i < k_per_producer; ++i) {
-                const auto r = push_waiting(inbox, std::uint64_t{p * k_per_producer + i});
-                ASSERT_EQ(r.status, inbox_push_status::accepted);
-            }
-        });
-    }
-
-    std::vector<std::uint64_t> values;
-    std::uint64_t last_seq = 0;
-    bool first = true;
-    std::uint64_t value = 0;
-    std::uint64_t seq = 0;
-    while (values.size() < k_total) {
-        if (!inbox.try_pop(value, seq)) {
-            std::this_thread::yield();
-            continue;
-        }
-        if (!first) {
-            EXPECT_EQ(seq, last_seq + 1) << "sequence gap at pop " << values.size();
-        }
-        first = false;
-        last_seq = seq;
-        values.push_back(value);
-    }
-    for (std::thread& t : producers) t.join();
-
-    // Every item exactly once; per-producer order preserved (a producer's
-    // items are FIFO even though producers interleave arbitrarily).
-    std::vector<std::uint64_t> sorted = values;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 0; i < k_total; ++i) ASSERT_EQ(sorted[i], i);
-    std::vector<std::uint64_t> next_of(k_producers, 0);
-    for (const std::uint64_t v : values) {
-        const std::size_t p = v / k_per_producer;
-        EXPECT_EQ(v % k_per_producer, next_of[p]) << "producer " << p << " order violated";
-        ++next_of[p];
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -633,12 +484,12 @@ TEST_F(IngestFixture, RejectPolicyReturnsDistinctErrors) {
     EXPECT_EQ(server.ingest_statistics(id).rejected, 1u);
     EXPECT_EQ(server.ingest_statistics(id).pending, 0u);
 
-    // Fill the ring.
+    // Fill the inbox.
     for (std::size_t i = 0; i < 4; ++i) {
         ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok());
     }
 
-    // A batch longer than the ring itself can never fit: an error code
+    // A batch longer than the inbox bound can never fit: an error code
     // (the concurrent edge never throws), not a wait and not an exception.
     std::vector<std::span<const double>> oversized(5, y_.row(k_boot));
     EXPECT_EQ(server.ingest_batch(id, oversized).error, ingest_error::inbox_full);
@@ -657,6 +508,71 @@ TEST_F(IngestFixture, RejectPolicyReturnsDistinctErrors) {
     for (std::size_t i = 0; i < capture.results.size(); ++i) {
         EXPECT_EQ(capture.results[i].first, i);
     }
+}
+
+TEST_F(IngestFixture, InboxCapacityRoundsUpToAPowerOfTwoAndIsCappedAtOpen) {
+    // Above 2^16 an open is refused before anything is published: a
+    // corrupted or hostile capacity must fail loudly, not hang the
+    // power-of-two rounding or reserve a giant inbox.
+    const auto open_with = [&](stream_server& server, std::size_t capacity) {
+        ingest_options ingest;
+        ingest.capacity = capacity;
+        ingest.auto_drain = false;
+        return server.open_stream(
+            open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
+    };
+    stream_server server({.threads = 0});
+    constexpr std::size_t k_cap = std::size_t{1} << 16;
+    EXPECT_THROW((void)open_with(server, k_cap + 1), std::invalid_argument);
+    EXPECT_THROW((void)open_with(server, std::numeric_limits<std::size_t>::max()),
+                 std::invalid_argument);
+    EXPECT_EQ(server.stream_count(), 0u);
+    EXPECT_NO_THROW((void)open_with(server, k_cap));
+
+    // Capacity 3 acts as 4: a batch of 4 enqueues, and a batch of 5 can
+    // never fit, so it is refused whole and counted.
+    const stream_id three = open_with(server, 3);
+    const std::vector<std::span<const double>> four(4, y_.row(k_boot));
+    const std::vector<std::span<const double>> five(5, y_.row(k_boot));
+    const ingest_result accepted = server.ingest_batch(three, four);
+    ASSERT_TRUE(accepted.ok());
+    EXPECT_EQ(accepted.accepted, 4u);
+    server.flush_stream(three);
+    EXPECT_EQ(server.ingest_batch(three, five).error, ingest_error::inbox_full);
+    ingest_stats st = server.ingest_statistics(three);
+    EXPECT_EQ(st.accepted, 4u);
+    EXPECT_EQ(st.applied, 4u);
+    EXPECT_EQ(st.rejected, 5u);
+
+    // A batch that fits the bound but not the free room waits whole:
+    // none of it enqueues until a flush makes room for all of it.
+    for (std::size_t i = 0; i < 3; ++i) {
+        ASSERT_TRUE(server.ingest(three, y_.row(k_boot + i)).ok());
+    }
+    ingest_result waited;
+    std::thread producer([&] {
+        const std::vector<std::span<const double>> two(2, y_.row(k_boot + 3));
+        waited = server.ingest_batch(three, two);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(server.ingest_statistics(three).accepted, 7u);
+    server.flush_stream(three);
+    producer.join();
+    ASSERT_TRUE(waited.ok());
+    EXPECT_EQ(waited.sequence, 7u);
+    EXPECT_EQ(server.ingest_statistics(three).accepted, 9u);
+
+    // Capacity 0 selects the default bound: a 1,025-bin batch could never
+    // fit, and 1,024 bins enqueue without a drainer.
+    const stream_id deflt = open_with(server, 0);
+    const std::vector<std::span<const double>> oversized(1025, y_.row(k_boot));
+    EXPECT_EQ(server.ingest_batch(deflt, oversized).error, ingest_error::inbox_full);
+    const std::vector<std::span<const double>> bound(1024, y_.row(k_boot));
+    ASSERT_TRUE(server.ingest_batch(deflt, bound).ok());
+    st = server.ingest_statistics(deflt);
+    EXPECT_EQ(st.accepted, 1024u);
+    EXPECT_EQ(st.pending, 1024u);
+    EXPECT_EQ(st.rejected, 1025u);
 }
 
 TEST_F(IngestFixture, BlockPolicyWaitsForTheDrainer) {
@@ -729,6 +645,41 @@ TEST_F(IngestFixture, CloseStreamDrainsNonEmptyInboxAndWakesBlockedProducers) {
     }
     EXPECT_EQ(server.stream_count(), 0u);
     EXPECT_EQ(server.ingest(id, y_.row(k_boot)).error, ingest_error::unknown_stream);
+}
+
+TEST_F(IngestFixture, DetachStreamWakesBlockedProducersAndCarriesTheResidue) {
+    // detach_stream writes the pending bins into the record instead of
+    // applying them, so no drain frees room for a producer waiting on the
+    // full inbox: the close itself must wake it, with stream_closed.
+    stream_server server({.threads = 0});
+    ingest_options ingest;
+    ingest.capacity = 2;
+    ingest.auto_drain = false;
+    const stream_id id = server.open_stream(
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
+    ASSERT_TRUE(server.ingest(id, y_.row(k_boot)).ok());
+    ASSERT_TRUE(server.ingest(id, y_.row(k_boot + 1)).ok());
+
+    std::atomic<int> blocked_error{-1};
+    std::thread producer([&] {
+        const ingest_result r = server.ingest(id, y_.row(k_boot + 2));  // blocks: full
+        blocked_error.store(static_cast<int>(r.error), std::memory_order_release);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(blocked_error.load(std::memory_order_acquire), -1)
+        << "producer should be blocked on the full inbox";
+
+    std::ostringstream record(std::ios::binary);
+    server.detach_stream(id, record);
+    producer.join();
+    EXPECT_EQ(blocked_error.load(), static_cast<int>(ingest_error::stream_closed));
+
+    stream_server target({.threads = 0});
+    const stream_id moved = target.restore_stream(std::move(record).str());
+    const ingest_stats st = target.ingest_statistics(moved);
+    EXPECT_EQ(st.accepted, 2u);
+    EXPECT_EQ(st.pending, 2u);
+    EXPECT_EQ(target.stats(moved).processed, 0u);
 }
 
 TEST_F(IngestFixture, IngestBatchAssignsConsecutiveSequencesUnderContention) {
@@ -905,7 +856,7 @@ TEST_F(IngestFixture, SnapshotAndDrainAllWhileSinksReadTheServerDoNotDeadlock) {
     // Neither snapshot_all nor drain_all applies bins, so a sink read can
     // only come from a producer's drain. On a loaded host five rounds can
     // finish before either producer first runs: keep the rounds going
-    // (producers parked on a full ring need the role windows between
+    // (producers parked on a full inbox need the role windows between
     // them) until a sink has read the server, bounded by a deadline so a
     // regression fails instead of hanging.
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
@@ -926,7 +877,7 @@ TEST_F(IngestFixture, SnapshotAndDrainAllWhileSinksReadTheServerDoNotDeadlock) {
 }
 
 TEST_F(IngestFixture, SnapshotCompletesWhileAProducerIsBlockedOnAFullInbox) {
-    // Regression: a producer parked on a full ring must not
+    // Regression: a producer parked on a full inbox must not
     // hold the stream quiescence lock -- snapshot_all has to complete
     // (freezing the full inbox as residue) while the producer stays
     // parked, and the producer must finish once someone drains.
@@ -943,7 +894,7 @@ TEST_F(IngestFixture, SnapshotCompletesWhileAProducerIsBlockedOnAFullInbox) {
     ASSERT_TRUE(server.ingest(id, y_.row(k_boot + 1)).ok());
     std::atomic<bool> third_done{false};
     std::thread producer([&] {
-        ASSERT_TRUE(server.ingest(id, y_.row(k_boot + 2)).ok());  // parks: ring full
+        ASSERT_TRUE(server.ingest(id, y_.row(k_boot + 2)).ok());  // parks: inbox full
         third_done.store(true, std::memory_order_release);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));

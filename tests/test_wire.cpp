@@ -901,17 +901,20 @@ constexpr std::array<record_fault, 6> k_nonfinite_faults = {
 
 // A hand-written tracking_detector record over 6 links tracking 3 axes,
 // with one non-finite value in the slot a fault names. tracker_fault::none
-// restores, and so does an infinite threshold: q_statistic_threshold
-// returns +inf for an empty residual tail.
+// restores, and so do an infinite threshold and a normal rank equal to
+// the dimension: q_statistic_threshold returns +inf for an empty residual
+// tail.
 enum class tracker_fault {
     none,
-    alarms_above_processed,  // more alarms than processed bins
-    inf_threshold,       // legal
-    nan_threshold,       // the saved Q-threshold
-    inf_variance_sum,    // the running total-variance sum
-    nan_singular_value,  // the tracker's s
-    inf_axis_entry,      // the tracker's V
-    nan_running_mean,    // the tracker's running mean
+    alarms_above_processed,       // more alarms than processed bins
+    normal_rank_above_dimension,  // normal rank 7 over 6 links
+    normal_rank_at_dimension,     // legal
+    inf_threshold,                // legal
+    nan_threshold,                // the saved Q-threshold
+    inf_variance_sum,             // the running total-variance sum
+    nan_singular_value,           // the tracker's s
+    inf_axis_entry,               // the tracker's V
+    nan_running_mean,             // the tracker's running mean
 };
 
 std::string tracker_record(tracker_fault fault) {
@@ -926,7 +929,9 @@ std::string tracker_record(tracker_fault fault) {
     ckpt::write_header(out, "tracking_detector");
     ckpt::write_flag(out, false);  // retired "deferred updates" flag
     ckpt::write_f64(out, 0.999);   // confidence
-    ckpt::write_u64(out, 1);       // normal rank
+    ckpt::write_u64(out, is(tracker_fault::normal_rank_above_dimension) ? m + 1
+                         : is(tracker_fault::normal_rank_at_dimension)  ? m
+                                                                        : 1);  // normal rank
     ckpt::write_u64(out, m);       // dimension
     ckpt::write_f64(out, is(tracker_fault::nan_threshold)   ? nan
                          : is(tracker_fault::inf_threshold) ? inf
@@ -1020,7 +1025,7 @@ std::string server_stream_record(const inbox_fields& f) {
 }
 
 // Containers no server writes: unbalanced counters, an inbox larger than
-// restore may allocate (mpsc_inbox::k_max_capacity is 2^16), and a policy
+// restore may allocate (the server caps inbox capacity at 2^16), and a policy
 // slot above the retired values 1 and 2.
 const std::array<std::pair<const char*, inbox_fields>, 7> k_inbox_faults = {{
     {"applied above accepted", {.accepted = 5, .applied = 100, .dropped = 0,
@@ -1076,8 +1081,8 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
     // kinds: every shape agrees, so only the finiteness checks refuse
     // them, locally through both restore_stream overloads and over
     // loopback. Restoring one would leave a stream that raises no alarm.
-    // A tracking record counting more alarms than bins is refused the
-    // same way.
+    // A tracking record counting more alarms than bins, or holding a
+    // normal rank above its dimension, is refused the same way.
     std::vector<std::pair<std::string, std::string>> refused;
     for (const record_fault fault : k_nonfinite_faults) {
         refused.emplace_back("streaming fault " + std::to_string(static_cast<int>(fault)),
@@ -1089,6 +1094,8 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
     }
     refused.emplace_back("tracking alarms above processed",
                          tracker_record(tracker_fault::alarms_above_processed));
+    refused.emplace_back("tracking normal rank above dimension",
+                         tracker_record(tracker_fault::normal_rank_above_dimension));
     for (const auto& [name, record] : refused) {
         EXPECT_THROW((void)server.restore_stream(std::string_view(record)), std::runtime_error)
             << name;
@@ -1102,11 +1109,16 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
         }
         EXPECT_EQ(server.stream_ids(), before) << name;
     }
-    // The same tracking record with finite state, or with the legal +inf
-    // threshold, restores.
-    for (const tracker_fault fault : {tracker_fault::none, tracker_fault::inf_threshold}) {
+    // The same tracking record with finite state, the legal +inf
+    // threshold, or a normal rank equal to the dimension, restores.
+    for (const tracker_fault fault : {tracker_fault::none, tracker_fault::inf_threshold,
+                                      tracker_fault::normal_rank_at_dimension}) {
         const stream_id tracked = collector.restore(tracker_record(fault));
         EXPECT_EQ(server.stats(tracked).dimension, 6u) << static_cast<int>(fault);
+        // ... and serves: the next bin applies.
+        EXPECT_TRUE(server.ingest(tracked, vec(6, 101.0)).ok()) << static_cast<int>(fault);
+        server.flush_stream(tracked);
+        EXPECT_EQ(server.stats(tracked).processed, 1u) << static_cast<int>(fault);
         server.close_stream(tracked);
     }
 
@@ -1123,7 +1135,7 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
 
     // The retired reject (1) and drop_oldest (2) slot values load, locally
     // and over loopback, are written back as 0, and serve as block: a
-    // two-bin batch into a two-bin ring that holds the record's residue
+    // two-bin batch into a two-bin inbox that holds the record's residue
     // bin waits for the auto-drain instead of being refused (reject) or
     // evicting the residue (drop_oldest).
     const vec bin(6, 104.0);

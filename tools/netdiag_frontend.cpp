@@ -12,12 +12,13 @@
 //
 // Prints one "port <p>" line and one "stream <id>" line per opened
 // stream on stdout, then blocks until shutdown.
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <thread>
 
-#include "engine/backoff.h"
 #include "linalg/matrix.h"
 #include "net/frontend.h"
 #include "serve/stream_server.h"
@@ -76,9 +77,7 @@ int main(int argc, char** argv) {
         }
         netdiag::net::netdiag_frontend frontend(server, port);
         std::cout << "port " << frontend.port() << std::endl;  // flush: parents parse this
-        for (std::size_t spin = 0; !frontend.stopped(); ++spin) {
-            netdiag::spin_then_sleep_backoff(spin);
-        }
+        while (!frontend.stopped()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
         frontend.stop();
     } catch (const std::exception& e) {
         std::cerr << "netdiag_frontend: " << e.what() << "\n";

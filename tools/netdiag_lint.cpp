@@ -8,10 +8,10 @@
 //      not reach for thread primitives (std::thread, std::async,
 //      std::this_thread), C randomness (rand/srand) or wall clocks
 //      (system_clock, steady_clock, gettimeofday, ...). Threading funnels
-//      through the engine (thread_pool, mpsc_inbox, backoff.h) -- plus
-//      the net layer's accept loop, which owns no replayed state; anything
-//      time- or randomness-dependent would break the bit-identical replay
-//      guarantee the serving stack advertises.
+//      through the engine (thread_pool, the sync.h locks and condition
+//      variable) -- plus the net layer's accept loop, which owns no
+//      replayed state; anything time- or randomness-dependent would break
+//      the bit-identical replay guarantee the serving stack advertises.
 //  R2  Kernel purity: the numeric kernels (src/linalg/, engine/simd.h,
 //      subspace/model.cpp, subspace/pca.cpp) and the rest of a refit's
 //      arithmetic (subspace/separation.cpp's 3-sigma walk,

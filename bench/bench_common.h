@@ -6,7 +6,7 @@
 #include <span>
 #include <string>
 
-#include "engine/batch_detector.h"
+#include "engine/thread_pool.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
@@ -68,10 +68,11 @@ private:
     unsigned long long hash_ = 1469598103934665603ull;
 };
 
-// Shared parallel engine for the bench binaries, sized to the hardware.
-inline const batch_detector& engine() {
-    static const batch_detector e;
-    return e;
+// Shared thread pool for the bench binaries' sweeps, sized to the
+// hardware.
+inline thread_pool* pool() {
+    static thread_pool p;
+    return &p;
 }
 
 // The paper's per-dataset anomaly size cutoffs (Section 6.2): anomalies

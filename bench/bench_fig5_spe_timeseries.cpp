@@ -19,7 +19,7 @@ void run_week(const netdiag::dataset& ds, netdiag::bench::output_digest& digest)
     for (std::size_t t = 0; t < ds.bin_count(); ++t) {
         state_norm[t] = norm_squared(centered.centered.row(t));
     }
-    const vec spe = bench::engine().spe_series(model, ds.link_loads);
+    const vec spe = model.spe_series(ds.link_loads, bench::pool());
     const double t995 = model.q_threshold(0.995);
     const double t999 = model.q_threshold(0.999);
 

@@ -11,7 +11,7 @@ void run_dataset(const netdiag::dataset& ds, netdiag::bench::output_digest& dige
     using namespace netdiag;
 
     const volume_anomaly_diagnoser diagnoser(ds.link_loads, ds.routing.a, 0.999);
-    const auto diagnoses = bench::engine().diagnose_all(diagnoser, ds.link_loads);
+    const auto diagnoses = diagnoser.diagnose_all(ds.link_loads, bench::pool());
 
     ground_truth_config cfg;
     cfg.method = truth_method::fourier;

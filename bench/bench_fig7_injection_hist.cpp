@@ -16,7 +16,7 @@ void run_histogram(const netdiag::dataset& ds,
     cfg.spike_bytes = bytes;
     cfg.t_begin = 288;   // start of day 3 (a weekday)
     cfg.t_end = 288 + 144;
-    const injection_summary s = bench::engine().run_injection(ds, diagnoser, cfg);
+    const injection_summary s = run_injection_experiment(ds, diagnoser, cfg, bench::pool());
 
     std::printf("--- %s injected spike: %.2g bytes ---\n", label, bytes);
     const histogram h = make_histogram(s.detection_rate_by_flow, 0.0, 1.0, 10);

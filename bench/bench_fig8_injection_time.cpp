@@ -18,7 +18,7 @@ int main() {
     cfg.spike_bytes = bench::k_sprint_large_injection;
     cfg.t_begin = 288;  // a full weekday
     cfg.t_end = 288 + 144;
-    const injection_summary s = bench::engine().run_injection(ds, diagnoser, cfg);
+    const injection_summary s = run_injection_experiment(ds, diagnoser, cfg, bench::pool());
 
     std::printf("Detection rate per 10-minute bin over 24 hours (rates over OD flows):\n");
     std::printf("%s\n", ascii_timeseries(s.detection_rate_by_time, 72, 8).c_str());

@@ -22,7 +22,7 @@ int main() {
     cfg.spike_bytes = bench::k_sprint_large_injection;
     cfg.t_begin = 288;
     cfg.t_end = 288 + 144;
-    const injection_summary s = bench::engine().run_injection(ds, diagnoser, cfg);
+    const injection_summary s = run_injection_experiment(ds, diagnoser, cfg, bench::pool());
 
     vec flow_means(ds.flow_count());
     for (std::size_t j = 0; j < ds.flow_count(); ++j) flow_means[j] = mean(ds.od_flows.row(j));

@@ -5,9 +5,10 @@
 //
 // Two parts:
 //   1. Engine comparison (always built): wall-clock of the serial
-//      detection sweeps vs batch_detector at several thread counts,
-//      written to BENCH_engine.json. Each of the four kernel rows reports
-//      the median and interquartile range of five runs per pool size.
+//      detection sweeps vs the same calls given a thread_pool of several
+//      sizes, written to BENCH_engine.json. Each of the four kernel rows
+//      reports the median and interquartile range of five runs per pool
+//      size.
 //      Results are checked bit-identical against the serial path, so
 //      this doubles as a smoke test.
 //      Flags: --quick (small shapes, for CI smoke),
@@ -25,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine/batch_detector.h"
 #include "engine/thread_pool.h"
 #include "eval/injection.h"
 #include "linalg/svd.h"
@@ -233,11 +233,11 @@ engine_benchmark run_spe_sweep(const std::vector<std::size_t>& thread_counts, bo
 
     out.identical_to_serial = true;
     for (std::size_t t : thread_counts) {
-        const batch_detector engine(t);
+        thread_pool pool(t);
         out.identical_to_serial =
-            out.identical_to_serial && same_results(serial, engine.test_all(diag.detector(), big_y));
+            out.identical_to_serial && same_results(serial, diag.detector().test_all(big_y, &pool));
         out.parallel.push_back(
-            pool_timing(t, time_runs_ms([&] { engine.test_all(diag.detector(), big_y); })));
+            pool_timing(t, time_runs_ms([&] { diag.detector().test_all(big_y, &pool); })));
     }
     return out;
 }
@@ -260,11 +260,11 @@ engine_benchmark run_injection_sweep(const std::vector<std::size_t>& thread_coun
 
     out.identical_to_serial = true;
     for (std::size_t t : thread_counts) {
-        const batch_detector engine(t);
-        out.identical_to_serial =
-            out.identical_to_serial && same_results(serial, engine.run_injection(ds, diag, cfg));
+        thread_pool pool(t);
+        const injection_summary pooled = run_injection_experiment(ds, diag, cfg, &pool);
+        out.identical_to_serial = out.identical_to_serial && same_results(serial, pooled);
         out.parallel.push_back(
-            pool_timing(t, time_runs_ms([&] { engine.run_injection(ds, diag, cfg); })));
+            pool_timing(t, time_runs_ms([&] { run_injection_experiment(ds, diag, cfg, &pool); })));
     }
     return out;
 }
@@ -317,7 +317,7 @@ bool write_engine_json(const std::string& path, const std::vector<engine_benchma
 bool run_engine_comparison(const std::string& json_path, bool quick) {
     const std::vector<std::size_t> thread_counts{1, 2, 4, 8};
 
-    std::printf("Engine comparison: serial sweeps vs batch_detector "
+    std::printf("Engine comparison: serial sweeps vs pooled sweeps "
                 "(hardware threads: %u)\n\n",
                 std::thread::hardware_concurrency());
     const std::size_t max_threads =
@@ -433,19 +433,19 @@ void bm_injection_sweep_one_hour(benchmark::State& state) {
 }
 BENCHMARK(bm_injection_sweep_one_hour)->Unit(benchmark::kMillisecond);
 
-void bm_batch_injection_sweep_one_hour(benchmark::State& state) {
+void bm_pooled_injection_sweep_one_hour(benchmark::State& state) {
     const dataset& ds = sprint1();
     const auto& diag = sprint1_diagnoser();
-    const batch_detector engine;
+    thread_pool pool;
     injection_config cfg;
     cfg.spike_bytes = 3.0e7;
     cfg.t_begin = 300;
     cfg.t_end = 306;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.run_injection(ds, diag, cfg));
+        benchmark::DoNotOptimize(run_injection_experiment(ds, diag, cfg, &pool));
     }
 }
-BENCHMARK(bm_batch_injection_sweep_one_hour)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_pooled_injection_sweep_one_hour)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -29,7 +29,7 @@ int main() {
                       "False alarm rate"});
     for (double confidence : {0.90, 0.95, 0.99, 0.995, 0.999, 0.9995, 0.9999}) {
         const volume_anomaly_diagnoser diagnoser(model, ds.routing.a, confidence);
-        const auto diagnoses = bench::engine().diagnose_all(diagnoser, ds.link_loads);
+        const auto diagnoses = diagnoser.diagnose_all(ds.link_loads, bench::pool());
         const diagnosis_scorecard card = score_diagnoses(diagnoses, truths);
         table.add_row({format_fixed(confidence * 100.0, 2) + "%",
                        format_scientific(diagnoser.detector().threshold(), 2),
@@ -41,7 +41,7 @@ int main() {
 
     const std::vector<double> sweep{0.5,  0.8,   0.9,   0.95,  0.99,
                                     0.995, 0.999, 0.9995, 0.9999};
-    const auto curve = bench::engine().compute_roc(model, ds.link_loads, truths, sweep);
+    const auto curve = compute_roc(model, ds.link_loads, truths, sweep, bench::pool());
     std::printf("ROC AUC over the sweep: %.4f\n\n", roc_auc(curve));
     std::printf("Reading: detections saturate while false alarms keep falling as the\n"
                 "confidence rises -- the anomalous and normal SPE populations are well\n"

@@ -35,7 +35,7 @@ int main() {
         cfg.spike_bytes = sp.bytes;
         cfg.t_begin = 288;
         cfg.t_end = 288 + 144;  // every timestep of a day, every flow
-        const injection_summary s = bench::engine().run_injection(*sp.ds, *sp.diag, cfg);
+        const injection_summary s = run_injection_experiment(*sp.ds, *sp.diag, cfg, bench::pool());
         table.add_row({sp.label, format_scientific(sp.bytes, 1),
                        format_percent(s.detection_rate, 0),
                        format_percent(s.identification_rate, 0),

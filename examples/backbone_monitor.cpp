@@ -7,15 +7,15 @@
 // own streaming_diagnoser stream -- own model, own epoch space, own daily
 // background refit -- multiplexed over one shared engine pool by a
 // stream_server. Each collector runs on its own thread and feeds its
-// stream through ingest(): bins are enqueued into the stream's MPSC
-// inbox, assigned a monotone sequence, and applied in sequence order by
-// the per-stream drainer, with results delivered to the feed's ingest
-// sink. No cross-collector coordination exists anywhere -- that is the
-// point -- yet per-feed output is bit-identical to running that feed
-// alone, so scaling out collectors adds hardware utilization, never
-// arithmetic. Alarms are reported with the responsible OD flow per feed
-// so fine-grained flow collection can be triggered on just the
-// implicated routers.
+// stream through ingest(): bins are enqueued into the stream's inbox (a
+// bounded FIFO behind a per-stream mutex), assigned a monotone sequence,
+// and applied in sequence order by the per-stream drainer, with results
+// delivered to the feed's ingest sink. No cross-collector coordination
+// exists anywhere -- that is the point -- yet per-feed output is
+// bit-identical to running that feed alone, so scaling out collectors
+// adds hardware utilization, never arithmetic. Alarms are reported with
+// the responsible OD flow per feed so fine-grained flow collection can be
+// triggered on just the implicated routers.
 //
 // With --loopback the same deployment runs split across the wire
 // protocol (docs/WIRE_FORMAT.md): the collectors become remote_collector

@@ -5,7 +5,7 @@
 #
 # The checker itself is tools/netdiag_lint.cpp; see its header comment
 # for the rule catalogue (R1 determinism layering, R2 kernel purity,
-# R4 error-code doc parity, R5 scenario layering, R6 socket containment,
+# R4 error-code doc parity, R5 the src/ layer map, R6 socket containment,
 # R7 annotated locks). Exit status is the checker's: 0 clean,
 # 1 violations, 2 usage/build error.
 set -euo pipefail

@@ -14,7 +14,8 @@
 //                    claimed dynamically, for bodies with non-uniform
 //                    per-index cost.
 //
-// parallel_for's callers are the batch sweeps (batch_detector, the ROC
+// parallel_for's callers are the sweeps that take a pool argument
+// (spe_detector::test_all, volume_anomaly_diagnoser::diagnose_all, the ROC
 // and injection sweeps) and three numeric kernels: the blocked covariance
 // Gram, fit_pca's per-axis projections and spe_series rows. Each kernel
 // engages a pool it is given once its work crosses a fixed size, and

@@ -2,13 +2,10 @@
 
 #include <bit>
 #include <cstring>
-#include <fstream>
+#include <istream>
 #include <limits>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
-
-#include "subspace/online.h"
-#include "subspace/stream_detector.h"
 
 namespace netdiag {
 
@@ -503,43 +500,5 @@ view_streambuf::pos_type view_streambuf::seekpos(pos_type pos, std::ios_base::op
 }
 
 }  // namespace ckpt
-
-void save_stream_detector(stream_detector& detector, const std::string& path,
-                          ckpt::encoding enc) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw std::runtime_error("save_stream_detector: cannot open " + path);
-    ckpt::set_encoding(out, enc);
-    detector.save(out);
-    out.flush();
-    if (!out) throw std::runtime_error("save_stream_detector: write failed for " + path);
-}
-
-std::unique_ptr<stream_detector> load_stream_detector(const std::string& path,
-                                                      thread_pool* pool) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("load_stream_detector: cannot open " + path);
-    return load_stream_detector(in, pool);
-}
-
-std::unique_ptr<stream_detector> load_stream_detector(std::istream& in, thread_pool* pool) {
-    const std::istream::pos_type start = in.tellg();
-    const std::string tag = ckpt::read_header(in);
-    // restore() re-validates its own header, so rewind to the record start.
-    in.clear();
-    in.seekg(start);
-    if (tag == "streaming_diagnoser") {
-        return std::make_unique<streaming_diagnoser>(streaming_diagnoser::restore(in, pool));
-    }
-    if (tag == "tracking_detector") {
-        return std::make_unique<tracking_detector>(tracking_detector::restore(in));
-    }
-    throw std::runtime_error("load_stream_detector: unknown detector tag " + tag);
-}
-
-void convert_checkpoint(const std::string& src_path, const std::string& dst_path,
-                        ckpt::encoding target, thread_pool* pool) {
-    const std::unique_ptr<stream_detector> detector = load_stream_detector(src_path, pool);
-    save_stream_detector(*detector, dst_path, target);
-}
 
 }  // namespace netdiag

@@ -27,13 +27,14 @@
 // it before the first byte, readers have it detected from the magic by
 // read_header_info. The primitives are exposed so the detectors'
 // save()/restore() implementations (subspace/online.cpp), the serving
-// front-end and tests can share one codec.
+// front-end and tests can share one codec. The codec knows no detector:
+// the dispatch from a record's type tag to a restore() lives with the
+// detectors (load_stream_detector, subspace/online.h).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <ios>
-#include <memory>
 #include <optional>
 #include <streambuf>
 #include <string>
@@ -43,9 +44,6 @@
 #include "linalg/matrix.h"
 
 namespace netdiag {
-
-class stream_detector;
-class thread_pool;
 
 namespace ckpt {
 
@@ -140,36 +138,5 @@ protected:
 };
 
 }  // namespace ckpt
-
-// Saves any stream_detector to a file (draining in-flight background work
-// first, so the bytes are independent of pool size and timing) in the
-// given encoding. Throws std::runtime_error on I/O failure.
-void save_stream_detector(stream_detector& detector, const std::string& path,
-                          ckpt::encoding enc = ckpt::encoding::native);
-
-// Loads a checkpoint written by save_stream_detector -- either encoding,
-// detected from the magic -- dispatching on the type tag to
-// streaming_diagnoser::restore() or tracking_detector::restore(); any
-// other tag (a bare incremental_pca_tracker record included) is
-// rejected. The pool is runtime wiring, not checkpoint state: a
-// restored streaming_diagnoser runs its refits on the one given here (a
-// tracking_detector folds on the caller's thread and takes none). Throws
-// std::runtime_error on I/O failure, an unknown tag, or malformed
-// content.
-std::unique_ptr<stream_detector> load_stream_detector(const std::string& path,
-                                                      thread_pool* pool = nullptr);
-
-// Same, reading a detector record from the stream's current position --
-// the seam for container records that nest a detector record after their
-// own fields (the stream_server's server_stream per-stream checkpoints). The
-// stream must be seekable across the record header.
-std::unique_ptr<stream_detector> load_stream_detector(std::istream& in,
-                                                      thread_pool* pool = nullptr);
-
-// Re-encodes a checkpoint file: loads it (either encoding) and saves it
-// again in the target encoding. Native -> interchange -> native is
-// byte-identical, which the golden-fixture tests rely on.
-void convert_checkpoint(const std::string& src_path, const std::string& dst_path,
-                        ckpt::encoding target, thread_pool* pool = nullptr);
 
 }  // namespace netdiag

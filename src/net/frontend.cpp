@@ -242,6 +242,14 @@ void netdiag_frontend::request_stop() {
     for (const worker& w : workers_) {
         w.conn->sock.shutdown_both();  // unblocks recv_into()
     }
+    // Under mu_: a waiter tests the flag under mu_ and sleeps releasing
+    // it, so it either saw the flag or is asleep for this notify.
+    stopped_cv_.notify_all();
+}
+
+void netdiag_frontend::wait_until_stopped() {
+    sync::mutex_lock lock(mu_);
+    while (!stopped()) stopped_cv_.wait(lock);
 }
 
 void netdiag_frontend::stop() {

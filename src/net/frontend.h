@@ -67,6 +67,11 @@ public:
     // True once a req_shutdown was served or stop() was called.
     bool stopped() const noexcept { return stopping_.load(std::memory_order_acquire); }
 
+    // Blocks until stopped() is true: returns once a req_shutdown was
+    // served or stop() was called, from any thread. The caller still
+    // owes the stop() that joins the frontend's threads.
+    void wait_until_stopped();
+
 private:
     struct connection;
 
@@ -96,6 +101,8 @@ private:
     std::atomic<bool> stopping_{false};
     sync::mutex mu_;
     std::vector<worker> workers_ NETDIAG_GUARDED_BY(mu_);
+    // Signalled under mu_ once stopping_ is set; wait_until_stopped's wait.
+    sync::condition_variable stopped_cv_;
     std::thread accept_thread_;
 };
 

@@ -8,9 +8,10 @@
 //
 // One collector == one connection == one outstanding request: calls are
 // NOT thread-safe (give each producer thread its own collector; the
-// server multiplexes them through the stream's MPSC inbox exactly like
-// local concurrent producers). Transport failures and non-ingest
-// protocol errors throw; ingest-shaped failures come back as codes.
+// server multiplexes them through the stream's inbox -- one bounded FIFO
+// behind a per-stream mutex -- exactly like local concurrent producers).
+// Transport failures and non-ingest protocol errors throw; ingest-shaped
+// failures come back as codes.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "engine/thread_pool.h"
+
 namespace netdiag {
 
 spe_detector::spe_detector(const subspace_model& model, double confidence)
@@ -17,10 +19,14 @@ detection_result spe_detector::test(std::span<const double> y) const {
     return {spe > threshold_, spe, threshold_};
 }
 
-std::vector<detection_result> spe_detector::test_all(const matrix& y) const {
-    std::vector<detection_result> out;
-    out.reserve(y.rows());
-    for (std::size_t r = 0; r < y.rows(); ++r) out.push_back(test(y.row(r)));
+std::vector<detection_result> spe_detector::test_all(const matrix& y, thread_pool* pool) const {
+    std::vector<detection_result> out(y.rows());
+    const auto test_row = [&](std::size_t r) { out[r] = test(y.row(r)); };
+    if (pool != nullptr) {
+        parallel_for(*pool, 0, y.rows(), test_row);
+    } else {
+        for (std::size_t r = 0; r < y.rows(); ++r) test_row(r);
+    }
     return out;
 }
 

@@ -10,6 +10,8 @@
 
 namespace netdiag {
 
+class thread_pool;
+
 struct detection_result {
     bool anomalous = false;
     double spe = 0.0;
@@ -27,8 +29,10 @@ public:
 
     detection_result test(std::span<const double> y) const;
 
-    // One result per row of y.
-    std::vector<detection_result> test_all(const matrix& y) const;
+    // One result per row of y. A non-null pool shards the rows across its
+    // workers; each row writes its own slot, so the results are
+    // bit-identical for every pool size.
+    std::vector<detection_result> test_all(const matrix& y, thread_pool* pool = nullptr) const;
 
     // Fast path for sweep experiments: tests a precomputed residual vector
     // (as produced by subspace_model::residual plus any direction algebra).

@@ -2,12 +2,17 @@
 
 #include <utility>
 
+#include "engine/thread_pool.h"
+
 namespace netdiag {
 
-volume_anomaly_diagnoser::volume_anomaly_diagnoser(const matrix& y, const matrix& a,
-                                                   double confidence,
-                                                   const separation_config& sep)
-    : volume_anomaly_diagnoser(subspace_model::fit(y, sep), a, confidence) {}
+namespace {
+
+// Rows a diagnose_all worker claims at a time (pure scheduling: the
+// results are per-row, so the chunking never changes a bit).
+constexpr std::size_t k_diagnose_grain = 16;
+
+}  // namespace
 
 volume_anomaly_diagnoser::volume_anomaly_diagnoser(const matrix& y, const matrix& a,
                                                    double confidence,
@@ -47,10 +52,18 @@ diagnosis volume_anomaly_diagnoser::diagnose_residual(std::span<const double> re
     return out;
 }
 
-std::vector<diagnosis> volume_anomaly_diagnoser::diagnose_all(const matrix& y) const {
-    std::vector<diagnosis> out;
-    out.reserve(y.rows());
-    for (std::size_t r = 0; r < y.rows(); ++r) out.push_back(diagnose(y.row(r)));
+std::vector<diagnosis> volume_anomaly_diagnoser::diagnose_all(const matrix& y,
+                                                               thread_pool* pool) const {
+    std::vector<diagnosis> out(y.rows());
+    const auto diagnose_row = [&](std::size_t r) { out[r] = diagnose(y.row(r)); };
+    if (pool != nullptr) {
+        // Dynamic chunking: anomalous rows additionally pay for
+        // identification, so workers claim fixed-size row chunks instead
+        // of one static span.
+        parallel_for(*pool, 0, y.rows(), k_diagnose_grain, diagnose_row);
+    } else {
+        for (std::size_t r = 0; r < y.rows(); ++r) diagnose_row(r);
+    }
     return out;
 }
 

@@ -36,13 +36,10 @@ public:
     // Fits the subspace model to historical link measurements y (t x m)
     // and prepares identification/quantification from routing matrix a
     // (m x flows). confidence is the 1-alpha detection level (paper: 0.999).
+    // A non-null pool shards the fit (bit-identical to the serial fit for
+    // every pool size; see subspace_model::fit).
     volume_anomaly_diagnoser(const matrix& y, const matrix& a, double confidence = 0.999,
-                             const separation_config& sep = {});
-
-    // Same fit sharded across an engine thread_pool (bit-identical to the
-    // serial fit for every pool size; see subspace_model::fit).
-    volume_anomaly_diagnoser(const matrix& y, const matrix& a, double confidence,
-                             const separation_config& sep, thread_pool* pool);
+                             const separation_config& sep = {}, thread_pool* pool = nullptr);
 
     // Assembles from an existing model (ablations), building the routing
     // terms from a.
@@ -69,7 +66,11 @@ public:
     const flow_identifier& identifier() const noexcept { return identifier_; }
 
     diagnosis diagnose(std::span<const double> y) const;
-    std::vector<diagnosis> diagnose_all(const matrix& y) const;
+
+    // One diagnosis per row of y. A non-null pool shards the rows across
+    // its workers; each row writes its own slot, so the results are
+    // bit-identical for every pool size.
+    std::vector<diagnosis> diagnose_all(const matrix& y, thread_pool* pool = nullptr) const;
 
     // Sweep-friendly variant taking a precomputed residual vector.
     diagnosis diagnose_residual(std::span<const double> residual) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <istream>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -660,6 +661,21 @@ tracking_detector tracking_detector::restore(std::istream& in) {
     }
     state.tracker = std::move(tracker);
     return tracking_detector(std::move(state));
+}
+
+std::unique_ptr<stream_detector> load_stream_detector(std::istream& in, thread_pool* pool) {
+    const std::istream::pos_type start = in.tellg();
+    const std::string tag = ckpt::read_header(in);
+    // restore() re-validates its own header, so rewind to the record start.
+    in.clear();
+    in.seekg(start);
+    if (tag == "streaming_diagnoser") {
+        return std::make_unique<streaming_diagnoser>(streaming_diagnoser::restore(in, pool));
+    }
+    if (tag == "tracking_detector") {
+        return std::make_unique<tracking_detector>(tracking_detector::restore(in));
+    }
+    throw std::runtime_error("load_stream_detector: unknown detector tag " + tag);
 }
 
 }  // namespace netdiag

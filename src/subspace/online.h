@@ -299,4 +299,18 @@ private:
     std::uint64_t epoch_ = 0;  // folds applied
 };
 
+// Reads a detector record -- either encoding, detected from the magic --
+// from the stream's current position, dispatching on its type tag to
+// streaming_diagnoser::restore() or tracking_detector::restore(); any
+// other tag (a bare incremental_pca_tracker record included) is rejected.
+// Container records that nest a detector record after their own fields
+// (the stream_server's per-stream "server_stream" records) read it
+// through here. The stream must be seekable across the record header.
+// The pool is runtime wiring, not checkpoint state: a restored
+// streaming_diagnoser runs its refits on the one given here (a
+// tracking_detector folds on the caller's thread and takes none). Throws
+// std::runtime_error on an unknown tag or malformed content.
+std::unique_ptr<stream_detector> load_stream_detector(std::istream& in,
+                                                      thread_pool* pool = nullptr);
+
 }  // namespace netdiag

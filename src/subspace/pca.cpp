@@ -108,8 +108,6 @@ vec pca_axis_projection(const matrix& centered, const matrix& axes, std::size_t 
     return u;
 }
 
-pca_model fit_pca(const matrix& y) { return fit_pca(y, nullptr); }
-
 pca_model fit_pca(const matrix& y, thread_pool* pool) {
     pca_axes_fit fit = fit_pca_axes(y, pool);
     pca_model& model = fit.model;

@@ -79,15 +79,11 @@ pca_spectrum_fit fit_pca_spectrum(const matrix& y, thread_pool* pool = nullptr);
 // computes u_i with exactly this arithmetic.
 vec pca_axis_projection(const matrix& centered, const matrix& axes, std::size_t i);
 
-// Both halves over all m axes. Throws std::invalid_argument on degenerate
-// shapes.
-pca_model fit_pca(const matrix& y);
-
-// Same fit with the covariance pool-sharded (see fit_pca_axes) and the
-// per-axis projections sharded across the pool once t * m reaches 2^18.
+// Both halves over all m axes. A non-null pool shards the covariance (see
+// fit_pca_axes) and, once t * m reaches 2^18, the per-axis projections.
 // Each axis writes its own column, so the result is bit-identical for
-// every pool size (including pool == nullptr, which fit_pca(y) delegates
-// to).
-pca_model fit_pca(const matrix& y, thread_pool* pool);
+// every pool size, no pool included. Throws std::invalid_argument on
+// degenerate shapes.
+pca_model fit_pca(const matrix& y, thread_pool* pool = nullptr);
 
 }  // namespace netdiag

@@ -19,7 +19,8 @@
 // model, maintenance buffers, pending refit, counters, epoch) after
 // draining any in-flight background work, so a stream snapshotted mid-run
 // and restored from disk replays the exact remaining detection sequence.
-// See measurement/stream_checkpoint.h for the file facade.
+// load_stream_detector (subspace/online.h) restores any detector record;
+// measurement/stream_checkpoint.h is the byte codec both sides use.
 #pragma once
 
 #include <cstddef>

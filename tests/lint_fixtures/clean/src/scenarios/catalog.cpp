@@ -1,6 +1,6 @@
-// Fixture: arms the R5 anchor for the clean root. Scenario code may
-// include scenario headers freely -- only kernel/engine paths are
-// forbidden from reaching up into this layer.
+// Fixture: a directory includes its own headers freely -- R5 only
+// forbids includes from its own layer's other directories and from
+// layers above.
 #include "scenarios/catalog.h"
 
 namespace netdiag {

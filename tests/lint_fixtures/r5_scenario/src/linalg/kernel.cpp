@@ -1,5 +1,5 @@
 // Fixture: a kernel file including a scenario header must trip R5
-// (scenario layering: evaluation-layer code stays out of the kernels).
+// (the layer map: linalg sits below scenarios, so it may not include it).
 #include "scenarios/scenario.h"
 
 double kernel_step(double a, double b) {

@@ -1,5 +1,5 @@
-// Fixture: the R5 anchor. The scenario library's presence under src/
-// arms the layering rule for this fixture root.
+// Fixture: the header src/linalg/kernel.cpp must not include --
+// scenarios/ is the top layer of R5's layer map.
 #pragma once
 
 namespace netdiag {

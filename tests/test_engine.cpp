@@ -1,4 +1,4 @@
-#include "engine/batch_detector.h"
+#include "engine/thread_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -15,11 +15,14 @@
 #include <thread>
 #include <vector>
 
-#include "engine/thread_pool.h"
+#include "eval/ground_truth.h"
+#include "eval/injection.h"
+#include "eval/roc.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/ops.h"
 #include "measurement/centering.h"
 #include "measurement/presets.h"
+#include "subspace/diagnoser.h"
 #include "subspace/pca.h"
 
 namespace netdiag {
@@ -235,14 +238,9 @@ TEST(SubmitTask, RunsConcurrentlyWithTheCaller) {
     EXPECT_EQ(fut.get(), 5);
 }
 
-TEST(BatchDetector, ReportsRequestedThreadCount) {
-    const batch_detector engine(3);
-    EXPECT_EQ(engine.threads(), 3u);
-}
-
 // ---------------------------------------------------------------------------
-// Bit-identity of the batch sweeps against the serial path, across thread
-// counts {1, 2, 8}. One shared fitted diagnoser (fitting dominates cost).
+// Bit-identity of the pooled sweeps against the serial path, across pool
+// sizes {1, 2, 8}. One shared fitted diagnoser (fitting dominates cost).
 // ---------------------------------------------------------------------------
 
 class BatchParityFixture : public ::testing::Test {
@@ -270,8 +268,8 @@ constexpr std::size_t k_thread_counts[] = {1, 2, 8};
 TEST_F(BatchParityFixture, TestAllMatchesSerialBitForBit) {
     const auto serial = diagnoser_->detector().test_all(ds_->link_loads);
     for (std::size_t threads : k_thread_counts) {
-        const batch_detector engine(threads);
-        const auto batch = engine.test_all(diagnoser_->detector(), ds_->link_loads);
+        thread_pool pool(threads);
+        const auto batch = diagnoser_->detector().test_all(ds_->link_loads, &pool);
         ASSERT_EQ(batch.size(), serial.size());
         for (std::size_t r = 0; r < serial.size(); ++r) {
             ASSERT_EQ(batch[r].anomalous, serial[r].anomalous) << "threads=" << threads;
@@ -286,8 +284,8 @@ TEST_F(BatchParityFixture, TestAllMatchesSerialBitForBit) {
 TEST_F(BatchParityFixture, DiagnoseAllMatchesSerialBitForBit) {
     const auto serial = diagnoser_->diagnose_all(ds_->link_loads);
     for (std::size_t threads : k_thread_counts) {
-        const batch_detector engine(threads);
-        const auto batch = engine.diagnose_all(*diagnoser_, ds_->link_loads);
+        thread_pool pool(threads);
+        const auto batch = diagnoser_->diagnose_all(ds_->link_loads, &pool);
         ASSERT_EQ(batch.size(), serial.size());
         for (std::size_t r = 0; r < serial.size(); ++r) {
             ASSERT_EQ(batch[r].anomalous, serial[r].anomalous) << "threads=" << threads;
@@ -305,8 +303,8 @@ TEST_F(BatchParityFixture, DiagnoseAllMatchesSerialBitForBit) {
 TEST_F(BatchParityFixture, SpeSeriesMatchesSerialBitForBit) {
     const vec serial = diagnoser_->model().spe_series(ds_->link_loads);
     for (std::size_t threads : k_thread_counts) {
-        const batch_detector engine(threads);
-        const vec batch = engine.spe_series(diagnoser_->model(), ds_->link_loads);
+        thread_pool pool(threads);
+        const vec batch = diagnoser_->model().spe_series(ds_->link_loads, &pool);
         ASSERT_EQ(batch, serial) << "threads=" << threads;
     }
 }
@@ -318,8 +316,8 @@ TEST_F(BatchParityFixture, InjectionSweepMatchesSerialBitForBit) {
     cfg.t_end = 312;
     const injection_summary serial = run_injection_experiment(*ds_, *diagnoser_, cfg);
     for (std::size_t threads : k_thread_counts) {
-        const batch_detector engine(threads);
-        const injection_summary batch = engine.run_injection(*ds_, *diagnoser_, cfg);
+        thread_pool pool(threads);
+        const injection_summary batch = run_injection_experiment(*ds_, *diagnoser_, cfg, &pool);
         ASSERT_EQ(batch.flow_count, serial.flow_count) << "threads=" << threads;
         ASSERT_EQ(batch.time_count, serial.time_count);
         ASSERT_EQ(batch.detection_rate, serial.detection_rate);
@@ -592,15 +590,6 @@ TEST(LowRankResidual, LinkShardedProjectionMatchesDenseProjector) {
     }
 }
 
-TEST_F(BatchParityFixture, ModelSpeSeriesWithPoolMatchesSerialBitForBit) {
-    const vec serial = diagnoser_->model().spe_series(ds_->link_loads);
-    for (std::size_t threads : k_thread_counts) {
-        thread_pool pool(threads);
-        ASSERT_EQ(diagnoser_->model().spe_series(ds_->link_loads, &pool), serial)
-            << "threads=" << threads;
-    }
-}
-
 TEST_F(BatchParityFixture, RocMatchesSerialBitForBit) {
     std::vector<true_anomaly> truths;
     for (const anomaly_event& ev : ds_->injected) {
@@ -609,8 +598,8 @@ TEST_F(BatchParityFixture, RocMatchesSerialBitForBit) {
     const std::vector<double> sweep{0.5, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999};
     const auto serial = compute_roc(diagnoser_->model(), ds_->link_loads, truths, sweep);
     for (std::size_t threads : k_thread_counts) {
-        const batch_detector engine(threads);
-        const auto batch = engine.compute_roc(diagnoser_->model(), ds_->link_loads, truths, sweep);
+        thread_pool pool(threads);
+        const auto batch = compute_roc(diagnoser_->model(), ds_->link_loads, truths, sweep, &pool);
         ASSERT_EQ(batch.size(), serial.size()) << "threads=" << threads;
         for (std::size_t k = 0; k < serial.size(); ++k) {
             ASSERT_EQ(batch[k].confidence, serial[k].confidence);

@@ -1008,7 +1008,9 @@ TEST_F(IngestFixture, LegacyRawDetectorSnapshotDirectoryStillRestores) {
     std::filesystem::create_directories(dir);
     {
         tracking_detector detector(bootstrap_slice(0), 8);
-        save_stream_detector(detector, (std::filesystem::path(dir) / "stream_1.ckpt").string());
+        std::ofstream record((std::filesystem::path(dir) / "stream_1.ckpt").string(),
+                             std::ios::binary);
+        detector.save(record);
         std::ofstream manifest((std::filesystem::path(dir) / "manifest.ckpt").string(),
                                std::ios::binary);
         ckpt::write_header(manifest, "stream_server_manifest");

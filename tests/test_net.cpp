@@ -490,11 +490,19 @@ TEST(Loopback, ShutdownRequestStopsTheFrontendButNotTheServer) {
     stream_server server({.threads = 0});
     const stream_id id = server.open_stream(tracking_config(5));
     net::netdiag_frontend frontend(server);
+    std::atomic<bool> woke{false};
+    std::thread waiter([&] {
+        frontend.wait_until_stopped();
+        woke.store(true);
+    });
     {
         net::remote_collector collector(frontend.port());
-        ASSERT_TRUE(collector.ingest(id, synthetic_bin(k_dim, 0)).ok());
+        EXPECT_TRUE(collector.ingest(id, synthetic_bin(k_dim, 0)).ok());
+        EXPECT_FALSE(woke.load()) << "an ingest woke the shutdown wait";
         collector.shutdown_server();
     }
+    waiter.join();  // must return: the served req_shutdown wakes the wait
+    EXPECT_TRUE(woke.load());
     frontend.stop();  // must not hang: req_shutdown already initiated it
     EXPECT_TRUE(frontend.stopped());
 
@@ -504,6 +512,17 @@ TEST(Loopback, ShutdownRequestStopsTheFrontendButNotTheServer) {
     const ingest_stats stats = server.ingest_statistics(id);
     EXPECT_EQ(stats.accepted, 1u);
     EXPECT_EQ(stats.applied, 1u);
+}
+
+TEST(Loopback, StopFromAnotherThreadWakesTheShutdownWait) {
+    stream_server server({.threads = 0});
+    net::netdiag_frontend frontend(server);
+    std::thread waiter([&] { frontend.wait_until_stopped(); });
+    std::thread stopper([&] { frontend.stop(); });
+    stopper.join();
+    waiter.join();  // must return: stop() wakes the wait
+    EXPECT_TRUE(frontend.stopped());
+    frontend.wait_until_stopped();  // already stopped: returns at once
 }
 
 // The tentpole claim end to end, minus concurrency: migrate a stream

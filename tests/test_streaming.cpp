@@ -38,6 +38,24 @@ std::string temp_checkpoint_path(const char* name) {
     return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
+// Writes a detector's record to a file in the given encoding.
+void save_to_file(stream_detector& detector, const std::string& path,
+                  ckpt::encoding enc = ckpt::encoding::native) {
+    std::ofstream out(path, std::ios::binary);
+    ckpt::set_encoding(out, enc);
+    detector.save(out);
+    out.flush();
+    ASSERT_TRUE(out) << "cannot write " << path;
+}
+
+// Reads a detector record from a file through the tag dispatch.
+std::unique_ptr<stream_detector> load_from_file(const std::string& path,
+                                                thread_pool* pool = nullptr) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
+    return load_stream_detector(in, pool);
+}
+
 void expect_same_diagnosis(const diagnosis& a, const diagnosis& b, std::size_t at) {
     ASSERT_EQ(b.anomalous, a.anomalous) << "bin " << at;
     ASSERT_EQ(b.spe, a.spe) << "bin " << at;
@@ -259,7 +277,7 @@ TEST_F(StreamingFixture, StreamingDiagnoserCheckpointReplaysExactly) {
     for (std::size_t r = 0; r < 33; ++r) live.push(stream_.row(r));
 
     const std::string path = temp_checkpoint_path("streaming_diagnoser.ckpt");
-    save_stream_detector(live, path);
+    save_to_file(live, path);
     streaming_diagnoser restored = [&] {
         std::ifstream in(path, std::ios::binary);
         return streaming_diagnoser::restore(in);
@@ -292,12 +310,12 @@ TEST_F(StreamingFixture, CheckpointWithRefitInFlightStillReplaysExactly) {
     for (std::size_t r = 0; r < 22; ++r) live.push(stream_.row(r));  // trigger at 20, swap at 30
 
     const std::string path = temp_checkpoint_path("streaming_pending.ckpt");
-    save_stream_detector(live, path);
+    save_to_file(live, path);
     ASSERT_TRUE(live.refit_pending());
 
     // Restore with no pool: pendingness and the swap bin are state, not
     // wiring, so the replay still swaps at bin 30.
-    std::unique_ptr<stream_detector> restored = load_stream_detector(path);
+    std::unique_ptr<stream_detector> restored = load_from_file(path);
     EXPECT_EQ(restored->model_epoch(), live.model_epoch());
     for (std::size_t r = 22; r < 60; ++r) {
         const diagnosis a = live.push(stream_.row(r));
@@ -316,8 +334,8 @@ TEST_F(StreamingFixture, TrackingDetectorCheckpointReplaysExactly) {
     for (std::size_t r = 0; r < 25; ++r) live.push(stream_.row(r));
 
     const std::string path = temp_checkpoint_path("tracking_detector.ckpt");
-    save_stream_detector(live, path);
-    std::unique_ptr<stream_detector> restored = load_stream_detector(path);
+    save_to_file(live, path);
+    std::unique_ptr<stream_detector> restored = load_from_file(path);
 
     EXPECT_EQ(restored->processed(), live.processed());
     EXPECT_EQ(restored->model_epoch(), live.model_epoch());
@@ -356,14 +374,8 @@ TEST_F(StreamingFixture, TrackerCheckpointReplaysExactly) {
 }
 
 TEST_F(StreamingFixture, CheckpointRejectsGarbage) {
-    const std::string path = temp_checkpoint_path("garbage.ckpt");
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "this is not a checkpoint";
-    }
-    EXPECT_THROW(load_stream_detector(path), std::runtime_error);
-    EXPECT_THROW(load_stream_detector(path + ".missing"), std::runtime_error);
-    std::remove(path.c_str());
+    std::istringstream in("this is not a checkpoint", std::ios::binary);
+    EXPECT_THROW(load_stream_detector(in), std::runtime_error);
 }
 
 TEST_F(StreamingFixture, RetiredEagerModeTagIsRejected) {
@@ -502,7 +514,7 @@ TEST_F(StreamingFixture, QueuedRefitSurvivesCheckpointRoundTrip) {
     ASSERT_TRUE(live.refit_queued());
 
     const std::string path = temp_checkpoint_path("queued_refit.ckpt");
-    save_stream_detector(live, path);
+    save_to_file(live, path);
     streaming_diagnoser restored = [&] {
         std::ifstream in(path, std::ios::binary);
         return streaming_diagnoser::restore(in);
@@ -586,9 +598,9 @@ TEST(GoldenCheckpoint, ReplaysBitExactlyOrRejectsForeignEndianness) {
         tracking_detector det(golden_measurements(k_golden_boot_rows, k_golden_dim, 1234),
                               k_golden_rank);
         for (std::size_t r = 0; r < k_golden_prefix_bins; ++r) det.push(bins.row(r));
-        save_stream_detector(det, fixture);
+        save_to_file(det, fixture);
         for (std::size_t r = k_golden_prefix_bins; r < bins.rows(); ++r) det.push(bins.row(r));
-        save_stream_detector(det, after);
+        save_to_file(det, after);
         GTEST_SKIP() << "regenerated golden fixtures in " << NETDIAG_TEST_DATA_DIR;
     }
 
@@ -596,7 +608,7 @@ TEST(GoldenCheckpoint, ReplaysBitExactlyOrRejectsForeignEndianness) {
         // The committed fixtures were written on a little-endian host: a
         // big-endian build must reject them loudly, not replay garbage.
         try {
-            load_stream_detector(fixture);
+            load_from_file(fixture);
             FAIL() << "foreign-endian checkpoint was accepted";
         } catch (const std::runtime_error& e) {
             EXPECT_NE(std::string(e.what()).find("endianness"), std::string::npos)
@@ -609,7 +621,7 @@ TEST(GoldenCheckpoint, ReplaysBitExactlyOrRejectsForeignEndianness) {
     // detection sequence. (Bit-exactness across builds assumes IEEE
     // doubles without FMA contraction in the fold path -- true of the
     // x86-64 gcc/clang configurations CI exercises.)
-    std::unique_ptr<stream_detector> restored = load_stream_detector(fixture);
+    std::unique_ptr<stream_detector> restored = load_from_file(fixture);
     ASSERT_EQ(restored->dimension(), k_golden_dim);
     ASSERT_EQ(restored->processed(), k_golden_prefix_bins);
     for (std::size_t r = k_golden_prefix_bins; r < bins.rows(); ++r) {
@@ -759,7 +771,7 @@ TEST(GoldenCheckpoint, InterchangeFixturesLoadOnAnyHostIncludingByteSwapped) {
         tracking_detector det(golden_measurements(k_golden_boot_rows, k_golden_dim, 1234),
                               k_golden_rank);
         for (std::size_t r = 0; r < k_golden_prefix_bins; ++r) det.push(bins.row(r));
-        save_stream_detector(det, fixture, ckpt::encoding::interchange);
+        save_to_file(det, fixture, ckpt::encoding::interchange);
         std::ofstream swapped_out(swapped_fixture, std::ios::binary);
         const std::string swapped = byte_swapped_interchange(read_file_bytes(fixture));
         swapped_out.write(swapped.data(),
@@ -774,8 +786,8 @@ TEST(GoldenCheckpoint, InterchangeFixturesLoadOnAnyHostIncludingByteSwapped) {
 
     // Both byte orders load EVERYWHERE -- that is the point of the
     // encoding; no endianness gate, unlike the native fixture above.
-    std::unique_ptr<stream_detector> restored = load_stream_detector(fixture);
-    std::unique_ptr<stream_detector> from_swapped = load_stream_detector(swapped_fixture);
+    std::unique_ptr<stream_detector> restored = load_from_file(fixture);
+    std::unique_ptr<stream_detector> from_swapped = load_from_file(swapped_fixture);
     ASSERT_EQ(restored->dimension(), k_golden_dim);
     ASSERT_EQ(restored->processed(), k_golden_prefix_bins);
     ASSERT_EQ(from_swapped->processed(), k_golden_prefix_bins);
@@ -969,7 +981,7 @@ TEST(GoldenCheckpoint, RecordWithProjectionsLoadsAndReplaysBitExactly) {
         EXPECT_EQ(shape.axes_cols, k_legacy_links);
     }
 
-    std::unique_ptr<stream_detector> loaded = load_stream_detector(fixture);
+    std::unique_ptr<stream_detector> loaded = load_from_file(fixture);
     auto& restored = dynamic_cast<streaming_diagnoser&>(*loaded);
     ASSERT_EQ(restored.processed(), k_legacy_prefix_bins);
     EXPECT_TRUE(restored.refit_pending());
@@ -1125,8 +1137,8 @@ TEST(StreamingCheckpoint, RunRecordsRoundTripByteForByte) {
     }
 
     // The v3 fixture's dense A becomes the runs a fresh stream writes.
-    std::unique_ptr<stream_detector> legacy = load_stream_detector(
-        golden_fixture_path("golden_streaming_diagnoser_projections.ckpt"));
+    std::unique_ptr<stream_detector> legacy =
+        load_from_file(golden_fixture_path("golden_streaming_diagnoser_projections.ckpt"));
     std::ostringstream resaved(std::ios::binary);
     legacy->save(resaved);
     std::ostringstream fresh(std::ios::binary);
@@ -1142,31 +1154,34 @@ TEST(StreamingCheckpoint, RunRecordsRoundTripByteForByte) {
     EXPECT_EQ(routing_block(resaved.str()), routing_block(fresh.str()));
 }
 
-TEST(GoldenCheckpoint, ConvertCheckpointRoundTripsByteIdentically) {
+TEST(GoldenCheckpoint, ReencodingRoundTripsByteIdentically) {
     if (std::getenv("NETDIAG_REGEN_GOLDEN") != nullptr) {
         GTEST_SKIP() << "fixtures being regenerated";
     }
     if constexpr (std::endian::native != std::endian::little) {
         GTEST_SKIP() << "native fixtures are little-endian";
     }
-    const std::string native_fixture = golden_fixture_path("golden_tracking_detector.ckpt");
-    const std::string interchange_fixture =
-        golden_fixture_path("golden_tracking_detector_interchange.ckpt");
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / "convert_roundtrip";
-    std::filesystem::create_directories(dir);
-    const std::string to_interchange = (dir / "a.ckpt").string();
-    const std::string back_to_native = (dir / "b.ckpt").string();
+    const std::string native_bytes =
+        read_file_bytes(golden_fixture_path("golden_tracking_detector.ckpt"));
+    const std::string interchange_bytes =
+        read_file_bytes(golden_fixture_path("golden_tracking_detector_interchange.ckpt"));
+    // Loads a record (either encoding) and saves it again in `target`.
+    const auto reencode = [](const std::string& bytes, ckpt::encoding target) {
+        std::istringstream in(bytes, std::ios::binary);
+        const std::unique_ptr<stream_detector> detector = load_stream_detector(in);
+        std::ostringstream out(std::ios::binary);
+        ckpt::set_encoding(out, target);
+        detector->save(out);
+        return std::move(out).str();
+    };
 
     // native -> interchange reproduces the committed interchange fixture
     // (same state, same deterministic encoder) ...
-    convert_checkpoint(native_fixture, to_interchange, ckpt::encoding::interchange);
-    EXPECT_EQ(read_file_bytes(to_interchange), read_file_bytes(interchange_fixture));
+    const std::string to_interchange = reencode(native_bytes, ckpt::encoding::interchange);
+    EXPECT_EQ(to_interchange, interchange_bytes);
 
     // ... and interchange -> native reproduces the original bytes.
-    convert_checkpoint(to_interchange, back_to_native, ckpt::encoding::native);
-    EXPECT_EQ(read_file_bytes(back_to_native), read_file_bytes(native_fixture));
-    std::filesystem::remove_all(dir);
+    EXPECT_EQ(reencode(to_interchange, ckpt::encoding::native), native_bytes);
 }
 
 // ---------------------------------------------------------------------------

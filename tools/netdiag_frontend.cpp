@@ -12,12 +12,13 @@
 //
 // Prints one "port <p>" line and one "stream <id>" line per opened
 // stream on stdout, then blocks until shutdown.
-#include <chrono>
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
-#include <thread>
+#include <system_error>
 
 #include "linalg/matrix.h"
 #include "net/frontend.h"
@@ -40,6 +41,21 @@ netdiag::matrix synthetic_bootstrap(std::size_t rows, std::size_t cols,
     return y;
 }
 
+// A whole decimal argument no larger than max, or nullopt: no sign, no
+// blanks, no trailing characters, no wrap-around.
+std::optional<std::uint64_t> parse_count(const std::string& text, std::uint64_t max) {
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || stop != end || value > max) return std::nullopt;
+    return value;
+}
+
+int usage() {
+    std::cerr << "usage: netdiag_frontend [--port P] [--streams N] [--dim D] [--seed S]\n";
+    return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -47,22 +63,29 @@ int main(int argc, char** argv) {
     std::size_t streams = 4;
     std::size_t dim = 8;
     std::uint64_t seed = 99;
+    constexpr std::uint64_t max_streams = std::numeric_limits<std::size_t>::max();
+    // A stream's bootstrap holds 2 * dim * dim doubles: keep that count in
+    // 64 bits.
+    constexpr std::uint64_t max_dim = std::uint64_t{1} << 31;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--port" && has_value) {
-            port = static_cast<std::uint16_t>(std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--streams" && has_value) {
-            streams = std::strtoul(argv[++i], nullptr, 10);
-        } else if (arg == "--dim" && has_value) {
-            dim = std::strtoul(argv[++i], nullptr, 10);
-        } else if (arg == "--seed" && has_value) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
-        } else {
-            std::cerr << "usage: netdiag_frontend [--port P] [--streams N] [--dim D] "
-                         "[--seed S]\n";
-            return 2;
+        if (i + 1 >= argc) return usage();
+        const std::string text = argv[++i];
+        std::optional<std::uint64_t> value;
+        if (arg == "--port") {
+            value = parse_count(text, std::numeric_limits<std::uint16_t>::max());
+            if (value) port = static_cast<std::uint16_t>(*value);
+        } else if (arg == "--streams") {
+            value = parse_count(text, max_streams);
+            if (value) streams = static_cast<std::size_t>(*value);
+        } else if (arg == "--dim") {
+            value = parse_count(text, max_dim);
+            if (value) dim = static_cast<std::size_t>(*value);
+        } else if (arg == "--seed") {
+            value = parse_count(text, std::numeric_limits<std::uint64_t>::max());
+            if (value) seed = *value;
         }
+        if (!value) return usage();
     }
 
     try {
@@ -77,7 +100,7 @@ int main(int argc, char** argv) {
         }
         netdiag::net::netdiag_frontend frontend(server, port);
         std::cout << "port " << frontend.port() << std::endl;  // flush: parents parse this
-        while (!frontend.stopped()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        frontend.wait_until_stopped();
         frontend.stop();
     } catch (const std::exception& e) {
         std::cerr << "netdiag_frontend: " << e.what() << "\n";

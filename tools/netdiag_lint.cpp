@@ -23,12 +23,16 @@
 //      would feed reductions in nondeterministic order.
 //  R4  Error-code doc parity: every ingest_error enumerator (except ok)
 //      must appear (backticked) in README.md's backpressure section.
-//  R5  Scenario layering: kernel and engine paths (the R2 kernel set plus
-//      src/engine/) must not include src/scenarios/ headers. The
-//      adversary-scenario library sits at the top of the stack (it
-//      composes traffic, eval and subspace); a kernel depending on it
-//      would invert the layering and drag evaluation-only code into the
-//      replay-critical paths.
+//  R5  Layer map: one table (k_layer_map) puts every src/ directory on a
+//      layer, bottom to top: engine < stats < linalg < topology, traffic,
+//      baselines < measurement < subspace < eval, serve < net <
+//      scenarios. A file may include headers from its own directory and
+//      from directories on lower layers only -- never from its own
+//      layer's other directories or from above -- so the include graph
+//      between directories stays acyclic: the kernels cannot reach into
+//      evaluation code, the engine into the detectors, or the checkpoint
+//      codec into the detectors it stores. A src/ directory missing from
+//      the table is a violation too. docs/ARCHITECTURE.md draws the map.
 //  R6  Socket containment: raw socket headers (<sys/socket.h>,
 //      <netinet/...>, <arpa/inet.h>, <netdb.h>, <sys/un.h>) are allowed
 //      only under src/net/. Everything else speaks the wire protocol
@@ -45,9 +49,9 @@
 // Scanning is token-based on comment- and string-stripped source, so a
 // comment saying "no std::thread here" does not trip R1. R5 and R6 scan
 // raw lines instead, because include paths live inside string literals. A
-// rule whose anchor (src/, the enum, src/scenarios/, ...) is absent under
-// --root is skipped: the test fixtures under tests/lint_fixtures/ rely on
-// that to exercise one rule at a time. (R3, a tuning-doc parity rule, was
+// rule whose anchor (src/, the enum, src/net/) is absent under --root is
+// skipped: the test fixtures under tests/lint_fixtures/ rely on that to
+// exercise one rule at a time. (R3, a tuning-doc parity rule, was
 // retired with the tuning block it checked; the other rules keep their
 // numbers.)
 //
@@ -254,26 +258,75 @@ void check_r2(const std::string& relpath, const std::vector<std::string>& lines,
     }
 }
 
-// --- R5: scenario layering --------------------------------------------------
+// --- R5: the layer map ------------------------------------------------------
 
-bool is_r5_guarded_file(const std::string& relpath) {
-    return is_kernel_file(relpath) || relpath.rfind("src/engine/", 0) == 0;
+// Every src/ directory with its layer, bottom to top. A directory may
+// include itself and every directory on a lower layer.
+struct layer_entry {
+    const char* dir;
+    int layer;
+};
+
+const layer_entry k_layer_map[] = {
+    {"engine", 0},
+    {"stats", 1},
+    {"linalg", 2},
+    {"topology", 3}, {"traffic", 3}, {"baselines", 3},
+    {"measurement", 4},
+    {"subspace", 5},
+    {"eval", 6}, {"serve", 6},
+    {"net", 7},
+    {"scenarios", 8},
+};
+
+std::optional<int> layer_of(const std::string& dir) {
+    for (const layer_entry& e : k_layer_map) {
+        if (dir == e.dir) return e.layer;
+    }
+    return std::nullopt;
+}
+
+// The first path component of an #include line's header ("subspace" for
+// #include "subspace/online.h"), or "" when the line is no include or its
+// header names no directory.
+std::string included_dir(const std::string& line) {
+    const std::size_t hash = line.find_first_not_of(" \t");
+    if (hash == std::string::npos || line[hash] != '#') return "";
+    const std::size_t word = line.find_first_not_of(" \t", hash + 1);
+    if (word == std::string::npos || line.compare(word, 7, "include") != 0) return "";
+    const std::size_t open = line.find_first_of("\"<", word + 7);
+    if (open == std::string::npos) return "";
+    const std::size_t close = line.find_first_of("\">", open + 1);
+    const std::size_t slash = line.find('/', open + 1);
+    if (close == std::string::npos || slash == std::string::npos || slash > close) return "";
+    return line.substr(open + 1, slash - open - 1);
 }
 
 // Raw (unstripped) lines: include paths live inside string literals,
 // which stripped_lines blanks out.
 void check_r5(const std::string& relpath, const std::vector<std::string>& raw_lines,
               std::vector<violation>& out) {
-    if (!is_r5_guarded_file(relpath)) return;
+    const std::size_t dir_end = relpath.find('/', 4);  // relpath is src/<dir>/...
+    const std::string dir =
+        dir_end == std::string::npos ? "" : relpath.substr(4, dir_end - 4);
+    const std::optional<int> own = layer_of(dir);
+    if (!own) {
+        out.push_back({relpath, 1, "R5",
+                       "file outside every directory of the layer map -- add its src/ "
+                       "directory to k_layer_map and docs/ARCHITECTURE.md"});
+        return;
+    }
     for (std::size_t i = 0; i < raw_lines.size(); ++i) {
-        const std::string& line = raw_lines[i];
-        if (line.find("#include") == std::string::npos) continue;
-        if (line.find("\"scenarios/") != std::string::npos ||
-            line.find("<scenarios/") != std::string::npos) {
+        const std::string target = included_dir(raw_lines[i]);
+        if (target.empty() || target == dir) continue;
+        const std::optional<int> layer = layer_of(target);
+        if (!layer) continue;  // not a src/ directory: a system or third-party header
+        if (*layer >= *own) {
             out.push_back({relpath, i + 1, "R5",
-                           "scenario header included from a kernel/engine path -- "
-                           "src/scenarios/ is evaluation-layer code and must stay out "
-                           "of the replay-critical kernels"});
+                           "src/" + dir + "/ (layer " + std::to_string(*own) + ") includes " +
+                               target + "/ (layer " + std::to_string(*layer) +
+                               ") -- a directory includes only layers below its own "
+                               "(docs/ARCHITECTURE.md)"});
         }
     }
 }
@@ -383,10 +436,9 @@ int main(int argc, char** argv) {
 
     const fs::path src = root / "src";
     if (fs::exists(src)) {
-        // R5's / R6's anchors: without a scenario library (or net layer)
-        // under this root there is nothing to mis-include (fixtures
-        // exercise one rule at a time).
-        const bool has_scenarios = fs::exists(src / "scenarios");
+        // R6's anchor: without a net layer under this root no socket
+        // header has a home to be kept in (fixtures exercise one rule at
+        // a time).
         const bool has_net = fs::exists(src / "net");
         std::vector<fs::path> files;
         for (const auto& entry : fs::recursive_directory_iterator(src)) {
@@ -406,18 +458,16 @@ int main(int argc, char** argv) {
             check_r1(root, relpath, lines, violations);
             check_r2(relpath, lines, violations);
             check_r7(relpath, lines, violations);
-            if (has_scenarios || has_net) {
-                std::vector<std::string> raw_lines(1);
-                for (const char c : *text) {
-                    if (c == '\n') {
-                        raw_lines.emplace_back();
-                    } else {
-                        raw_lines.back() += c;
-                    }
+            std::vector<std::string> raw_lines(1);
+            for (const char c : *text) {
+                if (c == '\n') {
+                    raw_lines.emplace_back();
+                } else {
+                    raw_lines.back() += c;
                 }
-                if (has_scenarios) check_r5(relpath, raw_lines, violations);
-                if (has_net) check_r6(relpath, raw_lines, violations);
             }
+            check_r5(relpath, raw_lines, violations);
+            if (has_net) check_r6(relpath, raw_lines, violations);
         }
     }
     check_r4(root, violations);

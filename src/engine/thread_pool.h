@@ -7,12 +7,8 @@
 //  - submit_task():  enqueue a callable and get a std::future for its
 //                    result -- the task-queue face used by the streaming
 //                    subsystem to run model refits off the push path.
-//  - parallel_for(): blocking index sweep. By default the range is split
-//                    into one contiguous chunk per thread (O(threads)
-//                    scheduling, ideal for uniform bodies); an optional
-//                    grain re-chunks the range into fixed-size pieces
-//                    claimed dynamically, for bodies with non-uniform
-//                    per-index cost.
+//  - parallel_for(): blocking index sweep. The range is split into one
+//                    contiguous chunk per thread (O(threads) scheduling).
 //
 // parallel_for's callers are the sweeps that take a pool argument
 // (spe_detector::test_all, volume_anomaly_diagnoser::diagnose_all, the ROC
@@ -32,7 +28,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -187,86 +182,6 @@ void parallel_for(thread_pool& pool, std::size_t begin, std::size_t end, Body&& 
     try {
         const std::size_t chunk0_end = begin + base + (extra > 0 ? 1 : 0);
         for (std::size_t i = begin; i < chunk0_end; ++i) body(i);
-    } catch (...) {
-        local_error = std::current_exception();
-    }
-
-    sync::mutex_lock lock(completion.mu);
-    while (completion.pending != 0) completion.done_cv.wait(lock);
-    const std::exception_ptr error =
-        completion.first_error ? completion.first_error : local_error;
-    if (error) std::rethrow_exception(error);
-}
-
-// parallel_for with an explicit grain: the range is split into contiguous
-// chunks of at most `grain` indices which workers (and the calling thread)
-// claim dynamically from a shared counter. Use when per-index cost is
-// non-uniform -- e.g. diagnose_all, where only anomalous rows pay for
-// identification -- so a thread that drew cheap rows moves on to the next
-// chunk instead of idling. grain == 0 falls back to the static one-chunk-
-// per-thread split above. Same contract otherwise: every index runs
-// exactly once, results go to per-index slots, the first exception is
-// rethrown after the whole range completes.
-template <typename Body>
-void parallel_for(thread_pool& pool, std::size_t begin, std::size_t end, std::size_t grain,
-                  Body&& body) {
-    if (begin >= end) return;
-    if (detail::on_worker_of(pool)) {
-        // Same serial degradation as the static overload above.
-        for (std::size_t i = begin; i < end; ++i) body(i);
-        return;
-    }
-    if (grain == 0) {
-        parallel_for(pool, begin, end, std::forward<Body>(body));
-        return;
-    }
-    const std::size_t count = end - begin;
-    const std::size_t chunks = (count + grain - 1) / grain;
-    const std::size_t helpers = std::min(pool.size() - 1, chunks - 1);
-
-    auto next_chunk = std::make_shared<std::atomic<std::size_t>>(0);
-    const auto drain_chunks = [&body, next_chunk, begin, end, grain, chunks] {
-        for (;;) {
-            const std::size_t c = next_chunk->fetch_add(1, std::memory_order_relaxed);
-            if (c >= chunks) return;
-            const std::size_t chunk_begin = begin + c * grain;
-            const std::size_t chunk_end = std::min(end, chunk_begin + grain);
-            for (std::size_t i = chunk_begin; i < chunk_end; ++i) body(i);
-        }
-    };
-
-    if (helpers == 0) {
-        drain_chunks();
-        return;
-    }
-
-    detail::parallel_for_sync completion;
-    {
-        sync::mutex_lock lock(completion.mu);
-        completion.pending = helpers;
-    }
-    for (std::size_t h = 0; h < helpers; ++h) {
-        const auto run_helper = [&drain_chunks, &completion] {
-            std::exception_ptr error;
-            try {
-                drain_chunks();
-            } catch (...) {
-                error = std::current_exception();
-            }
-            completion.finish_one(std::move(error));
-        };
-        try {
-            pool.submit(run_helper);
-        } catch (...) {
-            // Enqueueing failed: account for the helper inline so the wait
-            // below cannot reference destroyed stack state.
-            run_helper();
-        }
-    }
-
-    std::exception_ptr local_error;
-    try {
-        drain_chunks();
     } catch (...) {
         local_error = std::current_exception();
     }

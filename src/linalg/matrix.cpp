@@ -1,12 +1,28 @@
 #include "linalg/matrix.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace netdiag {
 
+namespace {
+
+// rows * cols, refused before anything is allocated when the product
+// does not fit in size_t: it would wrap to a small buffer under a shape
+// that claims more cells than it holds.
+std::size_t cell_count(std::size_t rows, std::size_t cols, const char* who) {
+    if (cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) {
+        throw std::length_error(std::string(who) + ": rows * cols overflows size_t");
+    }
+    return rows * cols;
+}
+
+}  // namespace
+
 matrix::matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {
+    : rows_(rows), cols_(cols), data_(cell_count(rows, cols, "matrix"), fill) {
     if ((rows == 0) != (cols == 0)) {
         throw std::invalid_argument("matrix: rows and cols must both be zero or both nonzero");
     }
@@ -63,9 +79,9 @@ void matrix::assign(std::size_t rows, std::size_t cols, double fill) {
     if ((rows == 0) != (cols == 0)) {
         throw std::invalid_argument("matrix::assign: rows and cols must both be zero or both nonzero");
     }
+    data_.assign(cell_count(rows, cols, "matrix::assign"), fill);
     rows_ = rows;
     cols_ = cols;
-    data_.assign(rows * cols, fill);
 }
 
 bool approx_equal(const matrix& a, const matrix& b, double tol) {

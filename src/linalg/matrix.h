@@ -19,7 +19,10 @@ public:
     // Empty 0x0 matrix.
     matrix() = default;
 
-    // rows x cols matrix with every element set to fill.
+    // rows x cols matrix with every element set to fill. Throws
+    // std::invalid_argument when exactly one extent is zero, and
+    // std::length_error, before allocating, when rows * cols overflows
+    // size_t.
     matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
     // Construction from a row list: matrix m{{1, 2}, {3, 4}}.
@@ -58,7 +61,9 @@ public:
     double* data() noexcept { return data_.data(); }
     const double* data() const noexcept { return data_.data(); }
 
-    // Reshape to rows x cols discarding contents (all elements become fill).
+    // Reshape to rows x cols discarding contents (all elements become
+    // fill). Throws like the sized constructor, leaving the shape as it
+    // was.
     void assign(std::size_t rows, std::size_t cols, double fill = 0.0);
 
     bool operator==(const matrix& other) const = default;

@@ -15,22 +15,15 @@ namespace {
 
 constexpr std::uint64_t k_magic = 0x314b434453444eull;             // "NDSDCK1" packed
 constexpr std::uint64_t k_interchange_magic = 0x3149434453444eull;  // "NDSDCI1" packed
-// Version 4: streaming_diagnoser records carry the routing matrix as
-// per-flow runs of its nonzeros instead of a dense matrix, their lengths
-// and link indices in the u64 array primitive (new in this version);
-// version-2 and -3 records still load, their dense A converted once.
-// Version 3: the stream_server's per-stream records became containers
-// that carry the ingest-inbox configuration, counters and residue around
-// the nested detector record (tag "server_stream"); detector record
-// layouts are unchanged from version 2, so version-2 files still load.
-// Version 2: streaming_diagnoser records carry the queued-refit window
-// snapshot (the freshest-trigger queue slot) after the pending-refit
-// block. Version-1 files predate that field and are rejected.
-// The interchange encoding wraps the same logical layouts (same version
-// numbers) in tagged little-endian primitives; see the header comment
-// and docs/CHECKPOINT_FORMAT.md.
+// Version 4, the only version read or written: streaming_diagnoser
+// records carry the routing matrix as per-flow runs of its nonzeros, their
+// lengths and link indices in the u64 array primitive, and a stream's
+// record is a "server_stream" container around the detector record.
+// Records of earlier versions are refused. The interchange encoding wraps
+// the same logical layout (same version number) in tagged little-endian
+// primitives; see the header comment and docs/CHECKPOINT_FORMAT.md.
 constexpr std::uint64_t k_format_version = 4;
-constexpr std::uint64_t k_min_format_version = 2;
+constexpr std::uint64_t k_min_format_version = 4;
 
 // Encoding state attached to a stream (std::ios_base::iword). The
 // swapped mode is only ever set by read_header_info, when an interchange
@@ -230,10 +223,6 @@ std::vector<Word> read_array(std::istream& in, char tag, const char* what) {
 void set_encoding(std::ios_base& stream, encoding enc) {
     stream.iword(encoding_index()) =
         enc == encoding::interchange ? k_mode_interchange : k_mode_native;
-}
-
-encoding stream_encoding(std::ios_base& stream) {
-    return stream_mode(stream) == k_mode_native ? encoding::native : encoding::interchange;
 }
 
 void write_u64(std::ostream& out, std::uint64_t value) {
@@ -456,7 +445,6 @@ header_info read_header_info(std::istream& in) {
     header_info info;
     info.type_tag = read_string(in);
     info.version = version;
-    info.enc = mode == k_mode_native ? encoding::native : encoding::interchange;
     return info;
 }
 
@@ -466,13 +454,11 @@ std::uint64_t format_version() noexcept { return k_format_version; }
 
 std::uint64_t min_supported_format_version() noexcept { return k_min_format_version; }
 
-std::uint64_t expect_header(std::istream& in, const std::string& type_tag) {
-    const header_info info = read_header_info(in);
-    if (info.type_tag != type_tag) {
-        throw std::runtime_error("stream_checkpoint: expected " + type_tag + ", found " +
-                                 info.type_tag);
+void expect_header(std::istream& in, const std::string& type_tag) {
+    const std::string found = read_header(in);
+    if (found != type_tag) {
+        throw std::runtime_error("stream_checkpoint: expected " + type_tag + ", found " + found);
     }
-    return info.version;
 }
 
 view_streambuf::view_streambuf(std::string_view bytes) {

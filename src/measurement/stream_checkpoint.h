@@ -53,13 +53,12 @@ enum class encoding {
     interchange,  // little-endian, one tag byte per primitive
 };
 
-// Sets/reads the encoding attached to a stream. Writers call
-// set_encoding before writing a record (native is the default); readers
-// never need to -- read_header_info detects the encoding (and, for
-// interchange, a byte-swapped foreign writer) from the magic word and
-// attaches it to the stream for the primitives that follow.
+// Sets the encoding attached to a stream. Writers call set_encoding
+// before writing a record (native is the default); readers never need to
+// -- read_header_info detects the encoding (and, for interchange, a
+// byte-swapped foreign writer) from the magic word and attaches it to the
+// stream for the primitives that follow.
 void set_encoding(std::ios_base& stream, encoding enc);
-encoding stream_encoding(std::ios_base& stream);
 
 // All readers throw std::runtime_error on truncated or malformed input;
 // writers throw std::runtime_error when the stream enters a failed state.
@@ -95,30 +94,27 @@ std::optional<std::uint64_t> remaining_bytes(std::istream& in);
 void write_header(std::ostream& out, const std::string& type_tag);
 
 // Parsed header: the record type tag plus the format version the file
-// was written with (any supported version; see format_version()) and the
-// encoding the magic word announced.
+// was written with (see format_version()).
 struct header_info {
     std::string type_tag;
     std::uint64_t version = 0;
-    encoding enc = encoding::native;
 };
 
 // Reads and validates the header -- magic (native host-order, native
 // byte-swapped -> loud rejection, interchange in either byte order ->
 // accepted and converted), version in the supported range -- returning
-// tag, version and encoding, and attaching the detected encoding to the
-// stream for the reads that follow.
+// tag and version, and attaching the detected encoding to the stream for
+// the reads that follow.
 header_info read_header_info(std::istream& in);
 // read_header_info, returning only the tag.
 std::string read_header(std::istream& in);
 // Reads the header and throws unless the tag matches (restore guards).
-// Returns the record's format version, for readers whose layout changed.
-std::uint64_t expect_header(std::istream& in, const std::string& type_tag);
+void expect_header(std::istream& in, const std::string& type_tag);
 
-// The version write_header stamps on new records (currently 4) and the
-// oldest version read_header still accepts (currently 2; version-1 files
-// predate the queued-refit slot and are rejected). The byte-level spec
-// of every version lives in docs/CHECKPOINT_FORMAT.md.
+// The version write_header stamps on new records and the oldest version
+// read_header accepts: both 4, so a record of any other version fails
+// with "unsupported format version". The byte-level spec lives in
+// docs/CHECKPOINT_FORMAT.md.
 std::uint64_t format_version() noexcept;
 std::uint64_t min_supported_format_version() noexcept;
 

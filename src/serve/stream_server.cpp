@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <filesystem>
-#include <fstream>
+#include <istream>
 #include <iterator>
+#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -18,15 +18,10 @@ namespace netdiag {
 
 namespace {
 
-constexpr const char* k_manifest_tag = "stream_server_manifest";
-// Format-v3 per-stream container: ingest inbox config + counters +
-// residue wrapped around the nested detector record. See
+// The per-stream record: ingest inbox config + counters + residue
+// wrapped around the nested detector record. See
 // docs/CHECKPOINT_FORMAT.md.
 constexpr const char* k_server_stream_tag = "server_stream";
-// The record's retired backpressure-policy slot: writers store 0 (block);
-// 1 and 2 (the retired reject and drop_oldest) still load, and serve as
-// block. Anything larger was never written by a server.
-constexpr std::uint64_t k_max_retired_policy = 2;
 
 // Inbox bound of a stream opened with ingest_options::capacity == 0.
 constexpr std::size_t k_default_inbox_capacity = 1024;
@@ -46,10 +41,6 @@ std::size_t inbox_capacity(std::size_t requested) {
     std::size_t cap = 1;
     while (cap < requested) cap <<= 1;
     return cap;
-}
-
-std::string checkpoint_filename(stream_id id) {
-    return "stream_" + std::to_string(id) + ".ckpt";
 }
 
 [[noreturn]] void throw_unknown_stream(stream_id id) {
@@ -197,7 +188,7 @@ stream_server::stream_server(stream_server_config cfg) {
 stream_server::~stream_server() {
     // Detectors join their own background work on destruction; destroy
     // them before the pool they run on. Pending inbox bins are dropped
-    // (documented): snapshot_all or close_stream preserves them.
+    // (documented): snapshot_stream or close_stream preserves them.
     sync::exclusive_lock lock(mu_);
     streams_.clear();
 }
@@ -213,8 +204,8 @@ std::unique_ptr<stream_detector> stream_server::build_detector(stream_open_confi
         }
         case stream_kind::tracking:
             return std::make_unique<tracking_detector>(cfg.bootstrap_y, cfg.max_rank,
-                                                       cfg.confidence, cfg.separation,
-                                                       pool_.get());
+                                                       cfg.streaming.confidence,
+                                                       cfg.streaming.separation, pool_.get());
     }
     throw std::invalid_argument("stream_server: unknown stream kind");
 }
@@ -569,7 +560,7 @@ std::vector<stream_id> stream_server::stream_ids() const {
 }
 
 void stream_server::drain_all() {
-    // Same shape as snapshot_all: never hold mu_ while waiting for a
+    // Same shape as snapshot_stream: never hold mu_ while waiting for a
     // drainer to retire (its sink may read the server), and take each
     // stream's drain role before joining its detector -- a caller-thread
     // auto-drain may be inside push_bin, touching the same maintenance
@@ -589,113 +580,11 @@ void stream_server::drain_all() {
     }
 }
 
-void stream_server::snapshot_all(const std::string& directory) {
-    // Serialize with close/restore/other snapshots, then work from a
-    // copy of the stream map so mu_ is never held while waiting for a
-    // stream to quiesce (an in-flight drain's sink may read the server;
-    // see maint_mu_). Closes cannot run concurrently (they take
-    // maint_mu_ too), so every copied entry stays valid; streams opened
-    // after the copy are simply not part of this snapshot.
-    sync::mutex_lock maintenance(maint_mu_);
-    std::vector<std::pair<stream_id, std::shared_ptr<stream_entry>>> entries;
-    stream_id next_id = 0;
-    {
-        sync::shared_lock lock(mu_);
-        entries.assign(streams_.begin(), streams_.end());
-        next_id = next_id_;
-    }
-
-    std::error_code ec;
-    std::filesystem::create_directories(directory, ec);
-    if (ec) {
-        throw std::runtime_error("stream_server::snapshot_all: cannot create " + directory +
-                                 ": " + ec.message());
-    }
-    for (auto& [id, entry] : entries) {
-        // Quiesce this stream: the drain role waits out an active drainer
-        // (holding neither mu_ nor the entry's mutex -- the drainer's sink
-        // may read the server), then the record is written under the
-        // entry's mutex, which stops new enqueues. The inbox is
-        // snapshotted as residue, NOT drained, so the restored server
-        // resumes from exactly this state.
-        stream_entry::acquire_drain_role(*entry);
-        stream_entry::drain_role role(*entry);
-        entry->detector->drain();
-
-        const std::string path =
-            (std::filesystem::path(directory) / checkpoint_filename(id)).string();
-        std::ofstream out(path, std::ios::binary);
-        if (!out) {
-            throw std::runtime_error("stream_server::snapshot_all: cannot open " + path);
-        }
-        stream_entry::write_record(*entry, out, ckpt::encoding::native);
-    }
-
-    const std::string manifest_path =
-        (std::filesystem::path(directory) / "manifest.ckpt").string();
-    std::ofstream out(manifest_path, std::ios::binary);
-    if (!out) {
-        throw std::runtime_error("stream_server::snapshot_all: cannot open " + manifest_path);
-    }
-    ckpt::write_header(out, k_manifest_tag);
-    ckpt::write_u64(out, next_id);
-    ckpt::write_u64(out, entries.size());
-    for (const auto& [id, entry] : entries) ckpt::write_u64(out, id);
-    out.flush();
-    if (!out) {
-        throw std::runtime_error("stream_server::snapshot_all: write failed for " +
-                                 manifest_path);
-    }
-}
-
-void stream_server::restore_all(const std::string& directory) {
-    sync::mutex_lock maintenance(maint_mu_);
-    sync::exclusive_lock lock(mu_);
-    if (!streams_.empty()) {
-        throw std::logic_error("stream_server::restore_all: server already has open streams");
-    }
-
-    const std::string manifest_path =
-        (std::filesystem::path(directory) / "manifest.ckpt").string();
-    std::ifstream manifest(manifest_path, std::ios::binary);
-    if (!manifest) {
-        throw std::runtime_error("stream_server::restore_all: cannot open " + manifest_path);
-    }
-    ckpt::expect_header(manifest, k_manifest_tag);
-    const std::uint64_t saved_next_id = ckpt::read_u64(manifest);
-    const std::uint64_t count = ckpt::read_u64(manifest);
-    if (count > (1u << 20)) {
-        throw std::runtime_error("stream_server::restore_all: malformed manifest stream count");
-    }
-
-    std::map<stream_id, std::shared_ptr<stream_entry>> restored;
-    stream_id max_id = 0;
-    for (std::uint64_t s = 0; s < count; ++s) {
-        const stream_id id = ckpt::read_u64(manifest);
-        const std::string path =
-            (std::filesystem::path(directory) / checkpoint_filename(id)).string();
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-            throw std::runtime_error("stream_server::restore_all: cannot open " + path);
-        }
-        auto entry = read_stream_record(in, "stream_server::restore_all(" + path + ")");
-
-        const auto [it, inserted] = restored.emplace(id, std::move(entry));
-        if (!inserted) {
-            throw std::runtime_error("stream_server::restore_all: duplicate stream id " +
-                                     std::to_string(id));
-        }
-        max_id = std::max(max_id, id);
-    }
-    streams_ = std::move(restored);
-    next_id_ = std::max<stream_id>(saved_next_id, max_id + 1);
-}
-
-// Writes the format-v3 "server_stream" container record for a quiesced
-// stream. The caller holds maint_mu_ and the drain role, which exclude
-// every other toucher of the detector; the entry's mutex, held for the
-// whole write, stops producers from enqueueing into the residue. No
-// server-wide lock is held, so a slow sink stalls this stream only.
+// Writes the "server_stream" container record for a quiesced stream. The
+// caller holds maint_mu_ and the drain role, which exclude every other
+// toucher of the detector; the entry's mutex, held for the whole write,
+// stops producers from enqueueing into the residue. No server-wide lock
+// is held, so a slow sink stalls this stream only.
 void stream_server::stream_entry::write_record(stream_entry& e, std::ostream& out,
                                                ckpt::encoding enc) {
     sync::mutex_lock lock(e.mu);
@@ -721,63 +610,52 @@ void stream_server::stream_entry::write_record(stream_entry& e, std::ostream& ou
     }
 }
 
-// Reads one per-stream record (either encoding; "server_stream"
-// container or a format-v2 raw detector record) and builds a fresh,
-// unpublished entry with counters restored and residue re-enqueued.
+// Reads one "server_stream" record (either encoding) and builds a fresh,
+// unpublished entry with counters restored and residue re-enqueued. The
+// policy slot is retired: writers store 0, and anything else was not
+// written by this build.
 std::shared_ptr<stream_server::stream_entry> stream_server::read_stream_record(
-    std::istream& in, const std::string& context) {
+    std::istream& in) {
+    const std::string context = "stream_server::restore_stream";
+    ckpt::expect_header(in, k_server_stream_tag);
     ingest_options opts;
-    std::uint64_t accepted = 0, applied = 0, dropped = 0, rejected = 0;
-    std::uint64_t next_sequence = 0;
-    std::vector<vec> residue;
-    std::unique_ptr<stream_detector> detector;
-
-    const std::istream::pos_type start = in.tellg();
-    const ckpt::header_info hdr = ckpt::read_header_info(in);
-    if (hdr.type_tag == k_server_stream_tag) {
-        opts.capacity = ckpt::read_u64(in);
-        if (opts.capacity == 0 || opts.capacity > k_max_inbox_capacity) {
-            throw std::runtime_error(context + ": malformed inbox capacity");
-        }
-        if (ckpt::read_u64(in) > k_max_retired_policy) {
-            throw std::runtime_error(context + ": malformed ingest policy");
-        }
-        opts.auto_drain = ckpt::read_flag(in);
-        accepted = ckpt::read_u64(in);
-        applied = ckpt::read_u64(in);
-        dropped = ckpt::read_u64(in);
-        rejected = ckpt::read_u64(in);
-        next_sequence = ckpt::read_u64(in);
-        const std::uint64_t residue_count = ckpt::read_u64(in);
-        if (residue_count > opts.capacity) {
-            throw std::runtime_error(context + ": malformed inbox residue");
-        }
-        // A server writes a record only while the stream is quiesced, so
-        // every record it writes balances: each accepted bin was applied,
-        // dropped or travels in the residue, and the inbox has handed out
-        // exactly one sequence per accepted bin. (Written without sums so
-        // no field can wrap the comparison.)
-        if (applied > accepted || dropped > accepted - applied ||
-            residue_count != accepted - applied - dropped || next_sequence != accepted) {
-            throw std::runtime_error(context + ": inconsistent ingest counters");
-        }
-        residue.reserve(residue_count);
-        for (std::uint64_t r = 0; r < residue_count; ++r) {
-            residue.push_back(ckpt::read_vec(in));
-            // ingest never enqueues a non-finite bin; a record that holds
-            // one was not written by a server.
-            if (!all_finite(residue.back())) {
-                throw std::runtime_error(context + ": non-finite inbox residue");
-            }
-        }
-        detector = load_stream_detector(in, pool_.get());
-    } else {
-        // A format-v2 (pre-inbox) record: a raw detector record. Restore
-        // with an empty default inbox.
-        in.clear();
-        in.seekg(start);
-        detector = load_stream_detector(in, pool_.get());
+    opts.capacity = ckpt::read_u64(in);
+    if (opts.capacity == 0 || opts.capacity > k_max_inbox_capacity) {
+        throw std::runtime_error(context + ": malformed inbox capacity");
     }
+    if (ckpt::read_u64(in) != 0) {
+        throw std::runtime_error(context + ": malformed ingest policy");
+    }
+    opts.auto_drain = ckpt::read_flag(in);
+    const std::uint64_t accepted = ckpt::read_u64(in);
+    const std::uint64_t applied = ckpt::read_u64(in);
+    const std::uint64_t dropped = ckpt::read_u64(in);
+    const std::uint64_t rejected = ckpt::read_u64(in);
+    const std::uint64_t next_sequence = ckpt::read_u64(in);
+    const std::uint64_t residue_count = ckpt::read_u64(in);
+    if (residue_count > opts.capacity) {
+        throw std::runtime_error(context + ": malformed inbox residue");
+    }
+    // A server writes a record only while the stream is quiesced, so
+    // every record it writes balances: each accepted bin was applied,
+    // dropped or travels in the residue, and the inbox has handed out
+    // exactly one sequence per accepted bin. (Written without sums so no
+    // field can wrap the comparison.)
+    if (applied > accepted || dropped > accepted - applied ||
+        residue_count != accepted - applied - dropped || next_sequence != accepted) {
+        throw std::runtime_error(context + ": inconsistent ingest counters");
+    }
+    std::vector<vec> residue;
+    residue.reserve(residue_count);
+    for (std::uint64_t r = 0; r < residue_count; ++r) {
+        residue.push_back(ckpt::read_vec(in));
+        // ingest never enqueues a non-finite bin; a record that holds one
+        // was not written by a server.
+        if (!all_finite(residue.back())) {
+            throw std::runtime_error(context + ": non-finite inbox residue");
+        }
+    }
+    std::unique_ptr<stream_detector> detector = load_stream_detector(in, pool_.get());
 
     auto entry = make_entry(std::move(detector), std::move(opts));
     const std::uint64_t restamp_tick = monotone_now_ns();
@@ -802,11 +680,13 @@ std::shared_ptr<stream_server::stream_entry> stream_server::read_stream_record(
 }
 
 void stream_server::snapshot_stream(stream_id id, std::ostream& out, ckpt::encoding enc) {
-    // Same quiesce discipline as snapshot_all, for one stream: maint_mu_
-    // serializes against close/detach/restore (so the entry cannot die
-    // under us), the drain role waits out an active drainer while holding
-    // neither mu_ nor the entry's mutex, then the entry's mutex stops new
-    // enqueues for the duration of the record write.
+    // maint_mu_ serializes against close/detach/restore (so the entry
+    // cannot die under us), the drain role waits out an active drainer
+    // while holding neither mu_ nor the entry's mutex (the drainer's sink
+    // may read the server), then the entry's mutex stops new enqueues for
+    // the duration of the record write. The inbox is snapshotted as
+    // residue, NOT drained, so the restored stream resumes from exactly
+    // this state.
     sync::mutex_lock maintenance(maint_mu_);
     const std::shared_ptr<stream_entry> e = entry_or_throw(id);
     stream_entry::acquire_drain_role(*e);
@@ -844,8 +724,7 @@ void stream_server::detach_stream(stream_id id, std::ostream& out, ckpt::encodin
 
 stream_id stream_server::restore_stream(std::istream& in) {
     sync::mutex_lock maintenance(maint_mu_);
-    std::shared_ptr<stream_entry> entry =
-        read_stream_record(in, "stream_server::restore_stream");
+    std::shared_ptr<stream_entry> entry = read_stream_record(in);
     sync::exclusive_lock lock(mu_);
     const stream_id id = next_id_++;
     streams_.emplace(id, std::move(entry));
@@ -856,7 +735,7 @@ stream_id stream_server::restore_stream(std::string_view record) {
     ckpt::view_streambuf bytes(record);
     std::istream in(&bytes);
     sync::mutex_lock maintenance(maint_mu_);
-    std::shared_ptr<stream_entry> entry = read_stream_record(in, "stream_server::restore_stream");
+    std::shared_ptr<stream_entry> entry = read_stream_record(in);
     // One record, exactly: bytes after it mean the payload is not the
     // record it claims to be, so nothing is published.
     if (in.peek() != std::istream::traits_type::eof()) {

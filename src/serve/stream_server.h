@@ -66,13 +66,16 @@
 // assert_wait_allowed() enforces this at runtime), and quiesce all API
 // calls before destroying the server.
 //
-// Checkpointing: snapshot_all writes server_stream per-stream records that
-// carry the ingest inbox's configuration and *residue* (pending,
-// not-yet-applied bins) next to the detector state, so a server
-// snapshotted with non-empty inboxes restores to exactly that state and
-// the replay -- residue first, in sequence order, then new bins -- stays
-// bit-exact. See docs/CHECKPOINT_FORMAT.md and
-// measurement/stream_checkpoint.h.
+// Checkpointing: the unit of persistence is one stream. snapshot_stream
+// and detach_stream write a "server_stream" record that carries the
+// ingest inbox's configuration and *residue* (pending, not-yet-applied
+// bins) next to the detector state, so a stream snapshotted with a
+// non-empty inbox restores (restore_stream) to exactly that state and the
+// replay -- residue first, in sequence order, then new bins -- stays
+// bit-exact. The wire protocol's snapshot and restore payloads and live
+// migration carry the same record. A caller that wants every stream on
+// disk loops snapshot_stream over stream_ids() and owns the files. See
+// docs/CHECKPOINT_FORMAT.md and measurement/stream_checkpoint.h.
 #pragma once
 
 #include <cstddef>
@@ -95,8 +98,8 @@
 
 namespace netdiag {
 
-// Identifies one open stream for the lifetime of the server (and across
-// snapshot_all / restore_all round trips). Never reused after close.
+// Identifies one open stream for the lifetime of the server. Never reused
+// after close; a restored stream gets a fresh id.
 using stream_id = std::uint64_t;
 
 // What the operations that take an id and throw rather than return a
@@ -116,7 +119,7 @@ enum class stream_kind {
 
 // Receives every inbox-applied bin's result, on the drainer's thread, in
 // sequence order. Runtime wiring like the pool: not serialized by
-// checkpoints (re-attach with set_ingest_sink after restore_all).
+// checkpoints (re-attach with set_ingest_sink after restore_stream).
 using ingest_sink = std::function<void(std::uint64_t sequence, const detection_result&)>;
 
 // Per-stream ingest-inbox configuration.
@@ -187,10 +190,9 @@ struct stream_open_config {
     matrix a;  // routing matrix (links x OD flows)
     streaming_config streaming;
 
-    // tracking only.
+    // tracking only; a tracking stream also reads streaming.confidence and
+    // streaming.separation.
     std::size_t max_rank = 10;
-    double confidence = 0.999;
-    separation_config separation;
 
     // Ingest inbox wiring; defaults give an auto-drained inbox of the
     // default capacity.
@@ -210,7 +212,7 @@ public:
 
     // Joins every stream's in-flight maintenance and destroys the
     // streams (never throws past the teardown). Pending inbox bins are
-    // discarded: snapshot_all or close_stream first if they matter.
+    // discarded: snapshot_stream or close_stream first if they matter.
     ~stream_server();
 
     stream_server(const stream_server&) = delete;
@@ -266,7 +268,7 @@ public:
     // Ingest counters, readable at any time.
     [[nodiscard]] ingest_stats ingest_statistics(stream_id id) const;
 
-    // Re-attaches the runtime sink (e.g. after restore_all). Quiesces the
+    // Re-attaches the runtime sink (e.g. after restore_stream). Quiesces the
     // stream's ingest edge for the swap.
     void set_ingest_sink(stream_id id, ingest_sink sink);
 
@@ -302,41 +304,17 @@ public:
 
     // --- Checkpointing ----------------------------------------------------
 
-    // Checkpoints every stream into directory (created if missing):
-    // stream_<id>.ckpt per stream -- a server_stream record carrying the
-    // ingest inbox configuration, counters and residue (pending bins are
-    // saved, NOT drained) around the detector state -- plus a manifest
-    // binding ids to files. Detector maintenance is drained first, so the
-    // bytes are independent of pool size and timing. Quiesces each
-    // stream in turn (drain role, then the stream's lock for the record
-    // write) rather than freezing the whole server at once, so an
-    // in-flight drain whose sink calls back into the server can always
-    // finish. Streams opened
-    // concurrently with the snapshot may or may not be included; streams
-    // cannot close mid-snapshot (maintenance ops serialize). Throws
-    // std::runtime_error on I/O failure.
-    void snapshot_all(const std::string& directory);
-
-    // Reopens every stream recorded by snapshot_all under its original
-    // id, wired to this server's pool, with its inbox residue re-enqueued
-    // under the original sequence numbers. Directories written by the
-    // format-v2 (pre-inbox) snapshot_all restore too, with empty default
-    // inboxes. The server must have no open streams. Throws
-    // std::runtime_error on a missing/malformed manifest or checkpoint
-    // and std::logic_error when streams are already open.
-    void restore_all(const std::string& directory);
-
-    // Checkpoints ONE stream as a self-contained per-stream record (the
-    // same "server_stream" container snapshot_all writes) onto
-    // the given stream, in the given encoding -- interchange for records
-    // that travel between hosts (the wire protocol's snapshot payload;
-    // docs/WIRE_FORMAT.md). Quiesces the stream for the write (drain role
-    // + the stream's lock, no server-wide lock: other streams keep serving
-    // while a slow `out` stalls this one), drains detector maintenance so the
-    // bytes are timing-independent, and snapshots pending inbox bins as
-    // residue without applying them; the stream stays open and resumes
-    // afterwards. Throws unknown_stream_error on an unknown id,
-    // std::runtime_error on I/O failure.
+    // Checkpoints ONE stream as a self-contained "server_stream" record
+    // onto the given stream, in the given encoding -- interchange for
+    // records that travel between hosts (the wire protocol's snapshot
+    // payload; docs/WIRE_FORMAT.md). Quiesces the stream for the write
+    // (drain role + the stream's lock, no server-wide lock: other streams
+    // keep serving while a slow `out` stalls this one), drains detector
+    // maintenance so the bytes are independent of pool size and timing,
+    // and snapshots pending inbox bins as residue without applying them;
+    // the stream stays open and resumes afterwards. Throws
+    // unknown_stream_error on an unknown id, std::runtime_error on I/O
+    // failure.
     void snapshot_stream(stream_id id, std::ostream& out,
                          ckpt::encoding enc = ckpt::encoding::native);
 
@@ -358,15 +336,16 @@ public:
                        ckpt::encoding enc = ckpt::encoding::interchange);
 
     // Restores one stream from a record written by snapshot_stream /
-    // detach_stream (either encoding, detected from the magic; format-v2
-    // raw detector records restore with an empty default inbox too),
-    // wiring it to this server's pool and registering it under a FRESH
-    // id on this server -- the caller re-points collectors at the
-    // returned id. Inbox residue is re-enqueued under its original
-    // sequence numbers. Throws std::runtime_error on malformed input,
-    // including ingest counters that do not balance (a server writes
+    // detach_stream (either encoding, detected from the magic), wiring it
+    // to this server's pool and registering it under a FRESH id on this
+    // server -- the caller re-points collectors at the returned id. Inbox
+    // residue is re-enqueued under its original sequence numbers. Throws
+    // std::runtime_error on malformed input, publishing nothing: a record
+    // of another format version or another type (a bare detector record
+    // included), ingest counters that do not balance (a server writes
     // accepted == applied + dropped + residue and next sequence ==
-    // accepted) and an inbox capacity of 0 or above 65,536.
+    // accepted), an inbox capacity of 0 or above 65,536, or a policy slot
+    // other than 0.
     [[nodiscard]] stream_id restore_stream(std::istream& in);
 
     // Same, from one record held in memory and parsed where it lies (a
@@ -386,14 +365,12 @@ private:
     std::shared_ptr<stream_entry> find_entry(stream_id id) const;
     std::shared_ptr<stream_entry> entry_or_throw(stream_id id) const;
     std::unique_ptr<stream_detector> build_detector(stream_open_config&& cfg);
-    // Reads the (format v3 and later) "server_stream" container that
-    // stream_entry::write_record writes (inbox config + counters + residue
-    // + nested detector record) into a fresh, unpublished entry, refusing
-    // a record whose counters do not balance the way a quiesced stream's
-    // always do (accepted == applied + dropped + residue and next
-    // sequence == accepted).
-    std::shared_ptr<stream_entry> read_stream_record(std::istream& in,
-                                                     const std::string& context);
+    // Reads the "server_stream" container that stream_entry::write_record
+    // writes (inbox config + counters + residue + nested detector record)
+    // into a fresh, unpublished entry, refusing a record whose counters do
+    // not balance the way a quiesced stream's always do (accepted ==
+    // applied + dropped + residue and next sequence == accepted).
+    std::shared_ptr<stream_entry> read_stream_record(std::istream& in);
 
     std::unique_ptr<thread_pool> pool_;
     mutable sync::shared_mutex mu_;
@@ -406,7 +383,7 @@ private:
     // maint_mu_ -> drain role -> mu_ -> a stream's lock; nothing waits for
     // a drain role while holding mu_ or a stream's lock.
     sync::mutex maint_mu_ NETDIAG_ACQUIRED_BEFORE(mu_);
-    // Ordered so snapshot_all and stream_ids() enumerate deterministically.
+    // Ordered so stream_ids() enumerates deterministically.
     std::map<stream_id, std::shared_ptr<stream_entry>> streams_ NETDIAG_GUARDED_BY(mu_);
     stream_id next_id_ NETDIAG_GUARDED_BY(mu_) = 1;
 };

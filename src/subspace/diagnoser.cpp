@@ -6,14 +6,6 @@
 
 namespace netdiag {
 
-namespace {
-
-// Rows a diagnose_all worker claims at a time (pure scheduling: the
-// results are per-row, so the chunking never changes a bit).
-constexpr std::size_t k_diagnose_grain = 16;
-
-}  // namespace
-
 volume_anomaly_diagnoser::volume_anomaly_diagnoser(const matrix& y, const matrix& a,
                                                    double confidence,
                                                    const separation_config& sep,
@@ -57,10 +49,7 @@ std::vector<diagnosis> volume_anomaly_diagnoser::diagnose_all(const matrix& y,
     std::vector<diagnosis> out(y.rows());
     const auto diagnose_row = [&](std::size_t r) { out[r] = diagnose(y.row(r)); };
     if (pool != nullptr) {
-        // Dynamic chunking: anomalous rows additionally pay for
-        // identification, so workers claim fixed-size row chunks instead
-        // of one static span.
-        parallel_for(*pool, 0, y.rows(), k_diagnose_grain, diagnose_row);
+        parallel_for(*pool, 0, y.rows(), diagnose_row);
     } else {
         for (std::size_t r = 0; r < y.rows(); ++r) diagnose_row(r);
     }

@@ -46,15 +46,16 @@ void write_model(std::ostream& out, const subspace_model& model) {
 // matrix's link count m, so a record that disagrees with itself is
 // malformed input (std::runtime_error) -- never an out-of-bounds read, a
 // silently different threshold or a fit that fails later on a worker.
-// The axes are m x k with max(rank, 1) <= k <= m: served fits keep
-// min(rank + 1, m) axes, and records from before that hold all m.
+// The axes are m x k with max(rank, 1) <= k <= m (served fits keep
+// min(rank + 1, m)), and the projections slot is empty, as write_model
+// leaves it.
 subspace_model read_model(std::istream& in, std::size_t m) {
     pca_model pca;
     pca.principal_axes = ckpt::read_matrix(in);
     pca.axis_variance = ckpt::read_vec(in);
-    // Records written before served models dropped their projections hold
-    // t x m here. Nothing reads the slot: accept any shape and discard it.
-    (void)ckpt::read_matrix(in);
+    if (!ckpt::read_matrix(in).empty()) {
+        throw std::runtime_error("streaming_diagnoser::restore: non-empty projections slot");
+    }
     pca.column_means = ckpt::read_vec(in);
     pca.sample_count = ckpt::read_u64(in);
     const std::uint64_t rank = ckpt::read_u64(in);
@@ -71,8 +72,8 @@ subspace_model read_model(std::istream& in, std::size_t m) {
     return {std::move(pca), rank};
 }
 
-// The routing block of a format-4 record: A as per-flow runs (link
-// count, each flow's run length, every run's links, then all values; see
+// The routing block: A as per-flow runs (link count, each flow's run
+// length, every run's links, then all values; see
 // docs/CHECKPOINT_FORMAT.md).
 void write_routing(std::ostream& out, const routing_terms& terms) {
     std::vector<std::uint64_t> lengths(terms.flows());
@@ -93,24 +94,11 @@ void write_routing(std::ostream& out, const routing_terms& terms) {
     ckpt::write_vec(out, values);
 }
 
-// Reads the routing block of a record written with the given format
-// version. Versions 2 and 3 hold A dense, converted here once. The codec
-// checks each array's count against the remaining input before
-// allocating it; routing_terms then refuses runs whose lengths disagree
-// with the arrays, whose links do not ascend below m, or whose values are
-// zero or non-finite.
-std::shared_ptr<const routing_terms> read_routing(std::istream& in, std::uint64_t version) {
-    if (version < 4) {
-        const matrix a = ckpt::read_matrix(in);
-        if (a.empty()) {
-            throw std::runtime_error("streaming_diagnoser::restore: empty routing matrix");
-        }
-        if (!all_entries_finite(a)) {
-            throw std::runtime_error(
-                "streaming_diagnoser::restore: non-finite routing matrix value");
-        }
-        return std::make_shared<const routing_terms>(a);
-    }
+// Reads the routing block. The codec checks each array's count against
+// the remaining input before allocating it; routing_terms then refuses
+// runs whose lengths disagree with the arrays, whose links do not ascend
+// below m, or whose values are zero or non-finite.
+std::shared_ptr<const routing_terms> read_routing(std::istream& in) {
     const std::uint64_t links = ckpt::read_u64(in);
     const std::vector<std::uint64_t> lengths = ckpt::read_u64_array(in);
     const std::vector<std::uint64_t> run_links = ckpt::read_u64_array(in);
@@ -333,7 +321,7 @@ streaming_diagnoser::streaming_diagnoser(restored_state&& state)
       swap_at_(state.swap_at) {}
 
 streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* pool) {
-    const std::uint64_t version = ckpt::expect_header(in, "streaming_diagnoser");
+    ckpt::expect_header(in, "streaming_diagnoser");
     streaming_config cfg;
     cfg.window = ckpt::read_u64(in);
     cfg.refit_interval = ckpt::read_u64(in);
@@ -361,7 +349,7 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
 
     // Every shape below is checked against A's link count m: restore
     // refuses a record whose parts disagree instead of serving from it.
-    std::shared_ptr<const routing_terms> terms = read_routing(in, version);
+    std::shared_ptr<const routing_terms> terms = read_routing(in);
     const std::size_t m = terms->links();
     const std::uint64_t window_size = ckpt::read_u64(in);
     if (window_size > cfg.window) {

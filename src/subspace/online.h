@@ -113,15 +113,14 @@ public:
 
     // Rebuilds a diagnoser saved by save(). The pool (and observer) are
     // runtime wiring, not state: pass whatever the restored stream should
-    // use. Format-4 records carry A as per-flow runs and build the
-    // routing terms straight from them; a version-2 or -3 record's dense
-    // A is converted once. Throws std::runtime_error on malformed input,
-    // including malformed runs, any shape that disagrees with the routing
-    // matrix's link count, a queued window longer than the configured
-    // window, more alarms than processed bins, and any non-finite value in
-    // A, the window, the queued window or a model's axes, variances or
-    // means (see docs/CHECKPOINT_FORMAT.md). A model block's projections
-    // slot is read and discarded whatever its shape.
+    // use. The record carries A as per-flow runs, and the routing terms
+    // are built straight from them. Throws std::runtime_error on malformed
+    // input, including a record of another format version, malformed
+    // runs, any shape that disagrees with the routing matrix's link count,
+    // a model block whose projections slot is not empty, a queued window
+    // longer than the configured window, more alarms than processed bins,
+    // and any non-finite value in A, the window, the queued window or a
+    // model's axes, variances or means (see docs/CHECKPOINT_FORMAT.md).
     static streaming_diagnoser restore(std::istream& in, thread_pool* pool = nullptr);
 
     // Applied refits (== model_epoch()).
@@ -309,7 +308,8 @@ private:
 // The pool is runtime wiring, not checkpoint state: a restored
 // streaming_diagnoser runs its refits on the one given here (a
 // tracking_detector folds on the caller's thread and takes none). Throws
-// std::runtime_error on an unknown tag or malformed content.
+// std::runtime_error on a format version other than 4, an unknown tag or
+// malformed content.
 std::unique_ptr<stream_detector> load_stream_detector(std::istream& in,
                                                       thread_pool* pool = nullptr);
 

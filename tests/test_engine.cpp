@@ -99,56 +99,13 @@ TEST(ParallelFor, PropagatesBodyExceptions) {
     EXPECT_EQ(calls.load(), 10);
 }
 
-TEST(ParallelForGrain, CoversEveryIndexExactlyOnce) {
-    for (std::size_t threads : {1u, 2u, 3u, 8u}) {
-        thread_pool pool(threads);
-        for (std::size_t grain : {1u, 3u, 16u, 1000u}) {
-            for (std::size_t n : {1u, 2u, 7u, 64u, 501u}) {
-                std::vector<std::atomic<int>> hits(n);
-                parallel_for(pool, 0, n, grain, [&](std::size_t i) { ++hits[i]; });
-                for (std::size_t i = 0; i < n; ++i) {
-                    ASSERT_EQ(hits[i].load(), 1)
-                        << "threads=" << threads << " grain=" << grain << " n=" << n;
-                }
-            }
-        }
-    }
-}
-
-TEST(ParallelForGrain, ZeroGrainDelegatesToStaticSplit) {
-    thread_pool pool(4);
-    std::vector<std::atomic<int>> hits(64);
-    parallel_for(pool, 0, 64, 0, [&](std::size_t i) { ++hits[i]; });
-    for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForGrain, OffsetRangeSeesOriginalIndices) {
-    thread_pool pool(4);
-    std::vector<std::size_t> seen(30, 0);
-    parallel_for(pool, 5, 27, 4, [&](std::size_t i) { seen[i] = i; });
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-        EXPECT_EQ(seen[i], (i >= 5 && i < 27) ? i : 0u);
-    }
-}
-
-TEST(ParallelForGrain, PropagatesBodyExceptions) {
-    thread_pool pool(4);
-    const auto boom = [](std::size_t i) {
-        if (i == 33) throw std::runtime_error("boom");
-    };
-    EXPECT_THROW(parallel_for(pool, 0, 100, 8, boom), std::runtime_error);
-    std::atomic<int> calls{0};
-    parallel_for(pool, 0, 10, 2, [&](std::size_t) { ++calls; });
-    EXPECT_EQ(calls.load(), 10);
-}
-
 TEST(ParallelFor, NestedDispatchFromAPoolJobDegradesToSerial) {
     // A parallel_for over a pool, issued from inside one of that pool's
     // own jobs (a sharded multi-stream push reaching a pooled detector
     // kernel), must run the range serially on the worker instead of
     // parking it on nested chunks -- every index exactly once, no
-    // deadlock, for both overloads. Saturate the pool with such jobs so
-    // a real nested dispatch would have no free worker at all.
+    // deadlock. Saturate the pool with such jobs so a real nested
+    // dispatch would have no free worker at all.
     for (std::size_t threads : {1u, 2u, 4u}) {
         thread_pool pool(threads);
         const std::size_t jobs = threads * 2;
@@ -160,14 +117,12 @@ TEST(ParallelFor, NestedDispatchFromAPoolJobDegradesToSerial) {
         for (std::size_t j = 0; j < jobs; ++j) {
             done.push_back(pool.submit_task([&pool, &hits, j] {
                 parallel_for(pool, 0, 64, [&](std::size_t i) { ++hits[j][i]; });
-                parallel_for(pool, 0, 64, /*grain=*/8,
-                             [&](std::size_t i) { ++hits[j][i]; });
             }));
         }
         for (auto& f : done) f.get();
         for (std::size_t j = 0; j < jobs; ++j) {
             for (std::size_t i = 0; i < 64; ++i) {
-                ASSERT_EQ(hits[j][i].load(), 2) << "threads=" << threads << " job=" << j;
+                ASSERT_EQ(hits[j][i].load(), 1) << "threads=" << threads << " job=" << j;
             }
         }
     }

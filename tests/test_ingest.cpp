@@ -3,7 +3,7 @@
 // N-producer parity stress (per-stream output bit-identical to a
 // standalone single-pusher detector replayed in inbox sequence order, for
 // every refit mode and pool size), refusal of non-finite bins, and the
-// format-v3 checkpoint round trip with non-empty inbox residue. This
+// per-stream checkpoint round trip with non-empty inbox residue. This
 // binary runs under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
@@ -12,8 +12,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -115,10 +113,6 @@ protected:
             return std::make_unique<streaming_diagnoser>(boot, routing_.a, diagnoser_config(mode));
         }
         return std::make_unique<tracking_detector>(boot, 8);
-    }
-
-    std::string temp_dir(const char* name) const {
-        return (std::filesystem::path(::testing::TempDir()) / name).string();
     }
 
     topology topo_{"unset"};
@@ -733,12 +727,11 @@ TEST_F(IngestFixture, IngestBatchAssignsConsecutiveSequencesUnderContention) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint format v3: inbox residue round trip, and backward
-// compatibility with version-2 records.
+// The per-stream record: inbox residue round trip, and refusal of every
+// record this build does not write.
 // ---------------------------------------------------------------------------
 
 TEST_F(IngestFixture, SnapshotWithInboxResidueRestoresAndReplaysExactly) {
-    const std::string dir = temp_dir("ingest_residue_snapshot");
     stream_server original({.threads = 2});
     sink_capture original_capture;
     ingest_options ingest;
@@ -764,15 +757,14 @@ TEST_F(IngestFixture, SnapshotWithInboxResidueRestoresAndReplaysExactly) {
     }
     ASSERT_EQ(original.ingest_statistics(id).pending, 5u);
 
-    original.snapshot_all(dir);
+    std::ostringstream out(std::ios::binary);
+    original.snapshot_stream(id, out);
+    const std::string record = std::move(out).str();
 
     // The per-stream record is a server_stream container of the current
     // format version.
     {
-        std::ifstream in((std::filesystem::path(dir) / ("stream_" + std::to_string(id) +
-                                                        ".ckpt")).string(),
-                         std::ios::binary);
-        ASSERT_TRUE(in.is_open());
+        std::istringstream in(record, std::ios::binary);
         const ckpt::header_info hdr = ckpt::read_header_info(in);
         EXPECT_EQ(hdr.type_tag, "server_stream");
         EXPECT_EQ(hdr.version, 4u);
@@ -782,12 +774,12 @@ TEST_F(IngestFixture, SnapshotWithInboxResidueRestoresAndReplaysExactly) {
     // Restore into a different pool size; the residue must come back
     // pending, with counters and sequence numbering intact.
     stream_server restored({.threads = 1});
-    restored.restore_all(dir);
+    const stream_id moved = restored.restore_stream(record);
     sink_capture restored_capture;
-    restored.set_ingest_sink(id, restored_capture.fn());
+    restored.set_ingest_sink(moved, restored_capture.fn());
     {
         const ingest_stats orig_stats = original.ingest_statistics(id);
-        const ingest_stats rest_stats = restored.ingest_statistics(id);
+        const ingest_stats rest_stats = restored.ingest_statistics(moved);
         EXPECT_EQ(rest_stats.accepted, orig_stats.accepted);
         EXPECT_EQ(rest_stats.applied, orig_stats.applied);
         EXPECT_EQ(rest_stats.pending, 5u);
@@ -797,12 +789,12 @@ TEST_F(IngestFixture, SnapshotWithInboxResidueRestoresAndReplaysExactly) {
     // Flush both sides: the residue applies first, in sequence order,
     // bit-identically; then both continue with identical new bins.
     original.flush_stream(id);
-    restored.flush_stream(id);
+    restored.flush_stream(moved);
     for (std::size_t i = 16; i < 40; ++i) {
         ASSERT_TRUE(original.ingest(id, y_.row(k_boot + i)).ok());
-        ASSERT_TRUE(restored.ingest(id, y_.row(k_boot + i)).ok());
+        ASSERT_TRUE(restored.ingest(moved, y_.row(k_boot + i)).ok());
         original.flush_stream(id);
-        restored.flush_stream(id);
+        restored.flush_stream(moved);
     }
     // original_capture saw sequences 0..39; restored_capture saw 11..39.
     ASSERT_EQ(original_capture.results.size(), 40u);
@@ -813,16 +805,14 @@ TEST_F(IngestFixture, SnapshotWithInboxResidueRestoresAndReplaysExactly) {
         expect_same_detection(original_capture.results[11 + i].second, got,
                               "replay seq " + std::to_string(seq));
     }
-    EXPECT_EQ(restored.stats(id).epoch, original.stats(id).epoch);
-    EXPECT_EQ(restored.stats(id).alarms, original.stats(id).alarms);
-
-    std::filesystem::remove_all(dir);
+    EXPECT_EQ(restored.stats(moved).epoch, original.stats(id).epoch);
+    EXPECT_EQ(restored.stats(moved).alarms, original.stats(id).alarms);
 }
 
 TEST_F(IngestFixture, SnapshotAndDrainAllWhileSinksReadTheServerDoNotDeadlock) {
     // Regression: an ingest sink that calls back into the server (as the
     // backbone_monitor example does) runs on the drainer's thread. A
-    // snapshot_all/drain_all that held the server-wide lock while waiting
+    // snapshot_stream/drain_all that held the server-wide lock while waiting
     // for that drain to retire would deadlock; maintenance must quiesce
     // streams without starving sink callbacks. A diagnoser in deferred
     // mode keeps refits genuinely in flight so drain_all has work, and
@@ -841,7 +831,6 @@ TEST_F(IngestFixture, SnapshotAndDrainAllWhileSinksReadTheServerDoNotDeadlock) {
         sink_reads.fetch_add(1, std::memory_order_relaxed);
     });
 
-    const std::string dir = temp_dir("ingest_snapshot_under_load");
     std::atomic<bool> stop{false};
     std::vector<std::thread> producers;
     for (std::size_t p = 0; p < 2; ++p) {
@@ -853,7 +842,7 @@ TEST_F(IngestFixture, SnapshotAndDrainAllWhileSinksReadTheServerDoNotDeadlock) {
             }
         });
     }
-    // Neither snapshot_all nor drain_all applies bins, so a sink read can
+    // Neither snapshot_stream nor drain_all applies bins, so a sink read can
     // only come from a producer's drain. On a loaded host five rounds can
     // finish before either producer first runs: keep the rounds going
     // (producers parked on a full inbox need the role windows between
@@ -862,7 +851,8 @@ TEST_F(IngestFixture, SnapshotAndDrainAllWhileSinksReadTheServerDoNotDeadlock) {
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
     std::size_t rounds = 0;
     while ((rounds < 5 || sink_reads.load() == 0) && std::chrono::steady_clock::now() < deadline) {
-        server.snapshot_all(dir);
+        std::ostringstream record(std::ios::binary);
+        server.snapshot_stream(id, record);
         server.drain_all();
         ++rounds;
     }
@@ -873,12 +863,11 @@ TEST_F(IngestFixture, SnapshotAndDrainAllWhileSinksReadTheServerDoNotDeadlock) {
     EXPECT_GT(sink_reads.load(), 0u);
     const ingest_stats st = server.ingest_statistics(id);
     EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending);
-    std::filesystem::remove_all(dir);
 }
 
 TEST_F(IngestFixture, SnapshotCompletesWhileAProducerIsBlockedOnAFullInbox) {
     // Regression: a producer parked on a full inbox must not
-    // hold the stream quiescence lock -- snapshot_all has to complete
+    // hold the stream quiescence lock -- snapshot_stream has to complete
     // (freezing the full inbox as residue) while the producer stays
     // parked, and the producer must finish once someone drains.
     stream_server server({.threads = 0});
@@ -900,8 +889,8 @@ TEST_F(IngestFixture, SnapshotCompletesWhileAProducerIsBlockedOnAFullInbox) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     ASSERT_FALSE(third_done.load(std::memory_order_acquire));
 
-    const std::string dir = temp_dir("ingest_snapshot_blocked_producer");
-    server.snapshot_all(dir);  // must not hang behind the parked producer
+    std::ostringstream record(std::ios::binary);
+    server.snapshot_stream(id, record);  // must not hang behind the parked producer
     EXPECT_EQ(server.ingest_statistics(id).pending, 2u);
 
     server.flush_stream(id);  // frees space; the parked producer finishes
@@ -909,7 +898,12 @@ TEST_F(IngestFixture, SnapshotCompletesWhileAProducerIsBlockedOnAFullInbox) {
     EXPECT_TRUE(third_done.load());
     server.flush_stream(id);
     EXPECT_EQ(server.ingest_statistics(id).applied, 3u);
-    std::filesystem::remove_all(dir);
+
+    // The record froze the full inbox: both parked-behind bins travel as
+    // residue.
+    stream_server restored({.threads = 0});
+    const stream_id copy = restored.restore_stream(std::move(record).str());
+    EXPECT_EQ(restored.ingest_statistics(copy).pending, 2u);
 }
 
 TEST_F(IngestFixture, FailedApplyCountsTheBinSoStatsStayConserved) {
@@ -970,105 +964,131 @@ TEST_F(IngestFixture, FailedApplyCountsTheBinSoStatsStayConserved) {
 }
 
 TEST_F(IngestFixture, MalformedInboxCapacityInCheckpointIsRejected) {
-    const std::string dir = temp_dir("ingest_bad_capacity");
+    std::string record;
     {
         stream_server server({.threads = 0});
         ingest_options ingest;
         ingest.capacity = 8;
-        (void)server.open_stream(
+        const stream_id id = server.open_stream(
             open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
-        server.snapshot_all(dir);
+        std::ostringstream out(std::ios::binary);
+        server.snapshot_stream(id, out, ckpt::encoding::native);
+        record = std::move(out).str();
     }
     // Corrupt the capacity field (first u64 after the server_stream
     // header: 8 magic + 8 version + 8 tag length + 13 tag bytes = 37).
-    const std::string path = (std::filesystem::path(dir) / "stream_1.ckpt").string();
-    {
-        std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-        ASSERT_TRUE(f.is_open());
-        f.seekp(37);
-        const std::uint64_t huge = ~std::uint64_t{0};
-        f.write(reinterpret_cast<const char*>(&huge), sizeof huge);
-    }
+    const std::uint64_t huge = ~std::uint64_t{0};
+    std::memcpy(record.data() + 37, &huge, sizeof huge);
     stream_server restored({.threads = 0});
     try {
-        restored.restore_all(dir);
+        (void)restored.restore_stream(record);
         FAIL() << "corrupted inbox capacity was accepted";
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find("inbox capacity"), std::string::npos)
             << "got: " << e.what();
     }
-    std::filesystem::remove_all(dir);
+    EXPECT_EQ(restored.stream_count(), 0u);
 }
 
-TEST_F(IngestFixture, LegacyRawDetectorSnapshotDirectoryStillRestores) {
-    // A format-v2 snapshot directory held raw detector records (no
-    // server_stream container). Build one by hand and restore it: the
-    // stream must come back with an empty default inbox.
-    const std::string dir = temp_dir("ingest_legacy_snapshot");
-    std::filesystem::create_directories(dir);
-    {
-        tracking_detector detector(bootstrap_slice(0), 8);
-        std::ofstream record((std::filesystem::path(dir) / "stream_1.ckpt").string(),
-                             std::ios::binary);
-        detector.save(record);
-        std::ofstream manifest((std::filesystem::path(dir) / "manifest.ckpt").string(),
-                               std::ios::binary);
-        ckpt::write_header(manifest, "stream_server_manifest");
-        ckpt::write_u64(manifest, 2);  // next_id
-        ckpt::write_u64(manifest, 1);  // stream count
-        ckpt::write_u64(manifest, 1);  // the stream id
+// Replaces the format-version word of the header that starts at `at` (a
+// native record's magic), leaving every other byte as written.
+std::string with_version(std::string bytes, std::size_t at, std::uint64_t version) {
+    for (std::size_t b = 0; b < 8; ++b) {
+        bytes[at + 8 + b] = static_cast<char>((version >> (8 * b)) & 0xff);
     }
+    return bytes;
+}
+
+TEST_F(IngestFixture, BareDetectorRecordIsRefusedByRestoreStream) {
+    // A stream's record is a server_stream container. A bare detector
+    // record (what a pre-container build kept per stream) is refused in
+    // both encodings, through both restore_stream overloads, and nothing
+    // is published.
+    tracking_detector detector(bootstrap_slice(0), 8);
+    stream_server server({.threads = 0});
+    for (const ckpt::encoding enc : {ckpt::encoding::native, ckpt::encoding::interchange}) {
+        std::ostringstream out(std::ios::binary);
+        ckpt::set_encoding(out, enc);
+        detector.save(out);
+        const std::string record = std::move(out).str();
+        std::istringstream in(record, std::ios::binary);
+        for (const bool from_view : {true, false}) {
+            try {
+                (void)(from_view ? server.restore_stream(record) : server.restore_stream(in));
+                FAIL() << "a bare detector record was restored";
+            } catch (const std::runtime_error& e) {
+                EXPECT_NE(std::string(e.what()).find("expected server_stream"),
+                          std::string::npos)
+                    << "got: " << e.what();
+            }
+        }
+    }
+    EXPECT_EQ(server.stream_count(), 0u);
+}
+
+TEST_F(IngestFixture, RecordsOfAnyVersionButFourAreRefused) {
+    // Version 4 is the only version this build writes or reads. Patch the
+    // version word of a detector record, and of a server_stream record's
+    // outer or nested header: versions 1, 2, 3 and 5 are refused with the
+    // same typed error by load_stream_detector and by restore_stream, and
+    // no stream is published; the unpatched records load.
+    EXPECT_EQ(ckpt::format_version(), 4u);
+    EXPECT_EQ(ckpt::min_supported_format_version(), 4u);
+
+    tracking_detector detector(bootstrap_slice(0), 8);
+    std::ostringstream detector_out(std::ios::binary);
+    ckpt::set_encoding(detector_out, ckpt::encoding::native);
+    detector.save(detector_out);
+    const std::string detector_record = std::move(detector_out).str();
 
     stream_server server({.threads = 0});
-    server.restore_all(dir);
-    ASSERT_EQ(server.stream_count(), 1u);
-    const ingest_stats st = server.ingest_statistics(1);
-    EXPECT_EQ(st.accepted, 0u);
-    EXPECT_EQ(st.pending, 0u);
-    EXPECT_EQ(st.next_sequence, 0u);
-    EXPECT_TRUE(server.ingest(1, y_.row(k_boot)).ok());
-    server.flush_stream(1);
-    EXPECT_EQ(server.ingest_statistics(1).applied, 1u);
-    std::filesystem::remove_all(dir);
-}
+    const stream_id id = server.open_stream(
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, ingest_options{}));
+    std::ostringstream stream_out(std::ios::binary);
+    server.snapshot_stream(id, stream_out, ckpt::encoding::native);
+    const std::string stream_record = std::move(stream_out).str();
+    server.close_stream(id);
+    // The nested detector record starts at the second magic word.
+    const std::size_t nested = stream_record.find(detector_record.substr(0, 8), 8);
+    ASSERT_NE(nested, std::string::npos);
 
-TEST_F(IngestFixture, VersionTwoRecordsLoadVersionOneAndFutureVersionsRejected) {
-    // tracking_detector records have one layout in versions 2 to 4, so a
-    // version-2 or -3 record is exactly a version-4 record with a patched
-    // version field (streaming_diagnoser records changed A's layout in
-    // version 4; tests/test_streaming.cpp replays a committed v3 one).
-    // Patch the version written on save down: 2 and 3 must load; versions
-    // 1 and 5 must be rejected with a clear error.
-    tracking_detector detector(bootstrap_slice(0), 8);
-    std::ostringstream out;
-    detector.save(out);
-    const std::string v4_bytes = out.str();
-
-    const auto with_version = [&](std::uint64_t version) {
-        std::string bytes = v4_bytes;
-        for (std::size_t b = 0; b < 8; ++b) {
-            bytes[8 + b] = static_cast<char>((version >> (8 * b)) & 0xff);
-        }
-        return bytes;
-    };
-
-    for (const std::uint64_t old : {std::uint64_t{2}, std::uint64_t{3}}) {
-        std::istringstream in(with_version(old));
-        const std::unique_ptr<stream_detector> restored = load_stream_detector(in);
-        ASSERT_NE(restored, nullptr) << old;
-        EXPECT_EQ(restored->dimension(), y_.cols()) << old;
-    }
-    for (const std::uint64_t bad : {std::uint64_t{1}, std::uint64_t{5}}) {
-        std::istringstream in(with_version(bad));
+    const auto expect_unsupported = [](const auto& load, const std::string& what) {
         try {
-            load_stream_detector(in);
-            FAIL() << "version " << bad << " record was accepted";
+            load();
+            ADD_FAILURE() << what << " was accepted";
         } catch (const std::runtime_error& e) {
             EXPECT_NE(std::string(e.what()).find("unsupported format version"),
                       std::string::npos)
-                << "got: " << e.what();
+                << what << ": got " << e.what();
+        }
+    };
+    for (const std::uint64_t version : {1u, 2u, 3u, 5u}) {
+        const std::string v = " at version " + std::to_string(version);
+        const std::string bare = with_version(detector_record, 0, version);
+        expect_unsupported(
+            [&] {
+                std::istringstream in(bare, std::ios::binary);
+                (void)load_stream_detector(in);
+            },
+            "a detector record" + v);
+        for (const std::size_t at : {std::size_t{0}, nested}) {
+            const std::string record = with_version(stream_record, at, version);
+            const std::string what = (at == 0 ? "a server_stream record" : "a nested record") + v;
+            expect_unsupported([&] { (void)server.restore_stream(record); }, what);
+            expect_unsupported(
+                [&] {
+                    std::istringstream in(record, std::ios::binary);
+                    (void)server.restore_stream(in);
+                },
+                what);
         }
     }
+    EXPECT_EQ(server.stream_count(), 0u);
+
+    std::istringstream in(detector_record, std::ios::binary);
+    EXPECT_EQ(load_stream_detector(in)->dimension(), y_.cols());
+    const stream_id restored = server.restore_stream(stream_record);
+    EXPECT_EQ(server.stats(restored).dimension, y_.cols());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace netdiag {
@@ -109,6 +110,21 @@ TEST(Matrix, AssignReshapes) {
     EXPECT_EQ(m.rows(), 3u);
     EXPECT_EQ(m.cols(), 1u);
     EXPECT_DOUBLE_EQ(m(2, 0), 0.5);
+}
+
+TEST(Matrix, ShapeWhoseCellCountOverflowsThrowsBeforeAllocating) {
+    // Each extent is 2^(digits / 2), so the product is exactly 2^digits:
+    // it wraps to 0, and an unchecked size would allocate nothing while
+    // the shape claims every cell.
+    constexpr std::size_t half = std::size_t{1} << (std::numeric_limits<std::size_t>::digits / 2);
+    EXPECT_THROW(matrix(half, half), std::length_error);
+    EXPECT_THROW(matrix(half, half, 1.0), std::length_error);
+
+    matrix m(2, 3, 1.5);
+    EXPECT_THROW(m.assign(half, half), std::length_error);
+    EXPECT_EQ(m.rows(), 2u);
+    EXPECT_EQ(m.cols(), 3u);
+    EXPECT_EQ(m.size(), 6u);
 }
 
 TEST(Matrix, EqualityIsElementwise) {

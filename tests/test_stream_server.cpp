@@ -1,7 +1,7 @@
 // The sharded multi-stream serving front-end: single-stream parity with
 // standalone detectors for every refit mode and pool size, deterministic
 // many-stream stress under a small pool, batches of blocking refits
-// sharded over the pool, snapshot_all -> restore_all -> replay exactness,
+// sharded over the pool, snapshot_stream -> restore_stream -> replay exactness,
 // migration parity, and per-stream isolation of a stalled record sink.
 // Every stream is fed through the one ingest edge; results are read from
 // the stream's sink.
@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -140,10 +139,6 @@ protected:
                                                          diagnoser_config(mode, boot_rows));
         }
         return std::make_unique<tracking_detector>(boot, 8);
-    }
-
-    std::string temp_dir(const char* name) const {
-        return (std::filesystem::path(::testing::TempDir()) / name).string();
     }
 
     topology topo_{"unset"};
@@ -476,15 +471,16 @@ TEST_F(StreamServerFixture, ConcurrentPushersOnDisjointStreamsMatchShadows) {
 }
 
 // ---------------------------------------------------------------------------
-// snapshot_all -> restore_all -> replay.
+// snapshot_stream over every stream -> restore_stream -> replay.
 // ---------------------------------------------------------------------------
 
-TEST_F(StreamServerFixture, SnapshotAllRestoreAllReplaysExactlyWithRefitInFlight) {
+TEST_F(StreamServerFixture, SnapshotStreamRestoreStreamReplaysExactlyWithRefitInFlight) {
     // One stream per (kind, refit mode), snapshotted at every pool size and
     // restored into a server with a *different* pool size: pool wiring is
-    // runtime, not state, and the replay must still be bit-identical.
+    // runtime, not state, and the replay must still be bit-identical. The
+    // records are taken the way a caller checkpoints a whole server: one
+    // snapshot_stream per id in stream_ids(), alternating the encodings.
     for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
-        const std::string dir = temp_dir("server_snapshot");
         const std::string context = "threads " + std::to_string(threads);
         stream_server original({.threads = threads});
         std::vector<std::unique_ptr<sink_capture>> original_caps;
@@ -511,20 +507,29 @@ TEST_F(StreamServerFixture, SnapshotAllRestoreAllReplaysExactlyWithRefitInFlight
             ASSERT_TRUE(diag.refit_pending()) << context;
         }
 
-        original.snapshot_all(dir);
+        ASSERT_EQ(original.stream_ids(), ids);
+        std::vector<std::string> records;
+        for (const stream_id id : original.stream_ids()) {
+            std::ostringstream out(std::ios::binary);
+            original.snapshot_stream(id, out,
+                                     records.size() % 2 == 0 ? ckpt::encoding::native
+                                                             : ckpt::encoding::interchange);
+            records.push_back(std::move(out).str());
+        }
 
         // Sinks are runtime wiring too: re-attach them after the restore.
         stream_server restored({.threads = 8 - threads});
-        restored.restore_all(dir);
-        ASSERT_EQ(restored.stream_count(), 3u);
-        ASSERT_EQ(restored.stream_ids(), original.stream_ids());
+        std::vector<stream_id> restored_ids;
         std::vector<std::unique_ptr<sink_capture>> restored_caps;
-        for (const stream_id id : ids) {
-            EXPECT_EQ(restored.stats(id).processed, original.stats(id).processed) << context;
-            EXPECT_EQ(restored.stats(id).epoch, original.stats(id).epoch) << context;
+        for (std::size_t s = 0; s < records.size(); ++s) {
+            restored_ids.push_back(restored.restore_stream(records[s]));
+            const stream_id id = restored_ids.back();
+            EXPECT_EQ(restored.stats(id).processed, original.stats(ids[s]).processed) << context;
+            EXPECT_EQ(restored.stats(id).epoch, original.stats(ids[s]).epoch) << context;
             restored_caps.push_back(std::make_unique<sink_capture>());
             restored.set_ingest_sink(id, restored_caps.back()->fn());
         }
+        ASSERT_EQ(restored.stream_count(), 3u);
 
         for (std::size_t r = 0; r < 30; ++r) {
             for (std::size_t s = 0; s < ids.size(); ++s) {
@@ -532,36 +537,22 @@ TEST_F(StreamServerFixture, SnapshotAllRestoreAllReplaysExactlyWithRefitInFlight
                 const detection_result want =
                     apply_one(original, ids[s], *original_caps[s], y_.row(row));
                 const detection_result got =
-                    apply_one(restored, ids[s], *restored_caps[s], y_.row(row));
+                    apply_one(restored, restored_ids[s], *restored_caps[s], y_.row(row));
                 expect_same_detection(want, got,
                                       context + " stream " + std::to_string(s) + " replay bin " +
                                           std::to_string(r));
-                ASSERT_EQ(restored.stats(ids[s]).epoch, original.stats(ids[s]).epoch)
+                ASSERT_EQ(restored.stats(restored_ids[s]).epoch, original.stats(ids[s]).epoch)
                     << context << " stream " << s << " bin " << r;
             }
         }
         // The diagnoser's pending refit must have swapped during the replay.
-        EXPECT_GE(restored.stats(ids[0]).epoch, 1u) << context;
+        EXPECT_GE(restored.stats(restored_ids[0]).epoch, 1u) << context;
 
         // New streams opened after a restore must not collide with restored
         // ids.
         const stream_id fresh = restored.open_stream(open_config(stream_kind::tracking, 80));
-        for (const stream_id id : ids) EXPECT_NE(fresh, id);
-
-        std::filesystem::remove_all(dir);
+        for (const stream_id id : restored_ids) EXPECT_NE(fresh, id);
     }
-}
-
-TEST_F(StreamServerFixture, RestoreAllRequiresAnEmptyServer) {
-    const std::string dir = temp_dir("server_snapshot_nonempty");
-    stream_server a({.threads = 0});
-    (void)a.open_stream(open_config(stream_kind::tracking, 0));
-    a.snapshot_all(dir);
-
-    stream_server b({.threads = 0});
-    (void)b.open_stream(open_config(stream_kind::tracking, 10));
-    EXPECT_THROW(b.restore_all(dir), std::logic_error);
-    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

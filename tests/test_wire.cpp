@@ -681,10 +681,13 @@ TEST(WireFuzz, MutatedRestoreRequestsRestoreWholeOrPublishNothing) {
 // disagree with each other or with what the public API allows. Every
 // field but the one-zero-extent matrix header and the two array headers
 // that claim more words than the input holds decodes on its own; only
-// restore's checks against A's link count m can refuse the record.
+// restore's checks against A's link count m can refuse the record. Two
+// faults are records no version-4 writer emits: a version-3 record, which
+// the header refuses, and a model block with projections in its slot.
 enum class record_fault {
     none,
-    legacy_dense_routing,  // consistent, but version 3 with a dense A
+    version_three,       // consistent, but version 3 with a dense A
+    projections_slot,    // the live model block holds t x m projections
     narrow_axes,         // axes with fewer columns than the rank
     short_variances,     // variances shorter than m
     short_means,         // means shorter than m
@@ -714,9 +717,6 @@ enum class record_fault {
     routing_value_count,     // fewer values than the run lengths sum to
     routing_flows_past_input,  // a run-length array claiming 2^24 words the input lacks
     routing_runs_past_input,   // a link-index array claiming 2^20 words the input lacks
-    // A dense routing matrix in a version-3 record (the legacy reader).
-    legacy_empty_routing,    // a 0 x 0 A
-    legacy_nan_routing,      // a NaN entry in A
     // Non-finite detector state, one slot each: every shape agrees, so
     // only restore's finiteness checks can refuse these.
     nan_routing,         // a NaN value in A's runs
@@ -742,15 +742,7 @@ constexpr std::array<record_fault, 30> k_record_faults = {
     record_fault::routing_inf_value,     record_fault::routing_run_past_m,
     record_fault::routing_link_count,    record_fault::routing_value_count,
     record_fault::routing_flows_past_input, record_fault::routing_runs_past_input,
-    record_fault::legacy_empty_routing,  record_fault::legacy_nan_routing};
-
-// The consistent record written the way a version-3 build wrote it: A as a
-// dense matrix. The legacy faults above write it this way too.
-constexpr bool is_legacy(record_fault fault) {
-    return fault == record_fault::legacy_dense_routing ||
-           fault == record_fault::legacy_empty_routing ||
-           fault == record_fault::legacy_nan_routing;
-}
+    record_fault::version_three,         record_fault::projections_slot};
 
 // An interchange array header ('W' u64 array, 'M' matrix, ...) whose
 // words may claim what the record does not hold.
@@ -814,10 +806,8 @@ std::string fault_record(record_fault fault) {
     if (is(record_fault::routing_link_count)) run_links.pop_back();
     if (is(record_fault::routing_value_count)) values.pop_back();
     if (is(record_fault::routing_no_flows)) lengths.clear();
-    if (is_legacy(fault)) {
-        matrix a = matrix::identity(m);
-        if (is(record_fault::legacy_nan_routing)) a(1, 0) = std::nan("");
-        ckpt::write_matrix(out, is(record_fault::legacy_empty_routing) ? matrix{} : a);
+    if (is(record_fault::version_three)) {
+        ckpt::write_matrix(out, matrix::identity(m));  // A as a version-3 build wrote it
     } else {
         ckpt::write_u64(out, is(record_fault::routing_no_links) ? 0 : m);
         if (is(record_fault::routing_flows_past_input)) {
@@ -867,7 +857,8 @@ std::string fault_record(record_fault fault) {
     }
     if (is(record_fault::inf_variance)) variances[3] = std::numeric_limits<double>::infinity();
     ckpt::write_vec(out, variances);
-    ckpt::write_matrix(out, matrix{});  // projections slot
+    // projections slot: empty in every record a served model writes
+    ckpt::write_matrix(out, is(record_fault::projections_slot) ? ramp(t, m) : matrix{});
     vec means(is(record_fault::short_means) ? m - 1 : axes_dim, 100.0);
     if (is(record_fault::nan_mean)) means[2] = std::nan("");
     ckpt::write_vec(out, means);
@@ -886,7 +877,7 @@ std::string fault_record(record_fault fault) {
         ckpt::write_matrix(out, queued_window);
     }
     std::string record = std::move(out).str();
-    if (is_legacy(fault)) {
+    if (is(record_fault::version_three)) {
         // The version word's low byte, after the 8-byte magic and its 'U'
         // tag: 4 -> 3.
         EXPECT_EQ(record[9], 4);
@@ -973,16 +964,6 @@ TEST(RestoreChecks, StreamingDiagnoserRefusesEveryInconsistentRecord) {
         streaming_diagnoser restored = streaming_diagnoser::restore(in);
         EXPECT_EQ(restored.dimension(), 6u);
         EXPECT_EQ(restored.current().model().normal_rank(), 2u);
-        // The same record at version 3, A dense, converts to the same runs:
-        // both save the same bytes.
-        std::istringstream legacy_in(fault_record(record_fault::legacy_dense_routing),
-                                     std::ios::binary);
-        streaming_diagnoser legacy = streaming_diagnoser::restore(legacy_in);
-        std::ostringstream saved(std::ios::binary);
-        std::ostringstream legacy_saved(std::ios::binary);
-        restored.save(saved);
-        legacy.save(legacy_saved);
-        EXPECT_EQ(legacy_saved.str(), saved.str());
     }
     for (const record_fault fault : k_record_faults) {
         std::istringstream in(fault_record(fault), std::ios::binary);
@@ -1002,11 +983,14 @@ struct inbox_fields {
     std::uint64_t applied = 4;
     std::uint64_t dropped = 1;
     std::uint64_t next_sequence = 6;
+    std::uint64_t residue = 1;  // bins of 104.0 on each of the six links
 };
 
-// Wraps the consistent streaming_diagnoser record in a server_stream
-// container (docs/CHECKPOINT_FORMAT.md) holding one residue bin.
-std::string server_stream_record(const inbox_fields& f) {
+// Wraps a detector record -- the consistent streaming_diagnoser record
+// unless told otherwise -- in a server_stream container
+// (docs/CHECKPOINT_FORMAT.md).
+std::string server_stream_record(const inbox_fields& f,
+                                 const std::string& detector = fault_record(record_fault::none)) {
     std::ostringstream out(std::ios::binary);
     ckpt::set_encoding(out, ckpt::encoding::interchange);
     ckpt::write_header(out, "server_stream");
@@ -1018,16 +1002,24 @@ std::string server_stream_record(const inbox_fields& f) {
     ckpt::write_u64(out, f.dropped);
     ckpt::write_u64(out, 0);  // rejected
     ckpt::write_u64(out, f.next_sequence);
-    ckpt::write_u64(out, 1);  // residue count
-    ckpt::write_vec(out, vec(6, 104.0));
-    out << fault_record(record_fault::none);
+    ckpt::write_u64(out, f.residue);
+    for (std::uint64_t r = 0; r < f.residue; ++r) ckpt::write_vec(out, vec(6, 104.0));
+    out << detector;
     return std::move(out).str();
 }
 
+// A detector record in the container a server writes around a stream
+// that has accepted nothing: the only form a restore takes.
+std::string served(const std::string& detector) {
+    return server_stream_record(
+        {.accepted = 0, .applied = 0, .dropped = 0, .next_sequence = 0, .residue = 0}, detector);
+}
+
 // Containers no server writes: unbalanced counters, an inbox larger than
-// restore may allocate (the server caps inbox capacity at 2^16), and a policy
-// slot above the retired values 1 and 2.
-const std::array<std::pair<const char*, inbox_fields>, 7> k_inbox_faults = {{
+// restore may allocate (the server caps inbox capacity at 2^16), and a
+// policy slot other than 0 (1 and 2 were the retired reject and
+// drop_oldest).
+const std::array<std::pair<const char*, inbox_fields>, 9> k_inbox_faults = {{
     {"applied above accepted", {.accepted = 5, .applied = 100, .dropped = 0,
                                 .next_sequence = 5}},
     {"accepted bins unaccounted", {.accepted = 9, .next_sequence = 9}},
@@ -1037,25 +1029,25 @@ const std::array<std::pair<const char*, inbox_fields>, 7> k_inbox_faults = {{
     {"counters that wrap", {.accepted = 1, .applied = ~std::uint64_t{0}, .dropped = 1,
                             .next_sequence = 1}},
     {"capacity above the cap", {.capacity = std::uint64_t{1} << 17}},
-    {"policy slot above 2", {.policy = 3}},
+    {"policy slot 1", {.policy = 1}},
+    {"policy slot 2", {.policy = 2}},
+    {"policy slot 3", {.policy = 3}},
 }};
 
-// The same records as restore requests over loopback: each answers
-// malformed_payload, publishes nothing, and the server keeps serving.
-// The faulty containers are refused the same way, and by a local
-// restore_stream too.
+// The same records, each in a server_stream container, as restore
+// requests over loopback: each answers malformed_payload, publishes
+// nothing, and the server keeps serving. The faulty containers are
+// refused the same way, and by a local restore_stream too.
 TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
     stream_server server({.threads = 0});
     net::netdiag_frontend frontend(server);
     net::remote_collector collector(frontend.port());
-    const std::uint64_t id = collector.restore(fault_record(record_fault::none));
-    // A version-3 record, A dense, restores over loopback too.
-    server.close_stream(collector.restore(fault_record(record_fault::legacy_dense_routing)));
+    const std::uint64_t id = collector.restore(served(fault_record(record_fault::none)));
     const std::vector<stream_id> before = server.stream_ids();
 
     for (const record_fault fault : k_record_faults) {
         try {
-            (void)collector.restore(fault_record(fault));
+            (void)collector.restore(served(fault_record(fault)));
             ADD_FAILURE() << "fault " << static_cast<int>(fault) << " restored";
         } catch (const net::remote_error& e) {
             EXPECT_EQ(e.code(), net::wire_errc::malformed_payload)
@@ -1082,20 +1074,24 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
     // them, locally through both restore_stream overloads and over
     // loopback. Restoring one would leave a stream that raises no alarm.
     // A tracking record counting more alarms than bins, or holding a
-    // normal rank above its dimension, is refused the same way.
+    // normal rank above its dimension, is refused the same way, and so
+    // are both kinds of detector record on their own, out of the
+    // container a server writes.
     std::vector<std::pair<std::string, std::string>> refused;
     for (const record_fault fault : k_nonfinite_faults) {
         refused.emplace_back("streaming fault " + std::to_string(static_cast<int>(fault)),
-                             fault_record(fault));
+                             served(fault_record(fault)));
     }
     for (const tracker_fault fault : k_tracker_nonfinite_faults) {
         refused.emplace_back("tracking fault " + std::to_string(static_cast<int>(fault)),
-                             tracker_record(fault));
+                             served(tracker_record(fault)));
     }
     refused.emplace_back("tracking alarms above processed",
-                         tracker_record(tracker_fault::alarms_above_processed));
+                         served(tracker_record(tracker_fault::alarms_above_processed)));
     refused.emplace_back("tracking normal rank above dimension",
-                         tracker_record(tracker_fault::normal_rank_above_dimension));
+                         served(tracker_record(tracker_fault::normal_rank_above_dimension)));
+    refused.emplace_back("bare streaming record", fault_record(record_fault::none));
+    refused.emplace_back("bare tracking record", tracker_record(tracker_fault::none));
     for (const auto& [name, record] : refused) {
         EXPECT_THROW((void)server.restore_stream(std::string_view(record)), std::runtime_error)
             << name;
@@ -1113,7 +1109,7 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
     // threshold, or a normal rank equal to the dimension, restores.
     for (const tracker_fault fault : {tracker_fault::none, tracker_fault::inf_threshold,
                                       tracker_fault::normal_rank_at_dimension}) {
-        const stream_id tracked = collector.restore(tracker_record(fault));
+        const stream_id tracked = collector.restore(served(tracker_record(fault)));
         EXPECT_EQ(server.stats(tracked).dimension, 6u) << static_cast<int>(fault);
         // ... and serves: the next bin applies.
         EXPECT_TRUE(server.ingest(tracked, vec(6, 101.0)).ok()) << static_cast<int>(fault);
@@ -1133,43 +1129,7 @@ TEST(WireFuzz, InconsistentRestoreRecordsAreMalformedOverLoopback) {
         EXPECT_EQ(st.next_sequence, 6u) << capacity;
     }
 
-    // The retired reject (1) and drop_oldest (2) slot values load, locally
-    // and over loopback, are written back as 0, and serve as block: a
-    // two-bin batch into a two-bin inbox that holds the record's residue
-    // bin waits for the auto-drain instead of being refused (reject) or
-    // evicting the residue (drop_oldest).
     const vec bin(6, 104.0);
-    for (const std::uint64_t policy : {std::uint64_t{1}, std::uint64_t{2}}) {
-        const std::string record = server_stream_record({.capacity = 2, .policy = policy});
-        const std::string rewritten = server_stream_record({.capacity = 2});
-        std::istringstream in(record, std::ios::binary);
-        for (const stream_id local :
-             {server.restore_stream(std::string_view(record)), server.restore_stream(in)}) {
-            std::ostringstream out(std::ios::binary);
-            server.snapshot_stream(local, out, ckpt::encoding::interchange);
-            EXPECT_EQ(std::move(out).str(), rewritten) << policy;
-            const std::vector<std::span<const double>> batch(2, bin);
-            ASSERT_TRUE(server.ingest_batch(local, batch).ok()) << policy;
-            server.flush_stream(local);
-            const ingest_stats st = server.ingest_statistics(local);
-            EXPECT_EQ(st.accepted, 8u) << policy;
-            EXPECT_EQ(st.applied, 7u) << policy;
-            EXPECT_EQ(st.dropped, 1u) << policy;
-            EXPECT_EQ(st.pending, 0u) << policy;
-            EXPECT_EQ(server.stats(local).processed, 3u) << policy;
-        }
-        const std::uint64_t remote = collector.restore(record);
-        EXPECT_EQ(collector.snapshot(remote), rewritten) << policy;
-        ASSERT_TRUE(collector.ingest_batch(remote, {bin, bin}).ok()) << policy;
-        collector.flush(remote);
-        const net::stats_response st = collector.stats(remote);
-        EXPECT_EQ(st.accepted, 8u) << policy;
-        EXPECT_EQ(st.applied, 7u) << policy;
-        EXPECT_EQ(st.dropped, 1u) << policy;
-        EXPECT_EQ(st.pending, 0u) << policy;
-        EXPECT_EQ(st.processed, 3u) << policy;
-    }
-
     // Three bins: fewer than the record's refit interval.
     for (int i = 0; i < 3; ++i) ASSERT_TRUE(collector.ingest(id, bin).ok()) << i;
     collector.flush(id);

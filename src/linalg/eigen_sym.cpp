@@ -31,6 +31,58 @@ void require_symmetric(const matrix& a, const char* who) {
     }
 }
 
+// Rows j .. j + 3 of tred2's symmetric mat-vec (e = A d over the leading
+// i x i block, A's upper triangle held in rows of w), so the four rows'
+// dot chains run side by side. Each row's dot g adds its terms in k
+// order, and each e[k] takes row j's term before row j + 1's: the head
+// triangle feeds rows j + 1 .. j + 3 the e[k] the one-row loop would have
+// left them. Same operations in the same order, so the same bits.
+void symmetric_matvec_rows4(matrix& w, std::size_t i, std::size_t j, const std::vector<double>& d,
+                            std::vector<double>& e) {
+    const double f0 = d[j];
+    const double f1 = d[j + 1];
+    const double f2 = d[j + 2];
+    const double f3 = d[j + 3];
+    w(i, j) = f0;
+    w(i, j + 1) = f1;
+    w(i, j + 2) = f2;
+    w(i, j + 3) = f3;
+    const double* w0 = w.row(j).data();
+    const double* w1 = w.row(j + 1).data();
+    const double* w2 = w.row(j + 2).data();
+    const double* w3 = w.row(j + 3).data();
+
+    double g0 = e[j] + w0[j] * f0;
+    g0 += w0[j + 1] * d[j + 1];
+    e[j + 1] += w0[j + 1] * f0;
+    double g1 = e[j + 1] + w1[j + 1] * f1;
+    g0 += w0[j + 2] * d[j + 2];
+    e[j + 2] += w0[j + 2] * f0;
+    g1 += w1[j + 2] * d[j + 2];
+    e[j + 2] += w1[j + 2] * f1;
+    double g2 = e[j + 2] + w2[j + 2] * f2;
+    g0 += w0[j + 3] * d[j + 3];
+    e[j + 3] += w0[j + 3] * f0;
+    g1 += w1[j + 3] * d[j + 3];
+    e[j + 3] += w1[j + 3] * f1;
+    g2 += w2[j + 3] * d[j + 3];
+    e[j + 3] += w2[j + 3] * f2;
+    double g3 = e[j + 3] + w3[j + 3] * f3;
+
+    for (std::size_t k = j + 4; k < i; ++k) {
+        const double dk = d[k];
+        g0 += w0[k] * dk;
+        g1 += w1[k] * dk;
+        g2 += w2[k] * dk;
+        g3 += w3[k] * dk;
+        e[k] = e[k] + w0[k] * f0 + w1[k] * f1 + w2[k] * f2 + w3[k] * f3;
+    }
+    e[j] = g0;
+    e[j + 1] = g1;
+    e[j + 2] = g2;
+    e[j + 3] = g3;
+}
+
 // Householder reduction of a symmetric matrix to tridiagonal form: the
 // classic tred2 recurrence, held transposed. w starts as a^T, and every
 // element the column-major recurrence reads as v(r, c) lives at w(c, r),
@@ -67,7 +119,9 @@ void reduce_to_tridiagonal(matrix& w, std::vector<double>& d, std::vector<double
             d[i - 1] = f - g;
             for (std::size_t j = 0; j < i; ++j) e[j] = 0.0;
 
-            for (std::size_t j = 0; j < i; ++j) {
+            std::size_t j = 0;
+            for (; j + 4 <= i; j += 4) symmetric_matvec_rows4(w, i, j, d, e);
+            for (; j < i; ++j) {
                 f = d[j];
                 w(i, j) = f;
                 const double* wj = w.row(j).data();

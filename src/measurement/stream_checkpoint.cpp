@@ -188,7 +188,7 @@ void read_words(std::istream& in, Word* data, std::size_t count, long mode) {
 // A count, then that many 8-byte words: the layout of a vec and of a u64
 // array, which differ only in their interchange tag.
 template <typename Word>
-void write_array(std::ostream& out, const std::vector<Word>& value, char tag) {
+void write_array(std::ostream& out, std::span<const Word> value, char tag) {
     const long mode = stream_mode(out);
     if (mode == k_mode_native) {
         write_u64(out, value.size());
@@ -199,8 +199,10 @@ void write_array(std::ostream& out, const std::vector<Word>& value, char tag) {
     write_words(out, value.data(), value.size(), mode);
 }
 
+// The count of an array, its tag checked, then checked against the cap
+// and the remaining input before anything is allocated for it.
 template <typename Word>
-std::vector<Word> read_array(std::istream& in, char tag, const char* what) {
+std::uint64_t read_array_size(std::istream& in, char tag, const char* what) {
     const long mode = stream_mode(in);
     std::uint64_t size = 0;
     if (mode == k_mode_native) {
@@ -213,8 +215,14 @@ std::vector<Word> read_array(std::istream& in, char tag, const char* what) {
         throw std::runtime_error(std::string("stream_checkpoint: ") + what + " too large");
     }
     check_payload_fits(in, size * sizeof(Word), what);
+    return size;
+}
+
+template <typename Word>
+std::vector<Word> read_array(std::istream& in, char tag, const char* what) {
+    const std::uint64_t size = read_array_size<Word>(in, tag, what);
     std::vector<Word> value(size, Word{});
-    read_words(in, value.data(), size, mode);
+    read_words(in, value.data(), size, stream_mode(in));
     return value;
 }
 
@@ -258,12 +266,12 @@ void write_string(std::ostream& out, const std::string& value) {
     if (!value.empty()) write_raw(out, value.data(), value.size());
 }
 
-void write_vec(std::ostream& out, const std::vector<double>& value) {
+void write_vec(std::ostream& out, std::span<const double> value) {
     write_array(out, value, k_tag_vec);
 }
 
 void write_u64_array(std::ostream& out, const std::vector<std::uint64_t>& value) {
-    write_array(out, value, k_tag_u64_array);
+    write_array(out, std::span<const std::uint64_t>(value), k_tag_u64_array);
 }
 
 void write_matrix(std::ostream& out, const matrix& value) {
@@ -327,6 +335,16 @@ std::vector<double> read_vec(std::istream& in) {
     return read_array<double>(in, k_tag_vec, "vector");
 }
 
+void read_vec_into(std::istream& in, std::span<double> out) {
+    const std::uint64_t size = read_array_size<double>(in, k_tag_vec, "vector");
+    if (size != out.size()) {
+        throw std::runtime_error("stream_checkpoint: vector of " + std::to_string(size) +
+                                 " values where " + std::to_string(out.size()) +
+                                 " belong");
+    }
+    read_words(in, out.data(), out.size(), stream_mode(in));
+}
+
 std::vector<std::uint64_t> read_u64_array(std::istream& in) {
     return read_array<std::uint64_t>(in, k_tag_u64_array, "u64 array");
 }
@@ -387,6 +405,24 @@ std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
     const std::uint64_t pos = static_cast<std::uint64_t>(cur);
     if (end < pos) return std::nullopt;
     return end - pos;
+}
+
+std::uint64_t checked_vec_count(std::istream& in, std::uint64_t count, std::uint64_t width) {
+    const std::optional<std::uint64_t> rem = remaining_bytes(in);
+    if (!rem.has_value()) return 0;
+    // A native vec is its count word and the values; an interchange one
+    // adds the tag byte.
+    const std::uint64_t tag = stream_mode(in) == k_mode_native ? 0 : 1;
+    const std::uint64_t limit = std::numeric_limits<std::uint64_t>::max() / 8;
+    const std::uint64_t record = width >= limit ? std::numeric_limits<std::uint64_t>::max()
+                                                : tag + 8 * (width + 1);
+    if (count > *rem / record) {
+        throw std::runtime_error("stream_checkpoint: " + std::to_string(count) +
+                                 " vectors of " + std::to_string(width) +
+                                 " values exceed remaining input (" + std::to_string(*rem) +
+                                 " bytes left): truncated or corrupt header");
+    }
+    return count;
 }
 
 void write_header(std::ostream& out, const std::string& type_tag) {

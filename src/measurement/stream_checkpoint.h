@@ -36,6 +36,7 @@
 #include <iosfwd>
 #include <ios>
 #include <optional>
+#include <span>
 #include <streambuf>
 #include <string>
 #include <string_view>
@@ -66,7 +67,7 @@ void write_u64(std::ostream& out, std::uint64_t value);
 void write_f64(std::ostream& out, double value);
 void write_flag(std::ostream& out, bool value);
 void write_string(std::ostream& out, const std::string& value);
-void write_vec(std::ostream& out, const std::vector<double>& value);
+void write_vec(std::ostream& out, std::span<const double> value);
 void write_matrix(std::ostream& out, const matrix& value);
 // A count, then that many u64 words in one bulk write (format 4 on).
 void write_u64_array(std::ostream& out, const std::vector<std::uint64_t>& value);
@@ -76,6 +77,9 @@ double read_f64(std::istream& in);
 bool read_flag(std::istream& in);
 std::string read_string(std::istream& in);
 std::vector<double> read_vec(std::istream& in);
+// A vec decoded straight into `out`, with read_vec's tag and length
+// checks; throws std::runtime_error unless it holds out.size() values.
+void read_vec_into(std::istream& in, std::span<double> out);
 matrix read_matrix(std::istream& in);
 std::vector<std::uint64_t> read_u64_array(std::istream& in);
 
@@ -88,6 +92,13 @@ std::vector<std::uint64_t> read_u64_array(std::istream& in);
 // not a seek-to-end round trip -- a stream that grows after its first
 // record read is therefore measured against the cached end.
 std::optional<std::uint64_t> remaining_bytes(std::istream& in);
+
+// Checks, before a reader allocates for them, that `count` vec records
+// of `width` values each fit in the remaining input, in the encoding
+// attached to the stream. Returns count when they do, and 0 when the
+// stream is not seekable and nothing can be vouched for. Throws
+// std::runtime_error when they cannot fit.
+std::uint64_t checked_vec_count(std::istream& in, std::uint64_t count, std::uint64_t width);
 
 // Magic + format version + the record type tag, in the encoding attached
 // to the stream (set_encoding).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "engine/simd.h"
@@ -50,7 +51,12 @@ subspace_model::subspace_model(pca_model pca, std::size_t normal_rank)
 
 subspace_model subspace_model::fit(const matrix& y, const separation_config& sep,
                                    thread_pool* pool) {
-    pca_spectrum_fit fit = fit_pca_spectrum(y, pool);
+    return fit(center_columns(y), sep, pool);
+}
+
+subspace_model subspace_model::fit(centering_result centered, const separation_config& sep,
+                                   thread_pool* pool) {
+    pca_spectrum_fit fit = fit_pca_spectrum(std::move(centered), pool);
     const std::size_t m = fit.spectrum.dimension();
     // Block b holds axes [b * k_axis_block, ...), formed when first read.
     std::vector<matrix> blocks;

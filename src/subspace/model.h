@@ -21,6 +21,7 @@
 
 #include "linalg/matrix.h"
 #include "linalg/vector_ops.h"
+#include "measurement/centering.h"
 #include "subspace/pca.h"
 #include "subspace/separation.h"
 
@@ -36,11 +37,16 @@ public:
     // pca_axis_projection). The variances equal fit_pca(y)'s bit for bit,
     // and the rank equals separate_normal_rank(fit_pca(y), sep); the axes
     // equal fit_pca(y)'s to rounding, and pca().principal_axes holds only
-    // the first min(rank + 1, m) of them, pca().projections none. Every
-    // served fit goes through here. A non-null pool shards the covariance
-    // accumulation over its fixed row blocks (bit-identical for every pool
-    // size).
+    // the first min(rank + 1, m) of them, pca().projections none. A
+    // non-null pool shards the covariance accumulation over its fixed row
+    // blocks (bit-identical for every pool size).
     static subspace_model fit(const matrix& y, const separation_config& sep = {},
+                              thread_pool* pool = nullptr);
+
+    // The same fit from measurements centered already: fit(y, sep, pool)
+    // is fit(center_columns(y), sep, pool). Every served fit goes through
+    // here; a streaming refit passes its window rows centered in place.
+    static subspace_model fit(centering_result centered, const separation_config& sep = {},
                               thread_pool* pool = nullptr);
 
     // Assembles a model from an existing PCA with an explicit normal rank

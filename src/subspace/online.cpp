@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <istream>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -111,16 +112,22 @@ std::shared_ptr<const routing_terms> read_routing(std::istream& in) {
     }
 }
 
-}  // namespace
-
-matrix window_to_matrix(const std::deque<vec>& window) {
-    if (window.empty()) {
-        throw std::invalid_argument("window_to_matrix: empty measurement window");
-    }
-    matrix y(window.size(), window.front().size());
-    for (std::size_t r = 0; r < window.size(); ++r) y.set_row(r, window[r]);
-    return y;
+// Ring slots beyond the window: a deferred fit reads its trigger's rows
+// in place for max(swap_horizon, 1) more pushes.
+std::size_t spare_slots(const streaming_config& cfg) {
+    return std::max<std::size_t>(cfg.swap_horizon, 1);
 }
+
+// The public API's window invariants, checked before anything is fitted.
+streaming_config validated(streaming_config cfg) {
+    if (cfg.window < 2) throw std::invalid_argument("streaming_diagnoser: window too small");
+    if (cfg.swap_horizon > cfg.window) {
+        throw std::invalid_argument("streaming_diagnoser: swap horizon exceeds the window");
+    }
+    return cfg;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // streaming_diagnoser
@@ -128,15 +135,15 @@ matrix window_to_matrix(const std::deque<vec>& window) {
 
 streaming_diagnoser::streaming_diagnoser(const matrix& bootstrap_y, const matrix& a,
                                          streaming_config cfg)
-    : cfg_(std::move(cfg)),
+    : cfg_(validated(std::move(cfg))),
       terms_(std::make_shared<const routing_terms>(a)),
+      window_(bootstrap_y.cols(), cfg_.window, spare_slots(cfg_),
+              std::min(bootstrap_y.rows(), cfg_.window)),
       diagnoser_(subspace_model::fit(bootstrap_y, cfg_.separation, cfg_.pool), terms_,
                  cfg_.confidence) {
-    if (cfg_.window < 2) throw std::invalid_argument("streaming_diagnoser: window too small");
-    for (std::size_t r = 0; r < bootstrap_y.rows(); ++r) {
-        const auto row = bootstrap_y.row(r);
-        window_.emplace_back(row.begin(), row.end());
-        if (window_.size() > cfg_.window) window_.pop_front();
+    const std::size_t kept = std::min(bootstrap_y.rows(), cfg_.window);
+    for (std::size_t r = bootstrap_y.rows() - kept; r < bootstrap_y.rows(); ++r) {
+        window_.push(bootstrap_y.row(r));
     }
 }
 
@@ -157,8 +164,7 @@ diagnosis streaming_diagnoser::push(std::span<const double> y) {
     ++processed_;
     if (d.anomalous) ++alarms_;
 
-    window_.emplace_back(y.begin(), y.end());
-    if (window_.size() > cfg_.window) window_.pop_front();
+    window_.push(y);
 
     if (cfg_.refit_interval > 0 && ++since_refit_ >= cfg_.refit_interval) {
         trigger_refit();
@@ -184,36 +190,38 @@ void streaming_diagnoser::trigger_refit() {
         // immediately -- the triggering push pays for the whole fit.
         if (cfg_.refit_observer) cfg_.refit_observer();
         apply_swap(volume_anomaly_diagnoser(
-            subspace_model::fit(window_to_matrix(window_), cfg_.separation, cfg_.pool), terms_,
-            cfg_.confidence));
+            subspace_model::fit(center_columns(window_.view()), cfg_.separation, cfg_.pool),
+            terms_, cfg_.confidence));
         return;
     }
     // One refit computes at a time. A trigger landing while one is pending
-    // queues this trigger's window snapshot -- freshest wins, so a burst
+    // queues a copy of this trigger's window -- freshest wins, so a burst
     // of triggers during one slow fit costs a single extra fit, never an
     // unbounded backlog -- and the queued fit launches when the pending
     // swap is applied.
     if (refit_pending()) {
-        queued_window_ = window_to_matrix(window_);
+        queued_window_ = window_.to_matrix();
         return;
     }
-    launch_refit(window_to_matrix(window_));
+    launch_refit(window_.view());
 }
 
-void streaming_diagnoser::launch_refit(matrix&& snapshot) {
-    swap_at_ = processed_ + std::max<std::size_t>(cfg_.swap_horizon, 1);
+void streaming_diagnoser::launch_refit(window_view rows) {
+    swap_at_ = processed_ + spare_slots(cfg_);
 
-    // The task owns everything it reads -- its snapshot, and a reference to
-    // the immutable routing terms -- so the diagnoser can be moved (or
-    // destroyed after drain()) while the fit is in flight. The fit itself
-    // runs serially: a pool task must not run a nested parallel_for over
-    // its own pool, and the serial fit is bit-identical to the sharded one
-    // anyway.
-    auto fit = [snapshot = std::move(snapshot), terms = terms_, confidence = cfg_.confidence,
+    // The task owns everything it reads -- its window rows, shared with
+    // the ring, and a reference to the immutable routing terms -- so the
+    // diagnoser can be moved, its ring grown (or the diagnoser destroyed
+    // after drain()) while the fit is in flight. The pushes before the
+    // swap fill the ring's spare slots, never these rows. The fit centers
+    // the rows on whichever thread runs it, and runs serially: a pool task
+    // must not run a nested parallel_for over its own pool, and the
+    // serial fit is bit-identical to the sharded one anyway.
+    auto fit = [rows = std::move(rows), terms = terms_, confidence = cfg_.confidence,
                 sep = cfg_.separation, observer = cfg_.refit_observer]() {
         if (observer) observer();
-        return volume_anomaly_diagnoser(subspace_model::fit(snapshot, sep, nullptr), terms,
-                                        confidence);
+        return volume_anomaly_diagnoser(subspace_model::fit(center_columns(rows), sep, nullptr),
+                                        terms, confidence);
     };
     if (cfg_.pool != nullptr) {
         inflight_ = cfg_.pool->submit_task(std::move(fit));
@@ -240,15 +248,14 @@ volume_anomaly_diagnoser streaming_diagnoser::take_pending() {
 void streaming_diagnoser::apply_swap(volume_anomaly_diagnoser&& next) {
     diagnoser_ = std::move(next);
     ++epoch_;
-    ++refits_;
     if (queued_window_.has_value()) {
         // A trigger fired while this refit was pending: start the queued
-        // fit now, against the freshest snapshot captured at that trigger.
+        // fit now, against the freshest copy captured at that trigger.
         // The swap boundary is computed from the current processed_ count,
         // which is deterministic, so the cascade replays exactly.
-        matrix snapshot = std::move(*queued_window_);
+        window_view rows(std::move(*queued_window_));
         queued_window_.reset();
-        launch_refit(std::move(snapshot));
+        launch_refit(std::move(rows));
     }
 }
 
@@ -274,12 +281,12 @@ void streaming_diagnoser::save(std::ostream& out) {
     ckpt::write_u64(out, static_cast<std::uint64_t>(cfg_.mode));
     ckpt::write_u64(out, cfg_.swap_horizon);
     write_routing(out, *terms_);
-    ckpt::write_u64(out, window_.size());
-    for (const vec& row : window_) ckpt::write_vec(out, row);
+    ckpt::write_u64(out, window_.rows());
+    for (std::size_t r = 0; r < window_.rows(); ++r) ckpt::write_vec(out, window_.row(r));
     ckpt::write_u64(out, epoch_);
     ckpt::write_u64(out, processed_);
     ckpt::write_u64(out, alarms_);
-    ckpt::write_u64(out, refits_);
+    ckpt::write_u64(out, epoch_);  // the refits slot: every applied refit is an epoch
     ckpt::write_u64(out, since_refit_);
     write_model(out, diagnoser_.model());
     ckpt::write_flag(out, ready_.has_value());
@@ -294,12 +301,11 @@ void streaming_diagnoser::save(std::ostream& out) {
 struct streaming_diagnoser::restored_state {
     streaming_config cfg;
     std::shared_ptr<const routing_terms> terms;
-    std::deque<vec> window;
+    window_ring window;
     volume_anomaly_diagnoser diagnoser;
     std::uint64_t epoch = 0;
     std::size_t processed = 0;
     std::size_t alarms = 0;
-    std::size_t refits = 0;
     std::size_t since_refit = 0;
     std::optional<volume_anomaly_diagnoser> ready;
     std::optional<matrix> queued_window;
@@ -314,7 +320,6 @@ streaming_diagnoser::streaming_diagnoser(restored_state&& state)
       epoch_(state.epoch),
       processed_(state.processed),
       alarms_(state.alarms),
-      refits_(state.refits),
       since_refit_(state.since_refit),
       ready_(std::move(state.ready)),
       queued_window_(std::move(state.queued_window)),
@@ -341,6 +346,9 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     if (cfg.window < 2) {
         throw std::runtime_error("streaming_diagnoser::restore: window too small");
     }
+    if (cfg.swap_horizon > cfg.window) {
+        throw std::runtime_error("streaming_diagnoser::restore: swap horizon exceeds the window");
+    }
     try {
         cfg.separation.validate();
     } catch (const std::invalid_argument& e) {
@@ -358,13 +366,14 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     if (window_size < 2) {
         throw std::runtime_error("streaming_diagnoser::restore: window too short to refit");
     }
-    std::deque<vec> window;
+    // The ring's first buffer holds only rows the codec has checked the
+    // input carries, and each row decodes straight into its slot.
+    window_ring window(m, cfg.window, spare_slots(cfg),
+                       ckpt::checked_vec_count(in, window_size, m));
     for (std::uint64_t r = 0; r < window_size; ++r) {
-        window.push_back(ckpt::read_vec(in));
-        if (window.back().size() != m) {
-            throw std::runtime_error("streaming_diagnoser::restore: window row width mismatch");
-        }
-        if (!all_finite(window.back())) {
+        const std::span<double> row = window.append();
+        ckpt::read_vec_into(in, row);
+        if (!all_finite(row)) {
             throw std::runtime_error("streaming_diagnoser::restore: non-finite window value");
         }
     }
@@ -372,10 +381,14 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     const std::uint64_t epoch = ckpt::read_u64(in);
     const std::size_t processed = ckpt::read_u64(in);
     const std::size_t alarms = ckpt::read_u64(in);
-    const std::size_t refits = ckpt::read_u64(in);
+    const std::uint64_t refits = ckpt::read_u64(in);
     const std::size_t since_refit = ckpt::read_u64(in);
     if (alarms > processed) {
         throw std::runtime_error("streaming_diagnoser::restore: more alarms than processed bins");
+    }
+    if (refits != epoch) {
+        throw std::runtime_error("streaming_diagnoser::restore: refit count differs from the "
+                                 "epoch");
     }
     subspace_model live_model = read_model(in, m);
     std::optional<subspace_model> ready_model;
@@ -416,7 +429,6 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
         .epoch = epoch,
         .processed = processed,
         .alarms = alarms,
-        .refits = refits,
         .since_refit = since_refit,
         .ready = std::move(ready),
         .queued_window = std::move(queued_window),

@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <iosfwd>
@@ -36,17 +35,13 @@
 #include "linalg/matrix.h"
 #include "linalg/svd_update.h"
 #include "linalg/vector_ops.h"
+#include "measurement/window_ring.h"
 #include "subspace/diagnoser.h"
 #include "subspace/stream_detector.h"
 
 namespace netdiag {
 
 class thread_pool;
-
-// Stacks a measurement window into a t x m matrix, one window entry per
-// row. Throws std::invalid_argument on an empty window (a refit must never
-// run before any measurement survives the window).
-matrix window_to_matrix(const std::deque<vec>& window);
 
 // How streaming_diagnoser applies periodic refits.
 enum class refit_mode {
@@ -74,6 +69,8 @@ struct streaming_config {
     thread_pool* pool = nullptr;
     refit_mode mode = refit_mode::blocking;
     // deferred mode: bins between the refit trigger and the model swap.
+    // At most `window`: the fit reads the window in place while the
+    // pusher fills max(swap_horizon, 1) spare ring slots.
     std::size_t swap_horizon = 8;
     // Observability/test seam: runs at the start of every refit fit, on
     // whichever thread performs it. Not serialized by checkpoints.
@@ -83,10 +80,11 @@ struct streaming_config {
 class streaming_diagnoser final : public stream_detector {
 public:
     // bootstrap_y supplies the initial model (epoch 0) and seeds the
-    // window. The routing matrix a (links x flows) is read once, into the
-    // stream's sparse routing terms, and not kept. Throws
-    // std::invalid_argument when bootstrap has fewer than two rows or the
-    // routing matrix does not match its width.
+    // window with its last `window` rows. The routing matrix a (links x
+    // flows) is read once, into the stream's sparse routing terms, and not
+    // kept. Throws std::invalid_argument when bootstrap has fewer than two
+    // rows, the routing matrix does not match its width, the window is
+    // below two rows or the swap horizon exceeds it.
     streaming_diagnoser(const matrix& bootstrap_y, const matrix& a, streaming_config cfg = {});
 
     streaming_diagnoser(streaming_diagnoser&&) = default;
@@ -97,8 +95,8 @@ public:
     ~streaming_diagnoser() override;
 
     // Processes one measurement: applies a due model swap, diagnoses the
-    // measurement against the current snapshot, appends it to the window,
-    // and triggers a refit when the interval elapses.
+    // measurement against the current snapshot, copies it into the
+    // window ring, and triggers a refit when the interval elapses.
     diagnosis push(std::span<const double> y);
 
     // stream_detector interface. push_bin is push() minus the
@@ -117,14 +115,17 @@ public:
     // are built straight from them. Throws std::runtime_error on malformed
     // input, including a record of another format version, malformed
     // runs, any shape that disagrees with the routing matrix's link count,
-    // a model block whose projections slot is not empty, a queued window
-    // longer than the configured window, more alarms than processed bins,
-    // and any non-finite value in A, the window, the queued window or a
-    // model's axes, variances or means (see docs/CHECKPOINT_FORMAT.md).
+    // a model block whose projections slot is not empty, a swap horizon
+    // above the window, a window count the input cannot hold, a queued
+    // window longer than the configured window, more alarms than
+    // processed bins, a refit count other than the epoch, and any
+    // non-finite value in A, the window, the queued window or a model's
+    // axes, variances or means (see docs/CHECKPOINT_FORMAT.md). Window
+    // rows decode straight into their ring slots.
     static streaming_diagnoser restore(std::istream& in, thread_pool* pool = nullptr);
 
-    // Applied refits (== model_epoch()).
-    std::size_t refit_count() const noexcept { return refits_; }
+    // Applied refits: every epoch after the bootstrap's is one.
+    std::size_t refit_count() const noexcept { return epoch_; }
     // True while a background fit is computing or a finished fit awaits
     // its deferred swap boundary. Push-thread only, like every accessor of
     // the deferred-refit state (the single-pusher contract below).
@@ -132,8 +133,8 @@ public:
         pusher_cap_.assert_held();
         return inflight_.valid() || ready_.has_value();
     }
-    // True when a trigger fired while a refit was pending and its window
-    // snapshot is queued to fit as soon as the pending swap applies.
+    // True when a trigger fired while a refit was pending and a copy of
+    // its window is queued to fit as soon as the pending swap applies.
     bool refit_queued() const noexcept {
         pusher_cap_.assert_held();
         return queued_window_.has_value();
@@ -146,7 +147,7 @@ private:
 
     void maybe_apply_swap() NETDIAG_REQUIRES(pusher_cap_);
     void trigger_refit() NETDIAG_REQUIRES(pusher_cap_);
-    void launch_refit(matrix&& snapshot) NETDIAG_REQUIRES(pusher_cap_);
+    void launch_refit(window_view rows) NETDIAG_REQUIRES(pusher_cap_);
     void apply_swap(volume_anomaly_diagnoser&& next) NETDIAG_REQUIRES(pusher_cap_);
     volume_anomaly_diagnoser take_pending() NETDIAG_REQUIRES(pusher_cap_);
 
@@ -154,8 +155,9 @@ private:
     // save must come from one thread at a time (the
     // stream_detector contract), so the window and the deferred-refit
     // slots below are confined to whoever plays that role. Entry points
-    // assert it; the background fit task touches none of these fields
-    // (it only fulfills the future inflight_ refers to).
+    // assert it; the background fit task touches none of these fields:
+    // it reads its rows through a window_view of the ring's buffer and
+    // fulfills the future inflight_ refers to.
     sync::role pusher_cap_;
 
     streaming_config cfg_;
@@ -163,21 +165,23 @@ private:
     // shared, read-only, by the live diagnoser, the pending one and the
     // in-flight fit task; save() writes A from it.
     std::shared_ptr<const routing_terms> terms_;
-    std::deque<vec> window_ NETDIAG_GUARDED_BY(pusher_cap_);
+    // The newest cfg_.window bins plus max(swap_horizon, 1) spare slots.
+    // The in-flight fit reads its trigger's rows here through a
+    // window_view; the spare slots take every push until its swap.
+    window_ring window_ NETDIAG_GUARDED_BY(pusher_cap_);
     volume_anomaly_diagnoser diagnoser_;
     std::uint64_t epoch_ = 0;
     std::size_t processed_ = 0;
     std::size_t alarms_ = 0;
-    std::size_t refits_ = 0;
     std::size_t since_refit_ NETDIAG_GUARDED_BY(pusher_cap_) = 0;
 
     // Background refit state. At most one refit is *computing* at a time;
-    // a trigger that fires while one is pending queues its window snapshot
-    // (freshest wins -- the queue is one slot deep, which is also the
-    // per-stream refit backpressure bound the serving front-end relies
-    // on), and the queued fit launches the moment the pending swap is
-    // applied -- deterministically, since pendingness is itself
-    // deterministic.
+    // a trigger that fires while one is pending queues a copy of its
+    // window (freshest wins -- the queue is one slot deep, which is also
+    // the per-stream refit backpressure bound the serving front-end
+    // relies on), and the queued fit launches the moment the pending swap
+    // is applied -- deterministically, since pendingness is itself
+    // deterministic. The copy is what a record carries.
     std::future<volume_anomaly_diagnoser> inflight_ NETDIAG_GUARDED_BY(pusher_cap_);
     std::optional<volume_anomaly_diagnoser> ready_ NETDIAG_GUARDED_BY(pusher_cap_);
     std::optional<matrix> queued_window_ NETDIAG_GUARDED_BY(pusher_cap_);

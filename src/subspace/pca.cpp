@@ -23,13 +23,15 @@ struct centered_covariance {
     matrix cov;
 };
 
-centered_covariance center_and_covariance(const matrix& y, thread_pool* pool) {
-    if (y.rows() < 2) throw std::invalid_argument("fit_pca: need at least two measurement rows");
-    if (y.cols() == 0) throw std::invalid_argument("fit_pca: no measurement columns");
+centered_covariance covariance_of(centering_result centered, thread_pool* pool) {
+    const std::size_t t = centered.centered.rows();
+    if (t < 2) throw std::invalid_argument("fit_pca: need at least two measurement rows");
+    if (centered.centered.cols() == 0) {
+        throw std::invalid_argument("fit_pca: no measurement columns");
+    }
 
     centered_covariance out;
-    out.model.sample_count = y.rows();
-    centering_result centered = center_columns(y);
+    out.model.sample_count = t;
     out.model.column_means = std::move(centered.column_means);
     out.centered = std::move(centered.centered);
     // center_columns already produced the centered rows (with the same
@@ -81,18 +83,22 @@ std::size_t pca_model::rank_for_variance(double fraction) const {
 }
 
 pca_axes_fit fit_pca_axes(const matrix& y, thread_pool* pool) {
-    centered_covariance fit = center_and_covariance(y, pool);
+    centered_covariance fit = covariance_of(center_columns(y), pool);
     sym_eigen_result eig = sym_eigen(fit.cov);
     fit.model.principal_axes = std::move(eig.eigenvectors);
     fit.model.axis_variance = clamped_variances(std::move(eig.eigenvalues));
     return {std::move(fit.model), std::move(fit.centered)};
 }
 
-pca_spectrum_fit fit_pca_spectrum(const matrix& y, thread_pool* pool) {
-    centered_covariance fit = center_and_covariance(y, pool);
+pca_spectrum_fit fit_pca_spectrum(centering_result centered, thread_pool* pool) {
+    centered_covariance fit = covariance_of(std::move(centered), pool);
     sym_spectrum spectrum(fit.cov);
     fit.model.axis_variance = clamped_variances(spectrum.eigenvalues());
     return {std::move(fit.model), std::move(fit.centered), std::move(spectrum)};
+}
+
+pca_spectrum_fit fit_pca_spectrum(const matrix& y, thread_pool* pool) {
+    return fit_pca_spectrum(center_columns(y), pool);
 }
 
 vec pca_axis_projection(const matrix& centered, const matrix& axes, std::size_t i) {

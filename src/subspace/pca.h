@@ -23,6 +23,7 @@
 #include "linalg/eigen_sym.h"
 #include "linalg/matrix.h"
 #include "linalg/vector_ops.h"
+#include "measurement/centering.h"
 
 namespace netdiag {
 
@@ -71,7 +72,13 @@ struct pca_spectrum_fit {
     sym_spectrum spectrum;  // of the covariance; eigenvalues unclamped
 };
 
-// Same shapes, pool and errors as fit_pca_axes.
+// The served fit of measurements centered already (center_columns of a
+// matrix or of window rows read in place): `centered` moves into the
+// result, its means into the model. Same pool and errors as
+// fit_pca_axes, for t >= 2 centered rows.
+pca_spectrum_fit fit_pca_spectrum(centering_result centered, thread_pool* pool = nullptr);
+
+// fit_pca_spectrum(center_columns(y), pool).
 pca_spectrum_fit fit_pca_spectrum(const matrix& y, thread_pool* pool = nullptr);
 
 // The projection half for one axis: u_i = Yc v_i / ||Yc v_i||, with v_i

@@ -2,15 +2,19 @@
 
 #include <unistd.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <vector>
 
 #include "measurement/binning.h"
 #include "measurement/centering.h"
 #include "measurement/csv.h"
 #include "measurement/link_loads.h"
+#include "measurement/window_ring.h"
 
 namespace netdiag {
 namespace {
@@ -113,6 +117,118 @@ TEST(Centering, CenterWithAppliesStoredMeans) {
 
 TEST(Centering, EmptyMatrixThrows) {
     EXPECT_THROW(center_columns(matrix{}), std::invalid_argument);
+}
+
+// A row of `width` values that names its bin: bin b holds b, b + 0.25, ...
+vec ring_row(std::size_t bin, std::size_t width) {
+    vec out(width);
+    for (std::size_t c = 0; c < width; ++c) out[c] = static_cast<double>(bin) + 0.25 * c;
+    return out;
+}
+
+matrix ring_rows(const window_view& view) {
+    matrix out(view.rows(), view.width());
+    for (std::size_t r = 0; r < view.rows(); ++r) out.set_row(r, view.row(r));
+    return out;
+}
+
+// Rows first .. first + count - 1 of ring_row, stacked.
+matrix expected_rows(std::size_t first, std::size_t count, std::size_t width) {
+    matrix out(count, width);
+    for (std::size_t r = 0; r < count; ++r) out.set_row(r, ring_row(first + r, width));
+    return out;
+}
+
+TEST(WindowRing, KeepsTheNewestRowsOldestFirst) {
+    window_ring ring(3, 5, 2, 0);
+    EXPECT_EQ(ring.slots(), 0u);
+    for (std::size_t bin = 0; bin < 23; ++bin) {
+        ring.push(ring_row(bin, 3));
+        const std::size_t rows = std::min<std::size_t>(bin + 1, 5);
+        ASSERT_EQ(ring.rows(), rows);
+        ASSERT_EQ(ring.to_matrix(), expected_rows(bin + 1 - rows, rows, 3)) << "bin " << bin;
+        ASSERT_EQ(ring_rows(ring.view()), ring.to_matrix()) << "bin " << bin;
+    }
+    EXPECT_EQ(ring.slots(), 7u);  // window + spare once full
+    EXPECT_THROW(ring.push(vec(2, 1.0)), std::invalid_argument);
+}
+
+TEST(WindowRing, FullRingKeepsAViewThroughItsSpareAppends) {
+    // A full window is allocated window + spare slots up front and never
+    // reallocates; the spare appends after a view land outside it.
+    window_ring ring(4, 6, 3, 6);
+    EXPECT_EQ(ring.slots(), 9u);
+    for (std::size_t bin = 0; bin < 6; ++bin) ring.push(ring_row(bin, 4));
+    for (std::size_t start = 0; start < 20; ++start) {
+        const window_view view = ring.view();
+        const matrix before = ring_rows(view);
+        for (std::size_t k = 0; k < 3; ++k) ring.push(ring_row(100 + 3 * start + k, 4));
+        ASSERT_EQ(ring_rows(view), before) << "start " << start;
+        ASSERT_EQ(ring.slots(), 9u);
+    }
+}
+
+TEST(WindowRing, YoungRingGrowsAndEarlierViewsKeepTheirRows) {
+    // Two rows present: a first buffer of 2 + min(8, 2) slots. Every view
+    // keeps its rows through the next `spare` appends, and each growth
+    // moves the ring to a new buffer the views never see.
+    window_ring ring(2, 40, 8, 2);
+    EXPECT_EQ(ring.slots(), 4u);
+    ring.push(ring_row(0, 2));
+    ring.push(ring_row(1, 2));
+    std::vector<std::size_t> slot_history{ring.slots()};
+    for (std::size_t bin = 2; bin < 90; ++bin) {
+        const window_view view = ring.view();
+        const matrix before = ring_rows(view);
+        for (std::size_t k = 0; k < 8; ++k) {
+            ring.push(ring_row(bin, 2));
+            if (ring.slots() != slot_history.back()) slot_history.push_back(ring.slots());
+        }
+        ASSERT_EQ(ring_rows(view), before) << "bin " << bin;
+    }
+    EXPECT_EQ(ring.rows(), 40u);
+    EXPECT_EQ(ring.slots(), 48u);
+    // Geometric growth: each buffer at least doubles, up to window + spare.
+    for (std::size_t i = 1; i + 1 < slot_history.size(); ++i) {
+        EXPECT_GE(slot_history[i], 2 * slot_history[i - 1]) << i;
+    }
+}
+
+TEST(WindowRing, FirstBufferIsSizedFromRowsPresentNotTheWindow) {
+    // A window of 2^40 rows allocates for the three rows in hand.
+    window_ring ring(6, std::size_t{1} << 40, std::size_t{1} << 39, 3);
+    EXPECT_EQ(ring.slots(), 6u);
+    for (std::size_t bin = 0; bin < 3; ++bin) ring.push(ring_row(bin, 6));
+    EXPECT_EQ(ring.slots(), 6u);
+    EXPECT_EQ(ring.to_matrix(), expected_rows(0, 3, 6));
+}
+
+TEST(WindowRing, RefusesMoreSpareThanWindowAndEmptyShapes) {
+    EXPECT_THROW(window_ring(3, 4, 5, 0), std::invalid_argument);
+    EXPECT_THROW(window_ring(0, 4, 1, 0), std::invalid_argument);
+    EXPECT_THROW(window_ring(3, 0, 0, 0), std::invalid_argument);
+    EXPECT_NO_THROW(window_ring(3, 4, 4, 4));
+}
+
+TEST(WindowRing, CenteringAViewMatchesCenteringItsMatrix) {
+    window_ring ring(5, 7, 2, 7);
+    for (std::size_t bin = 0; bin < 17; ++bin) {
+        vec row = ring_row(bin, 5);
+        for (double& v : row) v = v * 1.1 + 1e6 / (1.0 + v);
+        ring.push(row);
+    }
+    const centering_result from_view = center_columns(ring.view());
+    const centering_result from_matrix = center_columns(ring.to_matrix());
+    ASSERT_EQ(from_view.centered.rows(), 7u);
+    for (std::size_t i = 0; i < from_view.centered.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(from_view.centered.data()[i]),
+                  std::bit_cast<std::uint64_t>(from_matrix.centered.data()[i]));
+    }
+    for (std::size_t c = 0; c < 5; ++c) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(from_view.column_means[c]),
+                  std::bit_cast<std::uint64_t>(from_matrix.column_means[c]));
+    }
+    EXPECT_THROW(center_columns(window_view{}), std::invalid_argument);
 }
 
 class CsvRoundTrip : public ::testing::Test {

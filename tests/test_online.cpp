@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <deque>
 #include <random>
 
 #include "engine/thread_pool.h"
@@ -93,18 +92,15 @@ TEST_F(OnlineFixture, TinyWindowRejected) {
     EXPECT_THROW(streaming_diagnoser(bootstrap_, routing_.a, cfg), std::invalid_argument);
 }
 
-TEST_F(OnlineFixture, WindowToMatrixRejectsEmptyWindow) {
-    // Regression: this used to dereference window.front() on an empty
-    // deque; it must throw a clear error instead.
-    EXPECT_THROW(window_to_matrix({}), std::invalid_argument);
-
-    std::deque<vec> window;
-    window.emplace_back(vec{1.0, 2.0, 3.0});
-    window.emplace_back(vec{4.0, 5.0, 6.0});
-    const matrix y = window_to_matrix(window);
-    ASSERT_EQ(y.rows(), 2u);
-    ASSERT_EQ(y.cols(), 3u);
-    EXPECT_EQ(y(1, 2), 6.0);
+TEST_F(OnlineFixture, SwapHorizonAboveWindowRejected) {
+    // The fit reads the window in place while the pusher fills the
+    // horizon's spare ring slots, so the horizon may not exceed the window.
+    streaming_config cfg;
+    cfg.window = 10;
+    cfg.swap_horizon = 11;
+    EXPECT_THROW(streaming_diagnoser(bootstrap_, routing_.a, cfg), std::invalid_argument);
+    cfg.swap_horizon = 10;
+    EXPECT_NO_THROW(streaming_diagnoser(bootstrap_, routing_.a, cfg));
 }
 
 TEST_F(OnlineFixture, PooledRefitsMatchSerialBitForBit) {

@@ -1246,5 +1246,238 @@ TEST(StreamCheckpoint, HeaderSizeLiesFailBeforeAllocation) {
     }
 }
 
+// A window count that claims 2^40 rows over a record that carries two
+// fails on the count, before the ring allocates anything for it.
+TEST(StreamCheckpoint, WindowCountLieFailsBeforeAllocation) {
+    streaming_diagnoser det(diag_bins(k_diag_boot_rows, 4321), diag_routing(), diag_config());
+    for (const ckpt::encoding enc : {ckpt::encoding::native, ckpt::encoding::interchange}) {
+        std::ostringstream out(std::ios::binary);
+        ckpt::set_encoding(out, enc);
+        det.save(out);
+        std::string bytes = std::move(out).str();
+
+        // Native words are 8 raw bytes; interchange ones carry a tag byte.
+        const std::size_t tag = enc == ckpt::encoding::native ? 0 : 1;
+        const auto put_u64 = [&](std::size_t at, std::uint64_t v) {
+            for (std::size_t i = 0; i < 8; ++i) {
+                bytes[at + tag + i] = static_cast<char>(v >> (8 * i));
+            }
+        };
+        std::istringstream walk(bytes, std::ios::binary);
+        ckpt::expect_header(walk, "streaming_diagnoser");
+        const auto window_at = static_cast<std::size_t>(walk.tellg());
+        walk.seekg(0);
+        skip_to_routing(walk);
+        skip_routing(walk);
+        const auto count_at = static_cast<std::size_t>(walk.tellg());
+        put_u64(window_at, std::uint64_t{1} << 41);
+        put_u64(count_at, std::uint64_t{1} << 40);
+        const std::size_t row_bytes = tag + 8 + 8 * k_diag_links;
+        bytes.resize(count_at + tag + 8 + 2 * row_bytes);
+
+        std::istringstream in(bytes, std::ios::binary);
+        try {
+            (void)streaming_diagnoser::restore(in);
+            FAIL() << "a window count lie was accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("exceed remaining input"), std::string::npos)
+                << "got: " << e.what();
+        }
+    }
+}
+
+// read_vec_into decodes into a span of the vec's exact length, with
+// read_vec's tag check, and refuses any other length.
+TEST(StreamCheckpoint, ReadVecIntoRefusesAnotherLength) {
+    for (const ckpt::encoding enc : {ckpt::encoding::native, ckpt::encoding::interchange}) {
+        std::ostringstream out(std::ios::binary);
+        ckpt::set_encoding(out, enc);
+        const vec written{1.5, -2.25, 1e300};
+        ckpt::write_vec(out, written);
+        const std::string bytes = std::move(out).str();
+        const auto reader = [&] {
+            auto in = std::make_unique<std::istringstream>(bytes, std::ios::binary);
+            ckpt::set_encoding(*in, enc);
+            return in;
+        };
+        vec exact(3, 0.0);
+        ckpt::read_vec_into(*reader(), exact);
+        EXPECT_EQ(exact, written);
+        for (const std::size_t size : {std::size_t{2}, std::size_t{4}}) {
+            vec other(size, 0.0);
+            EXPECT_THROW(ckpt::read_vec_into(*reader(), other), std::runtime_error) << size;
+        }
+        if (enc == ckpt::encoding::interchange) {
+            std::string retagged = bytes;
+            retagged[0] = 'W';
+            std::istringstream in(retagged, std::ios::binary);
+            ckpt::set_encoding(in, enc);
+            EXPECT_THROW(ckpt::read_vec_into(in, exact), std::runtime_error);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The window ring: a refit reads its trigger's rows in place while the
+// pusher fills the horizon's spare slots, and a young ring grows under an
+// in-flight fit. None of it may move a verdict.
+// ---------------------------------------------------------------------------
+
+struct ring_verdict {
+    bool anomalous = false;
+    std::uint64_t spe = 0;
+    std::uint64_t threshold = 0;
+    std::uint64_t epoch = 0;
+    bool operator==(const ring_verdict&) const = default;
+};
+
+ring_verdict verdict_of(const diagnosis& d, std::uint64_t epoch) {
+    return {d.anomalous, std::bit_cast<std::uint64_t>(d.spe),
+            std::bit_cast<std::uint64_t>(d.threshold), epoch};
+}
+
+std::vector<ring_verdict> ring_run(const streaming_config& cfg, const matrix& boot,
+                                   const matrix& bins) {
+    streaming_diagnoser det(boot, diag_routing(), cfg);
+    std::vector<ring_verdict> out;
+    for (std::size_t r = 0; r < bins.rows(); ++r) {
+        const diagnosis d = det.push(bins.row(r));
+        out.push_back(verdict_of(d, det.model_epoch()));
+    }
+    det.drain();
+    return out;
+}
+
+TEST(StreamingRing, VerdictsMatchAcrossHorizonsIntervalsAndPools) {
+    constexpr std::size_t window = 64;
+    const matrix bins = diag_bins(150, 99);
+    thread_pool pool1(1);
+    thread_pool pool2(2);
+    thread_pool pool8(8);
+    // A bootstrap of 24 rows starts a young ring that grows while fits are
+    // in flight; one of 80 fills the window at once.
+    for (const std::size_t boot_rows : {std::size_t{24}, std::size_t{80}}) {
+        const matrix boot = diag_bins(boot_rows, 4321);
+        for (const std::size_t horizon : {std::size_t{0}, std::size_t{1}, std::size_t{7}, window}) {
+            for (const std::size_t interval : {std::size_t{1}, std::size_t{3}, std::size_t{20}}) {
+                streaming_config cfg = diag_config();
+                cfg.window = window;
+                cfg.swap_horizon = horizon;
+                cfg.refit_interval = interval;
+                const std::vector<ring_verdict> expected = ring_run(cfg, boot, bins);
+                ASSERT_GT(expected.back().epoch, 0u);
+                for (thread_pool* pool : {&pool1, &pool2, &pool8}) {
+                    cfg.pool = pool;
+                    EXPECT_EQ(ring_run(cfg, boot, bins), expected)
+                        << "boot " << boot_rows << " horizon " << horizon << " interval "
+                        << interval << " workers " << pool->size();
+                }
+            }
+        }
+    }
+}
+
+// Each swap installs the fit of its trigger's newest `window` rows,
+// stacked here by hand, in both modes and through ring growth.
+TEST(StreamingRing, RefitsFitTheNewestWindowRows) {
+    constexpr std::size_t window = 64;
+    const matrix boot = diag_bins(24, 4321);
+    const matrix bins = diag_bins(60, 99);
+    thread_pool pool(2);
+    for (const refit_mode mode : {refit_mode::blocking, refit_mode::deferred}) {
+        streaming_config cfg = diag_config();
+        cfg.window = window;
+        cfg.refit_interval = 5;
+        cfg.swap_horizon = 4;  // below the interval: no trigger queues
+        cfg.mode = mode;
+        cfg.pool = &pool;
+        streaming_diagnoser det(boot, diag_routing(), cfg);
+        std::vector<vec> seen;
+        for (std::size_t r = 0; r < boot.rows(); ++r) {
+            seen.emplace_back(boot.row(r).begin(), boot.row(r).end());
+        }
+        std::vector<matrix> trigger_windows;
+        std::uint64_t epoch = 0;
+        for (std::size_t r = 0; r < bins.rows(); ++r) {
+            (void)det.push(bins.row(r));
+            seen.emplace_back(bins.row(r).begin(), bins.row(r).end());
+            if ((r + 1) % cfg.refit_interval == 0) {
+                const std::size_t rows = std::min(window, seen.size());
+                matrix stacked(rows, k_diag_links);
+                for (std::size_t i = 0; i < rows; ++i) {
+                    stacked.set_row(i, seen[seen.size() - rows + i]);
+                }
+                trigger_windows.push_back(std::move(stacked));
+            }
+            if (det.model_epoch() == epoch) continue;
+            epoch = det.model_epoch();
+            const pca_model& live = det.current().model().pca();
+            const pca_model fit = subspace_model::fit(trigger_windows.at(epoch - 1)).pca();
+            ASSERT_EQ(live.axis_variance, fit.axis_variance) << "bin " << r;
+            ASSERT_EQ(live.column_means, fit.column_means) << "bin " << r;
+        }
+        EXPECT_EQ(epoch, mode == refit_mode::blocking ? 12u : 11u);
+        det.drain();
+    }
+}
+
+// save -> restore -> continue with the ring's oldest row at slot 0, 1 and
+// capacity - 1 of a full ring (after k pushes it sits at slot
+// k mod (window + horizon)), and at points before, between and after a
+// young ring's growth steps. The restored stream, whose ring starts over
+// at slot 0 sized from the record's rows, replays the verdicts of a
+// stream that was never saved and writes the same bytes.
+TEST(StreamingRing, SaveRestoreContinueReplaysAtEveryRingPhase) {
+    constexpr std::size_t window = 64;
+    constexpr std::size_t horizon = 6;
+    constexpr std::size_t capacity = window + horizon;
+    const matrix bins = diag_bins(120, 99);
+    thread_pool pool(2);
+    struct save_point {
+        std::size_t boot_rows;
+        std::size_t pushes;
+    };
+    const save_point points[] = {
+        {80, capacity},     {80, capacity + 1}, {80, capacity - 1},  // full ring phases
+        {24, 1},            {24, 20},           {24, 35},            // young ring growth
+    };
+    for (const save_point& p : points) {
+        for (const ckpt::encoding enc : {ckpt::encoding::native, ckpt::encoding::interchange}) {
+            streaming_config cfg = diag_config();
+            cfg.window = window;
+            cfg.swap_horizon = horizon;
+            cfg.refit_interval = 4;  // below the horizon: triggers queue too
+            const matrix boot = diag_bins(p.boot_rows, 4321);
+            streaming_diagnoser never(boot, diag_routing(), cfg);
+            cfg.pool = &pool;
+            streaming_diagnoser live(boot, diag_routing(), cfg);
+            for (std::size_t r = 0; r < p.pushes; ++r) {
+                (void)never.push(bins.row(r));
+                (void)live.push(bins.row(r));
+            }
+            std::ostringstream out(std::ios::binary);
+            ckpt::set_encoding(out, enc);
+            live.save(out);
+            std::istringstream in(std::move(out).str(), std::ios::binary);
+            streaming_diagnoser restored = streaming_diagnoser::restore(in, &pool);
+            for (std::size_t r = p.pushes; r < bins.rows(); ++r) {
+                const diagnosis a = never.push(bins.row(r));
+                const diagnosis b = restored.push(bins.row(r));
+                ASSERT_EQ(restored.model_epoch(), never.model_epoch())
+                    << "boot " << p.boot_rows << " pushes " << p.pushes << " bin " << r;
+                expect_same_diagnosis(a, b, r);
+            }
+            std::ostringstream from_never(std::ios::binary);
+            std::ostringstream from_restored(std::ios::binary);
+            ckpt::set_encoding(from_never, enc);
+            ckpt::set_encoding(from_restored, enc);
+            never.save(from_never);
+            restored.save(from_restored);
+            EXPECT_EQ(std::move(from_restored).str(), std::move(from_never).str())
+                << "boot " << p.boot_rows << " pushes " << p.pushes;
+        }
+    }
+}
+
 }  // namespace
 }  // namespace netdiag

@@ -704,6 +704,8 @@ enum class record_fault {
     negative_k_sigma,    // or negative
     long_queued,         // a queued window longer than the configured window
     alarms_above_processed,  // more alarms than processed bins
+    refits_differ_from_epoch,  // a refits slot other than the epoch
+    horizon_above_window,    // a swap horizon longer than the window
     // A's runs (format 4), one defect each.
     routing_no_links,        // a link count of zero
     routing_no_flows,        // an empty run-length array
@@ -727,7 +729,7 @@ enum class record_fault {
     nan_mean,            // a NaN column mean
 };
 
-constexpr std::array<record_fault, 30> k_record_faults = {
+constexpr std::array<record_fault, 32> k_record_faults = {
     record_fault::narrow_axes,           record_fault::short_variances,
     record_fault::short_means,           record_fault::narrow_window_row,
     record_fault::short_window,          record_fault::narrow_queued,
@@ -736,6 +738,7 @@ constexpr std::array<record_fault, 30> k_record_faults = {
     record_fault::nan_k_sigma,           record_fault::inf_k_sigma,
     record_fault::zero_k_sigma,          record_fault::negative_k_sigma,
     record_fault::long_queued,           record_fault::alarms_above_processed,
+    record_fault::refits_differ_from_epoch, record_fault::horizon_above_window,
     record_fault::routing_no_links,      record_fault::routing_no_flows,
     record_fault::routing_link_past_m,   record_fault::routing_repeated_link,
     record_fault::routing_decreasing_links, record_fault::routing_zero_value,
@@ -782,7 +785,7 @@ std::string fault_record(record_fault fault) {
     ckpt::write_u64(out, 1);       // min_normal_axes
     ckpt::write_flag(out, false);  // no fixed rank
     ckpt::write_u64(out, 1);       // refit_mode::deferred
-    ckpt::write_u64(out, 2);       // swap horizon
+    ckpt::write_u64(out, is(record_fault::horizon_above_window) ? 17 : 2);  // swap horizon
 
     // A as runs: one flow per link (the identity), unless a fault says
     // otherwise. A fault that needs a run of two gives flow 0 the run
@@ -835,7 +838,7 @@ std::string fault_record(record_fault fault) {
     ckpt::write_u64(out, 0);                                              // epoch
     ckpt::write_u64(out, 0);                                              // processed
     ckpt::write_u64(out, is(record_fault::alarms_above_processed) ? 1 : 0);  // alarms
-    ckpt::write_u64(out, 0);                                              // refits
+    ckpt::write_u64(out, is(record_fault::refits_differ_from_epoch) ? 1 : 0);  // refits
     ckpt::write_u64(out, 0);                                              // since refit
 
     // The live model: identity axes, descending variances, rank 2.

@@ -2,11 +2,9 @@
 //
 // This is deliberately the simplest engine that makes the batch sweeps
 // scale: no work stealing, just a mutex-protected job queue drained by a
-// fixed set of workers. Three entry points:
-//  - submit():       fire-and-forget enqueue (the primitive).
-//  - submit_task():  enqueue a callable and get a std::future for its
-//                    result -- the task-queue face used by the streaming
-//                    subsystem to run model refits off the push path.
+// fixed set of workers. Two entry points:
+//  - submit():       fire-and-forget enqueue -- how the streaming
+//                    subsystem hands a deferred refit job to the pool.
 //  - parallel_for(): blocking index sweep. The range is split into one
 //                    contiguous chunk per thread (O(threads) scheduling).
 //
@@ -22,20 +20,24 @@
 // kernels shard").
 //
 // The waiting contract is one rule: a pool job never waits. Every
-// blocking wait (a future.get(), an inbox space wait, a drain-role or
-// swap boundary) happens on a thread the pool does not own, so the queue
+// blocking wait (a parallel_for's completion, an inbox space wait, a
+// drain-role or swap boundary) happens on a thread the pool does not own, so the queue
 // can always drain. assert_wait_allowed() checks the rule at runtime.
+// Work shared between a pool job and a caller follows it by helping
+// before waiting: a deferred refit (subspace/refit_job.h) is stages that
+// either side may claim. The pusher at a swap boundary runs every stage
+// still unclaimed and waits only for a stage a worker holds; the worker
+// claims what is left when its job starts and returns, never waiting,
+// when nothing is -- so a fit whose job sits behind other jobs in the
+// queue is finished by its pusher alone.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <queue>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -56,31 +58,18 @@ public:
     std::size_t size() const noexcept { return workers_.size(); }
 
     // Runtime check of the no-waiting rule: call at every blocking
-    // boundary that can wait on pool work (a future.get(), an inbox space
-    // wait). Throws std::logic_error when the calling thread is a worker
+    // boundary that can wait on pool work (a swap bin or drain with a
+    // refit in flight, an inbox space wait). Throws std::logic_error when the calling thread is a worker
     // of any pool -- a job about to wait could deadlock once every worker
     // waits. No-op on every other thread.
     static void assert_wait_allowed();
 
     // Enqueues a job for execution on some worker. The job must never
-    // wait (a future.get() from inside a job can deadlock once every
-    // worker is parked on such a wait). A parallel_for over this pool from
+    // wait (a wait from inside a job can deadlock once every worker is
+    // parked on such a wait). A parallel_for over this pool from
     // inside a job is safe: it detects the nesting and degrades to a
     // serial loop (bit-identical results).
     void submit(std::function<void()> job) NETDIAG_EXCLUDES(mu_);
-
-    // Enqueues a callable and returns a future for its result. Exceptions
-    // thrown by the task surface at future.get(). The same no-waiting
-    // rule as submit() applies to the task body.
-    template <typename Fn>
-    std::future<std::invoke_result_t<std::decay_t<Fn>>> submit_task(Fn&& fn) {
-        using result_t = std::invoke_result_t<std::decay_t<Fn>>;
-        auto task =
-            std::make_shared<std::packaged_task<result_t()>>(std::forward<Fn>(fn));
-        std::future<result_t> out = task->get_future();
-        submit([task]() mutable { (*task)(); });
-        return out;
-    }
 
     // std::thread::hardware_concurrency with a floor of 1.
     static std::size_t hardware_threads() noexcept;

@@ -113,53 +113,33 @@ matrix column_covariance(const matrix& y) {
     return cov;
 }
 
-// Block shape of the covariance Gram: at least 256 rows per partial
-// block, at most 64 blocks (each partial is m x m, so the cap bounds
-// temporary memory). Both are part of the numerical contract: the block
-// layout is a function of the input shape only -- never the thread count
-// -- so the reduction order is fixed, and changing either value moves
-// fit results within rounding.
+// Block shape of the covariance Gram (see covariance_blocks).
 constexpr std::size_t k_covariance_min_block_rows = 256;
 constexpr std::size_t k_covariance_max_blocks = 64;
 
-matrix parallel_centered_covariance(const matrix& centered, thread_pool* pool) {
-    if (centered.rows() < 2) {
-        throw std::invalid_argument("parallel_centered_covariance: need at least two rows");
-    }
-    const std::size_t t = centered.rows();
-    const std::size_t m = centered.cols();
+covariance_blocks::covariance_blocks(std::size_t t)
+    : rows(t),
+      block_rows(std::max(k_covariance_min_block_rows,
+                          (t + k_covariance_max_blocks - 1) / k_covariance_max_blocks)),
+      count((t + block_rows - 1) / block_rows) {}
 
-    const std::size_t row_block = std::max(
-        k_covariance_min_block_rows, (t + k_covariance_max_blocks - 1) / k_covariance_max_blocks);
-    const std::size_t blocks = (t + row_block - 1) / row_block;
-    std::vector<matrix> partial(blocks);
+void accumulate_covariance_block(const matrix& centered, const covariance_blocks& blocks,
+                                 std::size_t b, matrix& partial) {
+    const std::size_t begin = blocks.begin(b);
+    simd::gram_upper(centered.row(begin).data(), blocks.end(b) - begin, centered.cols(),
+                     partial.data());
+}
 
-    // Each block's Gram runs in register tiles that add the block's rows
-    // in order, so every upper-triangle element sees the same products in
-    // the same order as a plain row loop.
-    const auto accumulate_block = [&](std::size_t b) {
-        const std::size_t row_begin = b * row_block;
-        const std::size_t row_end = std::min(t, row_begin + row_block);
-        matrix& acc = partial[b];
-        acc.assign(m, m, 0.0);
-        simd::gram_upper(centered.row(row_begin).data(), row_end - row_begin, m, acc.data());
-    };
-
-    if (pool != nullptr && blocks > 1) {
-        parallel_for(*pool, 0, blocks, accumulate_block);
-    } else {
-        for (std::size_t b = 0; b < blocks; ++b) accumulate_block(b);
-    }
-
-    // Serial reduction in block order: deterministic for every pool size.
+matrix reduce_covariance_blocks(std::span<const matrix> partials,
+                                const covariance_blocks& blocks) {
+    const std::size_t m = partials.front().rows();
     matrix cov(m, m, 0.0);
-    for (std::size_t b = 0; b < blocks; ++b) {
-        const matrix& acc = partial[b];
+    for (const matrix& acc : partials) {
         for (std::size_t i = 0; i < m; ++i) {
             for (std::size_t j = i; j < m; ++j) cov(i, j) += acc(i, j);
         }
     }
-    const double scale_factor = 1.0 / static_cast<double>(t - 1);
+    const double scale_factor = 1.0 / static_cast<double>(blocks.rows - 1);
     for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = i; j < m; ++j) {
             cov(i, j) *= scale_factor;
@@ -167,6 +147,25 @@ matrix parallel_centered_covariance(const matrix& centered, thread_pool* pool) {
         }
     }
     return cov;
+}
+
+matrix parallel_centered_covariance(const matrix& centered, thread_pool* pool) {
+    if (centered.rows() < 2) {
+        throw std::invalid_argument("parallel_centered_covariance: need at least two rows");
+    }
+    const std::size_t m = centered.cols();
+    const covariance_blocks blocks(centered.rows());
+    std::vector<matrix> partials(blocks.count);
+    const auto accumulate = [&](std::size_t b) {
+        partials[b].assign(m, m, 0.0);
+        accumulate_covariance_block(centered, blocks, b, partials[b]);
+    };
+    if (pool != nullptr && blocks.count > 1) {
+        parallel_for(*pool, 0, blocks.count, accumulate);
+    } else {
+        for (std::size_t b = 0; b < blocks.count; ++b) accumulate(b);
+    }
+    return reduce_covariance_blocks(partials, blocks);
 }
 
 double max_off_diagonal(const matrix& a) {

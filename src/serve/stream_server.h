@@ -47,10 +47,13 @@
 //    (see subspace/online.h), so a stream that triggers refits faster
 //    than they fit degrades to refitting at fit speed instead of piling
 //    tasks onto the shared pool.
-//  - The pool runs exactly two kinds of work: deferred refit fits and the
+//  - The pool runs exactly two kinds of work: deferred refit jobs and the
 //    covariance blocks of a fit a caller runs (a bootstrap or
-//    blocking-mode fit). Neither ever waits, so a drainer waiting at a
-//    deferred swap boundary always gets a worker to finish its fit.
+//    blocking-mode fit). Neither ever waits. A drainer that reaches a
+//    deferred swap boundary before its fit is done runs the fit's
+//    unclaimed stages itself and waits only for a stage a worker holds,
+//    so a fit queued behind other streams' jobs never stalls it longer
+//    than its own fit takes.
 //
 // Threading contract: open/close/snapshot/restore serialize against each
 // other (a maintenance mutex). ingest/ingest_batch/flush_stream may run

@@ -49,6 +49,14 @@ public:
     static subspace_model fit(centering_result centered, const separation_config& sep = {},
                               thread_pool* pool = nullptr);
 
+    // The same fit from centered measurements and their covariance,
+    // reduced already (fit_pca_spectrum's covariance overload): the entry
+    // of a streaming refit, whose covariance blocks may run on two
+    // threads. Bit-identical to the overloads above when `covariance` is
+    // parallel_centered_covariance(centered.centered, pool).
+    static subspace_model fit(centering_result centered, const matrix& covariance,
+                              const separation_config& sep);
+
     // Assembles a model from an existing PCA with an explicit normal rank
     // (used by ablations, checkpoint restore and the online tracker).
     // Throws std::invalid_argument when normal_rank exceeds the dimension

@@ -15,6 +15,7 @@
 #include "measurement/centering.h"
 #include "measurement/stream_checkpoint.h"
 #include "subspace/qstat.h"
+#include "subspace/refit_job.h"
 
 namespace netdiag {
 
@@ -148,8 +149,8 @@ streaming_diagnoser::streaming_diagnoser(const matrix& bootstrap_y, const matrix
 }
 
 streaming_diagnoser::~streaming_diagnoser() {
-    // Never let a worker outlive the members its future result references.
-    // A refit that failed must not escalate to std::terminate here.
+    // The job owns what it reads, but its observer may not outlive the
+    // stream. A refit that failed must not escalate to std::terminate here.
     try {
         drain();
     } catch (...) {
@@ -209,26 +210,20 @@ void streaming_diagnoser::trigger_refit() {
 void streaming_diagnoser::launch_refit(window_view rows) {
     swap_at_ = processed_ + spare_slots(cfg_);
 
-    // The task owns everything it reads -- its window rows, shared with
+    // The job owns everything it reads -- its window rows, shared with
     // the ring, and a reference to the immutable routing terms -- so the
     // diagnoser can be moved, its ring grown (or the diagnoser destroyed
     // after drain()) while the fit is in flight. The pushes before the
-    // swap fill the ring's spare slots, never these rows. The fit centers
-    // the rows on whichever thread runs it, and runs serially: a pool task
-    // must not run a nested parallel_for over its own pool, and the
-    // serial fit is bit-identical to the sharded one anyway.
-    auto fit = [rows = std::move(rows), terms = terms_, confidence = cfg_.confidence,
-                sep = cfg_.separation, observer = cfg_.refit_observer]() {
-        if (observer) observer();
-        return volume_anomaly_diagnoser(subspace_model::fit(center_columns(rows), sep, nullptr),
-                                        terms, confidence);
-    };
+    // swap fill the ring's spare slots, never these rows.
+    auto job = std::make_shared<refit_job>(std::move(rows), terms_, cfg_.confidence,
+                                           cfg_.separation, cfg_.refit_observer);
     if (cfg_.pool != nullptr) {
-        inflight_ = cfg_.pool->submit_task(std::move(fit));
+        cfg_.pool->submit([job] { job->run_share(); });
+        inflight_ = std::move(job);
     } else {
         // No pool to offload to: fit now, but still honour the swap
         // boundary so results match the pooled runs bit-for-bit.
-        ready_ = fit();
+        ready_ = job->take();
     }
 }
 
@@ -239,10 +234,14 @@ volume_anomaly_diagnoser streaming_diagnoser::take_pending() {
         return out;
     }
     // The boundary arrived before the fit finished: this is the one place
-    // the push path may wait, and only for the remainder of the fit. A
-    // failed fit throws here, from the swap bin's push.
+    // the push path may wait. It first runs what is left of the fit
+    // itself -- the means if the worker has not started, the unclaimed
+    // covariance blocks, the finish if it completes the last block -- and
+    // then waits only for the worker's block in hand. A failed fit throws
+    // here, from the swap bin's push.
     thread_pool::assert_wait_allowed();
-    return inflight_.get();
+    const std::shared_ptr<refit_job> job = std::move(inflight_);
+    return job->take();
 }
 
 void streaming_diagnoser::apply_swap(volume_anomaly_diagnoser&& next) {
@@ -261,9 +260,11 @@ void streaming_diagnoser::apply_swap(volume_anomaly_diagnoser&& next) {
 
 void streaming_diagnoser::drain() {
     pusher_cap_.assert_held();
-    if (inflight_.valid()) {
+    if (inflight_ != nullptr) {
+        // Helps the fit like the swap bin does (take_pending), then waits.
         thread_pool::assert_wait_allowed();
-        ready_ = inflight_.get();
+        const std::shared_ptr<refit_job> job = std::move(inflight_);
+        ready_ = job->take();
     }
 }
 
@@ -395,6 +396,14 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     std::size_t swap_at = 0;
     if (ckpt::read_flag(in)) {
         swap_at = ckpt::read_u64(in);
+        // Every writer leaves a pending swap within one horizon of its
+        // launch; a swap bin past that is never reached in step with the
+        // stream (the fit would never swap in and every later trigger
+        // would queue a window copy), and one behind processed never was.
+        if (swap_at < processed || swap_at - processed > spare_slots(cfg)) {
+            throw std::runtime_error("streaming_diagnoser::restore: swap bin outside "
+                                     "[processed, processed + swap horizon]");
+        }
         ready_model = read_model(in, m);
     }
     std::optional<matrix> queued_window;

@@ -15,17 +15,18 @@
 //
 // Pipelining: a refit is the maintenance path; testing the next bin is
 // the detection path. With an engine thread_pool a deferred refit runs as
-// a background task while detection keeps reading the current
+// a background job while detection keeps reading the current
 // epoch-versioned model snapshot, and the snapshot swap is applied on the
 // push thread at a deterministic bin boundary -- so the output sequence
-// depends only on the input stream, never on thread timing. A tracker's
-// rank-1 fold is cheap and runs serially on the push thread.
+// depends only on the input stream, never on thread timing. A pusher
+// that reaches the boundary before the fit is done helps finish it
+// (subspace/refit_job.h). A tracker's rank-1 fold is cheap and runs
+// serially on the push thread.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -41,6 +42,7 @@
 
 namespace netdiag {
 
+class refit_job;
 class thread_pool;
 
 // How streaming_diagnoser applies periodic refits.
@@ -48,13 +50,17 @@ enum class refit_mode {
     // Legacy: the triggering push fits the new model inline (stalls that
     // push for the whole fit; the engine pool, when set, shards the fit).
     blocking,
-    // Deterministic pipelining: the fit runs as a background task on the
-    // pool (serially -- its result is bit-identical either way) and the
-    // swap is applied exactly swap_horizon bins after the trigger,
-    // whether or not the fit finished earlier. push only waits at that
-    // boundary, and only when the fit is slower than swap_horizon bins of
-    // stream. Without a pool the fit runs inline but the swap still
-    // honours the boundary, so results match any pool size bit-for-bit.
+    // Deterministic pipelining: the fit runs as a background job on the
+    // pool and the swap is applied exactly swap_horizon bins after the
+    // trigger, whether or not the fit finished earlier. A push reaches
+    // an unfinished fit only at that boundary (or in drain/save), and
+    // there it runs the fit's unclaimed stages itself -- the means if no
+    // worker has started them, the covariance blocks left, the finish if
+    // it completes the last block -- then waits only for what a worker
+    // holds (subspace/refit_job.h). Whoever runs a stage, its arithmetic
+    // is the serial fit's, so the result is bit-identical either way.
+    // Without a pool the fit runs inline but the swap still honours the
+    // boundary, so results match any pool size bit-for-bit.
     deferred,
 };
 
@@ -73,7 +79,11 @@ struct streaming_config {
     // pusher fills max(swap_horizon, 1) spare ring slots.
     std::size_t swap_horizon = 8;
     // Observability/test seam: runs at the start of every refit fit, on
-    // whichever thread performs it. Not serialized by checkpoints.
+    // whichever thread runs its means stage -- the refitting push in
+    // blocking mode; in deferred mode a pool worker, or the pusher when
+    // it reaches the swap bin before any worker started the fit. A throw
+    // fails the fit, which surfaces from the swap bin's push (or from
+    // drain/save) whichever thread ran it. Not serialized by checkpoints.
     std::function<void()> refit_observer;
 };
 
@@ -90,8 +100,8 @@ public:
     streaming_diagnoser(streaming_diagnoser&&) = default;
     streaming_diagnoser& operator=(streaming_diagnoser&&) = default;
 
-    // Joins any in-flight background refit before the members it reads
-    // are torn down.
+    // Finishes any in-flight refit (helping as drain() does), so no fit
+    // of this stream -- nor its observer -- runs on the pool afterwards.
     ~streaming_diagnoser() override;
 
     // Processes one measurement: applies a due model swap, diagnoses the
@@ -116,12 +126,13 @@ public:
     // input, including a record of another format version, malformed
     // runs, any shape that disagrees with the routing matrix's link count,
     // a model block whose projections slot is not empty, a swap horizon
-    // above the window, a window count the input cannot hold, a queued
-    // window longer than the configured window, more alarms than
-    // processed bins, a refit count other than the epoch, and any
-    // non-finite value in A, the window, the queued window or a model's
-    // axes, variances or means (see docs/CHECKPOINT_FORMAT.md). Window
-    // rows decode straight into their ring slots.
+    // above the window, a pending refit's swap bin outside [processed,
+    // processed + max(swap_horizon, 1)], a window count the input cannot
+    // hold, a queued window longer than the configured window, more
+    // alarms than processed bins, a refit count other than the epoch, and
+    // any non-finite value in A, the window, the queued window or a
+    // model's axes, variances or means (see docs/CHECKPOINT_FORMAT.md).
+    // Window rows decode straight into their ring slots.
     static streaming_diagnoser restore(std::istream& in, thread_pool* pool = nullptr);
 
     // Applied refits: every epoch after the bootstrap's is one.
@@ -131,7 +142,7 @@ public:
     // the deferred-refit state (the single-pusher contract below).
     bool refit_pending() const noexcept {
         pusher_cap_.assert_held();
-        return inflight_.valid() || ready_.has_value();
+        return inflight_ != nullptr || ready_.has_value();
     }
     // True when a trigger fired while a refit was pending and a copy of
     // its window is queued to fit as soon as the pending swap applies.
@@ -155,9 +166,9 @@ private:
     // save must come from one thread at a time (the
     // stream_detector contract), so the window and the deferred-refit
     // slots below are confined to whoever plays that role. Entry points
-    // assert it; the background fit task touches none of these fields:
-    // it reads its rows through a window_view of the ring's buffer and
-    // fulfills the future inflight_ refers to.
+    // assert it; the background fit touches none of these fields: it
+    // reads its rows through a window_view of the ring's buffer and keeps
+    // its state in the refit_job inflight_ shares with the pool task.
     sync::role pusher_cap_;
 
     streaming_config cfg_;
@@ -182,7 +193,7 @@ private:
     // relies on), and the queued fit launches the moment the pending swap
     // is applied -- deterministically, since pendingness is itself
     // deterministic. The copy is what a record carries.
-    std::future<volume_anomaly_diagnoser> inflight_ NETDIAG_GUARDED_BY(pusher_cap_);
+    std::shared_ptr<refit_job> inflight_ NETDIAG_GUARDED_BY(pusher_cap_);
     std::optional<volume_anomaly_diagnoser> ready_ NETDIAG_GUARDED_BY(pusher_cap_);
     std::optional<matrix> queued_window_ NETDIAG_GUARDED_BY(pusher_cap_);
     // processed_ value at which to swap

@@ -17,28 +17,11 @@ namespace {
 // (scheduling only: each axis writes its own column).
 constexpr std::size_t k_projection_min_work = std::size_t{1} << 18;
 
-struct centered_covariance {
-    pca_model model;  // means and sample count only
-    matrix centered;
-    matrix cov;
-};
-
-centered_covariance covariance_of(centering_result centered, thread_pool* pool) {
-    const std::size_t t = centered.centered.rows();
-    if (t < 2) throw std::invalid_argument("fit_pca: need at least two measurement rows");
-    if (centered.centered.cols() == 0) {
-        throw std::invalid_argument("fit_pca: no measurement columns");
+void check_fit_shape(const matrix& centered) {
+    if (centered.rows() < 2) {
+        throw std::invalid_argument("fit_pca: need at least two measurement rows");
     }
-
-    centered_covariance out;
-    out.model.sample_count = t;
-    out.model.column_means = std::move(centered.column_means);
-    out.centered = std::move(centered.centered);
-    // center_columns already produced the centered rows (with the same
-    // mean accumulation the covariance would redo), so the Gram runs
-    // straight over them — one less pass over the data, identical result.
-    out.cov = parallel_centered_covariance(out.centered, pool);
-    return out;
+    if (centered.cols() == 0) throw std::invalid_argument("fit_pca: no measurement columns");
 }
 
 // Covariance eigenvalues are >= 0 in exact arithmetic; clamp round-off.
@@ -83,18 +66,38 @@ std::size_t pca_model::rank_for_variance(double fraction) const {
 }
 
 pca_axes_fit fit_pca_axes(const matrix& y, thread_pool* pool) {
-    centered_covariance fit = covariance_of(center_columns(y), pool);
-    sym_eigen_result eig = sym_eigen(fit.cov);
-    fit.model.principal_axes = std::move(eig.eigenvectors);
-    fit.model.axis_variance = clamped_variances(std::move(eig.eigenvalues));
-    return {std::move(fit.model), std::move(fit.centered)};
+    centering_result centered = center_columns(y);
+    check_fit_shape(centered.centered);
+    // center_columns already produced the centered rows (with the same
+    // mean accumulation the covariance would redo), so the Gram runs
+    // straight over them.
+    sym_eigen_result eig = sym_eigen(parallel_centered_covariance(centered.centered, pool));
+    pca_axes_fit out;
+    out.model.principal_axes = std::move(eig.eigenvectors);
+    out.model.axis_variance = clamped_variances(std::move(eig.eigenvalues));
+    out.model.column_means = std::move(centered.column_means);
+    out.model.sample_count = y.rows();
+    out.centered = std::move(centered.centered);
+    return out;
+}
+
+pca_spectrum_fit fit_pca_spectrum(centering_result centered, const matrix& cov) {
+    check_fit_shape(centered.centered);
+    const std::size_t m = centered.centered.cols();
+    if (cov.rows() != m || cov.cols() != m) {
+        throw std::invalid_argument("fit_pca_spectrum: covariance does not match the columns");
+    }
+    pca_spectrum_fit out{{}, std::move(centered.centered), sym_spectrum(cov)};
+    out.model.axis_variance = clamped_variances(out.spectrum.eigenvalues());
+    out.model.column_means = std::move(centered.column_means);
+    out.model.sample_count = out.centered.rows();
+    return out;
 }
 
 pca_spectrum_fit fit_pca_spectrum(centering_result centered, thread_pool* pool) {
-    centered_covariance fit = covariance_of(std::move(centered), pool);
-    sym_spectrum spectrum(fit.cov);
-    fit.model.axis_variance = clamped_variances(spectrum.eigenvalues());
-    return {std::move(fit.model), std::move(fit.centered), std::move(spectrum)};
+    check_fit_shape(centered.centered);
+    const matrix cov = parallel_centered_covariance(centered.centered, pool);
+    return fit_pca_spectrum(std::move(centered), cov);
 }
 
 pca_spectrum_fit fit_pca_spectrum(const matrix& y, thread_pool* pool) {

@@ -78,6 +78,13 @@ struct pca_spectrum_fit {
 // fit_pca_axes, for t >= 2 centered rows.
 pca_spectrum_fit fit_pca_spectrum(centering_result centered, thread_pool* pool = nullptr);
 
+// The same fit from the covariance of `centered`, reduced already:
+// parallel_centered_covariance(centered.centered, pool), or its blocks
+// accumulated and reduced by a caller that schedules them itself (a
+// streaming refit). Throws std::invalid_argument on degenerate shapes or
+// a covariance that is not m x m.
+pca_spectrum_fit fit_pca_spectrum(centering_result centered, const matrix& cov);
+
 // fit_pca_spectrum(center_columns(y), pool).
 pca_spectrum_fit fit_pca_spectrum(const matrix& y, thread_pool* pool = nullptr);
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
-#include <future>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -99,6 +98,20 @@ TEST(ParallelFor, PropagatesBodyExceptions) {
     EXPECT_EQ(calls.load(), 10);
 }
 
+// Runs job(j) for every j < count as its own pool job and returns once
+// every one has returned.
+template <typename Job>
+void run_jobs(thread_pool& pool, std::size_t count, const Job& job) {
+    std::atomic<std::size_t> finished{0};
+    for (std::size_t j = 0; j < count; ++j) {
+        pool.submit([&job, &finished, j] {
+            job(j);
+            ++finished;
+        });
+    }
+    while (finished.load() < count) std::this_thread::yield();
+}
+
 TEST(ParallelFor, NestedDispatchFromAPoolJobDegradesToSerial) {
     // A parallel_for over a pool, issued from inside one of that pool's
     // own jobs (a sharded multi-stream push reaching a pooled detector
@@ -113,13 +126,9 @@ TEST(ParallelFor, NestedDispatchFromAPoolJobDegradesToSerial) {
         for (auto& h : hits) {
             h = std::vector<std::atomic<int>>(64);
         }
-        std::vector<std::future<void>> done;
-        for (std::size_t j = 0; j < jobs; ++j) {
-            done.push_back(pool.submit_task([&pool, &hits, j] {
-                parallel_for(pool, 0, 64, [&](std::size_t i) { ++hits[j][i]; });
-            }));
-        }
-        for (auto& f : done) f.get();
+        run_jobs(pool, jobs, [&pool, &hits](std::size_t j) {
+            parallel_for(pool, 0, 64, [&](std::size_t i) { ++hits[j][i]; });
+        });
         for (std::size_t j = 0; j < jobs; ++j) {
             for (std::size_t i = 0; i < 64; ++i) {
                 ASSERT_EQ(hits[j][i].load(), 1) << "threads=" << threads << " job=" << j;
@@ -151,10 +160,10 @@ TEST(ThreadPool, AssertWaitAllowedRefusesEveryPoolJob) {
     // Every submitted job, on every worker of every pool size.
     for (const std::size_t threads : {1u, 2u, 4u}) {
         thread_pool pool(threads);
-        std::vector<std::future<bool>> jobs;
-        for (std::size_t j = 0; j < 4 * threads; ++j) jobs.push_back(pool.submit_task(refused));
+        std::vector<int> jobs(4 * threads, -1);
+        run_jobs(pool, jobs.size(), [&](std::size_t j) { jobs[j] = refused() ? 1 : 0; });
         for (std::size_t j = 0; j < jobs.size(); ++j) {
-            EXPECT_TRUE(jobs[j].get()) << "threads=" << threads << " job=" << j;
+            EXPECT_EQ(jobs[j], 1) << "threads=" << threads << " job=" << j;
         }
     }
     // Kernel shards too: parallel_for runs chunk 0 on the caller (allowed)
@@ -163,34 +172,6 @@ TEST(ThreadPool, AssertWaitAllowedRefusesEveryPoolJob) {
     std::vector<int> threw(8, -1);
     parallel_for(pool, 0, threw.size(), [&](std::size_t i) { threw[i] = refused() ? 1 : 0; });
     EXPECT_EQ(threw, (std::vector<int>{0, 0, 1, 1, 1, 1, 1, 1}));
-}
-
-TEST(SubmitTask, ReturnsFutureValue) {
-    thread_pool pool(2);
-    auto fut = pool.submit_task([] { return 41 + 1; });
-    EXPECT_EQ(fut.get(), 42);
-    auto void_fut = pool.submit_task([] {});
-    void_fut.get();  // completes without throwing
-}
-
-TEST(SubmitTask, PropagatesExceptionsThroughTheFuture) {
-    thread_pool pool(2);
-    auto fut = pool.submit_task([]() -> int { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(fut.get(), std::runtime_error);
-    // The pool must remain usable afterwards.
-    EXPECT_EQ(pool.submit_task([] { return 7; }).get(), 7);
-}
-
-TEST(SubmitTask, RunsConcurrentlyWithTheCaller) {
-    thread_pool pool(1);
-    std::atomic<bool> release{false};
-    auto fut = pool.submit_task([&release] {
-        while (!release.load()) std::this_thread::yield();
-        return 5;
-    });
-    // If submit_task ran inline, we would never reach this line.
-    release.store(true);
-    EXPECT_EQ(fut.get(), 5);
 }
 
 // ---------------------------------------------------------------------------

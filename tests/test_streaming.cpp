@@ -1,6 +1,7 @@
 // The pipelined streaming subsystem: stream_detector interface, epoch-
 // versioned background model swaps, deterministic-mode bit-identity across
-// pool sizes, and checkpoint -> restore -> replay equivalence.
+// pool sizes and across splits of a refit between a pool worker and the
+// pusher, and checkpoint -> restore -> replay equivalence.
 #include "subspace/stream_detector.h"
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -27,6 +30,7 @@
 #include "linalg/ops.h"
 #include "measurement/link_loads.h"
 #include "measurement/stream_checkpoint.h"
+#include "serve/stream_server.h"
 #include "subspace/online.h"
 #include "topology/builders.h"
 #include "topology/routing.h"
@@ -1477,6 +1481,393 @@ TEST(StreamingRing, SaveRestoreContinueReplaysAtEveryRingPhase) {
                 << "boot " << p.boot_rows << " pushes " << p.pushes;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The shared refit job: a pool worker and the pusher that reaches the
+// swap bin (or a drain) with the fit unfinished split its stages -- the
+// means, the covariance row blocks, the finish -- and the model carries
+// the same bits whoever ran which.
+// ---------------------------------------------------------------------------
+
+// 48 links with a flow on each adjacent pair: wide enough that a 256-row
+// covariance block lasts while the other thread claims the next one.
+constexpr std::size_t k_wide_links = 48;
+constexpr std::size_t k_wide_window = 600;  // covariance blocks of 256, 256 and 88 rows
+
+matrix wide_routing() {
+    matrix a(k_wide_links, k_wide_links, 0.0);
+    for (std::size_t j = 0; j < k_wide_links; ++j) {
+        a(j, j) = 1.0;
+        a((j + 1) % k_wide_links, j) = 1.0;
+    }
+    return a;
+}
+
+// diag_bins' texture over 48 links: a triangle wave, mt19937_64 noise and
+// a flow spike every 9th bin.
+matrix wide_bins(std::size_t rows, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    const matrix a = wide_routing();
+    matrix y(rows, k_wide_links, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t phase = r % 8;
+        const double day = 1.0 + 0.25 * static_cast<double>(phase < 4 ? phase : 8 - phase);
+        for (std::size_t c = 0; c < k_wide_links; ++c) {
+            const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;
+            y(r, c) = 1e6 * static_cast<double>(1 + c % 7) * (day + 0.0625 * u);
+        }
+        if (r % 9 == 4) {
+            const std::size_t flow = r % k_wide_links;
+            for (std::size_t c = 0; c < k_wide_links; ++c) y(r, c) += 4e6 * a(c, flow);
+        }
+    }
+    return y;
+}
+
+// The refit interval exceeds every horizon used below by more than one
+// bin, so no trigger queues and the push after trigger r + spare swaps.
+streaming_config wide_config(std::size_t horizon) {
+    streaming_config cfg;
+    cfg.window = k_wide_window;
+    cfg.refit_interval = 20;
+    cfg.confidence = 0.99;
+    cfg.mode = refit_mode::deferred;
+    cfg.swap_horizon = horizon;
+    return cfg;
+}
+
+void sleep_briefly() { std::this_thread::sleep_for(std::chrono::microseconds(100)); }
+
+// Every worker of a pool parked in a task that returns once `open` is
+// set. hold_every_worker returns when all of them are parked: each worker
+// has then returned from every task queued before the holds.
+struct worker_hold {
+    std::atomic<std::size_t> parked{0};
+    std::atomic<bool> open{false};
+};
+
+std::shared_ptr<worker_hold> hold_every_worker(thread_pool& pool) {
+    auto hold = std::make_shared<worker_hold>();
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        pool.submit([hold] {
+            ++hold->parked;
+            while (!hold->open.load()) sleep_briefly();
+        });
+    }
+    while (hold->parked.load() < pool.size()) sleep_briefly();
+    return hold;
+}
+
+// Returns once every task queued on the pool before the call has returned.
+void quiesce(thread_pool& pool) { hold_every_worker(pool)->open = true; }
+
+// Runs `call` on this thread while a fit's means stage sits parked on a
+// pool worker: a second thread opens the means a millisecond later, by
+// when `call` waits on it, so the worker ends its means with the caller
+// waiting, and the two then claim covariance blocks side by side.
+void open_means_while(std::atomic<bool>& open, const std::function<void()>& call) {
+    std::thread opener([&open] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        open = true;
+    });
+    call();
+    opener.join();
+}
+
+// Which stages of each refit the pusher runs.
+enum class pusher_share {
+    none,         // the worker fits while the pusher pushes on
+    some_blocks,  // the worker's means ends while the pusher waits at the swap bin
+    every_stage,  // every worker is held: the pusher fits alone
+};
+
+struct share_run {
+    std::vector<ring_verdict> verdicts;
+    std::size_t launched = 0;        // refits triggered
+    std::size_t means_on_pusher = 0;  // means stages the pusher ran
+    std::size_t means_on_worker = 0;
+};
+
+// One stream of `bins` on `pool` (none: the reference) with each refit's
+// stages split between the pusher and the worker as `share` says. The
+// observer records which thread ran each means stage.
+share_run run_shared(const streaming_config& base, thread_pool* pool, pusher_share share,
+                     const matrix& boot, const matrix& bins) {
+    const std::thread::id pusher = std::this_thread::get_id();
+    const bool gated = pool != nullptr && share == pusher_share::some_blocks;
+    std::atomic<std::size_t> on_pusher{0};
+    std::atomic<std::size_t> on_worker{0};
+    std::atomic<bool> open{false};
+    streaming_config cfg = base;
+    cfg.pool = pool;
+    cfg.refit_observer = [&] {
+        if (std::this_thread::get_id() == pusher) {
+            ++on_pusher;
+            return;
+        }
+        ++on_worker;
+        while (gated && !open.load()) sleep_briefly();
+    };
+    share_run out;
+    std::shared_ptr<worker_hold> hold;
+    {
+        // The bootstrap fit shards its covariance over the pool, so the
+        // workers are held only once it is done.
+        streaming_diagnoser det(boot, wide_routing(), cfg);
+        if (pool != nullptr && share == pusher_share::every_stage) hold = hold_every_worker(*pool);
+        const std::size_t spare = std::max<std::size_t>(cfg.swap_horizon, 1);
+        // The swap bin's push, or the final drain, with the pending fit's
+        // means parked on the worker when the run is gated.
+        const auto at_swap = [&](const std::function<void()>& call) {
+            if (!gated) return call();
+            while (on_worker.load() < out.launched) sleep_briefly();
+            open_means_while(open, call);
+            open = false;
+        };
+        std::optional<std::size_t> swap_push;
+        for (std::size_t r = 0; r < bins.rows(); ++r) {
+            diagnosis d;
+            const auto push = [&] { d = det.push(bins.row(r)); };
+            if (swap_push == r) {
+                at_swap(push);
+            } else {
+                push();
+            }
+            out.verdicts.push_back(verdict_of(d, det.model_epoch()));
+            if ((r + 1) % cfg.refit_interval == 0) {  // this push launched a refit
+                ++out.launched;
+                swap_push = r + 1 + spare;
+                if (pool != nullptr && share == pusher_share::none) quiesce(*pool);
+            }
+        }
+        if (det.refit_pending()) at_swap([&] { det.drain(); });
+    }
+    if (hold) hold->open = true;
+    if (pool != nullptr) quiesce(*pool);  // no queued task outlives the observer's captures
+    out.means_on_pusher = on_pusher.load();
+    out.means_on_worker = on_worker.load();
+    return out;
+}
+
+TEST(SharedRefit, VerdictsMatchWhoeverRunsTheStages) {
+    const matrix boot = wide_bins(k_wide_window, 4321);
+    const matrix bins = wide_bins(100, 99);
+    thread_pool pool1(1);
+    thread_pool pool2(2);
+    thread_pool pool8(8);
+    for (const std::size_t horizon : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+        const streaming_config cfg = wide_config(horizon);
+        const share_run expected =
+            run_shared(cfg, nullptr, pusher_share::every_stage, boot, bins);
+        ASSERT_EQ(expected.launched, 5u);
+        ASSERT_EQ(expected.means_on_pusher, 5u);
+        ASSERT_GE(expected.verdicts.back().epoch, 4u);
+        for (thread_pool* pool : {&pool1, &pool2, &pool8}) {
+            for (const pusher_share share :
+                 {pusher_share::none, pusher_share::some_blocks, pusher_share::every_stage}) {
+                const share_run run = run_shared(cfg, pool, share, boot, bins);
+                const std::string context = "horizon " + std::to_string(horizon) +
+                                            " workers " + std::to_string(pool->size()) +
+                                            " share " + std::to_string(static_cast<int>(share));
+                EXPECT_EQ(run.verdicts, expected.verdicts) << context;
+                const bool pusher_means = share == pusher_share::every_stage;
+                EXPECT_EQ(run.means_on_pusher, pusher_means ? 5u : 0u) << context;
+                EXPECT_EQ(run.means_on_worker, pusher_means ? 0u : 5u) << context;
+            }
+        }
+    }
+}
+
+// An observer that throws fails the means stage, on the worker or on the
+// pusher, and the failure surfaces from the swap bin's push -- not
+// before it -- leaving no refit pending.
+TEST(SharedRefit, ObserverFailureSurfacesFromTheSwapBinWhoeverRanIt) {
+    const matrix boot = wide_bins(k_wide_window, 4321);
+    const matrix bins = wide_bins(40, 99);
+    const std::thread::id pusher = std::this_thread::get_id();
+    thread_pool pool(1);
+    for (const pusher_share share :
+         {pusher_share::none, pusher_share::some_blocks, pusher_share::every_stage}) {
+        const std::string context = "share " + std::to_string(static_cast<int>(share));
+        std::atomic<std::size_t> on_pusher{0};
+        std::atomic<std::size_t> on_worker{0};
+        std::atomic<bool> open{false};
+        streaming_config cfg = wide_config(8);
+        cfg.pool = &pool;
+        cfg.refit_observer = [&] {
+            if (std::this_thread::get_id() == pusher) {
+                ++on_pusher;
+            } else {
+                ++on_worker;
+                while (share == pusher_share::some_blocks && !open.load()) sleep_briefly();
+            }
+            throw std::runtime_error("observer refused");
+        };
+        std::shared_ptr<worker_hold> hold;
+        {
+            streaming_diagnoser det(boot, wide_routing(), cfg);
+            if (share == pusher_share::every_stage) hold = hold_every_worker(pool);
+            for (std::size_t r = 0; r < 20; ++r) (void)det.push(bins.row(r));  // trigger: bin 19
+            ASSERT_TRUE(det.refit_pending()) << context;
+            if (share == pusher_share::none) quiesce(pool);  // the worker's means has failed
+            for (std::size_t r = 20; r < 28; ++r) (void)det.push(bins.row(r));
+            const auto swap_push = [&] {
+                EXPECT_THROW((void)det.push(bins.row(28)), std::runtime_error) << context;
+            };
+            if (share == pusher_share::some_blocks) {
+                while (on_worker.load() == 0) sleep_briefly();
+                open_means_while(open, swap_push);
+            } else {
+                swap_push();
+            }
+            EXPECT_FALSE(det.refit_pending()) << context;
+            EXPECT_EQ(det.model_epoch(), 0u) << context;
+        }
+        if (hold) hold->open = true;
+        quiesce(pool);
+        EXPECT_EQ(on_pusher.load(), share == pusher_share::every_stage ? 1u : 0u) << context;
+        EXPECT_EQ(on_worker.load(), share == pusher_share::every_stage ? 0u : 1u) << context;
+    }
+}
+
+// A stream whose refit's means is parked on the worker until the pusher
+// has called `call` (save, detach, destruction): the worker then takes
+// the first covariance block while the pusher claims the others.
+struct parked_means {
+    std::atomic<bool> parked{false};
+    std::atomic<bool> open{false};
+
+    std::function<void()> observer() {
+        const std::thread::id pusher = std::this_thread::get_id();
+        return [this, pusher] {
+            if (std::this_thread::get_id() == pusher) return;
+            parked = true;
+            while (!open.load()) sleep_briefly();
+        };
+    }
+    void during(const std::function<void()>& call) {
+        while (!parked.load()) sleep_briefly();
+        open_means_while(open, call);
+    }
+};
+
+// save() drains a pending refit whose worker holds a block: the record is
+// the one a pool-less stream writes at the same bin, and its restore
+// replays that stream's verdicts and epochs.
+TEST(SharedRefit, SaveWhileTheWorkerHoldsABlockReplaysExactly) {
+    const matrix boot = wide_bins(k_wide_window, 4321);
+    const matrix bins = wide_bins(90, 99);
+    thread_pool pool(2);
+    for (const ckpt::encoding enc : {ckpt::encoding::native, ckpt::encoding::interchange}) {
+        streaming_config cfg = wide_config(8);
+        streaming_diagnoser never(boot, wide_routing(), cfg);
+        parked_means gate;
+        cfg.pool = &pool;
+        cfg.refit_observer = gate.observer();
+        streaming_diagnoser live(boot, wide_routing(), cfg);
+        for (std::size_t r = 0; r < 22; ++r) {  // the refit of bin 19 is pending
+            (void)never.push(bins.row(r));
+            (void)live.push(bins.row(r));
+        }
+        std::ostringstream from_live(std::ios::binary);
+        std::ostringstream from_never(std::ios::binary);
+        ckpt::set_encoding(from_live, enc);
+        ckpt::set_encoding(from_never, enc);
+        gate.during([&] { live.save(from_live); });
+        never.save(from_never);
+        const std::string record = std::move(from_live).str();
+        ASSERT_EQ(record, std::move(from_never).str());
+
+        std::istringstream in(record, std::ios::binary);
+        streaming_diagnoser restored = streaming_diagnoser::restore(in, &pool);
+        ASSERT_TRUE(restored.refit_pending());
+        for (std::size_t r = 22; r < bins.rows(); ++r) {
+            const diagnosis a = never.push(bins.row(r));
+            const diagnosis b = restored.push(bins.row(r));
+            ASSERT_EQ(restored.model_epoch(), never.model_epoch()) << "bin " << r;
+            expect_same_diagnosis(a, b, r);
+        }
+        EXPECT_GE(restored.model_epoch(), 4u);
+    }
+}
+
+// A stream destroyed while its worker holds a block finishes the fit in
+// its destructor; the job outlives the stream on the worker, and the pool
+// then serves the next stream bit for bit.
+TEST(SharedRefit, DestructionWhileTheWorkerHoldsABlockLeavesThePoolServing) {
+    const matrix boot = wide_bins(k_wide_window, 4321);
+    const matrix bins = wide_bins(100, 99);
+    thread_pool pool(1);
+    {
+        parked_means gate;
+        streaming_config cfg = wide_config(8);
+        cfg.pool = &pool;
+        cfg.refit_observer = gate.observer();
+        auto doomed = std::make_unique<streaming_diagnoser>(boot, wide_routing(), cfg);
+        for (std::size_t r = 0; r < 22; ++r) (void)doomed->push(bins.row(r));
+        ASSERT_TRUE(doomed->refit_pending());
+        gate.during([&] { doomed.reset(); });
+        quiesce(pool);
+    }
+    const streaming_config cfg = wide_config(8);
+    EXPECT_EQ(run_shared(cfg, &pool, pusher_share::some_blocks, boot, bins).verdicts,
+              run_shared(cfg, nullptr, pusher_share::every_stage, boot, bins).verdicts);
+}
+
+// detach_stream drains a served stream's pending refit while the
+// server's worker holds a block: the record equals a pool-less server's,
+// and both restore into servers that go on bit for bit.
+TEST(SharedRefit, DetachWhileTheWorkerHoldsABlockReplaysExactly) {
+    const matrix boot = wide_bins(k_wide_window, 4321);
+    const matrix bins = wide_bins(90, 99);
+    parked_means gate;
+    const auto open_config = [&](bool observed) {
+        stream_open_config cfg;
+        cfg.kind = stream_kind::diagnoser;
+        cfg.bootstrap_y = boot;
+        cfg.a = wide_routing();
+        cfg.streaming = wide_config(8);
+        if (observed) cfg.streaming.refit_observer = gate.observer();
+        return cfg;
+    };
+    stream_server pooled({.threads = 1});
+    stream_server serial({.threads = 0});
+    const stream_id pooled_id = pooled.open_stream(open_config(true));
+    const stream_id serial_id = serial.open_stream(open_config(false));
+    for (std::size_t r = 0; r < 22; ++r) {  // auto-drained: the refit of bin 19 is pending
+        ASSERT_TRUE(pooled.ingest(pooled_id, bins.row(r)).ok());
+        ASSERT_TRUE(serial.ingest(serial_id, bins.row(r)).ok());
+    }
+    std::ostringstream from_pooled(std::ios::binary);
+    std::ostringstream from_serial(std::ios::binary);
+    gate.during([&] { pooled.detach_stream(pooled_id, from_pooled); });
+    serial.detach_stream(serial_id, from_serial);
+    const std::string record = std::move(from_pooled).str();
+    ASSERT_EQ(record, std::move(from_serial).str());
+
+    stream_server pooled_target({.threads = 1});
+    stream_server serial_target({.threads = 0});
+    const stream_id a = pooled_target.restore_stream(record);
+    const stream_id b = serial_target.restore_stream(record);
+    std::vector<detection_result> got;
+    std::vector<detection_result> want;
+    pooled_target.set_ingest_sink(a, [&got](std::uint64_t, const detection_result& r) {
+        got.push_back(r);
+    });
+    serial_target.set_ingest_sink(b, [&want](std::uint64_t, const detection_result& r) {
+        want.push_back(r);
+    });
+    for (std::size_t r = 22; r < bins.rows(); ++r) {
+        ASSERT_TRUE(pooled_target.ingest(a, bins.row(r)).ok());
+        ASSERT_TRUE(serial_target.ingest(b, bins.row(r)).ok());
+        ASSERT_EQ(pooled_target.stats(a).epoch, serial_target.stats(b).epoch) << "bin " << r;
+    }
+    pooled_target.flush_stream(a);
+    serial_target.flush_stream(b);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) expect_same_detection(want[i], got[i], i);
+    EXPECT_GE(serial_target.stats(b).epoch, 4u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <initializer_list>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <span>
 #include <sstream>
@@ -706,6 +707,9 @@ enum class record_fault {
     alarms_above_processed,  // more alarms than processed bins
     refits_differ_from_epoch,  // a refits slot other than the epoch
     horizon_above_window,    // a swap horizon longer than the window
+    swap_bin_past_horizon,   // a pending refit swapping at bin 2^62
+    swap_bin_before_processed,  // a pending refit whose swap bin has passed
+    pending_swap_at_horizon,    // legal: a pending refit one horizon ahead
     // A's runs (format 4), one defect each.
     routing_no_links,        // a link count of zero
     routing_no_flows,        // an empty run-length array
@@ -729,7 +733,7 @@ enum class record_fault {
     nan_mean,            // a NaN column mean
 };
 
-constexpr std::array<record_fault, 32> k_record_faults = {
+constexpr std::array<record_fault, 34> k_record_faults = {
     record_fault::narrow_axes,           record_fault::short_variances,
     record_fault::short_means,           record_fault::narrow_window_row,
     record_fault::short_window,          record_fault::narrow_queued,
@@ -745,7 +749,8 @@ constexpr std::array<record_fault, 32> k_record_faults = {
     record_fault::routing_inf_value,     record_fault::routing_run_past_m,
     record_fault::routing_link_count,    record_fault::routing_value_count,
     record_fault::routing_flows_past_input, record_fault::routing_runs_past_input,
-    record_fault::version_three,         record_fault::projections_slot};
+    record_fault::version_three,         record_fault::projections_slot,
+    record_fault::swap_bin_past_horizon, record_fault::swap_bin_before_processed};
 
 // An interchange array header ('W' u64 array, 'M' matrix, ...) whose
 // words may claim what the record does not hold.
@@ -836,7 +841,8 @@ std::string fault_record(record_fault fault) {
         ckpt::write_vec(out, vec(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(width)));
     }
     ckpt::write_u64(out, 0);                                              // epoch
-    ckpt::write_u64(out, 0);                                              // processed
+    const std::uint64_t processed = is(record_fault::swap_bin_before_processed) ? 3 : 0;
+    ckpt::write_u64(out, processed);                                      // processed
     ckpt::write_u64(out, is(record_fault::alarms_above_processed) ? 1 : 0);  // alarms
     ckpt::write_u64(out, is(record_fault::refits_differ_from_epoch) ? 1 : 0);  // refits
     ckpt::write_u64(out, 0);                                              // since refit
@@ -868,7 +874,22 @@ std::string fault_record(record_fault fault) {
     ckpt::write_u64(out, t);
     ckpt::write_u64(out, is(record_fault::rank_above_m) ? m + 1 : 2);
 
-    ckpt::write_flag(out, false);  // no refit awaiting its swap
+    // A refit awaiting its swap (three faults), else none. Every writer
+    // puts the swap bin in [processed, processed + max(horizon, 1)].
+    std::optional<std::uint64_t> swap_at;
+    if (is(record_fault::swap_bin_past_horizon)) swap_at = std::uint64_t{1} << 62;
+    if (is(record_fault::swap_bin_before_processed)) swap_at = processed - 1;
+    if (is(record_fault::pending_swap_at_horizon)) swap_at = processed + 2;
+    ckpt::write_flag(out, swap_at.has_value());
+    if (swap_at) {
+        ckpt::write_u64(out, *swap_at);
+        ckpt::write_matrix(out, matrix::identity(m));
+        ckpt::write_vec(out, vec{6.0, 5.0, 4.0, 3.0, 2.0, 1.0});
+        ckpt::write_matrix(out, matrix{});  // projections slot
+        ckpt::write_vec(out, vec(m, 100.0));
+        ckpt::write_u64(out, t);
+        ckpt::write_u64(out, 2);  // normal rank
+    }
     const bool queued = is(record_fault::narrow_queued) || is(record_fault::inf_queued_value) ||
                         is(record_fault::long_queued);
     ckpt::write_flag(out, queued);
@@ -967,6 +988,15 @@ TEST(RestoreChecks, StreamingDiagnoserRefusesEveryInconsistentRecord) {
         streaming_diagnoser restored = streaming_diagnoser::restore(in);
         EXPECT_EQ(restored.dimension(), 6u);
         EXPECT_EQ(restored.current().model().normal_rank(), 2u);
+    }
+    {
+        // The pending swap lands exactly one horizon (2) ahead.
+        std::istringstream in(fault_record(record_fault::pending_swap_at_horizon),
+                              std::ios::binary);
+        streaming_diagnoser restored = streaming_diagnoser::restore(in);
+        ASSERT_TRUE(restored.refit_pending());
+        for (std::size_t r = 0; r < 3; ++r) (void)restored.push(vec(6, 104.0));
+        EXPECT_EQ(restored.model_epoch(), 1u);
     }
     for (const record_fault fault : k_record_faults) {
         std::istringstream in(fault_record(fault), std::ios::binary);
